@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint cov bench bench-pytest chaos serve-smoke chaos-serve-smoke soak-smoke tenant-smoke
+.PHONY: test lint cov bench bench-pytest bench-e2e-quick chaos serve-smoke chaos-serve-smoke soak-smoke tenant-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +51,13 @@ tenant-smoke:
 ## docs/PERFORMANCE.md).
 bench:
 	$(PYTHON) benchmarks/run_bench.py
+
+## The serving-path benchmark (benchmarks/e2e, the reference for serving
+## performance claims) at smoke sizes: all four workloads, one short
+## round each.  Timings mean nothing at this size; the exit code fails on
+## any conservation, digest-across-rounds or liveness check.
+bench-e2e-quick:
+	python3 benchmarks/e2e/run.py --quick --seconds 0.1
 
 ## Full pytest-benchmark statistics for the same kernels.
 bench-pytest:

@@ -553,10 +553,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     checkpoint=checkpoint,
                     tenant_indices=tenant_indices,
                     tenant_names=tenant_names,
+                    # The (empty) store just starts sampling from the
+                    # restored tick onward.
+                    timeseries=timeseries,
                 )
-                # Resume rebuilds the session itself; the (empty) store
-                # just starts sampling from the restored tick onward.
-                session.timeseries = timeseries
                 remaining = args.duration - session.clock.now
                 if remaining <= 0:
                     print(

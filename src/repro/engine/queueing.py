@@ -296,16 +296,30 @@ def _bisect_many(
     """
     lo_b = np.zeros((len(hi), len(qs)))
     hi_b = np.broadcast_to(hi[:, None], lo_b.shape).copy()
+    mid = np.empty_like(lo_b)
+    cdf = np.empty_like(lo_b)
+    below = np.empty(lo_b.shape, dtype=bool)
+    above = np.empty(lo_b.shape, dtype=bool)
+    mass = np.empty(lo_b.shape + (d2.shape[-1],))
+    delays = d2[:, None, :]
+    neg_rates = -r2[:, None, :]
+    weights = w2[:, None, :]
     for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo_b + hi_b)
-        gap = mid[:, :, None] - d2[:, None, :]
-        mass = np.where(
-            gap > 0, 1.0 - np.exp(-r2[:, None, :] * np.maximum(gap, 0.0)), 0.0
-        )
-        cdf = (mass * w2[:, None, :]).sum(-1)
-        below = cdf < qs
-        lo_b = np.where(below, mid, lo_b)
-        hi_b = np.where(below, hi_b, mid)
+        np.add(lo_b, hi_b, out=mid)
+        np.multiply(mid, 0.5, out=mid)
+        # mass = 1 - exp(-r * max(mid - d, 0)): a component that starts
+        # after ``mid`` gets exp(0) = 1, i.e. exactly zero mass.
+        np.subtract(mid[:, :, None], delays, out=mass)
+        np.maximum(mass, 0.0, out=mass)
+        np.multiply(mass, neg_rates, out=mass)
+        np.exp(mass, out=mass)
+        np.subtract(1.0, mass, out=mass)
+        np.multiply(mass, weights, out=mass)
+        np.add.reduce(mass, axis=-1, out=cdf)
+        np.less(cdf, qs, out=below)
+        np.logical_not(below, out=above)
+        np.copyto(lo_b, mid, where=below)
+        np.copyto(hi_b, mid, where=above)
     return 0.5 * (lo_b + hi_b)
 
 

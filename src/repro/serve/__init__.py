@@ -33,7 +33,7 @@ from repro.serve.checkpoint import (
 from repro.serve.clock import VirtualClock
 from repro.serve.control import OnlineControlLoop
 from repro.serve.edge import DistributedServeSession
-from repro.serve.engine import ServerEngine, TxnOutcome
+from repro.serve.engine import OutcomeBatch, ServerEngine, TxnOutcome
 from repro.serve.loadgen import (
     LoadGenerator,
     LoadgenReport,
@@ -70,6 +70,7 @@ __all__ = [
     "write_checkpoint",
     "VirtualClock",
     "OnlineControlLoop",
+    "OutcomeBatch",
     "ServerEngine",
     "TxnOutcome",
     "LoadGenerator",

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.telemetry import Telemetry
-from repro.telemetry.metrics import labeled
+from repro.telemetry.metrics import index_counts, labeled
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,79 @@ class AdmissionController:
             retry_after,
             reason=reason,
         )
+
+    # ------------------------------------------------------------------
+    # Batch forms: one call per tick, same counters as n scalar calls
+    # ------------------------------------------------------------------
+    def decide_batch(
+        self,
+        node_ids: np.ndarray,
+        est_if_admitted: np.ndarray,
+        *,
+        limit_s: Optional[float] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`decide` for a batch of requests in arrival order.
+
+        ``est_if_admitted[i]`` is the queue estimate request ``i`` sees
+        if every earlier request of the batch bound for the same node
+        was admitted.  That estimate never falls along a node's
+        requests, so the admitted ones are a prefix of them; a shed
+        request adds nothing to the queue, so every later request on the
+        node sees — and is shed with — the estimate of the node's first
+        shed.  Returns ``(accepted, retry_after_s)``; counters move
+        exactly as under ``len(node_ids)`` :meth:`decide` calls.
+        """
+        limit = self.config.queue_limit_seconds if limit_s is None else limit_s
+        accepted = est_if_admitted <= limit
+        retry_after = np.zeros(len(node_ids))
+        everyone = bool(accepted.all())
+        admitted_nodes = node_ids if everyone else node_ids[accepted]
+        self.accepted += len(admitted_nodes)
+        self._tally(admitted_nodes, "serve.admitted", "serve.admit.accepted")
+        if not everyone:
+            shed = np.flatnonzero(~accepted)
+            shed_nodes = node_ids[shed]
+            first_shed = np.full(int(shed_nodes.max()) + 1, np.inf)
+            np.minimum.at(first_shed, shed_nodes, est_if_admitted[shed])
+            retry_after[shed] = np.maximum(
+                self.config.retry_after_floor_s, first_shed[shed_nodes] - limit
+            )
+            self.rejected += len(shed)
+            self._tally(shed_nodes, "serve.rejected", "serve.admit.shed")
+            if self.telemetry is not None:
+                gauge = self.telemetry.gauge("serve.admit.retry_after_s")
+                for value in retry_after[shed].tolist():
+                    gauge.set(value)  # one update per shed, like decide()
+        return accepted, retry_after
+
+    def shed_batch(
+        self,
+        node_ids: np.ndarray,
+        *,
+        reason: str,
+        retry_after_s: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`shed_outright` for a batch; returns the Retry-After
+        hints (the floor, raised to each finite ``retry_after_s``)."""
+        self.rejected += len(node_ids)
+        self._tally(node_ids, "serve.rejected", "serve.admit.shed")
+        if reason == "brownout" and self.telemetry is not None and len(node_ids):
+            self.telemetry.counter("serve.brownout.shed").inc(len(node_ids))
+        floor = self.config.retry_after_floor_s
+        if retry_after_s is None:
+            return np.full(len(node_ids), floor)
+        return np.where(
+            np.isfinite(retry_after_s), np.maximum(floor, retry_after_s), floor
+        )
+
+    def _tally(self, nodes: np.ndarray, total_name: str, per_node_name: str) -> None:
+        """Bump a fleet counter and its per-node labelled family."""
+        tel = self.telemetry
+        if tel is None or len(nodes) == 0:
+            return
+        tel.counter(total_name).inc(len(nodes))
+        for node, count in index_counts(nodes):
+            tel.counter(labeled(per_node_name, node=node)).inc(count)
 
     @property
     def total(self) -> int:

@@ -17,6 +17,7 @@ two modes:
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Tuple
 
 from repro.errors import ConfigurationError
@@ -35,10 +36,33 @@ class VirtualClock:
         self._now = float(start)
         self._seq = 0
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        # Latest time the running run_until() still fires events at.
+        self._horizon = math.inf
 
     @property
     def now(self) -> float:
         return self._now
+
+    def quiet_until(self) -> float:
+        """Exclusive end of the stretch only the running callback owns.
+
+        Every event the callback could schedule at a time strictly
+        before the returned one would fire, in time order, ahead of
+        everything else on the heap and inside the current
+        :meth:`run_until` — so a callback that chains such events (the
+        load generator's arrivals) may act on the whole stretch at once.
+        An event *at* the returned time would fire after the heap's.
+        """
+        beyond_horizon = math.nextafter(self._horizon, math.inf)
+        if self._heap and self._heap[0][0] < beyond_horizon:
+            return self._heap[0][0]
+        return beyond_horizon
+
+    def advance(self, when: float) -> None:
+        """Move ``now`` forward to ``when`` (never backwards), as firing
+        an event scheduled at ``when`` would."""
+        if when > self._now:
+            self._now = when
 
     @property
     def pending(self) -> int:
@@ -64,12 +88,16 @@ class VirtualClock:
         number of events fired.  The clock ends exactly at ``deadline``
         even if the heap drains early."""
         fired = 0
-        while self._heap and self._heap[0][0] <= deadline + 1e-9:
-            when, _, callback = heapq.heappop(self._heap)
-            if when > self._now:
-                self._now = when
-            callback()
-            fired += 1
+        self._horizon = deadline + 1e-9
+        try:
+            while self._heap and self._heap[0][0] <= self._horizon:
+                when, _, callback = heapq.heappop(self._heap)
+                if when > self._now:
+                    self._now = when
+                callback()
+                fired += 1
+        finally:
+            self._horizon = math.inf
         if deadline > self._now:
             self._now = deadline
         return fired

@@ -5,10 +5,11 @@ EngineSimulator` into a request server.  Transport and pacing live
 elsewhere (virtual clock in :mod:`repro.serve.session`, asyncio HTTP in
 :mod:`repro.serve.http`); this class only knows two operations:
 
-* :meth:`submit` — route one incoming transaction through the cluster's
-  data-share weights, run admission control against the target node's
-  queue estimate, and either enqueue it for the current tick or shed it
-  with a retry-after hint;
+* :meth:`submit_batch` — route a batch of incoming transactions through
+  the cluster's data-share weights, run admission control against each
+  target node's queue estimate, and either enqueue each for the current
+  tick or shed it with a retry-after hint (:meth:`submit` is the batch
+  of one the HTTP path and the retry client use);
 * :meth:`tick` — advance the engine by one ``dt`` step offered exactly
   the admitted arrivals, draw each request's latency from that step's
   queueing mixture (seeded inverse-CDF sampling, so runs are
@@ -23,8 +24,8 @@ fluid queue cap) is what bounds the backlog under an open-loop spike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.faults.injector import FaultInjector
 from repro.serve.admission import AdmissionConfig, AdmissionController, AdmissionDecision
 from repro.serve.resilience import OPEN, NodeHealthMonitor, ResilienceConfig
 from repro.telemetry import Telemetry, resolve_telemetry
-from repro.telemetry.metrics import labeled
+from repro.telemetry.metrics import index_counts, labeled, running_sum
 from repro.telemetry.perf import timed
 from repro.telemetry.requesttrace import RequestTracer, TraceContext
 from repro.telemetry.slo import SLOConfig, SLOMonitor
@@ -84,6 +85,145 @@ class TxnOutcome:
 
 
 OnComplete = Callable[[TxnOutcome], None]
+
+#: ``reason`` values; the columnar forms store an index into this tuple.
+REASONS = ("", "queue-limit", "quota", "brownout", "connection")
+_QUEUE_LIMIT, _QUOTA, _BROWNOUT, _CONNECTION = 1, 2, 3, 4
+
+_OUTCOME_FIELDS = tuple(f.name for f in fields(TxnOutcome))
+
+
+class OutcomeBatch:
+    """Terminal outcomes of many transactions, one column per
+    :class:`TxnOutcome` field, rows in submission order.
+
+    ``reason`` holds indices into :data:`REASONS` and ``tenant`` indices
+    into ``tenant_names`` (``None`` when the requests carried no tenant);
+    ``trace_id`` is a list, or ``None`` when request tracing is off.  A
+    sink receives the rows a batch lost at submission (503s and 500s)
+    as one ``OutcomeBatch`` and the rows it got admitted as another, on
+    the tick that serves them.
+    """
+
+    __slots__ = (
+        "status", "node_id", "submitted_at", "completed_at", "latency_ms",
+        "retry_after_s", "trace_id", "reason", "priority", "tenant",
+        "tenant_names",
+    )
+
+    def __init__(
+        self,
+        status: np.ndarray,
+        node_id: np.ndarray,
+        submitted_at: np.ndarray,
+        completed_at: np.ndarray,
+        latency_ms: np.ndarray,
+        retry_after_s: np.ndarray,
+        trace_id: Optional[List[int]],
+        reason: np.ndarray,
+        priority: np.ndarray,
+        tenant: Optional[np.ndarray],
+        tenant_names: Sequence[str],
+    ) -> None:
+        self.status = status
+        self.node_id = node_id
+        self.submitted_at = submitted_at
+        self.completed_at = completed_at
+        self.latency_ms = latency_ms
+        self.retry_after_s = retry_after_s
+        self.trace_id = trace_id
+        self.reason = reason
+        self.priority = priority
+        self.tenant = tenant
+        self.tenant_names = tenant_names
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def _columns(self) -> List[list]:
+        """Every column as a list of Python values, in field order."""
+        n = len(self)
+        status = self.status.tolist()
+        names = self.tenant_names
+        return [
+            [code == 200 for code in status],
+            status,
+            self.node_id.tolist(),
+            self.submitted_at.tolist(),
+            self.completed_at.tolist(),
+            self.latency_ms.tolist(),
+            self.retry_after_s.tolist(),
+            self.trace_id if self.trace_id is not None else [None] * n,
+            [REASONS[code] for code in self.reason.tolist()],
+            self.priority.tolist(),
+            [names[code] for code in self.tenant.tolist()]
+            if self.tenant is not None
+            else [""] * n,
+        ]
+
+    def rows(self) -> List[TxnOutcome]:
+        """The batch as one :class:`TxnOutcome` per row."""
+        return [TxnOutcome(*row) for row in zip(*self._columns())]
+
+    def as_records(self) -> List[Dict[str, object]]:
+        """The batch as JSON-able dicts, ``asdict(TxnOutcome)`` layout."""
+        return [dict(zip(_OUTCOME_FIELDS, row)) for row in zip(*self._columns())]
+
+
+class AdmissionBatch:
+    """What :meth:`ServerEngine.submit_batch` decided, one column per
+    :class:`~repro.serve.admission.AdmissionDecision` field (``reason``
+    as indices into :data:`REASONS`)."""
+
+    __slots__ = ("accepted", "node_id", "est_queue_seconds", "retry_after_s", "reason")
+
+    def __init__(
+        self,
+        accepted: np.ndarray,
+        node_id: np.ndarray,
+        est_queue_seconds: np.ndarray,
+        retry_after_s: np.ndarray,
+        reason: np.ndarray,
+    ) -> None:
+        self.accepted = accepted
+        self.node_id = node_id
+        self.est_queue_seconds = est_queue_seconds
+        self.retry_after_s = retry_after_s
+        self.reason = reason
+
+    def __len__(self) -> int:
+        return len(self.accepted)
+
+    def decision(self, row: int) -> AdmissionDecision:
+        return AdmissionDecision(
+            bool(self.accepted[row]),
+            int(self.node_id[row]),
+            float(self.est_queue_seconds[row]),
+            float(self.retry_after_s[row]),
+            reason=REASONS[self.reason[row]],
+        )
+
+
+OutcomeSink = Callable[[OutcomeBatch], None]
+
+
+def _earlier_in_group(groups: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """For each row, how many *earlier* rows share its group, counting
+    only rows where ``counted`` is true."""
+    n = len(groups)
+    if n == 1:  # the scalar submit: nothing is earlier
+        return np.zeros(1, dtype=np.int64)
+    order = np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    flags = counted[order].astype(np.int64)
+    before = np.cumsum(flags) - flags  # counted rows ahead of each, all groups
+    first = np.empty(n, dtype=bool)  # first row of each group
+    first[0] = True
+    np.not_equal(sorted_groups[1:], sorted_groups[:-1], out=first[1:])
+    before -= before[first][np.cumsum(first) - 1]
+    out = np.empty(n, dtype=np.int64)
+    out[order] = before
+    return out
 
 
 class ServerEngine:
@@ -207,9 +347,24 @@ class ServerEngine:
         #: Machine-seconds integrated over ticks — the consolidation
         #: experiment's cost axis (machine-hours = this / 3600).
         self.machine_seconds = 0.0
+        #: Registry names in spec order (the vocabulary tenant columns
+        #: are normalised to) and which of them brownout may shed.
+        self._tenant_names: Tuple[str, ...] = ()
+        self._tenant_index: Dict[str, int] = {}
+        self._tenant_sheddable = np.zeros(0, dtype=bool)
+        if tenancy is not None:
+            self._tenant_names = tuple(tenancy.registry.names())
+            self._tenant_index = {name: i for i, name in enumerate(self._tenant_names)}
+            self._tenant_index[""] = 0  # untagged: the first tenant
+            self._tenant_sheddable = np.array(
+                [tenancy.brownout_sheddable(name) for name in self._tenant_names]
+            )
         self._rng = np.random.default_rng(seed)
-        # (node, submitted_at, callback, trace triple or None, tenant)
-        self._pending: List[Tuple[int, float, Optional[OnComplete], Optional[tuple], str]] = []
+        # Admitted requests awaiting their tick, one columnar segment per
+        # submit_batch call: (node ids, submission times, tenant indices
+        # or None, tenant names, trace triples or None, sink).
+        self._pending: List[tuple] = []
+        self._pending_count = 0
         self._pending_per_node = np.zeros(config.max_nodes)
         self._slot_index = 0
         self.ticks = 0
@@ -266,7 +421,7 @@ class ServerEngine:
                 view[:] = cluster_nodes
             self._route_cdf = np.cumsum(np.repeat(view / p, p))
         mu = self.sim._mu_base
-        self._node_rate = mu.reshape(max_nodes, p).sum(axis=1)
+        self._node_rate = np.maximum(mu.reshape(max_nodes, p).sum(axis=1), 1e-9)
         self._node_queue = self.sim.node_queue_seconds()
 
     def route(self) -> int:
@@ -283,7 +438,8 @@ class ServerEngine:
         priority: int = 0,
         tenant: str = "",
     ) -> AdmissionDecision:
-        """Route and admit (or shed) one transaction.
+        """Route and admit (or shed) one transaction: a
+        :meth:`submit_batch` of one.
 
         Accepted requests complete on the next :meth:`tick`; rejected
         ones complete immediately.  ``on_complete`` receives the
@@ -294,179 +450,296 @@ class ServerEngine:
         ``tenant`` names the owning tenant when tenancy is configured;
         untagged requests fall back to the spec's first tenant.
         """
-        submitted_at = self.sim.now if now is None else float(now)
-        partition = self.route()
-        node_id = partition // self.sim.config.partitions_per_node
-        rate = max(float(self._node_rate[node_id]), 1e-9)
-        estimate = float(
-            self._node_queue[node_id] + self._pending_per_node[node_id] / rate
-        )
-        tenancy = self.tenancy
-        if tenancy is not None:
-            if not tenant:
-                tenant = tenancy.registry.tenants[0].name
-            self._count_tenant(tenant, "offered")
+        sink: Optional[OutcomeSink] = None
+        if on_complete is not None:
+            def sink(batch: OutcomeBatch) -> None:
+                on_complete(batch.rows()[0])
 
-        if self.health is not None and node_id in self._failed_set:
-            # The router's stale view sent us to a corpse: the request
-            # fails like a refused connection and feeds the detector.
-            if tenancy is not None:
-                tenancy.offered[tenant] += 1
-            return self._fail_request(
-                on_complete, trace, node_id, partition, estimate,
-                submitted_at, priority, tenant,
+        decisions = self.submit_batch(
+            np.array([self.sim.now if now is None else float(now)]),
+            np.zeros(1, dtype=np.int64) if tenant else None,
+            np.array([priority]) if priority else None,
+            sink,
+            tenant_names=(tenant,),
+            traces=(trace,),
+        )
+        return decisions.decision(0)
+
+    def submit_batch(
+        self,
+        times: np.ndarray,
+        tenants: Optional[np.ndarray] = None,
+        priorities: Optional[np.ndarray] = None,
+        sink: Optional[OutcomeSink] = None,
+        *,
+        tenant_names: Sequence[str] = (),
+        traces: Optional[Sequence[Optional[TraceContext]]] = None,
+    ) -> AdmissionBatch:
+        """Route and admit (or shed) a batch of transactions.
+
+        The result — outcomes, RNG stream, counters, telemetry, spans —
+        is what ``len(times)`` :meth:`submit` calls in row order give:
+        routing is one ``rng.random(n)`` draw (the same stream as ``n``
+        scalar draws), and each request is admitted against its node's
+        queue estimate *including the earlier rows admitted to that
+        node*.  Rows shed or failed here reach ``sink`` as one
+        :class:`OutcomeBatch` before this returns; the admitted rows
+        reach it as another from the :meth:`tick` that serves them.
+
+        Args:
+            times: Submission time per request, seconds.
+            tenants: Per-request index into ``tenant_names``; ``None``
+                leaves every request untagged (with tenancy on, untagged
+                requests belong to the spec's first tenant).
+            priorities: Per-request priority (1 = sheddable during
+                brownout); ``None`` means all normal.
+            sink: Receives the outcomes, columnar.
+            tenant_names: The vocabulary ``tenants`` indexes.
+            traces: Per-request context minted at the edge; with tracing
+                on, rows without one get one minted here, in row order.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        n = len(times)
+        reason = np.zeros(n, dtype=np.int8)
+        retry_after = np.zeros(n)
+        if priorities is None:
+            priorities = np.zeros(n, dtype=np.int64)
+        if n == 0:
+            nobody = np.zeros(0, dtype=np.int64)
+            return AdmissionBatch(
+                np.zeros(0, dtype=bool), nobody, retry_after, retry_after, reason
             )
 
-        decision: Optional[AdmissionDecision] = None
+        cdf = self._route_cdf
+        partition = np.searchsorted(cdf, self._rng.random(n) * cdf[-1])
+        node = partition // self.sim.config.partitions_per_node
+
+        # Rows no policy has decided yet; each stage below closes some.
+        open_rows = np.ones(n, dtype=bool)
+
+        def close(rows: np.ndarray, why: int, hints: object = 0.0) -> None:
+            reason[rows] = why
+            retry_after[rows] = hints
+            open_rows[rows] = False
+
+        tenancy = self.tenancy
+        if tenancy is not None:
+            tenants = self._registry_indices(tenants, tenant_names, n)
+            tenant_names = self._tenant_names
+            self._count_tenants(tenants, "offered")
+
+        if self.health is not None and self._failed_set:
+            # The router's stale view sends these to a corpse: they fail
+            # like a refused connection and feed the detector.
+            dead = np.isin(node, list(self._failed_set))
+            if dead.any():
+                self._fail_rows(np.flatnonzero(dead), node, times, tenants)
+                close(dead, _CONNECTION)
+
         if tenancy is not None:
             # Tenant policy first: brownout sheds whole low-weight
             # tenants before the per-request priority check, then the
             # tenant's token bucket is charged.  Both are RNG-free.
-            if self.brownout_active and tenancy.brownout_sheddable(tenant):
-                tenancy.offered[tenant] += 1
-                tenancy.record_brownout_shed(tenant)
-                self.brownout_sheds += 1
-                self._count_tenant(tenant, "brownout_shed")
-                decision = self.admission.shed_outright(
-                    node_id, estimate, reason="brownout"
-                )
-            else:
-                quota_wait = tenancy.quota_admit(tenant, submitted_at)
-                if quota_wait is not None:
-                    self._count_tenant(tenant, "quota_shed")
-                    decision = self.admission.shed_outright(
-                        node_id, estimate, reason="quota",
-                        retry_after_s=quota_wait,
+            if self.brownout_active:
+                light = open_rows & self._tenant_sheddable[tenants]
+                if light.any():
+                    for index, count in index_counts(tenants[light]):
+                        tenancy.offered[tenant_names[index]] += count
+                        tenancy.record_brownout_shed(tenant_names[index], count)
+                        self.brownout_sheds += count
+                    self._count_tenants(tenants[light], "brownout_shed")
+                    close(
+                        light, _BROWNOUT,
+                        self.admission.shed_batch(node[light], reason="brownout"),
+                    )
+            for index, _ in index_counts(tenants):
+                name = tenant_names[index]
+                rows = np.flatnonzero(open_rows & (tenants == index))
+                waits = tenancy.quota_admit_many(name, times[rows].tolist())
+                over = [i for i, wait in enumerate(waits or ()) if wait is not None]
+                if over:
+                    rows = rows[over]
+                    self._count_tenant(name, "quota_shed", len(over))
+                    hints = self.admission.shed_batch(
+                        node[rows], reason="quota",
+                        retry_after_s=np.array([waits[i] for i in over]),
+                    )
+                    close(rows, _QUOTA, hints)
+
+        limit: Optional[float] = None
+        brownout = self.resilience.brownout if self.resilience is not None else None
+        if self.brownout_active and brownout is not None:
+            limit = self.admission.config.queue_limit_seconds * brownout.queue_factor
+            if brownout.shed_low_priority:
+                low = open_rows & (priorities > 0)
+                if low.any():
+                    self.brownout_sheds += int(np.count_nonzero(low))
+                    close(
+                        low, _BROWNOUT,
+                        self.admission.shed_batch(node[low], reason="brownout"),
                     )
 
-        if decision is None:
-            brownout = self.resilience.brownout if self.resilience is not None else None
-            if self.brownout_active and brownout is not None:
-                if priority > 0 and brownout.shed_low_priority:
-                    decision = self.admission.shed_outright(
-                        node_id, estimate, reason="brownout"
-                    )
-                    self.brownout_sheds += 1
-                else:
-                    limit = (
-                        self.admission.config.queue_limit_seconds
-                        * brownout.queue_factor
-                    )
-                    decision = self.admission.decide(node_id, estimate, limit_s=limit)
-            else:
-                decision = self.admission.decide(node_id, estimate)
+        # Queue-limit admission of the rows still open, each against its
+        # node's estimate including the earlier rows admitted to it.
+        ahead = _earlier_in_group(node, open_rows)
+        estimate = self._queue_estimates(node, ahead)
+        rows = np.flatnonzero(open_rows)
+        accepted = np.zeros(n, dtype=bool)
+        accepted[rows], retry_after[rows] = self.admission.decide_batch(
+            node[rows], estimate[rows], limit_s=limit
+        )
+        admitted = int(np.count_nonzero(accepted))
+        status = np.full(n, 200)
+        if admitted < n:
+            reason[open_rows & ~accepted] = _QUEUE_LIMIT
+            status[~accepted] = 503
+            status[reason == _CONNECTION] = 500
+            # Only admitted rows lengthen a queue: everything behind a
+            # node's last admitted row saw the same estimate.
+            per_node = np.bincount(node[accepted], minlength=len(self._node_rate))
+            estimate = self._queue_estimates(node, np.minimum(ahead, per_node[node]))
 
-        trace_id: Optional[int] = None
-        trace_entry: Optional[tuple] = None
         tracer = self.request_tracer
+        trace_ids: Optional[List[int]] = None
+        pending_traces: Optional[List[tuple]] = None
         if tracer is not None:
-            ctx = trace if trace is not None else tracer.mint()
-            trace_id = ctx.trace_id
-            root = tracer.begin_request(
-                ctx,
-                submitted_at,
-                node=node_id,
-                partition=partition,
-                queue_estimate=estimate,
-                migration_span_id=self.sim.migration_span_id,
+            trace_ids, pending_traces = self._trace_rows(
+                traces, times, node, partition, estimate, accepted, status,
+                retry_after, reason,
             )
-            if decision.accepted:
-                serve_span = tracer.record_admitted(root, submitted_at)
-                trace_entry = (trace_id, root, serve_span)
-            else:
-                tracer.record_shed(
-                    root, submitted_at, decision.retry_after_s,
-                    reason=decision.reason,
-                )
 
-        if decision.accepted:
-            self._pending_per_node[node_id] += 1.0
-            self._pending.append(
-                (node_id, submitted_at, on_complete, trace_entry, tenant)
-            )
-        else:
-            self.rejected_last_tick += 1
-            if tenancy is not None:
-                self._tenant_tick_bad[tenant] = (
-                    self._tenant_tick_bad.get(tenant, 0) + 1
+        if admitted:
+            if admitted == n:
+                segment = (node, times, tenants)
+            else:
+                segment = (
+                    node[accepted], times[accepted],
+                    tenants[accepted] if tenants is not None else None,
                 )
-            if on_complete is not None:
-                on_complete(
-                    TxnOutcome(
-                        accepted=False,
-                        status=503,
-                        node_id=node_id,
-                        submitted_at=submitted_at,
-                        completed_at=submitted_at,
-                        latency_ms=0.0,
-                        retry_after_s=decision.retry_after_s,
-                        trace_id=trace_id,
-                        reason=decision.reason,
-                        priority=priority,
-                        tenant=tenant,
+            self._pending_per_node += np.bincount(
+                segment[0], minlength=len(self._pending_per_node)
+            )
+            self._pending.append((*segment, tenant_names, pending_traces, sink))
+            self._pending_count += admitted
+        if admitted < n:
+            lost = ~accepted
+            self.rejected_last_tick += int(np.count_nonzero(status == 503))
+            if tenancy is not None:
+                bad = self._tenant_tick_bad
+                for index, count in index_counts(tenants[lost]):
+                    bad[tenant_names[index]] = bad.get(tenant_names[index], 0) + count
+            if sink is not None:
+                sink(
+                    OutcomeBatch(
+                        status[lost], node[lost], times[lost], times[lost],
+                        np.zeros(n - admitted), retry_after[lost],
+                        [t for t, keep in zip(trace_ids, lost.tolist()) if keep]
+                        if trace_ids is not None
+                        else None,
+                        reason[lost], priorities[lost],
+                        tenants[lost] if tenants is not None else None,
+                        tenant_names,
                     )
                 )
-        return decision
+        return AdmissionBatch(accepted, node, estimate, retry_after, reason)
 
-    def _count_tenant(self, tenant: str, which: str) -> None:
+    def _queue_estimates(self, node: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+        """Estimated queueing delay on each row's node with ``ahead``
+        more requests admitted to it than the last tick left pending."""
+        return self._node_queue[node] + (
+            self._pending_per_node[node] + ahead
+        ) / self._node_rate[node]
+
+    def _registry_indices(
+        self, tenants: Optional[np.ndarray], names: Sequence[str], n: int
+    ) -> np.ndarray:
+        """Re-index a tenant column from the caller's vocabulary to the
+        registry's; untagged requests belong to the first tenant."""
+        if tenants is None:
+            return np.zeros(n, dtype=np.int64)
+        lookup = self._tenant_index
+        indices = np.array([lookup.get(name, -1) for name in names])[tenants]
+        if (indices < 0).any():
+            # A tagging bug upstream must not silently bypass quotas.
+            unknown = names[int(tenants[int(np.argmin(indices))])]
+            raise KeyError(f"unknown tenant {unknown!r}")
+        return indices
+
+    def _count_tenant(self, tenant: str, which: str, count: int) -> None:
         """Bump one per-tenant labelled counter (telemetry on only)."""
         tel = self.telemetry
         if tel is not None:
-            tel.counter(labeled(f"serve.tenant.{which}", tenant=tenant)).inc()
+            tel.counter(labeled(f"serve.tenant.{which}", tenant=tenant)).inc(count)
 
-    def _fail_request(
+    def _count_tenants(self, tenants: np.ndarray, which: str) -> None:
+        """:meth:`_count_tenant` once per tenant in a registry-indexed
+        column, by its number of rows."""
+        if self.telemetry is not None:
+            for index, count in index_counts(tenants):
+                self._count_tenant(self._tenant_names[index], which, count)
+
+    def _fail_rows(
         self,
-        on_complete: Optional[OnComplete],
-        trace: Optional[TraceContext],
-        node_id: int,
-        partition: int,
-        estimate: float,
-        submitted_at: float,
-        priority: int,
-        tenant: str = "",
-    ) -> AdmissionDecision:
-        """Fail one request against a dead node (status 500, breaker fed)."""
-        self.errors += 1
-        if self.tenancy is not None:
-            self._tenant_tick_bad[tenant] = self._tenant_tick_bad.get(tenant, 0) + 1
+        rows: np.ndarray,
+        node: np.ndarray,
+        times: np.ndarray,
+        tenants: Optional[np.ndarray],
+    ) -> None:
+        """Fail requests routed to a dead node (status 500, breaker fed)."""
         assert self.health is not None
-        self.health.record_request_failure(node_id, submitted_at)
+        self.errors += len(rows)
+        if self.tenancy is not None and tenants is not None:
+            for index, count in index_counts(tenants[rows]):
+                self.tenancy.offered[self._tenant_names[index]] += count
+        for node_id, at in zip(node[rows].tolist(), times[rows].tolist()):
+            self.health.record_request_failure(node_id, at)
         tel = self.telemetry
         if tel is not None:
-            tel.counter("serve.errors").inc()
-            tel.counter(labeled("serve.error", node=node_id)).inc()
-        trace_id: Optional[int] = None
+            tel.counter("serve.errors").inc(len(rows))
+            for node_id, count in index_counts(node[rows]):
+                tel.counter(labeled("serve.error", node=node_id)).inc(count)
+
+    def _trace_rows(
+        self,
+        traces: Optional[Sequence[Optional[TraceContext]]],
+        times: np.ndarray,
+        node: np.ndarray,
+        partition: np.ndarray,
+        estimate: np.ndarray,
+        accepted: np.ndarray,
+        status: np.ndarray,
+        retry_after: np.ndarray,
+        reason: np.ndarray,
+    ) -> Tuple[List[int], List[tuple]]:
+        """Record each row's request span tree, in row order so trace and
+        span ids come out as under per-request submission.  Returns every
+        row's trace id and, per admitted row, the ``(trace_id, root,
+        serve_span)`` its completion closes."""
         tracer = self.request_tracer
-        if tracer is not None:
-            ctx = trace if trace is not None else tracer.mint()
-            trace_id = ctx.trace_id
-            root = tracer.begin_request(
-                ctx,
-                submitted_at,
-                node=node_id,
-                partition=partition,
-                queue_estimate=estimate,
-                migration_span_id=self.sim.migration_span_id,
-            )
-            tracer.record_error(root, submitted_at, reason="connection")
-        if on_complete is not None:
-            on_complete(
-                TxnOutcome(
-                    accepted=False,
-                    status=500,
-                    node_id=node_id,
-                    submitted_at=submitted_at,
-                    completed_at=submitted_at,
-                    latency_ms=0.0,
-                    trace_id=trace_id,
-                    reason="connection",
-                    priority=priority,
-                    tenant=tenant,
-                )
-            )
-        return AdmissionDecision(
-            False, node_id, estimate, 0.0, reason="connection"
+        assert tracer is not None
+        trace_ids: List[int] = []
+        pending: List[tuple] = []
+        migration_span_id = self.sim.migration_span_id
+        columns = zip(
+            times.tolist(), node.tolist(), partition.tolist(), estimate.tolist(),
+            accepted.tolist(), status.tolist(), retry_after.tolist(), reason.tolist(),
         )
+        for row, (at, node_id, part, est, ok, code, retry, why) in enumerate(columns):
+            ctx = traces[row] if traces is not None else None
+            if ctx is None:
+                ctx = tracer.mint()
+            trace_ids.append(ctx.trace_id)
+            root = tracer.begin_request(
+                ctx, at, node=node_id, partition=part, queue_estimate=est,
+                migration_span_id=migration_span_id,
+            )
+            if ok:
+                pending.append((ctx.trace_id, root, tracer.record_admitted(root, at)))
+            elif code == 500:
+                tracer.record_error(root, at, reason=REASONS[why])
+            else:
+                tracer.record_shed(root, at, retry, reason=REASONS[why])
+        return trace_ids, pending
 
     # ------------------------------------------------------------------
     # Tick path
@@ -479,10 +752,11 @@ class ServerEngine:
         admitted/rejected counts.
         """
         dt = self.sim.config.dt_seconds
-        pending = self._pending
+        segments = self._pending
         self._pending = []
         self._pending_per_node[:] = 0.0
-        admitted = len(pending)
+        admitted = self._pending_count
+        self._pending_count = 0
         rejected = self.rejected_last_tick
         self.rejected_last_tick = 0
         self.machine_seconds += self.sim.machines_allocated * dt
@@ -495,54 +769,72 @@ class ServerEngine:
         tenant_slos = self.tenant_slos
 
         if admitted:
+            # One draw for the tick; segments take their rows of it in
+            # submission order.
             uniforms = self._rng.random(admitted)
             latencies_s = sample_latencies(self.sim.last_latency_components, uniforms)
-            latency_hist = tel.histogram("serve.latency_ms") if tel is not None else None
-            tracer = self.request_tracer
-            for (node_id, submitted_at, on_complete, trace_entry, tenant), latency_s in zip(
-                pending, latencies_s
-            ):
-                latency_ms = float(latency_s) * 1000.0
-                completed_at = submitted_at + float(latency_s)
-                self.completed += 1
-                self.latency_sum_ms += latency_ms
-                if latency_hist is not None:
-                    latency_hist.observe(latency_ms)
-                if slo is not None:
-                    if slo.classify(latency_ms):
-                        slo_good += 1
-                    else:
-                        slo_bad += 1
-                tenant_slo = tenant_slos.get(tenant)
-                if tenant_slo is not None:
-                    # Per-tenant verdicts use the *tenant's* latency
-                    # objective, not the fleet threshold.
-                    self._count_tenant(tenant, "served")
-                    if tenant_slo.classify(latency_ms):
-                        self._tenant_tick_good[tenant] = (
-                            self._tenant_tick_good.get(tenant, 0) + 1
-                        )
-                    else:
-                        self._tenant_tick_bad[tenant] = (
-                            self._tenant_tick_bad.get(tenant, 0) + 1
-                        )
-                trace_id: Optional[int] = None
-                if trace_entry is not None and tracer is not None:
-                    trace_id, root, serve_span = trace_entry
-                    tracer.finish_served(root, serve_span, completed_at, latency_ms)
-                if on_complete is not None:
-                    on_complete(
-                        TxnOutcome(
-                            accepted=True,
-                            status=200,
-                            node_id=node_id,
-                            submitted_at=submitted_at,
-                            completed_at=completed_at,
-                            latency_ms=latency_ms,
-                            trace_id=trace_id,
-                            tenant=tenant,
+            latency_ms = latencies_s * 1000.0
+            if len(segments) == 1:
+                nodes, times, tenants = segments[0][:3]
+            else:
+                nodes = np.concatenate([segment[0] for segment in segments])
+                times = np.concatenate([segment[1] for segment in segments])
+                # With tenancy on every segment is indexed by the registry.
+                tenants = (
+                    np.concatenate([segment[2] for segment in segments])
+                    if tenant_slos
+                    else None
+                )
+            completed_at = times + latencies_s
+            self.completed += admitted
+            self.latency_sum_ms = running_sum(self.latency_sum_ms, latency_ms)
+            if tel is not None:
+                tel.histogram("serve.latency_ms").observe_many(latency_ms)
+            if slo is not None:
+                slo_good = int(np.count_nonzero(slo.classify(latency_ms)))
+                slo_bad += admitted - slo_good
+            if tenant_slos:
+                # Per-tenant verdicts use the *tenant's* latency
+                # objective, not the fleet threshold.
+                self._count_tenants(tenants, "served")
+                for index, served in index_counts(tenants):
+                    name = self._tenant_names[index]
+                    good = int(
+                        np.count_nonzero(
+                            tenant_slos[name].classify(latency_ms[tenants == index])
                         )
                     )
+                    self._tenant_tick_good[name] = self._tenant_tick_good.get(name, 0) + good
+                    self._tenant_tick_bad[name] = (
+                        self._tenant_tick_bad.get(name, 0) + served - good
+                    )
+
+            status = np.full(admitted, 200)
+            no_wait = np.zeros(admitted)
+            no_reason = np.zeros(admitted, dtype=np.int8)
+            normal = np.zeros(admitted, dtype=np.int64)
+            tracer = self.request_tracer
+            start = 0
+            for segment_nodes, _, segment_tenants, names, traces, sink in segments:
+                stop = start + len(segment_nodes)
+                rows = slice(start, stop)
+                trace_ids: Optional[List[int]] = None
+                if traces is not None and tracer is not None:
+                    trace_ids = []
+                    for (trace_id, root, serve_span), done, ms in zip(
+                        traces, completed_at[rows].tolist(), latency_ms[rows].tolist()
+                    ):
+                        tracer.finish_served(root, serve_span, done, ms)
+                        trace_ids.append(trace_id)
+                if sink is not None:
+                    sink(
+                        OutcomeBatch(
+                            status[rows], nodes[rows], times[rows], completed_at[rows],
+                            latency_ms[rows], no_wait[rows], trace_ids, no_reason[rows],
+                            normal[rows], segment_tenants, names,
+                        )
+                    )
+                start = stop
 
         if slo is not None:
             # Empty ticks still advance the windows (alerts must resolve
@@ -623,7 +915,7 @@ class ServerEngine:
     @property
     def pending_requests(self) -> int:
         """Requests admitted but not yet resolved by a tick."""
-        return len(self._pending)
+        return self._pending_count
 
     @property
     def moves_completed(self) -> int:

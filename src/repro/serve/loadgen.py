@@ -29,8 +29,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.serve.clock import VirtualClock
-from repro.serve.engine import ServerEngine, TxnOutcome
+from repro.serve.engine import REASONS, OutcomeBatch, ServerEngine, TxnOutcome
 from repro.serve.resilience import ResilientClient, RetryConfig
+from repro.telemetry.metrics import index_counts
 from repro.workloads.spikes import FlashCrowd, inject_flash_crowd
 from repro.workloads.trace import LoadTrace
 
@@ -260,6 +261,30 @@ class LoadgenReport:
         self.offer(outcome.tenant)
         self.finish(outcome)
 
+    def fold(self, batch: OutcomeBatch) -> None:
+        """:meth:`record` every row of a columnar batch, in row order."""
+        served = batch.status == 200
+        errored = batch.status == 500
+        shed = ~(served | errored)
+        self.offered += len(batch)
+        self.accepted += int(np.count_nonzero(served))
+        self.errored += int(np.count_nonzero(errored))
+        self.rejected += int(np.count_nonzero(shed))
+        self.latencies_ms.extend(batch.latency_ms[served].tolist())
+        self.retry_after_s.extend(batch.retry_after_s[shed].tolist())
+        self.brownout_shed += int(
+            np.count_nonzero(batch.reason[shed] == REASONS.index("brownout"))
+        )
+        if batch.tenant is None:
+            return
+        for key, rows in (
+            ("offered", slice(None)), ("accepted", served),
+            ("errored", errored), ("rejected", shed),
+        ):
+            for index, count in index_counts(batch.tenant[rows]):
+                if batch.tenant_names[index]:  # untagged rows are not bucketed
+                    self._bucket(batch.tenant_names[index])[key] += count
+
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
@@ -394,9 +419,14 @@ class LoadgenReport:
 class LoadGenerator:
     """Fires an arrival schedule at a :class:`ServerEngine` open-loop.
 
-    Arrivals are chained one event at a time on the clock (constant heap
-    pressure regardless of schedule length); outcomes accumulate into
-    :attr:`report`.
+    One clock event stands for the whole chain of arrivals (constant
+    heap pressure regardless of schedule length): when it fires at an
+    arrival, every later arrival that would have fired before anything
+    else on the clock (:meth:`VirtualClock.quiet_until`) is submitted
+    with it as one :meth:`ServerEngine.submit_batch`, and the event is
+    re-armed at the next.  With a retry client attached the bursts are
+    of one, because a shed may schedule its retry inside the stretch.
+    Outcomes accumulate into :attr:`report`.
     """
 
     def __init__(
@@ -430,6 +460,13 @@ class LoadGenerator:
                 "tenant_indices must parallel the arrival schedule"
             )
         self.tenant_names = list(tenant_names) if tenant_names is not None else None
+        if self.tenant_indices is not None and len(self.tenant_indices):
+            low, high = int(self.tenant_indices.min()), int(self.tenant_indices.max())
+            if low < 0 or high >= len(self.tenant_names or ()):
+                raise ConfigurationError(
+                    f"tenant_indices must lie in [0, {len(self.tenant_names or ())}); "
+                    f"got {low if low < 0 else high}"
+                )
         self.clock = clock
         self.report = LoadgenReport()
         self.client: Optional[ResilientClient] = (
@@ -455,17 +492,33 @@ class LoadGenerator:
         self._armed = True
 
     def _fire(self) -> None:
-        index = self._next
-        self._next += 1
-        tenant = ""
-        if self.tenant_indices is not None and self.tenant_names is not None:
-            tenant = self.tenant_names[int(self.tenant_indices[index])]
+        start = self._next
         if self.client is not None:
+            self._next = start + 1
+            tenant = ""
+            if self.tenant_indices is not None and self.tenant_names is not None:
+                tenant = self.tenant_names[int(self.tenant_indices[start])]
             self.client.submit(self.clock.now, tenant=tenant)
         else:
+            stop = max(
+                start + 1,
+                int(np.searchsorted(self.arrivals, self.clock.quiet_until(), side="left")),
+            )
+            self._next = stop
+            # Each arrival is submitted at the clock time its own event
+            # would have read, and the clock ends where the last one
+            # would have left it.
+            times = np.maximum(self.arrivals[start:stop], self.clock.now)
+            self.clock.advance(float(times[-1]))
             tracer = self.engine.request_tracer
-            trace = tracer.mint("loadgen") if tracer is not None else None
-            self.engine.submit(
-                self.report.record, now=self.clock.now, trace=trace, tenant=tenant
+            self.engine.submit_batch(
+                times,
+                self.tenant_indices[start:stop] if self.tenant_indices is not None else None,
+                None,
+                self.report.fold,
+                tenant_names=self.tenant_names or (),
+                traces=[tracer.mint("loadgen") for _ in range(stop - start)]
+                if tracer is not None
+                else None,
             )
         self._schedule_next()

@@ -198,6 +198,7 @@ class ServeSession:
         checkpoint: Optional[CheckpointConfig] = None,
         tenant_indices: Optional[np.ndarray] = None,
         tenant_names: Optional[List[str]] = None,
+        timeseries: Optional["TimeSeriesStore"] = None,
     ) -> "ServeSession":
         """Rebuild a session from a snapshot written by an earlier run.
 
@@ -225,6 +226,7 @@ class ServeSession:
             checkpoint=checkpoint,
             tenant_indices=tenant_indices,
             tenant_names=tenant_names,
+            timeseries=timeseries,
         )
         restore_engine(engine, engine_state)
         control_state = state.get("control")

@@ -40,10 +40,12 @@ import multiprocessing
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError, ReproError, TransportError
 from repro.serve.admission import AdmissionConfig
 from repro.serve.checkpoint import capture_engine, ensure_quiescent, restore_engine
-from repro.serve.engine import ServerEngine
+from repro.serve.engine import OutcomeBatch, ServerEngine
 from repro.serve.transport import (
     DEFAULT_TIMEOUT_S,
     PipeTransport,
@@ -213,25 +215,32 @@ class WorkerServer:
 
     def _run_step(self, message: Dict[str, object]) -> Dict[str, object]:
         engine = self.engine
-        outcomes: List[object] = []
+        arrivals: List[list] = message.get("arrivals", ())  # type: ignore[assignment]
         tracing = engine.request_tracer is not None
-        for arrival in message.get("arrivals", ()):  # type: ignore[union-attr]
-            # 4 elements pre-tenancy, 5 with a tenant tag at the edge.
-            t, trace_id, origin, priority, *rest = arrival
-            tenant = str(rest[0]) if rest else ""
-            trace = (
-                TraceContext(int(trace_id), str(origin))
-                if tracing and trace_id is not None
-                else None
-            )
-            engine.submit(
-                outcomes.append, now=float(t), trace=trace,
-                priority=int(priority), tenant=tenant,
-            )
+        # 4 elements pre-tenancy, 5 with a tenant tag at the edge.
+        tenant_tags = [str(row[4]) if len(row) > 4 else "" for row in arrivals]
+        tenant_names = sorted(set(tenant_tags))
+        index_of = {name: index for index, name in enumerate(tenant_names)}
+        batches: List[OutcomeBatch] = []
+        engine.submit_batch(
+            np.array([float(row[0]) for row in arrivals]),
+            np.array([index_of[tag] for tag in tenant_tags], dtype=np.int64),
+            np.array([int(row[3]) for row in arrivals], dtype=np.int64),
+            batches.append,
+            tenant_names=tenant_names,
+            traces=[
+                TraceContext(int(row[1]), str(row[2])) if row[1] is not None else None
+                for row in arrivals
+            ]
+            if tracing
+            else None,
+        )
         record = engine.tick()
         return {
             "ok": True,
-            "outcomes": [asdict(outcome) for outcome in outcomes],
+            # Rejects first (they resolve at submission), then the tick's
+            # completions; rows in TxnOutcome field order.
+            "outcomes": [row for batch in batches for row in batch.as_records()],
             "now": engine.now,
             "admitted": int(record["admitted"]),
             "rejected": int(record["rejected"]),

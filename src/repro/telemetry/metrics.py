@@ -12,6 +12,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Default latency-style buckets (milliseconds): sub-SLA decades up to
@@ -37,6 +39,31 @@ def labeled(name: str, **labels: object) -> str:
         raise ConfigurationError(f"metric {name!r} already carries labels")
     inner = ",".join(f'{key}="{labels[key]}"' for key in sorted(labels))
     return f"{name}{{{inner}}}"
+
+
+def running_sum(total: float, values: np.ndarray) -> float:
+    """``total + values[0] + values[1] + ...`` added strictly left to
+    right — bit-identical to a Python loop of ``total += v``.
+
+    ``np.sum`` adds pairwise and the builtin ``sum`` is compensated from
+    Python 3.12, so neither reproduces a running float total; a cumulative
+    sum has to produce every partial result and therefore cannot reorder.
+    """
+    if len(values) == 0:
+        return total
+    seeded = np.empty(len(values) + 1)
+    seeded[0] = total
+    seeded[1:] = values
+    return float(np.add.accumulate(seeded)[-1])
+
+
+def index_counts(indices: np.ndarray) -> List[Tuple[int, int]]:
+    """``(value, occurrences)`` for each value present in an array of
+    small non-negative ints, ascending — what a per-request loop bumping
+    one labelled counter per value adds up to."""
+    counts = np.bincount(indices)
+    present = np.flatnonzero(counts)
+    return list(zip(present.tolist(), counts[present].tolist()))
 
 
 def split_labels(name: str) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
@@ -126,6 +153,16 @@ class Histogram:
         self.counts[bisect_left(self.buckets, value)] += 1
         self.total += value
         self.count += 1
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """Observe every value in order; same state as a loop of
+        :meth:`observe` (``total`` is summed left to right)."""
+        for bucket, count in index_counts(
+            np.searchsorted(self.buckets, values, side="left")
+        ):
+            self.counts[bucket] += count
+        self.total = running_sum(self.total, values)
+        self.count += len(values)
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -161,8 +161,9 @@ class SLOMonitor:
         labelled one)."""
         return labeled("slo", **self.labels)
 
-    def classify(self, latency_ms: float) -> bool:
-        """Good/bad verdict for one *completed* request."""
+    def classify(self, latency_ms):
+        """Good/bad verdict for one *completed* request (or, given an
+        array of latencies, one verdict per request)."""
         return latency_ms <= self.config.latency_threshold_ms
 
     def observe(self, t: float, good: int, bad: int) -> None:

@@ -22,7 +22,7 @@ untenanted path.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.tenancy.spec import TenantRegistry
 
@@ -107,24 +107,34 @@ class TenantAdmission:
         Unknown tenants raise KeyError loudly — a tagging bug upstream
         must not silently bypass quotas.
         """
-        self.offered[name] += 1
+        waits = self.quota_admit_many(name, (now,))
+        return None if waits is None else waits[0]
+
+    def quota_admit_many(
+        self, name: str, times: Sequence[float]
+    ) -> Optional[List[Optional[float]]]:
+        """:meth:`quota_admit` for ``name``'s requests of one batch, in
+        arrival order (``times`` are Python floats).
+
+        Returns ``None`` when the tenant has no bucket (everything is
+        admitted), else one entry per request: ``None`` when admitted,
+        the Retry-After seconds when shed.
+        """
+        self.offered[name] += len(times)
         bucket = self._buckets.get(name)
         if bucket is None:
-            if name not in self.offered:
-                raise KeyError(f"unknown tenant {name!r}")
             return None
-        retry_after = bucket.admit(now)
-        if retry_after is not None:
-            self.quota_shed[name] += 1
-        return retry_after
+        waits = [bucket.admit(t) for t in times]
+        self.quota_shed[name] += len(waits) - waits.count(None)
+        return waits
 
     def brownout_sheddable(self, name: str) -> bool:
         """True when brownout may shed this tenant's traffic outright
         (its weight is below the registry maximum)."""
         return self._sheddable[name]
 
-    def record_brownout_shed(self, name: str) -> None:
-        self.brownout_shed[name] += 1
+    def record_brownout_shed(self, name: str, count: int = 1) -> None:
+        self.brownout_shed[name] += count
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:

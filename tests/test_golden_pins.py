@@ -1,0 +1,333 @@
+"""Golden pins for the serving path, taken on the commit *before* the
+tick-batched request path (PR 12) touched any code.
+
+Three small seeded sessions cover the layers the batch path rewires:
+
+* ``bare`` — engine + loadgen only, overloaded so the queue limit sheds
+  mid-tick, with duplicate arrivals and arrivals exactly on tick
+  boundaries spliced into the schedule;
+* ``full`` — tenants + a quota'd tenant + ``Telemetry`` + ``SLOConfig``
+  + ``TimeSeriesStore`` + ``OnlineControlLoop``;
+* ``chaos`` — retry client (hedging, low-priority tagging) over a fault
+  plan with breakers and brownout;
+* ``chaos_tenants`` — the same fault plan with no retry client (so the
+  loadgen bursts), tenants of unequal weight (brownout sheds the light
+  ones whole), a quota and request tracing.
+
+Each digest covers the report counters, the per-tenant buckets, the
+latency and Retry-After lists, the engine's float accumulators and —
+where telemetry is on — every metric record and the time-series dump.
+Every scenario is asserted for ``run(N)`` and for ``N x run(1.0)``, and
+a worker ``step`` exchange is compared row for row against the JSON the
+pre-change worker produced (``tests/golden/worker_step_replies.json``).
+
+Regenerate (only ever on a commit whose behaviour is the reference)::
+
+    PYTHONPATH=src python tests/test_golden_pins.py
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from repro.core.params import SystemParameters
+from repro.engine.simulator import EngineConfig
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, NodeCrash
+from repro.prediction.online import OnlinePredictor
+from repro.prediction.spar import SPARPredictor
+from repro.serve import (
+    AdmissionConfig,
+    BreakerConfig,
+    OnlineControlLoop,
+    ResilienceConfig,
+    RetryConfig,
+    ServeSession,
+    ServerEngine,
+    poisson_arrivals,
+)
+from repro.serve.worker import WorkerServer, WorkerSpec
+from repro.telemetry import Telemetry, TimeSeriesStore
+from repro.telemetry.slo import SLOConfig
+from repro.tenancy import TenantAdmission, TenantRegistry, TenantSpec, composite_arrivals
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+WORKER_GOLDEN = os.path.join(GOLDEN_DIR, "worker_step_replies.json")
+
+SAT = 12.0
+
+
+def _config(**kwargs):
+    defaults = dict(max_nodes=4, saturation_rate_per_node=SAT, db_size_kb=5 * 1024)
+    defaults.update(kwargs)
+    return EngineConfig(**defaults)
+
+
+# ----------------------------------------------------------------------
+# Scenarios: each returns (session, duration in whole seconds)
+# ----------------------------------------------------------------------
+def bare_session():
+    arrivals = poisson_arrivals(30.0, 60.0, seed=7)
+    # Duplicates and arrivals exactly on tick boundaries (dt = 1 s).
+    extra = np.array([5.0, 5.0, 17.0, 17.25, 17.25, 30.0, 59.0])
+    arrivals = np.sort(np.concatenate([arrivals, extra]))
+    engine = ServerEngine(
+        _config(),
+        initial_nodes=2,
+        admission=AdmissionConfig(queue_limit_seconds=3.0),
+        seed=7,
+    )
+    return ServeSession(engine, arrivals), 64
+
+
+def full_session():
+    slot_s = 2.0
+    registry = TenantRegistry(
+        tenants=[
+            TenantSpec(
+                name="checkout", weight=3,
+                profile="spike:rate=8,at=60,magnitude=3,ramp=6,plateau=30,decay=12",
+            ),
+            TenantSpec(name="search", profile="poisson:rate=6", weight=2),
+            TenantSpec(name="batch", profile="poisson:rate=5", weight=1, quota_rps=3.0),
+        ]
+    )
+    arrivals, indices = composite_arrivals(registry, 120.0, seed=5)
+    control = OnlineControlLoop(
+        SystemParameters.from_saturation(SAT, interval_seconds=slot_s),
+        OnlinePredictor(
+            SPARPredictor(period=4, n_periods=2, n_recent=2, max_horizon=4), refit_every=10
+        ),
+        measurement_slot_seconds=slot_s,
+        max_machines=4,
+    )
+    engine = ServerEngine(
+        _config(),
+        initial_nodes=2,
+        slot_seconds=slot_s,
+        admission=AdmissionConfig(queue_limit_seconds=4.0),
+        controller=control,
+        seed=5,
+        telemetry=Telemetry(),
+        slo=SLOConfig(),
+        tenancy=TenantAdmission(registry),
+    )
+    session = ServeSession(
+        engine, arrivals, tenant_indices=indices, tenant_names=registry.names(),
+        timeseries=TimeSeriesStore(),
+    )
+    return session, 124
+
+
+def chaos_session():
+    plan = FaultPlan([NodeCrash(at_seconds=20.0, node_id=1, recover_after_seconds=30.0)])
+    engine = ServerEngine(
+        _config(),
+        initial_nodes=3,
+        admission=AdmissionConfig(queue_limit_seconds=2.0),
+        resilience=ResilienceConfig(
+            breaker=BreakerConfig(miss_threshold=3, open_seconds=10.0, half_open_successes=2)
+        ),
+        fault_injector=FaultInjector(plan),
+        telemetry=Telemetry(),
+        seed=3,
+    )
+    retry = RetryConfig(
+        max_retries=3, backoff_base_s=1.0, budget_floor=100,
+        hedge_queue_seconds=0.5, low_priority_fraction=0.3,
+    )
+    arrivals = poisson_arrivals(28.0, 80.0, seed=3)
+    return ServeSession(engine, arrivals, retry=retry, retry_seed=3), 90
+
+
+def chaos_tenants_session():
+    registry = TenantRegistry(
+        tenants=[
+            TenantSpec(name="gold", profile="poisson:rate=12", weight=3),
+            TenantSpec(name="silver", profile="poisson:rate=9", weight=2),
+            TenantSpec(name="capped", profile="poisson:rate=9", weight=1, quota_rps=5.0),
+        ]
+    )
+    arrivals, indices = composite_arrivals(registry, 70.0, seed=13)
+    plan = FaultPlan([NodeCrash(at_seconds=20.0, node_id=1, recover_after_seconds=25.0)])
+    engine = ServerEngine(
+        _config(),
+        initial_nodes=3,
+        admission=AdmissionConfig(queue_limit_seconds=2.0),
+        resilience=ResilienceConfig(
+            breaker=BreakerConfig(miss_threshold=3, open_seconds=10.0, half_open_successes=2)
+        ),
+        fault_injector=FaultInjector(plan),
+        telemetry=Telemetry(),
+        trace_requests=True,
+        slo=SLOConfig(),
+        tenancy=TenantAdmission(registry),
+        seed=13,
+    )
+    session = ServeSession(
+        engine, arrivals, tenant_indices=indices, tenant_names=registry.names()
+    )
+    return session, 75
+
+
+SCENARIOS = {
+    "bare": bare_session,
+    "full": full_session,
+    "chaos": chaos_session,
+    "chaos_tenants": chaos_tenants_session,
+}
+
+#: sha256 per scenario, taken on the parent of PR 12.
+PINS = {
+    "bare": "bb2bbd2e9d603fe30b28ebb87847b492f24c13c642f038e15dfe4afe4b90c5c3",
+    "full": "cef04aa48495a06ccc712efc0804e8f897f18a78f90afadfd91eafb249655578",
+    "chaos": "706084ffe971452f1214a0fd3c70d3e27d1d78ea164b8086edd9885c202f883c",
+    "chaos_tenants": "1d3dda6dba640c5fa22c6f05afbd5c19c423cdb3e9e1fd529d6a72bba1e951cf",
+}
+
+
+def session_digest(session) -> str:
+    """sha256 over everything the batch path could perturb."""
+    report = session.loadgen.report
+    engine = session.engine
+    counters = {
+        name: getattr(report, name)
+        for name in (
+            "offered", "accepted", "rejected", "errored", "retries",
+            "retry_successes", "retries_exhausted", "hedges", "hedge_wins",
+            "brownout_shed",
+        )
+    }
+    document = {
+        "counters": counters,
+        "tenants": report.tenants,
+        "duration_s": report.duration_s,
+        "engine": {
+            "completed": engine.completed,
+            "latency_sum_ms": engine.latency_sum_ms.hex(),
+            "machine_seconds": engine.machine_seconds.hex(),
+            "errors": engine.errors,
+            "brownout_sheds": engine.brownout_sheds,
+            "admitted": engine.admission.accepted,
+            "rejected": engine.admission.rejected,
+            "rng": engine._rng.bit_generator.state["state"],
+        },
+    }
+    if engine.telemetry is not None:
+        document["metrics"] = engine.telemetry.metrics.records()
+        document["events"] = engine.telemetry.timeline.events
+        document["spans"] = engine.telemetry.tracer.records()
+    if session.timeseries is not None:
+        document["timeseries"] = session.timeseries.dump()
+    if engine.tenancy is not None:
+        document["tenancy"] = engine.tenancy.state_dict()
+    digest = hashlib.sha256()
+    digest.update(json.dumps(document, sort_keys=True, default=str).encode())
+    digest.update(np.asarray(report.latencies_ms, dtype=np.float64).tobytes())
+    digest.update(np.asarray(report.retry_after_s, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def run_whole(name: str) -> str:
+    session, seconds = SCENARIOS[name]()
+    session.run(float(seconds))
+    return session_digest(session)
+
+
+def run_stepped(name: str) -> str:
+    session, seconds = SCENARIOS[name]()
+    for _ in range(seconds):
+        session.run(1.0)
+    return session_digest(session)
+
+
+# ----------------------------------------------------------------------
+# Worker step exchange
+# ----------------------------------------------------------------------
+def worker_step_replies():
+    """A traced worker stepped through an overload: every reply dict."""
+    server = WorkerServer(
+        WorkerSpec(
+            worker_id=0, initial_nodes=1, max_nodes=2, saturation_rate_per_node=6.0,
+            db_size_kb=1024.0, queue_limit_seconds=1.5, seed=9,
+            trace_requests=True, collect_telemetry=True,
+        )
+    )
+    rng = np.random.default_rng(9)
+    replies = []
+    trace_id = 1
+    for tick in range(6):
+        count = (14, 0, 9, 3, 11, 1)[tick]
+        times = np.sort(tick + rng.random(count))
+        arrivals = []
+        for i, t in enumerate(times.tolist()):
+            row = [t, trace_id, "edge", i % 2]
+            if tick % 2 == 0:
+                row.append(("alpha", "beta", "")[i % 3])
+            if i % 5 == 4:
+                row[1] = None  # untraced request: the worker mints the id
+            arrivals.append(row)
+            trace_id += 1
+        replies.append(server.handle({"cmd": "step", "arrivals": arrivals}))
+    return replies
+
+
+# ----------------------------------------------------------------------
+# Tests
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_whole_matches_pin(name):
+    assert run_whole(name) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_one_second_at_a_time_matches_pin(name):
+    assert run_stepped(name) == PINS[name]
+
+
+def test_scenarios_exercise_the_paths_they_claim():
+    """Guards the pins against silently testing nothing."""
+    bare, _ = bare_session()
+    bare.run(64.0)
+    assert bare.loadgen.report.rejected > 0 and bare.loadgen.report.accepted > 0
+    full, _ = full_session()
+    full.run(124.0)
+    assert full.engine.tenancy.quota_shed["batch"] > 0
+    assert full.engine.moves_completed >= 1
+    chaos, _ = chaos_session()
+    report = chaos.run(90.0)
+    assert report.retries > 0 and report.hedges > 0 and report.brownout_shed > 0
+    assert chaos.engine.errors > 0
+    tenants, _ = chaos_tenants_session()
+    report = tenants.run(75.0)
+    assert report.errored > 0 and report.brownout_shed > 0
+    assert tenants.engine.tenancy.quota_shed["capped"] > 0
+    assert sum(tenants.engine.tenancy.brownout_shed.values()) > 0
+    assert report.rejected > report.brownout_shed + tenants.engine.tenancy.quota_shed["capped"]
+
+
+def test_worker_step_reply_rows_match_pre_change_json():
+    with open(WORKER_GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    replies = json.loads(json.dumps(worker_step_replies()))
+    assert len(replies) == len(golden)
+    for reply, expected in zip(replies, golden):
+        assert list(reply) == list(expected)  # same keys, same order
+        assert len(reply["outcomes"]) == len(expected["outcomes"])
+        for row, expected_row in zip(reply["outcomes"], expected["outcomes"]):
+            assert list(row.items()) == list(expected_row.items())
+        assert reply == expected
+
+
+if __name__ == "__main__":  # pragma: no cover - pin regeneration
+    for scenario in sorted(SCENARIOS):
+        whole, stepped = run_whole(scenario), run_stepped(scenario)
+        print(scenario, whole, "stepped-equal" if whole == stepped else f"STEPPED {stepped}")
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    with open(WORKER_GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(worker_step_replies(), handle, indent=1)
+        handle.write("\n")
+    print("wrote", WORKER_GOLDEN)
