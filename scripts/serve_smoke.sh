@@ -27,7 +27,8 @@
 # again after recovery, that request conservation (offered = served +
 # shed + errored + in-flight) holds exactly, and that `--restore` from
 # the mid-run checkpoint reproduces the uninterrupted run's report
-# bit-for-bit.  See docs/ROBUSTNESS.md § Serving-path fault tolerance.
+# bit-for-bit — once with `--no-http` and once over HTTP (`--port 0`).
+# See docs/ROBUSTNESS.md § Serving-path fault tolerance.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,8 +36,9 @@ export PYTHONPATH=src
 
 chaos_smoke() {
     local BUNDLE="${BUNDLE_DIR:-out/chaos-serve-smoke-bundle}"
-    local CKPT OUT1 OUT2
+    local CKPT OUT1 OUT2 REPORT LEG
     CKPT=$(mktemp) OUT1=$(mktemp) OUT2=$(mktemp)
+    REPORT='^(offered|throughput|latency|errors|conservation|resilience)'
     rm -rf "$BUNDLE"
     trap 'rm -f "$CKPT" "$OUT1" "$OUT2"' RETURN
 
@@ -44,7 +46,7 @@ chaos_smoke() {
     # the 180 s cadence, so at least one is written while the fault plan
     # is already resolved and the run is quiescent.
     local ARGS=(
-        python -m repro.cli serve --no-http --clock virtual --duration 600
+        python -m repro.cli serve --clock virtual --duration 600
         --profile "poisson:rate=10" --seed 7
         --saturation 12 --db-size-mb 5 --nodes 3 --max-nodes 4
         --interval-seconds 60 --queue-limit 8
@@ -55,7 +57,7 @@ chaos_smoke() {
         --checkpoint "$CKPT" --checkpoint-every 180
     )
 
-    "${ARGS[@]}" --debug-bundle "$BUNDLE" | tee "$OUT1"
+    "${ARGS[@]}" --no-http --debug-bundle "$BUNDLE" | tee "$OUT1"
 
     grep -q 'fault plan in force' "$OUT1" \
         || { echo "chaos run never installed the fault plan" >&2; return 1; }
@@ -79,15 +81,20 @@ chaos_smoke() {
 
     # Crash-recover the whole process: restore from the last mid-run
     # checkpoint and serve the remainder; the final report must be
-    # bit-identical to the uninterrupted run's.
-    "${ARGS[@]}" --restore "$CKPT" | tee "$OUT2"
-    grep -q 'restored from' "$OUT2" \
-        || { echo "restore leg did not resume from the checkpoint" >&2; return 1; }
-    if ! diff <(grep -E '^(offered|throughput|latency|errors|conservation|resilience)' "$OUT1") \
-              <(grep -E '^(offered|throughput|latency|errors|conservation|resilience)' "$OUT2"); then
-        echo "restored run's report differs from the uninterrupted run" >&2
-        return 1
-    fi
+    # bit-identical to the uninterrupted run's.  Once without HTTP and
+    # once under the HTTP pacer — both front ends step the one session.
+    # (540 s + the 180 s cadence is past the end of the run, so neither
+    # leg overwrites the checkpoint it resumes from.)
+    for LEG in "--no-http" "--port 0"; do
+        # shellcheck disable=SC2086  # LEG is one or two words on purpose
+        "${ARGS[@]}" $LEG --restore "$CKPT" | tee "$OUT2"
+        grep -q 'restored from' "$OUT2" \
+            || { echo "restore leg ($LEG) did not resume from the checkpoint" >&2; return 1; }
+        if ! diff <(grep -E "$REPORT" "$OUT1") <(grep -E "$REPORT" "$OUT2"); then
+            echo "restored run ($LEG) differs from the uninterrupted run" >&2
+            return 1
+        fi
+    done
 
     [ -f "$BUNDLE/MANIFEST.json" ] || { echo "no debug bundle at $BUNDLE" >&2; return 1; }
     python -c "from repro.telemetry.bundle import verify_bundle; verify_bundle('$BUNDLE')" \

@@ -220,103 +220,110 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return bench_main(bench_argv)
 
 
+def _int_number(value: str) -> int:
+    return int(float(value))
+
+
+def _parse_fields(flag: str, spec: Optional[str], fields: dict) -> dict:
+    """Parse a ``key=value,...`` spec against ``{key: (dest, cast)}``
+    into ``{dest: cast(value)}`` for the keys present."""
+    from repro.errors import ConfigurationError
+
+    parsed = {}
+    for token in spec.split(",") if spec else ():
+        key, eq, value = token.partition("=")
+        key = key.strip()
+        if not eq or key not in fields:
+            raise ConfigurationError(
+                f"bad {flag} token {token!r}; keys: {', '.join(fields)}"
+            )
+        dest, cast = fields[key]
+        try:
+            parsed[dest] = cast(value)
+        except ValueError as exc:
+            kind = "an integer" if cast is int else "a number"
+            raise ConfigurationError(
+                f"{flag} {key} must be {kind}, got {value!r}"
+            ) from exc
+    return parsed
+
+
 def _parse_spar_spec(spec: Optional[str], interval_seconds: float) -> dict:
     """Parse ``period=...,periods=...,recent=...,horizon=...`` into
     SPAR constructor kwargs; defaults scale with the planning interval
     (one day per period, paper-shaped term counts)."""
-    from repro.errors import ConfigurationError
-
-    period = max(2, int(round(86400.0 / interval_seconds)))
-    options = {"period": period, "periods": 3, "recent": 6, "horizon": 12}
-    if spec:
-        for token in spec.split(","):
-            key, eq, value = token.partition("=")
-            key = key.strip()
-            if not eq or key not in options:
-                raise ConfigurationError(
-                    f"bad --spar token {token!r}; keys: {', '.join(options)}"
-                )
-            try:
-                options[key] = int(value)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"--spar {key} must be an integer, got {value!r}"
-                ) from exc
-    return {
-        "period": options["period"],
-        "n_periods": options["periods"],
-        "n_recent": options["recent"],
-        "max_horizon": min(options["horizon"], options["period"]),
+    kwargs = {
+        "period": max(2, int(round(86400.0 / interval_seconds))),
+        "n_periods": 3,
+        "n_recent": 6,
+        "max_horizon": 12,
     }
+    kwargs.update(
+        _parse_fields(
+            "--spar",
+            spec,
+            {
+                "period": ("period", int),
+                "periods": ("n_periods", int),
+                "recent": ("n_recent", int),
+                "horizon": ("max_horizon", int),
+            },
+        )
+    )
+    kwargs["max_horizon"] = min(kwargs["max_horizon"], kwargs["period"])
+    return kwargs
 
 
 def _parse_slo_spec(spec: str):
     """Parse ``objective=...,latency=...,fast=...,slow=...,burn=...,
     samples=...`` into an :class:`~repro.telemetry.slo.SLOConfig`
     (empty = defaults)."""
-    from repro.errors import ConfigurationError
     from repro.telemetry.slo import SLOConfig
 
-    keys = {
-        "objective": "objective",
-        "latency": "latency_threshold_ms",
-        "fast": "fast_window_s",
-        "slow": "slow_window_s",
-        "burn": "burn_threshold",
-        "samples": "min_samples",
-    }
-    kwargs = {}
-    if spec:
-        for token in spec.split(","):
-            key, eq, value = token.partition("=")
-            key = key.strip()
-            if not eq or key not in keys:
-                raise ConfigurationError(
-                    f"bad --slo token {token!r}; keys: {', '.join(keys)}"
-                )
-            try:
-                parsed = float(value)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"--slo {key} must be a number, got {value!r}"
-                ) from exc
-            kwargs[keys[key]] = (
-                int(parsed) if keys[key] == "min_samples" else parsed
-            )
-    return SLOConfig(**kwargs)
+    return SLOConfig(
+        **_parse_fields(
+            "--slo",
+            spec,
+            {
+                "objective": ("objective", float),
+                "latency": ("latency_threshold_ms", float),
+                "fast": ("fast_window_s", float),
+                "slow": ("slow_window_s", float),
+                "burn": ("burn_threshold", float),
+                "samples": ("min_samples", _int_number),
+            },
+        )
+    )
 
 
 def _parse_resilience_spec(spec: str):
     """Parse ``miss=3,open=30,halfopen=2,brownout=0.5,shed=1`` into a
     :class:`~repro.serve.resilience.ResilienceConfig` (empty = defaults;
     ``brownout=0`` disables brownout entirely)."""
-    from repro.errors import ConfigurationError
     from repro.serve.resilience import BreakerConfig, BrownoutConfig, ResilienceConfig
 
-    options = {"miss": 3.0, "open": 30.0, "halfopen": 2.0, "brownout": 0.5, "shed": 1.0}
-    if spec:
-        for token in spec.split(","):
-            key, eq, value = token.partition("=")
-            key = key.strip()
-            if not eq or key not in options:
-                raise ConfigurationError(
-                    f"bad --resilience token {token!r}; keys: {', '.join(options)}"
-                )
-            try:
-                options[key] = float(value)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"--resilience {key} must be a number, got {value!r}"
-                ) from exc
+    options = {"miss": 3, "open": 30.0, "halfopen": 2, "brownout": 0.5, "shed": True}
+    options.update(
+        _parse_fields(
+            "--resilience",
+            spec,
+            {
+                "miss": ("miss", _int_number),
+                "open": ("open", float),
+                "halfopen": ("halfopen", _int_number),
+                "brownout": ("brownout", float),
+                "shed": ("shed", lambda value: bool(float(value))),
+            },
+        )
+    )
     breaker = BreakerConfig(
-        miss_threshold=int(options["miss"]),
+        miss_threshold=options["miss"],
         open_seconds=options["open"],
-        half_open_successes=int(options["halfopen"]),
+        half_open_successes=options["halfopen"],
     )
     brownout = (
         BrownoutConfig(
-            queue_factor=options["brownout"],
-            shed_low_priority=bool(options["shed"]),
+            queue_factor=options["brownout"], shed_low_priority=options["shed"]
         )
         if options["brownout"] > 0
         else None
@@ -328,138 +335,24 @@ def _parse_retry_spec(spec: str):
     """Parse ``max=3,base=0.5,cap=8,jitter=0.2,budget=0.2,floor=20,
     hedge=5,lowprio=0.1`` into a :class:`~repro.serve.resilience.
     RetryConfig` (empty = defaults; omit ``hedge`` to disable hedging)."""
-    from repro.errors import ConfigurationError
     from repro.serve.resilience import RetryConfig
 
-    keys = {
-        "max": "max_retries",
-        "base": "backoff_base_s",
-        "cap": "backoff_cap_s",
-        "jitter": "jitter",
-        "budget": "budget_fraction",
-        "floor": "budget_floor",
-        "hedge": "hedge_queue_seconds",
-        "lowprio": "low_priority_fraction",
-    }
-    kwargs = {}
-    if spec:
-        for token in spec.split(","):
-            key, eq, value = token.partition("=")
-            key = key.strip()
-            if not eq or key not in keys:
-                raise ConfigurationError(
-                    f"bad --retries token {token!r}; keys: {', '.join(keys)}"
-                )
-            try:
-                parsed = float(value)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"--retries {key} must be a number, got {value!r}"
-                ) from exc
-            name = keys[key]
-            kwargs[name] = int(parsed) if name in ("max_retries", "budget_floor") else parsed
-    return RetryConfig(**kwargs)
-
-
-def _build_serve_engine(args: argparse.Namespace, telemetry: Telemetry, tenancy=None):
-    from repro.core.params import SystemParameters
-    from repro.engine.simulator import EngineConfig
-    from repro.serve import OnlineControlLoop, ServerEngine
-    from repro.serve.admission import AdmissionConfig
-
-    config = EngineConfig(
-        max_nodes=args.max_nodes,
-        saturation_rate_per_node=args.saturation,
-        db_size_kb=args.db_size_mb * 1024.0,
+    return RetryConfig(
+        **_parse_fields(
+            "--retries",
+            spec,
+            {
+                "max": ("max_retries", _int_number),
+                "base": ("backoff_base_s", float),
+                "cap": ("backoff_cap_s", float),
+                "jitter": ("jitter", float),
+                "budget": ("budget_fraction", float),
+                "floor": ("budget_floor", _int_number),
+                "hedge": ("hedge_queue_seconds", float),
+                "lowprio": ("low_priority_fraction", float),
+            },
+        )
     )
-    params = SystemParameters.from_saturation(
-        args.saturation, interval_seconds=args.interval_seconds
-    )
-    controller = None
-    if args.control == "online":
-        from repro.prediction.online import OnlinePredictor
-        from repro.prediction.spar import SPARPredictor
-
-        spar = SPARPredictor(**_parse_spar_spec(args.spar, args.interval_seconds))
-        online = OnlinePredictor(spar, refit_every=args.refit_every)
-        controller = OnlineControlLoop(
-            params,
-            online,
-            measurement_slot_seconds=args.slot_seconds,
-            max_machines=args.max_nodes,
-        )
-    elif args.control == "reactive":
-        from repro.core.controller import ReactiveController
-
-        controller = ReactiveController(
-            params,
-            max_machines=args.max_nodes,
-            measurement_slot_seconds=args.slot_seconds,
-        )
-    return ServerEngine(
-        engine_config=config,
-        initial_nodes=args.nodes,
-        slot_seconds=args.slot_seconds,
-        admission=AdmissionConfig(queue_limit_seconds=args.queue_limit),
-        controller=controller,
-        seed=args.seed,
-        telemetry=telemetry,
-        trace_requests=args.trace_requests,
-        slo=_parse_slo_spec(args.slo) if args.slo is not None else None,
-        resilience=(
-            _parse_resilience_spec(args.resilience)
-            if args.resilience is not None
-            else None
-        ),
-        tenancy=tenancy,
-    )
-
-
-def _print_serve_outcome(engine, report) -> None:
-    if report.offered:
-        print(report.format_report())
-    health = engine.healthz()
-    print(
-        f"machines now: {health['machines']} | moves started "
-        f"{health['moves_started']} | completed {health['moves_completed']} | "
-        f"peak node queue {health['max_node_queue_seconds']}s"
-    )
-    if engine.slo_monitor is not None:
-        state = engine.slo_monitor.status()
-        firing = " (FIRING)" if state["alerting"] else ""
-        print(
-            f"SLO {state['objective']:.3%}: good fraction "
-            f"{state['good_fraction']:.3%} | burn fast/slow "
-            f"{state['fast_burn']:.2f}/{state['slow_burn']:.2f} | "
-            f"alerts fired {state['alerts_fired']}{firing}"
-        )
-    for name, info in sorted((health.get("tenants") or {}).items()):
-        slo = info.get("slo") or {}
-        firing = " (FIRING)" if slo.get("alerting") else ""
-        print(
-            f"tenant {name}: offered {info.get('offered', 0)} | "
-            f"quota shed {info.get('quota_shed', 0)} | "
-            f"brownout shed {info.get('brownout_shed', 0)} | "
-            f"good {slo.get('good_fraction', 1.0):.3%}{firing}"
-        )
-    if engine.resilience is not None:
-        health = engine.healthz()
-        breakers = health.get("breakers") or {}
-        states = (
-            ", ".join(f"n{node}={state}" for node, state in sorted(breakers.items()))
-            or "none tracked"
-        )
-        print(
-            f"resilience: errors {health.get('errors', 0)} | "
-            f"brownout sheds {health.get('brownout_sheds', 0)} | "
-            f"breakers: {states}"
-        )
-        print(report.conservation_line())
-    log = getattr(engine.controller, "decision_log", None)
-    if log:
-        print("decisions:")
-        for decision in log:
-            print(f"  {decision}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -506,7 +399,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
                 return 2
             tenancy = TenantAdmission(TenantRegistry.load(args.tenants))
-        engine = _build_serve_engine(args, telemetry, tenancy=tenancy)
+        from repro.serve.worker import WorkerSpec, build_worker_engine
+
+        engine = build_worker_engine(
+            WorkerSpec(
+                worker_id=0,
+                initial_nodes=args.nodes,
+                max_nodes=args.max_nodes,
+                saturation_rate_per_node=args.saturation,
+                db_size_kb=args.db_size_mb * 1024.0,
+                slot_seconds=args.slot_seconds,
+                interval_seconds=args.interval_seconds,
+                queue_limit_seconds=args.queue_limit,
+                seed=args.seed,
+                control=args.control,
+                spar=(
+                    _parse_spar_spec(args.spar, args.interval_seconds)
+                    if args.control == "online"
+                    else {}
+                ),
+                refit_every=args.refit_every,
+                trace_requests=args.trace_requests,
+                collect_telemetry=True,
+            ),
+            telemetry,
+            slo=_parse_slo_spec(args.slo) if args.slo is not None else None,
+            resilience=(
+                _parse_resilience_spec(args.resilience)
+                if args.resilience is not None
+                else None
+            ),
+            tenancy=tenancy,
+        )
         retry = _parse_retry_spec(args.retries) if args.retries is not None else None
         checkpoint = None
         if args.checkpoint is not None:
@@ -515,7 +439,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint = CheckpointConfig(
                 args.checkpoint, every_s=args.checkpoint_every
             )
-        arrivals = None
+        arrivals = np.empty(0)
         tenant_indices = None
         tenant_names = None
         if tenancy is not None:
@@ -535,73 +459,54 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 return 2
             arrivals = parse_profile(args.profile, args.duration, seed=args.seed)
             print(f"embedded loadgen: {len(arrivals)} arrivals ({args.profile})")
-        if args.restore is not None and not args.no_http:
-            print("--restore requires --no-http", file=sys.stderr)
+        if args.no_http and args.duration is None:
+            print("--no-http requires --duration", file=sys.stderr)
             return 2
-        if args.no_http:
-            if args.duration is None:
-                print("--no-http requires --duration", file=sys.stderr)
-                return 2
-            schedule = arrivals if arrivals is not None else np.empty(0)
-            if args.restore is not None:
-                session = ServeSession.resume(
-                    engine,
-                    schedule,
-                    args.restore,
-                    retry=retry,
-                    retry_seed=args.seed,
-                    checkpoint=checkpoint,
-                    tenant_indices=tenant_indices,
-                    tenant_names=tenant_names,
-                    # The (empty) store just starts sampling from the
-                    # restored tick onward.
-                    timeseries=timeseries,
-                )
-                remaining = args.duration - session.clock.now
-                if remaining <= 0:
-                    print(
-                        f"checkpoint is already at t={session.clock.now:.0f}s, "
-                        f"nothing left of the {args.duration:.0f}s run",
-                        file=sys.stderr,
-                    )
-                    return 2
+        session_kwargs = dict(
+            retry=retry,
+            retry_seed=args.seed,
+            checkpoint=checkpoint,
+            tenant_indices=tenant_indices,
+            tenant_names=tenant_names,
+            timeseries=timeseries,
+        )
+        if args.restore is not None:
+            # The (empty) time-series store just starts sampling from
+            # the restored tick onward.
+            session = ServeSession.resume(
+                engine, arrivals, args.restore, **session_kwargs
+            )
+            at = session.clock.now
+            if args.duration is not None and args.duration <= at:
                 print(
-                    f"restored from {args.restore} at t={session.clock.now:.0f}s; "
-                    f"serving the remaining {remaining:.0f}s"
+                    f"checkpoint is already at t={at:.0f}s, "
+                    f"nothing left of the {args.duration:.0f}s run",
+                    file=sys.stderr,
                 )
-                report = session.run(remaining)
-            else:
-                session = ServeSession(
-                    engine,
-                    schedule,
-                    retry=retry,
-                    retry_seed=args.seed,
-                    checkpoint=checkpoint,
-                    tenant_indices=tenant_indices,
-                    tenant_names=tenant_names,
-                    timeseries=timeseries,
+                return 2
+            print(
+                f"restored from {args.restore} at t={at:.0f}s"
+                + (
+                    f"; serving the remaining {args.duration - at:.0f}s"
+                    if args.duration is not None
+                    else ""
                 )
-                report = session.run(args.duration)
-            if session.checkpoints_written:
-                print(f"checkpoints written: {session.checkpoints_written}")
+            )
+        else:
+            session = ServeSession(engine, arrivals, **session_kwargs)
+        if args.no_http:
+            session.run(args.duration - session.clock.now)
         else:
             from repro.serve.http import ServeApp
 
             app = ServeApp(
-                engine,
+                session,
                 host=args.host,
                 port=args.port,
                 virtual=args.clock == "virtual",
                 speedup=args.speedup,
                 duration_s=args.duration,
                 linger_s=args.linger,
-                arrivals=arrivals,
-                retry=retry,
-                retry_seed=args.seed,
-                checkpoint=checkpoint,
-                tenant_indices=tenant_indices,
-                tenant_names=tenant_names,
-                timeseries=timeseries,
                 perf=perf,
                 cost_per_machine_hour=args.cost_per_machine_hour,
             )
@@ -614,8 +519,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
                 )
             )
-            report = app.loadgen_report
-        _print_serve_outcome(engine, report)
+        print(session.format_report())
         if timeseries is not None and args.timeseries:
             import json
 
@@ -629,8 +533,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if perf is not None:
             for line in perf.report_lines():
                 print(line)
-        bundle_report.update(report.summary())
-        bundle_report.update(engine.healthz())
+        bundle_report.update(session.summary())
         moves = engine.moves_completed
         print(f"reconfigurations completed: {moves}")
         if args.require_moves and moves < args.require_moves:
@@ -965,8 +868,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     serve_parser.add_argument(
         "--restore", metavar="PATH", default=None,
-        help="resume a --no-http virtual run from a checkpoint written "
-             "by --checkpoint; the resumed run is bit-identical to an "
+        help="resume a run from a checkpoint written by --checkpoint, with "
+             "or without HTTP; the resumed run is bit-identical to an "
              "uninterrupted one",
     )
     _add_session_flags(serve_parser)

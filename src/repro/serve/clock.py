@@ -9,9 +9,8 @@ two modes:
   from event to event with **zero real sleeps**, ties break by insertion
   order, and a seeded run is bit-for-bit reproducible.  This is what the
   unit tests, the CI smoke and ``repro serve --clock virtual`` use.
-* Wall-clock mode lives in :mod:`repro.serve.http`, where the asyncio
-  event loop plays the scheduler and engine ticks are paced by real
-  ``asyncio.sleep`` calls (optionally compressed by a speedup factor).
+* Wall-clock mode lives in :mod:`repro.serve.http`, which paces the same
+  virtual-clock session one tick per real ``dt / speedup`` seconds.
 """
 
 from __future__ import annotations

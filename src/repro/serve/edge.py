@@ -51,7 +51,7 @@ from repro.serve.checkpoint import (
     write_checkpoint,
 )
 from repro.serve.engine import TxnOutcome
-from repro.serve.loadgen import LoadgenReport
+from repro.serve.loadgen import LoadgenReport, validate_schedule
 from repro.serve.resilience import (
     OPEN,
     BreakerConfig,
@@ -169,9 +169,9 @@ class DistributedServeSession:
         if trace_requests and telemetry is None:
             raise ConfigurationError("trace_requests needs edge telemetry")
         self.specs = list(specs)
-        self.arrivals = np.asarray(arrivals, dtype=np.float64)
-        if len(self.arrivals) > 1 and np.any(np.diff(self.arrivals) < 0):
-            raise ConfigurationError("arrival times must be sorted")
+        self.arrivals, self.tenant_indices, self.tenant_names = validate_schedule(
+            arrivals, tenant_indices, tenant_names
+        )
         self.mode = mode
         self.timeout_s = timeout_s
         self.workers: List[WorkerHandle] = [
@@ -205,22 +205,6 @@ class DistributedServeSession:
             SLOMonitor(slo, telemetry) if slo is not None else None
         )
         self.tenancy = tenancy
-        if (tenant_indices is None) != (tenant_names is None):
-            raise ConfigurationError(
-                "tenant_indices and tenant_names go together"
-            )
-        self.tenant_indices = (
-            np.asarray(tenant_indices, dtype=np.int64)
-            if tenant_indices is not None
-            else None
-        )
-        if self.tenant_indices is not None and len(self.tenant_indices) != len(
-            self.arrivals
-        ):
-            raise ConfigurationError(
-                "tenant_indices must parallel the arrival schedule"
-            )
-        self.tenant_names = list(tenant_names) if tenant_names is not None else None
         self.tenant_slos: Dict[str, SLOMonitor] = {}
         self._tenant_tick: Dict[str, List[int]] = {}
         if tenancy is not None:
@@ -949,25 +933,11 @@ class DistributedServeSession:
                 for wid, count in machines.items()
             )
         )
-        slo = self.slo_monitor
-        if slo is not None:
-            status = slo.status()
-            lines.append(
-                f"SLO {status['objective']:.3%}: good fraction "
-                f"{status['good_fraction']:.3%} | burn fast/slow "
-                f"{status['fast_burn']:.2f}/{status['slow_burn']:.2f} | "
-                f"alerts fired {status['alerts_fired']}"
-                + (" (FIRING)" if status["alerting"] else "")
-            )
-        for name, monitor in sorted(self.tenant_slos.items()):
-            status = monitor.status()
-            lines.append(
-                f"SLO[{name}] {status['objective']:.3%}: good fraction "
-                f"{status['good_fraction']:.3%} | burn fast/slow "
-                f"{status['fast_burn']:.2f}/{status['slow_burn']:.2f} | "
-                f"alerts fired {status['alerts_fired']}"
-                + (" (FIRING)" if status["alerting"] else "")
-            )
+        if self.slo_monitor is not None:
+            lines.append(self.slo_monitor.report_line())
+        lines.extend(
+            monitor.report_line() for _, monitor in sorted(self.tenant_slos.items())
+        )
         if self.checkpoints_written:
             lines.append(f"checkpoints written: {self.checkpoints_written}")
         return "\n".join(lines)

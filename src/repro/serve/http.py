@@ -24,38 +24,38 @@ A deliberately dependency-free HTTP/1.1 server over ``asyncio`` streams
   with ``Retry-After``, and the server exits once the drain completes
   (used by the CI smoke to exit cleanly after probing).
 
-The engine tick loop runs as an asyncio task in one of two modes:
+The app owns no serving state of its own: it paces a
+:class:`~repro.serve.session.ServeSession` — the one owner of schedule →
+engine → report, checkpoints and time-series sampling — one
+:meth:`~repro.serve.session.ServeSession.step` per pacer iteration, as
+an asyncio task in one of two modes:
 
-* **wall** — one tick every ``dt / speedup`` real seconds;
-* **virtual** — zero sleeps between ticks (one cooperative yield per
-  tick keeps request handling responsive), so a simulated day races by
+* **wall** — one step every ``dt / speedup`` real seconds;
+* **virtual** — zero sleeps between steps (one cooperative yield per
+  step keeps request handling responsive), so a simulated day races by
   in however long the steps take while the admin endpoints stay live.
 
-An optional embedded open-loop arrival schedule is fired in engine time
-just before each tick — that is how the CI smoke load-tests a virtual
-run without a wall-clock client.
+The session's embedded open-loop schedule (if any) therefore fires
+exactly as it does under ``--no-http`` — that is how the CI smoke
+load-tests a virtual run without a wall-clock client — and ``/txn``
+requests join whatever the next step's tick resolves.
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
 import json
-from dataclasses import asdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serve.checkpoint import CheckpointConfig, capture_engine, is_quiescent
-from repro.serve.checkpoint import write_checkpoint as _write_checkpoint
-from repro.serve.engine import ServerEngine, TxnOutcome
+from repro.serve.engine import TxnOutcome
 from repro.serve.loadgen import LoadgenReport
-from repro.serve.resilience import ResilientClient, RetryConfig
+from repro.serve.session import ServeSession
 from repro.telemetry.export import render_prometheus
 from repro.telemetry.perf import PerfRecorder, render_prometheus_perf
-from repro.telemetry.timeseries import TimeSeriesStore
 
 _MAX_HEADER_LINES = 64
 
@@ -86,38 +86,22 @@ def _http_response(
 
 
 class ServeApp:
-    """HTTP transport + tick pacing around a :class:`ServerEngine`.
+    """HTTP transport + wall/virtual pacing over a :class:`ServeSession`.
 
     Args:
-        engine: The serving driver.
+        session: The serving session to pace; it owns the engine, the
+            embedded arrival schedule and its report, the retry client,
+            the checkpoint cadence and the time-series store (which
+            backs ``GET /timeseries`` and the dashboard sparklines).
         host/port: Bind address (port 0 picks a free port).
-        virtual: Tick as fast as the event loop allows (no sleeps).
-        speedup: Wall mode only — real seconds per tick are
+        virtual: Step as fast as the event loop allows (no sleeps).
+        speedup: Wall mode only — real seconds per step are
             ``dt / speedup``.
-        duration_s: Stop ticking once this much engine time has passed
+        duration_s: Stop stepping once this much engine time has passed
             (``None`` = serve until shut down).
         linger_s: Keep the admin endpoints alive this many real seconds
             after the run completes (so probes can land), unless
             ``/shutdown`` arrives first.
-        arrivals: Optional embedded open-loop schedule (engine-time
-            timestamps); outcomes accumulate in :attr:`loadgen_report`.
-        retry: Per-request resilience policy for the embedded loadgen
-            (bounded retries with backoff, optional hedging); retry
-            expiries are scheduled in engine time and fired just before
-            the tick that covers them.
-        retry_seed: Seed of the retry client's jitter RNG.
-        checkpoint: Snapshot the serving state to this file on the
-            configured cadence (quiescent tick boundaries only).  The
-            snapshot uses the same format as
-            :meth:`repro.serve.session.ServeSession.resume` consumes.
-        tenant_indices: Optional per-arrival tenant index array (from
-            :func:`repro.tenancy.composite_arrivals`), parallel to
-            ``arrivals`` — tags the embedded schedule when the engine
-            carries a tenant registry.
-        tenant_names: Registry names the indices point into.
-        timeseries: Optional ring-buffer store sampled from the engine's
-            metrics once per tick; backs ``GET /timeseries`` and the
-            dashboard sparklines.
         perf: Optional wall-clock recorder rendered into ``/metrics``
             (``repro_perf_*`` families) — never into debug bundles.
         cost_per_machine_hour: Dollar rate behind the ``cost_dollars``
@@ -126,7 +110,7 @@ class ServeApp:
 
     def __init__(
         self,
-        engine: ServerEngine,
+        session: ServeSession,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -134,68 +118,19 @@ class ServeApp:
         speedup: float = 1.0,
         duration_s: Optional[float] = None,
         linger_s: float = 0.0,
-        arrivals: Optional[np.ndarray] = None,
-        retry: Optional[RetryConfig] = None,
-        retry_seed: int = 0,
-        checkpoint: Optional[CheckpointConfig] = None,
-        tenant_indices: Optional[np.ndarray] = None,
-        tenant_names: Optional[List[str]] = None,
-        timeseries: Optional[TimeSeriesStore] = None,
         perf: Optional[PerfRecorder] = None,
         cost_per_machine_hour: float = 0.0,
     ) -> None:
-        self.engine = engine
+        self.session = session
+        self.engine = session.engine
         self.host = host
         self.port = port
         self.virtual = virtual
         self.speedup = max(float(speedup), 1e-9)
         self.duration_s = duration_s
         self.linger_s = max(float(linger_s), 0.0)
-        self._arrivals = (
-            np.asarray(arrivals, dtype=np.float64) if arrivals is not None else None
-        )
-        self._arrival_index = 0
-        if (tenant_indices is None) != (tenant_names is None):
-            raise ConfigurationError("tenant_indices and tenant_names go together")
-        self._tenant_indices = (
-            np.asarray(tenant_indices, dtype=np.int64)
-            if tenant_indices is not None
-            else None
-        )
-        if self._tenant_indices is not None and (
-            self._arrivals is None
-            or len(self._tenant_indices) != len(self._arrivals)
-        ):
-            raise ConfigurationError(
-                "tenant_indices must parallel the embedded arrival schedule"
-            )
-        self._tenant_names = list(tenant_names) if tenant_names is not None else None
-        if timeseries is not None and engine.telemetry is None:
-            raise ConfigurationError("a timeseries store needs engine telemetry")
-        self.timeseries = timeseries
         self.perf = perf
         self.cost_per_machine_hour = float(cost_per_machine_hour)
-        self.loadgen_report = LoadgenReport()
-        # Engine-time timers for retry/hedge expiries: (when, seq, fn),
-        # drained alongside the embedded arrivals before each tick.
-        self._timers: List[Tuple[float, int, Callable[[], None]]] = []
-        self._timer_seq = 0
-        self.client: Optional[ResilientClient] = (
-            ResilientClient(
-                engine,
-                self.loadgen_report,
-                retry,
-                self._schedule_engine_time,
-                seed=retry_seed,
-            )
-            if retry is not None
-            else None
-        )
-        self.checkpoint = checkpoint
-        self.checkpoints_written = 0
-        self._checkpoint_due = (
-            engine.now + checkpoint.every_s if checkpoint is not None else None
-        )
         self.run_complete = False
         self.draining = False
         self._stop = asyncio.Event()
@@ -203,96 +138,10 @@ class ServeApp:
         self._server: Optional[asyncio.base_events.Server] = None
 
     # ------------------------------------------------------------------
-    # Tick loop
+    # Pacer
     # ------------------------------------------------------------------
-    def _schedule_engine_time(self, when: float, fn: Callable[[], None]) -> None:
-        self._timer_seq += 1
-        heapq.heappush(self._timers, (float(when), self._timer_seq, fn))
-
-    def _next_arrival(self) -> Optional[float]:
-        if self._arrivals is None or self._arrival_index >= len(self._arrivals):
-            return None
-        return float(self._arrivals[self._arrival_index])
-
-    def _fire_embedded(self, until: float) -> None:
-        """Fire arrivals and due retry timers in engine-time order."""
-        while True:
-            arrival = self._next_arrival()
-            timer = self._timers[0][0] if self._timers else None
-            candidates = [t for t in (arrival, timer) if t is not None and t < until]
-            if not candidates:
-                return
-            when = min(candidates)
-            if timer is not None and timer <= when and timer < until:
-                _, _, fn = heapq.heappop(self._timers)
-                fn()
-                continue
-            index = self._arrival_index
-            self._arrival_index += 1
-            tenant = ""
-            if self._tenant_indices is not None and self._tenant_names is not None:
-                tenant = self._tenant_names[int(self._tenant_indices[index])]
-            if self.client is not None:
-                self.client.submit(when, tenant=tenant)
-            else:
-                tracer = self.engine.request_tracer
-                trace = tracer.mint("loadgen") if tracer is not None else None
-                if tenant:
-                    self.loadgen_report.offer(tenant)
-                    self.engine.submit(
-                        self.loadgen_report.finish, now=when, trace=trace,
-                        tenant=tenant,
-                    )
-                else:
-                    self.engine.submit(
-                        self.loadgen_report.record, now=when, trace=trace
-                    )
-
-    def _maybe_checkpoint(self) -> None:
-        if self.checkpoint is None or self._checkpoint_due is None:
-            return
-        if self.engine.now < self._checkpoint_due - 1e-9:
-            return
-        if self.client is not None and self.client.outstanding:
-            return  # deferred: scheduled retries would be lost
-        if self._timers or not is_quiescent(self.engine):
-            return
-        controller = self.engine.controller
-        control_state = None
-        if controller is not None and hasattr(controller, "state_dict"):
-            control_state = controller.state_dict()
-        state: Dict[str, object] = {
-            "clock_now": self.engine.now,
-            "ran_s": self.engine.now,
-            "engine": capture_engine(self.engine),
-            "control": control_state,
-            "loadgen": {
-                "cursor": self._arrival_index,
-                "report": asdict(self.loadgen_report),
-            },
-            "client": self.client.state_dict() if self.client is not None else None,
-        }
-        digest = _write_checkpoint(self.checkpoint.path, state)
-        self.checkpoints_written += 1
-        tel = self.engine.telemetry
-        if tel is not None:
-            tel.counter("serve.checkpoints").inc()
-            tel.event(
-                "checkpoint",
-                self.engine.now,
-                path=self.checkpoint.path,
-                sha256=digest[:16],
-            )
-        while self._checkpoint_due <= self.engine.now + 1e-9:
-            self._checkpoint_due += self.checkpoint.every_s
-
-    def _sample_timeseries(self) -> None:
-        if self.timeseries is not None:
-            self.timeseries.sample(
-                self.engine.telemetry.metrics, self.engine.now
-            )
-
     async def _ticker(self) -> None:
+        step = self.session.step
         dt = self.engine.sim.config.dt_seconds
         try:
             while not self._stop.is_set() and not self.draining:
@@ -309,18 +158,12 @@ class ServeApp:
                         )
                     except asyncio.TimeoutError:
                         pass
-                self._fire_embedded(until=self.engine.now + dt)
-                self.engine.tick()
-                self._sample_timeseries()
-                self._maybe_checkpoint()
+                step()
             if self.engine.pending_requests:
-                # Graceful drain: one final tick resolves every admitted
+                # Graceful drain: one final step resolves every admitted
                 # in-flight request before the server stops answering.
-                self.engine.tick()
-                self._sample_timeseries()
+                step()
             self.run_complete = True
-            if self.duration_s is not None:
-                self.loadgen_report.duration_s = min(self.duration_s, self.engine.now)
             if self.linger_s > 0 and not self._stop.is_set() and not self.draining:
                 try:
                     await asyncio.wait_for(self._stop.wait(), timeout=self.linger_s)
@@ -439,14 +282,15 @@ class ServeApp:
         )
 
     def _timeseries_response(self, query: str) -> bytes:
-        if self.timeseries is None:
+        timeseries = self.session.timeseries
+        if timeseries is None:
             return _http_response(
                 404, json.dumps({"error": "no timeseries store attached"})
             )
         params = parse_qs(query)
         name = params.get("name", [""])[0]
         if not name:
-            return _http_response(200, json.dumps(self.timeseries.summary()))
+            return _http_response(200, json.dumps(timeseries.summary()))
         try:
             window = int(params.get("window", ["1"])[0])
         except ValueError:
@@ -454,7 +298,7 @@ class ServeApp:
                 400, json.dumps({"error": "window must be an integer tick count"})
             )
         try:
-            points = self.timeseries.query(name, window=window)
+            points = timeseries.query(name, window=window)
         except ConfigurationError as exc:
             return _http_response(400, json.dumps({"error": str(exc)}))
         return _http_response(

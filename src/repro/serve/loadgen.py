@@ -23,7 +23,7 @@ collects a :class:`LoadgenReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -177,6 +177,39 @@ def _reject_unknown(kind: str, leftover: Dict[str, str]) -> None:
         raise ConfigurationError(
             f"unknown {kind} profile option(s): {', '.join(sorted(leftover))}"
         )
+
+
+def validate_schedule(
+    arrivals: np.ndarray,
+    tenant_indices: Optional[np.ndarray],
+    tenant_names: Optional[List[str]],
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[List[str]]]:
+    """Check a schedule and its tenant columns; returns them normalised
+    (float64 times, int64 indices, a list of names).
+
+    Times must be sorted; the two tenant arguments go together, the
+    indices parallel the times and every one of them names a tenant
+    (``-1`` would otherwise bill the last one).
+    """
+    times = np.asarray(arrivals, dtype=np.float64)
+    if len(times) > 1 and np.any(np.diff(times) < 0):
+        raise ConfigurationError("arrival times must be sorted")
+    if (tenant_indices is None) != (tenant_names is None):
+        raise ConfigurationError("tenant_indices and tenant_names go together")
+    if tenant_indices is None or tenant_names is None:
+        return times, None, None
+    indices = np.asarray(tenant_indices, dtype=np.int64)
+    names = list(tenant_names)
+    if len(indices) != len(times):
+        raise ConfigurationError("tenant_indices must parallel the arrival schedule")
+    if len(indices):
+        low, high = int(indices.min()), int(indices.max())
+        if low < 0 or high >= len(names):
+            raise ConfigurationError(
+                f"tenant_indices must lie in [0, {len(names)}); "
+                f"got {low if low < 0 else high}"
+            )
+    return times, indices, names
 
 
 # ----------------------------------------------------------------------
@@ -441,32 +474,9 @@ class LoadGenerator:
         tenant_names: Optional[List[str]] = None,
     ) -> None:
         self.engine = engine
-        self.arrivals = np.asarray(arrivals, dtype=np.float64)
-        if len(self.arrivals) > 1 and np.any(np.diff(self.arrivals) < 0):
-            raise ConfigurationError("arrival times must be sorted")
-        if (tenant_indices is None) != (tenant_names is None):
-            raise ConfigurationError(
-                "tenant_indices and tenant_names go together"
-            )
-        self.tenant_indices = (
-            np.asarray(tenant_indices, dtype=np.int64)
-            if tenant_indices is not None
-            else None
+        self.arrivals, self.tenant_indices, self.tenant_names = validate_schedule(
+            arrivals, tenant_indices, tenant_names
         )
-        if self.tenant_indices is not None and len(self.tenant_indices) != len(
-            self.arrivals
-        ):
-            raise ConfigurationError(
-                "tenant_indices must parallel the arrival schedule"
-            )
-        self.tenant_names = list(tenant_names) if tenant_names is not None else None
-        if self.tenant_indices is not None and len(self.tenant_indices):
-            low, high = int(self.tenant_indices.min()), int(self.tenant_indices.max())
-            if low < 0 or high >= len(self.tenant_names or ()):
-                raise ConfigurationError(
-                    f"tenant_indices must lie in [0, {len(self.tenant_names or ())}); "
-                    f"got {low if low < 0 else high}"
-                )
         self.clock = clock
         self.report = LoadgenReport()
         self.client: Optional[ResilientClient] = (

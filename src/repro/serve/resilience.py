@@ -326,8 +326,7 @@ class ResilientClient:
     The client is transport-agnostic: it talks to the engine through
     ``engine.submit`` and schedules its own future work (backoff expiry)
     through a caller-supplied ``schedule(when_seconds, fn)`` — the
-    virtual-clock loadgen passes ``clock.call_at``, the HTTP app passes
-    an engine-time heap drained before each tick.  Exactly one terminal
+    loadgen passes its virtual clock's ``call_at``.  Exactly one terminal
     outcome reaches the report per logical request, so request
     conservation (offered = served + shed + errored + in-flight) holds
     by construction.

@@ -1,10 +1,13 @@
 """Deterministic serving sessions: engine + loadgen on a virtual clock.
 
-:class:`ServeSession` is the zero-sleep harness behind the unit tests,
-the CI smoke and ``repro serve --clock virtual``: engine ticks and
+:class:`ServeSession` is the one single-process driver behind the unit
+tests, the CI smokes and every mode of ``repro serve``: engine ticks and
 loadgen arrivals interleave on one :class:`~repro.serve.clock.
 VirtualClock`, so a simulated day of serving runs in however long the
 callbacks take and two runs with the same seeds are identical.
+``--no-http`` loops over :meth:`ServeSession.step` itself; the HTTP
+front end (:class:`~repro.serve.http.ServeApp`) calls the same method
+once per paced tick.
 
 The session is also the checkpoint driver: with a
 :class:`~repro.serve.checkpoint.CheckpointConfig` it snapshots the full
@@ -98,6 +101,29 @@ class ServeSession:
         # Serving time so far is ``clock.now - _origin`` — correct even
         # mid-run, which is when cadence checkpoints are written.
         self._origin = self.clock.now
+        self._dt = engine.sim.config.dt_seconds
+
+    def step(self) -> None:
+        """Serve one engine tick.
+
+        Everything scheduled before the tick boundary fires in clock
+        order — arrival bursts, retry and hedge expiries, ties by
+        insertion — then the engine ticks, the time-series store samples
+        and the checkpoint cadence is checked.  :meth:`run` loops over
+        this; :class:`~repro.serve.http.ServeApp` paces it.
+        """
+        clock = self.clock
+        end = clock.now + self._dt
+        self.loadgen.start()
+        clock.call_at(end, self._tick)
+        clock.run_until(end)
+        self.loadgen.report.duration_s = clock.now - self._origin
+
+    def _tick(self) -> None:
+        self.engine.tick()
+        if self.timeseries is not None:
+            self.timeseries.sample(self.engine.telemetry.metrics, self.clock.now)
+        self._maybe_checkpoint()
 
     def run(self, duration_s: float) -> LoadgenReport:
         """Serve for ``duration_s`` simulated seconds; returns the report.
@@ -108,27 +134,9 @@ class ServeSession:
         """
         if duration_s <= 0:
             raise ConfigurationError("duration_s must be positive")
-        dt = self.engine.sim.config.dt_seconds
-        n_ticks = int(math.ceil(duration_s / dt - 1e-9))
-        end = self.clock.now + n_ticks * dt
-
-        self.loadgen.start()
-
-        def tick() -> None:
-            self.engine.tick()
-            if self.timeseries is not None:
-                self.timeseries.sample(
-                    self.engine.telemetry.metrics, self.clock.now
-                )
-            self._maybe_checkpoint()
-            if self.clock.now < end - 1e-9:
-                self.clock.call_later(dt, tick)
-
-        self.clock.call_at(self.clock.now + dt, tick)
-        self.clock.run_until(end)
-        report = self.loadgen.report
-        report.duration_s = self.clock.now - self._origin
-        return report
+        for _ in range(int(math.ceil(duration_s / self._dt - 1e-9))):
+            self.step()
+        return self.loadgen.report
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -259,36 +267,42 @@ class ServeSession:
         return out
 
     def format_report(self) -> str:
-        health = self.engine.healthz()
-        lines = [
-            self.loadgen.report.format_report(),
+        """The run report ``repro serve`` prints, with or without HTTP."""
+        engine = self.engine
+        report = self.loadgen.report
+        health = engine.healthz()
+        lines = [report.format_report()] if report.offered else []
+        lines.append(
             f"machines now: {health['machines']} | moves started "
-            f"{health['moves_started']} | completed {health['moves_completed']}",
-            f"peak node queue: {health['max_node_queue_seconds']}s",
-        ]
-        slo = self.engine.slo_monitor
-        if slo is not None:
-            state = slo.status()
+            f"{health['moves_started']} | completed {health['moves_completed']} | "
+            f"peak node queue {health['max_node_queue_seconds']}s"
+        )
+        if engine.slo_monitor is not None:
+            lines.append(engine.slo_monitor.report_line())
+        for name, info in sorted((health.get("tenants") or {}).items()):
             lines.append(
-                f"SLO {state['objective']:.3%}: good fraction "
-                f"{state['good_fraction']:.3%} | burn fast/slow "
-                f"{state['fast_burn']:.2f}/{state['slow_burn']:.2f} | "
-                f"alerts fired {state['alerts_fired']}"
-                + (" (FIRING)" if state["alerting"] else "")
+                f"tenant {name}: offered {info['offered']} | "
+                f"quota shed {info['quota_shed']} | "
+                f"brownout shed {info['brownout_shed']} | "
+                f"good {info['slo']['good_fraction']:.3%}"
+                + (" (FIRING)" if info["slo"]["alerting"] else "")
             )
-        for name, monitor in sorted(self.engine.tenant_slos.items()):
-            state = monitor.status()
+        lines.extend(
+            monitor.report_line() for _, monitor in sorted(engine.tenant_slos.items())
+        )
+        if engine.resilience is not None:
+            states = ", ".join(
+                f"n{node}={state}" for node, state in sorted(health["breakers"].items())
+            )
             lines.append(
-                f"SLO[{name}] {state['objective']:.3%}: good fraction "
-                f"{state['good_fraction']:.3%} | burn fast/slow "
-                f"{state['fast_burn']:.2f}/{state['slow_burn']:.2f} | "
-                f"alerts fired {state['alerts_fired']}"
-                + (" (FIRING)" if state["alerting"] else "")
+                f"resilience: errors {health['errors']} | "
+                f"brownout sheds {health['brownout_sheds']} | "
+                f"breakers: {states or 'none tracked'}"
             )
+            lines.append(report.conservation_line())
         if self.checkpoints_written:
             lines.append(f"checkpoints written: {self.checkpoints_written}")
-        controller = self.engine.controller
-        log = getattr(controller, "decision_log", None)
+        log = getattr(engine.controller, "decision_log", None)
         if log:
             lines.append("decisions:")
             lines.extend(f"  {decision}" for decision in log)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from repro.errors import ConfigurationError, ReproError, TransportError
 from repro.serve.admission import AdmissionConfig
 from repro.serve.checkpoint import capture_engine, ensure_quiescent, restore_engine
 from repro.serve.engine import OutcomeBatch, ServerEngine
+from repro.serve.resilience import ResilienceConfig
 from repro.serve.transport import (
     DEFAULT_TIMEOUT_S,
     PipeTransport,
@@ -56,6 +57,10 @@ from repro.telemetry import Telemetry
 from repro.telemetry.merge import TelemetryDeltaTracker
 from repro.telemetry.perf import maybe_span
 from repro.telemetry.requesttrace import TraceContext
+from repro.telemetry.slo import SLOConfig
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.tenancy.admission import TenantAdmission
 
 #: Transport modes a distributed session can run its workers over.
 TRANSPORT_MODES = ("pipe", "tcp", "inproc")
@@ -109,9 +114,16 @@ class WorkerSpec:
 
 
 def build_worker_engine(
-    spec: WorkerSpec, telemetry: Optional[Telemetry] = None
+    spec: WorkerSpec,
+    telemetry: Optional[Telemetry] = None,
+    *,
+    slo: Optional[SLOConfig] = None,
+    resilience: Optional[ResilienceConfig] = None,
+    tenancy: Optional["TenantAdmission"] = None,
 ) -> ServerEngine:
-    """Construct the engine shard a spec describes (mirrors the CLI)."""
+    """Construct the engine a spec describes — a worker's shard, or the
+    whole of ``repro serve``, which passes its SLO / resilience /
+    tenancy policy straight through to :class:`ServerEngine`."""
     from repro.core.params import SystemParameters
     from repro.engine.simulator import EngineConfig
 
@@ -159,6 +171,9 @@ def build_worker_engine(
         seed=spec.seed,
         telemetry=telemetry,
         trace_requests=spec.trace_requests,
+        slo=slo,
+        resilience=resilience,
+        tenancy=tenancy,
     )
 
 

@@ -268,3 +268,16 @@ class SLOMonitor:
             "alerting": self.alerting,
             "alerts_fired": self.alerts_fired,
         }
+
+    def report_line(self) -> str:
+        """The one-line rendering of :meth:`status` every run report
+        prints (``SLO ...`` or, for a labelled monitor, ``SLO[checkout] ...``)."""
+        state = self.status()
+        label = ",".join(str(value) for value in self.labels.values())
+        return (
+            f"SLO{f'[{label}]' if label else ''} {state['objective']:.3%}: "
+            f"good fraction {state['good_fraction']:.3%} | burn fast/slow "
+            f"{state['fast_burn']:.2f}/{state['slow_burn']:.2f} | "
+            f"alerts fired {state['alerts_fired']}"
+            + (" (FIRING)" if state["alerting"] else "")
+        )

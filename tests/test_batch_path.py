@@ -32,15 +32,18 @@ from repro.faults.plan import FaultPlan, NodeCrash
 from repro.serve import (
     AdmissionConfig,
     BreakerConfig,
+    DistributedServeSession,
     ResilienceConfig,
     ServeSession,
     ServerEngine,
+    WorkerSpec,
     poisson_arrivals,
 )
 from repro.serve.admission import AdmissionController
 from repro.serve.checkpoint import capture_engine
 from repro.serve.clock import VirtualClock
 from repro.serve.engine import REASONS, OutcomeBatch, TxnOutcome
+from repro.serve.http import ServeApp
 from repro.serve.loadgen import LoadGenerator, LoadgenReport
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import Histogram, running_sum
@@ -403,12 +406,21 @@ class TestQuietUntil:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_loadgen_rejects_out_of_range_tenant_indices(bad):
+    """Every owner of a schedule goes through ``validate_schedule``: the
+    loadgen, the distributed edge, and (via its session) the HTTP app."""
     engine = build_engine(tenancy=True, chaos=False, tracing=False, telemetry=False, seed=0)
-    with pytest.raises(ConfigurationError, match="tenant_indices"):
-        LoadGenerator(
-            engine, np.array([0.1, 0.2]), VirtualClock(),
-            tenant_indices=np.array([0, bad]), tenant_names=list(TENANTS),
-        )
+    schedule = dict(tenant_indices=np.array([0, bad]), tenant_names=list(TENANTS))
+    times = np.array([0.1, 0.2])
+    owners = (
+        lambda: LoadGenerator(engine, times, VirtualClock(), **schedule),
+        lambda: DistributedServeSession(
+            [WorkerSpec(worker_id=0)], times, mode="inproc", **schedule
+        ),
+        lambda: ServeApp(ServeSession(engine, times, **schedule), virtual=True),
+    )
+    for build in owners:
+        with pytest.raises(ConfigurationError, match="tenant_indices must lie in"):
+            build()
 
 
 def test_unknown_tenant_name_fails_loudly():

@@ -258,11 +258,22 @@ class TestServeCheckpointCLI:
         assert code == 2
         assert "nothing left" in capsys.readouterr().err
 
-    def test_restore_requires_no_http(self, tmp_path, capsys):
+    def test_restore_over_http_resumes(self, tmp_path, capsys):
+        """One driver: a --no-http checkpoint resumes under the HTTP pacer
+        and finishes with the uninterrupted run's report."""
         args = self.serve_args(tmp_path)
         assert main(args) == 0
-        capsys.readouterr()
-        http_args = [a for a in args if a != "--no-http"]
+        reference = capsys.readouterr().out
+        http_args = [a for a in args if a != "--no-http"] + ["--port", "0"]
         code = main(http_args + ["--restore", str(tmp_path / "serve.ckpt")])
-        assert code == 2
-        assert "--no-http" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "restored from" in out and "serving on http://" in out
+
+        def report_lines(text):
+            return [
+                line for line in text.splitlines()
+                if line.startswith(("offered", "throughput", "latency", "machines now"))
+            ]
+
+        assert report_lines(out) == report_lines(reference)

@@ -294,6 +294,27 @@ class TestServeSubcommand:
         assert "serving on http://127.0.0.1:" in out
         assert "tenant checkout:" in out
 
+    def test_default_flags_build_the_default_worker_spec_engine(self, tmp_path, capsys):
+        """`repro serve` and the workers share one engine builder: with
+        no sizing flags the CLI's engine has the configuration fingerprint
+        of a default ``WorkerSpec``'s."""
+        from repro.serve import WorkerSpec, read_checkpoint
+        from repro.serve.checkpoint import capture_engine
+        from repro.serve.worker import build_worker_engine
+
+        ckpt = tmp_path / "serve.ckpt"
+        code = main([
+            "serve", "--no-http", "--duration", "2",
+            "--checkpoint", str(ckpt), "--checkpoint-every", "1",
+        ])
+        capsys.readouterr()
+        assert code == 0
+        spec_engine = build_worker_engine(WorkerSpec(worker_id=0))
+        assert (
+            read_checkpoint(str(ckpt))["engine"]["config"]
+            == capture_engine(spec_engine)["config"]
+        )
+
     def test_bad_spar_spec_rejected(self, capsys):
         code = main(self.SERVE_ARGS[:-1] + ["period=oops"])
         assert code == 2
@@ -362,7 +383,7 @@ class TestTopSubcommand:
         import urllib.request
 
         from repro.engine.simulator import EngineConfig
-        from repro.serve import ServerEngine, poisson_arrivals
+        from repro.serve import ServerEngine, ServeSession, poisson_arrivals
         from repro.serve.http import ServeApp
         from repro.telemetry import Telemetry, TimeSeriesStore
 
@@ -371,14 +392,10 @@ class TestTopSubcommand:
             initial_nodes=2,
             telemetry=Telemetry(),
         )
-        app = ServeApp(
-            engine,
-            virtual=True,
-            duration_s=60.0,
-            linger_s=30.0,
-            arrivals=poisson_arrivals(20.0, 60.0, seed=2),
-            timeseries=TimeSeriesStore(),
+        session = ServeSession(
+            engine, poisson_arrivals(20.0, 60.0, seed=2), timeseries=TimeSeriesStore()
         )
+        app = ServeApp(session, virtual=True, duration_s=60.0, linger_s=30.0)
         ready = threading.Event()
         thread = threading.Thread(
             target=lambda: asyncio.run(app.run(on_ready=lambda _: ready.set())),

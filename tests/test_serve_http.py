@@ -7,11 +7,19 @@ aggressive speedups so the whole module stays fast.
 
 import asyncio
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.engine.simulator import EngineConfig
-from repro.serve import ServerEngine, poisson_arrivals
+from repro.serve import (
+    CheckpointConfig,
+    RetryConfig,
+    ServerEngine,
+    ServeSession,
+    poisson_arrivals,
+)
 from repro.serve.admission import AdmissionConfig
 from repro.serve.http import ServeApp, run_loadgen_client
 from repro.telemetry import Telemetry
@@ -25,6 +33,11 @@ def make_engine(**kwargs):
     )
     defaults.update(kwargs)
     return ServerEngine(**defaults)
+
+
+def make_session(engine=None, arrivals=(), **kwargs):
+    """A session over ``engine`` (a fresh one by default) for the app to pace."""
+    return ServeSession(engine or make_engine(), np.asarray(arrivals, dtype=float), **kwargs)
 
 
 async def http_request(port, method="GET", path="/", host="127.0.0.1", headers=None):
@@ -71,7 +84,7 @@ class TestBindRetry:
         import errno
 
         async def scenario():
-            app = ServeApp(make_engine(), virtual=True, duration_s=5.0)
+            app = ServeApp(make_session(), virtual=True, duration_s=5.0)
             real_start = asyncio.start_server
             attempts = {"n": 0}
 
@@ -98,7 +111,7 @@ class TestBindRetry:
         from repro.errors import ConfigurationError
 
         async def scenario():
-            app = ServeApp(make_engine(), virtual=True, duration_s=5.0)
+            app = ServeApp(make_session(), virtual=True, duration_s=5.0)
             real_start = asyncio.start_server
 
             async def always_busy(*args, **kwargs):
@@ -117,7 +130,7 @@ class TestBindRetry:
         import errno
 
         async def scenario():
-            app = ServeApp(make_engine(), virtual=True, duration_s=5.0)
+            app = ServeApp(make_session(), virtual=True, duration_s=5.0)
             real_start = asyncio.start_server
             attempts = {"n": 0}
 
@@ -140,7 +153,7 @@ class TestAdminEndpoints:
     def test_healthz_and_metrics(self):
         async def scenario():
             app = ServeApp(
-                make_engine(), virtual=True, duration_s=120.0, linger_s=30.0
+                make_session(), virtual=True, duration_s=120.0, linger_s=30.0
             )
             task = await start_app(app)
             # The virtual run finishes almost immediately; then it lingers.
@@ -180,7 +193,9 @@ class TestAdminEndpoints:
                 initial_nodes=1,
                 admission=AdmissionConfig(queue_limit_seconds=0.01),
             )
-            app = ServeApp(engine, speedup=20.0, duration_s=600.0, linger_s=30.0)
+            app = ServeApp(
+                make_session(engine), speedup=20.0, duration_s=600.0, linger_s=30.0
+            )
             task = await start_app(app)
 
             results = await asyncio.gather(
@@ -207,7 +222,7 @@ class TestAdminEndpoints:
     def test_txn_after_run_completes_is_draining(self):
         async def scenario():
             app = ServeApp(
-                make_engine(), virtual=True, duration_s=30.0, linger_s=30.0
+                make_session(), virtual=True, duration_s=30.0, linger_s=30.0
             )
             task = await start_app(app)
             for _ in range(200):
@@ -232,15 +247,13 @@ class TestObservabilityEndpoints:
         from repro.telemetry import PerfRecorder, TimeSeriesStore
 
         defaults = dict(
-            virtual=True,
-            duration_s=60.0,
-            linger_s=30.0,
-            arrivals=poisson_arrivals(30.0, 60.0, seed=4),
-            timeseries=TimeSeriesStore(),
-            perf=PerfRecorder(),
+            virtual=True, duration_s=60.0, linger_s=30.0, perf=PerfRecorder()
         )
         defaults.update(kwargs)
-        return ServeApp(make_engine(), **defaults)
+        session = make_session(
+            arrivals=poisson_arrivals(30.0, 60.0, seed=4), timeseries=TimeSeriesStore()
+        )
+        return ServeApp(session, **defaults)
 
     async def _wait_complete(self, app):
         for _ in range(200):
@@ -306,7 +319,7 @@ class TestObservabilityEndpoints:
     def test_timeseries_404_when_store_disabled(self):
         async def scenario():
             app = ServeApp(
-                make_engine(), virtual=True, duration_s=10.0, linger_s=30.0
+                make_session(), virtual=True, duration_s=10.0, linger_s=30.0
             )
             task = await start_app(app)
             status, _, body = await http_request(app.port, path="/timeseries")
@@ -392,7 +405,7 @@ class TestTenantHeader:
     def test_known_tenant_is_tagged_on_the_outcome(self):
         async def scenario():
             app = ServeApp(
-                self._tenant_engine(),
+                make_session(self._tenant_engine()),
                 speedup=20.0,
                 duration_s=600.0,
                 linger_s=30.0,
@@ -415,7 +428,7 @@ class TestTenantHeader:
         async def scenario():
             engine = self._tenant_engine()
             app = ServeApp(
-                engine, speedup=20.0, duration_s=600.0, linger_s=30.0
+                make_session(engine), speedup=20.0, duration_s=600.0, linger_s=30.0
             )
             task = await start_app(app)
             status, _, body = await http_request(
@@ -440,7 +453,7 @@ class TestTenantHeader:
     def test_tenant_header_without_tenancy_is_403(self):
         async def scenario():
             app = ServeApp(
-                make_engine(), speedup=20.0, duration_s=600.0, linger_s=30.0
+                make_session(), speedup=20.0, duration_s=600.0, linger_s=30.0
             )
             task = await start_app(app)
             status, _, body = await http_request(
@@ -459,7 +472,7 @@ class TestTenantHeader:
     def test_no_header_serves_default_tenant(self):
         async def scenario():
             app = ServeApp(
-                self._tenant_engine(),
+                make_session(self._tenant_engine()),
                 speedup=20.0,
                 duration_s=600.0,
                 linger_s=30.0,
@@ -477,25 +490,137 @@ class TestTenantHeader:
         asyncio.run(scenario())
 
 
+# ----------------------------------------------------------------------
+# One driver: the HTTP pacer and ServeSession.run are the same loop
+# ----------------------------------------------------------------------
+def _tenant_registry():
+    from repro.tenancy import TenantRegistry, TenantSpec
+
+    return TenantRegistry(
+        tenants=[
+            TenantSpec(name="checkout", profile="poisson:rate=14", weight=3),
+            TenantSpec(name="search", profile="poisson:rate=10", weight=2),
+            TenantSpec(name="batch", profile="poisson:rate=8", quota_rps=4.0),
+        ]
+    )
+
+
+def _bare_case():
+    return {}, poisson_arrivals(30.0, 60.0, seed=4), {}
+
+
+def _retries_case():
+    # Two overload bursts feed the retry client's backoff timers; the lull
+    # between them lets every retry settle, so a checkpoint can be taken.
+    engine = dict(initial_nodes=1, admission=AdmissionConfig(queue_limit_seconds=0.5))
+    retry = RetryConfig(max_retries=3, backoff_base_s=1.0, budget_floor=500)
+    arrivals = np.concatenate(
+        [poisson_arrivals(90.0, 12.0, seed=5), poisson_arrivals(90.0, 12.0, seed=6, start_s=40.0)]
+    )
+    return engine, arrivals, dict(retry=retry, retry_seed=5)
+
+
+def _tenants_case():
+    from repro.tenancy import TenantAdmission, composite_arrivals
+
+    registry = _tenant_registry()
+    arrivals, indices = composite_arrivals(registry, 60.0, seed=6)
+    engine = dict(tenancy=TenantAdmission(registry))
+    return engine, arrivals, dict(tenant_indices=indices, tenant_names=registry.names())
+
+
+#: name -> () -> (engine kwargs, arrivals, session kwargs); each call
+#: builds fresh policy objects so twin sessions share nothing.
+DRIVER_CASES = {"bare": _bare_case, "retries": _retries_case, "tenants": _tenants_case}
+
+
+def _run_over_http(session, duration_s):
+    app = ServeApp(session, virtual=True, duration_s=duration_s)
+    asyncio.run(asyncio.wait_for(app.run(), timeout=60))
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("case", sorted(DRIVER_CASES))
+    def test_http_pacer_equals_session_run(self, case, tmp_path):
+        def build(**extra):
+            engine_kwargs, arrivals, session_kwargs = DRIVER_CASES[case]()
+            return make_session(
+                make_engine(**engine_kwargs), arrivals, **session_kwargs, **extra
+            )
+
+        reference = build()
+        reference.run(60.0)
+        expected = asdict(reference.loadgen.report)
+        assert expected["offered"] and expected["duration_s"] == 60.0
+        if case != "bare":
+            assert expected["rejected"], "the case must exercise shedding"
+
+        path = str(tmp_path / "http.ckpt")
+        paced = build(checkpoint=CheckpointConfig(path, every_s=25.0))
+        _run_over_http(paced, 60.0)
+        assert asdict(paced.loadgen.report) == expected
+        assert paced.checkpoints_written
+
+        # The snapshot written under HTTP is an ordinary session snapshot.
+        engine_kwargs, arrivals, session_kwargs = DRIVER_CASES[case]()
+        resumed = ServeSession.resume(
+            make_engine(**engine_kwargs), arrivals, path, **session_kwargs
+        )
+        assert 0.0 < resumed.clock.now < 60.0
+        resumed.run(60.0 - resumed.clock.now)
+        assert asdict(resumed.loadgen.report) == expected
+
+    def test_same_instant_arrival_and_retry_fire_in_clock_insertion_order(self):
+        """The one place the old embedded loadgen disagreed with the
+        session: it fired a due retry before an arrival at the same
+        instant.  Now the VirtualClock decides, and the arrival's event
+        (armed at t=1.2) predates the retry's (scheduled at t=1.25)."""
+        # One node that admits one request per tick and sheds the rest
+        # with a 1 s hint; backoff 1 s then 2 s, no jitter.
+        arrivals = np.array([0.2, 0.25, 1.2, 3.25])
+        retry = RetryConfig(max_retries=3, backoff_base_s=1.0, jitter=0.0, budget_floor=50)
+
+        def build():
+            engine = make_engine(
+                initial_nodes=1, admission=AdmissionConfig(queue_limit_seconds=0.01)
+            )
+            session = make_session(engine, arrivals, retry=retry)
+            attempts = []
+            client = session.loadgen.client
+            attempt = client._attempt
+
+            def spy(now, number, *args):
+                attempts.append((now, number))
+                attempt(now, number, *args)
+
+            client._attempt = spy
+            return session, attempts
+
+        session, attempts = build()
+        session.run(10.0)
+        paced, paced_attempts = build()
+        _run_over_http(paced, 10.0)
+
+        # 0.25 is shed -> retry 1 at 1.25 is shed -> retry 2 at 3.25, tied
+        # with the last arrival, which goes first and takes the tick's slot.
+        assert attempts == [
+            (0.2, 0), (0.25, 0), (1.2, 0), (1.25, 1), (3.25, 0), (3.25, 2), (7.25, 3)
+        ]
+        assert paced_attempts == attempts
+        assert asdict(paced.loadgen.report) == asdict(session.loadgen.report)
+        assert session.loadgen.report.retry_successes == 1
+
+
 class TestEmbeddedLoadgen:
     def test_virtual_run_reports_offered_traffic(self):
-        async def scenario():
-            arrivals = poisson_arrivals(30.0, 60.0, seed=4)
-            app = ServeApp(
-                make_engine(),
-                virtual=True,
-                duration_s=60.0,
-                arrivals=arrivals,
-            )
-            task = await start_app(app)
-            await asyncio.wait_for(task, timeout=30)
-            report = app.loadgen_report
-            assert report.offered == len(arrivals)
-            assert report.accepted == report.offered
-            assert report.duration_s == pytest.approx(60.0)
-            assert report.latency_percentile(50.0) > 0
-
-        asyncio.run(scenario())
+        arrivals = poisson_arrivals(30.0, 60.0, seed=4)
+        session = make_session(arrivals=arrivals)
+        _run_over_http(session, 60.0)
+        report = session.loadgen.report
+        assert report.offered == len(arrivals)
+        assert report.accepted == report.offered
+        assert report.duration_s == pytest.approx(60.0)
+        assert report.latency_percentile(50.0) > 0
 
 
 class TestGracefulDrain:
@@ -504,7 +629,7 @@ class TestGracefulDrain:
             # Slow wall-clock ticks: a submitted txn stays in flight
             # until the drain's final tick resolves it.
             app = ServeApp(
-                make_engine(), speedup=0.25, duration_s=600.0, linger_s=30.0
+                make_session(), speedup=0.25, duration_s=600.0, linger_s=30.0
             )
             task = await start_app(app)
 
@@ -536,7 +661,7 @@ class TestGracefulDrain:
     def test_new_txn_during_drain_gets_503_retry_after(self):
         async def scenario():
             app = ServeApp(
-                make_engine(), speedup=0.25, duration_s=600.0, linger_s=30.0
+                make_session(), speedup=0.25, duration_s=600.0, linger_s=30.0
             )
             task = await start_app(app)
             await http_request(app.port, method="POST", path="/shutdown")
@@ -559,7 +684,9 @@ class TestGracefulDrain:
     def test_drain_accounts_for_every_request(self):
         async def scenario():
             engine = make_engine()
-            app = ServeApp(engine, speedup=0.5, duration_s=600.0, linger_s=30.0)
+            app = ServeApp(
+                make_session(engine), speedup=0.5, duration_s=600.0, linger_s=30.0
+            )
             task = await start_app(app)
             submitted = [
                 asyncio.create_task(
@@ -591,7 +718,7 @@ class TestLoadgenClient:
     def test_open_loop_client_round_trip(self):
         async def scenario():
             app = ServeApp(
-                make_engine(), speedup=20.0, duration_s=600.0, linger_s=30.0
+                make_session(), speedup=20.0, duration_s=600.0, linger_s=30.0
             )
             task = await start_app(app)
             arrivals = poisson_arrivals(8.0, 10.0, seed=6)
