@@ -13,6 +13,10 @@
 #   * out/soak-report.json — the machine-readable gate report,
 #   * out/soak-smoke-bundle — digest-verified debug bundle with the
 #     merged cross-process telemetry.
+# A restore leg then crash-recovers the whole fleet from the last
+# mid-run checkpoint (the one `repro-serve-checkpoint/1` format and the
+# one `ServeSession` resume path, across real processes) and must print
+# the uninterrupted run's report.
 # See docs/SERVING.md § Distributed serving.
 set -euo pipefail
 
@@ -21,24 +25,33 @@ export PYTHONPATH=src
 
 REPORT="${REPORT_PATH:-out/soak-report.json}"
 BUNDLE="${BUNDLE_DIR:-out/soak-smoke-bundle}"
+CKPT="${CKPT_PATH:-out/soak.ckpt}"
 OUT=$(mktemp)
+OUT2=$(mktemp)
+mkdir -p "$(dirname "$CKPT")"
 rm -rf "$BUNDLE"
-rm -f "$REPORT"
+rm -f "$REPORT" "$CKPT"
 
 # The soak's worker processes are children of the `repro soak` process
 # and are reaped by its session teardown; the trap covers the script's
 # own scratch state.  STATUS is captured explicitly so a gate breach
 # (exit 1) still prints the report before the script propagates it.
-trap 'rm -f "$OUT"' EXIT
+trap 'rm -f "$OUT" "$OUT2"' EXIT
+
+# Snapshots land at t=25 and t=50: the file the restore leg resumes from
+# is mid-run, and 50 s + the cadence is past the end, so that leg does
+# not overwrite it.
+SOAK=(python -m repro.cli soak
+    --workers 3 --transport pipe
+    --rate 300 --duration 60 --seed 7
+    --nodes 1 --max-nodes 4 --saturation 438 --queue-limit 8
+    --max-p99 500 --max-shed-rate 0.2
+    --trace-requests
+    --slo
+    --checkpoint "$CKPT" --checkpoint-every 25)
 
 STATUS=0
-python -m repro.cli soak \
-    --workers 3 --transport pipe \
-    --rate 300 --duration 60 --seed 7 \
-    --nodes 1 --max-nodes 4 --saturation 438 --queue-limit 8 \
-    --max-p99 500 --max-shed-rate 0.2 \
-    --trace-requests \
-    --slo \
+"${SOAK[@]}" \
     --report "$REPORT" \
     --debug-bundle "$BUNDLE" | tee "$OUT" || STATUS=$?
 
@@ -73,4 +86,14 @@ echo "soak report verified: $REPORT"
 [ -f "$BUNDLE/MANIFEST.json" ] || { echo "no debug bundle at $BUNDLE" >&2; exit 1; }
 python -c "from repro.telemetry.bundle import verify_bundle; verify_bundle('$BUNDLE')" \
     || { echo "bundle manifest failed verification" >&2; exit 1; }
-echo "soak smoke passed: gates green, conservation exact, bundle verified"
+grep -q 'checkpoints written: 2' "$OUT" \
+    || { echo "the soak did not write its two mid-run checkpoints" >&2; exit 1; }
+"${SOAK[@]}" --restore "$CKPT" | tee "$OUT2"
+grep -q 'restored distributed session from .* at t=50s' "$OUT2" \
+    || { echo "restore leg did not resume from the t=50s checkpoint" >&2; exit 1; }
+LINES='^(offered|throughput|latency|conservation|workers:)'
+if ! diff <(grep -E "$LINES" "$OUT") <(grep -E "$LINES" "$OUT2"); then
+    echo "restored soak differs from the uninterrupted soak" >&2
+    exit 1
+fi
+echo "soak smoke passed: gates green, conservation exact, bundle verified, restore bit-identical"

@@ -588,8 +588,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             )
             print(
                 f"restored distributed session from {args.restore} at "
-                f"t={session.now:.0f}s; soaking the remaining "
-                f"{max(0.0, config.duration_s - session.now):.0f}s"
+                f"t={session.clock.now:.0f}s; soaking the remaining "
+                f"{max(0.0, config.duration_s - session.clock.now):.0f}s"
             )
         report = run_soak(
             config, telemetry=session_telemetry, session=session

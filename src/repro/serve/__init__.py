@@ -25,14 +25,13 @@ from repro.serve.admission import (
     AdmissionDecision,
 )
 from repro.serve.checkpoint import (
-    DISTRIBUTED_CHECKPOINT_FORMAT,
     CheckpointConfig,
     read_checkpoint,
     write_checkpoint,
 )
 from repro.serve.clock import VirtualClock
 from repro.serve.control import OnlineControlLoop
-from repro.serve.edge import DistributedServeSession
+from repro.serve.edge import DistributedServeSession, Fleet
 from repro.serve.engine import OutcomeBatch, ServerEngine, TxnOutcome
 from repro.serve.loadgen import (
     LoadGenerator,
@@ -87,8 +86,8 @@ __all__ = [
     "ResilientClient",
     "RetryConfig",
     "ServeSession",
-    "DISTRIBUTED_CHECKPOINT_FORMAT",
     "DistributedServeSession",
+    "Fleet",
     "PipeTransport",
     "SoakConfig",
     "SoakReport",

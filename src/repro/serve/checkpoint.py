@@ -2,21 +2,23 @@
 
 A serving process that crashes loses its online control loop: the SPAR
 fit, the window buffers feeding it, and the policy's scale-in votes all
-live in memory.  This module snapshots that state — plus the engine's
+live in memory.  A checkpoint snapshots that state — plus the engine's
 deterministic serving state (RNG, backlog, topology, counters) and the
 loadgen cursor — into a single JSON document with a sha256 digest over
 the canonical payload, so a truncated or hand-edited snapshot fails
-loudly instead of resuming subtly wrong.
+loudly instead of resuming subtly wrong.  This module is the file
+format; the session decides when to write one and each engine supplies
+its own section (``state_dict()``).
 
 Checkpoints are only taken at *quiescent* tick boundaries: no migration
 in flight, no admitted-but-unresolved requests, no scheduled retries and
-no unresolved fault activity.  At such a point the full serving state is
-a plain value, which is what makes the restore **bit-identical**: a run
-resumed from a checkpoint produces exactly the byte-for-byte summary an
-uninterrupted run would (the e2e tests assert list equality of every
-sampled latency).
+no unresolved fault activity (and, for a fleet, every worker alive).  At
+such a point the full serving state is a plain value, which is what
+makes the restore **bit-identical**: a run resumed from a checkpoint
+produces exactly the byte-for-byte summary an uninterrupted run would
+(the e2e tests assert list equality of every sampled latency).
 
-Format (``repro-serve-checkpoint/1``)::
+Format (``repro-serve-checkpoint/1``), one for every front end::
 
     {"format": "repro-serve-checkpoint/1",
      "sha256": "<hex digest of canonical state JSON>",
@@ -26,6 +28,11 @@ Format (``repro-serve-checkpoint/1``)::
                "control": {online predictor + SPAR coefficients + policy},
                "loadgen": {cursor, report},
                "client": {retry RNG}}}
+
+A :class:`~repro.serve.edge.Fleet` writes its ``engine`` section as
+``{"edge": {worker count, tick, rng, breakers, SLO, tenancy, advertised
+capacity}, "workers": [one {"engine", "control"} pair per worker]}``
+and no ``control``; either engine refuses the other's section.
 """
 
 from __future__ import annotations
@@ -36,19 +43,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from repro.errors import CheckpointError, ConfigurationError
-from repro.serve.engine import ServerEngine
-from repro.serve.resilience import _rng_state, _set_rng_state
 
 CHECKPOINT_FORMAT = "repro-serve-checkpoint/1"
-
-#: Format tag for distributed (edge + workers) snapshots.  The payload
-#: layout differs — an edge section plus one captured engine per worker —
-#: so the tag keeps single-process and distributed files from restoring
-#: into each other.
-DISTRIBUTED_CHECKPOINT_FORMAT = "repro-distributed-checkpoint/1"
 
 
 @dataclass(frozen=True)
@@ -79,12 +76,10 @@ def _digest(state: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_checkpoint(
-    path: str, state: Dict[str, object], *, format: str = CHECKPOINT_FORMAT
-) -> str:
+def write_checkpoint(path: str, state: Dict[str, object]) -> str:
     """Write a digest-verified snapshot atomically; returns the digest."""
     digest = _digest(state)
-    document = {"format": format, "sha256": digest, "state": state}
+    document = {"format": CHECKPOINT_FORMAT, "sha256": digest, "state": state}
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(document, handle)
@@ -93,9 +88,7 @@ def write_checkpoint(
     return digest
 
 
-def read_checkpoint(
-    path: str, *, format: str = CHECKPOINT_FORMAT
-) -> Dict[str, object]:
+def read_checkpoint(path: str) -> Dict[str, object]:
     """Read and verify a snapshot; returns the ``state`` payload."""
     try:
         with open(path, encoding="utf-8") as handle:
@@ -104,11 +97,11 @@ def read_checkpoint(
         raise CheckpointError(f"checkpoint file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from None
-    if not isinstance(document, dict) or document.get("format") != format:
+    if not isinstance(document, dict) or document.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"checkpoint {path} has unknown format "
             f"{document.get('format') if isinstance(document, dict) else None!r}; "
-            f"expected {format!r}"
+            f"expected {CHECKPOINT_FORMAT!r}"
         )
     state = document.get("state")
     if not isinstance(state, dict):
@@ -120,166 +113,3 @@ def read_checkpoint(
             f"(expected {document.get('sha256')}, computed {digest})"
         )
     return state
-
-
-# ----------------------------------------------------------------------
-# Engine state
-# ----------------------------------------------------------------------
-def _engine_fingerprint(engine: ServerEngine) -> Dict[str, object]:
-    config = engine.sim.config
-    return {
-        "dt_seconds": config.dt_seconds,
-        "max_nodes": config.max_nodes,
-        "partitions_per_node": config.partitions_per_node,
-        "saturation_rate_per_node": config.saturation_rate_per_node,
-        "num_buckets": config.num_buckets,
-        "db_size_kb": config.db_size_kb,
-        "slot_seconds": engine.monitor.slot_seconds,
-        "queue_limit_seconds": engine.admission.config.queue_limit_seconds,
-        "resilience": engine.resilience is not None,
-        "tenants": (
-            engine.tenancy.registry.names() if engine.tenancy is not None else None
-        ),
-    }
-
-
-def ensure_quiescent(engine: ServerEngine) -> None:
-    """Raise :class:`CheckpointError` unless the engine is snapshotable."""
-    if engine.sim.migration_active:
-        raise CheckpointError("cannot checkpoint with a migration in flight")
-    if engine.pending_requests:
-        raise CheckpointError(
-            f"cannot checkpoint with {engine.pending_requests} admitted "
-            "requests awaiting their tick"
-        )
-    injector = engine.sim.fault_injector
-    if injector is not None and not injector.exhausted:
-        raise CheckpointError(
-            "cannot checkpoint with unresolved fault activity "
-            "(pending events, recoveries or straggler windows)"
-        )
-
-
-def is_quiescent(engine: ServerEngine) -> bool:
-    try:
-        ensure_quiescent(engine)
-    except CheckpointError:
-        return False
-    return True
-
-
-def capture_engine(engine: ServerEngine) -> Dict[str, object]:
-    """Snapshot the engine's deterministic serving state."""
-    ensure_quiescent(engine)
-    sim = engine.sim
-    monitor = engine.monitor
-    state: Dict[str, object] = {
-        "config": _engine_fingerprint(engine),
-        "now": sim.now,
-        "rng": _rng_state(engine._rng),
-        "backlog": sim._backlog.tolist(),
-        "topology": sim.cluster.topology_state(),
-        "moves_started": sim.moves_started,
-        "migrations_aborted": sim.migrations_aborted,
-        "monitor": {
-            "closed": list(monitor._closed),
-            "seed_len": monitor._seed_len,
-            "current": monitor._current,
-            "current_elapsed": monitor._current_elapsed,
-        },
-        "counters": {
-            "ticks": engine.ticks,
-            "completed": engine.completed,
-            "latency_sum_ms": engine.latency_sum_ms,
-            "max_node_queue_seconds": engine.max_node_queue_seconds,
-            "slot_index": engine._slot_index,
-            "accepted": engine.admission.accepted,
-            "rejected": engine.admission.rejected,
-            "errors": engine.errors,
-            "brownout_sheds": engine.brownout_sheds,
-            "brownout_active": engine.brownout_active,
-        },
-        "health": engine.health.state_dict() if engine.health is not None else None,
-        "router_view": (
-            engine._router_view.tolist() if engine._router_view is not None else None
-        ),
-        "machine_seconds": engine.machine_seconds,
-    }
-    if engine.tenancy is not None:
-        state["tenancy"] = engine.tenancy.state_dict()
-        state["tenant_slos"] = {
-            name: monitor.state_dict()
-            for name, monitor in sorted(engine.tenant_slos.items())
-        }
-    return state
-
-
-def restore_engine(engine: ServerEngine, state: Dict[str, object]) -> None:
-    """Overwrite a freshly-built engine's state from a snapshot.
-
-    The engine must have been constructed with the same configuration
-    the snapshot was taken from (fingerprint-verified), and must not
-    have served anything yet.
-    """
-    fingerprint = _engine_fingerprint(engine)
-    if state["config"] != fingerprint:
-        raise CheckpointError(
-            f"checkpoint engine config {state['config']} does not match "
-            f"this engine {fingerprint}"
-        )
-    if engine.ticks or engine.admission.total:
-        raise CheckpointError("restore target engine has already served traffic")
-    sim = engine.sim
-    sim.now = float(state["now"])  # type: ignore[arg-type]
-    _set_rng_state(engine._rng, state["rng"])  # type: ignore[arg-type]
-    sim._backlog[:] = np.asarray(state["backlog"], dtype=np.float64)
-    sim.cluster.restore_topology(state["topology"])  # type: ignore[arg-type]
-    sim._moves_started = int(state["moves_started"])  # type: ignore[arg-type]
-    sim.migrations_aborted = int(state["migrations_aborted"])  # type: ignore[arg-type]
-    monitor_state: Dict[str, object] = state["monitor"]  # type: ignore[assignment]
-    engine.monitor._closed = [float(v) for v in monitor_state["closed"]]  # type: ignore[union-attr]
-    engine.monitor._seed_len = int(monitor_state["seed_len"])  # type: ignore[arg-type]
-    engine.monitor._current = float(monitor_state["current"])  # type: ignore[arg-type]
-    engine.monitor._current_elapsed = float(
-        monitor_state["current_elapsed"]  # type: ignore[arg-type]
-    )
-    counters: Dict[str, object] = state["counters"]  # type: ignore[assignment]
-    engine.ticks = int(counters["ticks"])  # type: ignore[arg-type]
-    engine.completed = int(counters["completed"])  # type: ignore[arg-type]
-    engine.latency_sum_ms = float(counters["latency_sum_ms"])  # type: ignore[arg-type]
-    engine.max_node_queue_seconds = float(
-        counters["max_node_queue_seconds"]  # type: ignore[arg-type]
-    )
-    engine._slot_index = int(counters["slot_index"])  # type: ignore[arg-type]
-    engine.admission.accepted = int(counters["accepted"])  # type: ignore[arg-type]
-    engine.admission.rejected = int(counters["rejected"])  # type: ignore[arg-type]
-    engine.errors = int(counters["errors"])  # type: ignore[arg-type]
-    engine.brownout_sheds = int(counters["brownout_sheds"])  # type: ignore[arg-type]
-    engine.brownout_active = bool(counters["brownout_active"])  # type: ignore[arg-type]
-    health_state = state.get("health")
-    if health_state is not None:
-        if engine.health is None:
-            raise CheckpointError(
-                "checkpoint carries breaker state but resilience is disabled"
-            )
-        engine.health.load_state_dict(health_state)  # type: ignore[arg-type]
-    router_view = state.get("router_view")
-    if router_view is not None:
-        engine._router_view = np.asarray(router_view, dtype=np.float64)
-    engine.machine_seconds = float(state.get("machine_seconds", 0.0))  # type: ignore[arg-type]
-    tenancy_state = state.get("tenancy")
-    if tenancy_state is not None:
-        if engine.tenancy is None:
-            raise CheckpointError(
-                "checkpoint carries tenant state but tenancy is disabled "
-                "on the restore target"
-            )
-        engine.tenancy.load_state_dict(tenancy_state)  # type: ignore[arg-type]
-        for name, monitor_state in (state.get("tenant_slos") or {}).items():  # type: ignore[union-attr]
-            monitor = engine.tenant_slos.get(str(name))
-            if monitor is None:
-                raise CheckpointError(
-                    f"checkpoint carries SLO state for unknown tenant {name!r}"
-                )
-            monitor.load_state_dict(monitor_state)
-    engine._refresh_routing()

@@ -1,19 +1,23 @@
 """The api/edge process of the distributed serving path.
 
-:class:`DistributedServeSession` is the thin edge in the api + worker
-split: it owns routing, edge admission, brownout and per-worker circuit
-breakers, while each worker process owns one
-:class:`~repro.serve.engine.ServerEngine` shard (its own admission
-controller, load monitor and control loop).  The pieces meet over the
-strict request/reply protocol of :mod:`repro.serve.worker`:
+:class:`Fleet` is the edge's *engine*: it owns the workers, the
+per-worker circuit breakers, the edge RNG, edge admission / tenancy /
+SLOs and the wire, and speaks the engine protocol of
+:mod:`repro.serve.session` — so :class:`DistributedServeSession` is a
+:class:`~repro.serve.session.ServeSession` over a ``Fleet`` plus the
+fleet's lifecycle: one arrival driver, one tick loop, one checkpoint
+format and one resume path for a process and for a fleet.  Each worker
+process owns one :class:`~repro.serve.engine.ServerEngine` shard behind
+the strict request/reply protocol of :mod:`repro.serve.worker`:
 
-* every edge tick slices the arrival schedule, routes each request to a
-  worker (capacity-weighted over the advertised machine counts, open
-  breakers zeroed out), applies edge admission + brownout, then posts
-  one ``step`` batch to every worker *before* collecting any reply —
-  the shards compute their tick concurrently, but replies are folded in
-  worker order, so the aggregate report is deterministic regardless of
-  process scheduling;
+* :meth:`Fleet.submit_batch` routes a burst of arrivals in one draw
+  (capacity-weighted over the advertised machine counts, open breakers
+  zeroed out), applies edge admission + brownout + tenant policy, sinks
+  its rejects and queues the rest per worker;
+* :meth:`Fleet.tick` posts one ``step`` batch to every worker *before*
+  collecting any reply — the shards compute their tick concurrently,
+  but replies are folded in worker order, so the aggregate report is
+  deterministic regardless of process scheduling;
 * a worker whose transport breaks mid-tick turns its whole batch into
   terminal 500s (reason ``"connection"``) and feeds its breaker — the
   conservation identity ``offered = served + shed + errored + in-flight``
@@ -21,37 +25,31 @@ strict request/reply protocol of :mod:`repro.serve.worker`:
 * a per-tick probe round (worker alive?) drives the breakers exactly
   like the single-process engine's node health monitor, and brownout
   engages while any breaker is open;
-* digest-verified checkpoints (format ``repro-distributed-checkpoint/1``)
-  capture the edge state plus every worker's engine snapshot over the
-  wire; :meth:`DistributedServeSession.resume` rebuilds the whole
-  cluster and continues **bit-identically**;
+* a fleet snapshot is the ``engine`` section of an ordinary
+  ``repro-serve-checkpoint/1`` document — the edge state plus every
+  worker's engine snapshot, captured over the wire — and a resumed
+  fleet continues **bit-identically**;
 * request traces stitch across the boundary: the edge mints the
   globally-unique trace ids, workers record their span trees against
-  them, and :meth:`collect_telemetry` merges every worker's snapshot
-  into the edge handle — re-parenting each worker ``request`` span
-  under the edge span that dispatched it.
+  them, and :meth:`Fleet.collect_telemetry` merges every worker's
+  snapshot into the edge handle — re-parenting each worker ``request``
+  span under the edge span that dispatched it.
 
 ``docs/SERVING.md`` has the process diagram and failure semantics.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, TransportError
 from repro.serve.admission import AdmissionConfig, AdmissionController
-from repro.serve.checkpoint import (
-    DISTRIBUTED_CHECKPOINT_FORMAT,
-    CheckpointConfig,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.serve.engine import TxnOutcome
-from repro.serve.loadgen import LoadgenReport, validate_schedule
+from repro.serve.checkpoint import CheckpointConfig
+from repro.serve.engine import REASONS, OutcomeBatch, OutcomeSink
+from repro.serve.loadgen import LoadgenReport
 from repro.serve.resilience import (
     OPEN,
     BreakerConfig,
@@ -60,7 +58,7 @@ from repro.serve.resilience import (
     _rng_state,
     _set_rng_state,
 )
-from repro.serve.session import _restore_report
+from repro.serve.session import ServeSession
 from repro.serve.transport import (
     DEFAULT_TIMEOUT_S,
     accept_transport,
@@ -68,24 +66,32 @@ from repro.serve.transport import (
 )
 from repro.serve.worker import _SPAWN, WorkerHandle, WorkerSpec, worker_main
 from repro.telemetry import Span, Telemetry
-from repro.telemetry.merge import DeltaAccumulator, build_fleet_view
+from repro.telemetry.merge import DeltaAccumulator, build_fleet_view, merge_snapshot
+from repro.telemetry.metrics import index_counts
 from repro.telemetry.perf import PerfRecorder, maybe_span
-from repro.telemetry.slo import SLOConfig, SLOMonitor
+from repro.telemetry.slo import SLOConfig, SLOMonitor, load_monitor_states
 from repro.telemetry.timeseries import TimeSeriesStore
-
-from dataclasses import replace as _dc_replace
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tenancy.admission import TenantAdmission
 
+#: The columns of a reply's outcome records, in ``OutcomeBatch`` order
+#: (six numeric ones first).
+_REPLY_COLUMNS = itemgetter(
+    "status", "node_id", "submitted_at", "completed_at", "latency_ms",
+    "retry_after_s", "trace_id", "reason", "priority", "tenant",
+)
+_REASON_CODE = {reason: code for code, reason in enumerate(REASONS)}
+_QUEUE_LIMIT, _QUOTA = _REASON_CODE["queue-limit"], _REASON_CODE["quota"]
+_BROWNOUT, _CONNECTION = _REASON_CODE["brownout"], _REASON_CODE["connection"]
+_SPAN_STATUS = {200: "ok", 500: "error"}  # anything else: "shed"
 
-class DistributedServeSession:
-    """Edge process driving a fleet of worker shards in lock step.
+
+class Fleet:
+    """The edge's engine: worker shards driven in lock step.
 
     Args:
         specs: One :class:`~repro.serve.worker.WorkerSpec` per worker.
-        arrivals: Sorted aggregate arrival timestamps, seconds.
         mode: ``"pipe"`` (spawned processes over multiprocessing pipes),
             ``"tcp"`` (spawned processes dialing a localhost listener) or
             ``"inproc"`` (worker servers driven in-process — identical
@@ -109,33 +115,33 @@ class DistributedServeSession:
             via :meth:`collect_telemetry`.
         seed: Edge routing/priority RNG seed (independent of the worker
             engine RNGs).
-        checkpoint: Distributed snapshot cadence + path.
         timeout_s: Edge-side per-reply transport timeout.
         tenancy: Optional :class:`~repro.tenancy.TenantAdmission`.  The
             *edge* owns tenant policy in the distributed split: quotas
-            and tenant-level brownout shedding run here before routing,
-            and per-tenant labelled SLO monitors run over the folded
-            replies.  Workers just carry the tag through their engines.
-        tenant_indices: Per-arrival tenant index array parallel to
-            ``arrivals`` (from :func:`repro.tenancy.composite_arrivals`).
-        tenant_names: Registry names the indices point into.
+            and tenant-level brownout shedding run here before routing
+            is acted on, and per-tenant labelled SLO monitors run over
+            the folded replies.  Workers just carry the tag through
+            their engines.
         telemetry_every_ticks: When positive, every Nth tick pulls a
             ``telemetry_delta`` from each worker (absolute new-or-changed
             state) and rebuilds :attr:`fleet_view` — a live fleet-wide
             telemetry merge that equals the end-of-run capture merge
             exactly for metrics and events.  Requires ``telemetry``.
-        timeseries: Optional ring-buffer store sampled once per tick from
-            the freshest fleet view (or the edge's own registry when
-            delta streaming is off).
-        perf: Optional wall-clock recorder; the dispatch loop records an
-            ``edge.dispatch`` span per tick.  Falls back to the process
-            default installed by ``repro.telemetry.perf``.
+        perf: Optional wall-clock recorder; :meth:`tick` records an
+            ``edge.dispatch`` span.  Falls back to the process default
+            installed by ``repro.telemetry.perf``.
     """
+
+    dt_s = 1.0  # every worker engine ticks at the EngineConfig default
+    controller = None  # the workers run their own control loops
+    #: The edge mints trace ids itself, after routing; the loadgen none.
+    request_tracer = None
+    #: A worker can die with requests on board: print the conservation line.
+    detects_failures = True
 
     def __init__(
         self,
         specs: Sequence[WorkerSpec],
-        arrivals: np.ndarray,
         *,
         mode: str = "pipe",
         edge_queue_limit_s: Optional[float] = None,
@@ -146,13 +152,9 @@ class DistributedServeSession:
         trace_requests: bool = False,
         telemetry: Optional[Telemetry] = None,
         seed: int = 0,
-        checkpoint: Optional[CheckpointConfig] = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         tenancy: Optional["TenantAdmission"] = None,
-        tenant_indices: Optional[np.ndarray] = None,
-        tenant_names: Optional[List[str]] = None,
         telemetry_every_ticks: int = 0,
-        timeseries: Optional[TimeSeriesStore] = None,
         perf: Optional[PerfRecorder] = None,
     ) -> None:
         if not specs:
@@ -163,28 +165,21 @@ class DistributedServeSession:
                 f"worker ids must be 0..{len(specs) - 1} in order, got {ids}"
             )
         if not 0.0 <= low_priority_fraction <= 1.0:
-            raise ConfigurationError(
-                "low_priority_fraction must be in [0, 1]"
-            )
+            raise ConfigurationError("low_priority_fraction must be in [0, 1]")
         if trace_requests and telemetry is None:
             raise ConfigurationError("trace_requests needs edge telemetry")
-        self.specs = list(specs)
-        self.arrivals, self.tenant_indices, self.tenant_names = validate_schedule(
-            arrivals, tenant_indices, tenant_names
-        )
+        if telemetry_every_ticks < 0:
+            raise ConfigurationError("telemetry_every_ticks must be >= 0")
+        if telemetry_every_ticks > 0 and telemetry is None:
+            raise ConfigurationError("telemetry_every_ticks needs edge telemetry")
         self.mode = mode
         self.timeout_s = timeout_s
         self.workers: List[WorkerHandle] = [
             WorkerHandle(spec, mode, timeout_s=timeout_s) for spec in specs
         ]
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self.report = LoadgenReport()
-        self.dt_s = 1.0  # every worker engine ticks at EngineConfig default
         self.now = 0.0
-        self._origin = 0.0
         self._tick_index = 0
-        self._cursor = 0
         self.low_priority_fraction = low_priority_fraction
 
         self.admission = AdmissionController(
@@ -201,39 +196,23 @@ class DistributedServeSession:
             spec.worker_id: CircuitBreaker(spec.worker_id, breaker_config)
             for spec in specs
         }
-        self.slo_monitor = (
-            SLOMonitor(slo, telemetry) if slo is not None else None
-        )
+        self.slo_monitor = SLOMonitor(slo, telemetry) if slo is not None else None
         self.tenancy = tenancy
-        self.tenant_slos: Dict[str, SLOMonitor] = {}
-        self._tenant_tick: Dict[str, List[int]] = {}
-        if tenancy is not None:
-            base = slo or SLOConfig()
-            for spec in tenancy.registry:
-                self.tenant_slos[spec.name] = SLOMonitor(
-                    _dc_replace(
-                        base,
-                        objective=spec.slo_objective,
-                        latency_threshold_ms=spec.latency_slo_ms,
-                    ),
-                    telemetry,
-                    labels={"tenant": spec.name},
-                )
+        self.tenant_slos: Dict[str, SLOMonitor] = (
+            tenancy.slo_monitors(slo or SLOConfig(), telemetry) if tenancy is not None else {}
+        )
+        # This tick's [good, bad] verdicts, fleet-wide and per tenant.
+        self._verdicts = [0, 0]
+        self._tenant_verdicts: Dict[str, List[int]] = {}
+        # Tenant tag vocabulary: the registry's, else the submitter's.
+        self._tenant_names: Tuple[str, ...] = tenancy.names if tenancy is not None else ()
+        self._tenant_index = {name: i for i, name in enumerate(self._tenant_names)}
         self.telemetry = telemetry
         self.trace_requests = trace_requests
         self._next_trace_id = 1
         self._stitch: Dict[int, Span] = {}
         self._telemetry_collected = False
-        if telemetry_every_ticks < 0:
-            raise ConfigurationError("telemetry_every_ticks must be >= 0")
-        if telemetry_every_ticks > 0 and telemetry is None:
-            raise ConfigurationError(
-                "telemetry_every_ticks needs edge telemetry"
-            )
-        if timeseries is not None and telemetry is None:
-            raise ConfigurationError("a timeseries store needs edge telemetry")
         self.telemetry_every_ticks = int(telemetry_every_ticks)
-        self.timeseries = timeseries
         self.perf = perf
         #: Per-worker absolute telemetry views accumulated from deltas.
         self._delta_views: Dict[int, DeltaAccumulator] = {}
@@ -245,11 +224,9 @@ class DistributedServeSession:
         self.advertised: Dict[int, Tuple[float, float]] = {
             spec.worker_id: (float(spec.initial_nodes), 0.0) for spec in specs
         }
-        self.checkpoint = checkpoint
-        self.checkpoints_written = 0
-        self._checkpoint_due = (
-            checkpoint.every_s if checkpoint is not None else None
-        )
+        # Forwarded requests awaiting the next tick, per worker; their sink.
+        self._queued: List[List[List[object]]] = [[] for _ in specs]
+        self._sink: Optional[OutcomeSink] = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -264,12 +241,10 @@ class DistributedServeSession:
         self._started = True
         if self.mode == "tcp":
             self._tcp_rendezvous()
-            return
         for handle in self.workers:
-            handle.start()
+            handle.start()  # tcp: already adopted
         for handle in self.workers:
-            reply = handle.request({"cmd": "hello"})
-            self._absorb_ad(reply)
+            self._absorb_ad(handle.request({"cmd": "hello"}))
 
     def _tcp_rendezvous(self) -> None:
         listener = bind_listener()
@@ -290,8 +265,6 @@ class DistributedServeSession:
                 hello = transport.recv(timeout_s=self.timeout_s)
                 worker_id = int(hello["worker"])  # type: ignore[arg-type]
                 self.workers[worker_id].adopt(transport, processes[worker_id])
-            for handle in self.workers:
-                self._absorb_ad(handle.request({"cmd": "hello"}))
         finally:
             listener.close()
 
@@ -300,27 +273,6 @@ class DistributedServeSession:
         for handle in self.workers:
             handle.shutdown()
 
-    def __enter__(self) -> "DistributedServeSession":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Lock-step serving
-    # ------------------------------------------------------------------
-    def run(self, duration_s: float) -> LoadgenReport:
-        """Serve ``duration_s`` seconds (rounded up to whole ticks)."""
-        if duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
-        self.start()
-        n_ticks = int(math.ceil(duration_s / self.dt_s - 1e-9))
-        for _ in range(n_ticks):
-            self._tick()
-        self.report.duration_s = self.now - self._origin
-        return self.report
-
     def _absorb_ad(self, reply: Dict[str, object]) -> None:
         if "worker" in reply:
             self.advertised[int(reply["worker"])] = (  # type: ignore[arg-type]
@@ -328,191 +280,214 @@ class DistributedServeSession:
                 float(reply["queue_seconds"]),  # type: ignore[arg-type]
             )
 
-    def _route(self) -> Optional[int]:
-        """Pick a worker, capacity-weighted; one RNG draw either way.
+    # ------------------------------------------------------------------
+    # Request path
+    # ------------------------------------------------------------------
+    def _route(self, draws: np.ndarray) -> Optional[np.ndarray]:
+        """A worker per draw, capacity-weighted.
 
         Open breakers and dead workers get weight zero; if every
-        breaker-approved weight is zero the draw falls back to uniform
+        breaker-approved weight is zero the draws fall back to uniform
         over the workers still alive, and only a fully-dead fleet
-        returns ``None`` (the request then fails as ``"connection"``).
+        returns ``None`` (the requests then fail as ``"connection"``).
         """
-        weights = []
-        for handle in self.workers:
-            wid = handle.spec.worker_id
-            machines, _ = self.advertised[wid]
-            ok = handle.alive and self.breakers[wid].allows_traffic
-            weights.append(machines if ok and machines > 0 else 0.0)
-        total = sum(weights)
-        draw = float(self._rng.random())  # always spent: deterministic resume
-        if total <= 0.0:
-            alive = [
-                handle.spec.worker_id for handle in self.workers if handle.alive
-            ]
-            if not alive:
-                return None
-            return alive[min(int(draw * len(alive)), len(alive) - 1)]
-        acc = 0.0
-        target = draw * total
-        for handle, weight in zip(self.workers, weights):
-            acc += weight
-            if target < acc:
-                return handle.spec.worker_id
-        return self.workers[-1].spec.worker_id  # pragma: no cover - fp edge
+        alive = [handle.alive for handle in self.workers]
+        weights = [
+            max(self.advertised[wid][0], 0.0) if ok and self.breakers[wid].allows_traffic else 0.0
+            for wid, ok in enumerate(alive)
+        ]
+        cdf = np.cumsum(weights)
+        if cdf[-1] > 0.0:
+            picks = np.searchsorted(cdf, draws * cdf[-1], side="right")
+            return np.minimum(picks, len(cdf) - 1)
+        survivors = np.flatnonzero(alive)
+        if not len(survivors):
+            return None
+        picks = (draws * len(survivors)).astype(np.int64)
+        return survivors[np.minimum(picks, len(survivors) - 1)]
 
-    def _edge_shed(
-        self, t: float, worker_id: int, priority: int, tenant: str = ""
-    ) -> Optional[TxnOutcome]:
-        """Edge admission + brownout; the shed outcome, or None to forward.
+    def submit_batch(
+        self,
+        times: np.ndarray,
+        tenants: Optional[np.ndarray] = None,
+        priorities: Optional[np.ndarray] = None,
+        sink: Optional[OutcomeSink] = None,
+        *,
+        tenant_names: Sequence[str] = (),
+        traces: object = None,
+    ) -> None:
+        """Route a burst of arrivals, apply the edge policy and queue the
+        survivors for the next :meth:`tick`.
 
-        Tenant policy runs first: during brownout a low-weight tenant is
-        shed wholesale (before the per-request priority check), and every
-        surviving request is charged against its tenant's token bucket —
-        a quota shed carries the bucket's deterministic Retry-After.
+        Equal to one request at a time in row order: one draw of the
+        edge RNG routes the burst (two per request, priority then route,
+        when ``low_priority_fraction`` is positive), and each request
+        meets tenant brownout, tenant quota, low-priority brownout and
+        the edge queue limit in that order.  Rows shed or failed here
+        reach ``sink`` as one :class:`OutcomeBatch` before this returns,
+        the rest from the tick (one sink per tick).  ``priorities`` count
+        only when the edge mints none; ``traces`` never.
         """
-        _, queue_s = self.advertised[worker_id]
+        self.start()
+        times = np.asarray(times, dtype=np.float64)
+        n = len(times)
+        if n == 0:
+            return
+        self._sink = sink
+        if self.low_priority_fraction > 0.0:
+            draws = self._rng.random(2 * n)
+            priorities = (draws[0::2] < self.low_priority_fraction).astype(np.int64)
+            draws = draws[1::2]
+        else:
+            draws = self._rng.random(n)  # always spent: deterministic resume
+            if priorities is None:
+                priorities = np.zeros(n, dtype=np.int64)
         tenancy = self.tenancy
         if tenancy is not None:
-            if self.brownout_active and tenancy.brownout_sheddable(tenant):
-                tenancy.offered[tenant] += 1
-                tenancy.record_brownout_shed(tenant)
-                decision = self.admission.shed_outright(
-                    worker_id, queue_s, reason="brownout"
-                )
-                return self._shed_outcome(decision, t, worker_id, priority, tenant)
-            quota_wait = tenancy.quota_admit(tenant, t)
-            if quota_wait is not None:
-                decision = self.admission.shed_outright(
-                    worker_id, queue_s, reason="quota", retry_after_s=quota_wait
-                )
-                return self._shed_outcome(decision, t, worker_id, priority, tenant)
-        if (
-            self.brownout_active
-            and self.brownout is not None
-            and self.brownout.shed_low_priority
-            and priority == 1
-        ):
-            decision = self.admission.shed_outright(
-                worker_id, queue_s, reason="brownout"
-            )
-        elif self.edge_queue_limit_s is not None:
+            tenants = tenancy.registry_indices(tenants, tenant_names, n)
+        elif tenants is not None and tuple(tenant_names) != self._tenant_names:
+            self._tenant_names = tuple(tenant_names)
+            self._tenant_index = {name: i for i, name in enumerate(tenant_names)}
+        names = self._tenant_names
+
+        # Rows no policy has decided yet; each stage below closes some.
+        open_rows = np.ones(n, dtype=bool)
+        reason = np.zeros(n, dtype=np.int8)
+        retry_after = np.zeros(n)
+
+        def close(rows: object, why: int, hints: object = 0.0) -> None:
+            reason[rows] = why
+            retry_after[rows] = hints
+            open_rows[rows] = False
+
+        worker = self._route(draws)
+        admission = self.admission
+        brownout = self.brownout if self.brownout_active else None
+        if worker is None:  # nobody left to route to
+            worker = np.full(n, -1)
+            close(slice(None), _CONNECTION)
+            if tenancy is not None:
+                for index, count in index_counts(tenants):
+                    tenancy.offered[names[index]] += count
+        elif tenancy is not None:
+            # Tenant policy first: brownout sheds whole low-weight
+            # tenants before the per-request priority check, then the
+            # tenant's token bucket is charged.
+            light = tenancy.sheddable[tenants]
+            if self.brownout_active and light.any():
+                for index, count in index_counts(tenants[light]):
+                    tenancy.offered[names[index]] += count
+                    tenancy.record_brownout_shed(names[index], count)
+                close(light, _BROWNOUT, admission.shed_batch(worker[light], reason="brownout"))
+            for index, _ in index_counts(tenants):
+                rows = np.flatnonzero(open_rows & (tenants == index))
+                waits = tenancy.quota_admit_many(names[index], times[rows].tolist())
+                over = [i for i, wait in enumerate(waits or ()) if wait is not None]
+                if over:
+                    rows, waits = rows[over], np.array([waits[i] for i in over])
+                    hints = admission.shed_batch(worker[rows], reason="quota", retry_after_s=waits)
+                    close(rows, _QUOTA, hints)
+        if brownout is not None and brownout.shed_low_priority:
+            low = open_rows & (priorities > 0)
+            if low.any():
+                close(low, _BROWNOUT, admission.shed_batch(worker[low], reason="brownout"))
+        if self.edge_queue_limit_s is not None and open_rows.any():
+            # Against each worker's last advertisement, one tick stale.
             limit = self.edge_queue_limit_s
-            if self.brownout_active and self.brownout is not None:
-                limit *= self.brownout.queue_factor
-            decision = self.admission.decide(worker_id, queue_s, limit_s=limit)
-            if decision.accepted:
-                return None
-        else:
-            return None
-        return self._shed_outcome(decision, t, worker_id, priority, tenant)
+            if brownout is not None:
+                limit *= brownout.queue_factor
+            rows = np.flatnonzero(open_rows)
+            queue_s = np.array([self.advertised[wid][1] for wid in range(len(self.workers))])
+            queue_s = queue_s[worker[rows]]
+            accepted, hints = admission.decide_batch(worker[rows], queue_s, limit_s=limit)
+            close(rows[~accepted], _QUEUE_LIMIT, hints[~accepted])
 
-    def _shed_outcome(
-        self, decision, t: float, worker_id: int, priority: int, tenant: str
-    ) -> TxnOutcome:
-        return TxnOutcome(
-            accepted=False,
-            status=503,
-            node_id=worker_id,
-            submitted_at=t,
-            completed_at=t,
-            latency_ms=0.0,
-            retry_after_s=decision.retry_after_s,
-            reason=decision.reason,
-            priority=priority,
-            tenant=tenant,
-        )
-
-    def _mint_trace(self, t: float, worker_id: int) -> Optional[int]:
-        if not self.trace_requests:
-            return None
-        trace_id = self._next_trace_id
-        self._next_trace_id += 1
-        if self.telemetry is not None:
-            self._stitch[trace_id] = self.telemetry.tracer.begin_detached(
-                "edge.request", at=t, trace_id=trace_id, worker=worker_id
+        if not open_rows.all():
+            lost = ~open_rows
+            self._settle(
+                OutcomeBatch(
+                    np.where(reason[lost] == _CONNECTION, 500, 503), worker[lost],
+                    times[lost], times[lost], np.zeros_like(times[lost]), retry_after[lost],
+                    None, reason[lost], priorities[lost],
+                    tenants[lost] if tenants is not None else None, names,
+                )
             )
-        return trace_id
+        # One wire row per forwarded request, on its worker's batch.
+        times, workers = times[open_rows].tolist(), worker[open_rows].tolist()
+        trace_ids: Sequence[Optional[int]] = [None] * len(times)
+        if self.trace_requests and self.telemetry is not None:
+            first = self._next_trace_id
+            self._next_trace_id += len(times)
+            trace_ids = range(first, self._next_trace_id)
+            tracer = self.telemetry.tracer
+            for trace_id, at, worker_id in zip(trace_ids, times, workers):
+                self._stitch[trace_id] = tracer.begin_detached(
+                    "edge.request", at=at, trace_id=trace_id, worker=worker_id
+                )
+        rows = [
+            [at, trace_id, "edge", priority]
+            for at, trace_id, priority in zip(times, trace_ids, priorities[open_rows].tolist())
+        ]
+        if tenants is not None:
+            # The 5th element is only present with a tenant tag, so
+            # untenanted runs keep the pre-tenancy wire format.
+            for row, index in zip(rows, tenants[open_rows].tolist()):
+                if names[index]:
+                    row.append(names[index])
+        for worker_id, row in zip(workers, rows):
+            self._queued[worker_id].append(row)
 
-    def _finish_trace(self, outcome: TxnOutcome) -> None:
-        if outcome.trace_id is None:
-            return
-        root = self._stitch.get(int(outcome.trace_id))
-        if root is None:
-            return
-        status = "ok" if outcome.accepted else (
-            "error" if outcome.status == 500 else "shed"
-        )
-        root.finish(at=outcome.completed_at, status=status)
+    def _settle(self, batch: OutcomeBatch) -> None:
+        """Hand terminal outcomes to the sink, tally them for the SLO
+        monitors (a 503 or a 500 burns budget like an over-SLA reply)
+        and close their edge spans."""
+        if self._sink is not None:
+            self._sink(batch)
+        slo = self.slo_monitor
+        served = batch.status == 200 if slo is not None or self.tenant_slos else None
+        if slo is not None:
+            good = int(np.count_nonzero(served & slo.classify(batch.latency_ms)))
+            self._verdicts[0] += good
+            self._verdicts[1] += len(batch) - good
+        if self.tenant_slos and batch.tenant is not None:
+            # Per-tenant verdicts use the *tenant's* latency objective.
+            for index, count in index_counts(batch.tenant):
+                name = batch.tenant_names[index]
+                rows = batch.tenant == index
+                verdict = self.tenant_slos[name].classify(batch.latency_ms[rows])
+                good = int(np.count_nonzero(served[rows] & verdict))
+                verdicts = self._tenant_verdicts.setdefault(name, [0, 0])
+                verdicts[0] += good
+                verdicts[1] += count - good
+        if batch.trace_id is not None:
+            for trace_id, at, status in zip(
+                batch.trace_id, batch.completed_at.tolist(), batch.status.tolist()
+            ):
+                root = self._stitch.get(trace_id)
+                if root is not None:
+                    root.finish(at=at, status=_SPAN_STATUS.get(status, "shed"))
 
-    def _tick(self) -> None:
+    # ------------------------------------------------------------------
+    # Tick path
+    # ------------------------------------------------------------------
+    def tick(self) -> None:
+        """Serve one lock-step tick: fan the queued batches out, fold the
+        replies in worker order, then probe, observe the SLOs and refresh
+        the fleet view on its cadence."""
         with maybe_span("edge.dispatch", self.perf):
             self._dispatch_tick()
 
     def _dispatch_tick(self) -> None:
+        self.start()
         end = self.now + self.dt_s
-        arrivals = self.arrivals
-        batches: Dict[int, List[List[object]]] = {
-            spec.worker_id: [] for spec in self.specs
-        }
-        good = 0
-        bad = 0
-        tenant_tick = self._tenant_tick
-        while self._cursor < len(arrivals) and arrivals[self._cursor] < end - 1e-9:
-            index = self._cursor
-            t = float(arrivals[index])
-            self._cursor += 1
-            tenant = ""
-            if self.tenant_indices is not None and self.tenant_names is not None:
-                tenant = self.tenant_names[int(self.tenant_indices[index])]
-            elif self.tenancy is not None:
-                tenant = self.tenancy.registry.tenants[0].name
-            priority = 0
-            if self.low_priority_fraction > 0.0:
-                if float(self._rng.random()) < self.low_priority_fraction:
-                    priority = 1
-            worker_id = self._route()
-            if worker_id is None:
-                if self.tenancy is not None:
-                    self.tenancy.offered[tenant] += 1
-                self.report.record(
-                    TxnOutcome(
-                        accepted=False,
-                        status=500,
-                        node_id=-1,
-                        submitted_at=t,
-                        completed_at=t,
-                        latency_ms=0.0,
-                        reason="connection",
-                        priority=priority,
-                        tenant=tenant,
-                    )
-                )
-                self._tenant_mark(tenant_tick, tenant, good=False)
-                bad += 1
-                continue
-            shed = self._edge_shed(t, worker_id, priority, tenant)
-            if shed is not None:
-                self.report.record(shed)
-                self._tenant_mark(tenant_tick, tenant, good=False)
-                bad += 1
-                continue
-            trace_id = self._mint_trace(t, worker_id)
-            self.report.offer(tenant)
-            entry: List[object] = [t, trace_id, "edge", priority]
-            if tenant:
-                # The 5th element is only present with tenancy on, so
-                # untenanted runs keep the pre-tenancy wire format.
-                entry.append(tenant)
-            batches[worker_id].append(entry)
-
-        # Fan the tick out, then fold replies in worker order.
+        batches = self._queued
+        self._queued = [[] for _ in batches]
         posted: List[WorkerHandle] = []
-        for handle in self.workers:
-            wid = handle.spec.worker_id
-            message = {"cmd": "step", "arrivals": batches[wid]}
+        for handle, batch in zip(self.workers, batches):
             try:
-                handle.post(message)
+                handle.post({"cmd": "step", "arrivals": batch})
             except TransportError:
-                bad += self._fail_batch(wid, batches[wid], end)
+                self._fail_batch(handle.spec.worker_id, batch, end)
                 continue
             posted.append(handle)
         for handle in posted:
@@ -520,92 +495,62 @@ class DistributedServeSession:
             try:
                 reply = handle.collect()
             except TransportError:
-                bad += self._fail_batch(wid, batches[wid], end)
+                self._fail_batch(wid, batches[wid], end)
                 continue
             self._absorb_ad(reply)
-            for record in reply.get("outcomes", ()):  # type: ignore[union-attr]
-                outcome = TxnOutcome(**record)
-                self.report.finish(outcome)
-                self._finish_trace(outcome)
-                if outcome.accepted and (
-                    self.slo_monitor is None
-                    or self.slo_monitor.classify(outcome.latency_ms)
-                ):
-                    good += 1
-                else:
-                    bad += 1
-                tenant_slo = self.tenant_slos.get(outcome.tenant)
-                if tenant_slo is not None:
-                    self._tenant_mark(
-                        tenant_tick,
-                        outcome.tenant,
-                        good=outcome.accepted
-                        and tenant_slo.classify(outcome.latency_ms),
-                    )
+            if not reply.get("ok"):  # the worker refused the frame
+                self._fail_batch(wid, batches[wid], end)
+            elif reply["outcomes"]:
+                self._settle(self._reply_batch(reply["outcomes"]))  # type: ignore[arg-type]
 
         self.now = end
         self._tick_index += 1
         self._probe(end)
         if self.slo_monitor is not None:
-            self.slo_monitor.observe(end, good, bad)
+            self.slo_monitor.observe(end, *self._verdicts)
+        self._verdicts = [0, 0]
         for name, monitor in self.tenant_slos.items():
-            counts = tenant_tick.get(name)
-            monitor.observe(
-                end,
-                counts[0] if counts else 0,
-                counts[1] if counts else 0,
-            )
-        tenant_tick.clear()
-        if (
-            self.telemetry_every_ticks > 0
-            and self._tick_index % self.telemetry_every_ticks == 0
-        ):
+            monitor.observe(end, *self._tenant_verdicts.get(name, (0, 0)))
+        self._tenant_verdicts.clear()
+        if self.telemetry_every_ticks > 0 and self._tick_index % self.telemetry_every_ticks == 0:
             self.refresh_fleet_view()
-        if self.timeseries is not None and self.telemetry is not None:
-            view = self.fleet_view if self.fleet_view is not None else self.telemetry
-            self.timeseries.sample(view.metrics, end)
-        self._maybe_checkpoint()
 
-    @staticmethod
-    def _tenant_mark(
-        tick: Dict[str, List[int]], tenant: str, *, good: bool
-    ) -> None:
-        if not tenant:
-            return
-        counts = tick.get(tenant)
-        if counts is None:
-            counts = [0, 0]
-            tick[tenant] = counts
-        counts[0 if good else 1] += 1
+    def _tenant_column(self, tags: Sequence[object]) -> Optional[np.ndarray]:
+        """Tenant tags as indices into the fleet's vocabulary (``None``
+        when nothing in this fleet is tagged)."""
+        if not self._tenant_names:
+            return None
+        return np.array([self._tenant_index[tag] for tag in tags], dtype=np.int64)
 
-    def _fail_batch(
-        self, worker_id: int, batch: List[List[object]], at: float
-    ) -> int:
+    def _reply_batch(self, records: List[Dict[str, object]]) -> OutcomeBatch:
+        """A worker's outcome records (rejects first, then completions)
+        as columns."""
+        *numeric, trace_id, reason, priority, tenant = zip(*map(_REPLY_COLUMNS, records))
+        return OutcomeBatch(
+            *map(np.array, numeric),
+            list(trace_id) if self.trace_requests else None,
+            np.array([_REASON_CODE[why] for why in reason], dtype=np.int8),
+            np.array(priority), self._tenant_column(tenant), self._tenant_names,
+        )
+
+    def _fail_batch(self, worker_id: int, batch: List[List[object]], at: float) -> None:
         """A broken worker: its whole tick batch dies as connection 500s."""
         self.breakers[worker_id].record_failure(at)
-        for t, trace_id, _origin, priority, *rest in batch:
-            tenant = str(rest[0]) if rest else ""
-            outcome = TxnOutcome(
-                accepted=False,
-                status=500,
-                node_id=worker_id,
-                submitted_at=float(t),
-                completed_at=at,
-                latency_ms=0.0,
-                trace_id=None if trace_id is None else int(trace_id),
-                reason="connection",
-                priority=int(priority),
-                tenant=tenant,
+        n = len(batch)
+        if n:
+            self._settle(
+                OutcomeBatch(
+                    np.full(n, 500), np.full(n, worker_id), np.array([row[0] for row in batch]),
+                    np.full(n, at), np.zeros(n), np.zeros(n),
+                    [row[1] for row in batch] if self.trace_requests else None,
+                    np.full(n, _CONNECTION, dtype=np.int8), np.array([row[3] for row in batch]),
+                    self._tenant_column([row[4] if len(row) > 4 else "" for row in batch]),
+                    self._tenant_names,
+                )
             )
-            self.report.finish(outcome)
-            self._finish_trace(outcome)
-            self._tenant_mark(self._tenant_tick, tenant, good=False)
         if self.telemetry is not None:
             self.telemetry.counter("edge.worker_batch_failures").inc()
-            self.telemetry.event(
-                "worker_down", at, worker=worker_id, lost=len(batch)
-            )
-        return len(batch)
+            self.telemetry.event("worker_down", at, worker=worker_id, lost=n)
 
     def _probe(self, now: float) -> None:
         """Per-tick liveness round over the fleet, driving the breakers."""
@@ -626,163 +571,102 @@ class DistributedServeSession:
             )
 
     # ------------------------------------------------------------------
-    # Checkpoint / restore
+    # Snapshot (the ``engine`` section of a checkpoint)
     # ------------------------------------------------------------------
-    def _maybe_checkpoint(self) -> None:
-        if self.checkpoint is None or self._checkpoint_due is None:
-            return
-        if self.now < self._checkpoint_due - 1e-9:
-            return
-        if not all(handle.alive for handle in self.workers):
-            return  # a degraded fleet has un-snapshotable shards
+    def _command(
+        self, handle: WorkerHandle, message: Dict[str, object], failure: str
+    ) -> Dict[str, object]:
+        """A round trip that must succeed for a snapshot to be whole."""
+        wid = handle.spec.worker_id
         try:
-            self.write_checkpoint(self.checkpoint.path)
-        except CheckpointError:
-            return  # a worker was not quiescent: retry next tick
-        while self._checkpoint_due <= self.now + 1e-9:
-            self._checkpoint_due += self.checkpoint.every_s
+            reply = handle.request(message)
+        except TransportError as exc:
+            raise CheckpointError(f"worker {wid} unreachable: {exc}") from exc
+        if not reply.get("ok"):
+            raise CheckpointError(f"worker {wid} {failure}: {reply.get('error')}")
+        return reply
 
-    def state(self) -> Dict[str, object]:
-        """Snapshot edge + every worker (all must be alive + quiescent)."""
-        worker_states = []
-        for handle in self.workers:
-            try:
-                reply = handle.request({"cmd": "capture"})
-            except TransportError as exc:
-                raise CheckpointError(
-                    f"worker {handle.spec.worker_id} unreachable: {exc}"
-                ) from exc
-            if not reply.get("ok"):
-                raise CheckpointError(
-                    f"worker {handle.spec.worker_id} refused capture: "
-                    f"{reply.get('error')}"
-                )
-            worker_states.append(reply["state"])
-        return {
-            "edge": {
-                "n_workers": len(self.workers),
-                "tick": self._tick_index,
-                "now": self.now,
-                "ran_s": self.now - self._origin,
-                "cursor": self._cursor,
-                "rng": _rng_state(self._rng),
-                "report": asdict(self.report),
-                "next_trace_id": self._next_trace_id,
-                "brownout_active": self.brownout_active,
-                "breakers": {
-                    str(wid): breaker.state_dict()
-                    for wid, breaker in self.breakers.items()
-                },
-                "slo": (
-                    self.slo_monitor.state_dict()
-                    if self.slo_monitor is not None
-                    else None
-                ),
-                "advertised": {
-                    str(wid): list(ad) for wid, ad in self.advertised.items()
-                },
-                "tenancy": (
-                    self.tenancy.state_dict() if self.tenancy is not None else None
-                ),
-                "tenant_slos": {
-                    name: monitor.state_dict()
-                    for name, monitor in sorted(self.tenant_slos.items())
-                },
-            },
-            "workers": worker_states,
-        }
-
-    def write_checkpoint(self, path: str) -> str:
-        """Write the distributed snapshot to ``path``; returns the digest."""
-        digest = write_checkpoint(
-            path, self.state(), format=DISTRIBUTED_CHECKPOINT_FORMAT
-        )
-        self.checkpoints_written += 1
-        if self.telemetry is not None:
-            self.telemetry.counter("serve.checkpoints").inc()
-            self.telemetry.event(
-                "checkpoint", self.now, path=path, sha256=digest[:16]
-            )
-        return digest
-
-    @classmethod
-    def resume(
-        cls,
-        specs: Sequence[WorkerSpec],
-        arrivals: np.ndarray,
-        checkpoint_path: str,
-        **kwargs: object,
-    ) -> "DistributedServeSession":
-        """Rebuild a distributed session from a snapshot.
-
-        ``specs`` and ``arrivals`` must match the checkpointed run (the
-        worker engine fingerprints are verified on restore).  The
-        resumed session continues bit-identically to a run that was
-        never interrupted.
-        """
-        state = read_checkpoint(
-            checkpoint_path, format=DISTRIBUTED_CHECKPOINT_FORMAT
-        )
-        edge: Dict[str, object] = state["edge"]  # type: ignore[assignment]
-        if int(edge["n_workers"]) != len(specs):  # type: ignore[arg-type]
+    def state_dict(self) -> Dict[str, object]:
+        """Snapshot edge + every worker over the wire.  Raises
+        :class:`CheckpointError` unless every worker is alive and
+        quiescent and nothing is queued for the next tick."""
+        queued = sum(len(batch) for batch in self._queued)
+        if queued:
             raise CheckpointError(
-                f"checkpoint has {edge['n_workers']} workers; "
-                f"resume was given {len(specs)} specs"
+                f"cannot checkpoint with {queued} requests queued for the next tick"
             )
-        session = cls(specs, arrivals, **kwargs)  # type: ignore[arg-type]
-        session.start()
-        for handle, worker_state in zip(
-            session.workers, state["workers"]  # type: ignore[arg-type]
-        ):
-            reply = handle.request({"cmd": "restore", "state": worker_state})
-            if not reply.get("ok"):
-                raise CheckpointError(
-                    f"worker {handle.spec.worker_id} failed restore: "
-                    f"{reply.get('error')}"
-                )
-            session._absorb_ad(reply)
-        session._tick_index = int(edge["tick"])  # type: ignore[arg-type]
-        session.now = float(edge["now"])  # type: ignore[arg-type]
-        session._origin = session.now - float(edge.get("ran_s", 0.0))  # type: ignore[arg-type]
-        session._cursor = int(edge["cursor"])  # type: ignore[arg-type]
-        _set_rng_state(session._rng, edge["rng"])  # type: ignore[arg-type]
-        _restore_report(session.report, edge["report"])  # type: ignore[arg-type]
-        session._next_trace_id = int(edge["next_trace_id"])  # type: ignore[arg-type]
-        session.brownout_active = bool(edge["brownout_active"])
+        dead = [h.spec.worker_id for h in self.workers if not h.alive]
+        if dead:  # a degraded fleet has un-snapshotable shards
+            raise CheckpointError(f"cannot checkpoint with workers {dead} dead")
+        worker_states = [
+            self._command(handle, {"cmd": "capture"}, "refused capture")["state"]
+            for handle in self.workers
+        ]
+        slo = self.slo_monitor
+        edge = {
+            "n_workers": len(self.workers),
+            "tick": self._tick_index,
+            "now": self.now,
+            "rng": _rng_state(self._rng),
+            "next_trace_id": self._next_trace_id,
+            "brownout_active": self.brownout_active,
+            "breakers": {str(wid): b.state_dict() for wid, b in self.breakers.items()},
+            "slo": slo.state_dict() if slo is not None else None,
+            "advertised": {str(wid): list(ad) for wid, ad in self.advertised.items()},
+            "tenancy": self.tenancy.state_dict() if self.tenancy is not None else None,
+            "tenant_slos": {name: m.state_dict() for name, m in sorted(self.tenant_slos.items())},
+        }
+        return {"engine": {"edge": edge, "workers": worker_states}}
+
+    def load_state_dict(self, snapshot: Dict[str, object]) -> None:
+        """Restore a fresh fleet (started here) from :meth:`state_dict`
+        output; the worker engine fingerprints are verified worker-side."""
+        section = snapshot.get("engine")
+        if not isinstance(section, dict) or "edge" not in section:
+            raise CheckpointError(
+                "checkpoint does not hold a fleet snapshot "
+                "(a single-engine checkpoint restores with ServeSession.resume)"
+            )
+        edge: Dict[str, object] = section["edge"]
+        if int(edge["n_workers"]) != len(self.workers):  # type: ignore[arg-type]
+            raise CheckpointError(
+                f"checkpoint has {edge['n_workers']} workers; this fleet has {len(self.workers)}"
+            )
+        self.start()
+        for handle, worker_state in zip(self.workers, section["workers"]):
+            message = {"cmd": "restore", "state": worker_state}
+            self._absorb_ad(self._command(handle, message, "failed restore"))
+        self._tick_index = int(edge["tick"])  # type: ignore[arg-type]
+        self.now = float(edge["now"])  # type: ignore[arg-type]
+        _set_rng_state(self._rng, edge["rng"])  # type: ignore[arg-type]
+        self._next_trace_id = int(edge["next_trace_id"])  # type: ignore[arg-type]
+        self.brownout_active = bool(edge["brownout_active"])
         for wid_str, breaker_state in edge["breakers"].items():  # type: ignore[union-attr]
-            session.breakers[int(wid_str)].load_state_dict(breaker_state)
+            self.breakers[int(wid_str)].load_state_dict(breaker_state)
         slo_state = edge.get("slo")
         if slo_state is not None:
-            if session.slo_monitor is None:
-                raise CheckpointError(
-                    "checkpoint carries SLO state but the resumed session "
-                    "has no SLO monitor"
-                )
-            session.slo_monitor.load_state_dict(slo_state)  # type: ignore[arg-type]
+            if self.slo_monitor is None:
+                raise CheckpointError("checkpoint carries SLO state; this fleet has no SLO monitor")
+            self.slo_monitor.load_state_dict(slo_state)  # type: ignore[arg-type]
         for wid_str, ad in edge["advertised"].items():  # type: ignore[union-attr]
-            session.advertised[int(wid_str)] = (float(ad[0]), float(ad[1]))
+            self.advertised[int(wid_str)] = (float(ad[0]), float(ad[1]))
         tenancy_state = edge.get("tenancy")
         if tenancy_state is not None:
-            if session.tenancy is None:
-                raise CheckpointError(
-                    "checkpoint carries tenant state but the resumed "
-                    "session has no tenancy configured"
-                )
-            session.tenancy.load_state_dict(tenancy_state)  # type: ignore[arg-type]
-        for name, monitor_state in (edge.get("tenant_slos") or {}).items():  # type: ignore[union-attr]
-            monitor = session.tenant_slos.get(str(name))
-            if monitor is None:
-                raise CheckpointError(
-                    f"checkpoint carries SLO state for unknown tenant {name!r}"
-                )
-            monitor.load_state_dict(monitor_state)
-        if session.checkpoint is not None:
-            session._checkpoint_due = session.now + session.checkpoint.every_s
-        return session
+            if self.tenancy is None:
+                raise CheckpointError("checkpoint carries tenant state; this fleet has no tenancy")
+            self.tenancy.load_state_dict(tenancy_state)  # type: ignore[arg-type]
+        load_monitor_states(self.tenant_slos, edge.get("tenant_slos"))  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Telemetry + reporting
     # ------------------------------------------------------------------
+    @property
+    def live_metrics(self):
+        """The freshest fleet view, or the edge's own registry when
+        delta streaming is off."""
+        view = self.fleet_view if self.fleet_view is not None else self.telemetry
+        return view.metrics
+
     def _pull_deltas(self) -> None:
         """One ``telemetry_delta`` round, folded in worker order.
 
@@ -836,108 +720,150 @@ class DistributedServeSession:
         if self.telemetry is None or self._telemetry_collected:
             return
         self._telemetry_collected = True
-        from repro.telemetry.merge import merge_snapshot
 
         streaming = self.telemetry_every_ticks > 0 or bool(self._delta_views)
         if streaming:
             self._pull_deltas()
         for handle in self.workers:
             wid = handle.spec.worker_id
-            snapshot = None
-            if handle.alive:
-                try:
-                    reply = handle.request({"cmd": "telemetry"})
-                    snapshot = reply.get("snapshot")
-                except TransportError:
-                    snapshot = None
-            if streaming:
-                view = self._delta_views.get(wid)
-                if view is not None:
-                    merge_snapshot(
-                        self.telemetry,
-                        view.snapshot(),
-                        worker=wid,
-                        parts=("metrics", "events"),
-                    )
-                if snapshot:
-                    merge_snapshot(
-                        self.telemetry,
-                        snapshot,  # type: ignore[arg-type]
-                        worker=wid,
-                        stitch=self._stitch,
-                        parts=("spans",),
-                    )
-            elif snapshot:
+            view = self._delta_views.get(wid)
+            if view is not None:  # streamed: spans are all the capture adds
+                merge_snapshot(
+                    self.telemetry, view.snapshot(), worker=wid, parts=("metrics", "events")
+                )
+            snapshot = self._ask(handle, "telemetry").get("snapshot")
+            if snapshot:
                 merge_snapshot(
                     self.telemetry,
                     snapshot,  # type: ignore[arg-type]
                     worker=wid,
                     stitch=self._stitch,
+                    parts=("spans",) if streaming else ("metrics", "events", "spans"),
                 )
         if streaming:
             self.fleet_view = None  # superseded: the edge handle is now fleet-wide
 
+    def _ask(self, handle: WorkerHandle, cmd: str) -> Dict[str, object]:
+        """One best-effort round trip: the reply, or ``{}`` from a dead
+        or unreachable worker."""
+        if handle.alive:
+            try:
+                return handle.request({"cmd": cmd})
+            except TransportError:
+                pass
+        return {}
+
     def healthz(self) -> Dict[str, object]:
         """Aggregate health: edge view plus each live worker's healthz."""
-        workers: Dict[str, object] = {}
-        for handle in self.workers:
-            wid = handle.spec.worker_id
-            if not handle.alive:
-                workers[str(wid)] = {"status": "dead"}
-                continue
-            try:
-                reply = handle.request({"cmd": "healthz"})
-            except TransportError:
-                workers[str(wid)] = {"status": "dead"}
-                continue
-            workers[str(wid)] = reply.get("healthz", {})
+        replies = {h.spec.worker_id: self._ask(h, "healthz") for h in self.workers}
+        degraded = any(not h.alive for h in self.workers) or self.brownout_active
         return {
-            "status": (
-                "degraded"
-                if any(not h.alive for h in self.workers) or self.brownout_active
-                else "ok"
-            ),
+            "status": "degraded" if degraded else "ok",
             "now": self.now,
             "brownout_active": self.brownout_active,
-            "breakers": {
-                str(wid): breaker.state
-                for wid, breaker in sorted(self.breakers.items())
-            },
-            "slo": (
-                self.slo_monitor.status() if self.slo_monitor is not None else None
-            ),
+            "breakers": {str(wid): b.state for wid, b in sorted(self.breakers.items())},
+            "slo": self.slo_monitor.status() if self.slo_monitor is not None else None,
             "tenants": (
-                {
-                    name: {
-                        **self.tenancy.summary()[name],
-                        "slo": self.tenant_slos[name].status(),
-                    }
-                    for name in self.tenancy.registry.names()
-                }
-                if self.tenancy is not None
-                else None
+                self.tenancy.health(self.tenant_slos) if self.tenancy is not None else None
             ),
-            "workers": workers,
+            "workers": {
+                str(wid): reply.get("healthz", {}) if reply else {"status": "dead"}
+                for wid, reply in replies.items()
+            },
         }
 
-    def format_report(self) -> str:
-        lines = [self.report.format_report(), self.report.conservation_line()]
-        machines = {
-            wid: int(ad[0]) for wid, ad in sorted(self.advertised.items())
-        }
-        lines.append(
+    def status_lines(self) -> List[str]:
+        """The fleet's part of the run report, one string per line."""
+        lines = [
             "workers: "
             + " | ".join(
-                f"w{wid} machines {count}"
+                f"w{wid} machines {int(machines)}"
                 + ("" if self.workers[wid].alive else " (DEAD)")
-                for wid, count in machines.items()
+                for wid, (machines, _) in sorted(self.advertised.items())
             )
-        )
+        ]
         if self.slo_monitor is not None:
             lines.append(self.slo_monitor.report_line())
-        lines.extend(
-            monitor.report_line() for _, monitor in sorted(self.tenant_slos.items())
+        lines.extend(monitor.report_line() for _, monitor in sorted(self.tenant_slos.items()))
+        return lines
+
+
+class DistributedServeSession(ServeSession):
+    """A :class:`ServeSession` over a :class:`Fleet`, plus the fleet's
+    lifecycle (``start`` / ``close`` / context manager).
+
+    ``checkpoint``, ``tenant_indices``, ``tenant_names`` and
+    ``timeseries`` are the session's; ``specs`` and every other keyword
+    the :class:`Fleet`'s, whose state — breakers, ``advertised``,
+    ``brownout_active``, ``fleet_view`` — is read off :attr:`engine`.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[WorkerSpec],
+        arrivals: np.ndarray,
+        *,
+        mode: str = "pipe",
+        edge_queue_limit_s: Optional[float] = None,
+        breaker: Optional[BreakerConfig] = None,
+        brownout: Optional[BrownoutConfig] = None,
+        slo: Optional[SLOConfig] = None,
+        low_priority_fraction: float = 0.0,
+        trace_requests: bool = False,
+        telemetry: Optional[Telemetry] = None,
+        seed: int = 0,
+        checkpoint: Optional[CheckpointConfig] = None,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
+        tenancy: Optional["TenantAdmission"] = None,
+        tenant_indices: Optional[np.ndarray] = None,
+        tenant_names: Optional[List[str]] = None,
+        telemetry_every_ticks: int = 0,
+        timeseries: Optional[TimeSeriesStore] = None,
+        perf: Optional[PerfRecorder] = None,
+    ) -> None:
+        fleet = Fleet(
+            specs, mode=mode, edge_queue_limit_s=edge_queue_limit_s, breaker=breaker,
+            brownout=brownout, slo=slo, low_priority_fraction=low_priority_fraction,
+            trace_requests=trace_requests, telemetry=telemetry, seed=seed,
+            timeout_s=timeout_s, tenancy=tenancy,
+            telemetry_every_ticks=telemetry_every_ticks, perf=perf,
         )
-        if self.checkpoints_written:
-            lines.append(f"checkpoints written: {self.checkpoints_written}")
-        return "\n".join(lines)
+        super().__init__(
+            fleet,  # type: ignore[arg-type]
+            arrivals, checkpoint=checkpoint, tenant_indices=tenant_indices,
+            tenant_names=tenant_names, timeseries=timeseries,
+        )
+
+    # Fleet lifecycle, and the few things callers read off the session.
+    def start(self) -> None:
+        """Launch the fleet (idempotent; serving starts it on demand)."""
+        self.engine.start()
+
+    def close(self) -> None:
+        """Shut the fleet down and reap every worker process."""
+        self.engine.close()
+
+    def __enter__(self) -> "DistributedServeSession":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    @property
+    def workers(self) -> List[WorkerHandle]:
+        return self.engine.workers
+
+    @property
+    def report(self) -> LoadgenReport:
+        return self.loadgen.report
+
+    @property
+    def dt_s(self) -> float:
+        return self.engine.dt_s
+
+    def healthz(self) -> Dict[str, object]:
+        return self.engine.healthz()
+
+    def collect_telemetry(self) -> None:
+        self.engine.collect_telemetry()

@@ -24,7 +24,7 @@ fluid queue cap) is what bounds the backlog under an open-loop spike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,15 +33,17 @@ from repro.engine.migration import MigrationConfig
 from repro.engine.monitor import LoadMonitor
 from repro.engine.queueing import sample_latencies
 from repro.engine.simulator import ElasticityController, EngineConfig, EngineSimulator
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.serve.admission import AdmissionConfig, AdmissionController, AdmissionDecision
-from repro.serve.resilience import OPEN, NodeHealthMonitor, ResilienceConfig
+from repro.serve.resilience import (
+    OPEN, NodeHealthMonitor, ResilienceConfig, _rng_state, _set_rng_state,
+)
 from repro.telemetry import Telemetry, resolve_telemetry
 from repro.telemetry.metrics import index_counts, labeled, running_sum
 from repro.telemetry.perf import timed
 from repro.telemetry.requesttrace import RequestTracer, TraceContext
-from repro.telemetry.slo import SLOConfig, SLOMonitor
+from repro.telemetry.slo import SLOConfig, SLOMonitor, load_monitor_states
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tenancy -> loadgen -> engine)
     from repro.tenancy.admission import TenantAdmission
@@ -319,18 +321,11 @@ class ServerEngine:
         #: Per-tenant labelled SLO monitors, keyed by tenant name.  Each
         #: tenant gets the shared alerting windows but its *own* latency
         #: threshold and objective from the spec.
-        self.tenant_slos: Dict[str, SLOMonitor] = {}
-        if tenancy is not None:
-            base = slo or SLOConfig()
-            for spec in tenancy.registry:
-                tenant_config = replace(
-                    base,
-                    objective=spec.slo_objective,
-                    latency_threshold_ms=spec.latency_slo_ms,
-                )
-                self.tenant_slos[spec.name] = SLOMonitor(
-                    tenant_config, self.telemetry, labels={"tenant": spec.name}
-                )
+        self.tenant_slos: Dict[str, SLOMonitor] = (
+            tenancy.slo_monitors(slo or SLOConfig(), self.telemetry)
+            if tenancy is not None
+            else {}
+        )
         if tenancy is not None and controller is not None and hasattr(
             controller, "set_tenant_stats"
         ):
@@ -348,17 +343,8 @@ class ServerEngine:
         #: experiment's cost axis (machine-hours = this / 3600).
         self.machine_seconds = 0.0
         #: Registry names in spec order (the vocabulary tenant columns
-        #: are normalised to) and which of them brownout may shed.
-        self._tenant_names: Tuple[str, ...] = ()
-        self._tenant_index: Dict[str, int] = {}
-        self._tenant_sheddable = np.zeros(0, dtype=bool)
-        if tenancy is not None:
-            self._tenant_names = tuple(tenancy.registry.names())
-            self._tenant_index = {name: i for i, name in enumerate(self._tenant_names)}
-            self._tenant_index[""] = 0  # untagged: the first tenant
-            self._tenant_sheddable = np.array(
-                [tenancy.brownout_sheddable(name) for name in self._tenant_names]
-            )
+        #: are normalised to).
+        self._tenant_names: Tuple[str, ...] = tenancy.names if tenancy is not None else ()
         self._rng = np.random.default_rng(seed)
         # Admitted requests awaiting their tick, one columnar segment per
         # submit_batch call: (node ids, submission times, tenant indices
@@ -524,7 +510,7 @@ class ServerEngine:
 
         tenancy = self.tenancy
         if tenancy is not None:
-            tenants = self._registry_indices(tenants, tenant_names, n)
+            tenants = tenancy.registry_indices(tenants, tenant_names, n)
             tenant_names = self._tenant_names
             self._count_tenants(tenants, "offered")
 
@@ -541,7 +527,7 @@ class ServerEngine:
             # tenants before the per-request priority check, then the
             # tenant's token bucket is charged.  Both are RNG-free.
             if self.brownout_active:
-                light = open_rows & self._tenant_sheddable[tenants]
+                light = open_rows & tenancy.sheddable[tenants]
                 if light.any():
                     for index, count in index_counts(tenants[light]):
                         tenancy.offered[tenant_names[index]] += count
@@ -649,21 +635,6 @@ class ServerEngine:
         return self._node_queue[node] + (
             self._pending_per_node[node] + ahead
         ) / self._node_rate[node]
-
-    def _registry_indices(
-        self, tenants: Optional[np.ndarray], names: Sequence[str], n: int
-    ) -> np.ndarray:
-        """Re-index a tenant column from the caller's vocabulary to the
-        registry's; untagged requests belong to the first tenant."""
-        if tenants is None:
-            return np.zeros(n, dtype=np.int64)
-        lookup = self._tenant_index
-        indices = np.array([lookup.get(name, -1) for name in names])[tenants]
-        if (indices < 0).any():
-            # A tagging bug upstream must not silently bypass quotas.
-            unknown = names[int(tenants[int(np.argmin(indices))])]
-            raise KeyError(f"unknown tenant {unknown!r}")
-        return indices
 
     def _count_tenant(self, tenant: str, which: str, count: int) -> None:
         """Bump one per-tenant labelled counter (telemetry on only)."""
@@ -913,6 +884,16 @@ class ServerEngine:
         return self.sim.now
 
     @property
+    def dt_s(self) -> float:
+        """The tick, seconds."""
+        return self.sim.config.dt_seconds
+
+    @property
+    def live_metrics(self):
+        """The registry a per-tick time-series sample reads."""
+        return self.telemetry.metrics
+
+    @property
     def pending_requests(self) -> int:
         """Requests admitted but not yet resolved by a tick."""
         return self._pending_count
@@ -969,16 +950,209 @@ class ServerEngine:
         if self.slo_monitor is not None:
             health["slo"] = self.slo_monitor.status()
         if self.tenancy is not None:
-            admission = self.tenancy.summary()
-            health["tenants"] = {
-                name: {
-                    **admission[name],
-                    "slo": self.tenant_slos[name].status(),
-                }
-                for name in self.tenancy.registry.names()
-            }
+            health["tenants"] = self.tenancy.health(self.tenant_slos)
             # A firing per-tenant alert degrades overall health exactly
             # like the fleet monitor does.
             if any(m.alerting for m in self.tenant_slos.values()):
                 health["status"] = "degraded"
         return health
+
+    @property
+    def detects_failures(self) -> bool:
+        """Whether requests can end as 500s (failure detection is on);
+        the session report then prints the conservation identity."""
+        return self.health is not None
+
+    def status_lines(self) -> List[str]:
+        """The engine's part of the run report, one string per line."""
+        health = self.healthz()
+        lines = [
+            f"machines now: {health['machines']} | moves started "
+            f"{health['moves_started']} | completed {health['moves_completed']} | "
+            f"peak node queue {health['max_node_queue_seconds']}s"
+        ]
+        if self.slo_monitor is not None:
+            lines.append(self.slo_monitor.report_line())
+        for name, info in sorted((health.get("tenants") or {}).items()):
+            lines.append(
+                f"tenant {name}: offered {info['offered']} | "
+                f"quota shed {info['quota_shed']} | "
+                f"brownout shed {info['brownout_shed']} | "
+                f"good {info['slo']['good_fraction']:.3%}"
+                + (" (FIRING)" if info["slo"]["alerting"] else "")
+            )
+        lines.extend(monitor.report_line() for _, monitor in sorted(self.tenant_slos.items()))
+        if self.health is not None:
+            states = ", ".join(
+                f"n{node}={state}" for node, state in sorted(health["breakers"].items())
+            )
+            lines.append(
+                f"resilience: errors {health['errors']} | "
+                f"brownout sheds {health['brownout_sheds']} | "
+                f"breakers: {states or 'none tracked'}"
+            )
+        return lines
+
+    # ------------------------------------------------------------------
+    # Snapshot (the ``engine`` and ``control`` sections of a checkpoint)
+    # ------------------------------------------------------------------
+    def _fingerprint(self) -> Dict[str, object]:
+        config = self.sim.config
+        return {
+            "dt_seconds": config.dt_seconds,
+            "max_nodes": config.max_nodes,
+            "partitions_per_node": config.partitions_per_node,
+            "saturation_rate_per_node": config.saturation_rate_per_node,
+            "num_buckets": config.num_buckets,
+            "db_size_kb": config.db_size_kb,
+            "slot_seconds": self.monitor.slot_seconds,
+            "queue_limit_seconds": self.admission.config.queue_limit_seconds,
+            "resilience": self.resilience is not None,
+            "tenants": (
+                self.tenancy.registry.names() if self.tenancy is not None else None
+            ),
+        }
+
+    def ensure_quiescent(self) -> None:
+        """Raise :class:`CheckpointError` unless the engine is snapshotable."""
+        if self.sim.migration_active:
+            raise CheckpointError("cannot checkpoint with a migration in flight")
+        if self.pending_requests:
+            raise CheckpointError(
+                f"cannot checkpoint with {self.pending_requests} admitted "
+                "requests awaiting their tick"
+            )
+        injector = self.sim.fault_injector
+        if injector is not None and not injector.exhausted:
+            raise CheckpointError(
+                "cannot checkpoint with unresolved fault activity "
+                "(pending events, recoveries or straggler windows)"
+            )
+
+    def state_dict(self) -> Dict[str, object]:
+        """The checkpoint sections this engine owns: ``engine`` (its
+        deterministic serving state) and ``control`` (the control loop's,
+        ``None`` without a restorable controller).  Raises
+        :class:`CheckpointError` unless the engine is quiescent."""
+        self.ensure_quiescent()
+        sim = self.sim
+        monitor = self.monitor
+        state: Dict[str, object] = {
+            "config": self._fingerprint(),
+            "now": sim.now,
+            "rng": _rng_state(self._rng),
+            "backlog": sim._backlog.tolist(),
+            "topology": sim.cluster.topology_state(),
+            "moves_started": sim.moves_started,
+            "migrations_aborted": sim.migrations_aborted,
+            "monitor": {
+                "closed": list(monitor._closed),
+                "seed_len": monitor._seed_len,
+                "current": monitor._current,
+                "current_elapsed": monitor._current_elapsed,
+            },
+            "counters": {
+                "ticks": self.ticks,
+                "completed": self.completed,
+                "latency_sum_ms": self.latency_sum_ms,
+                "max_node_queue_seconds": self.max_node_queue_seconds,
+                "slot_index": self._slot_index,
+                "accepted": self.admission.accepted,
+                "rejected": self.admission.rejected,
+                "errors": self.errors,
+                "brownout_sheds": self.brownout_sheds,
+                "brownout_active": self.brownout_active,
+            },
+            "health": self.health.state_dict() if self.health is not None else None,
+            "router_view": (
+                self._router_view.tolist() if self._router_view is not None else None
+            ),
+            "machine_seconds": self.machine_seconds,
+        }
+        if self.tenancy is not None:
+            state["tenancy"] = self.tenancy.state_dict()
+            state["tenant_slos"] = {
+                name: monitor.state_dict()
+                for name, monitor in sorted(self.tenant_slos.items())
+            }
+        controller = self.controller
+        control_state = None
+        if controller is not None and hasattr(controller, "state_dict"):
+            control_state = controller.state_dict()
+        return {"engine": state, "control": control_state}
+
+    def load_state_dict(self, snapshot: Dict[str, object]) -> None:
+        """Overwrite a freshly-built engine from :meth:`state_dict` output.
+
+        The engine must have been constructed with the configuration the
+        snapshot was taken from (fingerprint-verified), and must not have
+        served anything yet.
+        """
+        state = snapshot.get("engine")
+        if not isinstance(state, dict) or "config" not in state:
+            raise CheckpointError(
+                "checkpoint does not hold a single-engine snapshot "
+                "(a fleet checkpoint restores with DistributedServeSession.resume)"
+            )
+        fingerprint = self._fingerprint()
+        if state["config"] != fingerprint:
+            raise CheckpointError(
+                f"checkpoint engine config {state['config']} does not match "
+                f"this engine {fingerprint}"
+            )
+        if self.ticks or self.admission.total:
+            raise CheckpointError("restore target engine has already served traffic")
+        sim = self.sim
+        sim.now = float(state["now"])
+        _set_rng_state(self._rng, state["rng"])
+        sim._backlog[:] = np.asarray(state["backlog"], dtype=np.float64)
+        sim.cluster.restore_topology(state["topology"])
+        sim._moves_started = int(state["moves_started"])
+        sim.migrations_aborted = int(state["migrations_aborted"])
+        monitor_state: Dict[str, object] = state["monitor"]
+        self.monitor._closed = [float(v) for v in monitor_state["closed"]]
+        self.monitor._seed_len = int(monitor_state["seed_len"])
+        self.monitor._current = float(monitor_state["current"])
+        self.monitor._current_elapsed = float(monitor_state["current_elapsed"])
+        counters: Dict[str, object] = state["counters"]
+        self.ticks = int(counters["ticks"])
+        self.completed = int(counters["completed"])
+        self.latency_sum_ms = float(counters["latency_sum_ms"])
+        self.max_node_queue_seconds = float(counters["max_node_queue_seconds"])
+        self._slot_index = int(counters["slot_index"])
+        self.admission.accepted = int(counters["accepted"])
+        self.admission.rejected = int(counters["rejected"])
+        self.errors = int(counters["errors"])
+        self.brownout_sheds = int(counters["brownout_sheds"])
+        self.brownout_active = bool(counters["brownout_active"])
+        health_state = state.get("health")
+        if health_state is not None:
+            if self.health is None:
+                raise CheckpointError(
+                    "checkpoint carries breaker state but resilience is disabled"
+                )
+            self.health.load_state_dict(health_state)
+        router_view = state.get("router_view")
+        if router_view is not None:
+            self._router_view = np.asarray(router_view, dtype=np.float64)
+        self.machine_seconds = float(state.get("machine_seconds", 0.0))
+        tenancy_state = state.get("tenancy")
+        if tenancy_state is not None:
+            if self.tenancy is None:
+                raise CheckpointError(
+                    "checkpoint carries tenant state but tenancy is disabled "
+                    "on the restore target"
+                )
+            self.tenancy.load_state_dict(tenancy_state)
+            load_monitor_states(self.tenant_slos, state.get("tenant_slos"))
+        self._refresh_routing()
+        control_state = snapshot.get("control")
+        if control_state is not None:
+            controller = self.controller
+            if controller is None or not hasattr(controller, "load_state_dict"):
+                raise CheckpointError(
+                    "checkpoint carries control-loop state but the engine "
+                    "has no restorable controller"
+                )
+            controller.load_state_dict(control_state)
+

@@ -142,7 +142,7 @@ class ServeApp:
     # ------------------------------------------------------------------
     async def _ticker(self) -> None:
         step = self.session.step
-        dt = self.engine.sim.config.dt_seconds
+        dt = self.engine.dt_s
         try:
             while not self._stop.is_set() and not self.draining:
                 if self.duration_s is not None and (

@@ -1,13 +1,18 @@
 """Deterministic serving sessions: engine + loadgen on a virtual clock.
 
-:class:`ServeSession` is the one single-process driver behind the unit
-tests, the CI smokes and every mode of ``repro serve``: engine ticks and
-loadgen arrivals interleave on one :class:`~repro.serve.clock.
+:class:`ServeSession` is the one driver behind the unit tests, the CI
+smokes, every mode of ``repro serve`` and ``repro soak``: engine ticks
+and loadgen arrivals interleave on one :class:`~repro.serve.clock.
 VirtualClock`, so a simulated day of serving runs in however long the
 callbacks take and two runs with the same seeds are identical.
 ``--no-http`` loops over :meth:`ServeSession.step` itself; the HTTP
 front end (:class:`~repro.serve.http.ServeApp`) calls the same method
 once per paced tick.
+
+The engine is one :class:`~repro.serve.engine.ServerEngine` or a
+:class:`~repro.serve.edge.Fleet` of worker shards: anything with
+``submit_batch``, ``tick``, ``dt_s``, ``live_metrics``, ``status_lines``
+and ``state_dict`` / ``load_state_dict``.
 
 The session is also the checkpoint driver: with a
 :class:`~repro.serve.checkpoint.CheckpointConfig` it snapshots the full
@@ -20,20 +25,13 @@ continues **bit-identically** to a run that was never interrupted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError
-from repro.serve.checkpoint import (
-    CheckpointConfig,
-    capture_engine,
-    is_quiescent,
-    read_checkpoint,
-    restore_engine,
-    write_checkpoint,
-)
+from repro.serve.checkpoint import CheckpointConfig, read_checkpoint, write_checkpoint
 from repro.serve.clock import VirtualClock
 from repro.serve.engine import ServerEngine
 from repro.serve.loadgen import LoadGenerator, LoadgenReport
@@ -42,10 +40,11 @@ from repro.telemetry.timeseries import TimeSeriesStore
 
 
 class ServeSession:
-    """Couples a :class:`ServerEngine` with an arrival schedule.
+    """Couples an engine with an arrival schedule.
 
     Args:
-        engine: The serving driver (carries admission + controller).
+        engine: The serving driver (carries admission + controller): a
+            :class:`ServerEngine` or a :class:`~repro.serve.edge.Fleet`.
         arrivals: Sorted arrival timestamps, seconds (see
             :mod:`repro.serve.loadgen`).
         clock: Optional pre-built virtual clock (e.g. to co-schedule
@@ -65,7 +64,7 @@ class ServeSession:
         tenant_names: Registry names the indices point into.
         timeseries: Optional
             :class:`~repro.telemetry.timeseries.TimeSeriesStore` sampled
-            from the engine's metrics registry once per tick.  Sampling
+            from ``engine.live_metrics`` once per tick.  Sampling
             is read-only: it never touches the engine RNG or the
             telemetry record streams, so a sampled run stays
             bit-identical to an unsampled one.
@@ -101,7 +100,6 @@ class ServeSession:
         # Serving time so far is ``clock.now - _origin`` — correct even
         # mid-run, which is when cadence checkpoints are written.
         self._origin = self.clock.now
-        self._dt = engine.sim.config.dt_seconds
 
     def step(self) -> None:
         """Serve one engine tick.
@@ -113,7 +111,7 @@ class ServeSession:
         this; :class:`~repro.serve.http.ServeApp` paces it.
         """
         clock = self.clock
-        end = clock.now + self._dt
+        end = clock.now + self.engine.dt_s
         self.loadgen.start()
         clock.call_at(end, self._tick)
         clock.run_until(end)
@@ -122,7 +120,7 @@ class ServeSession:
     def _tick(self) -> None:
         self.engine.tick()
         if self.timeseries is not None:
-            self.timeseries.sample(self.engine.telemetry.metrics, self.clock.now)
+            self.timeseries.sample(self.engine.live_metrics, self.clock.now)
         self._maybe_checkpoint()
 
     def run(self, duration_s: float) -> LoadgenReport:
@@ -134,47 +132,37 @@ class ServeSession:
         """
         if duration_s <= 0:
             raise ConfigurationError("duration_s must be positive")
-        for _ in range(int(math.ceil(duration_s / self._dt - 1e-9))):
+        for _ in range(int(math.ceil(duration_s / self.engine.dt_s - 1e-9))):
             self.step()
         return self.loadgen.report
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
-    def _session_quiescent(self) -> bool:
-        client = self.loadgen.client
-        if client is not None and client.outstanding:
-            return False  # scheduled retries/hedges would be lost
-        return is_quiescent(self.engine)
-
     def _maybe_checkpoint(self) -> None:
         if self.checkpoint is None or self._checkpoint_due is None:
             return
         if self.clock.now < self._checkpoint_due - 1e-9:
             return
-        if not self._session_quiescent():
-            return  # deferred: retried at the next tick boundary
-        self.write_checkpoint(self.checkpoint.path)
+        try:
+            self.write_checkpoint(self.checkpoint.path)
+        except CheckpointError:
+            return  # not quiescent: retried at the next tick boundary
         while self._checkpoint_due <= self.clock.now + 1e-9:
             self._checkpoint_due += self.checkpoint.every_s
 
     def state(self) -> Dict[str, object]:
-        """Snapshot the full session state (engine must be quiescent)."""
-        controller = self.engine.controller
-        control_state = None
-        if controller is not None and hasattr(controller, "state_dict"):
-            control_state = controller.state_dict()
+        """Snapshot the full session state (raises unless quiescent)."""
         client = self.loadgen.client
         if client is not None and client.outstanding:
             raise CheckpointError(
                 f"cannot checkpoint with {client.outstanding} retry-client "
-                "requests outstanding"
+                "requests outstanding"  # their scheduled retries would be lost
             )
         return {
             "clock_now": self.clock.now,
             "ran_s": self.clock.now - self._origin,
-            "engine": capture_engine(self.engine),
-            "control": control_state,
+            **self.engine.state_dict(),
             "loadgen": {
                 "cursor": self.loadgen._next,
                 "report": asdict(self.loadgen.report),
@@ -196,58 +184,37 @@ class ServeSession:
 
     @classmethod
     def resume(
-        cls,
-        engine: ServerEngine,
-        arrivals: np.ndarray,
-        checkpoint_path: str,
-        *,
-        retry: Optional[RetryConfig] = None,
-        retry_seed: int = 0,
-        checkpoint: Optional[CheckpointConfig] = None,
-        tenant_indices: Optional[np.ndarray] = None,
-        tenant_names: Optional[List[str]] = None,
-        timeseries: Optional["TimeSeriesStore"] = None,
+        cls, engine: ServerEngine, arrivals: np.ndarray, checkpoint_path: str, **kwargs: object
     ) -> "ServeSession":
         """Rebuild a session from a snapshot written by an earlier run.
 
-        ``engine`` must be freshly constructed with the same
-        configuration as the checkpointed one (fingerprint-verified),
-        and ``arrivals`` must be the same full schedule — the cursor in
-        the snapshot skips the part already consumed.  The resumed
-        session continues bit-identically to an uninterrupted run.
+        ``engine`` (worker specs, for a fleet) must be fresh and
+        configured as the checkpointed one (fingerprint-verified),
+        ``arrivals`` the same full schedule — the snapshot's cursor
+        skips the part already consumed — and the keywords are the
+        constructor's.  The resumed session continues bit-identically
+        to an uninterrupted run.
         """
         state = read_checkpoint(checkpoint_path)
         try:
             clock_now = float(state["clock_now"])  # type: ignore[arg-type]
-            engine_state: Dict[str, object] = state["engine"]  # type: ignore[assignment]
             loadgen_state: Dict[str, object] = state["loadgen"]  # type: ignore[assignment]
+            cursor = int(loadgen_state["cursor"])  # type: ignore[arg-type]
+            report_state: Dict[str, object] = loadgen_state["report"]  # type: ignore[assignment]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint {checkpoint_path} is missing session fields: {exc}"
             ) from None
-        session = cls(
-            engine,
-            arrivals,
-            clock=VirtualClock(start=clock_now),
-            retry=retry,
-            retry_seed=retry_seed,
-            checkpoint=checkpoint,
-            tenant_indices=tenant_indices,
-            tenant_names=tenant_names,
-            timeseries=timeseries,
-        )
-        restore_engine(engine, engine_state)
-        control_state = state.get("control")
-        if control_state is not None:
-            controller = engine.controller
-            if controller is None or not hasattr(controller, "load_state_dict"):
-                raise CheckpointError(
-                    "checkpoint carries control-loop state but the engine "
-                    "has no restorable controller"
-                )
-            controller.load_state_dict(control_state)
-        session.loadgen._next = int(loadgen_state["cursor"])  # type: ignore[arg-type]
-        _restore_report(session.loadgen.report, loadgen_state["report"])  # type: ignore[arg-type]
+        session = cls(engine, arrivals, **kwargs)  # type: ignore[arg-type]
+        session.engine.load_state_dict(state)
+        session.clock.advance(clock_now)
+        session._origin = clock_now - float(state.get("ran_s", 0.0))  # type: ignore[arg-type]
+        if session.checkpoint is not None:
+            session._checkpoint_due = clock_now + session.checkpoint.every_s
+        session.loadgen._next = cursor
+        _restore_report(session.loadgen.report, report_state)
+        # The snapshot was taken inside the tick, before step() stamped it.
+        session.loadgen.report.duration_s = clock_now - session._origin
         client_state = state.get("client")
         if client_state is not None:
             if session.loadgen.client is None:
@@ -256,7 +223,6 @@ class ServeSession:
                     "disabled on the resumed session"
                 )
             session.loadgen.client.load_state_dict(client_state)  # type: ignore[arg-type]
-        session._origin = clock_now - float(state.get("ran_s", 0.0))  # type: ignore[arg-type]
         return session
 
     # ------------------------------------------------------------------
@@ -270,35 +236,9 @@ class ServeSession:
         """The run report ``repro serve`` prints, with or without HTTP."""
         engine = self.engine
         report = self.loadgen.report
-        health = engine.healthz()
         lines = [report.format_report()] if report.offered else []
-        lines.append(
-            f"machines now: {health['machines']} | moves started "
-            f"{health['moves_started']} | completed {health['moves_completed']} | "
-            f"peak node queue {health['max_node_queue_seconds']}s"
-        )
-        if engine.slo_monitor is not None:
-            lines.append(engine.slo_monitor.report_line())
-        for name, info in sorted((health.get("tenants") or {}).items()):
-            lines.append(
-                f"tenant {name}: offered {info['offered']} | "
-                f"quota shed {info['quota_shed']} | "
-                f"brownout shed {info['brownout_shed']} | "
-                f"good {info['slo']['good_fraction']:.3%}"
-                + (" (FIRING)" if info["slo"]["alerting"] else "")
-            )
-        lines.extend(
-            monitor.report_line() for _, monitor in sorted(engine.tenant_slos.items())
-        )
-        if engine.resilience is not None:
-            states = ", ".join(
-                f"n{node}={state}" for node, state in sorted(health["breakers"].items())
-            )
-            lines.append(
-                f"resilience: errors {health['errors']} | "
-                f"brownout sheds {health['brownout_sheds']} | "
-                f"breakers: {states or 'none tracked'}"
-            )
+        lines.extend(engine.status_lines())
+        if engine.detects_failures:
             lines.append(report.conservation_line())
         if self.checkpoints_written:
             lines.append(f"checkpoints written: {self.checkpoints_written}")
@@ -310,27 +250,8 @@ class ServeSession:
 
 
 def _restore_report(report: LoadgenReport, state: Dict[str, object]) -> None:
-    """Overwrite a fresh report with checkpointed counters and samples."""
-    report.duration_s = float(state["duration_s"])  # type: ignore[arg-type]
-    for name in (
-        "offered",
-        "accepted",
-        "rejected",
-        "errored",
-        "retries",
-        "retry_successes",
-        "retries_exhausted",
-        "hedges",
-        "hedge_wins",
-        "brownout_shed",
-    ):
-        setattr(report, name, int(state[name]))  # type: ignore[arg-type]
-    latencies: List[float] = [float(v) for v in state["latencies_ms"]]  # type: ignore[union-attr]
-    report.latencies_ms = latencies
-    report.retry_after_s = [float(v) for v in state["retry_after_s"]]  # type: ignore[union-attr]
-    # Per-tenant buckets (absent in pre-tenancy checkpoints).
-    tenants = state.get("tenants") or {}
-    report.tenants = {
-        str(name): {k: int(v) for k, v in bucket.items()}
-        for name, bucket in tenants.items()  # type: ignore[union-attr]
-    }
+    """Overwrite a fresh report with checkpointed counters and samples
+    (fields an older checkpoint lacks keep their defaults)."""
+    for field in fields(report):
+        if field.name in state:
+            setattr(report, field.name, state[field.name])

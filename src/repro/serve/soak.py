@@ -58,8 +58,8 @@ class SoakConfig:
         timeseries: Sample the edge's fleet view into a bounded
             ring-buffer :class:`~repro.telemetry.timeseries.
             TimeSeriesStore` once per tick; implies telemetry.
-        checkpoint_path / checkpoint_every_s: Optional mid-soak
-            distributed snapshots.
+        checkpoint_path / checkpoint_every_s: Optional mid-soak fleet
+            snapshots.
     """
 
     workers: int = 2
@@ -295,7 +295,7 @@ def resume_soak_session(
     checkpoint_path: str,
     telemetry: Optional[Telemetry] = None,
 ) -> DistributedServeSession:
-    """Rebuild a mid-soak session from a distributed checkpoint.
+    """Rebuild a mid-soak session from a fleet checkpoint.
 
     ``config`` must match the checkpointed run; passing it to
     :func:`run_soak` then serves only the remaining virtual time and the
@@ -336,7 +336,7 @@ def run_soak(
     started = clock()
     try:
         session.start()
-        remaining = config.duration_s - (session.now - session._origin)
+        remaining = config.duration_s - session.report.duration_s
         if remaining > 0:
             session.run(remaining)
         session.collect_telemetry()
@@ -368,7 +368,7 @@ def _aggregate(
         conservation_line=loadgen.conservation_line(),
         worker_machines={
             str(wid): int(ad[0])
-            for wid, ad in sorted(session.advertised.items())
+            for wid, ad in sorted(session.engine.advertised.items())
         },
         checkpoints_written=session.checkpoints_written,
     )

@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError, TransportError
 from repro.serve.admission import AdmissionConfig
-from repro.serve.checkpoint import capture_engine, ensure_quiescent, restore_engine
 from repro.serve.engine import OutcomeBatch, ServerEngine
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.transport import (
@@ -198,7 +197,8 @@ class WorkerServer:
         }
 
     def handle(self, message: Dict[str, object]) -> Dict[str, object]:
-        """One request in, one reply out; never raises on bad input."""
+        """One request in, one reply out; never raises on bad input (a
+        malformed frame gets an error reply, the engine stays untouched)."""
         cmd = message.get("cmd")
         try:
             if cmd == "hello":
@@ -208,7 +208,7 @@ class WorkerServer:
             elif cmd == "healthz":
                 reply = {"ok": True, "healthz": self.engine.healthz()}
             elif cmd == "capture":
-                reply = self._cmd_capture()
+                reply = {"ok": True, "state": self.engine.state_dict()}
             elif cmd == "restore":
                 reply = self._cmd_restore(message)
             elif cmd == "telemetry":
@@ -231,24 +231,31 @@ class WorkerServer:
     def _run_step(self, message: Dict[str, object]) -> Dict[str, object]:
         engine = self.engine
         arrivals: List[list] = message.get("arrivals", ())  # type: ignore[assignment]
-        tracing = engine.request_tracer is not None
-        # 4 elements pre-tenancy, 5 with a tenant tag at the edge.
-        tenant_tags = [str(row[4]) if len(row) > 4 else "" for row in arrivals]
+        try:
+            times = np.array([float(row[0]) for row in arrivals])
+            priorities = np.array([int(row[3]) for row in arrivals], dtype=np.int64)
+            # 4 elements pre-tenancy, 5 with a tenant tag at the edge.
+            tenant_tags = [str(row[4]) if len(row) > 4 else "" for row in arrivals]
+            traces = (
+                [
+                    TraceContext(int(row[1]), str(row[2])) if row[1] is not None else None
+                    for row in arrivals
+                ]
+                if engine.request_tracer is not None
+                else None
+            )
+        except (TypeError, ValueError, IndexError) as exc:
+            return {"ok": False, "error": f"malformed step frame: {exc!r}"}
         tenant_names = sorted(set(tenant_tags))
         index_of = {name: index for index, name in enumerate(tenant_names)}
         batches: List[OutcomeBatch] = []
         engine.submit_batch(
-            np.array([float(row[0]) for row in arrivals]),
+            times,
             np.array([index_of[tag] for tag in tenant_tags], dtype=np.int64),
-            np.array([int(row[3]) for row in arrivals], dtype=np.int64),
+            priorities,
             batches.append,
             tenant_names=tenant_names,
-            traces=[
-                TraceContext(int(row[1]), str(row[2])) if row[1] is not None else None
-                for row in arrivals
-            ]
-            if tracing
-            else None,
+            traces=traces,
         )
         record = engine.tick()
         return {
@@ -261,33 +268,11 @@ class WorkerServer:
             "rejected": int(record["rejected"]),
         }
 
-    def _cmd_capture(self) -> Dict[str, object]:
-        ensure_quiescent(self.engine)
-        controller = self.engine.controller
-        control_state = None
-        if controller is not None and hasattr(controller, "state_dict"):
-            control_state = controller.state_dict()
-        return {
-            "ok": True,
-            "state": {
-                "engine": capture_engine(self.engine),
-                "control": control_state,
-            },
-        }
-
     def _cmd_restore(self, message: Dict[str, object]) -> Dict[str, object]:
-        state: Dict[str, object] = message["state"]  # type: ignore[assignment]
-        restore_engine(self.engine, state["engine"])  # type: ignore[arg-type]
-        control_state = state.get("control")
-        if control_state is not None:
-            controller = self.engine.controller
-            if controller is None or not hasattr(controller, "load_state_dict"):
-                return {
-                    "ok": False,
-                    "error": "snapshot carries control state but this "
-                    "worker has no restorable controller",
-                }
-            controller.load_state_dict(control_state)
+        state = message.get("state")
+        if not isinstance(state, dict):
+            return {"ok": False, "error": "malformed restore frame: no state"}
+        self.engine.load_state_dict(state)
         return {"ok": True}
 
     def _cmd_telemetry(self) -> Dict[str, object]:
@@ -389,8 +374,8 @@ class WorkerHandle:
             self.transport = PipeTransport(parent, timeout_s=self.timeout_s)
         else:  # pragma: no cover - tcp start lives in edge rendezvous
             raise ConfigurationError(
-                "tcp workers are started by DistributedServeSession's "
-                "rendezvous; use mode 'pipe' for standalone handles"
+                "tcp workers are started by the Fleet's rendezvous; "
+                "use mode 'pipe' for standalone handles"
             )
 
     def adopt(self, transport: TcpTransport, process) -> None:

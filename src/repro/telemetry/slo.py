@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import labeled
 
@@ -281,3 +281,16 @@ class SLOMonitor:
             f"alerts fired {state['alerts_fired']}"
             + (" (FIRING)" if state["alerting"] else "")
         )
+
+
+def load_monitor_states(
+    monitors: Dict[str, SLOMonitor], states: Optional[Dict[str, object]]
+) -> None:
+    """Restore per-tenant monitors from their checkpointed states."""
+    for name, state in (states or {}).items():
+        monitor = monitors.get(str(name))
+        if monitor is None:
+            raise CheckpointError(
+                f"checkpoint carries SLO state for unknown tenant {name!r}"
+            )
+        monitor.load_state_dict(state)

@@ -22,8 +22,13 @@ untenanted path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.telemetry import Telemetry
+from repro.telemetry.slo import SLOConfig, SLOMonitor
 from repro.tenancy.spec import TenantRegistry
 
 
@@ -90,10 +95,12 @@ class TenantAdmission:
                 if burst is None:
                     burst = max(1.0, 2.0 * rate)
                 self._buckets[tenant.name] = TokenBucket(rate, burst)
-        max_weight = registry.max_weight
-        self._sheddable = {
-            t.name: t.weight < max_weight for t in registry
-        }
+        #: Registry names in spec order — the vocabulary tenant columns
+        #: are normalised to — and which of them brownout may shed.
+        self.names: Tuple[str, ...] = tuple(registry.names())
+        self.sheddable = np.array([t.weight < registry.max_weight for t in registry])
+        self._index = {name: index for index, name in enumerate(self.names)}
+        self._index[""] = 0  # untagged: the first tenant
         empty = {name: 0 for name in registry.names()}
         self.offered: Dict[str, int] = dict(empty)
         self.quota_shed: Dict[str, int] = dict(empty)
@@ -128,10 +135,26 @@ class TenantAdmission:
         self.quota_shed[name] += len(waits) - waits.count(None)
         return waits
 
+    def registry_indices(
+        self, tenants: Optional[np.ndarray], names: Sequence[str], n: int
+    ) -> np.ndarray:
+        """Re-index a tenant column of ``n`` requests from the caller's
+        vocabulary ``names`` to :attr:`names`; untagged requests belong
+        to the first tenant."""
+        if tenants is None:
+            return np.zeros(n, dtype=np.int64)
+        lookup = self._index
+        indices = np.array([lookup.get(name, -1) for name in names])[tenants]
+        if (indices < 0).any():
+            # A tagging bug upstream must not silently bypass quotas.
+            unknown = names[int(tenants[int(np.argmin(indices))])]
+            raise KeyError(f"unknown tenant {unknown!r}")
+        return indices
+
     def brownout_sheddable(self, name: str) -> bool:
         """True when brownout may shed this tenant's traffic outright
         (its weight is below the registry maximum)."""
-        return self._sheddable[name]
+        return bool(self.sheddable[self._index[name]])
 
     def record_brownout_shed(self, name: str, count: int = 1) -> None:
         self.brownout_shed[name] += count
@@ -157,6 +180,33 @@ class TenantAdmission:
             for name, value in state.get(attr, {}).items():
                 if name in counters:
                     counters[name] = int(value)
+
+    def slo_monitors(
+        self, base: SLOConfig, telemetry: Optional[Telemetry]
+    ) -> Dict[str, SLOMonitor]:
+        """One labelled burn-rate monitor per tenant: ``base``'s alerting
+        windows with the tenant's *own* latency threshold and objective."""
+        return {
+            spec.name: SLOMonitor(
+                replace(
+                    base,
+                    objective=spec.slo_objective,
+                    latency_threshold_ms=spec.latency_slo_ms,
+                ),
+                telemetry,
+                labels={"tenant": spec.name},
+            )
+            for spec in self.registry
+        }
+
+    def health(self, slos: Dict[str, SLOMonitor]) -> Dict[str, Dict[str, object]]:
+        """The ``tenants`` block of a health report: each tenant's
+        counters plus the status of its monitor."""
+        summary = self.summary()
+        return {
+            name: {**summary[name], "slo": slos[name].status()}
+            for name in self.registry.names()
+        }
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         return {

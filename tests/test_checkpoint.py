@@ -29,7 +29,6 @@ from repro.serve import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.serve.checkpoint import capture_engine, ensure_quiescent, restore_engine
 
 SAT = 12.0
 
@@ -114,30 +113,30 @@ class TestQuiescence:
         engine = build_engine(controller=False)
         engine.submit(None, now=0.0)
         with pytest.raises(CheckpointError, match="admitted"):
-            ensure_quiescent(engine)
+            engine.ensure_quiescent()
         engine.tick()
-        ensure_quiescent(engine)  # drained: fine now
+        engine.ensure_quiescent()  # drained: fine now
 
     def test_unresolved_faults_block_checkpoint(self):
         plan = FaultPlan([NodeCrash(at_seconds=50.0, node_id=1)])
         engine = build_engine(controller=False, fault_injector=FaultInjector(plan))
         with pytest.raises(CheckpointError, match="fault"):
-            ensure_quiescent(engine)
+            engine.ensure_quiescent()
 
     def test_restore_rejects_config_mismatch(self):
-        state = capture_engine(build_engine(controller=False))
+        state = build_engine(controller=False).state_dict()
         other = build_engine(
             controller=False, engine_config=small_config(max_nodes=3)
         )
         with pytest.raises(CheckpointError, match="does not match"):
-            restore_engine(other, state)
+            other.load_state_dict(state)
 
     def test_restore_rejects_already_served_engine(self):
-        state = capture_engine(build_engine(controller=False))
+        state = build_engine(controller=False).state_dict()
         target = build_engine(controller=False)
         target.tick()
         with pytest.raises(CheckpointError, match="already served"):
-            restore_engine(target, state)
+            target.load_state_dict(state)
 
     def test_resume_requires_matching_retry_setting(self, tmp_path):
         path = str(tmp_path / "snap.ckpt")

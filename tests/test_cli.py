@@ -299,7 +299,6 @@ class TestServeSubcommand:
         no sizing flags the CLI's engine has the configuration fingerprint
         of a default ``WorkerSpec``'s."""
         from repro.serve import WorkerSpec, read_checkpoint
-        from repro.serve.checkpoint import capture_engine
         from repro.serve.worker import build_worker_engine
 
         ckpt = tmp_path / "serve.ckpt"
@@ -312,7 +311,7 @@ class TestServeSubcommand:
         spec_engine = build_worker_engine(WorkerSpec(worker_id=0))
         assert (
             read_checkpoint(str(ckpt))["engine"]["config"]
-            == capture_engine(spec_engine)["config"]
+            == spec_engine.state_dict()["engine"]["config"]
         )
 
     def test_bad_spar_spec_rejected(self, capsys):

@@ -14,7 +14,7 @@ import socket
 
 import pytest
 
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.serve import (
     BreakerConfig,
     BrownoutConfig,
@@ -166,6 +166,28 @@ class TestWorkerProtocol:
         assert reply["ok"] is False
         assert "frobnicate" in reply["error"]
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"cmd": "step", "arrivals": [["x", None, "edge", 0]]},
+            {"cmd": "step", "arrivals": [[1.0]]},
+            {"cmd": "step", "arrivals": 5},
+            {"cmd": "restore"},
+            {"cmd": "restore", "state": {}},
+        ],
+        ids=["bad-time", "short-row", "not-a-list", "no-state", "empty-state"],
+    )
+    def test_malformed_frame_is_an_error_reply_not_a_dead_shard(self, frame):
+        server = WorkerServer(specs(1)[0])
+        assert server.handle({"cmd": "step", "arrivals": [[0.5, None, "edge", 0]]})["ok"]
+        ticks = server.engine.ticks
+        reply = server.handle(frame)
+        assert reply["ok"] is False and reply["error"]
+        assert server.engine.ticks == ticks and server.engine.pending_requests == 0
+        after = server.handle({"cmd": "step", "arrivals": [[1.5, None, "edge", 0]]})
+        assert after["ok"] is True and len(after["outcomes"]) == 1
+        assert server.engine.ticks == ticks + 1
+
     def test_spec_round_trips_through_dict(self):
         spec = specs(
             1, control="reactive", trace_requests=True, collect_telemetry=True
@@ -217,7 +239,7 @@ class TestDistributedSession:
         with make_session(3, rate=300.0) as session:
             session.run(40.0)
             machines = {
-                wid: ad[0] for wid, ad in session.advertised.items()
+                wid: ad[0] for wid, ad in session.engine.advertised.items()
             }
         assert set(machines) == {0, 1, 2}
 
@@ -229,6 +251,22 @@ class TestDistributedSession:
         a, b = once(), once()
         assert a.summary() == b.summary()
         assert a.latencies_ms == b.latencies_ms
+
+    def test_refused_step_frame_fails_the_batch_closed(self):
+        """A worker that answers a ``step`` with an error reply served
+        nothing: its batch ends as 500s instead of vanishing."""
+        with make_session(1, rate=50.0) as session:
+            session.run(2.0)
+            server = session.workers[0].server
+            handle = server.handle
+            server.handle = lambda message: (
+                {"ok": False, "error": "refused"}
+                if message.get("cmd") == "step"
+                else handle(message)
+            )
+            report = session.run(1.0)
+        assert report.errored > 0 and report.conserved
+        assert report.offered == report.accepted + report.errored
 
     def test_healthz_reports_fleet(self):
         with make_session() as session:
@@ -243,22 +281,11 @@ class TestDistributedSession:
 
 
 # ----------------------------------------------------------------------
-# Real processes: the pipe path must match inproc bit for bit
+# Real processes (report equality across transports lives in
+# tests/test_front_ends.py::test_process_boundary_changes_nothing)
 # ----------------------------------------------------------------------
 @pytest.mark.timeout(300)
 class TestProcessBoundary:
-    def test_pipe_matches_inproc_bit_for_bit(self):
-        def run(mode):
-            arrivals = poisson_arrivals(150.0, 20.0, seed=5)
-            with DistributedServeSession(
-                specs(2), arrivals, mode=mode, seed=5
-            ) as session:
-                return session.run(20.0)
-
-        inproc, pipe = run("inproc"), run("pipe")
-        assert inproc.summary() == pipe.summary()
-        assert inproc.latencies_ms == pipe.latencies_ms
-
     @pytest.mark.parametrize("mode", ["pipe", "tcp"])
     def test_streaming_fleet_view_matches_capture_across_processes(self, mode):
         """The live delta view equals the capture merge with real worker
@@ -274,7 +301,7 @@ class TestProcessBoundary:
             telemetry_every_ticks=5,
         ) as session:
             session.run(15.0)
-            live = session.refresh_fleet_view()
+            live = session.engine.refresh_fleet_view()
             assert live is not None
             live_counters = {
                 n: c.value for n, c in live.metrics.counters().items()
@@ -390,10 +417,10 @@ class TestStreamingTelemetry:
         telemetry = Telemetry()
         with self._streaming_session(telemetry) as session:
             session.run(20.0)
-            live = session.refresh_fleet_view()
+            live = session.engine.refresh_fleet_view()
             assert live is not None
             assert all(
-                v.deltas_applied > 0 for v in session._delta_views.values()
+                v.deltas_applied > 0 for v in session.engine._delta_views.values()
             )
             live_state = self._metric_state(live)
             session.collect_telemetry()
@@ -433,14 +460,14 @@ class TestStreamingTelemetry:
         telemetry = Telemetry()
         with self._streaming_session(telemetry) as session:
             session.run(20.0)
-            view = session.fleet_view
-            # The dispatch loop refreshed the view on the delta cadence.
+            view = session.engine.fleet_view
+            # The fleet tick refreshed the view on the delta cadence.
             assert view is not None
             admitted = view.metrics.counter("serve.admitted").value
             assert admitted > 0
             session.collect_telemetry()
             # Final merge supersedes the live view.
-            assert session.fleet_view is None
+            assert session.engine.fleet_view is None
         assert telemetry.metrics.counter("serve.admitted").value >= admitted
 
     def test_timeseries_store_samples_fleet_view(self):
@@ -473,7 +500,8 @@ class TestStreamingTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Distributed checkpoint/restore: bit-identical continuation
+# Distributed checkpoint/restore with edge policy on (the front-end
+# matrix, deferral and refusals live in tests/test_front_ends.py)
 # ----------------------------------------------------------------------
 class TestDistributedCheckpoint:
     def _kwargs(self):
@@ -495,13 +523,13 @@ class TestDistributedCheckpoint:
         ) as session:
             session.run(30.0)
             session.write_checkpoint(path)
-            resumed_from = session.now
+            resumed_from = session.clock.now
             baseline = session.run(30.0)
 
         with DistributedServeSession.resume(
             specs(2), arrivals, path, **self._kwargs()
         ) as restored:
-            assert restored.now == resumed_from
+            assert restored.clock.now == restored.engine.now == resumed_from
             report = restored.run(30.0)
 
         assert report.summary() == baseline.summary()
@@ -519,20 +547,8 @@ class TestDistributedCheckpoint:
         assert os.path.exists(path)
         with open(path) as f:
             doc = json.load(f)
-        assert doc["format"] == "repro-distributed-checkpoint/1"
-
-    def test_resume_rejects_worker_count_mismatch(self, tmp_path):
-        arrivals = poisson_arrivals(100.0, 20.0, seed=1)
-        path = str(tmp_path / "two.ckpt")
-        with DistributedServeSession(
-            specs(2), arrivals, mode="inproc"
-        ) as session:
-            session.run(10.0)
-            session.write_checkpoint(path)
-        with pytest.raises(CheckpointError, match="workers"):
-            DistributedServeSession.resume(
-                specs(3), arrivals, path, mode="inproc"
-            )
+        assert doc["format"] == "repro-serve-checkpoint/1"
+        assert len(doc["state"]["engine"]["workers"]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -594,9 +610,9 @@ class TestSoak:
         telemetry = Telemetry()
         session = build_soak_session(config, telemetry=telemetry)
         try:
-            assert session.slo_monitor is not None
-            assert session.brownout is not None
-            assert session.telemetry is telemetry
+            assert session.engine.slo_monitor is not None
+            assert session.engine.brownout is not None
+            assert session.engine.telemetry is telemetry
             assert len(session.workers) == 2
         finally:
             session.close()
@@ -612,8 +628,8 @@ class TestSoak:
         assert all(s.collect_telemetry for s in config.worker_specs())
         session = build_soak_session(config)
         try:
-            assert session.telemetry is not None
-            assert session.telemetry_every_ticks == 5
+            assert session.engine.telemetry is not None
+            assert session.engine.telemetry_every_ticks == 5
             assert session.timeseries is not None
         finally:
             session.close()

@@ -21,6 +21,23 @@ Every scenario is asserted for ``run(N)`` and for ``N x run(1.0)``, and
 a worker ``step`` exchange is compared row for row against the JSON the
 pre-change worker produced (``tests/golden/worker_step_replies.json``).
 
+Three more pin the distributed path, taken on the commit *before* the
+edge became a ``Fleet`` engine under ``ServeSession`` (``60750f7``,
+where the fleet state lived on the session object itself):
+
+* ``fleet_bare`` — two inproc workers, no edge policy;
+* ``fleet_policy`` — three tenants of unequal weight with one quota,
+  an edge queue limit, low-priority tagging, brownout, SLOs, telemetry
+  with delta streaming and a time-series store; one worker's transport
+  breaks mid-tick (its routed batch dies as 500s), its breaker opens,
+  the edge reroutes and browns out;
+* ``fleet_traced`` — request tracing on both sides of the wire, with
+  the span tree after ``collect_telemetry``.
+
+No arrival of theirs lies within 1e-9 of a tick boundary: what happens
+there changed with that commit and has its own test
+(``tests/test_front_ends.py``).
+
 Regenerate (only ever on a commit whose behaviour is the reference)::
 
     PYTHONPATH=src python tests/test_golden_pins.py
@@ -39,9 +56,14 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.prediction.online import OnlinePredictor
 from repro.prediction.spar import SPARPredictor
+from dataclasses import asdict
+
+from repro.errors import TransportError
 from repro.serve import (
     AdmissionConfig,
     BreakerConfig,
+    BrownoutConfig,
+    DistributedServeSession,
     OnlineControlLoop,
     ResilienceConfig,
     RetryConfig,
@@ -245,6 +267,149 @@ def run_stepped(name: str) -> str:
 
 
 # ----------------------------------------------------------------------
+# Fleet scenarios: each returns (session, [(seconds, then), ...]) — serve
+# that many seconds, then call ``then(session)`` (or nothing)
+# ----------------------------------------------------------------------
+def _fleet_specs(n, **kwargs):
+    defaults = dict(
+        initial_nodes=1, max_nodes=2, saturation_rate_per_node=40.0,
+        db_size_kb=5 * 1024.0, queue_limit_seconds=4.0,
+    )
+    defaults.update(kwargs)
+    return [WorkerSpec(worker_id=i, seed=20 + i, **defaults) for i in range(n)]
+
+
+def _off_boundaries(arrivals):
+    distance = np.abs(arrivals - np.round(arrivals))
+    assert len(arrivals) and distance.min() > 1e-6
+    return arrivals
+
+
+def _break_transport_mid_tick(session):
+    """The next ``step`` post to worker 1 kills it: the batch already
+    routed to it fails closed."""
+    victim = session.workers[1]
+
+    def post(message):
+        victim.kill()
+        raise TransportError("worker 1 died mid-tick")
+
+    victim.post = post
+
+
+def fleet_bare_session():
+    arrivals = _off_boundaries(poisson_arrivals(95.0, 40.0, seed=17))
+    session = DistributedServeSession(_fleet_specs(2), arrivals, mode="inproc", seed=17)
+    return session, [(44, None)]
+
+
+def fleet_policy_session():
+    registry = TenantRegistry(
+        tenants=[
+            TenantSpec(name="gold", profile="poisson:rate=60", weight=3),
+            TenantSpec(name="silver", profile="poisson:rate=30", weight=2),
+            TenantSpec(name="capped", profile="poisson:rate=25", weight=1, quota_rps=9.0),
+        ]
+    )
+    arrivals, indices = composite_arrivals(registry, 60.0, seed=19)
+    session = DistributedServeSession(
+        _fleet_specs(2, collect_telemetry=True, queue_limit_seconds=2.0),
+        _off_boundaries(arrivals),
+        mode="inproc",
+        edge_queue_limit_s=1.5,
+        breaker=BreakerConfig(miss_threshold=3, open_seconds=12.0, half_open_successes=2),
+        brownout=BrownoutConfig(),
+        slo=SLOConfig(),
+        low_priority_fraction=0.2,
+        telemetry=Telemetry(),
+        seed=19,
+        tenancy=TenantAdmission(registry),
+        tenant_indices=indices,
+        tenant_names=registry.names(),
+        telemetry_every_ticks=4,
+        timeseries=TimeSeriesStore(),
+    )
+    return session, [(20, _break_transport_mid_tick), (44, None)]
+
+
+def fleet_traced_session():
+    arrivals = _off_boundaries(poisson_arrivals(100.0, 24.0, seed=23))
+    session = DistributedServeSession(
+        _fleet_specs(
+            2, trace_requests=True, collect_telemetry=True, queue_limit_seconds=2.0
+        ),
+        arrivals,
+        mode="inproc",
+        edge_queue_limit_s=1.0,
+        trace_requests=True,
+        telemetry=Telemetry(),
+        seed=23,
+    )
+    return session, [(28, lambda session: session.collect_telemetry())]
+
+
+FLEET_SCENARIOS = {
+    "fleet_bare": fleet_bare_session,
+    "fleet_policy": fleet_policy_session,
+    "fleet_traced": fleet_traced_session,
+}
+
+#: sha256 per fleet scenario, taken on 60750f7.
+FLEET_PINS = {
+    "fleet_bare": "51d067a0b4e8f913cbd5d4e82a3e1783bbe021b103c84d41387b4e32e845df2c",
+    "fleet_policy": "fe9c377b60168a99d71530b32ef32114e3984d126eb7dcc801316e6324d04185",
+    "fleet_traced": "a75b7bce2f56f84803a318f66a3f5932943ad52984bd479495285e0ae0d26f19",
+}
+
+
+def fleet_digest(session) -> str:
+    """sha256 over everything the edge owns, plus what it merged."""
+    fleet = session.engine
+    report = session.report
+    document = {
+        "report": asdict(report),
+        "advertised": {str(k): list(v) for k, v in fleet.advertised.items()},
+        "breakers": {str(k): b.state_dict() for k, b in fleet.breakers.items()},
+        "transitions": {str(k): b.transitions for k, b in fleet.breakers.items()},
+        "brownout_active": fleet.brownout_active,
+        "rng": fleet._rng.bit_generator.state["state"],
+        "healthz": session.healthz(),
+    }
+    if fleet.slo_monitor is not None:
+        document["slo"] = fleet.slo_monitor.state_dict()
+        document["tenant_slos"] = {
+            name: monitor.state_dict() for name, monitor in fleet.tenant_slos.items()
+        }
+    if fleet.tenancy is not None:
+        document["tenancy"] = fleet.tenancy.state_dict()
+    if fleet.telemetry is not None:
+        document["metrics"] = fleet.telemetry.metrics.records()
+        document["events"] = fleet.telemetry.timeline.events
+        document["spans"] = fleet.telemetry.tracer.records()
+    if session.timeseries is not None:
+        document["timeseries"] = session.timeseries.dump()
+    digest = hashlib.sha256()
+    digest.update(json.dumps(document, sort_keys=True, default=str).encode())
+    digest.update(np.asarray(report.latencies_ms, dtype=np.float64).tobytes())
+    digest.update(np.asarray(report.retry_after_s, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def run_fleet(name: str, *, stepped: bool) -> str:
+    session, legs = FLEET_SCENARIOS[name]()
+    with session:
+        for seconds, then in legs:
+            if stepped:
+                for _ in range(seconds):
+                    session.run(1.0)
+            else:
+                session.run(float(seconds))
+            if then is not None:
+                then(session)
+        return fleet_digest(session)
+
+
+# ----------------------------------------------------------------------
 # Worker step exchange
 # ----------------------------------------------------------------------
 def worker_step_replies():
@@ -286,6 +451,39 @@ def test_run_whole_matches_pin(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_one_second_at_a_time_matches_pin(name):
     assert run_stepped(name) == PINS[name]
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["whole", "stepped"])
+@pytest.mark.parametrize("name", sorted(FLEET_SCENARIOS))
+def test_fleet_matches_pin(name, stepped):
+    assert run_fleet(name, stepped=stepped) == FLEET_PINS[name]
+
+
+def test_fleet_scenarios_exercise_the_paths_they_claim():
+    session, legs = fleet_policy_session()
+    with session:
+        for seconds, then in legs:
+            session.run(float(seconds))
+            if then is not None:
+                then(session)
+    fleet, report = session.engine, session.report
+    assert report.errored > 0  # the batch routed to the broken worker
+    assert ("closed", "open") in [t[1:] for t in fleet.breakers[1].transitions]
+    tenant_brownout = sum(fleet.tenancy.brownout_shed.values())  # light tenants, whole
+    assert fleet.tenancy.quota_shed["capped"] > 0 and tenant_brownout > 0
+    assert report.brownout_shed > tenant_brownout  # and low-priority requests
+    # ... and the edge queue limit, on top of what the workers shed themselves.
+    assert fleet.admission.rejected > report.brownout_shed + fleet.tenancy.quota_shed["capped"]
+    assert fleet.admission.accepted > 0
+    assert fleet.fleet_view is not None and session.timeseries.samples_taken == 64
+    assert report.conserved and report.tenants_consistent()
+
+    traced, legs = fleet_traced_session()
+    with traced:
+        traced.run(28.0)
+        traced.collect_telemetry()
+    names = {span["name"] for span in traced.engine.telemetry.tracer.records()}
+    assert {"edge.request", "request"} <= names
 
 
 def test_scenarios_exercise_the_paths_they_claim():
@@ -331,3 +529,6 @@ if __name__ == "__main__":  # pragma: no cover - pin regeneration
         json.dump(worker_step_replies(), handle, indent=1)
         handle.write("\n")
     print("wrote", WORKER_GOLDEN)
+    for scenario in sorted(FLEET_SCENARIOS):
+        whole, stepped = run_fleet(scenario, stepped=False), run_fleet(scenario, stepped=True)
+        print(scenario, whole, "stepped-equal" if whole == stepped else f"STEPPED {stepped}")

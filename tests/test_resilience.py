@@ -358,8 +358,8 @@ class TestDistributedWorkerCrash:
             victim.kill()
             report = session.run(30.0)
 
-        assert session.breakers[1].state == OPEN
-        assert session.breakers[0].state == CLOSED
+        assert session.engine.breakers[1].state == OPEN
+        assert session.engine.breakers[0].state == CLOSED
         # Post-crash traffic all lands on the survivor; the fleet keeps
         # serving and every request still gets a terminal answer.
         assert report.accepted > 0
@@ -389,9 +389,9 @@ class TestDistributedWorkerCrash:
             brownout=BrownoutConfig(), low_priority_fraction=0.5
         ) as session:
             session.run(10.0)
-            assert not session.brownout_active
+            assert not session.engine.brownout_active
             session.workers[1].kill()
             report = session.run(30.0)
-            assert session.brownout_active
+            assert session.engine.brownout_active
         assert report.rejected > 0, "low-priority work sheds under brownout"
         assert report.conserved
