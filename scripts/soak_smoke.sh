@@ -17,6 +17,10 @@
 # mid-run checkpoint (the one `repro-serve-checkpoint/1` format and the
 # one `ServeSession` resume path, across real processes) and must print
 # the uninterrupted run's report.
+# A wire leg then runs one 2-worker overload twice — over pipes and over
+# `--transport tcp` — at a rate that makes every `step` frame larger than
+# a loopback segment, so the binary frames cross a real socket in partial
+# reads; the two reports must be equal line for line.
 # See docs/SERVING.md § Distributed serving.
 set -euo pipefail
 
@@ -28,6 +32,8 @@ BUNDLE="${BUNDLE_DIR:-out/soak-smoke-bundle}"
 CKPT="${CKPT_PATH:-out/soak.ckpt}"
 OUT=$(mktemp)
 OUT2=$(mktemp)
+OUT3=$(mktemp)
+OUT4=$(mktemp)
 mkdir -p "$(dirname "$CKPT")"
 rm -rf "$BUNDLE"
 rm -f "$REPORT" "$CKPT"
@@ -36,7 +42,7 @@ rm -f "$REPORT" "$CKPT"
 # and are reaped by its session teardown; the trap covers the script's
 # own scratch state.  STATUS is captured explicitly so a gate breach
 # (exit 1) still prints the report before the script propagates it.
-trap 'rm -f "$OUT" "$OUT2"' EXIT
+trap 'rm -f "$OUT" "$OUT2" "$OUT3" "$OUT4"' EXIT
 
 # Snapshots land at t=25 and t=50: the file the restore leg resumes from
 # is mid-run, and 50 s + the cadence is past the end, so that leg does
@@ -96,4 +102,21 @@ if ! diff <(grep -E "$LINES" "$OUT") <(grep -E "$LINES" "$OUT2"); then
     echo "restored soak differs from the uninterrupted soak" >&2
     exit 1
 fi
-echo "soak smoke passed: gates green, conservation exact, bundle verified, restore bit-identical"
+
+# 3000 requests per worker and tick: ~170 kB of reply columns a frame.
+# Undersized on purpose, so the replies hold shed rows and completions.
+WIRE=(python -m repro.cli soak
+    --workers 2
+    --rate 6000 --duration 30 --seed 7
+    --nodes 4 --max-nodes 4 --saturation 1300 --queue-limit 0.5
+    --max-p99 500 --max-shed-rate 0.2
+    --slo)
+"${WIRE[@]}" --transport pipe > "$OUT3"
+"${WIRE[@]}" --transport tcp | tee "$OUT4"
+grep -q 'shed [1-9]' "$OUT4" \
+    || { echo "the wire leg shed nothing: its replies carry no reject rows" >&2; exit 1; }
+if ! diff <(grep -E "$LINES" "$OUT3") <(grep -E "$LINES" "$OUT4"); then
+    echo "tcp soak differs from the pipe soak" >&2
+    exit 1
+fi
+echo "soak smoke passed: gates green, conservation exact, bundle verified, restore bit-identical, tcp equals pipe"

@@ -13,15 +13,20 @@ the strict request/reply protocol of :mod:`repro.serve.worker`:
 * :meth:`Fleet.submit_batch` routes a burst of arrivals in one draw
   (capacity-weighted over the advertised machine counts, open breakers
   zeroed out), applies edge admission + brownout + tenant policy, sinks
-  its rejects and queues the rest per worker;
-* :meth:`Fleet.tick` posts one ``step`` batch to every worker *before*
-  collecting any reply — the shards compute their tick concurrently,
-  but replies are folded in worker order, so the aggregate report is
-  deterministic regardless of process scheduling;
-* a worker whose transport breaks mid-tick turns its whole batch into
-  terminal 500s (reason ``"connection"``) and feeds its breaker — the
-  conservation identity ``offered = served + shed + errored + in-flight``
-  stays exact through a worker crash, which the resilience tests pin;
+  its rejects and queues the rest per worker — as column slices, never
+  as rows;
+* :meth:`Fleet.tick` posts one ``step`` request (the queued columns) to
+  every worker *before* collecting any reply — the shards compute their
+  tick concurrently, but replies are folded in worker order, each reply's
+  columns straight into one :class:`~repro.serve.engine.OutcomeBatch`,
+  so the aggregate report is deterministic regardless of process
+  scheduling;
+* a worker whose transport breaks mid-tick — or whose reply is refused,
+  malformed or answers a different number of rows than were posted —
+  turns its whole batch into terminal 500s (reason ``"connection"``)
+  and feeds its breaker: the conservation identity ``offered = served +
+  shed + errored + in-flight`` stays exact through a worker crash,
+  which the resilience tests pin;
 * a per-tick probe round (worker alive?) drives the breakers exactly
   like the single-process engine's node health monitor, and brownout
   engages while any breaker is open;
@@ -40,7 +45,7 @@ the strict request/reply protocol of :mod:`repro.serve.worker`:
 
 from __future__ import annotations
 
-from operator import itemgetter
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,10 +66,19 @@ from repro.serve.resilience import (
 from repro.serve.session import ServeSession
 from repro.serve.transport import (
     DEFAULT_TIMEOUT_S,
+    PROTOCOL_VERSION,
     accept_transport,
     bind_listener,
 )
-from repro.serve.worker import _SPAWN, WorkerHandle, WorkerSpec, worker_main
+from repro.serve.worker import (
+    _SPAWN,
+    STEP_REPLY_COLUMNS,
+    WorkerHandle,
+    WorkerSpec,
+    join_columns,
+    wire_column,
+    worker_main,
+)
 from repro.telemetry import Span, Telemetry
 from repro.telemetry.merge import DeltaAccumulator, build_fleet_view, merge_snapshot
 from repro.telemetry.metrics import index_counts
@@ -75,16 +89,24 @@ from repro.telemetry.timeseries import TimeSeriesStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tenancy.admission import TenantAdmission
 
-#: The columns of a reply's outcome records, in ``OutcomeBatch`` order
-#: (six numeric ones first).
-_REPLY_COLUMNS = itemgetter(
-    "status", "node_id", "submitted_at", "completed_at", "latency_ms",
-    "retry_after_s", "trace_id", "reason", "priority", "tenant",
-)
 _REASON_CODE = {reason: code for code, reason in enumerate(REASONS)}
 _QUEUE_LIMIT, _QUOTA = _REASON_CODE["queue-limit"], _REASON_CODE["quota"]
 _BROWNOUT, _CONNECTION = _REASON_CODE["brownout"], _REASON_CODE["connection"]
 _SPAN_STATUS = {200: "ok", 500: "error"}  # anything else: "shed"
+
+
+def _empty_queue() -> Dict[str, List[np.ndarray]]:
+    """No requests, in the two columns every ``step`` request has."""
+    return {"times": [], "priority": []}
+
+
+def _check_protocol(who: str, hello: Dict[str, object]) -> None:
+    """Refuse a peer whose hello names another wire (or none at all)."""
+    theirs = hello.get("protocol")
+    if theirs != PROTOCOL_VERSION:
+        raise TransportError(
+            f"{who} speaks wire protocol {theirs!r}; this edge speaks {PROTOCOL_VERSION!r}"
+        )
 
 
 class Fleet:
@@ -206,7 +228,6 @@ class Fleet:
         self._tenant_verdicts: Dict[str, List[int]] = {}
         # Tenant tag vocabulary: the registry's, else the submitter's.
         self._tenant_names: Tuple[str, ...] = tenancy.names if tenancy is not None else ()
-        self._tenant_index = {name: i for i, name in enumerate(self._tenant_names)}
         self.telemetry = telemetry
         self.trace_requests = trace_requests
         self._next_trace_id = 1
@@ -224,8 +245,9 @@ class Fleet:
         self.advertised: Dict[int, Tuple[float, float]] = {
             spec.worker_id: (float(spec.initial_nodes), 0.0) for spec in specs
         }
-        # Forwarded requests awaiting the next tick, per worker; their sink.
-        self._queued: List[List[List[object]]] = [[] for _ in specs]
+        # Forwarded requests awaiting the next tick: per worker, the
+        # slices of each ``step`` column it was routed; their sink.
+        self._queued = [_empty_queue() for _ in specs]
         self._sink: Optional[OutcomeSink] = None
         self._started = False
 
@@ -235,16 +257,28 @@ class Fleet:
     def start(self) -> None:
         """Launch the fleet (idempotent). TCP mode runs the rendezvous:
         the edge binds an ephemeral listener, spawns workers pointed at
-        it, and maps the inbound connections by their hello frames."""
+        it, and maps the inbound connections by their hello frames.
+
+        Every worker must answer ``hello`` with this edge's
+        :data:`~repro.serve.transport.PROTOCOL_VERSION` and a capacity
+        ad before any ``step`` is posted; otherwise the fleet is shut
+        down again and :class:`TransportError` raised."""
         if self._started:
             return
         self._started = True
-        if self.mode == "tcp":
-            self._tcp_rendezvous()
-        for handle in self.workers:
-            handle.start()  # tcp: already adopted
-        for handle in self.workers:
-            self._absorb_ad(handle.request({"cmd": "hello"}))
+        try:
+            if self.mode == "tcp":
+                self._tcp_rendezvous()
+            for handle in self.workers:
+                handle.start()  # tcp: already adopted
+            for handle in self.workers:
+                wid = handle.spec.worker_id
+                reply = handle.request({"cmd": "hello"})
+                _check_protocol(f"worker {wid}", reply)
+                self._absorb_ad(wid, reply)
+        except TransportError:
+            self.close()
+            raise
 
     def _tcp_rendezvous(self) -> None:
         listener = bind_listener()
@@ -260,11 +294,19 @@ class Fleet:
                 )
                 process.start()
                 processes.append(process)
-            for _ in self.workers:
-                transport = accept_transport(listener, self.timeout_s)
-                hello = transport.recv(timeout_s=self.timeout_s)
-                worker_id = int(hello["worker"])  # type: ignore[arg-type]
-                self.workers[worker_id].adopt(transport, processes[worker_id])
+            try:
+                for _ in self.workers:
+                    transport = accept_transport(listener, self.timeout_s)
+                    hello = transport.recv(timeout_s=self.timeout_s)
+                    worker_id = hello.get("worker")
+                    _check_protocol(f"worker {worker_id!r}", hello)
+                    if worker_id not in range(len(processes)):
+                        raise TransportError(f"hello from unknown worker {worker_id!r}")
+                    self.workers[worker_id].adopt(transport, processes[worker_id])
+            except TransportError:
+                for process in processes:  # not all adopted: close() would miss some
+                    process.kill()
+                raise
         finally:
             listener.close()
 
@@ -273,12 +315,16 @@ class Fleet:
         for handle in self.workers:
             handle.shutdown()
 
-    def _absorb_ad(self, reply: Dict[str, object]) -> None:
-        if "worker" in reply:
-            self.advertised[int(reply["worker"])] = (  # type: ignore[arg-type]
-                float(reply["machines"]),  # type: ignore[arg-type]
-                float(reply["queue_seconds"]),  # type: ignore[arg-type]
-            )
+    def _absorb_ad(self, worker_id: int, reply: Dict[str, object]) -> None:
+        """Take the capacity ad off a worker's reply; ``TransportError``
+        when it is missing, not this worker's, or not two finite numbers."""
+        try:
+            ad = (float(reply["machines"]), float(reply["queue_seconds"]))  # type: ignore[arg-type]
+            if reply.get("worker") != worker_id or not all(map(math.isfinite, ad)):
+                raise ValueError(f"worker {reply.get('worker')!r}, {ad}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TransportError(f"worker {worker_id}: malformed capacity ad: {exc!r}") from exc
+        self.advertised[worker_id] = ad
 
     # ------------------------------------------------------------------
     # Request path
@@ -340,14 +386,22 @@ class Fleet:
             draws = draws[1::2]
         else:
             draws = self._rng.random(n)  # always spent: deterministic resume
-            if priorities is None:
-                priorities = np.zeros(n, dtype=np.int64)
+            priorities = (
+                np.zeros(n, dtype=np.int64)
+                if priorities is None
+                else np.asarray(priorities, dtype=np.int64)
+            )
         tenancy = self.tenancy
         if tenancy is not None:
             tenants = tenancy.registry_indices(tenants, tenant_names, n)
-        elif tenants is not None and tuple(tenant_names) != self._tenant_names:
-            self._tenant_names = tuple(tenant_names)
-            self._tenant_index = {name: i for i, name in enumerate(tenant_names)}
+        else:
+            names = tuple(tenant_names) if tenants is not None else ()
+            if names != self._tenant_names:
+                if any(queue["times"] for queue in self._queued):  # indices into the old names
+                    raise ConfigurationError("tenant names changed with requests queued")
+                self._tenant_names = names
+        if tenants is not None:
+            tenants = np.asarray(tenants, dtype=np.int64)
         names = self._tenant_names
 
         # Rows no policy has decided yet; each stage below closes some.
@@ -412,30 +466,27 @@ class Fleet:
                     tenants[lost] if tenants is not None else None, names,
                 )
             )
-        # One wire row per forwarded request, on its worker's batch.
-        times, workers = times[open_rows].tolist(), worker[open_rows].tolist()
-        trace_ids: Sequence[Optional[int]] = [None] * len(times)
+        # The forwarded rows join their worker's columns for the next tick.
+        columns = {"times": times[open_rows], "priority": priorities[open_rows]}
+        workers = worker[open_rows]
         if self.trace_requests and self.telemetry is not None:
             first = self._next_trace_id
-            self._next_trace_id += len(times)
-            trace_ids = range(first, self._next_trace_id)
+            self._next_trace_id += len(workers)
+            columns["trace_id"] = np.arange(first, self._next_trace_id, dtype=np.int64)
             tracer = self.telemetry.tracer
-            for trace_id, at, worker_id in zip(trace_ids, times, workers):
+            for trace_id, at, worker_id in zip(
+                range(first, self._next_trace_id), columns["times"].tolist(), workers.tolist()
+            ):
                 self._stitch[trace_id] = tracer.begin_detached(
                     "edge.request", at=at, trace_id=trace_id, worker=worker_id
                 )
-        rows = [
-            [at, trace_id, "edge", priority]
-            for at, trace_id, priority in zip(times, trace_ids, priorities[open_rows].tolist())
-        ]
         if tenants is not None:
-            # The 5th element is only present with a tenant tag, so
-            # untenanted runs keep the pre-tenancy wire format.
-            for row, index in zip(rows, tenants[open_rows].tolist()):
-                if names[index]:
-                    row.append(names[index])
-        for worker_id, row in zip(workers, rows):
-            self._queued[worker_id].append(row)
+            columns["tenant"] = tenants[open_rows]
+        for worker_id, queue in enumerate(self._queued):
+            rows = workers == worker_id
+            if rows.any():
+                for key, column in columns.items():
+                    queue.setdefault(key, []).append(column[rows])
 
     def _settle(self, batch: OutcomeBatch) -> None:
         """Hand terminal outcomes to the sink, tally them for the SLO
@@ -480,28 +531,30 @@ class Fleet:
     def _dispatch_tick(self) -> None:
         self.start()
         end = self.now + self.dt_s
-        batches = self._queued
-        self._queued = [[] for _ in batches]
+        messages = [self._step_message(queue) for queue in self._queued]
+        self._queued = [_empty_queue() for _ in messages]
         posted: List[WorkerHandle] = []
-        for handle, batch in zip(self.workers, batches):
+        for handle, message in zip(self.workers, messages):
             try:
-                handle.post({"cmd": "step", "arrivals": batch})
+                handle.post(message)
             except TransportError:
-                self._fail_batch(handle.spec.worker_id, batch, end)
+                self._fail_batch(handle.spec.worker_id, message, end)
                 continue
             posted.append(handle)
         for handle in posted:
             wid = handle.spec.worker_id
             try:
                 reply = handle.collect()
-            except TransportError:
-                self._fail_batch(wid, batches[wid], end)
+                if not reply.get("ok"):
+                    raise ValueError(f"the worker refused the frame: {reply.get('error')}")
+                batch = self._reply_batch(messages[wid], reply)
+                self._absorb_ad(wid, reply)
+            except (TransportError, ValueError):
+                # Dead, refused or malformed: nothing of this reply is used.
+                self._fail_batch(wid, messages[wid], end)
                 continue
-            self._absorb_ad(reply)
-            if not reply.get("ok"):  # the worker refused the frame
-                self._fail_batch(wid, batches[wid], end)
-            elif reply["outcomes"]:
-                self._settle(self._reply_batch(reply["outcomes"]))  # type: ignore[arg-type]
+            if len(batch):
+                self._settle(batch)
 
         self.now = end
         self._tick_index += 1
@@ -515,37 +568,47 @@ class Fleet:
         if self.telemetry_every_ticks > 0 and self._tick_index % self.telemetry_every_ticks == 0:
             self.refresh_fleet_view()
 
-    def _tenant_column(self, tags: Sequence[object]) -> Optional[np.ndarray]:
-        """Tenant tags as indices into the fleet's vocabulary (``None``
-        when nothing in this fleet is tagged)."""
-        if not self._tenant_names:
-            return None
-        return np.array([self._tenant_index[tag] for tag in tags], dtype=np.int64)
+    def _step_message(self, queue: Dict[str, List[np.ndarray]]) -> Dict[str, object]:
+        """One worker's queued column slices as its ``step`` request."""
+        message: Dict[str, object] = {"cmd": "step"}
+        for key, parts in queue.items():
+            message[key] = join_columns(key, parts)
+        if "tenant" in message:
+            message["tenant_names"] = list(self._tenant_names)
+        return message
 
-    def _reply_batch(self, records: List[Dict[str, object]]) -> OutcomeBatch:
-        """A worker's outcome records (rejects first, then completions)
-        as columns."""
-        *numeric, trace_id, reason, priority, tenant = zip(*map(_REPLY_COLUMNS, records))
-        return OutcomeBatch(
-            *map(np.array, numeric),
-            list(trace_id) if self.trace_requests else None,
-            np.array([_REASON_CODE[why] for why in reason], dtype=np.int8),
-            np.array(priority), self._tenant_column(tenant), self._tenant_names,
-        )
+    def _reply_batch(self, message: Dict[str, object], reply: Dict[str, object]) -> OutcomeBatch:
+        """A worker's reply columns (rejects first, then completions) as
+        one batch; ``ValueError`` unless they answer ``message`` row for
+        row in the protocol's dtypes and vocabularies."""
+        n = len(message["times"])  # type: ignore[arg-type]
+        columns = [
+            wire_column(reply, name, n, len(REASONS) if name == "reason" else None)
+            for name in STEP_REPLY_COLUMNS
+        ]
+        trace_id = tenant = None
+        if self.trace_requests and "trace_id" in reply:  # the worker traces too
+            trace_id = wire_column(reply, "trace_id", n).tolist()
+        if "tenant" in message:
+            tenant = wire_column(reply, "tenant", n, len(self._tenant_names))
+            if reply.get("tenant_names") != message["tenant_names"]:
+                raise ValueError("'tenant_names' are not the names that were posted")
+        return OutcomeBatch(*columns[:6], trace_id, *columns[6:], tenant, self._tenant_names)
 
-    def _fail_batch(self, worker_id: int, batch: List[List[object]], at: float) -> None:
+    def _fail_batch(self, worker_id: int, message: Dict[str, object], at: float) -> None:
         """A broken worker: its whole tick batch dies as connection 500s."""
         self.breakers[worker_id].record_failure(at)
-        n = len(batch)
+        times: np.ndarray = message["times"]  # type: ignore[assignment]
+        n = len(times)
         if n:
+            trace_id: Optional[np.ndarray] = message.get("trace_id")  # type: ignore[assignment]
             self._settle(
                 OutcomeBatch(
-                    np.full(n, 500), np.full(n, worker_id), np.array([row[0] for row in batch]),
+                    np.full(n, 500), np.full(n, worker_id), times,
                     np.full(n, at), np.zeros(n), np.zeros(n),
-                    [row[1] for row in batch] if self.trace_requests else None,
-                    np.full(n, _CONNECTION, dtype=np.int8), np.array([row[3] for row in batch]),
-                    self._tenant_column([row[4] if len(row) > 4 else "" for row in batch]),
-                    self._tenant_names,
+                    trace_id.tolist() if trace_id is not None else None,
+                    np.full(n, _CONNECTION, dtype=np.int8), message["priority"],
+                    message.get("tenant"), self._tenant_names,
                 )
             )
         if self.telemetry is not None:
@@ -590,7 +653,7 @@ class Fleet:
         """Snapshot edge + every worker over the wire.  Raises
         :class:`CheckpointError` unless every worker is alive and
         quiescent and nothing is queued for the next tick."""
-        queued = sum(len(batch) for batch in self._queued)
+        queued = sum(len(part) for queue in self._queued for part in queue["times"])
         if queued:
             raise CheckpointError(
                 f"cannot checkpoint with {queued} requests queued for the next tick"
@@ -635,7 +698,11 @@ class Fleet:
         self.start()
         for handle, worker_state in zip(self.workers, section["workers"]):
             message = {"cmd": "restore", "state": worker_state}
-            self._absorb_ad(self._command(handle, message, "failed restore"))
+            reply = self._command(handle, message, "failed restore")
+            try:
+                self._absorb_ad(handle.spec.worker_id, reply)
+            except TransportError as exc:
+                raise CheckpointError(f"restore: {exc}") from exc
         self._tick_index = int(edge["tick"])  # type: ignore[arg-type]
         self.now = float(edge["now"])  # type: ignore[arg-type]
         _set_rng_state(self._rng, edge["rng"])  # type: ignore[arg-type]

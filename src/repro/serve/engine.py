@@ -24,7 +24,7 @@ fluid queue cap) is what bounds the backlog under an open-loop spike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,8 +92,6 @@ OnComplete = Callable[[TxnOutcome], None]
 REASONS = ("", "queue-limit", "quota", "brownout", "connection")
 _QUEUE_LIMIT, _QUOTA, _BROWNOUT, _CONNECTION = 1, 2, 3, 4
 
-_OUTCOME_FIELDS = tuple(f.name for f in fields(TxnOutcome))
-
 
 class OutcomeBatch:
     """Terminal outcomes of many transactions, one column per
@@ -142,12 +140,12 @@ class OutcomeBatch:
     def __len__(self) -> int:
         return len(self.status)
 
-    def _columns(self) -> List[list]:
-        """Every column as a list of Python values, in field order."""
+    def rows(self) -> List[TxnOutcome]:
+        """The batch as one :class:`TxnOutcome` per row."""
         n = len(self)
         status = self.status.tolist()
         names = self.tenant_names
-        return [
+        columns = (  # Python values, in field order
             [code == 200 for code in status],
             status,
             self.node_id.tolist(),
@@ -161,15 +159,8 @@ class OutcomeBatch:
             [names[code] for code in self.tenant.tolist()]
             if self.tenant is not None
             else [""] * n,
-        ]
-
-    def rows(self) -> List[TxnOutcome]:
-        """The batch as one :class:`TxnOutcome` per row."""
-        return [TxnOutcome(*row) for row in zip(*self._columns())]
-
-    def as_records(self) -> List[Dict[str, object]]:
-        """The batch as JSON-able dicts, ``asdict(TxnOutcome)`` layout."""
-        return [dict(zip(_OUTCOME_FIELDS, row)) for row in zip(*self._columns())]
+        )
+        return [TxnOutcome(*row) for row in zip(*columns)]
 
 
 class AdmissionBatch:

@@ -3,19 +3,20 @@
 One worker owns one :class:`~repro.serve.engine.ServerEngine` shard —
 its own routing RNG, admission controller, load monitor and (optionally)
 online control loop — and advances it in lock step with the edge: every
-``step`` message carries the arrivals routed to this shard for one tick,
-the worker submits them, ticks the engine once, and replies with the
-terminal :class:`~repro.serve.engine.TxnOutcome` of every request plus a
+``step`` message carries the arrivals routed to this shard for one tick
+as columns, the worker hands them to ``engine.submit_batch``, ticks the
+engine once, and replies with the terminal outcome of every request —
+the columns of an :class:`~repro.serve.engine.OutcomeBatch` — plus a
 small health advertisement (machines, current queue estimate).  Because
 the edge is the only initiator and each request gets exactly one reply,
 the distributed session is deterministic regardless of process
 scheduling — the same property the virtual clock gives the single-
 process session.
 
-The command protocol (JSON over :mod:`repro.serve.transport`)::
+The command protocol (frames of :mod:`repro.serve.transport`)::
 
-    {"cmd": "hello"}                      -> identity + capacity ad
-    {"cmd": "step", "arrivals": [...]}    -> outcomes + capacity ad
+    {"cmd": "hello"}                      -> protocol version + capacity ad
+    {"cmd": "step", <request columns>}    -> <reply columns> + capacity ad
     {"cmd": "healthz"}                    -> full engine healthz
     {"cmd": "capture"}                    -> engine+control snapshot
     {"cmd": "restore", "state": {...}}    -> ok (fresh engines only)
@@ -23,13 +24,22 @@ The command protocol (JSON over :mod:`repro.serve.transport`)::
     {"cmd": "telemetry_delta"}            -> new-or-changed metrics/events
     {"cmd": "shutdown"}                   -> ok; the process exits
 
+A ``step`` request holds one row per arrival, in arrival order:
+``times`` (float64) and ``priority`` (int64), optionally ``trace_id``
+(int64; 0 = none minted at the edge) and ``tenant`` (int64 indices into
+the ``tenant_names`` list beside it).  The reply holds one row per
+request — the rows shed at submission first, then the tick's completions
+— in the columns of :data:`STEP_REPLY_COLUMNS`, plus ``trace_id`` when
+this worker traces requests and ``tenant`` + ``tenant_names`` when the
+request carried them.
+
 Every reply carries ``"ok"``; handler errors come back as
 ``{"ok": false, "error": ...}`` so a worker never dies on a bad command
 (it dies on a broken transport, which is the edge going away).
 
 :class:`WorkerHandle` is the edge-side proxy.  Its ``inproc`` mode
 drives a :class:`WorkerServer` directly in-process through the same
-message dicts — byte-identical protocol, no sockets — which is what the
+message dicts — identical protocol, no frames, no sockets — which is what the
 unit tests (and coverage) exercise; ``pipe`` and ``tcp`` put a real
 process boundary behind the identical messages.
 """
@@ -38,7 +48,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +58,7 @@ from repro.serve.engine import OutcomeBatch, ServerEngine
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.transport import (
     DEFAULT_TIMEOUT_S,
+    PROTOCOL_VERSION,
     PipeTransport,
     TcpTransport,
     connect_transport,
@@ -64,7 +75,48 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Transport modes a distributed session can run its workers over.
 TRANSPORT_MODES = ("pipe", "tcp", "inproc")
 
+#: The outcome columns of a ``step`` reply, in
+#: :class:`~repro.serve.engine.OutcomeBatch` field order (``reason``
+#: holds indices into :data:`~repro.serve.engine.REASONS`).
+STEP_REPLY_COLUMNS = (
+    "status", "node_id", "submitted_at", "completed_at", "latency_ms", "retry_after_s",
+    "reason", "priority",
+)
+#: Wire dtype of every ``step`` column, request and reply.
+STEP_DTYPES = {
+    "times": np.float64, "priority": np.int64, "trace_id": np.int64, "tenant": np.int64,
+    "status": np.int64, "node_id": np.int64, "submitted_at": np.float64,
+    "completed_at": np.float64, "latency_ms": np.float64, "retry_after_s": np.float64,
+    "reason": np.int8,
+}
+
 _SPAWN = multiprocessing.get_context("spawn")
+
+
+def wire_column(
+    message: Dict[str, object], key: str, rows: Optional[int] = None, codes: Optional[int] = None
+) -> np.ndarray:
+    """``message[key]`` checked to be a one-dimensional column of its
+    :data:`STEP_DTYPES` dtype (of ``rows`` rows; holding indices into
+    ``codes`` values); ``ValueError`` otherwise.  Either end of the
+    ``step`` exchange validates what the other sent with it."""
+    column = message.get(key)
+    dtype = STEP_DTYPES[key]
+    if not isinstance(column, np.ndarray) or column.dtype != dtype or column.ndim != 1:
+        raise ValueError(f"{key!r} is not a {np.dtype(dtype).name} column")
+    if rows is not None and len(column) != rows:
+        raise ValueError(f"{key!r} has {len(column)} rows, expected {rows}")
+    if codes is not None and len(column) and not 0 <= column.min() <= column.max() < codes:
+        raise ValueError(f"{key!r} holds indices outside its {codes} values")
+    return column
+
+
+def join_columns(key: str, parts: List[np.ndarray]) -> np.ndarray:
+    """``parts`` end to end as the ``step`` column ``key``."""
+    dtype = STEP_DTYPES[key]
+    if len(parts) == 1:
+        return np.asarray(parts[0], dtype=dtype)
+    return np.concatenate(parts, dtype=dtype) if parts else np.zeros(0, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -202,7 +254,7 @@ class WorkerServer:
         cmd = message.get("cmd")
         try:
             if cmd == "hello":
-                reply: Dict[str, object] = {"ok": True}
+                reply: Dict[str, object] = {"ok": True, "protocol": PROTOCOL_VERSION}
             elif cmd == "step":
                 reply = self._cmd_step(message)
             elif cmd == "healthz":
@@ -230,43 +282,48 @@ class WorkerServer:
 
     def _run_step(self, message: Dict[str, object]) -> Dict[str, object]:
         engine = self.engine
-        arrivals: List[list] = message.get("arrivals", ())  # type: ignore[assignment]
+        tenants: Optional[np.ndarray] = None
+        tenant_names: Sequence[str] = ()
+        traces: Optional[List[Optional[TraceContext]]] = None
         try:
-            times = np.array([float(row[0]) for row in arrivals])
-            priorities = np.array([int(row[3]) for row in arrivals], dtype=np.int64)
-            # 4 elements pre-tenancy, 5 with a tenant tag at the edge.
-            tenant_tags = [str(row[4]) if len(row) > 4 else "" for row in arrivals]
-            traces = (
-                [
-                    TraceContext(int(row[1]), str(row[2])) if row[1] is not None else None
-                    for row in arrivals
-                ]
-                if engine.request_tracer is not None
-                else None
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            return {"ok": False, "error": f"malformed step frame: {exc!r}"}
-        tenant_names = sorted(set(tenant_tags))
-        index_of = {name: index for index, name in enumerate(tenant_names)}
+            times = wire_column(message, "times")
+            n = len(times)
+            priorities = wire_column(message, "priority", n)
+            if "tenant" in message:
+                tenant_names = message.get("tenant_names")  # type: ignore[assignment]
+                if not isinstance(tenant_names, list) or not all(
+                    isinstance(name, str) for name in tenant_names
+                ):
+                    raise ValueError("'tenant_names' is not a list of strings")
+                tenants = wire_column(message, "tenant", n, len(tenant_names))
+            if "trace_id" in message and engine.request_tracer is not None:
+                trace_ids = wire_column(message, "trace_id", n).tolist()
+                # 0: the edge minted no id for this row; the engine does.
+                traces = [TraceContext(tid, "edge") if tid else None for tid in trace_ids]
+        except ValueError as exc:
+            return {"ok": False, "error": f"malformed step frame: {exc}"}
         batches: List[OutcomeBatch] = []
         engine.submit_batch(
-            times,
-            np.array([index_of[tag] for tag in tenant_tags], dtype=np.int64),
-            priorities,
-            batches.append,
-            tenant_names=tenant_names,
-            traces=traces,
+            times, tenants, priorities, batches.append,
+            tenant_names=tenant_names, traces=traces,
         )
         record = engine.tick()
-        return {
-            "ok": True,
-            # Rejects first (they resolve at submission), then the tick's
-            # completions; rows in TxnOutcome field order.
-            "outcomes": [row for batch in batches for row in batch.as_records()],
-            "now": engine.now,
-            "admitted": int(record["admitted"]),
-            "rejected": int(record["rejected"]),
-        }
+        # Rejects first (they resolve at submission), then the tick's
+        # completions.
+        reply: Dict[str, object] = {"ok": True}
+        for name in STEP_REPLY_COLUMNS:
+            reply[name] = join_columns(name, [getattr(batch, name) for batch in batches])
+        if engine.request_tracer is not None:
+            reply["trace_id"] = np.array(
+                [tid for batch in batches for tid in batch.trace_id], dtype=np.int64
+            )
+        if tenants is not None:
+            reply["tenant"] = join_columns("tenant", [batch.tenant for batch in batches])
+            reply["tenant_names"] = tenant_names
+        reply["now"] = engine.now
+        reply["admitted"] = int(record["admitted"])
+        reply["rejected"] = int(record["rejected"])
+        return reply
 
     def _cmd_restore(self, message: Dict[str, object]) -> Dict[str, object]:
         state = message.get("state")
@@ -301,7 +358,7 @@ def worker_main(spec_dict: Dict[str, object], mode: str, endpoint) -> None:
         transport = connect_transport(str(host), int(port), timeout_s=DEFAULT_TIMEOUT_S)
         transport.timeout_s = None  # block between ticks; EOF ends us
         transport.sock.settimeout(None)
-        transport.send({"worker": spec.worker_id})
+        transport.send({"worker": spec.worker_id, "protocol": PROTOCOL_VERSION})
     else:  # pragma: no cover - guarded by WorkerHandle
         raise ConfigurationError(f"unknown worker transport mode {mode!r}")
     server = WorkerServer(spec)
@@ -323,7 +380,7 @@ class WorkerHandle:
     """Edge-side proxy for one worker, over any transport mode.
 
     ``inproc`` runs the :class:`WorkerServer` in the calling process —
-    the same message dicts, no serialization — and exists so the
+    the same message dicts, columns passed by reference — and exists so the
     deterministic unit tests (and line coverage) can exercise the full
     edge/worker protocol without process scheduling in the loop.
     ``pipe`` and ``tcp`` spawn a real worker process.

@@ -588,7 +588,6 @@ def test_fold_equals_record_loop():
     rows = batch.rows()
     assert all(isinstance(row, TxnOutcome) for row in rows)
     assert [row.reason for row in rows] == [REASONS[code] for code in reason]
-    assert batch.as_records() == [row.__dict__ for row in rows]
 
     folded, recorded = LoadgenReport(), LoadgenReport()
     folded.fold(batch)

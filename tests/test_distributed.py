@@ -11,7 +11,9 @@ import errno
 import json
 import os
 import socket
+import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -30,11 +32,14 @@ from repro.serve import (
     run_soak,
 )
 from repro.serve.checkpoint import CheckpointConfig
+from repro.serve.engine import REASONS
 from repro.serve.transport import (
+    PROTOCOL_VERSION,
     accept_transport,
     bind_listener,
     connect_transport,
 )
+from repro.serve.worker import STEP_DTYPES, STEP_REPLY_COLUMNS
 from repro.telemetry import Telemetry
 from repro.telemetry.slo import SLOConfig
 
@@ -48,6 +53,15 @@ def specs(n=2, **kwargs):
     )
     defaults.update(kwargs)
     return [WorkerSpec(worker_id=i, seed=i, **defaults) for i in range(n)]
+
+
+def step(arrivals, **columns):
+    """A ``step`` request for arrivals at the given times, all of normal
+    priority; ``columns`` add to or replace its fields (``None`` drops one)."""
+    times = np.asarray(arrivals, dtype=np.float64)
+    message = {"cmd": "step", "times": times, "priority": np.zeros(len(times), dtype=np.int64)}
+    message.update(columns)
+    return {key: value for key, value in message.items() if value is not None}
 
 
 def make_session(n=2, *, rate=150.0, duration=40.0, seed=3, **kwargs):
@@ -66,9 +80,19 @@ class TestTransports:
             host, port = listener.getsockname()
             client = connect_transport(host, port, timeout_s=5.0)
             server = accept_transport(listener, timeout_s=5.0)
-            message = {"cmd": "step", "arrivals": [[0.5, 1, "edge", 0]] * 100}
-            client.send(message)
-            assert server.recv(timeout_s=5.0) == message
+            # Far more than the socket buffers hold: the sender blocks
+            # until the receiver has looped over partial reads.
+            message = step(np.arange(400_000) / 7.0, tenant_names=["a", ""])
+            sender = threading.Thread(target=client.send, args=(message,))
+            sender.start()
+            received = server.recv(timeout_s=5.0)
+            sender.join(timeout=5.0)
+            assert not sender.is_alive()
+            assert list(received) == ["cmd", "tenant_names", "times", "priority"]
+            assert received["cmd"] == "step" and received["tenant_names"] == ["a", ""]
+            for key in ("times", "priority"):
+                assert received[key].dtype == message[key].dtype
+                assert np.array_equal(received[key], message[key])
             server.send({"ok": True})
             assert client.recv(timeout_s=5.0) == {"ok": True}
             client.close()
@@ -149,16 +173,15 @@ class TestWorkerProtocol:
             specs(1, trace_requests=True, collect_telemetry=True)[0]
         )
         reply = server.handle(
-            {
-                "cmd": "step",
-                "now": 1.0,
-                "arrivals": [[0.2, 7, "edge", 0], [0.4, 8, "edge", 1]],
-            }
+            step([0.2, 0.4], priority=np.array([0, 1]), trace_id=np.array([7, 8]))
         )
         assert reply["ok"] is True
-        outcomes = reply["outcomes"]
-        assert {o["trace_id"] for o in outcomes} == {7, 8}
-        assert all(o["status"] in (200, 503) for o in outcomes)
+        assert set(reply["trace_id"].tolist()) == {7, 8}
+        assert set(reply["status"].tolist()) <= {200, 503}
+        assert sorted(reply["priority"].tolist()) == [0, 0]  # completions report normal
+        assert "tenant" not in reply  # none was posted
+        for name in STEP_REPLY_COLUMNS:
+            assert reply[name].dtype == STEP_DTYPES[name] and len(reply[name]) == 2
 
     def test_unknown_command_is_an_error_reply(self):
         server = WorkerServer(specs(1)[0])
@@ -169,23 +192,32 @@ class TestWorkerProtocol:
     @pytest.mark.parametrize(
         "frame",
         [
-            {"cmd": "step", "arrivals": [["x", None, "edge", 0]]},
-            {"cmd": "step", "arrivals": [[1.0]]},
-            {"cmd": "step", "arrivals": 5},
+            step([1.0, 1.5], priority=np.zeros(1, dtype=np.int64)),
+            step([1.0], times=["x"]),
+            step([1.0], times=np.array([1], dtype=np.int64)),
+            step([1.0], tenant=np.array([2]), tenant_names=["a", "b"]),
+            step([1.0], tenant=np.array([-1]), tenant_names=["a", "b"]),
+            step([1.0], tenant=np.array([0])),
+            step([1.0], priority=None),
+            step([1.0], trace_id=np.array([1.0])),
             {"cmd": "restore"},
             {"cmd": "restore", "state": {}},
         ],
-        ids=["bad-time", "short-row", "not-a-list", "no-state", "empty-state"],
+        ids=[
+            "short-column", "bad-times", "integer-times", "tenant-past-the-names",
+            "negative-tenant", "tenant-without-names", "no-priority", "float-trace-id",
+            "no-state", "empty-state",
+        ],
     )
     def test_malformed_frame_is_an_error_reply_not_a_dead_shard(self, frame):
-        server = WorkerServer(specs(1)[0])
-        assert server.handle({"cmd": "step", "arrivals": [[0.5, None, "edge", 0]]})["ok"]
+        server = WorkerServer(specs(1, trace_requests=True, collect_telemetry=True)[0])
+        assert server.handle(step([0.5]))["ok"]
         ticks = server.engine.ticks
         reply = server.handle(frame)
         assert reply["ok"] is False and reply["error"]
         assert server.engine.ticks == ticks and server.engine.pending_requests == 0
-        after = server.handle({"cmd": "step", "arrivals": [[1.5, None, "edge", 0]]})
-        assert after["ok"] is True and len(after["outcomes"]) == 1
+        after = server.handle(step([1.5]))
+        assert after["ok"] is True and len(after["status"]) == 1
         assert server.engine.ticks == ticks + 1
 
     def test_spec_round_trips_through_dict(self):
@@ -252,21 +284,76 @@ class TestDistributedSession:
         assert a.summary() == b.summary()
         assert a.latencies_ms == b.latencies_ms
 
-    def test_refused_step_frame_fails_the_batch_closed(self):
-        """A worker that answers a ``step`` with an error reply served
-        nothing: its batch ends as 500s instead of vanishing."""
-        with make_session(1, rate=50.0) as session:
-            session.run(2.0)
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda reply: {"ok": False, "error": "refused"},
+            lambda reply: {k: v for k, v in reply.items() if k != "machines"},
+            lambda reply: {**reply, "queue_seconds": "soon"},
+            lambda reply: {**reply, "machines": float("nan")},
+            lambda reply: {**reply, "worker": 7},
+            lambda reply: {k: v for k, v in reply.items() if k != "latency_ms"},
+            lambda reply: {**reply, "status": reply["status"][:-1]},
+            lambda reply: {
+                k: v[:-1] if isinstance(v, np.ndarray) else v for k, v in reply.items()
+            },
+            lambda reply: {**reply, "node_id": reply["node_id"].astype(np.float64)},
+            lambda reply: {**reply, "completed_at": reply["completed_at"].tolist()},
+            lambda reply: {**reply, "reason": np.full_like(reply["reason"], len(REASONS))},
+            lambda reply: {**reply, "reason": np.full_like(reply["reason"], -1)},
+        ],
+        ids=[
+            "refused", "ad-field-missing", "ad-not-a-number", "ad-not-finite",
+            "ad-of-another-worker", "column-missing", "column-ragged", "fewer-rows-than-posted",
+            "column-of-another-dtype", "column-not-an-array", "reason-past-REASONS",
+            "negative-reason",
+        ],
+    )
+    def test_refused_step_frame_fails_the_batch_closed(self, tamper):
+        """A worker that answers a ``step`` with an error reply — or with
+        a reply the edge cannot take row for row — served nothing: its
+        batch ends as 500s instead of vanishing or raising out of
+        ``tick()``, and the fleet carries on."""
+        telemetry = Telemetry()
+        with make_session(1, rate=50.0, telemetry=telemetry) as session:
+            before = session.run(2.0).accepted
             server = session.workers[0].server
             handle = server.handle
             server.handle = lambda message: (
-                {"ok": False, "error": "refused"}
-                if message.get("cmd") == "step"
-                else handle(message)
+                tamper(handle(message)) if message.get("cmd") == "step" else handle(message)
             )
+            advertised = dict(session.engine.advertised)
             report = session.run(1.0)
-        assert report.errored > 0 and report.conserved
-        assert report.offered == report.accepted + report.errored
+            lost = report.errored
+            assert lost > 0 and report.conserved and report.accepted == before
+            assert session.engine.advertised == advertised  # nothing of the reply was used
+            assert telemetry.counter("edge.worker_batch_failures").value == 1
+            assert [e["lost"] for e in telemetry.timeline.events_of("worker_down")] == [lost]
+            server.handle = handle
+            report = session.run(2.0)
+        assert report.errored == lost and report.accepted > before and report.conserved
+        assert report.offered == report.accepted + report.rejected + report.errored
+
+    def test_start_refuses_a_worker_on_another_protocol_version(self, monkeypatch):
+        """The version check runs on ``hello``, before any ``step``."""
+        monkeypatch.setattr("repro.serve.worker.PROTOCOL_VERSION", PROTOCOL_VERSION - 1)
+        session = make_session(1)
+        with pytest.raises(TransportError) as refused:
+            session.start()
+        assert f"protocol {PROTOCOL_VERSION - 1}" in str(refused.value)
+        assert f"speaks {PROTOCOL_VERSION}" in str(refused.value)
+        assert session.workers[0].server.engine.ticks == 0
+        assert not session.workers[0].alive  # the fleet was shut down again
+
+    def test_start_refuses_a_hello_without_a_protocol_version(self):
+        session = make_session(1)
+        server = session.workers[0].server
+        handle = server.handle
+        server.handle = lambda message: {
+            k: v for k, v in handle(message).items() if k != "protocol"
+        }
+        with pytest.raises(TransportError, match="protocol None"):
+            session.start()
 
     def test_healthz_reports_fleet(self):
         with make_session() as session:

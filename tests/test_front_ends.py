@@ -172,7 +172,7 @@ def test_second_by_second_equals_one_run(front_end, scenario):
 @pytest.mark.parametrize("mode", ["pipe", "tcp"])
 @pytest.mark.parametrize("scenario", ["overload", "tagged"])
 def test_process_boundary_changes_nothing(scenario, mode):
-    """Real worker processes behind the JSON wire, two shards."""
+    """Real worker processes behind the wire, two shards."""
     assert served(FleetOf(2, mode), scenario) == served(FLEET_2, scenario)
 
 

@@ -19,7 +19,9 @@ latency and Retry-After lists, the engine's float accumulators and —
 where telemetry is on — every metric record and the time-series dump.
 Every scenario is asserted for ``run(N)`` and for ``N x run(1.0)``, and
 a worker ``step`` exchange is compared row for row against the JSON the
-pre-change worker produced (``tests/golden/worker_step_replies.json``).
+pre-change worker produced (``tests/golden/worker_step_replies.json``):
+the arrivals go in as columns and the reply's columns are turned back
+into that file's records by ``_reply_records``.
 
 Three more pin the distributed path, taken on the commit *before* the
 edge became a ``Fleet`` engine under ``ServeSession`` (``60750f7``,
@@ -71,7 +73,8 @@ from repro.serve import (
     ServerEngine,
     poisson_arrivals,
 )
-from repro.serve.worker import WorkerServer, WorkerSpec
+from repro.serve.engine import OutcomeBatch
+from repro.serve.worker import STEP_REPLY_COLUMNS, WorkerServer, WorkerSpec
 from repro.telemetry import Telemetry, TimeSeriesStore
 from repro.telemetry.slo import SLOConfig
 from repro.tenancy import TenantAdmission, TenantRegistry, TenantSpec, composite_arrivals
@@ -412,8 +415,23 @@ def run_fleet(name: str, *, stepped: bool) -> str:
 # ----------------------------------------------------------------------
 # Worker step exchange
 # ----------------------------------------------------------------------
+def _reply_records(reply):
+    """A columnar ``step`` reply in the layout of the JSON-rows reply the
+    golden file holds: one ``asdict(TxnOutcome)`` per row under
+    ``outcomes``, then the scalar fields in their old order."""
+    columns = [reply[name] for name in STEP_REPLY_COLUMNS]
+    batch = OutcomeBatch(
+        *columns[:6], reply["trace_id"].tolist(), *columns[6:],
+        reply.get("tenant"), reply.get("tenant_names", ()),
+    )
+    records = {"ok": reply["ok"], "outcomes": [asdict(row) for row in batch.rows()]}
+    for key in ("now", "admitted", "rejected", "worker", "machines", "queue_seconds"):
+        records[key] = reply[key]
+    return records
+
+
 def worker_step_replies():
-    """A traced worker stepped through an overload: every reply dict."""
+    """A traced worker stepped through an overload: every reply, as records."""
     server = WorkerServer(
         WorkerSpec(
             worker_id=0, initial_nodes=1, max_nodes=2, saturation_rate_per_node=6.0,
@@ -426,17 +444,19 @@ def worker_step_replies():
     trace_id = 1
     for tick in range(6):
         count = (14, 0, 9, 3, 11, 1)[tick]
-        times = np.sort(tick + rng.random(count))
-        arrivals = []
-        for i, t in enumerate(times.tolist()):
-            row = [t, trace_id, "edge", i % 2]
-            if tick % 2 == 0:
-                row.append(("alpha", "beta", "")[i % 3])
-            if i % 5 == 4:
-                row[1] = None  # untraced request: the worker mints the id
-            arrivals.append(row)
-            trace_id += 1
-        replies.append(server.handle({"cmd": "step", "arrivals": arrivals}))
+        rows = np.arange(count)
+        message = {
+            "cmd": "step",
+            "times": np.sort(tick + rng.random(count)),
+            "priority": rows % 2,
+            # 0 = untraced request: the worker mints the id
+            "trace_id": np.where(rows % 5 == 4, 0, trace_id + rows),
+        }
+        if tick % 2 == 0:
+            message["tenant"] = rows % 3
+            message["tenant_names"] = ["alpha", "beta", ""]
+        trace_id += count
+        replies.append(_reply_records(server.handle(message)))
     return replies
 
 
