@@ -43,7 +43,8 @@ soak-smoke:
 ## Multi-tenant serving smoke (docs/SERVING.md § Multi-tenant serving):
 ## a three-tenant spec end to end — composite workload, token-bucket
 ## quota enforcement, exact per-tenant conservation, per-tenant explain
-## sections; writes out/tenant-smoke-bundle.
+## sections; then the same schedule through a 2-worker fleet with the
+## policy at the edge (same quota sheds); writes out/tenant-smoke-bundle.
 tenant-smoke:
 	./scripts/tenant_smoke.sh
 

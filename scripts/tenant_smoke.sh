@@ -12,6 +12,11 @@
 #     in-flight) holds exactly for every tenant — any MISMATCH fails,
 #   * the bundle's manifest digests verify and `repro.cli explain`
 #     renders the per-tenant serving table.
+# An edge leg then serves the same spec file and the same composite
+# schedule through a 2-worker `pipe` fleet with the tenant policy at the
+# edge: per-tenant conservation must again be exact, and — the admission
+# policy chain being one piece of code wherever it runs — the batch
+# tenant's quota shed must be the single-engine leg's number.
 # CI uploads the bundle as an artifact.  See docs/SERVING.md
 # § Multi-tenant serving.
 set -euo pipefail
@@ -20,10 +25,30 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 BUNDLE="${BUNDLE_DIR:-out/tenant-smoke-bundle}"
+DURATION=1800
 SPEC=$(mktemp --suffix=.json)
 OUT=$(mktemp)
-trap 'rm -f "$SPEC" "$OUT"' EXIT
+EDGE=$(mktemp --suffix=.py)
+EDGE_OUT=$(mktemp)
+trap 'rm -f "$SPEC" "$OUT" "$EDGE" "$EDGE_OUT"' EXIT
 rm -rf "$BUNDLE"
+
+# Both legs print the same report lines; these read them.
+batch_quota_shed() {  # <output file>
+    grep -oE 'tenant batch: offered [0-9]+ \| quota shed [0-9]+' "$1" \
+        | grep -oE '[0-9]+$' || true
+}
+# Per-tenant conservation: one exact line per tenant, zero mismatches.
+assert_conserved() {  # <leg> <output file>
+    if grep -q 'MISMATCH' "$2"; then
+        echo "$1: per-tenant conservation MISMATCH — requests dropped unaccounted" >&2
+        exit 1
+    fi
+    for TENANT in storefront wiki batch; do
+        grep -q "conservation{tenant=\"$TENANT\"}: .*(exact)" "$2" \
+            || { echo "$1: no exact conservation line for tenant $TENANT" >&2; exit 1; }
+    done
+}
 
 cat >"$SPEC" <<'EOF'
 {
@@ -38,7 +63,7 @@ cat >"$SPEC" <<'EOF'
 }
 EOF
 
-python -m repro.cli serve --no-http --clock virtual --duration 1800 \
+python -m repro.cli serve --no-http --clock virtual --duration "$DURATION" \
     --tenants "$SPEC" --seed 7 \
     --saturation 60 --db-size-mb 20 --nodes 2 --max-nodes 4 \
     --interval-seconds 60 --queue-limit 8 \
@@ -50,19 +75,10 @@ grep -q 'tenants: storefront, wiki, batch' "$OUT" \
     || { echo "composite workload did not list all three tenants" >&2; exit 1; }
 # The batch tenant offers 12 req/s against an 8 req/s bucket: its quota
 # must have shed load, or tenancy enforcement is broken.
-QUOTA_SHED=$(grep -oE 'tenant batch: offered [0-9]+ \| quota shed [0-9]+' "$OUT" \
-    | grep -oE '[0-9]+$' || true)
+QUOTA_SHED=$(batch_quota_shed "$OUT")
 [ "${QUOTA_SHED:-0}" -gt 0 ] \
     || { echo "quota-capped tenant never hit its token bucket" >&2; exit 1; }
-# Per-tenant conservation: one exact line per tenant, zero mismatches.
-if grep -q 'MISMATCH' "$OUT"; then
-    echo "per-tenant conservation MISMATCH — requests dropped unaccounted" >&2
-    exit 1
-fi
-for TENANT in storefront wiki batch; do
-    grep -q "conservation{tenant=\"$TENANT\"}: .*(exact)" "$OUT" \
-        || { echo "no exact conservation line for tenant $TENANT" >&2; exit 1; }
-done
+assert_conserved "engine leg" "$OUT"
 
 [ -f "$BUNDLE/MANIFEST.json" ] || { echo "no debug bundle at $BUNDLE" >&2; exit 1; }
 python -c "from repro.telemetry.bundle import verify_bundle; verify_bundle('$BUNDLE')" \
@@ -71,4 +87,43 @@ EXPLAIN=$(python -m repro.cli explain "$BUNDLE")
 echo "$EXPLAIN"
 echo "$EXPLAIN" | grep -q 'Serving by tenant' \
     || { echo "explain is missing the per-tenant serving table" >&2; exit 1; }
-echo "tenant smoke passed: 3 tenants, quota enforced, conservation exact"
+
+# Edge leg.  A file with a __main__ guard, not a heredoc on stdin: the
+# workers are `spawn`ed, and spawn re-imports the parent's main module.
+cat >"$EDGE" <<'EOF'
+import sys
+
+from repro.serve import DistributedServeSession, WorkerSpec
+from repro.tenancy import TenantAdmission, TenantRegistry, composite_arrivals
+
+if __name__ == "__main__":
+    registry = TenantRegistry.load(sys.argv[1])
+    duration = float(sys.argv[2])
+    arrivals, indices = composite_arrivals(registry, duration, seed=7)
+    workers = [
+        WorkerSpec(
+            worker_id=wid, initial_nodes=1, max_nodes=2, seed=7 + wid,
+            saturation_rate_per_node=60.0, db_size_kb=20 * 1024.0,
+            queue_limit_seconds=8.0,
+        )
+        for wid in range(2)
+    ]
+    with DistributedServeSession(
+        workers, arrivals, mode="pipe", seed=7, tenancy=TenantAdmission(registry),
+        tenant_indices=indices, tenant_names=registry.names(),
+    ) as session:
+        report = session.run(duration)
+        print(report.conservation_line())
+        print("\n".join(report.tenant_conservation_lines()))
+        for name, counters in session.engine.tenancy.summary().items():
+            print(f"tenant {name}: offered {counters['offered']} | "
+                  f"quota shed {counters['quota_shed']}")
+EOF
+python "$EDGE" "$SPEC" "$DURATION" | tee "$EDGE_OUT"
+assert_conserved "edge leg" "$EDGE_OUT"
+EDGE_QUOTA_SHED=$(batch_quota_shed "$EDGE_OUT")
+[ "${EDGE_QUOTA_SHED:-none}" = "$QUOTA_SHED" ] \
+    || { echo "batch quota shed at the edge (${EDGE_QUOTA_SHED:-none}) is not the" \
+              "single engine's ($QUOTA_SHED): the policy chain forked" >&2; exit 1; }
+echo "tenant smoke passed: 3 tenants, quota enforced, conservation exact," \
+     "engine and edge agree on $QUOTA_SHED quota sheds"

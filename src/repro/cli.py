@@ -548,7 +548,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     """Run a sustained distributed soak and apply the CI gates."""
-    from repro.serve.soak import SoakConfig, resume_soak_session, run_soak
+    from repro.serve.soak import SoakConfig, build_soak_session, run_soak
 
     bundle_report: dict = {}
     with _session(
@@ -583,8 +583,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         )
         session = None
         if args.restore is not None:
-            session = resume_soak_session(
-                config, args.restore, telemetry=session_telemetry
+            session = build_soak_session(
+                config, session_telemetry, restore=args.restore
             )
             print(
                 f"restored distributed session from {args.restore} at "

@@ -9,12 +9,16 @@ that into explicit, fast 503 rejects instead — the overloaded node keeps
 serving the requests it already accepted at survivable latency, and the
 reject carries a ``Retry-After`` hint sized to the estimated drain time.
 
-Policy (per request):
+Queue-limit policy (per request):
 
 1. the router picks a partition (data-share weighted), giving a node;
 2. the node's estimated queueing delay is its engine backlog (seconds of
    service) plus the requests already admitted this tick;
 3. if that exceeds ``queue_limit_seconds`` the request is shed.
+
+That is the last stage of :meth:`AdmissionController.admit_batch`, the
+one policy chain an engine runs over its nodes and a fleet's edge over
+its workers (``docs/SERVING.md`` § Admission policy).
 
 ``queue_limit_seconds`` should sit below the engine's own
 ``max_queue_seconds`` cap — then shedding, not the cap, is what bounds
@@ -25,13 +29,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.serve.resilience import BrownoutConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import index_counts, labeled
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tenancy -> loadgen -> engine)
+    from repro.tenancy.admission import TenantAdmission
+
+#: ``reason`` values; the columnar forms store an index into this tuple.
+REASONS = ("", "queue-limit", "quota", "brownout", "connection")
+QUEUE_LIMIT, QUOTA, BROWNOUT, CONNECTION = 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -227,6 +239,87 @@ class AdmissionController:
         return np.where(
             np.isfinite(retry_after_s), np.maximum(floor, retry_after_s), floor
         )
+
+    def admit_batch(
+        self,
+        times: np.ndarray,
+        targets: np.ndarray,
+        tenants: Optional[np.ndarray],
+        priorities: np.ndarray,
+        closed: Optional[np.ndarray] = None,
+        *,
+        tenancy: Optional["TenantAdmission"] = None,
+        brownout: Optional[BrownoutConfig] = None,
+        queue_estimate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The admission policy chain over one batch, rows in arrival order.
+
+        Every row not in ``closed`` (decided by the caller; never
+        re-opened) meets tenant brownout (its tenant is
+        ``tenancy.sheddable``), its tenant's token bucket, low-priority
+        brownout (``priorities > 0``) and the queue limit, in that order.
+        The first stage that applies closes the row, and a closed row is
+        charged to no later stage: a brownout shed takes no token, a
+        quota shed lengthens no queue.
+
+        ``targets`` is what each row was routed to — nodes for an engine,
+        workers for an edge; the per-target counters carry these ids —
+        and ``tenants`` indexes ``tenancy.names`` (``tenancy=None``: no
+        tenant stage).  ``brownout`` is the degradation policy *while it
+        is engaged*, else ``None``: no brownout stage, the configured
+        queue limit.  ``queue_estimate`` maps the mask of rows still open
+        to every row's queueing delay if the earlier open rows on its
+        target are all admitted; without one there is no queue stage,
+        and nothing is counted admitted.
+
+        Returns ``(accepted, reason, retry_after_s)``: the rows still
+        open, and for the rows closed here an index into :data:`REASONS`
+        and the Retry-After hint (zeros elsewhere).
+        """
+        n = len(times)
+        open_rows = np.ones(n, dtype=bool) if closed is None else ~closed
+        reason = np.zeros(n, dtype=np.int8)
+        retry_after = np.zeros(n)
+
+        def close(rows: np.ndarray, why: int, hints: np.ndarray) -> None:
+            reason[rows] = why
+            retry_after[rows] = hints
+            open_rows[rows] = False
+
+        if tenancy is not None:
+            # Tenant policy first: brownout sheds whole low-weight
+            # tenants before the per-request priority check, then the
+            # tenant's token bucket is charged.  Both are RNG-free.
+            names = tenancy.names
+            if brownout is not None:
+                light = open_rows & tenancy.sheddable[tenants]
+                for index, count in index_counts(tenants[light]):
+                    tenancy.offered[names[index]] += count
+                    tenancy.brownout_shed[names[index]] += count
+                close(light, BROWNOUT, self.shed_batch(targets[light], reason="brownout"))
+            for index, _ in index_counts(tenants):
+                rows = np.flatnonzero(open_rows & (tenants == index))
+                waits = tenancy.quota_admit_many(names[index], times[rows].tolist())
+                over = [i for i, wait in enumerate(waits or ()) if wait is not None]
+                if over:
+                    rows, waits = rows[over], np.array([waits[i] for i in over])
+                    hints = self.shed_batch(targets[rows], reason="quota", retry_after_s=waits)
+                    close(rows, QUOTA, hints)
+
+        limit: Optional[float] = None
+        if brownout is not None:
+            limit = self.config.queue_limit_seconds * brownout.queue_factor
+            if brownout.shed_low_priority:
+                low = open_rows & (priorities > 0)
+                close(low, BROWNOUT, self.shed_batch(targets[low], reason="brownout"))
+
+        if queue_estimate is not None:
+            rows = np.flatnonzero(open_rows)
+            accepted, hints = self.decide_batch(
+                targets[rows], queue_estimate(open_rows)[rows], limit_s=limit
+            )
+            close(rows[~accepted], QUEUE_LIMIT, hints[~accepted])
+        return open_rows, reason, retry_after
 
     def _tally(self, nodes: np.ndarray, total_name: str, per_node_name: str) -> None:
         """Bump a fleet counter and its per-node labelled family."""

@@ -12,9 +12,9 @@ the strict request/reply protocol of :mod:`repro.serve.worker`:
 
 * :meth:`Fleet.submit_batch` routes a burst of arrivals in one draw
   (capacity-weighted over the advertised machine counts, open breakers
-  zeroed out), applies edge admission + brownout + tenant policy, sinks
-  its rejects and queues the rest per worker — as column slices, never
-  as rows;
+  zeroed out), runs the engines' admission policy chain
+  (:mod:`repro.serve.admission`) over workers and their advertised queues,
+  sinks its rejects and queues the rest per worker — as column slices;
 * :meth:`Fleet.tick` posts one ``step`` request (the queued columns) to
   every worker *before* collecting any reply — the shards compute their
   tick concurrently, but replies are folded in worker order, each reply's
@@ -28,8 +28,8 @@ the strict request/reply protocol of :mod:`repro.serve.worker`:
   shed + errored + in-flight`` stays exact through a worker crash,
   which the resilience tests pin;
 * a per-tick probe round (worker alive?) drives the breakers exactly
-  like the single-process engine's node health monitor, and brownout
-  engages while any breaker is open;
+  like the single-process engine's node health monitor, and a
+  configured brownout is engaged while any breaker is open;
 * a fleet snapshot is the ``engine`` section of an ordinary
   ``repro-serve-checkpoint/1`` document — the edge state plus every
   worker's engine snapshot, captured over the wire — and a resumed
@@ -51,9 +51,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, TransportError
-from repro.serve.admission import AdmissionConfig, AdmissionController
+from repro.serve.admission import CONNECTION, REASONS, AdmissionConfig, AdmissionController
 from repro.serve.checkpoint import CheckpointConfig
-from repro.serve.engine import REASONS, OutcomeBatch, OutcomeSink
+from repro.serve.engine import OutcomeBatch, OutcomeSink
 from repro.serve.loadgen import LoadgenReport
 from repro.serve.resilience import (
     OPEN,
@@ -89,9 +89,6 @@ from repro.telemetry.timeseries import TimeSeriesStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tenancy.admission import TenantAdmission
 
-_REASON_CODE = {reason: code for code, reason in enumerate(REASONS)}
-_QUEUE_LIMIT, _QUOTA = _REASON_CODE["queue-limit"], _REASON_CODE["quota"]
-_BROWNOUT, _CONNECTION = _REASON_CODE["brownout"], _REASON_CODE["connection"]
 _SPAN_STATUS = {200: "ok", 500: "error"}  # anything else: "shed"
 
 
@@ -122,8 +119,9 @@ class Fleet:
             each worker's *advertised* queue estimate (one tick stale);
             workers always run their own exact admission behind it.
         breaker: Per-worker circuit breaker policy.
-        brownout: Degradation policy while any breaker is open; ``None``
-            disables brownout shedding at the edge.
+        brownout: Degradation policy, engaged while any breaker is open
+            (:attr:`brownout_active`); with ``None`` the edge never
+            browns out, whatever the breakers say.
         slo: Edge-side SLO burn-rate monitoring over the aggregate
             good/bad stream (sheds and 500s count as bad).
         low_priority_fraction: Probability a request is minted
@@ -368,8 +366,8 @@ class Fleet:
         Equal to one request at a time in row order: one draw of the
         edge RNG routes the burst (two per request, priority then route,
         when ``low_priority_fraction`` is positive), and each request
-        meets tenant brownout, tenant quota, low-priority brownout and
-        the edge queue limit in that order.  Rows shed or failed here
+        goes through the admission policy chain against its worker's
+        advertised queue.  Rows shed or failed here
         reach ``sink`` as one :class:`OutcomeBatch` before this returns,
         the rest from the tick (one sink per tick).  ``priorities`` count
         only when the edge mints none; ``traces`` never.
@@ -404,63 +402,33 @@ class Fleet:
             tenants = np.asarray(tenants, dtype=np.int64)
         names = self._tenant_names
 
-        # Rows no policy has decided yet; each stage below closes some.
-        open_rows = np.ones(n, dtype=bool)
-        reason = np.zeros(n, dtype=np.int8)
-        retry_after = np.zeros(n)
-
-        def close(rows: object, why: int, hints: object = 0.0) -> None:
-            reason[rows] = why
-            retry_after[rows] = hints
-            open_rows[rows] = False
-
         worker = self._route(draws)
-        admission = self.admission
-        brownout = self.brownout if self.brownout_active else None
         if worker is None:  # nobody left to route to
             worker = np.full(n, -1)
-            close(slice(None), _CONNECTION)
+            open_rows = np.zeros(n, dtype=bool)
+            reason = np.full(n, CONNECTION, dtype=np.int8)
+            retry_after = np.zeros(n)
             if tenancy is not None:
                 for index, count in index_counts(tenants):
                     tenancy.offered[names[index]] += count
-        elif tenancy is not None:
-            # Tenant policy first: brownout sheds whole low-weight
-            # tenants before the per-request priority check, then the
-            # tenant's token bucket is charged.
-            light = tenancy.sheddable[tenants]
-            if self.brownout_active and light.any():
-                for index, count in index_counts(tenants[light]):
-                    tenancy.offered[names[index]] += count
-                    tenancy.record_brownout_shed(names[index], count)
-                close(light, _BROWNOUT, admission.shed_batch(worker[light], reason="brownout"))
-            for index, _ in index_counts(tenants):
-                rows = np.flatnonzero(open_rows & (tenants == index))
-                waits = tenancy.quota_admit_many(names[index], times[rows].tolist())
-                over = [i for i, wait in enumerate(waits or ()) if wait is not None]
-                if over:
-                    rows, waits = rows[over], np.array([waits[i] for i in over])
-                    hints = admission.shed_batch(worker[rows], reason="quota", retry_after_s=waits)
-                    close(rows, _QUOTA, hints)
-        if brownout is not None and brownout.shed_low_priority:
-            low = open_rows & (priorities > 0)
-            if low.any():
-                close(low, _BROWNOUT, admission.shed_batch(worker[low], reason="brownout"))
-        if self.edge_queue_limit_s is not None and open_rows.any():
-            # Against each worker's last advertisement, one tick stale.
-            limit = self.edge_queue_limit_s
-            if brownout is not None:
-                limit *= brownout.queue_factor
-            rows = np.flatnonzero(open_rows)
+        else:
+            # The queue stage, when the edge has one, runs against each
+            # worker's last advertisement, one tick stale.
             queue_s = np.array([self.advertised[wid][1] for wid in range(len(self.workers))])
-            queue_s = queue_s[worker[rows]]
-            accepted, hints = admission.decide_batch(worker[rows], queue_s, limit_s=limit)
-            close(rows[~accepted], _QUEUE_LIMIT, hints[~accepted])
+            open_rows, reason, retry_after = self.admission.admit_batch(
+                times, worker, tenants, priorities,
+                tenancy=tenancy,
+                brownout=self.brownout if self.brownout_active else None,
+                queue_estimate=(lambda still_open: queue_s[worker])
+                if self.edge_queue_limit_s is not None
+                else None,
+            )
 
         if not open_rows.all():
             lost = ~open_rows
             self._settle(
                 OutcomeBatch(
-                    np.where(reason[lost] == _CONNECTION, 500, 503), worker[lost],
+                    np.where(reason[lost] == CONNECTION, 500, 503), worker[lost],
                     times[lost], times[lost], np.zeros_like(times[lost]), retry_after[lost],
                     None, reason[lost], priorities[lost],
                     tenants[lost] if tenants is not None else None, names,
@@ -607,7 +575,7 @@ class Fleet:
                     np.full(n, 500), np.full(n, worker_id), times,
                     np.full(n, at), np.zeros(n), np.zeros(n),
                     trace_id.tolist() if trace_id is not None else None,
-                    np.full(n, _CONNECTION, dtype=np.int8), message["priority"],
+                    np.full(n, CONNECTION, dtype=np.int8), message["priority"],
                     message.get("tenant"), self._tenant_names,
                 )
             )
@@ -625,7 +593,7 @@ class Fleet:
             else:
                 breaker.record_failure(now)
         was = self.brownout_active
-        self.brownout_active = any(
+        self.brownout_active = self.brownout is not None and any(
             b.state == OPEN for b in self.breakers.values()
         )
         if self.telemetry is not None and was != self.brownout_active:

@@ -6,10 +6,11 @@ elsewhere (virtual clock in :mod:`repro.serve.session`, asyncio HTTP in
 :mod:`repro.serve.http`); this class only knows two operations:
 
 * :meth:`submit_batch` — route a batch of incoming transactions through
-  the cluster's data-share weights, run admission control against each
-  target node's queue estimate, and either enqueue each for the current
-  tick or shed it with a retry-after hint (:meth:`submit` is the batch
-  of one the HTTP path and the retry client use);
+  the cluster's data-share weights, run the admission policy chain of
+  :mod:`repro.serve.admission` against each target node's queue
+  estimate, and either enqueue each for the current tick or shed it with
+  a retry-after hint (:meth:`submit` is the batch of one the HTTP path
+  and the retry client use);
 * :meth:`tick` — advance the engine by one ``dt`` step offered exactly
   the admitted arrivals, draw each request's latency from that step's
   queueing mixture (seeded inverse-CDF sampling, so runs are
@@ -35,7 +36,9 @@ from repro.engine.queueing import sample_latencies
 from repro.engine.simulator import ElasticityController, EngineConfig, EngineSimulator
 from repro.errors import CheckpointError, ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.serve.admission import AdmissionConfig, AdmissionController, AdmissionDecision
+from repro.serve.admission import (
+    BROWNOUT, CONNECTION, QUOTA, REASONS, AdmissionConfig, AdmissionController, AdmissionDecision,
+)
 from repro.serve.resilience import (
     OPEN, NodeHealthMonitor, ResilienceConfig, _rng_state, _set_rng_state,
 )
@@ -87,10 +90,6 @@ class TxnOutcome:
 
 
 OnComplete = Callable[[TxnOutcome], None]
-
-#: ``reason`` values; the columnar forms store an index into this tuple.
-REASONS = ("", "queue-limit", "quota", "brownout", "connection")
-_QUEUE_LIMIT, _QUOTA, _BROWNOUT, _CONNECTION = 1, 2, 3, 4
 
 
 class OutcomeBatch:
@@ -457,11 +456,11 @@ class ServerEngine:
         The result — outcomes, RNG stream, counters, telemetry, spans —
         is what ``len(times)`` :meth:`submit` calls in row order give:
         routing is one ``rng.random(n)`` draw (the same stream as ``n``
-        scalar draws), and each request is admitted against its node's
-        queue estimate *including the earlier rows admitted to that
-        node*.  Rows shed or failed here reach ``sink`` as one
-        :class:`OutcomeBatch` before this returns; the admitted rows
-        reach it as another from the :meth:`tick` that serves them.
+        scalar draws), and each request runs the admission policy chain
+        against its node's queue estimate *including the earlier rows
+        admitted to that node*.  Rows shed or failed here reach ``sink``
+        as one :class:`OutcomeBatch` before this returns; the admitted
+        rows reach it as another from the :meth:`tick` that serves them.
 
         Args:
             times: Submission time per request, seconds.
@@ -477,27 +476,18 @@ class ServerEngine:
         """
         times = np.asarray(times, dtype=np.float64)
         n = len(times)
-        reason = np.zeros(n, dtype=np.int8)
-        retry_after = np.zeros(n)
         if priorities is None:
             priorities = np.zeros(n, dtype=np.int64)
         if n == 0:
             nobody = np.zeros(0, dtype=np.int64)
+            nothing = np.zeros(0)
             return AdmissionBatch(
-                np.zeros(0, dtype=bool), nobody, retry_after, retry_after, reason
+                np.zeros(0, dtype=bool), nobody, nothing, nothing, np.zeros(0, dtype=np.int8)
             )
 
         cdf = self._route_cdf
         partition = np.searchsorted(cdf, self._rng.random(n) * cdf[-1])
         node = partition // self.sim.config.partitions_per_node
-
-        # Rows no policy has decided yet; each stage below closes some.
-        open_rows = np.ones(n, dtype=bool)
-
-        def close(rows: np.ndarray, why: int, hints: object = 0.0) -> None:
-            reason[rows] = why
-            retry_after[rows] = hints
-            open_rows[rows] = False
 
         tenancy = self.tenancy
         if tenancy is not None:
@@ -505,76 +495,51 @@ class ServerEngine:
             tenant_names = self._tenant_names
             self._count_tenants(tenants, "offered")
 
+        dead: Optional[np.ndarray] = None
         if self.health is not None and self._failed_set:
             # The router's stale view sends these to a corpse: they fail
             # like a refused connection and feed the detector.
             dead = np.isin(node, list(self._failed_set))
             if dead.any():
                 self._fail_rows(np.flatnonzero(dead), node, times, tenants)
-                close(dead, _CONNECTION)
 
-        if tenancy is not None:
-            # Tenant policy first: brownout sheds whole low-weight
-            # tenants before the per-request priority check, then the
-            # tenant's token bucket is charged.  Both are RNG-free.
-            if self.brownout_active:
-                light = open_rows & tenancy.sheddable[tenants]
-                if light.any():
-                    for index, count in index_counts(tenants[light]):
-                        tenancy.offered[tenant_names[index]] += count
-                        tenancy.record_brownout_shed(tenant_names[index], count)
-                        self.brownout_sheds += count
-                    self._count_tenants(tenants[light], "brownout_shed")
-                    close(
-                        light, _BROWNOUT,
-                        self.admission.shed_batch(node[light], reason="brownout"),
-                    )
-            for index, _ in index_counts(tenants):
-                name = tenant_names[index]
-                rows = np.flatnonzero(open_rows & (tenants == index))
-                waits = tenancy.quota_admit_many(name, times[rows].tolist())
-                over = [i for i, wait in enumerate(waits or ()) if wait is not None]
-                if over:
-                    rows = rows[over]
-                    self._count_tenant(name, "quota_shed", len(over))
-                    hints = self.admission.shed_batch(
-                        node[rows], reason="quota",
-                        retry_after_s=np.array([waits[i] for i in over]),
-                    )
-                    close(rows, _QUOTA, hints)
+        # The policy chain.  Its queue stage sees each open row behind
+        # the earlier open rows bound for its node.
+        ahead = np.zeros(n, dtype=np.int64)
 
-        limit: Optional[float] = None
+        def queue_estimate(open_rows: np.ndarray) -> np.ndarray:
+            ahead[:] = _earlier_in_group(node, open_rows)
+            return self._queue_estimates(node, ahead)
+
         brownout = self.resilience.brownout if self.resilience is not None else None
-        if self.brownout_active and brownout is not None:
-            limit = self.admission.config.queue_limit_seconds * brownout.queue_factor
-            if brownout.shed_low_priority:
-                low = open_rows & (priorities > 0)
-                if low.any():
-                    self.brownout_sheds += int(np.count_nonzero(low))
-                    close(
-                        low, _BROWNOUT,
-                        self.admission.shed_batch(node[low], reason="brownout"),
-                    )
-
-        # Queue-limit admission of the rows still open, each against its
-        # node's estimate including the earlier rows admitted to it.
-        ahead = _earlier_in_group(node, open_rows)
-        estimate = self._queue_estimates(node, ahead)
-        rows = np.flatnonzero(open_rows)
-        accepted = np.zeros(n, dtype=bool)
-        accepted[rows], retry_after[rows] = self.admission.decide_batch(
-            node[rows], estimate[rows], limit_s=limit
+        accepted, reason, retry_after = self.admission.admit_batch(
+            times, node, tenants, priorities, dead,
+            tenancy=tenancy,
+            brownout=brownout if self.brownout_active else None,
+            queue_estimate=queue_estimate,
         )
         admitted = int(np.count_nonzero(accepted))
         status = np.full(n, 200)
         if admitted < n:
-            reason[open_rows & ~accepted] = _QUEUE_LIMIT
-            status[~accepted] = 503
-            status[reason == _CONNECTION] = 500
             # Only admitted rows lengthen a queue: everything behind a
             # node's last admitted row saw the same estimate.
             per_node = np.bincount(node[accepted], minlength=len(self._node_rate))
-            estimate = self._queue_estimates(node, np.minimum(ahead, per_node[node]))
+            np.minimum(ahead, per_node[node], out=ahead)
+            status[~accepted] = 503
+            if dead is not None:
+                reason[dead] = CONNECTION
+                status[dead] = 500
+            if self.brownout_active:
+                shed_in_brownout = reason == BROWNOUT
+                self.brownout_sheds += int(np.count_nonzero(shed_in_brownout))
+                if tenancy is not None:
+                    # Brownout closes every sheddable tenant's rows at the
+                    # tenant stage, so those are exactly the tenant sheds.
+                    light = shed_in_brownout & tenancy.sheddable[tenants]
+                    self._count_tenants(tenants[light], "brownout_shed")
+            if tenancy is not None:
+                self._count_tenants(tenants[reason == QUOTA], "quota_shed")
+        estimate = self._queue_estimates(node, ahead)
 
         tracer = self.request_tracer
         trace_ids: Optional[List[int]] = None
@@ -627,18 +592,14 @@ class ServerEngine:
             self._pending_per_node[node] + ahead
         ) / self._node_rate[node]
 
-    def _count_tenant(self, tenant: str, which: str, count: int) -> None:
-        """Bump one per-tenant labelled counter (telemetry on only)."""
+    def _count_tenants(self, tenants: np.ndarray, which: str) -> None:
+        """Bump ``serve.tenant.<which>`` for each tenant in a registry-indexed
+        column by its number of rows (telemetry on only)."""
         tel = self.telemetry
         if tel is not None:
-            tel.counter(labeled(f"serve.tenant.{which}", tenant=tenant)).inc(count)
-
-    def _count_tenants(self, tenants: np.ndarray, which: str) -> None:
-        """:meth:`_count_tenant` once per tenant in a registry-indexed
-        column, by its number of rows."""
-        if self.telemetry is not None:
             for index, count in index_counts(tenants):
-                self._count_tenant(self._tenant_names[index], which, count)
+                name = labeled(f"serve.tenant.{which}", tenant=self._tenant_names[index])
+                tel.counter(name).inc(count)
 
     def _fail_rows(
         self,

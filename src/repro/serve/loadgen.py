@@ -28,8 +28,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.serve.admission import BROWNOUT, REASONS
 from repro.serve.clock import VirtualClock
-from repro.serve.engine import REASONS, OutcomeBatch, ServerEngine, TxnOutcome
+from repro.serve.engine import OutcomeBatch, ServerEngine, TxnOutcome
 from repro.serve.resilience import ResilientClient, RetryConfig
 from repro.telemetry.metrics import index_counts
 from repro.workloads.spikes import FlashCrowd, inject_flash_crowd
@@ -284,7 +285,7 @@ class LoadgenReport:
         else:
             self.rejected += 1
             self.retry_after_s.append(outcome.retry_after_s)
-            if outcome.reason == "brownout":
+            if outcome.reason == REASONS[BROWNOUT]:
                 self.brownout_shed += 1
             if bucket is not None:
                 bucket["rejected"] += 1
@@ -305,9 +306,7 @@ class LoadgenReport:
         self.rejected += int(np.count_nonzero(shed))
         self.latencies_ms.extend(batch.latency_ms[served].tolist())
         self.retry_after_s.extend(batch.retry_after_s[shed].tolist())
-        self.brownout_shed += int(
-            np.count_nonzero(batch.reason[shed] == REASONS.index("brownout"))
-        )
+        self.brownout_shed += int(np.count_nonzero(batch.reason[shed] == BROWNOUT))
         if batch.tenant is None:
             return
         for key, rows in (

@@ -242,9 +242,19 @@ class SoakReport:
         return "\n".join(lines)
 
 
-def _session_recipe(
-    config: SoakConfig, telemetry: Optional[Telemetry]
-) -> Dict[str, object]:
+def build_soak_session(
+    config: SoakConfig,
+    telemetry: Optional[Telemetry] = None,
+    *,
+    restore: Optional[str] = None,
+) -> DistributedServeSession:
+    """The distributed session a soak config describes (not started).
+
+    With ``restore``, the session is rebuilt mid-soak from that fleet
+    checkpoint: ``config`` must match the checkpointed run; passing the
+    session to :func:`run_soak` then serves only the remaining virtual
+    time and the combined run is bit-identical to an uninterrupted soak.
+    """
     checkpoint = None
     if config.checkpoint_path:
         checkpoint = CheckpointConfig(
@@ -260,7 +270,7 @@ def _session_recipe(
         from repro.telemetry.timeseries import TimeSeriesStore
 
         timeseries = TimeSeriesStore()
-    return {
+    recipe = {
         "mode": config.mode,
         "edge_queue_limit_s": config.edge_queue_limit_s,
         "breaker": BreakerConfig(),
@@ -276,40 +286,14 @@ def _session_recipe(
         "seed": config.seed,
         "checkpoint": checkpoint,
     }
-
-
-def build_soak_session(
-    config: SoakConfig, telemetry: Optional[Telemetry] = None
-) -> DistributedServeSession:
-    """The distributed session a soak config describes (not started)."""
     arrivals = poisson_arrivals(
         config.rate_per_s, config.duration_s, seed=config.seed
     )
-    return DistributedServeSession(
-        config.worker_specs(), arrivals, **_session_recipe(config, telemetry)
-    )
-
-
-def resume_soak_session(
-    config: SoakConfig,
-    checkpoint_path: str,
-    telemetry: Optional[Telemetry] = None,
-) -> DistributedServeSession:
-    """Rebuild a mid-soak session from a fleet checkpoint.
-
-    ``config`` must match the checkpointed run; passing it to
-    :func:`run_soak` then serves only the remaining virtual time and the
-    combined run is bit-identical to an uninterrupted soak.
-    """
-    arrivals = poisson_arrivals(
-        config.rate_per_s, config.duration_s, seed=config.seed
-    )
-    return DistributedServeSession.resume(
-        config.worker_specs(),
-        arrivals,
-        checkpoint_path,
-        **_session_recipe(config, telemetry),
-    )
+    if restore is not None:
+        return DistributedServeSession.resume(
+            config.worker_specs(), arrivals, restore, **recipe
+        )
+    return DistributedServeSession(config.worker_specs(), arrivals, **recipe)
 
 
 def run_soak(

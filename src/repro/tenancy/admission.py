@@ -78,11 +78,10 @@ class TokenBucket:
 class TenantAdmission:
     """Per-tenant quota buckets and brownout shedding order.
 
-    The engine consults this *before* its generic admission controller:
-    first the tenant's brownout standing (when the cluster is browning
-    out), then the tenant's quota bucket, then — for survivors — the
-    usual queue-delay admission test.  Counters here are bookkeeping for
-    reports and checkpoints; the engine owns the labelled telemetry.
+    The tenant stages of the admission policy chain
+    (:meth:`repro.serve.admission.AdmissionController.admit_batch`)
+    read and charge this.  Counters here are bookkeeping for reports
+    and checkpoints; the engine owns the labelled telemetry.
     """
 
     def __init__(self, registry: TenantRegistry) -> None:
@@ -150,14 +149,6 @@ class TenantAdmission:
             unknown = names[int(tenants[int(np.argmin(indices))])]
             raise KeyError(f"unknown tenant {unknown!r}")
         return indices
-
-    def brownout_sheddable(self, name: str) -> bool:
-        """True when brownout may shed this tenant's traffic outright
-        (its weight is below the registry maximum)."""
-        return bool(self.sheddable[self._index[name]])
-
-    def record_brownout_shed(self, name: str, count: int = 1) -> None:
-        self.brownout_shed[name] += count
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:

@@ -32,6 +32,7 @@ from repro.faults.plan import FaultPlan, NodeCrash
 from repro.serve import (
     AdmissionConfig,
     BreakerConfig,
+    BrownoutConfig,
     DistributedServeSession,
     ResilienceConfig,
     ServeSession,
@@ -568,6 +569,83 @@ def test_quota_admit_many_equals_quota_admit_loop():
     for t in times:
         assert looped.quota_admit("free", t) is None
     assert batched.state_dict() == looped.state_dict()
+
+
+def test_policy_chain_closes_each_row_at_the_first_stage_that_applies():
+    """``admit_batch`` alone: tenant brownout > quota > low-priority
+    brownout > queue limit.  Row 2 is at once in a sheddable tenant,
+    over its tenant's quota, low-priority and behind a full queue; taking
+    the stages away one by one hands it to the next.  Row 4 arrives
+    closed and no stage ever sees it."""
+    def tenancy():
+        return TenantAdmission(
+            TenantRegistry(
+                tenants=[
+                    TenantSpec(name="gold", profile="poisson:rate=1", weight=2),
+                    TenantSpec(
+                        name="capped", profile="poisson:rate=1", quota_rps=1.0, quota_burst=2.0
+                    ),
+                ]
+            )
+        )
+
+    times = np.array([0.0, 0.01, 0.02, 0.03, 0.04])
+    targets = np.array([0, 1, 0, 1, 0])
+    tenants = np.array([1, 1, 1, 0, 1])  # row 2 is capped's third request: no token left
+    priorities = np.array([0, 0, 1, 1, 0])
+    closed = np.array([False, False, False, False, True])
+    seen = []
+
+    def full(open_rows):  # 9 s of queue everywhere, against a 2 s limit
+        seen.append(open_rows.tolist())
+        return np.full(5, 9.0)
+
+    def chain(**stages):
+        controller = AdmissionController(AdmissionConfig(2.0, retry_after_floor_s=1.0))
+        accepted, reason, retry_after = controller.admit_batch(
+            times, targets, tenants, priorities, closed, **stages
+        )
+        assert not accepted[4] and reason[4] == 0 and retry_after[4] == 0.0
+        assert closed.tolist() == [False, False, False, False, True]
+        assert accepted.tolist() == (reason == 0).tolist()[:4] + [False]
+        # The queue stage counts every row it decides; without it only sheds count.
+        counted = 4 if "queue_estimate" in stages else np.count_nonzero(reason)
+        assert controller.accepted + controller.rejected == counted
+        return controller, [REASONS[code] for code in reason], retry_after.tolist()
+
+    # Every stage on: the tenant stage sheds all of capped and charges no bucket.
+    policy = tenancy()
+    controller, reasons, hints = chain(
+        tenancy=policy, brownout=BrownoutConfig(), queue_estimate=full
+    )
+    assert reasons == ["brownout", "brownout", "brownout", "brownout", ""]
+    assert hints == [1.0, 1.0, 1.0, 1.0, 0.0]
+    assert policy.brownout_shed == {"gold": 0, "capped": 3}  # row 3 went as low-priority
+    assert policy.offered == {"gold": 1, "capped": 3} and policy.quota_shed["capped"] == 0
+    assert policy.state_dict()["buckets"]["capped"]["tokens"] == 2.0
+    assert seen.pop() == [False] * 5 and controller.rejected == 4
+
+    # No brownout: row 2 finds the bucket empty; the others reach the full queue.
+    policy = tenancy()
+    _, reasons, hints = chain(tenancy=policy, queue_estimate=full)
+    assert reasons == ["queue-limit", "queue-limit", "quota", "queue-limit", ""]
+    assert hints[3] == 7.0 and hints[2] == 1.0  # 9 s - 2 s; the floor over a 0.98 s refill
+    assert policy.offered == {"gold": 1, "capped": 3} and policy.quota_shed["capped"] == 1
+    assert policy.brownout_shed == {"gold": 0, "capped": 0}
+    assert seen.pop() == [True, True, False, True, False]  # a quota shed joins no queue
+
+    # No tenancy: brownout sheds by priority and halves the queue limit.
+    _, reasons, hints = chain(brownout=BrownoutConfig(), queue_estimate=full)
+    assert reasons == ["queue-limit", "queue-limit", "brownout", "brownout", ""]
+    assert hints == [8.0, 8.0, 1.0, 1.0, 0.0]
+    assert seen.pop() == [True, True, False, False, False]
+
+    # Only the queue; then not even that: nothing is shed, nothing counted.
+    _, reasons, hints = chain(queue_estimate=full)
+    assert reasons == ["queue-limit"] * 4 + [""] and hints[:4] == [7.0] * 4
+    controller, reasons, hints = chain()
+    assert reasons == [""] * 5 and hints == [0.0] * 5
+    assert (controller.accepted, controller.rejected) == (0, 0)
 
 
 def test_fold_equals_record_loop():

@@ -409,3 +409,56 @@ def test_fleet_burst_equals_one_request_at_a_time():
     finally:
         whole.close()
         by_row.close()
+
+
+def test_quota_verdicts_are_the_same_at_an_engine_and_at_an_edge():
+    """One policy chain, two callers: the tagged schedule with a quota on
+    ``silver`` through a single engine with tenancy and through a
+    one-worker fleet with tenancy at the edge.  Token buckets are
+    RNG-free and run before anything queue-dependent, so every ``quota``
+    shed is the same arrival with the same Retry-After on both."""
+    from repro.serve import Fleet
+    from repro.tenancy import TenantAdmission, TenantRegistry, TenantSpec
+
+    def tenancy():
+        return TenantAdmission(
+            TenantRegistry(
+                tenants=[
+                    TenantSpec(name="gold", profile="poisson:rate=1"),
+                    TenantSpec(name="silver", profile="poisson:rate=1", quota_rps=0.8),
+                ]
+            )
+        )
+
+    arrivals, schedule = tagged()
+
+    def quota_sheds(front_end):
+        batches = []
+        for tick in range(SECONDS):
+            rows = (arrivals >= tick) & (arrivals < tick + 1)
+            front_end.submit_batch(
+                arrivals[rows], schedule["tenant_indices"][rows], None, batches.append,
+                tenant_names=TENANTS,
+            )
+            front_end.tick()
+        return [
+            (
+                int(np.searchsorted(arrivals, row.submitted_at)), row.reason,
+                row.retry_after_s, row.tenant,
+            )
+            for batch in batches
+            for row in batch.rows()
+            if row.reason == "quota"
+        ]
+
+    engine = build_worker_engine(spec(), tenancy=tenancy())
+    fleet = Fleet([spec()], mode="inproc", seed=3, tenancy=tenancy())
+    try:
+        at_the_engine, at_the_edge = quota_sheds(engine), quota_sheds(fleet)
+    finally:
+        fleet.close()
+    assert at_the_engine == at_the_edge
+    assert len(at_the_edge) == fleet.tenancy.quota_shed["silver"] > 100
+    assert {tenant for *_, tenant in at_the_edge} == {"silver"}
+    assert len({hint for _, _, hint, _ in at_the_edge}) > 10  # not just the 1 s floor
+    assert engine.tenancy.state_dict() == fleet.tenancy.state_dict()

@@ -82,3 +82,10 @@ class TestHeadlineImports:
 
         assert HotSpotRebalancer and RangePartitioner
         assert OnlinePredictor and ManualOverrideStrategy and ProvisioningWindow
+
+    def test_reason_codes_have_one_definition(self):
+        from repro.serve import admission, edge, engine, loadgen
+
+        assert admission.REASONS[admission.BROWNOUT] == "brownout"
+        for module in (edge, engine, loadgen):
+            assert module.REASONS is admission.REASONS

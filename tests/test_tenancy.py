@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 
 from repro.engine.simulator import EngineConfig
 from repro.errors import ConfigurationError
-from repro.serve import ServeSession, ServerEngine, poisson_arrivals
+from repro.serve import (
+    BreakerConfig,
+    BrownoutConfig,
+    DistributedServeSession,
+    ServeSession,
+    ServerEngine,
+    WorkerSpec,
+    poisson_arrivals,
+)
 from repro.serve.admission import AdmissionConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import labeled
@@ -185,11 +193,11 @@ class TestTenantAdmission:
         admission = TenantAdmission(
             build_registry([spec("gold", weight=2), spec("bronze")])
         )
-        assert not admission.brownout_sheddable("gold")
-        assert admission.brownout_sheddable("bronze")
+        assert admission.names == ("gold", "bronze")
+        assert admission.sheddable.tolist() == [False, True]
         # A uniform-weight registry never sheds whole tenants.
         uniform = TenantAdmission(build_registry([spec("a"), spec("b")]))
-        assert not uniform.brownout_sheddable("a")
+        assert not uniform.sheddable.any()
 
     def test_state_roundtrip(self):
         registry = build_registry([spec("capped", quota_rps=1.0)])
@@ -372,6 +380,55 @@ class TestServePathTenancy:
         text = session.format_report()
         assert 'conservation{tenant="a"}' in text
         assert "SLO[a]" in text and "SLO[b]" in text
+
+
+class TestEdgeTenancy:
+    """Tenant policy at the edge of a fleet (``Fleet(tenancy=...)``)."""
+
+    @staticmethod
+    def run_with_a_dead_worker(brownout):
+        registry = build_registry(
+            [spec("gold", profile="poisson:rate=30", weight=2),
+             spec("bronze", profile="poisson:rate=30")]
+        )
+        times, indices = composite_arrivals(registry, 40.0, seed=5)
+        workers = [
+            WorkerSpec(
+                worker_id=wid, initial_nodes=2, max_nodes=2, seed=11 + wid,
+                saturation_rate_per_node=40.0, db_size_kb=5 * 1024.0,
+            )
+            for wid in range(2)
+        ]
+        with DistributedServeSession(
+            workers, times, mode="inproc", seed=3, brownout=brownout,
+            breaker=BreakerConfig(miss_threshold=2, open_seconds=60.0),
+            tenancy=TenantAdmission(registry),
+            tenant_indices=indices, tenant_names=registry.names(),
+        ) as session:
+            session.run(10.0)
+            session.workers[1].kill()
+            report = session.run(32.0)
+            health = session.healthz()
+            assert report.conserved and report.tenants_consistent()
+            assert all(line.endswith("(exact)") for line in report.tenant_conservation_lines())
+            assert health["status"] == "degraded" and health["breakers"]["1"] == "open"
+            return session.engine, report, health
+
+    def test_no_brownout_config_sheds_no_tenant(self):
+        """``brownout=None`` disables brownout at the edge: a dead worker
+        opens its breaker, but no tenant is shed for its weight and
+        nothing reports a brownout nobody configured."""
+        fleet, report, health = self.run_with_a_dead_worker(None)
+        assert fleet.tenancy.brownout_shed == {"gold": 0, "bronze": 0}
+        assert report.brownout_shed == 0 and report.rejected == 0
+        assert not fleet.brownout_active and not health["brownout_active"]
+
+    def test_brownout_config_sheds_the_light_tenant(self):
+        fleet, report, health = self.run_with_a_dead_worker(BrownoutConfig())
+        assert fleet.brownout_active and health["brownout_active"]
+        assert fleet.tenancy.brownout_shed["gold"] == 0
+        assert fleet.tenancy.brownout_shed["bronze"] == report.brownout_shed > 0
+        assert report.tenants["bronze"]["rejected"] == report.brownout_shed
 
 
 # ----------------------------------------------------------------------
