@@ -33,10 +33,11 @@ serve-smoke:
 chaos-serve-smoke:
 	./scripts/serve_smoke.sh --faults
 
-## Distributed soak smoke (docs/SERVING.md § Distributed serving): an
-## edge process drives spawned worker shards over pipes for 60 s of
-## virtual time, gated on p99 latency, shed rate and exact request
-## conservation; writes out/soak-report.json + a debug bundle.
+## Distributed soak smoke (docs/SERVING.md § Distributed serving):
+## `repro serve --workers 3` — an edge process drives spawned worker
+## shards over pipes for 60 s of virtual time, gated on p99 latency, shed
+## rate and exact request conservation; writes out/soak-report.json + a
+## debug bundle.
 soak-smoke:
 	./scripts/soak_smoke.sh
 

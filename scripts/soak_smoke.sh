@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Distributed soak smoke test (CI `soak-smoke` job / `make soak-smoke`).
 #
-# Runs `repro soak`: an edge process routing a Poisson stream across a
-# fleet of spawned worker shards over multiprocessing pipes — the
-# api/worker process split — for 60 s of virtual time, with request
-# tracing, SLO burn-rate monitoring and a debug bundle enabled.  The
-# command itself gates on the soak report (p99 latency, shed rate, and
+# Runs `repro serve --workers 3`: an edge process routing a Poisson
+# stream across a fleet of spawned worker shards over multiprocessing
+# pipes — the api/worker process split — for 60 s of virtual time, with
+# request tracing, SLO burn-rate monitoring and a debug bundle enabled.
+# The command itself gates on the run (--max-p99, --max-shed-rate, and
 # the exact request-conservation identity offered = served + shed +
 # errored + in-flight) and exits non-zero on any breach; the script
 # re-asserts the verdicts from the printed report and round-trips the
@@ -38,7 +38,7 @@ mkdir -p "$(dirname "$CKPT")"
 rm -rf "$BUNDLE"
 rm -f "$REPORT" "$CKPT"
 
-# The soak's worker processes are children of the `repro soak` process
+# The soak's worker processes are children of the `repro serve` process
 # and are reaped by its session teardown; the trap covers the script's
 # own scratch state.  STATUS is captured explicitly so a gate breach
 # (exit 1) still prints the report before the script propagates it.
@@ -47,9 +47,9 @@ trap 'rm -f "$OUT" "$OUT2" "$OUT3" "$OUT4"' EXIT
 # Snapshots land at t=25 and t=50: the file the restore leg resumes from
 # is mid-run, and 50 s + the cadence is past the end, so that leg does
 # not overwrite it.
-SOAK=(python -m repro.cli soak
+SOAK=(python -m repro.cli serve --no-http --control none
     --workers 3 --transport pipe
-    --rate 300 --duration 60 --seed 7
+    --profile poisson:rate=300 --duration 60 --seed 7
     --nodes 1 --max-nodes 4 --saturation 438 --queue-limit 8
     --max-p99 500 --max-shed-rate 0.2
     --trace-requests
@@ -95,9 +95,9 @@ python -c "from repro.telemetry.bundle import verify_bundle; verify_bundle('$BUN
 grep -q 'checkpoints written: 2' "$OUT" \
     || { echo "the soak did not write its two mid-run checkpoints" >&2; exit 1; }
 "${SOAK[@]}" --restore "$CKPT" | tee "$OUT2"
-grep -q 'restored distributed session from .* at t=50s' "$OUT2" \
+grep -q 'restored from .* at t=50s; serving the remaining 10s' "$OUT2" \
     || { echo "restore leg did not resume from the t=50s checkpoint" >&2; exit 1; }
-LINES='^(offered|throughput|latency|conservation|workers:)'
+LINES='^(offered|throughput|latency|conservation|workers:|SLO)'
 if ! diff <(grep -E "$LINES" "$OUT") <(grep -E "$LINES" "$OUT2"); then
     echo "restored soak differs from the uninterrupted soak" >&2
     exit 1
@@ -105,9 +105,9 @@ fi
 
 # 3000 requests per worker and tick: ~170 kB of reply columns a frame.
 # Undersized on purpose, so the replies hold shed rows and completions.
-WIRE=(python -m repro.cli soak
+WIRE=(python -m repro.cli serve --no-http --control none
     --workers 2
-    --rate 6000 --duration 30 --seed 7
+    --profile poisson:rate=6000 --duration 30 --seed 7
     --nodes 4 --max-nodes 4 --saturation 1300 --queue-limit 0.5
     --max-p99 500 --max-shed-rate 0.2
     --slo)

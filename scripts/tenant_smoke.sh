@@ -13,10 +13,11 @@
 #   * the bundle's manifest digests verify and `repro.cli explain`
 #     renders the per-tenant serving table.
 # An edge leg then serves the same spec file and the same composite
-# schedule through a 2-worker `pipe` fleet with the tenant policy at the
-# edge: per-tenant conservation must again be exact, and — the admission
-# policy chain being one piece of code wherever it runs — the batch
-# tenant's quota shed must be the single-engine leg's number.
+# schedule through `repro serve --workers 2 --transport pipe`, a fleet
+# with the tenant policy at the edge: per-tenant conservation must again
+# be exact, and — the admission policy chain being one piece of code
+# wherever it runs — the batch tenant's quota shed must be the
+# single-engine leg's number.
 # CI uploads the bundle as an artifact.  See docs/SERVING.md
 # § Multi-tenant serving.
 set -euo pipefail
@@ -28,9 +29,8 @@ BUNDLE="${BUNDLE_DIR:-out/tenant-smoke-bundle}"
 DURATION=1800
 SPEC=$(mktemp --suffix=.json)
 OUT=$(mktemp)
-EDGE=$(mktemp --suffix=.py)
 EDGE_OUT=$(mktemp)
-trap 'rm -f "$SPEC" "$OUT" "$EDGE" "$EDGE_OUT"' EXIT
+trap 'rm -f "$SPEC" "$OUT" "$EDGE_OUT"' EXIT
 rm -rf "$BUNDLE"
 
 # Both legs print the same report lines; these read them.
@@ -88,38 +88,13 @@ echo "$EXPLAIN"
 echo "$EXPLAIN" | grep -q 'Serving by tenant' \
     || { echo "explain is missing the per-tenant serving table" >&2; exit 1; }
 
-# Edge leg.  A file with a __main__ guard, not a heredoc on stdin: the
-# workers are `spawn`ed, and spawn re-imports the parent's main module.
-cat >"$EDGE" <<'EOF'
-import sys
-
-from repro.serve import DistributedServeSession, WorkerSpec
-from repro.tenancy import TenantAdmission, TenantRegistry, composite_arrivals
-
-if __name__ == "__main__":
-    registry = TenantRegistry.load(sys.argv[1])
-    duration = float(sys.argv[2])
-    arrivals, indices = composite_arrivals(registry, duration, seed=7)
-    workers = [
-        WorkerSpec(
-            worker_id=wid, initial_nodes=1, max_nodes=2, seed=7 + wid,
-            saturation_rate_per_node=60.0, db_size_kb=20 * 1024.0,
-            queue_limit_seconds=8.0,
-        )
-        for wid in range(2)
-    ]
-    with DistributedServeSession(
-        workers, arrivals, mode="pipe", seed=7, tenancy=TenantAdmission(registry),
-        tenant_indices=indices, tenant_names=registry.names(),
-    ) as session:
-        report = session.run(duration)
-        print(report.conservation_line())
-        print("\n".join(report.tenant_conservation_lines()))
-        for name, counters in session.engine.tenancy.summary().items():
-            print(f"tenant {name}: offered {counters['offered']} | "
-                  f"quota shed {counters['quota_shed']}")
-EOF
-python "$EDGE" "$SPEC" "$DURATION" | tee "$EDGE_OUT"
+# Edge leg: the same command with --workers.  Fixed allocation behind
+# the edge, so the quota is the only policy that can shed differently.
+python -m repro.cli serve --no-http --clock virtual --duration "$DURATION" \
+    --tenants "$SPEC" --seed 7 \
+    --workers 2 --transport pipe --control none \
+    --saturation 60 --db-size-mb 20 --nodes 1 --max-nodes 2 --queue-limit 8 \
+    | tee "$EDGE_OUT"
 assert_conserved "edge leg" "$EDGE_OUT"
 EDGE_QUOTA_SHED=$(batch_quota_shed "$EDGE_OUT")
 [ "${EDGE_QUOTA_SHED:-none}" = "$QUOTA_SHED" ] \

@@ -166,32 +166,6 @@ def _bench_serve_session_telemetry() -> Callable[[], None]:
     return run
 
 
-def _bench_soak_session() -> Callable[[], None]:
-    """One virtual minute of distributed serving: edge routing + lock-step
-    worker shards over real multiprocessing pipes.  The process spawn,
-    the per-tick JSON round trips and the outcome folding are all inside
-    the timed region — this is the serving path's end-to-end cost, gated
-    next to ``serve_session`` in CI."""
-    from repro.serve.soak import SoakConfig, run_soak
-
-    config = SoakConfig(
-        workers=2,
-        rate_per_s=200.0,
-        duration_s=60.0,
-        mode="pipe",
-        seed=11,
-        max_p99_ms=0.0,  # timing kernel: never gate
-        max_shed_rate=1.0,
-    )
-
-    def run() -> None:
-        report = run_soak(config)
-        if not report.conserved:  # pragma: no cover - distributed bug
-            raise RuntimeError(report.conservation_line)
-
-    return run
-
-
 def _bench_tenant_session() -> Callable[[], None]:
     """Ten virtual minutes of three-tenant serving: composite arrival
     merge, per-tenant quota admission, labelled counters and per-tenant
@@ -245,7 +219,6 @@ KERNELS: Dict[str, Callable[[], Callable[[], None]]] = {
     "serve_session": _bench_serve_session,
     "serve_session_telemetry": _bench_serve_session_telemetry,
     "tenant_session": _bench_tenant_session,
-    "soak_session": _bench_soak_session,
     "parallel_shard_runs": _bench_parallel_shard_runs,
 }
 
@@ -265,7 +238,6 @@ KERNEL_REPEATS: Dict[str, int] = {
     "serve_session": 5,
     "serve_session_telemetry": 5,
     "tenant_session": 3,
-    "soak_session": 3,
     "parallel_shard_runs": 3,
 }
 _DEFAULT_REPEATS = 5

@@ -13,10 +13,14 @@ Usage::
     repro serve --clock virtual --duration 3600 --profile poisson:rate=200
     repro serve --clock virtual --duration 3600 --profile spike:rate=150 \\
         --trace-requests --slo --debug-bundle out/bundle
+    repro serve --no-http --workers 3 --duration 60 --profile poisson:rate=300 \\
+        --max-p99 500 --max-shed-rate 0.2
     repro loadgen --url http://127.0.0.1:8080 --profile spike:rate=150
 
 (``repro`` is the installed console script for this module; see
-docs/SERVING.md for the serving layer.)
+docs/SERVING.md for the serving layer.  ``serve`` is the one serving
+command: a single engine, or with ``--workers N`` an edge over N worker
+shards; ``soak`` is its alias under soak's defaults, for one release.)
 
 ``--faults`` and ``--telemetry`` install *scoped* process-wide defaults
 (see :mod:`repro.faults.runtime` and :mod:`repro.telemetry.runtime`):
@@ -30,14 +34,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
+import json
 import sys
 import time
 from pathlib import Path
 from typing import Iterator, List, Optional
 
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import registry
 from repro.experiments.common import experiment_telemetry
 from repro.faults import fault_plan_session, parse_fault_spec
+from repro.fields import int_number, parse_fields
 from repro.telemetry import Telemetry, telemetry_session
 from repro.telemetry.export import export as export_telemetry
 
@@ -220,34 +227,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return bench_main(bench_argv)
 
 
-def _int_number(value: str) -> int:
-    return int(float(value))
-
-
-def _parse_fields(flag: str, spec: Optional[str], fields: dict) -> dict:
-    """Parse a ``key=value,...`` spec against ``{key: (dest, cast)}``
-    into ``{dest: cast(value)}`` for the keys present."""
-    from repro.errors import ConfigurationError
-
-    parsed = {}
-    for token in spec.split(",") if spec else ():
-        key, eq, value = token.partition("=")
-        key = key.strip()
-        if not eq or key not in fields:
-            raise ConfigurationError(
-                f"bad {flag} token {token!r}; keys: {', '.join(fields)}"
-            )
-        dest, cast = fields[key]
-        try:
-            parsed[dest] = cast(value)
-        except ValueError as exc:
-            kind = "an integer" if cast is int else "a number"
-            raise ConfigurationError(
-                f"{flag} {key} must be {kind}, got {value!r}"
-            ) from exc
-    return parsed
-
-
 def _parse_spar_spec(spec: Optional[str], interval_seconds: float) -> dict:
     """Parse ``period=...,periods=...,recent=...,horizon=...`` into
     SPAR constructor kwargs; defaults scale with the planning interval
@@ -259,7 +238,7 @@ def _parse_spar_spec(spec: Optional[str], interval_seconds: float) -> dict:
         "max_horizon": 12,
     }
     kwargs.update(
-        _parse_fields(
+        parse_fields(
             "--spar",
             spec,
             {
@@ -281,7 +260,7 @@ def _parse_slo_spec(spec: str):
     from repro.telemetry.slo import SLOConfig
 
     return SLOConfig(
-        **_parse_fields(
+        **parse_fields(
             "--slo",
             spec,
             {
@@ -290,7 +269,7 @@ def _parse_slo_spec(spec: str):
                 "fast": ("fast_window_s", float),
                 "slow": ("slow_window_s", float),
                 "burn": ("burn_threshold", float),
-                "samples": ("min_samples", _int_number),
+                "samples": ("min_samples", int_number),
             },
         )
     )
@@ -304,13 +283,13 @@ def _parse_resilience_spec(spec: str):
 
     options = {"miss": 3, "open": 30.0, "halfopen": 2, "brownout": 0.5, "shed": True}
     options.update(
-        _parse_fields(
+        parse_fields(
             "--resilience",
             spec,
             {
-                "miss": ("miss", _int_number),
+                "miss": ("miss", int_number),
                 "open": ("open", float),
-                "halfopen": ("halfopen", _int_number),
+                "halfopen": ("halfopen", int_number),
                 "brownout": ("brownout", float),
                 "shed": ("shed", lambda value: bool(float(value))),
             },
@@ -338,16 +317,16 @@ def _parse_retry_spec(spec: str):
     from repro.serve.resilience import RetryConfig
 
     return RetryConfig(
-        **_parse_fields(
+        **parse_fields(
             "--retries",
             spec,
             {
-                "max": ("max_retries", _int_number),
+                "max": ("max_retries", int_number),
                 "base": ("backoff_base_s", float),
                 "cap": ("backoff_cap_s", float),
                 "jitter": ("jitter", float),
                 "budget": ("budget_fraction", float),
-                "floor": ("budget_floor", _int_number),
+                "floor": ("budget_floor", int_number),
                 "hedge": ("hedge_queue_seconds", float),
                 "lowprio": ("low_priority_fraction", float),
             },
@@ -355,14 +334,55 @@ def _parse_retry_spec(spec: str):
     )
 
 
+def _apply_gates(
+    report, summary: dict, max_p99_ms: Optional[float], max_shed_rate: Optional[float],
+    report_path: Optional[str],
+) -> int:
+    """The CI gates over a finished run's ``LoadgenReport``: exact
+    request conservation, a p99 ceiling (0 or ``None``: none) and a
+    shed-fraction ceiling.  Prints ``GATE FAIL: ...`` per breach or
+    ``gates: PASS``, writes the verdict beside the run summary to
+    ``report_path`` (the soak-smoke CI artifact) and returns the exit code."""
+    failures = []
+    if not report.conserved:
+        failures.append(f"conservation violated: {report.conservation_line()}")
+    p99 = report.latency_percentile(99.0)
+    if max_p99_ms and p99 > max_p99_ms:
+        failures.append(f"p99 {p99:.1f}ms exceeds gate {max_p99_ms:.1f}ms")
+    if max_shed_rate is not None and report.reject_rate > max_shed_rate:
+        failures.append(f"shed rate {report.reject_rate:.4f} exceeds gate {max_shed_rate:.4f}")
+    print("\n".join(f"GATE FAIL: {failure}" for failure in failures) or "gates: PASS")
+    if report_path is not None:
+        document = {
+            **summary, "format": "repro-soak-report/1", "conserved": report.conserved,
+            "failures": failures, "passed": not failures,
+        }
+        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(report_path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        print(f"gate report -> {report_path}")
+    return 1 if failures else 0
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    from dataclasses import replace
 
     import numpy as np
 
     from repro.serve import ServeSession
     from repro.serve.loadgen import parse_profile
 
+    fleet = args.workers is not None
+    if fleet and (not args.no_http or args.retries is not None):
+        raise ConfigurationError(
+            "--workers needs --no-http and no --retries: a Fleet has no scalar submit "
+            "for HTTP or the retry client to call yet (ROADMAP 2(iii) / 3(d))"
+        )
+    if fleet and args.faults is not None and args.transport != "inproc":
+        raise ConfigurationError(
+            "--faults installs a process-wide plan that spawned workers never see; "
+            f"use --transport inproc, not {args.transport}"
+        )
     bundle_report: dict = {}
     with _session(
         args.faults,
@@ -401,37 +421,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tenancy = TenantAdmission(TenantRegistry.load(args.tenants))
         from repro.serve.worker import WorkerSpec, build_worker_engine
 
-        engine = build_worker_engine(
-            WorkerSpec(
-                worker_id=0,
-                initial_nodes=args.nodes,
-                max_nodes=args.max_nodes,
-                saturation_rate_per_node=args.saturation,
-                db_size_kb=args.db_size_mb * 1024.0,
-                slot_seconds=args.slot_seconds,
-                interval_seconds=args.interval_seconds,
-                queue_limit_seconds=args.queue_limit,
-                seed=args.seed,
-                control=args.control,
-                spar=(
-                    _parse_spar_spec(args.spar, args.interval_seconds)
-                    if args.control == "online"
-                    else {}
-                ),
-                refit_every=args.refit_every,
-                trace_requests=args.trace_requests,
-                collect_telemetry=True,
+        # One recipe: the whole of a single-engine run, or every shard of
+        # a fleet (they then differ in ``worker_id`` and ``seed`` only).
+        spec = WorkerSpec(
+            worker_id=0,
+            initial_nodes=args.nodes,
+            max_nodes=args.max_nodes,
+            saturation_rate_per_node=args.saturation,
+            db_size_kb=args.db_size_mb * 1024.0,
+            slot_seconds=args.slot_seconds,
+            interval_seconds=args.interval_seconds,
+            queue_limit_seconds=args.queue_limit,
+            seed=args.seed,
+            control=args.control,
+            spar=(
+                _parse_spar_spec(args.spar, args.interval_seconds)
+                if args.control == "online"
+                else {}
             ),
-            telemetry,
-            slo=_parse_slo_spec(args.slo) if args.slo is not None else None,
-            resilience=(
-                _parse_resilience_spec(args.resilience)
-                if args.resilience is not None
-                else None
+            refit_every=args.refit_every,
+            trace_requests=args.trace_requests,
+            # A single engine records into ``telemetry`` regardless; a
+            # worker keeps a registry only when somebody will read it.
+            collect_telemetry=(
+                session_telemetry is not None
+                or args.trace_requests
+                or args.telemetry_every > 0
+                or timeseries is not None
             ),
-            tenancy=tenancy,
         )
-        retry = _parse_retry_spec(args.retries) if args.retries is not None else None
+        slo = _parse_slo_spec(args.slo) if args.slo is not None else None
+        resilience = (
+            _parse_resilience_spec(args.resilience)
+            if args.resilience is not None
+            else None
+        )
         checkpoint = None
         if args.checkpoint is not None:
             from repro.serve import CheckpointConfig
@@ -463,19 +487,46 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("--no-http requires --duration", file=sys.stderr)
             return 2
         session_kwargs = dict(
-            retry=retry,
-            retry_seed=args.seed,
             checkpoint=checkpoint,
             tenant_indices=tenant_indices,
             tenant_names=tenant_names,
             timeseries=timeseries,
         )
-        if args.restore is not None:
+        if fleet:
+            from repro.serve import DistributedServeSession as session_class
+
+            # Distinct engine seeds per shard: identical seeds would make
+            # every shard draw identical latency streams.
+            target = [replace(spec, worker_id=i, seed=args.seed + i) for i in range(args.workers)]
+            session_kwargs.update(
+                mode=args.transport,
+                edge_queue_limit_s=args.edge_queue_limit,
+                breaker=resilience.breaker if resilience is not None else None,
+                brownout=resilience.brownout if resilience is not None else None,
+                slo=slo,
+                low_priority_fraction=args.low_priority,
+                trace_requests=args.trace_requests,
+                telemetry=telemetry,
+                seed=args.seed,
+                tenancy=tenancy,
+                telemetry_every_ticks=args.telemetry_every,
+            )
+        else:
+            session_class = ServeSession
+            target = build_worker_engine(
+                spec, telemetry, slo=slo, resilience=resilience, tenancy=tenancy
+            )
+            retry = _parse_retry_spec(args.retries) if args.retries is not None else None
+            session_kwargs.update(retry=retry, retry_seed=args.seed)
+        if args.restore is None:
+            session = session_class(target, arrivals, **session_kwargs)
+        else:
             # The (empty) time-series store just starts sampling from
             # the restored tick onward.
-            session = ServeSession.resume(
-                engine, arrivals, args.restore, **session_kwargs
-            )
+            session = session_class.resume(target, arrivals, args.restore, **session_kwargs)
+        if fleet:
+            stack.enter_context(session)  # starts the workers; reaps them on the way out
+        if args.restore is not None:
             at = session.clock.now
             if args.duration is not None and args.duration <= at:
                 print(
@@ -492,8 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     else ""
                 )
             )
-        else:
-            session = ServeSession(engine, arrivals, **session_kwargs)
         if args.no_http:
             session.run(args.duration - session.clock.now)
         else:
@@ -519,10 +568,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
                 )
             )
+        if fleet:
+            session.collect_telemetry()  # the workers' registries, into the edge's
         print(session.format_report())
         if timeseries is not None and args.timeseries:
-            import json
-
             Path(args.timeseries).write_text(
                 json.dumps(timeseries.dump(), sort_keys=True)
             )
@@ -533,73 +582,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if perf is not None:
             for line in perf.report_lines():
                 print(line)
-        bundle_report.update(session.summary())
-        moves = engine.moves_completed
+        summary = session.summary()
+        bundle_report.update(summary)
+        moves = summary.get("moves_completed")
+        if moves is None:  # a fleet: every worker counts its own
+            moves = sum(w.get("moves_completed", 0) for w in summary["workers"].values())
         print(f"reconfigurations completed: {moves}")
+        code = 0
         if args.require_moves and moves < args.require_moves:
             print(
                 f"FAIL: required >= {args.require_moves} completed "
                 f"reconfigurations, saw {moves}",
                 file=sys.stderr,
             )
-            return 1
-        return 0
-
-
-def _cmd_soak(args: argparse.Namespace) -> int:
-    """Run a sustained distributed soak and apply the CI gates."""
-    from repro.serve.soak import SoakConfig, build_soak_session, run_soak
-
-    bundle_report: dict = {}
-    with _session(
-        args.faults,
-        args.telemetry,
-        bundle_dir=args.debug_bundle,
-        bundle_config=_args_config(args),
-        bundle_report=bundle_report,
-    ) as session_telemetry:
-        config = SoakConfig(
-            workers=args.workers,
-            rate_per_s=args.rate,
-            duration_s=args.duration,
-            mode=args.transport,
-            seed=args.seed,
-            initial_nodes=args.nodes,
-            max_nodes=args.max_nodes,
-            saturation_rate_per_node=args.saturation,
-            queue_limit_seconds=args.queue_limit,
-            control=args.control,
-            edge_queue_limit_s=args.edge_queue_limit,
-            low_priority_fraction=args.low_priority,
-            max_p99_ms=args.max_p99,
-            max_shed_rate=args.max_shed_rate,
-            telemetry=session_telemetry is not None,
-            trace_requests=args.trace_requests,
-            telemetry_every_ticks=args.telemetry_every,
-            timeseries=args.timeseries,
-            slo=args.slo,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every_s=args.checkpoint_every,
-        )
-        session = None
-        if args.restore is not None:
-            session = build_soak_session(
-                config, session_telemetry, restore=args.restore
+            code = 1
+        if (args.max_p99, args.max_shed_rate, args.report) != (None, None, None):
+            code |= _apply_gates(
+                session.loadgen.report, summary, args.max_p99, args.max_shed_rate, args.report
             )
-            print(
-                f"restored distributed session from {args.restore} at "
-                f"t={session.clock.now:.0f}s; soaking the remaining "
-                f"{max(0.0, config.duration_s - session.clock.now):.0f}s"
-            )
-        report = run_soak(
-            config, telemetry=session_telemetry, session=session
-        )
-        print(report.format_report())
-        bundle_report.update(report.as_dict())
-        if args.report is not None:
-            report.write(args.report)
-            print(f"soak report -> {args.report}")
-        return 0 if report.passed else 1
+        return code
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -651,6 +652,176 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
              "implies telemetry recording.  Inspect with "
              "'repro.cli explain DIR'",
     )
+
+
+def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=8080, help="bind port (0 = pick a free port)"
+    )
+    parser.add_argument(
+        "--clock", choices=("wall", "virtual"), default="wall",
+        help="wall: one tick per dt/speedup real seconds; virtual: tick "
+             "as fast as possible with zero sleeps",
+    )
+    parser.add_argument("--speedup", type=float, default=1.0,
+                        help="wall-clock acceleration factor")
+    parser.add_argument(
+        "--duration", type=float, default=None,
+        help="stop after this much engine time, seconds (default: forever)",
+    )
+    parser.add_argument(
+        "--linger", type=float, default=0.0,
+        help="keep admin endpoints alive this many real seconds after the "
+             "run completes (POST /shutdown ends it early)",
+    )
+    parser.add_argument(
+        "--profile", default=None,
+        help="embedded open-loop load, e.g. 'poisson:rate=200' or "
+             "'spike:rate=150,at=1800,magnitude=3' (requires --duration)",
+    )
+    parser.add_argument(
+        "--tenants", metavar="SPEC_JSON", default=None,
+        help="multi-tenant serving: load a tenant registry JSON spec, "
+             "overlay every tenant's workload into one composite arrival "
+             "stream and enforce per-tenant quotas, brownout priorities "
+             "and SLO monitors (requires --duration; replaces --profile; "
+             "HTTP clients attribute requests with an X-Tenant header; "
+             "see docs/SERVING.md)",
+    )
+    parser.add_argument(
+        "--timeseries", nargs="?", const="", default=None, metavar="PATH",
+        help="sample every metric into a bounded ring-buffer store once "
+             "per tick (backs GET /timeseries and /dashboard); with PATH, "
+             "also dump the store as JSON at exit",
+    )
+    parser.add_argument(
+        "--perf", action="store_true",
+        help="record wall-clock perf spans (edge dispatch, engine tick, "
+             "planner DP, SPAR fit, transport encode/decode) into "
+             "/metrics repro_perf_* families and a stage report at exit; "
+             "wall times never enter telemetry dumps or debug bundles",
+    )
+    parser.add_argument(
+        "--cost-per-machine-hour", type=float, default=0.0, metavar="DOLLARS",
+        help="report a $-cost estimate (machine-hours x this rate) in "
+             "/healthz and the dashboard (0 hides it)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--nodes", type=int, default=1,
+                        help="initial cluster size (of each worker shard)")
+    parser.add_argument("--max-nodes", type=int, default=4)
+    parser.add_argument("--slot-seconds", type=float, default=60.0,
+                        help="measurement slot length")
+    parser.add_argument("--interval-seconds", type=float, default=300.0,
+                        help="planning interval (multiple of the slot)")
+    parser.add_argument("--saturation", type=float, default=438.0,
+                        help="per-node saturation rate, txn/s")
+    parser.add_argument("--db-size-mb", type=float, default=1106.0)
+    parser.add_argument("--queue-limit", type=float, default=10.0,
+                        help="admission sheds above this per-node "
+                             "queue-delay estimate, seconds")
+    parser.add_argument(
+        "--control", choices=("online", "reactive", "none"), default="online",
+        help="online: cold-start reactive then predictive SPAR; "
+             "reactive: E-Store-style; none: fixed allocation",
+    )
+    parser.add_argument(
+        "--spar", default=None, metavar="SPEC",
+        help="SPAR sizing, e.g. 'period=24,periods=2,recent=3,horizon=6' "
+             "(defaults: one day per period at the planning interval)",
+    )
+    parser.add_argument("--refit-every", type=int, default=10080,
+                        help="refit cadence in planning intervals")
+    parser.add_argument(
+        "--require-moves", type=int, default=0, metavar="N",
+        help="exit 1 unless at least N reconfigurations completed",
+    )
+    parser.add_argument(
+        "--no-http", action="store_true",
+        help="skip the HTTP transport: run the deterministic virtual-"
+             "clock session only (requires --duration)",
+    )
+    parser.add_argument(
+        "--trace-requests", action="store_true",
+        help="record a span tree per request (admission decision, queue "
+             "estimate, concurrent migration) on the telemetry tracer",
+    )
+    parser.add_argument(
+        "--slo", nargs="?", const="", default=None, metavar="SPEC",
+        help="enable burn-rate SLO monitoring (a fleet's runs at the edge); SPEC e.g. "
+             "'objective=0.999,latency=500,fast=300,slow=3600,burn=10' "
+             "(bare --slo uses those defaults)",
+    )
+    parser.add_argument(
+        "--resilience", nargs="?", const="", default=None, metavar="SPEC",
+        help="enable failure detection (per-node circuit breakers) and "
+             "brownout degradation; SPEC e.g. "
+             "'miss=3,open=30,halfopen=2,brownout=0.5' (bare --resilience "
+             "uses those defaults; brownout=0 disables brownout)",
+    )
+    parser.add_argument(
+        "--retries", nargs="?", const="", default=None, metavar="SPEC",
+        help="client-side retries with capped backoff + jitter and a "
+             "retry budget; SPEC e.g. 'max=3,base=0.5,cap=8,budget=0.2,"
+             "hedge=5,lowprio=0.1' (hedge enables tail-latency hedging, "
+             "lowprio tags sheddable requests)",
+    )
+    parser.add_argument(
+        "--checkpoint", metavar="PATH", default=None,
+        help="snapshot the serving state (engine or edge + every worker, control "
+             "loop, loadgen cursor) to PATH on a cadence; quiescent tick boundaries only",
+    )
+    parser.add_argument(
+        "--checkpoint-every", type=float, default=600.0, metavar="SECONDS",
+        help="checkpoint cadence in engine seconds (default 600)",
+    )
+    parser.add_argument(
+        "--restore", metavar="PATH", default=None,
+        help="resume a run from a checkpoint written by --checkpoint, with "
+             "or without HTTP; the resumed run is bit-identical to an "
+             "uninterrupted one",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="serve through an edge over N worker shards, each its own "
+             "engine (requires --no-http; the flags marked [fleet] need it)",
+    )
+    parser.add_argument(
+        "--transport", choices=("pipe", "tcp", "inproc"), default="pipe",
+        help="[fleet] pipe: worker processes over multiprocessing pipes; "
+             "tcp: localhost sockets; inproc: no process boundary (debugging)",
+    )
+    parser.add_argument(
+        "--edge-queue-limit", type=float, default=None, metavar="SECONDS",
+        help="[fleet] coarse edge admission against advertised worker "
+             "queues (default: workers shed for themselves)",
+    )
+    parser.add_argument(
+        "--low-priority", type=float, default=0.0, metavar="FRACTION",
+        help="[fleet] fraction of requests minted low-priority (brownout-sheddable)",
+    )
+    parser.add_argument(
+        "--telemetry-every", type=int, default=0, metavar="TICKS",
+        help="[fleet] stream worker telemetry deltas to the edge on this "
+             "tick cadence for a live fleet-wide view (0 = end of run only)",
+    )
+    parser.add_argument(
+        "--max-p99", type=float, default=None, metavar="MS",
+        help="gate: exit 1 unless requests are conserved exactly and p99 "
+             "latency stays under this ceiling (0 = conservation only)",
+    )
+    parser.add_argument(
+        "--max-shed-rate", type=float, default=None, metavar="FRACTION",
+        help="gate: exit 1 unless requests are conserved exactly and the "
+             "shed fraction stays under this ceiling",
+    )
+    parser.add_argument(
+        "--report", metavar="PATH", default=None,
+        help="apply the gates and write their verdict with the run "
+             "summary as JSON (the soak-smoke CI artifact)",
+    )
+    _add_session_flags(parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -742,216 +913,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_session_flags(bench_parser)
 
-    serve_parser = subparsers.add_parser(
-        "serve", help="run the live serving layer (see docs/SERVING.md)"
+    _add_serve_flags(
+        subparsers.add_parser(
+            "serve",
+            help="run the live serving layer: one engine, or with --workers "
+                 "an edge over worker shards (see docs/SERVING.md)",
+        )
     )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=8080, help="bind port (0 = pick a free port)"
-    )
-    serve_parser.add_argument(
-        "--clock", choices=("wall", "virtual"), default="wall",
-        help="wall: one tick per dt/speedup real seconds; virtual: tick "
-             "as fast as possible with zero sleeps",
-    )
-    serve_parser.add_argument("--speedup", type=float, default=1.0,
-                              help="wall-clock acceleration factor")
-    serve_parser.add_argument(
-        "--duration", type=float, default=None,
-        help="stop after this much engine time, seconds (default: forever)",
-    )
-    serve_parser.add_argument(
-        "--linger", type=float, default=0.0,
-        help="keep admin endpoints alive this many real seconds after the "
-             "run completes (POST /shutdown ends it early)",
-    )
-    serve_parser.add_argument(
-        "--profile", default=None,
-        help="embedded open-loop load, e.g. 'poisson:rate=200' or "
-             "'spike:rate=150,at=1800,magnitude=3' (requires --duration)",
-    )
-    serve_parser.add_argument(
-        "--tenants", metavar="SPEC_JSON", default=None,
-        help="multi-tenant serving: load a tenant registry JSON spec, "
-             "overlay every tenant's workload into one composite arrival "
-             "stream and enforce per-tenant quotas, brownout priorities "
-             "and SLO monitors (requires --duration; replaces --profile; "
-             "HTTP clients attribute requests with an X-Tenant header; "
-             "see docs/SERVING.md)",
-    )
-    serve_parser.add_argument(
-        "--timeseries", nargs="?", const="", default=None, metavar="PATH",
-        help="sample every metric into a bounded ring-buffer store once "
-             "per tick (backs GET /timeseries and /dashboard); with PATH, "
-             "also dump the store as JSON at exit",
-    )
-    serve_parser.add_argument(
-        "--perf", action="store_true",
-        help="record wall-clock perf spans (edge dispatch, engine tick, "
-             "planner DP, SPAR fit, transport encode/decode) into "
-             "/metrics repro_perf_* families and a stage report at exit; "
-             "wall times never enter telemetry dumps or debug bundles",
-    )
-    serve_parser.add_argument(
-        "--cost-per-machine-hour", type=float, default=0.0, metavar="DOLLARS",
-        help="report a $-cost estimate (machine-hours x this rate) in "
-             "/healthz and the dashboard (0 hides it)",
-    )
-    serve_parser.add_argument("--seed", type=int, default=0)
-    serve_parser.add_argument("--nodes", type=int, default=1,
-                              help="initial cluster size")
-    serve_parser.add_argument("--max-nodes", type=int, default=4)
-    serve_parser.add_argument("--slot-seconds", type=float, default=60.0,
-                              help="measurement slot length")
-    serve_parser.add_argument("--interval-seconds", type=float, default=300.0,
-                              help="planning interval (multiple of the slot)")
-    serve_parser.add_argument("--saturation", type=float, default=438.0,
-                              help="per-node saturation rate, txn/s")
-    serve_parser.add_argument("--db-size-mb", type=float, default=1106.0)
-    serve_parser.add_argument("--queue-limit", type=float, default=10.0,
-                              help="admission sheds above this per-node "
-                                   "queue-delay estimate, seconds")
-    serve_parser.add_argument(
-        "--control", choices=("online", "reactive", "none"), default="online",
-        help="online: cold-start reactive then predictive SPAR; "
-             "reactive: E-Store-style; none: fixed allocation",
-    )
-    serve_parser.add_argument(
-        "--spar", default=None, metavar="SPEC",
-        help="SPAR sizing, e.g. 'period=24,periods=2,recent=3,horizon=6' "
-             "(defaults: one day per period at the planning interval)",
-    )
-    serve_parser.add_argument("--refit-every", type=int, default=10080,
-                              help="refit cadence in planning intervals")
-    serve_parser.add_argument(
-        "--require-moves", type=int, default=0, metavar="N",
-        help="exit 1 unless at least N reconfigurations completed",
-    )
-    serve_parser.add_argument(
-        "--no-http", action="store_true",
-        help="skip the HTTP transport: run the deterministic virtual-"
-             "clock session only (requires --duration)",
-    )
-    serve_parser.add_argument(
-        "--trace-requests", action="store_true",
-        help="record a span tree per request (admission decision, queue "
-             "estimate, concurrent migration) on the telemetry tracer",
-    )
-    serve_parser.add_argument(
-        "--slo", nargs="?", const="", default=None, metavar="SPEC",
-        help="enable burn-rate SLO monitoring; SPEC e.g. "
-             "'objective=0.999,latency=500,fast=300,slow=3600,burn=10' "
-             "(bare --slo uses those defaults)",
-    )
-    serve_parser.add_argument(
-        "--resilience", nargs="?", const="", default=None, metavar="SPEC",
-        help="enable failure detection (per-node circuit breakers) and "
-             "brownout degradation; SPEC e.g. "
-             "'miss=3,open=30,halfopen=2,brownout=0.5' (bare --resilience "
-             "uses those defaults; brownout=0 disables brownout)",
-    )
-    serve_parser.add_argument(
-        "--retries", nargs="?", const="", default=None, metavar="SPEC",
-        help="client-side retries with capped backoff + jitter and a "
-             "retry budget; SPEC e.g. 'max=3,base=0.5,cap=8,budget=0.2,"
-             "hedge=5,lowprio=0.1' (hedge enables tail-latency hedging, "
-             "lowprio tags sheddable requests)",
-    )
-    serve_parser.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="snapshot the serving state (engine, control loop, loadgen "
-             "cursor) to PATH on a cadence; quiescent tick boundaries only",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-every", type=float, default=600.0, metavar="SECONDS",
-        help="checkpoint cadence in engine seconds (default 600)",
-    )
-    serve_parser.add_argument(
-        "--restore", metavar="PATH", default=None,
-        help="resume a run from a checkpoint written by --checkpoint, with "
-             "or without HTTP; the resumed run is bit-identical to an "
-             "uninterrupted one",
-    )
-    _add_session_flags(serve_parser)
-
+    # Deprecated, one release: `serve` under soak's defaults.
     soak_parser = subparsers.add_parser(
-        "soak",
-        help="sustained distributed soak: api/edge process + worker shards "
-             "at high aggregate rate, gated on p99/shed/conservation "
-             "(see docs/SERVING.md)",
+        "soak", help="deprecated alias of 'serve --no-http --workers 2 ...'"
     )
-    soak_parser.add_argument("--workers", type=int, default=2,
-                             help="worker shard count")
-    soak_parser.add_argument("--rate", type=float, default=400.0,
-                             help="aggregate offered rate, req/s")
-    soak_parser.add_argument("--duration", type=float, default=120.0,
-                             help="virtual seconds to sustain the load")
+    _add_serve_flags(soak_parser)
     soak_parser.add_argument(
-        "--transport", choices=("pipe", "tcp", "inproc"), default="pipe",
-        help="pipe: worker processes over multiprocessing pipes; tcp: "
-             "localhost sockets; inproc: no process boundary (debugging)",
+        "--rate", type=float, default=None,
+        help="aggregate offered rate, req/s (--profile poisson:rate=R)",
     )
-    soak_parser.add_argument("--seed", type=int, default=0)
-    soak_parser.add_argument("--nodes", type=int, default=1,
-                             help="initial nodes per worker shard")
-    soak_parser.add_argument("--max-nodes", type=int, default=4)
-    soak_parser.add_argument("--saturation", type=float, default=438.0,
-                             help="per-node saturation rate, txn/s")
-    soak_parser.add_argument("--queue-limit", type=float, default=10.0,
-                             help="per-worker admission queue limit, seconds")
-    soak_parser.add_argument(
-        "--control", choices=("online", "reactive", "none"), default="none",
-        help="per-worker control loop",
+    soak_parser.set_defaults(
+        no_http=True, workers=2, control="none", duration=120.0,
+        profile="poisson:rate=400", max_p99=500.0, max_shed_rate=0.2,
     )
-    soak_parser.add_argument(
-        "--edge-queue-limit", type=float, default=None, metavar="SECONDS",
-        help="coarse edge admission against advertised worker queues "
-             "(default: workers shed for themselves)",
-    )
-    soak_parser.add_argument(
-        "--low-priority", type=float, default=0.0, metavar="FRACTION",
-        help="fraction of requests minted low-priority (brownout-sheddable)",
-    )
-    soak_parser.add_argument("--max-p99", type=float, default=500.0,
-                             help="gate: p99 latency ceiling, ms (0 disables)")
-    soak_parser.add_argument("--max-shed-rate", type=float, default=0.2,
-                             help="gate: shed-fraction ceiling (1 disables)")
-    soak_parser.add_argument(
-        "--trace-requests", action="store_true",
-        help="mint trace ids at the edge and stitch worker span trees "
-             "into one cross-process trace per request",
-    )
-    soak_parser.add_argument(
-        "--telemetry-every", type=int, default=0, metavar="TICKS",
-        help="stream worker telemetry deltas to the edge on this tick "
-             "cadence for a live fleet-wide view (0 = end of run only)",
-    )
-    soak_parser.add_argument(
-        "--timeseries", action="store_true",
-        help="sample the edge's fleet view into a bounded ring-buffer "
-             "time-series store once per tick",
-    )
-    soak_parser.add_argument(
-        "--slo", action="store_true",
-        help="edge-side burn-rate SLO monitoring over the aggregate stream",
-    )
-    soak_parser.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="write the JSON soak report (the soak-smoke CI artifact)",
-    )
-    soak_parser.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="distributed snapshot (edge + every worker) on a cadence",
-    )
-    soak_parser.add_argument(
-        "--checkpoint-every", type=float, default=600.0, metavar="SECONDS",
-    )
-    soak_parser.add_argument(
-        "--restore", metavar="PATH", default=None,
-        help="resume a soak from a distributed checkpoint; the combined "
-             "run is bit-identical to an uninterrupted one",
-    )
-    _add_session_flags(soak_parser)
 
     top_parser = subparsers.add_parser(
         "top",
@@ -986,8 +967,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_session_flags(loadgen_parser)
 
     args = parser.parse_args(argv)
-    from repro.errors import ReproError
-
+    if getattr(args, "rate", None) is not None:  # soak's spelling of --profile
+        args.profile = f"poisson:rate={args.rate:g}"
     try:
         if args.command == "list":
             return _cmd_list()
@@ -997,10 +978,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_explain(args.path, args.max_details)
         if args.command == "bench":
             return _cmd_bench(args)
-        if args.command == "serve":
+        if args.command in ("serve", "soak"):
             return _cmd_serve(args)
-        if args.command == "soak":
-            return _cmd_soak(args)
         if args.command == "top":
             from repro.serve.top import run_top
 

@@ -13,8 +13,7 @@ client-side retries/hedging with a retry budget, and digest-verified
 checkpoints that resume a run bit-identically.
 
 Distributed serving (see :mod:`repro.serve.edge`,
-:mod:`repro.serve.worker`, :mod:`repro.serve.transport` and
-:mod:`repro.serve.soak`): an api/edge process routes over per-node
+:mod:`repro.serve.worker` and :mod:`repro.serve.transport`): an api/edge process routes over per-node
 worker processes — one engine shard each — in deterministic lock step,
 with checkpoints, traces and telemetry crossing the wire.
 """
@@ -51,7 +50,6 @@ from repro.serve.resilience import (
     RetryConfig,
 )
 from repro.serve.session import ServeSession
-from repro.serve.soak import SoakConfig, SoakReport, build_soak_session, run_soak
 from repro.serve.transport import (
     PipeTransport,
     TcpTransport,
@@ -89,14 +87,10 @@ __all__ = [
     "DistributedServeSession",
     "Fleet",
     "PipeTransport",
-    "SoakConfig",
-    "SoakReport",
     "TcpTransport",
     "TransportError",
     "WorkerHandle",
     "WorkerServer",
     "WorkerSpec",
-    "build_soak_session",
     "retry_on_bind_failure",
-    "run_soak",
 ]

@@ -819,6 +819,8 @@ class Fleet:
         ]
         if self.slo_monitor is not None:
             lines.append(self.slo_monitor.report_line())
+        if self.tenancy is not None:
+            lines.extend(self.tenancy.report_lines(self.tenant_slos))
         lines.extend(monitor.report_line() for _, monitor in sorted(self.tenant_slos.items()))
         return lines
 

@@ -925,14 +925,8 @@ class ServerEngine:
         ]
         if self.slo_monitor is not None:
             lines.append(self.slo_monitor.report_line())
-        for name, info in sorted((health.get("tenants") or {}).items()):
-            lines.append(
-                f"tenant {name}: offered {info['offered']} | "
-                f"quota shed {info['quota_shed']} | "
-                f"brownout shed {info['brownout_shed']} | "
-                f"good {info['slo']['good_fraction']:.3%}"
-                + (" (FIRING)" if info["slo"]["alerting"] else "")
-            )
+        if self.tenancy is not None:
+            lines.extend(self.tenancy.report_lines(self.tenant_slos))
         lines.extend(monitor.report_line() for _, monitor in sorted(self.tenant_slos.items()))
         if self.health is not None:
             states = ", ".join(

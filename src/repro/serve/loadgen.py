@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.fields import FieldTable, int_number, parse_fields
 from repro.serve.admission import BROWNOUT, REASONS
 from repro.serve.clock import VirtualClock
 from repro.serve.engine import OutcomeBatch, ServerEngine, TxnOutcome
@@ -99,6 +100,29 @@ def spike_arrivals(
     return trace_arrivals(inject_flash_crowd(flat, spike), seed=seed)
 
 
+#: ``kind:key=value,...`` options per profile kind, as
+#: :func:`repro.fields.parse_fields` tables.
+_PROFILE_FIELDS: Dict[str, FieldTable] = {
+    "poisson": {"rate": ("rate", float)},
+    "spike": {
+        "rate": ("rate", float),
+        "at": ("start_seconds", float),
+        "ramp": ("ramp_seconds", float),
+        "plateau": ("plateau_seconds", float),
+        "decay": ("decay_seconds", float),
+        "magnitude": ("magnitude", float),
+    },
+    "trace": {
+        "kind": ("kind", str),
+        "days": ("days", int_number),
+        "slot": ("slot", float),
+        "lang": ("lang", str),
+        "rate": ("rate", float),
+        "scale": ("scale", float),
+    },
+}
+
+
 def parse_profile(
     spec: str, duration_s: float, seed: int = 0
 ) -> np.ndarray:
@@ -116,68 +140,47 @@ def parse_profile(
     equals ``rate`` when given.
     """
     kind, _, rest = spec.partition(":")
-    options: Dict[str, str] = {}
-    if rest:
-        for token in rest.split(","):
-            key, eq, value = token.partition("=")
-            if not eq:
-                raise ConfigurationError(f"bad profile token {token!r} in {spec!r}")
-            options[key.strip()] = value.strip()
-
-    def fget(key: str, default: float) -> float:
-        return float(options.pop(key, default))
-
-    if kind == "poisson":
-        rate = fget("rate", 100.0)
-        _reject_unknown(kind, options)
-        return poisson_arrivals(rate, duration_s, seed=seed)
-    if kind == "spike":
-        rate = fget("rate", 100.0)
-        spike = FlashCrowd(
-            start_seconds=fget("at", duration_s / 3.0),
-            ramp_seconds=fget("ramp", 120.0),
-            plateau_seconds=fget("plateau", 600.0),
-            decay_seconds=fget("decay", 600.0),
-            magnitude=fget("magnitude", 3.0),
-        )
-        _reject_unknown(kind, options)
-        return spike_arrivals(rate, duration_s, spike, seed=seed)
-    if kind == "trace":
-        trace_kind = options.pop("kind", "b2w")
-        if trace_kind == "b2w":
-            from repro.workloads.b2w import generate_b2w_trace
-
-            days = max(1, int(fget("days", 1)))
-            slot = fget("slot", 60.0)
-            trace = generate_b2w_trace(days, slot_seconds=slot, seed=seed)
-        elif trace_kind == "wikipedia":
-            from repro.workloads.wikipedia import generate_wikipedia_trace
-
-            days = max(1, int(fget("days", 7)))
-            language = options.pop("lang", "en")
-            trace = generate_wikipedia_trace(
-                language=language, num_days=days, seed=seed
-            )
-        else:
-            raise ConfigurationError(f"unknown trace kind {trace_kind!r}")
-        rate = options.pop("rate", None)
-        scale = fget("scale", 1.0)
-        if rate is not None:
-            mean_rate = trace.mean() / trace.slot_seconds
-            scale *= float(rate) / max(mean_rate, 1e-9)
-        _reject_unknown(kind, options)
-        times = trace_arrivals(trace, seed=seed, scale=scale)
-        return times[times < duration_s]
-    raise ConfigurationError(
-        f"unknown load profile {kind!r}; use poisson, spike or trace"
-    )
-
-
-def _reject_unknown(kind: str, leftover: Dict[str, str]) -> None:
-    if leftover:
+    if kind not in _PROFILE_FIELDS:
         raise ConfigurationError(
-            f"unknown {kind} profile option(s): {', '.join(sorted(leftover))}"
+            f"unknown load profile {kind!r}; use {', '.join(_PROFILE_FIELDS)}"
         )
+    options = parse_fields(f"--profile {kind}", rest, _PROFILE_FIELDS[kind])
+    if kind == "poisson":
+        return poisson_arrivals(options.get("rate", 100.0), duration_s, seed=seed)
+    if kind == "spike":
+        rate = options.pop("rate", 100.0)
+        defaults = {
+            "start_seconds": duration_s / 3.0, "ramp_seconds": 120.0,
+            "plateau_seconds": 600.0, "decay_seconds": 600.0, "magnitude": 3.0,
+        }
+        spike = FlashCrowd(**{**defaults, **options})
+        return spike_arrivals(rate, duration_s, spike, seed=seed)
+    trace_kind = options.pop("kind", "b2w")
+    rate = options.pop("rate", None)
+    scale = options.pop("scale", 1.0)
+    if trace_kind == "b2w":
+        from repro.workloads.b2w import generate_b2w_trace
+
+        trace = generate_b2w_trace(
+            max(1, options.pop("days", 1)), slot_seconds=options.pop("slot", 60.0), seed=seed
+        )
+    elif trace_kind == "wikipedia":
+        from repro.workloads.wikipedia import generate_wikipedia_trace
+
+        trace = generate_wikipedia_trace(
+            language=options.pop("lang", "en"), num_days=max(1, options.pop("days", 7)), seed=seed
+        )
+    else:
+        raise ConfigurationError(f"unknown trace kind {trace_kind!r}; use b2w, wikipedia")
+    if options:  # ``lang`` means nothing to a B2W day, ``slot`` nothing to Wikipedia's hours
+        raise ConfigurationError(
+            f"--profile trace:kind={trace_kind} takes no {', '.join(sorted(options))}"
+        )
+    if rate is not None:
+        mean_rate = trace.mean() / trace.slot_seconds
+        scale *= rate / max(mean_rate, 1e-9)
+    times = trace_arrivals(trace, seed=seed, scale=scale)
+    return times[times < duration_s]
 
 
 def validate_schedule(

@@ -1,10 +1,10 @@
 """Deterministic serving sessions: engine + loadgen on a virtual clock.
 
 :class:`ServeSession` is the one driver behind the unit tests, the CI
-smokes, every mode of ``repro serve`` and ``repro soak``: engine ticks
-and loadgen arrivals interleave on one :class:`~repro.serve.clock.
-VirtualClock`, so a simulated day of serving runs in however long the
-callbacks take and two runs with the same seeds are identical.
+smokes and every mode of ``repro serve``: engine ticks and loadgen
+arrivals interleave on one :class:`~repro.serve.clock.VirtualClock`, so
+a simulated day of serving runs in however long the callbacks take and
+two runs with the same seeds are identical.
 ``--no-http`` loops over :meth:`ServeSession.step` itself; the HTTP
 front end (:class:`~repro.serve.http.ServeApp`) calls the same method
 once per paced tick.

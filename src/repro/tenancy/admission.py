@@ -199,6 +199,17 @@ class TenantAdmission:
             for name in self.registry.names()
         }
 
+    def report_lines(self, slos: Dict[str, SLOMonitor]) -> List[str]:
+        """One run-report line per tenant, wherever the policy ran."""
+        return [
+            f"tenant {name}: offered {info['offered']} | "
+            f"quota shed {info['quota_shed']} | "
+            f"brownout shed {info['brownout_shed']} | "
+            f"good {info['slo']['good_fraction']:.3%}"
+            + (" (FIRING)" if info["slo"]["alerting"] else "")
+            for name, info in sorted(self.health(slos).items())
+        ]
+
     def summary(self) -> Dict[str, Dict[str, int]]:
         return {
             name: {

@@ -331,11 +331,24 @@ class TestServeSubcommand:
         assert "Traceback" not in err
 
 
+def report_lines(out):
+    """The lines of a run report that state results (not paths or timings)."""
+    keep = ("offered", "throughput", "latency", "workers:", "conservation", "tenant ", "gates")
+    return [line for line in out.splitlines() if line.startswith(keep)]
+
+
 class TestSoakSubcommand:
+    """``repro serve --workers N`` (the fleet behind the one serving
+    command) and ``soak``, its alias under soak's defaults."""
+
     SOAK_ARGS = [
         "soak", "--transport", "inproc", "--workers", "2",
         "--rate", "120", "--duration", "30", "--seed", "4",
         "--saturation", "200", "--queue-limit", "8",
+    ]
+    FLEET_ARGS = [
+        "serve", "--no-http", "--control", "none", "--workers", "2", "--transport", "inproc",
+        "--duration", "30", "--seed", "4", "--saturation", "200", "--queue-limit", "8",
     ]
 
     def test_soak_passes_and_writes_report(self, tmp_path, capsys):
@@ -347,31 +360,184 @@ class TestSoakSubcommand:
         assert "(exact)" in out
         doc = json.loads(report.read_text())
         assert doc["format"] == "repro-soak-report/1"
-        assert doc["passed"] is True
+        assert doc["passed"] is True and doc["failures"] == []
+        assert doc["conserved"] is True and doc["offered"] > 0
 
     def test_gate_breach_exits_nonzero(self, capsys):
         code = main(self.SOAK_ARGS + ["--max-p99", "0.001"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "GATE FAIL" in out
+        assert "GATE FAIL: p99" in out and "gates: PASS" not in out
+
+    def test_gates_run_only_when_asked_and_on_a_single_engine_too(self, capsys):
+        args = ["serve", "--no-http", "--duration", "20", "--profile", "poisson:rate=50"]
+        assert main(args) == 0
+        assert "gates" not in capsys.readouterr().out
+        assert main(args + ["--max-shed-rate", "0.5"]) == 0
+        assert "gates: PASS" in capsys.readouterr().out
+        assert main(args + ["--max-p99", "0.001"]) == 1
+        assert "GATE FAIL: p99" in capsys.readouterr().out
 
     def test_checkpoint_restore_round_trip(self, tmp_path, capsys):
         ckpt = tmp_path / "soak.ckpt"
         args = self.SOAK_ARGS + [
+            "--checkpoint", str(ckpt), "--checkpoint-every", "20",
+        ]
+        assert main(args) == 0
+        uninterrupted = capsys.readouterr().out
+        assert "checkpoints written: 1" in uninterrupted
+        code = main(args + ["--restore", str(ckpt)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"restored from {ckpt} at t=20s; serving the remaining 10s" in out
+        assert "gates: PASS" in out
+        assert report_lines(out) == report_lines(uninterrupted)
+
+    def test_restore_with_nothing_left_exits_2(self, tmp_path, capsys):
+        """One resume path: a fleet checkpoint already at the end of the
+        run is refused like a single engine's, not \"served\" for 0 s and
+        passed on the gates of a run that was never made."""
+        ckpt = tmp_path / "fleet.ckpt"
+        args = self.FLEET_ARGS + [
+            "--profile", "poisson:rate=120", "--max-p99", "500",
             "--checkpoint", str(ckpt), "--checkpoint-every", "10",
         ]
         assert main(args) == 0
         capsys.readouterr()
-        code = main(args + ["--restore", str(ckpt)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "restored" in out
-        assert "gates: PASS" in out
+        code = main(args + ["--restore", str(ckpt)])  # the last snapshot is at t=30
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "nothing left of the 30s run" in captured.err
+        assert "gates" not in captured.out
 
     def test_bad_flags_exit_2(self, capsys):
         code = main(["soak", "--workers", "0"])
         assert code == 2
         assert "worker" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, needle",
+        [
+            (["--port", "0"], "--no-http"),  # no --no-http
+            (["--no-http", "--retries"], "--retries"),
+        ],
+    )
+    def test_fleet_has_no_scalar_submit_yet(self, extra, needle, capsys):
+        code = main(["serve", "--workers", "2", "--transport", "inproc", "--duration", "5"] + extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert needle in err and "ROADMAP 2(iii)" in err
+
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_faults_refused_across_a_process_boundary(self, transport, capsys):
+        """The fault plan is a process-wide default: spawned workers never
+        see it, so the run used to print `fault plan in force` and inject
+        nothing."""
+        code = main([
+            "soak", "--transport", transport, "--nodes", "2", "--duration", "10",
+            "--faults", "crash@5:n1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--transport inproc" in captured.err
+        assert "fault plan in force" not in captured.out
+
+    def test_faults_reach_inproc_workers(self, capsys):
+        args = self.FLEET_ARGS + ["--workers", "1", "--nodes", "2", "--profile", "poisson:rate=80"]
+        assert main(args + ["--faults", "crash@5:n1"]) == 0
+        out = capsys.readouterr().out
+        assert "fault plan in force" in out and "workers: w0 machines 1" in out
+
+    def test_soak_alias_is_serve_with_defaults(self, capsys):
+        flags = ["--transport", "inproc", "--duration", "20", "--seed", "9"]
+        assert main(["soak", *flags]) == 0
+        alias = capsys.readouterr().out
+        assert main([
+            "serve", "--no-http", "--workers", "2", "--control", "none",
+            "--profile", "poisson:rate=400", "--max-p99", "500", "--max-shed-rate", "0.2",
+            *flags,
+        ]) == 0
+        spelled_out = capsys.readouterr().out
+        assert report_lines(alias) == report_lines(spelled_out)
+        assert any(line.startswith("workers: w0") for line in report_lines(alias))
+        # ... and --rate R is --profile poisson:rate=R.
+        assert main(["soak", *flags, "--rate", "250"]) == 0
+        rate = capsys.readouterr().out
+        assert main(["soak", *flags, "--profile", "poisson:rate=250"]) == 0
+        assert report_lines(rate) == report_lines(capsys.readouterr().out)
+
+    def test_one_inproc_worker_prints_the_single_engine_numbers(self, capsys):
+        """The tests/test_front_ends.py identity, from the command line."""
+        args = [
+            "serve", "--no-http", "--duration", "200", "--profile", "poisson:rate=12",
+            "--seed", "5", "--saturation", "12", "--db-size-mb", "5", "--queue-limit", "5",
+            "--interval-seconds", "60", "--spar", "period=12,periods=2,recent=2,horizon=4",
+        ]
+        assert main(args) == 0
+        single = capsys.readouterr().out
+        assert main(args + ["--workers", "1", "--transport", "inproc"]) == 0
+        fleet = capsys.readouterr().out
+        results = ("offered", "throughput", "latency", "reconfigurations")
+        assert [line for line in single.splitlines() if line.startswith(results)] == [
+            line for line in fleet.splitlines() if line.startswith(results)
+        ]
+        assert "reconfigurations completed: 1" in fleet
+
+    def test_tenants_slo_and_spar_reach_the_fleet(self, tmp_path, capsys):
+        """The configuration no command could express before: a
+        multi-tenant load through an edge, predictive control behind it."""
+        spec = tmp_path / "tenants.json"
+        spec.write_text(json.dumps({
+            "tenants": [
+                {"name": "checkout", "profile": "poisson:rate=8", "weight": 2},
+                {"name": "batch", "profile": "poisson:rate=6", "quota_rps": 3.0},
+            ]
+        }))
+        code = main([
+            "serve", "--no-http", "--workers", "2", "--transport", "inproc",
+            "--duration", "120", "--tenants", str(spec), "--saturation", "12",
+            "--db-size-mb", "5", "--interval-seconds", "60",
+            "--slo", "objective=0.9,latency=2000", "--resilience",
+            "--spar", "period=12,periods=2,recent=2,horizon=4", "--max-shed-rate", "0.9",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "tenants: checkout, batch" in out
+        assert 'conservation{tenant="checkout"}' in out and "MISMATCH" not in out
+        shed = [line for line in out.splitlines() if line.startswith("tenant batch: offered")]
+        assert shed and "quota shed 0" not in shed[0]
+        assert "SLO 90.000%" in out and "SLO[batch]" in out
+
+
+class TestSpecDialects:
+    """``--spar``, ``--slo``, ``--resilience``, ``--retries`` and
+    ``--profile`` options go through one tokenizer (``repro.fields``):
+    every mistake names the flag, the offending token and the valid keys."""
+
+    BASE = ["serve", "--no-http", "--duration", "10"]
+    DIALECTS = {
+        "--spar": ("{}", "period", "keys: period, periods, recent, horizon"),
+        "--slo": ("{}", "latency", "keys: objective, latency, fast, slow, burn, samples"),
+        "--resilience": ("{}", "miss", "keys: miss, open, halfopen, brownout, shed"),
+        "--retries": ("{}", "max", "keys: max, base, cap, jitter, budget, floor, hedge, lowprio"),
+        "--profile": ("poisson:{}", "rate", "keys: rate"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(DIALECTS))
+    @pytest.mark.parametrize(
+        "mistake, why",
+        [("bogus=1", "unknown key 'bogus'"), ("{key}", "expected key=value"),
+         ("{key}=oops", "{key} must be a")],
+    )
+    def test_mistakes_exit_2_in_one_shape(self, flag, mistake, why, capsys):
+        template, key, keys = self.DIALECTS[flag]
+        token = mistake.format(key=key)
+        code = main(self.BASE + [flag, template.format(token)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: bad {flag}")
+        assert repr(token) in err and why.format(key=key) in err and err.rstrip().endswith(keys)
+        assert "Traceback" not in err
 
 
 class TestTopSubcommand:

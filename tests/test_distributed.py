@@ -1,4 +1,4 @@
-"""Distributed serve: transports, edge/worker protocol, soak gates.
+"""Distributed serve: transports, edge/worker protocol, `serve --workers` gates.
 
 Determinism is the backbone of this suite: the edge drives the fleet in
 lock step, so a run is bit-identical across transport modes and across a
@@ -16,20 +16,18 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.serve import (
     BreakerConfig,
     BrownoutConfig,
     DistributedServeSession,
-    SoakConfig,
     TransportError,
     WorkerHandle,
     WorkerServer,
     WorkerSpec,
-    build_soak_session,
     poisson_arrivals,
     retry_on_bind_failure,
-    run_soak,
 )
 from repro.serve.checkpoint import CheckpointConfig
 from repro.serve.engine import REASONS
@@ -639,88 +637,93 @@ class TestDistributedCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Soak harness and gates
+# The fleet behind `repro serve --workers N`, and its gates
 # ----------------------------------------------------------------------
+FLEET = [
+    "serve", "--no-http", "--control", "none", "--workers", "2", "--transport", "inproc",
+    "--duration", "20", "--profile", "poisson:rate=150",
+]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The sessions `repro serve --workers` builds, in order."""
+    sessions = []
+
+    class Recorded(DistributedServeSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr("repro.serve.DistributedServeSession", Recorded)
+    return sessions
+
+
 class TestSoak:
-    def test_soak_passes_and_reports(self, tmp_path):
-        config = SoakConfig(
-            workers=2,
-            rate_per_s=150.0,
-            duration_s=40.0,
-            mode="inproc",
-            seed=4,
-        )
-        report = run_soak(config)
-        assert report.passed and not report.gate()
-        assert report.offered > 0
-        assert "exact" in report.conservation_line
-        path = str(tmp_path / "soak.json")
-        report.write(path)
+    def test_soak_passes_and_reports(self, tmp_path, capsys):
+        path = str(tmp_path / "out" / "soak.json")
+        code = main(FLEET + ["--seed", "4", "--max-p99", "500", "--report", path])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "gates: PASS" in out and "GATE FAIL" not in out
+        assert "(exact)" in out
         with open(path) as f:
             doc = json.load(f)
         assert doc["format"] == "repro-soak-report/1"
         assert doc["passed"] is True and doc["failures"] == []
+        assert doc["offered"] > 0 and doc["conserved"] is True
+        assert sorted(doc["workers"]) == ["0", "1"]
 
-    def test_gates_catch_breaches(self):
-        config = SoakConfig(
-            workers=1,
-            rate_per_s=600.0,  # way past one worker's saturation
-            duration_s=30.0,
-            mode="inproc",
-            max_shed_rate=0.0,  # any shed at all breaches
-            max_p99_ms=0.001,
-        )
-        report = run_soak(config)
-        assert not report.passed
-        assert any("shed" in g or "p99" in g for g in report.gate())
-        assert "GATE FAIL" in report.format_report()
+    def test_gates_catch_breaches(self, capsys):
+        code = main(FLEET + [
+            "--workers", "1", "--profile", "poisson:rate=600",  # way past one worker's saturation
+            "--queue-limit", "2", "--max-shed-rate", "0.0",  # any shed at all breaches
+            "--max-p99", "0.001",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "GATE FAIL: p99" in out and "GATE FAIL: shed rate" in out
+        assert "gates: PASS" not in out
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SoakConfig(workers=0)
-        with pytest.raises(ConfigurationError):
-            SoakConfig(duration_s=-1.0)
+    def test_config_validation(self, capsys):
+        assert main(FLEET + ["--workers", "0"]) == 2
+        assert "at least one worker" in capsys.readouterr().err
+        assert main(FLEET + ["--duration", "-1"]) == 2
+        assert "duration" in capsys.readouterr().err
 
-    def test_per_worker_seeds_differ(self):
-        config = SoakConfig(workers=3, seed=10)
-        assert [s.seed for s in config.worker_specs()] == [10, 11, 12]
+    def test_per_worker_seeds_differ(self, built, capsys):
+        assert main(FLEET + ["--workers", "3", "--seed", "10", "--nodes", "2"]) == 0
+        specs = [handle.spec for handle in built[0].workers]
+        assert [s.seed for s in specs] == [10, 11, 12]
+        assert [s.worker_id for s in specs] == [0, 1, 2]
+        assert {s.initial_nodes for s in specs} == {2}
+        assert not any(s.collect_telemetry for s in specs)
 
-    def test_build_session_wires_config(self):
-        config = SoakConfig(
-            workers=2,
-            mode="inproc",
-            slo=True,
-            telemetry=True,
-            low_priority_fraction=0.1,
-            duration_s=20.0,
-        )
-        telemetry = Telemetry()
-        session = build_soak_session(config, telemetry=telemetry)
-        try:
-            assert session.engine.slo_monitor is not None
-            assert session.engine.brownout is not None
-            assert session.engine.telemetry is telemetry
-            assert len(session.workers) == 2
-        finally:
-            session.close()
+    def test_build_session_wires_config(self, built, tmp_path, capsys):
+        code = main(FLEET + [
+            "--slo", "--resilience", "brownout=0.4", "--low-priority", "0.1",
+            "--edge-queue-limit", "3", "--telemetry", str(tmp_path / "t.jsonl"),
+        ])
+        assert code == 0
+        (session,) = built
+        fleet = session.engine
+        assert fleet.slo_monitor is not None
+        assert fleet.brownout.queue_factor == 0.4
+        assert fleet.low_priority_fraction == 0.1
+        assert fleet.edge_queue_limit_s == 3.0
+        assert fleet.telemetry is not None
+        assert len(session.workers) == 2
+        assert all(handle.spec.collect_telemetry for handle in session.workers)
+        assert not any(handle.alive for handle in session.workers), "workers reaped on exit"
 
-    def test_build_session_wires_streaming_and_timeseries(self):
-        config = SoakConfig(
-            workers=2,
-            mode="inproc",
-            duration_s=20.0,
-            telemetry_every_ticks=5,
-            timeseries=True,
-        )
-        assert all(s.collect_telemetry for s in config.worker_specs())
-        session = build_soak_session(config)
-        try:
-            assert session.engine.telemetry is not None
-            assert session.engine.telemetry_every_ticks == 5
-            assert session.timeseries is not None
-        finally:
-            session.close()
+    def test_build_session_wires_streaming_and_timeseries(self, built, capsys):
+        assert main(FLEET + ["--telemetry-every", "5", "--timeseries"]) == 0
+        (session,) = built
+        assert all(handle.spec.collect_telemetry for handle in session.workers)
+        assert session.engine.telemetry is not None
+        assert session.engine.telemetry_every_ticks == 5
+        assert session.timeseries is not None and session.timeseries.samples_taken == 20
 
-    def test_streaming_soak_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SoakConfig(telemetry_every_ticks=-1)
+    def test_streaming_soak_config_validation(self, capsys):
+        assert main(FLEET + ["--telemetry-every", "-1"]) == 2
+        assert "telemetry_every_ticks must be >= 0" in capsys.readouterr().err
