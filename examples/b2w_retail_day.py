@@ -14,10 +14,11 @@ Run:  python examples/b2w_retail_day.py        (about a minute)
 
 import numpy as np
 
-from repro.core import PredictiveController, ReactiveController, SystemParameters
+from repro.core import ReactiveController, SystemParameters
 from repro.engine import EngineConfig, EngineSimulator
 from repro.metrics import sla_report
-from repro.prediction import SPARPredictor
+from repro.prediction import OnlinePredictor, SPARPredictor
+from repro.serve import OnlineControlLoop
 from repro.workloads import B2WTraceConfig, generate_b2w_trace
 
 SPEEDUP = 10
@@ -55,8 +56,8 @@ def main() -> None:
 
     # --- P-Store ---------------------------------------------------------
     sim = EngineSimulator(engine_config, initial_nodes=first)
-    pstore = PredictiveController(
-        params, spar, training_history=train,
+    pstore = OnlineControlLoop(
+        params, OnlinePredictor.fitted(spar, train),
         measurement_slot_seconds=SLOT, max_machines=10,
     )
     result = sim.run(eval_trace, controller=pstore)

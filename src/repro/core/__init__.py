@@ -8,8 +8,10 @@
 * :mod:`repro.core.schedule` — round-based migration schedules
   (Section 4.4.1, Table 1).
 * :mod:`repro.core.partition_plan` — bucket-level partition plans.
-* :mod:`repro.core.controller` — the online Predictive Controller
-  (Section 6).
+* :mod:`repro.core.policy` — the Predictive Controller's decision rule
+  (Section 6); the loop around it is
+  :class:`repro.serve.control.OnlineControlLoop`.
+* :mod:`repro.core.controller` — the reactive baseline controller.
 """
 
 from repro.core.capacity import (
@@ -25,7 +27,6 @@ from repro.core.capacity import (
 )
 from repro.core.controller import (
     ControllerDecision,
-    PredictiveController,
     ReactiveController,
     SPIKE_POLICY_BOOST,
     SPIKE_POLICY_NORMAL_RATE,
@@ -41,7 +42,6 @@ __all__ = [
     "ControllerDecision",
     "Decision",
     "Move",
-    "PredictiveController",
     "PredictivePolicy",
     "ReactiveController",
     "SPIKE_POLICY_BOOST",

@@ -20,7 +20,8 @@ This module defines that audit trail:
   schedule and the runner-up with its rejection reason and the
   machine-hours the choice saved over it.
 * :func:`audit_event_fields` — the JSON-safe telemetry ``audit`` event
-  body (``inf`` costs become ``null``); both controllers emit one per
+  body (``inf`` costs become ``null``); the Predictive Controller
+  (:class:`~repro.serve.control.OnlineControlLoop`) emits one per
   replan, and ``repro.cli explain`` joins these events with the
   ``forecast`` events (predicted vs actual load) to reconstruct each
   decision.

@@ -1,33 +1,22 @@
-"""Online elasticity controllers for the simulated engine (Section 6).
+"""The reactive baseline controller and the controllers' decision record.
 
-The **Predictive Controller** wires P-Store's pieces together: it
-monitors the aggregate load, calls the Predictor for a time series of
-future load, passes it to the Planner, and executes only the first move
-of the optimal plan through the migration subsystem (receding-horizon
-control).  Scale-ins require three consecutive agreeing prediction
-cycles; when no feasible plan exists the controller reacts with one of
-the two fallback options of Section 4.3.1 — keep migrating at rate ``R``
-or boost to ``R x 8`` (Figure 11 compares them).
-
-The **Reactive Controller** reproduces the E-Store baseline of
-Figure 9c: it only reconfigures after detecting that the load has
-exceeded the current allocation's target capacity — i.e. when the
-system is already degrading.
+The **Predictive Controller** of Section 6 — monitor, Predictor,
+Planner, first move of the optimal plan — is
+:class:`repro.serve.control.OnlineControlLoop`; this module holds what
+it shares with the baseline (the :class:`ControllerDecision` log entry,
+the Section 4.3.1 spike-policy names) and the **Reactive Controller**,
+which reproduces the E-Store baseline of Figure 9c: it only reconfigures
+after detecting that the load has exceeded the current allocation's
+target capacity — i.e. when the system is already degrading.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.core.audit import DecisionAudit, audit_event_fields
 from repro.core.params import SystemParameters
-from repro.core.policy import PredictivePolicy
 from repro.errors import ConfigurationError, MigrationError
-from repro.prediction.base import Predictor
 from repro.engine.simulator import EngineSimulator
 
 #: Reactive fallback policies for unpredicted spikes (Section 4.3.1).
@@ -45,7 +34,7 @@ class ControllerDecision:
         machines_before: Machines allocated at decision time.
         target: Machines the move reconfigures to.
         kind: ``"planned"`` (DP first move), ``"fallback"`` (infeasible
-            plan, Section 4.3.1), ``"warmup-reactive"``, or
+            plan, Section 4.3.1), ``"cold-start-reactive"``, or
             ``"fault-recovery"`` (replanned after the machine set changed
             under an active schedule).
         boost: Migration-rate multiplier used (1.0 or ``R x boost``).
@@ -64,250 +53,6 @@ class ControllerDecision:
             f"t={self.sim_time:8.0f}s load={self.measured_rate:7.0f}/s "
             f"{self.machines_before} -> {self.target} ({self.kind}{tag})"
         )
-
-
-class PredictiveController:
-    """P-Store's online controller for the engine simulator.
-
-    The controller measures load at the trace's slot granularity but
-    *plans* at the coarser ``params.interval_seconds`` granularity, so the
-    forecast window can cover at least ``2 * D / P`` (the minimum safe
-    window of Section 5) without exploding the dynamic program.
-
-    Args:
-        params: System parameters; ``interval_seconds`` is the *planning*
-            interval and must be a multiple of the measurement slot.
-        predictor: Fitted load predictor working in per-planning-interval
-            counts.
-        training_history: Per-planning-interval counts preceding the run
-            (the model's warm history, e.g. four weeks of measurements).
-        measurement_slot_seconds: Slot length of the trace being replayed.
-        horizon: Forecast window in planning intervals; defaults to the
-            smallest window covering ``2 * D / P`` plus slack.
-        inflation: Prediction inflation (paper: 15%).
-        max_machines: Cluster-size cap (the testbed had 10 nodes).
-        spike_policy: ``"normal-rate"`` (default; keep migrating at R) or
-            ``"boost"`` (migrate at ``R * spike_boost``).
-        spike_boost: Rate multiplier for the boost policy (paper: 8).
-        scale_in_confirmations: Agreeing cycles before a scale-in.
-    """
-
-    def __init__(
-        self,
-        params: SystemParameters,
-        predictor: Predictor,
-        training_history: Optional[Sequence[float]] = None,
-        *,
-        measurement_slot_seconds: Optional[float] = None,
-        horizon: Optional[int] = None,
-        inflation: float = 0.15,
-        max_machines: int = 10,
-        spike_policy: str = SPIKE_POLICY_NORMAL_RATE,
-        spike_boost: float = 8.0,
-        scale_in_confirmations: int = 3,
-    ) -> None:
-        if spike_policy not in (SPIKE_POLICY_NORMAL_RATE, SPIKE_POLICY_BOOST):
-            raise ConfigurationError(
-                f"unknown spike_policy {spike_policy!r}; use "
-                f"{SPIKE_POLICY_NORMAL_RATE!r} or {SPIKE_POLICY_BOOST!r}"
-            )
-        self.params = params
-        self.predictor = predictor
-        slot = measurement_slot_seconds or params.interval_seconds
-        ratio = params.interval_seconds / slot
-        if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-            raise ConfigurationError(
-                "planning interval must be a positive multiple of the "
-                f"measurement slot ({params.interval_seconds}s vs {slot}s)"
-            )
-        self.slot_seconds = slot
-        self.slots_per_interval = int(round(ratio))
-        if horizon is None:
-            from repro.core.capacity import minimum_forecast_window_seconds
-
-            horizon = params.intervals(
-                1.25 * minimum_forecast_window_seconds(params)
-            )
-        if horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
-        self.horizon = horizon
-        self.inflation = inflation
-        self.max_machines = max_machines
-        self.spike_policy = spike_policy
-        self.spike_boost = spike_boost
-        self.policy = PredictivePolicy(params, max_machines, scale_in_confirmations)
-        #: Aggregated (planning-interval) load history.
-        self.history: List[float] = (
-            [] if training_history is None else list(map(float, training_history))
-        )
-        self._slot_buffer: List[float] = []
-        self.moves_requested = 0
-        self.boosted_moves = 0
-        #: Observability: one entry per executed action, for operators
-        #: and for the examples' move logs.
-        self.decision_log: List[ControllerDecision] = []
-        #: Machine count the controller believes the cluster has (the
-        #: target of its last move); a mismatch means the machine set
-        #: changed under us — a crash or an aborted move — and the
-        #: active schedule is void.
-        self._expected_machines: Optional[int] = None
-        self.topology_changes_detected = 0
-        #: Last cycle's one-interval-ahead forecast (raw, uninflated
-        #: txn/s); compared against the next measured interval and
-        #: emitted as a telemetry ``forecast`` event, the feedback signal
-        #: ``repro.cli report`` turns into per-window MAPE.
-        self._pending_forecast: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    def _record(
-        self,
-        sim: EngineSimulator,
-        measured_rate: float,
-        target: int,
-        kind: str,
-        boost: float = 1.0,
-    ) -> None:
-        self.decision_log.append(
-            ControllerDecision(
-                sim_time=sim.now,
-                measured_rate=measured_rate,
-                machines_before=sim.machines_allocated,
-                target=target,
-                kind=kind,
-                boost=boost,
-            )
-        )
-        tel = sim.telemetry
-        if tel is not None:
-            tel.counter("controller.decisions").inc()
-            if kind == "fallback":
-                tel.counter("controller.fallbacks").inc()
-            tel.event(
-                "decision",
-                sim.now,
-                action=kind,
-                measured_rate=measured_rate,
-                machines_before=sim.machines_allocated,
-                target=target,
-                boost=boost,
-            )
-
-    def on_slot(
-        self, sim: EngineSimulator, slot_index: int, measured_count: float
-    ) -> None:
-        """Accumulate a measurement slot; plan when an interval closes."""
-        self._slot_buffer.append(float(measured_count))
-        if len(self._slot_buffer) < self.slots_per_interval:
-            return
-        interval_count = sum(self._slot_buffer)
-        self._slot_buffer.clear()
-        self.history.append(interval_count)
-
-        interval_seconds = self.params.interval_seconds
-        tel = sim.telemetry
-        if tel is not None:
-            measured = interval_count / interval_seconds
-            tel.gauge("controller.measured_rate").set(measured)
-            if self._pending_forecast is not None:
-                tel.event(
-                    "forecast",
-                    sim.now,
-                    interval=len(self.history) - 1,
-                    predicted=self._pending_forecast,
-                    actual=measured,
-                )
-                tel.counter("controller.forecasts_scored").inc()
-                if measured > 0:
-                    tel.gauge("controller.forecast_ape_pct").set(
-                        100.0 * abs(self._pending_forecast - measured) / measured
-                    )
-        self._pending_forecast = None
-
-        if sim.migration_active:
-            return
-        measured_rate = interval_count / interval_seconds
-        current = sim.machines_allocated
-
-        fault_recovery = (
-            self._expected_machines is not None
-            and current != self._expected_machines
-        )
-        if fault_recovery:
-            # The machine set changed under an active plan (node crash,
-            # aborted move): invalidate stale confirmation state and
-            # replan from the surviving allocation this very cycle.
-            self.policy.notify_topology_change()
-            self.topology_changes_detected += 1
-        self._expected_machines = current
-        #: Never target more nodes than are physically healthy.
-        cap = min(self.max_machines, sim.cluster.num_available_nodes)
-
-        if len(self.history) < self.predictor.min_history:
-            # Warm-up: fall back to purely reactive scale-out.
-            needed = max(
-                1, math.ceil(measured_rate * (1 + self.inflation) / self.params.q)
-            )
-            needed = min(needed, cap)
-            if needed > current:
-                self._record(sim, measured_rate, needed, "warmup-reactive")
-                self._start_move(sim, needed)
-            return
-
-        forecast_counts = self.predictor.predict(
-            np.asarray(self.history), self.horizon
-        )
-        load = np.empty(self.horizon + 1)
-        load[0] = measured_rate
-        load[1:] = (forecast_counts / interval_seconds) * (1.0 + self.inflation)
-        self._pending_forecast = float(forecast_counts[0]) / interval_seconds
-        if tel is not None:
-            tel.gauge("controller.predicted_rate").set(self._pending_forecast)
-
-        audit = DecisionAudit() if tel is not None else None
-        decision = self.policy.decide(load, current, audit=audit)
-        if tel is not None and audit is not None:
-            tel.counter("controller.replans").inc()
-            tel.event(
-                "audit",
-                sim.now,
-                **audit_event_fields(
-                    audit,
-                    interval=len(self.history) - 1,
-                    measured_rate=measured_rate,
-                    predicted_rate=self._pending_forecast,
-                    window_intervals=self.horizon,
-                    interval_seconds=interval_seconds,
-                ),
-            )
-        if decision.target is None:
-            return
-        target = min(decision.target, cap)
-        if target == current:
-            return
-        boost = 1.0
-        if decision.fallback and self.spike_policy == SPIKE_POLICY_BOOST:
-            boost = self.spike_boost
-            self.boosted_moves += 1
-        if decision.fallback:
-            kind = "fallback"
-        elif fault_recovery:
-            kind = "fault-recovery"
-        else:
-            kind = "planned"
-        self._record(sim, measured_rate, target, kind, boost)
-        self._start_move(sim, target, boost=boost)
-
-    def _start_move(
-        self, sim: EngineSimulator, target: int, boost: float = 1.0
-    ) -> None:
-        """Execute a move; a cluster that refuses (e.g. spare nodes died
-        between planning and execution) costs us the cycle, not the run."""
-        try:
-            sim.start_move(target, boost=boost)
-        except MigrationError:
-            return
-        self._expected_machines = target
-        self.moves_requested += 1
 
 
 class ReactiveController:
@@ -347,12 +92,9 @@ class ReactiveController:
         self.moves_requested = 0
 
     def _needed(self, rate: float) -> int:
-        return max(
-            1,
-            min(
-                math.ceil(rate * (1.0 + self.headroom) / self.params.q),
-                self.max_machines,
-            ),
+        return min(
+            self.params.machines_for_load(rate * (1.0 + self.headroom)),
+            self.max_machines,
         )
 
     def on_slot(
@@ -397,12 +139,25 @@ class ReactiveController:
         self.moves_requested += 1
         tel = sim.telemetry
         if tel is not None:
-            tel.counter("controller.decisions").inc()
+            tel.counter("control.decisions").inc()
             tel.event(
                 "decision",
                 sim.now,
                 action="reactive",
                 machines_before=machines_before,
                 target=target,
-                boost=1.0,
             )
+
+    def state_dict(self) -> Dict[str, Optional[int]]:
+        """The detection windows, for serving checkpoints."""
+        return {
+            "over": self._over,
+            "under": self._under,
+            "last_machines": self._last_machines,
+            "moves_requested": self.moves_requested,
+        }
+
+    def load_state_dict(self, state: Dict[str, Optional[int]]) -> None:
+        self._over, self._under = int(state["over"]), int(state["under"])
+        self._last_machines = state["last_machines"]
+        self.moves_requested = int(state["moves_requested"])

@@ -344,9 +344,7 @@ class _PredictiveGreedyStrategy(PStoreStrategy):
             return None
         rates = forecast_counts / state.slot_seconds
         peak = max(float(rates.max()) * (1.0 + self.inflation), state.load_rate)
-        import math as _math
-
-        target = self.clamp(max(1, _math.ceil(peak / self.params.q)))
+        target = self.clamp(self.params.machines_for_load(peak))
         return target if target != state.machines else None
 
 

@@ -27,10 +27,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.controller import PredictiveController
 from repro.engine.simulator import EngineSimulator, RunResult
 from repro.experiments.common import PaperComparison, comparison_table, format_table
-from repro.experiments.fig9_elasticity import BenchmarkSetup, build_setup
+from repro.experiments.fig9_elasticity import BenchmarkSetup, build_setup, pstore_engine
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -200,20 +199,7 @@ class ExtFaultToleranceResult:
 def _run_once(
     setup: BenchmarkSetup, injector: Optional[FaultInjector]
 ) -> Tuple[ChaosRun, EngineSimulator]:
-    params = setup.plan_params
-    first_rate = float(setup.eval_trace.per_second()[0])
-    initial = max(1, min(10, int(np.ceil(first_rate * 1.15 / params.q))))
-    sim = EngineSimulator(
-        setup.engine_config, initial_nodes=initial, fault_injector=injector
-    )
-    sim.skew_events = list(setup.skew_events)
-    controller = PredictiveController(
-        params,
-        setup.predictor,
-        training_history=setup.train_aggregated,
-        measurement_slot_seconds=setup.eval_trace.slot_seconds,
-        max_machines=setup.engine_config.max_nodes,
-    )
+    sim, controller = pstore_engine(setup, fault_injector=injector)
     result = sim.run(setup.eval_trace, controller=controller)
     report = sla_report(
         "chaos" if injector else "baseline",

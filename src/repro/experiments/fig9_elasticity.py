@@ -24,16 +24,18 @@ the 10-node cluster the way the paper's replayed peak (~2.7k txn/s) did.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.controller import PredictiveController, ReactiveController
+from repro.core.controller import ReactiveController
 from repro.core.params import SystemParameters
 from repro.engine.simulator import EngineConfig, EngineSimulator, RunResult, SkewEvent
 from repro.experiments.common import PaperComparison, comparison_table, format_table
 from repro.metrics.sla import SLAReport, sla_report
+from repro.prediction.online import OnlinePredictor
 from repro.prediction.spar import SPARPredictor
+from repro.serve.control import OnlineControlLoop
 from repro.workloads.b2w import B2WTraceConfig, generate_b2w_trace
 from repro.workloads.trace import LoadTrace
 
@@ -226,25 +228,35 @@ def run_reactive(setup: BenchmarkSetup) -> ElasticityRun:
     return _finish("reactive", result, controller.moves_requested)
 
 
+def pstore_engine(
+    setup: BenchmarkSetup, *, spike_policy: str = "normal-rate", fault_injector=None
+) -> Tuple[EngineSimulator, OnlineControlLoop]:
+    """The simulator and the Predictive Controller (pre-fitted SPAR) of a
+    P-Store run, sized for the trace's first slot."""
+    params = setup.plan_params
+    first_rate = float(setup.eval_trace.per_second()[0])
+    initial = max(1, min(10, int(np.ceil(first_rate * 1.15 / params.q))))
+    sim = EngineSimulator(
+        setup.engine_config, initial_nodes=initial, fault_injector=fault_injector
+    )
+    sim.skew_events = list(setup.skew_events)
+    controller = OnlineControlLoop(
+        params,
+        OnlinePredictor.fitted(setup.predictor, setup.train_aggregated),
+        measurement_slot_seconds=setup.eval_trace.slot_seconds,
+        max_machines=setup.engine_config.max_nodes,
+        spike_policy=spike_policy,
+    )
+    return sim, controller
+
+
 def run_pstore(
     setup: BenchmarkSetup,
     *,
     spike_policy: str = "normal-rate",
     name: str = "pstore",
 ) -> ElasticityRun:
-    params = setup.plan_params
-    first_rate = float(setup.eval_trace.per_second()[0])
-    initial = max(1, min(10, int(np.ceil(first_rate * 1.15 / params.q))))
-    sim = EngineSimulator(setup.engine_config, initial_nodes=initial)
-    sim.skew_events = list(setup.skew_events)
-    controller = PredictiveController(
-        params,
-        setup.predictor,
-        training_history=setup.train_aggregated,
-        measurement_slot_seconds=setup.eval_trace.slot_seconds,
-        max_machines=setup.engine_config.max_nodes,
-        spike_policy=spike_policy,
-    )
+    sim, controller = pstore_engine(setup, spike_policy=spike_policy)
     result = sim.run(setup.eval_trace, controller=controller)
     return _finish(name, result, controller.moves_requested)
 

@@ -63,6 +63,19 @@ class OnlinePredictor(Predictor):
         self.refits = 0
         self.max_horizon = inner.max_horizon
 
+    @classmethod
+    def fitted(cls, inner: Predictor, history: SeriesLike) -> "OnlinePredictor":
+        """Wrap a model whose parameters were learned offline.
+
+        ``history`` is the series ``inner`` was trained on (the warm
+        history forecasts continue from).  Nothing is refitted here; the
+        refit cadence starts counting from the first observation.
+        """
+        online = cls(inner)
+        online._history = list(map(float, as_series(history)))
+        online._fitted = True
+        return online
+
     # ------------------------------------------------------------------
     @property
     def min_history(self) -> int:  # type: ignore[override]
@@ -70,7 +83,9 @@ class OnlinePredictor(Predictor):
 
     @property
     def is_fitted(self) -> bool:
-        return self._fitted
+        """True once forecasts are available: parameters learned and at
+        least ``min_history`` slots to predict from."""
+        return self._fitted and len(self._history) >= self.inner.min_history
 
     def observe(self, value: float) -> bool:
         """Record one measured slot; fit/refit when due.
@@ -128,6 +143,11 @@ class OnlinePredictor(Predictor):
 
     def observed(self) -> np.ndarray:
         return np.asarray(self._history)
+
+    @property
+    def slots_observed(self) -> int:
+        """Length of the accumulated history (training seed included)."""
+        return len(self._history)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

@@ -1,34 +1,41 @@
-"""The live control loop: monitoring -> online SPAR -> planner -> moves.
+"""The Predictive Controller: monitoring -> Predictor -> Planner -> moves.
 
-The batch controllers (:mod:`repro.core.controller`) assume a predictor
-fitted offline before the run.  A live server has no such luxury: it
-starts cold, accumulates measurements, fits the SPAR model the moment
-enough history exists, and refits on a cadence (Section 6's active
-learning, reproduced by :class:`~repro.prediction.online.
-OnlinePredictor`).  :class:`OnlineControlLoop` implements the
-``ElasticityController`` protocol around that lifecycle:
+Section 6's controller, once.  :class:`OnlineControlLoop` implements the
+``ElasticityController`` protocol for a bare ``EngineSimulator.run``
+(Figures 9 and 11, the chaos experiment) and for a live
+:class:`~repro.serve.engine.ServerEngine` alike; *when* the SPAR
+parameters get learned is a property of the
+:class:`~repro.prediction.online.OnlinePredictor` it is handed:
 
-* **cold start** — before the first fit, degrade to the reactive control
-  law (scale out when measured load exceeds the allocation's target
-  capacity) so the cluster is never left stranded;
-* **fitted** — forecast from the accumulated history, inflate, run the
-  shared :class:`~repro.core.policy.PredictivePolicy` (the same DP
-  planner + receding-horizon + scale-in-confirmation logic the batch
-  Predictive Controller uses), and execute the first move;
-* **refit** — every observation is fed to the online predictor, which
-  refits itself on its cadence; refits are counted and surfaced as
-  telemetry events.
+* **pre-fitted** — ``OnlinePredictor.fitted(model, training_history)``:
+  parameters learned offline, forecasts from the first interval;
+* **cold start** — a bare ``OnlinePredictor(model)``: until the first
+  fit the loop degrades to the reactive control law (scale out when
+  measured load exceeds the allocation's target capacity) so the
+  cluster is never left stranded.
+
+Every observation is fed to the predictor, which refits itself on its
+cadence (Section 6's active learning).  Once fitted the loop forecasts
+from the accumulated history, inflates, runs the shared
+:class:`~repro.core.policy.PredictivePolicy` (DP planner + receding
+horizon + scale-in confirmation) and executes the first move — at
+``R x spike_boost`` when no plan was feasible and ``spike_policy`` is
+``"boost"`` (Section 4.3.1, Figure 11).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.audit import DecisionAudit, audit_event_fields, tenant_violation_costs
-from repro.core.controller import ControllerDecision
+from repro.core.capacity import minimum_forecast_window_seconds
+from repro.core.controller import (
+    SPIKE_POLICY_BOOST,
+    SPIKE_POLICY_NORMAL_RATE,
+    ControllerDecision,
+)
 from repro.core.params import SystemParameters
 from repro.core.policy import PredictivePolicy
 from repro.engine.simulator import EngineSimulator
@@ -37,18 +44,28 @@ from repro.prediction.online import OnlinePredictor
 
 
 class OnlineControlLoop:
-    """Elasticity controller that learns its predictor while serving.
+    """P-Store's Predictive Controller.
+
+    The loop measures load at the monitor's slot granularity but *plans*
+    at the coarser ``params.interval_seconds`` granularity, so the
+    forecast window can cover ``2 * D / P`` (the minimum safe window of
+    Section 5) without exploding the dynamic program.
 
     Args:
         params: System parameters; ``interval_seconds`` is the planning
             interval and must be a multiple of the measurement slot.
         online: The accumulate-fit-refit predictor wrapper (SPAR inner in
-            the paper's configuration).  May start completely unfitted.
-        measurement_slot_seconds: Slot length of the live monitor feed.
-        horizon: Forecast window in planning intervals (capped by the
-            inner model's ``max_horizon``).
+            the paper's configuration), working in per-planning-interval
+            counts.  Pre-fitted or completely cold.
+        measurement_slot_seconds: Slot length of the monitor feed.
+        horizon: Forecast window in planning intervals; defaults to the
+            smallest window covering ``2 * D / P`` plus slack, capped by
+            the inner model's ``max_horizon``.
         inflation: Prediction inflation factor (paper: 0.15).
-        max_machines: Cluster-size cap.
+        max_machines: Cluster-size cap (the testbed had 10 nodes).
+        spike_policy: ``"normal-rate"`` (default; keep migrating at R) or
+            ``"boost"`` (migrate at ``R * spike_boost``).
+        spike_boost: Rate multiplier for the boost policy (paper: 8).
         scale_in_confirmations: Agreeing cycles before a scale-in.
     """
 
@@ -61,8 +78,15 @@ class OnlineControlLoop:
         horizon: Optional[int] = None,
         inflation: float = 0.15,
         max_machines: int = 10,
+        spike_policy: str = SPIKE_POLICY_NORMAL_RATE,
+        spike_boost: float = 8.0,
         scale_in_confirmations: int = 3,
     ) -> None:
+        if spike_policy not in (SPIKE_POLICY_NORMAL_RATE, SPIKE_POLICY_BOOST):
+            raise ConfigurationError(
+                f"unknown spike_policy {spike_policy!r}; use "
+                f"{SPIKE_POLICY_NORMAL_RATE!r} or {SPIKE_POLICY_BOOST!r}"
+            )
         slot = measurement_slot_seconds or params.interval_seconds
         ratio = params.interval_seconds / slot
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
@@ -71,7 +95,9 @@ class OnlineControlLoop:
                 f"measurement slot ({params.interval_seconds}s vs {slot}s)"
             )
         if horizon is None:
-            horizon = online.max_horizon or 12
+            horizon = params.intervals(1.25 * minimum_forecast_window_seconds(params))
+            if online.max_horizon:
+                horizon = min(horizon, online.max_horizon)
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         if online.max_horizon and horizon > online.max_horizon:
@@ -86,14 +112,24 @@ class OnlineControlLoop:
         self.horizon = horizon
         self.inflation = inflation
         self.max_machines = max_machines
+        self.spike_policy = spike_policy
+        self.spike_boost = spike_boost
         self.policy = PredictivePolicy(params, max_machines, scale_in_confirmations)
         self._slot_buffer: List[float] = []
         self.moves_requested = 0
+        self.boosted_moves = 0
         self.cold_start_decisions = 0
         self.predictive_decisions = 0
         self.intervals_observed = 0
+        #: Observability: one entry per executed action, for operators
+        #: and for the examples' move logs.
         self.decision_log: List[ControllerDecision] = []
+        #: Machine count the loop believes the cluster has (the target of
+        #: its last move); a mismatch means the machine set changed under
+        #: us — a crash or an aborted move — and the active schedule is
+        #: void.
         self._expected_machines: Optional[int] = None
+        self.topology_changes_detected = 0
         #: Last cycle's one-interval-ahead forecast (raw txn/s), scored
         #: against the next measured interval as a ``forecast`` event —
         #: the predicted-vs-actual feedback ``repro.cli explain`` joins
@@ -130,13 +166,17 @@ class OnlineControlLoop:
     def is_fitted(self) -> bool:
         return self.online.is_fitted
 
-    def _record(
+    def _move(
         self,
         sim: EngineSimulator,
         measured_rate: float,
         target: int,
         kind: str,
+        boost: float = 1.0,
     ) -> None:
+        """Log the decision and execute it; a cluster that refuses (e.g.
+        spare nodes died between planning and execution) costs us the
+        cycle, not the run."""
         self.decision_log.append(
             ControllerDecision(
                 sim_time=sim.now,
@@ -144,6 +184,7 @@ class OnlineControlLoop:
                 machines_before=sim.machines_allocated,
                 target=target,
                 kind=kind,
+                boost=boost,
             )
         )
         tel = sim.telemetry
@@ -157,6 +198,12 @@ class OnlineControlLoop:
                 machines_before=sim.machines_allocated,
                 target=target,
             )
+        try:
+            sim.start_move(target, boost=boost)
+        except MigrationError:
+            return
+        self._expected_machines = target
+        self.moves_requested += 1
 
     # ------------------------------------------------------------------
     def on_slot(
@@ -171,6 +218,8 @@ class OnlineControlLoop:
         self.intervals_observed += 1
 
         refitted = self.online.observe(interval_count)
+        # Index of the interval just closed in the predictor's history.
+        interval = self.online.slots_observed - 1
         interval_seconds = self.params.interval_seconds
         measured_rate = interval_count / interval_seconds
         tenant_rates: Optional[Dict[str, float]] = None
@@ -190,7 +239,7 @@ class OnlineControlLoop:
                 tel.event(
                     "forecast",
                     sim.now,
-                    interval=self.intervals_observed - 1,
+                    interval=interval,
                     predicted=self._pending_forecast,
                     actual=measured_rate,
                 )
@@ -206,32 +255,34 @@ class OnlineControlLoop:
             tel.event(
                 "refit",
                 sim.now,
-                history_slots=len(self.online.observed()),
+                history_slots=self.online.slots_observed,
                 refit_number=self.online.refits,
             )
 
         if sim.migration_active:
             return
         current = sim.machines_allocated
-        if self._expected_machines is not None and current != self._expected_machines:
-            # The machine set changed under us (crash, aborted move):
-            # drop confirmation votes accumulated against the old size.
+        fault_recovery = self._expected_machines not in (None, current)
+        if fault_recovery:
+            # The machine set changed under an active plan (node crash,
+            # aborted move): invalidate stale confirmation state and
+            # replan from the surviving allocation this very cycle.
             self.policy.notify_topology_change()
+            self.topology_changes_detected += 1
         self._expected_machines = current
+        # Never target more nodes than are physically healthy.
         cap = min(self.max_machines, sim.cluster.num_available_nodes)
 
         if not self.online.is_fitted:
             # Cold start: reactive scale-out only, never scale-in (we
             # have no forecast to justify shrinking).
-            needed = max(
-                1,
-                math.ceil(measured_rate * (1.0 + self.inflation) / self.params.q),
+            needed = min(
+                self.params.machines_for_load(measured_rate * (1.0 + self.inflation)),
+                cap,
             )
-            needed = min(needed, cap)
             if needed > current:
                 self.cold_start_decisions += 1
-                self._record(sim, measured_rate, needed, "cold-start-reactive")
-                self._start_move(sim, needed)
+                self._move(sim, measured_rate, needed, "cold-start-reactive")
             return
 
         forecast_counts = self.online.predict_from_observed(self.horizon)
@@ -265,7 +316,7 @@ class OnlineControlLoop:
                 sim.now,
                 **audit_event_fields(
                     audit,
-                    interval=self.intervals_observed - 1,
+                    interval=interval,
                     measured_rate=measured_rate,
                     predicted_rate=self._pending_forecast,
                     window_intervals=self.horizon,
@@ -278,18 +329,15 @@ class OnlineControlLoop:
         if target == current:
             return
         self.predictive_decisions += 1
-        self._record(
-            sim, measured_rate, target, "fallback" if decision.fallback else "planned"
-        )
-        self._start_move(sim, target)
-
-    def _start_move(self, sim: EngineSimulator, target: int) -> None:
-        try:
-            sim.start_move(target)
-        except MigrationError:
-            return
-        self._expected_machines = target
-        self.moves_requested += 1
+        kind, boost = "planned", 1.0
+        if decision.fallback:
+            kind = "fallback"
+            if self.spike_policy == SPIKE_POLICY_BOOST:
+                boost = self.spike_boost
+                self.boosted_moves += 1
+        elif fault_recovery:
+            kind = "fault-recovery"
+        self._move(sim, measured_rate, target, kind, boost)
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -310,6 +358,8 @@ class OnlineControlLoop:
             "online": self.online.state_dict(),
             "slot_buffer": list(self._slot_buffer),
             "moves_requested": self.moves_requested,
+            "boosted_moves": self.boosted_moves,
+            "topology_changes_detected": self.topology_changes_detected,
             "cold_start_decisions": self.cold_start_decisions,
             "predictive_decisions": self.predictive_decisions,
             "intervals_observed": self.intervals_observed,
@@ -334,6 +384,8 @@ class OnlineControlLoop:
         self.online.load_state_dict(state["online"])
         self._slot_buffer = [float(v) for v in state["slot_buffer"]]
         self.moves_requested = int(state["moves_requested"])
+        self.boosted_moves = int(state.get("boosted_moves", 0))
+        self.topology_changes_detected = int(state.get("topology_changes_detected", 0))
         self.cold_start_decisions = int(state["cold_start_decisions"])
         self.predictive_decisions = int(state["predictive_decisions"])
         self.intervals_observed = int(state["intervals_observed"])

@@ -17,7 +17,7 @@ elsewhere (virtual clock in :mod:`repro.serve.session`, asyncio HTTP in
   deterministic), deliver completions, feed the arrival count into the
   :class:`~repro.engine.monitor.LoadMonitor`, and invoke the elasticity
   controller whenever a measurement slot closes — exactly the hook the
-  batch ``EngineSimulator.run`` loop gives the offline controllers.
+  batch ``EngineSimulator.run`` loop gives the same controllers.
 
 Because rejected requests never reach the engine, shedding (not the
 fluid queue cap) is what bounds the backlog under an open-loop spike.
@@ -230,9 +230,10 @@ class ServerEngine:
             own queue cap.
         controller: Optional elasticity controller implementing the same
             ``on_slot(sim, slot_index, measured_count)`` protocol the
-            batch runs use (:class:`~repro.core.controller.
-            PredictiveController`, :class:`~repro.serve.control.
-            OnlineControlLoop`, ...).
+            batch runs use (:class:`~repro.serve.control.
+            OnlineControlLoop`, :class:`~repro.core.controller.
+            ReactiveController`); checkpointed through its
+            ``state_dict`` / ``load_state_dict``.
         seed: Seed for routing and latency sampling.
         trace_requests: Record a per-request span tree on the telemetry
             tracer (requires enabled telemetry).  Tracing never touches
@@ -977,8 +978,8 @@ class ServerEngine:
 
     def state_dict(self) -> Dict[str, object]:
         """The checkpoint sections this engine owns: ``engine`` (its
-        deterministic serving state) and ``control`` (the control loop's,
-        ``None`` without a restorable controller).  Raises
+        deterministic serving state) and ``control`` (the controller's,
+        ``None`` without one).  Raises
         :class:`CheckpointError` unless the engine is quiescent."""
         self.ensure_quiescent()
         sim = self.sim
@@ -1022,10 +1023,10 @@ class ServerEngine:
                 for name, monitor in sorted(self.tenant_slos.items())
             }
         controller = self.controller
-        control_state = None
-        if controller is not None and hasattr(controller, "state_dict"):
-            control_state = controller.state_dict()
-        return {"engine": state, "control": control_state}
+        return {
+            "engine": state,
+            "control": None if controller is None else controller.state_dict(),
+        }
 
     def load_state_dict(self, snapshot: Dict[str, object]) -> None:
         """Overwrite a freshly-built engine from :meth:`state_dict` output.
@@ -1093,12 +1094,19 @@ class ServerEngine:
             load_monitor_states(self.tenant_slos, state.get("tenant_slos"))
         self._refresh_routing()
         control_state = snapshot.get("control")
-        if control_state is not None:
-            controller = self.controller
-            if controller is None or not hasattr(controller, "load_state_dict"):
+        controller = self.controller
+        if (control_state is None) != (controller is None):
+            raise CheckpointError(
+                "checkpoint carries "
+                f"{'no ' if control_state is None else ''}control state but "
+                f"the engine has {'no' if controller is None else 'a'} controller"
+            )
+        if controller is not None:
+            try:
+                controller.load_state_dict(control_state)
+            except KeyError as exc:
                 raise CheckpointError(
-                    "checkpoint carries control-loop state but the engine "
-                    "has no restorable controller"
-                )
-            controller.load_state_dict(control_state)
+                    "checkpoint control state was not written by a "
+                    f"{type(controller).__name__} (no {exc} entry)"
+                ) from exc
 

@@ -18,7 +18,6 @@ to reactive scale-out to the needed size (Section 4.3.1).
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -142,9 +141,8 @@ class PStoreStrategy(AllocationStrategy):
         if forecast_counts is None:
             # No usable prediction yet (model warm-up): degrade to the
             # reactive control law so the cluster is never left stranded.
-            needed = max(
-                1,
-                math.ceil(state.load_rate * (1.0 + self.inflation) / self.params.q),
+            needed = self.params.machines_for_load(
+                state.load_rate * (1.0 + self.inflation)
             )
             if needed > state.machines:
                 target = self.clamp(needed)

@@ -18,7 +18,6 @@ the reactive capacity-cost curve of Figure 12.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -74,7 +73,7 @@ class ReactiveStrategy(AllocationStrategy):
     def _needed(self, load_rate: float) -> int:
         """Machines for the load plus the configured headroom."""
         return self.clamp(
-            max(1, math.ceil(load_rate * (1.0 + self.headroom) / self.params.q))
+            self.params.machines_for_load(load_rate * (1.0 + self.headroom))
         )
 
     def decide(self, state: SimState) -> Optional[int]:

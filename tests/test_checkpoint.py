@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.controller import ReactiveController
 from repro.core.params import SystemParameters
 from repro.engine.simulator import EngineConfig
 from repro.errors import CheckpointError, ConfigurationError
@@ -45,17 +46,22 @@ def small_controller():
         SystemParameters.from_saturation(SAT, interval_seconds=60.0, d_seconds=120.0),
         OnlinePredictor(spar, refit_every=12),
         measurement_slot_seconds=60.0,
+        horizon=4,  # the default would be 1: these toy params have 2D/P = 40 s
         max_machines=4,
     )
 
 
 def build_engine(*, controller=True, **kwargs):
+    """``controller``: True for ``small_controller()``, False for none,
+    or the controller itself."""
+    if isinstance(controller, bool):
+        controller = small_controller() if controller else None
     defaults = dict(
         engine_config=small_config(),
         initial_nodes=2,
         slot_seconds=60.0,
         admission=AdmissionConfig(queue_limit_seconds=8.0),
-        controller=small_controller() if controller else None,
+        controller=controller,
     )
     defaults.update(kwargs)
     return ServerEngine(**defaults)
@@ -157,6 +163,34 @@ class TestQuiescence:
         session.write_checkpoint(path)
         with pytest.raises(CheckpointError, match="controller"):
             ServeSession.resume(build_engine(controller=False), arrivals, path)
+
+    def test_resume_refuses_a_checkpoint_without_control_state(self, tmp_path):
+        # The other direction: a loop that would silently start cold.
+        path = str(tmp_path / "snap.ckpt")
+        arrivals = poisson_arrivals(4.0, 30.0, seed=1)
+        session = ServeSession(build_engine(controller=False), arrivals)
+        session.run(40.0)
+        session.write_checkpoint(path)
+        with pytest.raises(CheckpointError, match="no control state"):
+            ServeSession.resume(build_engine(), arrivals, path)
+
+    @pytest.mark.parametrize("wrote", ["online", "reactive"])
+    def test_resume_refuses_another_controllers_state(self, wrote, tmp_path):
+        def controller(kind):
+            if kind == "online":
+                return small_controller()
+            return ReactiveController(
+                small_controller().params, max_machines=4, measurement_slot_seconds=60.0
+            )
+
+        path = str(tmp_path / "snap.ckpt")
+        arrivals = poisson_arrivals(4.0, 30.0, seed=1)
+        session = ServeSession(build_engine(controller=controller(wrote)), arrivals)
+        session.run(40.0)
+        session.write_checkpoint(path)
+        other = "reactive" if wrote == "online" else "online"
+        with pytest.raises(CheckpointError, match="not written by a"):
+            ServeSession.resume(build_engine(controller=controller(other)), arrivals, path)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,27 @@
-"""Tests for the online Predictive and Reactive controllers (Section 6)."""
+"""Tests for the online Predictive and Reactive controllers (Section 6).
+
+The Predictive Controller is :class:`repro.serve.control.OnlineControlLoop`;
+these tests hand it a predictor that arrives fitted
+(``OnlinePredictor.fitted``), the way Figures 9 and 11 do.  The
+cold-start half of the same loop is covered in ``tests/test_serve.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.controller import (
-    PredictiveController,
-    ReactiveController,
-    SPIKE_POLICY_BOOST,
-)
+import json
+
+from repro.core.controller import ReactiveController, SPIKE_POLICY_BOOST
 from repro.core.params import SystemParameters
 from repro.engine.simulator import EngineConfig, EngineSimulator
 from repro.errors import ConfigurationError
+from repro.experiments import fig9_elasticity as fig9
+from repro.faults import FaultInjector, parse_fault_spec
+from repro.prediction.online import OnlinePredictor
 from repro.prediction.oracle import OraclePredictor
+from repro.prediction.spar import SPARPredictor
+from repro.serve.control import OnlineControlLoop
+from repro.telemetry import Telemetry
 from repro.workloads.trace import LoadTrace
 
 SLOT = 6.0
@@ -20,6 +30,23 @@ PLAN = 60.0
 
 def plan_params() -> SystemParameters:
     return SystemParameters(interval_seconds=PLAN, partitions_per_node=6)
+
+
+def oracle(plan_counts) -> OnlinePredictor:
+    """A perfect predictor that has already observed the first interval."""
+    return OnlinePredictor.fitted(OraclePredictor(plan_counts), plan_counts[:1])
+
+
+def cold_loop(**kwargs) -> OnlineControlLoop:
+    """The same loop around a SPAR that has seen nothing yet."""
+    spar = SPARPredictor(period=12, n_periods=2, n_recent=2, max_horizon=4)
+    return OnlineControlLoop(
+        plan_params(),
+        OnlinePredictor(spar),
+        measurement_slot_seconds=SLOT,
+        max_machines=10,
+        **kwargs,
+    )
 
 
 def ramp_trace(minutes: int, start_rate: float, end_rate: float) -> LoadTrace:
@@ -33,10 +60,9 @@ class TestPredictiveController:
         params = plan_params()
         trace = ramp_trace(90, 200.0, 1800.0)
         plan_counts = trace.resample(PLAN).values
-        controller = PredictiveController(
+        controller = OnlineControlLoop(
             params,
-            OraclePredictor(plan_counts),
-            training_history=plan_counts[:1],
+            oracle(plan_counts),
             measurement_slot_seconds=SLOT,
             horizon=20,
             max_machines=10,
@@ -51,17 +77,16 @@ class TestPredictiveController:
         assert len(controller.decision_log) == controller.moves_requested
         assert all(d.target > d.machines_before for d in controller.decision_log)
         assert "planned" in str(controller.decision_log[-1]) or (
-            "warmup" in str(controller.decision_log[-1])
+            "cold-start" in str(controller.decision_log[-1])
         )
 
     def test_scales_in_with_confirmations(self):
         params = plan_params()
         trace = ramp_trace(120, 1500.0, 150.0)
         plan_counts = trace.resample(PLAN).values
-        controller = PredictiveController(
+        controller = OnlineControlLoop(
             params,
-            OraclePredictor(plan_counts),
-            training_history=plan_counts[:1],
+            oracle(plan_counts),
             measurement_slot_seconds=SLOT,
             horizon=20,
             max_machines=10,
@@ -75,10 +100,9 @@ class TestPredictiveController:
         params = plan_params()
         trace = ramp_trace(10, 200.0, 200.0)
         plan_counts = trace.resample(PLAN).values
-        controller = PredictiveController(
+        controller = OnlineControlLoop(
             params,
-            OraclePredictor(plan_counts),
-            training_history=plan_counts[:1],
+            oracle(plan_counts),
             measurement_slot_seconds=SLOT,
             horizon=5,
             max_machines=4,
@@ -87,27 +111,30 @@ class TestPredictiveController:
         sim = EngineSimulator(EngineConfig(max_nodes=4), initial_nodes=1)
         sim.run(trace, controller=controller)
         # 10 minutes -> 10 closed planning intervals.
-        assert len(controller.history) == 1 + 10
+        assert controller.online.slots_observed == 1 + 10
+        assert controller.intervals_observed == 10
 
     def test_default_horizon_covers_2d_over_p(self):
         params = plan_params()
-        controller = PredictiveController(
-            params, OraclePredictor(np.ones(10)), measurement_slot_seconds=SLOT
+        controller = OnlineControlLoop(
+            params, oracle(np.ones(10)), measurement_slot_seconds=SLOT
         )
         minimum = 2 * params.d_seconds / params.partitions_per_node
         assert controller.horizon * PLAN >= minimum
+        # ... unless the model cannot forecast that far.
+        assert cold_loop().horizon == 4 < controller.horizon
 
     def test_rejects_misaligned_slots(self):
         params = plan_params()
         with pytest.raises(ConfigurationError):
-            PredictiveController(
-                params, OraclePredictor(np.ones(4)), measurement_slot_seconds=7.0
+            OnlineControlLoop(
+                params, oracle(np.ones(4)), measurement_slot_seconds=7.0
             )
 
     def test_rejects_unknown_spike_policy(self):
         with pytest.raises(ConfigurationError):
-            PredictiveController(
-                plan_params(), OraclePredictor(np.ones(4)), spike_policy="warp"
+            OnlineControlLoop(
+                plan_params(), oracle(np.ones(4)), spike_policy="warp"
             )
 
     def test_boost_used_on_fallback(self):
@@ -120,10 +147,9 @@ class TestPredictiveController:
         ])
         trace = LoadTrace(rates * SLOT, slot_seconds=SLOT)
         plan_counts = trace.resample(PLAN).values
-        controller = PredictiveController(
+        controller = OnlineControlLoop(
             params,
-            OraclePredictor(plan_counts),
-            training_history=plan_counts[:1],
+            oracle(plan_counts),
             measurement_slot_seconds=SLOT,
             horizon=10,
             max_machines=10,
@@ -132,6 +158,91 @@ class TestPredictiveController:
         sim = EngineSimulator(EngineConfig(max_nodes=10), initial_nodes=1)
         sim.run(trace, controller=controller)
         assert controller.boosted_moves >= 1
+
+    # -- every feature with either kind of predictor --
+    def test_boost_with_cold_started_predictor(self):
+        # 70 quiet intervals let the cold SPAR fit (it needs 62), then a
+        # cliff it has never seen: the fallback migrates at R x 8.
+        rates = np.concatenate([np.full(700, 150.0), np.full(150, 2500.0)])
+        controller = cold_loop(spike_policy=SPIKE_POLICY_BOOST)
+        assert not controller.is_fitted
+        sim = EngineSimulator(EngineConfig(max_nodes=10), initial_nodes=1)
+        sim.run(LoadTrace(rates * SLOT, slot_seconds=SLOT), controller=controller)
+        assert controller.refits == 1
+        assert controller.boosted_moves >= 1
+        boosted = [d for d in controller.decision_log if d.boost != 1.0]
+        assert len(boosted) == controller.boosted_moves
+        assert all(d.kind == "fallback" and d.boost == 8.0 for d in boosted)
+
+    def test_fault_recovery_with_cold_started_predictor(self):
+        # A periodic load the cold SPAR learns on the way; a node crashes
+        # on the rising edge after the first fit and the very next cycle
+        # replans from the surviving allocation.
+        t = np.arange(900)
+        rates = 700.0 + 400.0 * np.sin(2 * np.pi * t / 120)
+        controller = cold_loop()
+        sim = EngineSimulator(
+            EngineConfig(max_nodes=10),
+            initial_nodes=4,
+            fault_injector=FaultInjector(parse_fault_spec("crash@4260:n1")),
+        )
+        sim.run(LoadTrace(rates * SLOT, slot_seconds=SLOT), controller=controller)
+        assert controller.refits == 1
+        assert controller.topology_changes_detected == 1
+        recovery = [d for d in controller.decision_log if d.kind == "fault-recovery"]
+        assert [(d.sim_time, d.machines_before, d.target) for d in recovery] == [
+            (4320.0, 3, 5)
+        ]
+
+    def test_prefitted_loop_checkpoints_mid_fig9(self):
+        setup = fig9.build_setup(eval_days=1, train_days=10)
+        half = len(setup.eval_trace) // 2 + 3  # mid planning interval
+        first, second = setup.eval_trace[:half], setup.eval_trace[half:]
+
+        def loop():
+            return fig9.pstore_engine(setup)[1]
+
+        def run(restore: bool):
+            sim = EngineSimulator(setup.engine_config, initial_nodes=3)
+            controller = loop()
+            sim.run(first, controller=controller)
+            before = list(controller.decision_log)
+            if restore:
+                snapshot = json.loads(json.dumps(controller.state_dict()))
+                controller = loop()
+                controller.load_state_dict(snapshot)
+                before = []
+            result = sim.run(second, controller=controller)
+            return before, controller, result
+
+        before, reference, ref_result = run(restore=False)
+        _, restored, result = run(restore=True)
+        assert len(reference.decision_log) - len(before) >= 5
+        assert restored.decision_log == reference.decision_log[len(before):]
+        assert restored.moves_requested == reference.moves_requested
+        assert np.array_equal(result.machines, ref_result.machines)
+
+    def test_prefitted_loop_audits_tenant_violation_costs(self):
+        params = plan_params()
+        trace = ramp_trace(30, 200.0, 1200.0)
+        plan_counts = trace.resample(PLAN).values
+        controller = OnlineControlLoop(
+            params, oracle(plan_counts),
+            measurement_slot_seconds=SLOT, horizon=10, max_machines=10,
+        )
+        telemetry = Telemetry()
+        sim = EngineSimulator(
+            EngineConfig(max_nodes=10), initial_nodes=1, telemetry=telemetry
+        )
+        # Cumulative offered counts, as the serving engine reports them.
+        controller.set_tenant_stats(
+            lambda: {"gold": int(sim.now * 300), "bronze": int(sim.now * 100)},
+            {"gold": 3, "bronze": 1},
+        )
+        sim.run(trace, controller=controller)
+        audits = telemetry.timeline.events_of("audit")
+        assert audits and all(e["tenants"] for e in audits)
+        assert {c["tenant"] for c in audits[-1]["tenants"]} == {"gold", "bronze"}
 
 
 class TestReactiveController:

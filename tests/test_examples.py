@@ -5,9 +5,13 @@ examples take a minute or more each; the benchmark suite covers their
 underlying experiments at full scale).
 """
 
+import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -44,6 +48,36 @@ class TestBenchmarkReplay:
         assert "stock-conservation violations: 0" in out
         assert "lost: 0" in out
         assert "max/min = 1.0" in out
+
+
+@pytest.mark.parametrize(
+    "script", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.name
+)
+def test_example_imports_resolve(script):
+    """The slow examples are never executed here, so a rename under
+    ``repro`` could strand them: every ``from repro... import name`` /
+    ``import repro...`` they contain must still resolve."""
+    tree = ast.parse(script.read_text(encoding="utf-8"), filename=str(script))
+    checked = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):  # then it must be a submodule
+                    try:
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    except ImportError:
+                        pytest.fail(
+                            f"{script.name}:{node.lineno}: "
+                            f"{node.module} has no {alias.name}"
+                        )
+                checked += 1
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    importlib.import_module(alias.name)
+                    checked += 1
+    assert checked, f"{script.name} imports nothing from repro"
 
 
 class TestAllExamplesExist:

@@ -9,12 +9,13 @@ reactive behaviour), never silent nonsense.
 import numpy as np
 import pytest
 
-from repro.core.controller import PredictiveController
 from repro.core.params import SystemParameters
 from repro.core.policy import PredictivePolicy
 from repro.engine.simulator import EngineConfig, EngineSimulator
 from repro.errors import ConfigurationError
 from repro.prediction.base import Predictor
+from repro.prediction.online import OnlinePredictor
+from repro.serve.control import OnlineControlLoop
 from repro.workloads.trace import LoadTrace
 
 PARAMS = SystemParameters(interval_seconds=300.0, partitions_per_node=6)
@@ -94,10 +95,9 @@ class TestControllerWithBrokenPredictor:
     @pytest.mark.parametrize("mode", ["nan", "negative", "inf", "huge"])
     def test_run_survives(self, mode):
         params = SystemParameters(interval_seconds=60.0, partitions_per_node=6)
-        controller = PredictiveController(
+        controller = OnlineControlLoop(
             params,
-            BrokenPredictor(mode),
-            training_history=[100.0],
+            OnlinePredictor.fitted(BrokenPredictor(mode), [100.0]),
             measurement_slot_seconds=6.0,
             horizon=10,
             max_machines=4,

@@ -13,8 +13,9 @@ order:
   engine);
 * ``inproc`` against ``pipe`` against ``tcp``;
 * ``run(N)`` against ``N x run(1.0)``;
-* an uninterrupted run against checkpoint -> ``resume``, with the
-  refusals: a due snapshot deferred while the state is not a plain
+* an uninterrupted run against checkpoint -> ``resume`` (one row under
+  ``--control reactive``, snapshotted half way through its detection
+  window), with the refusals: a due snapshot deferred while the state is not a plain
   value, a worker-count mismatch, and each front end handed the other's
   checkpoint;
 * arrivals exactly on a tick boundary, tick by tick.
@@ -82,7 +83,22 @@ def boundary():
     return np.sort(np.concatenate([arrivals[~quiet], on_ticks])), {}
 
 
-SCENARIOS = {"steady": steady, "overload": overload, "tagged": tagged, "boundary": boundary}
+def reactive():
+    """A step from 10/s to 70/s at t=5 under ``--control reactive`` with
+    5 s slots and a two-slot detection window: the slots closing at 10
+    and 15 are over target, so the snapshot at t=14 holds a half-counted
+    window and the scale-out is due one second after it."""
+    quiet = poisson_arrivals(10.0, 5.0, seed=59)
+    loud = 5.0 + poisson_arrivals(70.0, 19.0, seed=61)
+    return np.concatenate([quiet, loud]), {}
+
+
+SCENARIOS = {
+    "steady": steady, "overload": overload, "tagged": tagged, "boundary": boundary,
+    "reactive": reactive,
+}
+#: Worker-spec fields a scenario needs on top of ``spec()``'s.
+SPEC_FIELDS = {"reactive": dict(control="reactive", slot_seconds=5.0)}
 SECONDS = 26
 
 
@@ -94,13 +110,13 @@ class SingleEngine:
 
     def build(self, scenario, **kwargs):
         arrivals, schedule = SCENARIOS[scenario]()
-        return ServeSession(build_worker_engine(spec()), arrivals, **schedule, **kwargs)
+        engine = build_worker_engine(spec(**SPEC_FIELDS.get(scenario, {})))
+        return ServeSession(engine, arrivals, **schedule, **kwargs)
 
     def resume(self, scenario, path, **kwargs):
         arrivals, schedule = SCENARIOS[scenario]()
-        return ServeSession.resume(
-            build_worker_engine(spec()), arrivals, path, **schedule, **kwargs
-        )
+        engine = build_worker_engine(spec(**SPEC_FIELDS.get(scenario, {})))
+        return ServeSession.resume(engine, arrivals, path, **schedule, **kwargs)
 
     @staticmethod
     def engines(session):
@@ -114,7 +130,8 @@ class FleetOf:
 
     def _recipe(self, scenario, kwargs):
         arrivals, schedule = SCENARIOS[scenario]()
-        specs = [spec(index) for index in range(self.workers)]
+        fields = SPEC_FIELDS.get(scenario, {})
+        specs = [spec(index, **fields) for index in range(self.workers)]
         return specs, arrivals, dict(mode=self.mode, seed=3, **schedule, **kwargs)
 
     def build(self, scenario, **kwargs):
@@ -229,7 +246,7 @@ def test_boundary_arrival_fires_in_clock_order(front_end):
 # Checkpoint -> resume, one body for every front end
 # ----------------------------------------------------------------------
 @BOTH
-@pytest.mark.parametrize("scenario", ["overload", "tagged", "boundary"])
+@pytest.mark.parametrize("scenario", ["overload", "tagged", "boundary", "reactive"])
 def test_resume_continues_like_the_uninterrupted_run(front_end, scenario, tmp_path):
     reference = served(front_end, scenario)
     path = str(tmp_path / "front-end.ckpt")
@@ -243,6 +260,10 @@ def test_resume_continues_like_the_uninterrupted_run(front_end, scenario, tmp_pa
         document = json.load(handle)
     assert document["format"] == "repro-serve-checkpoint/1"
     assert document["state"]["clock_now"] == 14.0
+    if scenario == "reactive":  # every controller is half way through its window
+        state = document["state"]
+        shards = state["engine"].get("workers", [state])
+        assert [shard["control"]["over"] for shard in shards] == [1] * len(shards)
 
     with closing(front_end.resume(scenario, path, checkpoint=checkpoint)) as resumed:
         assert resumed.clock.now == 14.0 and resumed.loadgen.report.duration_s == 14.0

@@ -40,6 +40,16 @@ No arrival of theirs lies within 1e-9 of a tick boundary: what happens
 there changed with that commit and has its own test
 (``tests/test_front_ends.py``).
 
+``OFFLINE_PINS`` pin the Predictive Controller on a bare
+``EngineSimulator`` — the ``fig9`` P-Store run, ``fig11``'s boosted
+flash-crowd run and ``ext-faults``' chaos run, all at ``--fast`` sizes —
+taken on the commit *before* ``PredictiveController`` was folded into
+``OnlineControlLoop`` (``e48c419``).  Each digest covers the controller's
+decision log (time, measured rate, machines before, target, kind, boost)
+and the per-step machine count.  The one declared rename of that fold,
+kind ``warmup-reactive`` -> ``cold-start-reactive``, touches none of
+them: a pre-fitted predictor never takes the reactive branch.
+
 Regenerate (only ever on a commit whose behaviour is the reference)::
 
     PYTHONPATH=src python tests/test_golden_pins.py
@@ -53,7 +63,8 @@ import numpy as np
 import pytest
 
 from repro.core.params import SystemParameters
-from repro.engine.simulator import EngineConfig
+from repro.engine.simulator import EngineConfig, EngineSimulator
+from repro.experiments import ext_fault_tolerance, fig9_elasticity, fig11_spike_reaction
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.prediction.online import OnlinePredictor
@@ -461,8 +472,68 @@ def worker_step_replies():
 
 
 # ----------------------------------------------------------------------
+# The Predictive Controller on a bare EngineSimulator (no serving layer)
+# ----------------------------------------------------------------------
+def _fig9_run():
+    return fig9_elasticity.run_pstore(
+        fig9_elasticity.build_setup(eval_days=1, train_days=10)
+    ).result
+
+
+def _fig11_boost_run():
+    setup = fig9_elasticity.build_setup(
+        eval_days=1, train_days=10, seed=1109, with_skew=False
+    )
+    setup = fig11_spike_reaction._spiked_setup(setup, 1109)
+    return fig9_elasticity.run_pstore(setup, spike_policy="boost").result
+
+
+def _chaos_run():
+    return ext_fault_tolerance.run(fast=True).faulted.result
+
+
+OFFLINE_SCENARIOS = {
+    "fig9_pstore": _fig9_run,
+    "fig11_boost": _fig11_boost_run,
+    "ext_faults_chaos": _chaos_run,
+}
+
+OFFLINE_PINS = {
+    "fig9_pstore": "ff81a2a594acf2ca6ae5b2a9d95c3e46ab3822fe225a91369dcdf7a49e58a379",
+    "fig11_boost": "d123a955ef1e500787e0270cc03586eb1cac095cc275eba8ddff3e712d9765e7",
+    "ext_faults_chaos": "ada7534683c46ee757c73a54522e9ba9672e72f099404b845c2c22f892749730",
+}
+
+
+def offline_digest(name: str, monkeypatch) -> str:
+    """Run the scenario, catching the controller its last
+    ``EngineSimulator.run`` was handed (the experiments do not return it)."""
+    controllers = []
+    run = EngineSimulator.run
+
+    def capturing_run(self, trace, controller=None, **kwargs):
+        controllers.append(controller)
+        return run(self, trace, controller=controller, **kwargs)
+
+    monkeypatch.setattr(EngineSimulator, "run", capturing_run)
+    result = OFFLINE_SCENARIOS[name]()
+    rows = [
+        (d.sim_time, d.measured_rate, d.machines_before, d.target, d.kind, d.boost)
+        for d in controllers[-1].decision_log
+    ]
+    digest = hashlib.sha256(repr(rows).encode())
+    digest.update(result.machines.tobytes())
+    return digest.hexdigest()
+
+
+# ----------------------------------------------------------------------
 # Tests
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(OFFLINE_SCENARIOS))
+def test_offline_run_matches_pin(name, monkeypatch):
+    assert offline_digest(name, monkeypatch) == OFFLINE_PINS[name]
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_whole_matches_pin(name):
     assert run_whole(name) == PINS[name]
@@ -552,3 +623,6 @@ if __name__ == "__main__":  # pragma: no cover - pin regeneration
     for scenario in sorted(FLEET_SCENARIOS):
         whole, stepped = run_fleet(scenario, stepped=False), run_fleet(scenario, stepped=True)
         print(scenario, whole, "stepped-equal" if whole == stepped else f"STEPPED {stepped}")
+    for scenario in sorted(OFFLINE_SCENARIOS):
+        with pytest.MonkeyPatch.context() as patch:
+            print(scenario, offline_digest(scenario, patch))

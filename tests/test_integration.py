@@ -8,11 +8,13 @@ simulated engine — on small-but-real scenarios.
 import numpy as np
 import pytest
 
-from repro.core.controller import PredictiveController, ReactiveController
+from repro.core.controller import ReactiveController
 from repro.core.params import SystemParameters
 from repro.engine.simulator import EngineConfig, EngineSimulator
+from repro.prediction.online import OnlinePredictor
 from repro.prediction.oracle import OraclePredictor
 from repro.prediction.spar import SPARPredictor
+from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimulator
 from repro.strategies import PStoreStrategy, ReactiveStrategy, StaticStrategy
 from repro.workloads.b2w import B2WTraceConfig, generate_b2w_trace
@@ -40,8 +42,8 @@ class TestPredictiveEndToEnd:
         spar = SPARPredictor(
             period=period, n_periods=4, n_recent=6, max_horizon=40
         ).fit(train)
-        controller = PredictiveController(
-            params, spar, training_history=train,
+        controller = OnlineControlLoop(
+            params, OnlinePredictor.fitted(spar, train),
             measurement_slot_seconds=SLOT, max_machines=10,
         )
         first_rate = float(eval_trace.per_second()[0])
@@ -75,8 +77,8 @@ class TestPredictiveEndToEnd:
         first = max(1, int(np.ceil(eval_trace.per_second()[0] / params.q)))
 
         sim_p = EngineSimulator(EngineConfig(max_nodes=10), initial_nodes=first)
-        ctrl_p = PredictiveController(
-            params, spar, training_history=train,
+        ctrl_p = OnlineControlLoop(
+            params, OnlinePredictor.fitted(spar, train),
             measurement_slot_seconds=SLOT, max_machines=10,
         )
         res_p = sim_p.run(eval_trace, controller=ctrl_p)

@@ -64,6 +64,19 @@ class TestRefitCadence:
         assert online.refits == 1
         assert len(online.observed()) == 4 * 48
 
+    def test_arrives_fitted_without_refitting(self):
+        series = periodic(48, 4)
+        model = spar().fit(series)
+        coefficients = model.state_dict()
+        online = OnlinePredictor.fitted(model, series)
+        assert online.is_fitted and online.refits == 0
+        assert online.slots_observed == 4 * 48
+        assert model.state_dict() == coefficients
+        assert np.array_equal(online.predict_from_observed(3), model.predict(series, 3))
+        # Fitted parameters alone are not a forecast: it takes
+        # ``min_history`` slots to predict from.
+        assert not OnlinePredictor.fitted(model, series[:5]).is_fitted
+
     def test_rejects_bad_cadence(self):
         with pytest.raises(PredictionError):
             OnlinePredictor(spar(), refit_every=0)

@@ -334,12 +334,9 @@ class TestSheddingUnderSpike:
 
 
 class TestOnlineControlLoopUnit:
-    def test_interval_must_be_multiple_of_slot(self):
-        with pytest.raises(ConfigurationError):
-            OnlineControlLoop(
-                small_params(), small_online(), measurement_slot_seconds=45.0
-            )
-
+    # Slot/interval misalignment is rejected by the same constructor in
+    # tests/test_controller.py::TestPredictiveController::
+    # test_rejects_misaligned_slots.
     def test_horizon_capped_by_predictor(self):
         with pytest.raises(ConfigurationError):
             OnlineControlLoop(
