@@ -37,7 +37,8 @@ chaos-serve-smoke:
 ## `repro serve --workers 3` — an edge process drives spawned worker
 ## shards over pipes for 60 s of virtual time, gated on p99 latency, shed
 ## rate and exact request conservation; writes out/soak-report.json + a
-## debug bundle.
+## debug bundle.  Then restore, pipe vs tcp, and the fleet behind HTTP
+## against the same fleet under --no-http.
 soak-smoke:
 	./scripts/soak_smoke.sh
 

@@ -21,6 +21,10 @@
 # `--transport tcp` — at a rate that makes every `step` frame larger than
 # a loopback segment, so the binary frames cross a real socket in partial
 # reads; the two reports must be equal line for line.
+# An HTTP leg then serves that overload a third time with the fleet
+# behind `ServeApp` (`--clock virtual --port 0`, no `--no-http`): while it
+# lingers `/healthz` must answer with the `workers` block, and after
+# `POST /shutdown` its report must again equal the `--no-http` one.
 # See docs/SERVING.md § Distributed serving.
 set -euo pipefail
 
@@ -34,15 +38,25 @@ OUT=$(mktemp)
 OUT2=$(mktemp)
 OUT3=$(mktemp)
 OUT4=$(mktemp)
+OUT5=$(mktemp)
+SERVER_PID=""
 mkdir -p "$(dirname "$CKPT")"
 rm -rf "$BUNDLE"
 rm -f "$REPORT" "$CKPT"
 
 # The soak's worker processes are children of the `repro serve` process
 # and are reaped by its session teardown; the trap covers the script's
-# own scratch state.  STATUS is captured explicitly so a gate breach
-# (exit 1) still prints the report before the script propagates it.
-trap 'rm -f "$OUT" "$OUT2" "$OUT3" "$OUT4"' EXIT
+# own scratch state and the HTTP leg's background server.  STATUS is
+# captured explicitly so a gate breach (exit 1) still prints the report
+# before the script propagates it.
+cleanup() {
+    if [ -n "$SERVER_PID" ]; then
+        kill "$SERVER_PID" 2>/dev/null || true
+        wait "$SERVER_PID" 2>/dev/null || true
+    fi
+    rm -f "$OUT" "$OUT2" "$OUT3" "$OUT4" "$OUT5"
+}
+trap cleanup EXIT
 
 # Snapshots land at t=25 and t=50: the file the restore leg resumes from
 # is mid-run, and 50 s + the cadence is past the end, so that leg does
@@ -105,18 +119,46 @@ fi
 
 # 3000 requests per worker and tick: ~170 kB of reply columns a frame.
 # Undersized on purpose, so the replies hold shed rows and completions.
-WIRE=(python -m repro.cli serve --no-http --control none
+WIRE=(python -m repro.cli serve --control none
     --workers 2
     --profile poisson:rate=6000 --duration 30 --seed 7
     --nodes 4 --max-nodes 4 --saturation 1300 --queue-limit 0.5
     --max-p99 500 --max-shed-rate 0.2
     --slo)
-"${WIRE[@]}" --transport pipe > "$OUT3"
-"${WIRE[@]}" --transport tcp | tee "$OUT4"
+"${WIRE[@]}" --no-http --transport pipe > "$OUT3"
+"${WIRE[@]}" --no-http --transport tcp | tee "$OUT4"
 grep -q 'shed [1-9]' "$OUT4" \
     || { echo "the wire leg shed nothing: its replies carry no reject rows" >&2; exit 1; }
 if ! diff <(grep -E "$LINES" "$OUT3") <(grep -E "$LINES" "$OUT4"); then
     echo "tcp soak differs from the pipe soak" >&2
     exit 1
 fi
-echo "soak smoke passed: gates green, conservation exact, bundle verified, restore bit-identical, tcp equals pipe"
+
+# The same fleet behind HTTP: the pacer steps the session `--no-http`
+# loops over, so the report lines are the pipe leg's.
+"${WIRE[@]}" --transport pipe --clock virtual --port 0 --linger 60 > "$OUT5" 2>&1 &
+SERVER_PID=$!
+HEALTH=""
+for _ in $(seq 1 300); do
+    PORT=$(grep -oE 'http://127\.0\.0\.1:[0-9]+' "$OUT5" | head -1 | grep -oE '[0-9]+$' || true)
+    HEALTH=$([ -n "$PORT" ] && curl -sf "http://127.0.0.1:$PORT/healthz" || true)
+    case "$HEALTH" in *'"run_complete": true'*) break ;; esac
+    kill -0 "$SERVER_PID" 2>/dev/null \
+        || { echo "fleet server exited early:" >&2; cat "$OUT5" >&2; exit 1; }
+    sleep 0.1
+done
+case "$HEALTH" in
+    *'"workers": {"0": {'*'"run_complete": true'*) ;;
+    *) echo "fleet /healthz never answered with its workers: $HEALTH" >&2; exit 1 ;;
+esac
+curl -sf -X POST "http://127.0.0.1:$PORT/shutdown" >/dev/null
+STATUS=0
+wait "$SERVER_PID" || STATUS=$?
+SERVER_PID=""
+cat "$OUT5"
+[ "$STATUS" -eq 0 ] || { echo "fleet behind HTTP exited $STATUS" >&2; exit "$STATUS"; }
+if ! diff <(grep -E "$LINES" "$OUT3") <(grep -E "$LINES" "$OUT5"); then
+    echo "the fleet behind HTTP differs from the same fleet under --no-http" >&2
+    exit 1
+fi
+echo "soak smoke passed: gates green, conservation exact, bundle verified, restore bit-identical, tcp equals pipe, HTTP equals --no-http"

@@ -15,9 +15,10 @@
 # An edge leg then serves the same spec file and the same composite
 # schedule through `repro serve --workers 2 --transport pipe`, a fleet
 # with the tenant policy at the edge: per-tenant conservation must again
-# be exact, and — the admission policy chain being one piece of code
-# wherever it runs — the batch tenant's quota shed must be the
-# single-engine leg's number.
+# be exact, and — the admission policy chain and the outcome ledger
+# being one piece of code wherever they run — the batch tenant's quota
+# shed must be the single-engine leg's number, in the printed report and
+# in the edge's `serve.tenant.quota_shed{tenant="batch"}` counter.
 # CI uploads the bundle as an artifact.  See docs/SERVING.md
 # § Multi-tenant serving.
 set -euo pipefail
@@ -30,7 +31,8 @@ DURATION=1800
 SPEC=$(mktemp --suffix=.json)
 OUT=$(mktemp)
 EDGE_OUT=$(mktemp)
-trap 'rm -f "$SPEC" "$OUT" "$EDGE_OUT"' EXIT
+EDGE_METRICS=$(mktemp --suffix=.jsonl)
+trap 'rm -f "$SPEC" "$OUT" "$EDGE_OUT" "$EDGE_METRICS"' EXIT
 rm -rf "$BUNDLE"
 
 # Both legs print the same report lines; these read them.
@@ -94,11 +96,20 @@ python -m repro.cli serve --no-http --clock virtual --duration "$DURATION" \
     --tenants "$SPEC" --seed 7 \
     --workers 2 --transport pipe --control none \
     --saturation 60 --db-size-mb 20 --nodes 1 --max-nodes 2 --queue-limit 8 \
-    | tee "$EDGE_OUT"
+    --telemetry "$EDGE_METRICS" | tee "$EDGE_OUT"
 assert_conserved "edge leg" "$EDGE_OUT"
 EDGE_QUOTA_SHED=$(batch_quota_shed "$EDGE_OUT")
 [ "${EDGE_QUOTA_SHED:-none}" = "$QUOTA_SHED" ] \
     || { echo "batch quota shed at the edge (${EDGE_QUOTA_SHED:-none}) is not the" \
               "single engine's ($QUOTA_SHED): the policy chain forked" >&2; exit 1; }
+# ... and the edge counts it in telemetry as an engine would.
+EDGE_COUNTER=$(python -c "
+import sys
+from repro.telemetry.export import read_jsonl
+print(int(read_jsonl(sys.argv[1]).counters.get('serve.tenant.quota_shed{tenant=\"batch\"}', -1)))
+" "$EDGE_METRICS")
+[ "$EDGE_COUNTER" = "$QUOTA_SHED" ] \
+    || { echo "the edge's serve.tenant.quota_shed{tenant=\"batch\"} counter ($EDGE_COUNTER)" \
+              "is not the $QUOTA_SHED quota sheds both legs printed" >&2; exit 1; }
 echo "tenant smoke passed: 3 tenants, quota enforced, conservation exact," \
      "engine and edge agree on $QUOTA_SHED quota sheds"

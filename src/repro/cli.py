@@ -20,7 +20,7 @@ Usage::
 (``repro`` is the installed console script for this module; see
 docs/SERVING.md for the serving layer.  ``serve`` is the one serving
 command: a single engine, or with ``--workers N`` an edge over N worker
-shards; ``soak`` is its alias under soak's defaults, for one release.)
+shards, behind HTTP or with ``--no-http``.)
 
 ``--faults`` and ``--telemetry`` install *scoped* process-wide defaults
 (see :mod:`repro.faults.runtime` and :mod:`repro.telemetry.runtime`):
@@ -373,11 +373,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.loadgen import parse_profile
 
     fleet = args.workers is not None
-    if fleet and (not args.no_http or args.retries is not None):
-        raise ConfigurationError(
-            "--workers needs --no-http and no --retries: a Fleet has no scalar submit "
-            "for HTTP or the retry client to call yet (ROADMAP 2(iii) / 3(d))"
-        )
     if fleet and args.faults is not None and args.transport != "inproc":
         raise ConfigurationError(
             "--faults installs a process-wide plan that spawned workers never see; "
@@ -487,6 +482,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("--no-http requires --duration", file=sys.stderr)
             return 2
         session_kwargs = dict(
+            retry=_parse_retry_spec(args.retries) if args.retries is not None else None,
+            retry_seed=args.seed,
             checkpoint=checkpoint,
             tenant_indices=tenant_indices,
             tenant_names=tenant_names,
@@ -516,8 +513,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             target = build_worker_engine(
                 spec, telemetry, slo=slo, resilience=resilience, tenancy=tenancy
             )
-            retry = _parse_retry_spec(args.retries) if args.retries is not None else None
-            session_kwargs.update(retry=retry, retry_seed=args.seed)
         if args.restore is None:
             session = session_class(target, arrivals, **session_kwargs)
         else:
@@ -785,7 +780,7 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="serve through an edge over N worker shards, each its own "
-             "engine (requires --no-http; the flags marked [fleet] need it)",
+             "engine (the flags marked [fleet] need it)",
     )
     parser.add_argument(
         "--transport", choices=("pipe", "tcp", "inproc"), default="pipe",
@@ -920,20 +915,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                  "an edge over worker shards (see docs/SERVING.md)",
         )
     )
-    # Deprecated, one release: `serve` under soak's defaults.
-    soak_parser = subparsers.add_parser(
-        "soak", help="deprecated alias of 'serve --no-http --workers 2 ...'"
-    )
-    _add_serve_flags(soak_parser)
-    soak_parser.add_argument(
-        "--rate", type=float, default=None,
-        help="aggregate offered rate, req/s (--profile poisson:rate=R)",
-    )
-    soak_parser.set_defaults(
-        no_http=True, workers=2, control="none", duration=120.0,
-        profile="poisson:rate=400", max_p99=500.0, max_shed_rate=0.2,
-    )
-
     top_parser = subparsers.add_parser(
         "top",
         help="live terminal view of a running server: status, breakers, "
@@ -967,8 +948,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_session_flags(loadgen_parser)
 
     args = parser.parse_args(argv)
-    if getattr(args, "rate", None) is not None:  # soak's spelling of --profile
-        args.profile = f"poisson:rate={args.rate:g}"
     try:
         if args.command == "list":
             return _cmd_list()
@@ -978,7 +957,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_explain(args.path, args.max_details)
         if args.command == "bench":
             return _cmd_bench(args)
-        if args.command in ("serve", "soak"):
+        if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "top":
             from repro.serve.top import run_top

@@ -53,13 +53,16 @@ import numpy as np
 from repro.errors import CheckpointError, ConfigurationError, TransportError
 from repro.serve.admission import CONNECTION, REASONS, AdmissionConfig, AdmissionController
 from repro.serve.checkpoint import CheckpointConfig
-from repro.serve.engine import OutcomeBatch, OutcomeSink
+from repro.serve.engine import (
+    AdmissionBatch, OutcomeBatch, OutcomeLedger, OutcomeSink, ServerEngine,
+)
 from repro.serve.loadgen import LoadgenReport
 from repro.serve.resilience import (
     OPEN,
     BreakerConfig,
     BrownoutConfig,
     CircuitBreaker,
+    RetryConfig,
     _rng_state,
     _set_rng_state,
 )
@@ -81,15 +84,18 @@ from repro.serve.worker import (
 )
 from repro.telemetry import Span, Telemetry
 from repro.telemetry.merge import DeltaAccumulator, build_fleet_view, merge_snapshot
-from repro.telemetry.metrics import index_counts
 from repro.telemetry.perf import PerfRecorder, maybe_span
-from repro.telemetry.slo import SLOConfig, SLOMonitor, load_monitor_states
+from repro.telemetry.slo import SLOConfig
 from repro.telemetry.timeseries import TimeSeriesStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tenancy.admission import TenantAdmission
 
 _SPAN_STATUS = {200: "ok", 500: "error"}  # anything else: "shed"
+
+#: What one worker owes its callers after a tick: per ``submit_batch``
+#: call, in call order, how many rows it forwarded there and their sink.
+_Calls = List[Tuple[int, Optional[OutcomeSink]]]
 
 
 def _empty_queue() -> Dict[str, List[np.ndarray]]:
@@ -216,14 +222,12 @@ class Fleet:
             spec.worker_id: CircuitBreaker(spec.worker_id, breaker_config)
             for spec in specs
         }
-        self.slo_monitor = SLOMonitor(slo, telemetry) if slo is not None else None
+        self.ledger = OutcomeLedger(slo, tenancy, telemetry)
+        self.slo_monitor = self.ledger.slo_monitor
         self.tenancy = tenancy
-        self.tenant_slos: Dict[str, SLOMonitor] = (
-            tenancy.slo_monitors(slo or SLOConfig(), telemetry) if tenancy is not None else {}
-        )
-        # This tick's [good, bad] verdicts, fleet-wide and per tenant.
-        self._verdicts = [0, 0]
-        self._tenant_verdicts: Dict[str, List[int]] = {}
+        self.tenant_slos = self.ledger.tenant_slos
+        #: Machine-seconds the workers advertised, integrated over ticks.
+        self.machine_seconds = 0.0
         # Tenant tag vocabulary: the registry's, else the submitter's.
         self._tenant_names: Tuple[str, ...] = tenancy.names if tenancy is not None else ()
         self.telemetry = telemetry
@@ -244,9 +248,9 @@ class Fleet:
             spec.worker_id: (float(spec.initial_nodes), 0.0) for spec in specs
         }
         # Forwarded requests awaiting the next tick: per worker, the
-        # slices of each ``step`` column it was routed; their sink.
+        # slices of each ``step`` column it was routed, and who sent them.
         self._queued = [_empty_queue() for _ in specs]
-        self._sink: Optional[OutcomeSink] = None
+        self._calls: List[_Calls] = [[] for _ in specs]
         self._started = False
 
     # ------------------------------------------------------------------
@@ -350,6 +354,12 @@ class Fleet:
         picks = (draws * len(survivors)).astype(np.int64)
         return survivors[np.minimum(picks, len(survivors) - 1)]
 
+    #: Route and admit (or shed) one request — a :meth:`submit_batch` of
+    #: one, which is all the engine's method is: what the HTTP front end
+    #: and the retry client call.  The decision names the worker and its
+    #: advertised queue; ``trace`` is ignored (the edge mints its own).
+    submit = ServerEngine.submit
+
     def submit_batch(
         self,
         times: np.ndarray,
@@ -359,7 +369,7 @@ class Fleet:
         *,
         tenant_names: Sequence[str] = (),
         traces: object = None,
-    ) -> None:
+    ) -> AdmissionBatch:
         """Route a burst of arrivals, apply the edge policy and queue the
         survivors for the next :meth:`tick`.
 
@@ -369,15 +379,14 @@ class Fleet:
         goes through the admission policy chain against its worker's
         advertised queue.  Rows shed or failed here
         reach ``sink`` as one :class:`OutcomeBatch` before this returns,
-        the rest from the tick (one sink per tick).  ``priorities`` count
+        the rest from the tick, worker by worker.  ``priorities`` count
         only when the edge mints none; ``traces`` never.
         """
         self.start()
         times = np.asarray(times, dtype=np.float64)
         n = len(times)
         if n == 0:
-            return
-        self._sink = sink
+            return AdmissionBatch.of_nothing()
         if self.low_priority_fraction > 0.0:
             draws = self._rng.random(2 * n)
             priorities = (draws[0::2] < self.low_priority_fraction).astype(np.int64)
@@ -395,9 +404,16 @@ class Fleet:
         else:
             names = tuple(tenant_names) if tenants is not None else ()
             if names != self._tenant_names:
-                if any(queue["times"] for queue in self._queued):  # indices into the old names
-                    raise ConfigurationError("tenant names changed with requests queued")
-                self._tenant_names = names
+                if not self.pending_requests:
+                    self._tenant_names = names
+                elif names and self._tenant_names:
+                    # The rows queued index the old names: keep them a prefix.
+                    index = {name: i for i, name in enumerate(self._tenant_names)}
+                    renumber = [index.setdefault(name, len(index)) for name in names]
+                    tenants = np.array(renumber)[tenants]
+                    self._tenant_names = tuple(index)
+                else:
+                    raise ConfigurationError("tagged and untagged requests queued for one tick")
         if tenants is not None:
             tenants = np.asarray(tenants, dtype=np.int64)
         names = self._tenant_names
@@ -405,35 +421,36 @@ class Fleet:
         worker = self._route(draws)
         if worker is None:  # nobody left to route to
             worker = np.full(n, -1)
+            queue_s = np.zeros(n)
             open_rows = np.zeros(n, dtype=bool)
             reason = np.full(n, CONNECTION, dtype=np.int8)
             retry_after = np.zeros(n)
-            if tenancy is not None:
-                for index, count in index_counts(tenants):
-                    tenancy.offered[names[index]] += count
         else:
             # The queue stage, when the edge has one, runs against each
             # worker's last advertisement, one tick stale.
-            queue_s = np.array([self.advertised[wid][1] for wid in range(len(self.workers))])
+            queues = np.array([self.advertised[wid][1] for wid in range(len(self.workers))])
+            queue_s = queues[worker]
             open_rows, reason, retry_after = self.admission.admit_batch(
                 times, worker, tenants, priorities,
                 tenancy=tenancy,
                 brownout=self.brownout if self.brownout_active else None,
-                queue_estimate=(lambda still_open: queue_s[worker])
+                queue_estimate=(lambda still_open: queue_s)
                 if self.edge_queue_limit_s is not None
                 else None,
             )
+        self.ledger.submitted(tenants, reason)
 
         if not open_rows.all():
             lost = ~open_rows
-            self._settle(
-                OutcomeBatch(
-                    np.where(reason[lost] == CONNECTION, 500, 503), worker[lost],
-                    times[lost], times[lost], np.zeros_like(times[lost]), retry_after[lost],
-                    None, reason[lost], priorities[lost],
-                    tenants[lost] if tenants is not None else None, names,
-                )
+            batch = OutcomeBatch(
+                np.where(reason[lost] == CONNECTION, 500, 503), worker[lost],
+                times[lost], times[lost], np.zeros_like(times[lost]), retry_after[lost],
+                None, reason[lost], priorities[lost],
+                tenants[lost] if tenants is not None else None, names,
             )
+            if sink is not None:
+                sink(batch)
+            self._settle(batch)
         # The forwarded rows join their worker's columns for the next tick.
         columns = {"times": times[open_rows], "priority": priorities[open_rows]}
         workers = worker[open_rows]
@@ -452,32 +469,37 @@ class Fleet:
             columns["tenant"] = tenants[open_rows]
         for worker_id, queue in enumerate(self._queued):
             rows = workers == worker_id
-            if rows.any():
+            count = int(np.count_nonzero(rows))
+            if count:
                 for key, column in columns.items():
                     queue.setdefault(key, []).append(column[rows])
+                self._calls[worker_id].append((count, sink))
+        return AdmissionBatch(open_rows, worker, queue_s, retry_after, reason)
+
+    def _deliver(self, calls: _Calls, batch: OutcomeBatch, accepted: np.ndarray) -> None:
+        """Hand each ``submit_batch`` call its rows of one worker's tick:
+        ``batch`` holds the rows the worker shed and then the rows it
+        served, each in posted order, and ``accepted`` tells which posted
+        rows are which."""
+        if len(calls) == 1:  # the whole batch answers the one call
+            if calls[0][1] is not None:
+                calls[0][1](batch)
+            return
+        served = np.concatenate(([0], np.cumsum(accepted, dtype=np.int64)))
+        shed = np.arange(len(served)) - served  # rows of either kind posted before each row
+        first_served = shed[-1]
+        start = 0
+        for rows, sink in calls:
+            stop = start + rows
+            if sink is not None:
+                sheds = np.arange(shed[start], shed[stop])
+                completions = first_served + np.arange(served[start], served[stop])
+                sink(batch.take(np.concatenate((sheds, completions))))
+            start = stop
 
     def _settle(self, batch: OutcomeBatch) -> None:
-        """Hand terminal outcomes to the sink, tally them for the SLO
-        monitors (a 503 or a 500 burns budget like an over-SLA reply)
-        and close their edge spans."""
-        if self._sink is not None:
-            self._sink(batch)
-        slo = self.slo_monitor
-        served = batch.status == 200 if slo is not None or self.tenant_slos else None
-        if slo is not None:
-            good = int(np.count_nonzero(served & slo.classify(batch.latency_ms)))
-            self._verdicts[0] += good
-            self._verdicts[1] += len(batch) - good
-        if self.tenant_slos and batch.tenant is not None:
-            # Per-tenant verdicts use the *tenant's* latency objective.
-            for index, count in index_counts(batch.tenant):
-                name = batch.tenant_names[index]
-                rows = batch.tenant == index
-                verdict = self.tenant_slos[name].classify(batch.latency_ms[rows])
-                good = int(np.count_nonzero(served[rows] & verdict))
-                verdicts = self._tenant_verdicts.setdefault(name, [0, 0])
-                verdicts[0] += good
-                verdicts[1] += count - good
+        """Tally terminal outcomes in the ledger and close their edge spans."""
+        self.ledger.record(batch.status, batch.latency_ms, batch.tenant)
         if batch.trace_id is not None:
             for trace_id, at, status in zip(
                 batch.trace_id, batch.completed_at.tolist(), batch.status.tolist()
@@ -500,13 +522,20 @@ class Fleet:
         self.start()
         end = self.now + self.dt_s
         messages = [self._step_message(queue) for queue in self._queued]
+        calls = self._calls
         self._queued = [_empty_queue() for _ in messages]
+        self._calls = [[] for _ in messages]
+        # A live worker runs this tick on what it advertised after the last.
+        self.machine_seconds += self.dt_s * sum(
+            self.advertised[handle.spec.worker_id][0] for handle in self.workers if handle.alive
+        )
         posted: List[WorkerHandle] = []
         for handle, message in zip(self.workers, messages):
+            wid = handle.spec.worker_id
             try:
                 handle.post(message)
             except TransportError:
-                self._fail_batch(handle.spec.worker_id, message, end)
+                self._fail_batch(wid, message, calls[wid], end)
                 continue
             posted.append(handle)
         for handle in posted:
@@ -515,24 +544,20 @@ class Fleet:
                 reply = handle.collect()
                 if not reply.get("ok"):
                     raise ValueError(f"the worker refused the frame: {reply.get('error')}")
-                batch = self._reply_batch(messages[wid], reply)
+                batch, accepted = self._reply_batch(messages[wid], reply)
                 self._absorb_ad(wid, reply)
             except (TransportError, ValueError):
                 # Dead, refused or malformed: nothing of this reply is used.
-                self._fail_batch(wid, messages[wid], end)
+                self._fail_batch(wid, messages[wid], calls[wid], end)
                 continue
             if len(batch):
+                self._deliver(calls[wid], batch, accepted)
                 self._settle(batch)
 
         self.now = end
         self._tick_index += 1
         self._probe(end)
-        if self.slo_monitor is not None:
-            self.slo_monitor.observe(end, *self._verdicts)
-        self._verdicts = [0, 0]
-        for name, monitor in self.tenant_slos.items():
-            monitor.observe(end, *self._tenant_verdicts.get(name, (0, 0)))
-        self._tenant_verdicts.clear()
+        self.ledger.observe(end)
         if self.telemetry_every_ticks > 0 and self._tick_index % self.telemetry_every_ticks == 0:
             self.refresh_fleet_view()
 
@@ -545,15 +570,21 @@ class Fleet:
             message["tenant_names"] = list(self._tenant_names)
         return message
 
-    def _reply_batch(self, message: Dict[str, object], reply: Dict[str, object]) -> OutcomeBatch:
+    def _reply_batch(
+        self, message: Dict[str, object], reply: Dict[str, object]
+    ) -> Tuple[OutcomeBatch, np.ndarray]:
         """A worker's reply columns (rejects first, then completions) as
-        one batch; ``ValueError`` unless they answer ``message`` row for
-        row in the protocol's dtypes and vocabularies."""
+        one batch, and its ``accepted`` mask over the posted rows;
+        ``ValueError`` unless they answer ``message`` row for row in the
+        protocol's dtypes and vocabularies."""
         n = len(message["times"])  # type: ignore[arg-type]
         columns = [
             wire_column(reply, name, n, len(REASONS) if name == "reason" else None)
             for name in STEP_REPLY_COLUMNS
         ]
+        accepted = wire_column(reply, "accepted", n, 2)
+        if np.count_nonzero(accepted) != np.count_nonzero(columns[0] == 200):
+            raise ValueError("'accepted' does not mark as many rows as were answered 200")
         trace_id = tenant = None
         if self.trace_requests and "trace_id" in reply:  # the worker traces too
             trace_id = wire_column(reply, "trace_id", n).tolist()
@@ -561,24 +592,27 @@ class Fleet:
             tenant = wire_column(reply, "tenant", n, len(self._tenant_names))
             if reply.get("tenant_names") != message["tenant_names"]:
                 raise ValueError("'tenant_names' are not the names that were posted")
-        return OutcomeBatch(*columns[:6], trace_id, *columns[6:], tenant, self._tenant_names)
+        batch = OutcomeBatch(*columns[:6], trace_id, *columns[6:], tenant, self._tenant_names)
+        return batch, accepted
 
-    def _fail_batch(self, worker_id: int, message: Dict[str, object], at: float) -> None:
+    def _fail_batch(
+        self, worker_id: int, message: Dict[str, object], calls: _Calls, at: float
+    ) -> None:
         """A broken worker: its whole tick batch dies as connection 500s."""
         self.breakers[worker_id].record_failure(at)
         times: np.ndarray = message["times"]  # type: ignore[assignment]
         n = len(times)
         if n:
             trace_id: Optional[np.ndarray] = message.get("trace_id")  # type: ignore[assignment]
-            self._settle(
-                OutcomeBatch(
-                    np.full(n, 500), np.full(n, worker_id), times,
-                    np.full(n, at), np.zeros(n), np.zeros(n),
-                    trace_id.tolist() if trace_id is not None else None,
-                    np.full(n, CONNECTION, dtype=np.int8), message["priority"],
-                    message.get("tenant"), self._tenant_names,
-                )
+            batch = OutcomeBatch(
+                np.full(n, 500), np.full(n, worker_id), times,
+                np.full(n, at), np.zeros(n), np.zeros(n),
+                trace_id.tolist() if trace_id is not None else None,
+                np.full(n, CONNECTION, dtype=np.int8), message["priority"],
+                message.get("tenant"), self._tenant_names,
             )
+            self._deliver(calls, batch, np.zeros(n, dtype=bool))
+            self._settle(batch)
         if self.telemetry is not None:
             self.telemetry.counter("edge.worker_batch_failures").inc()
             self.telemetry.event("worker_down", at, worker=worker_id, lost=n)
@@ -621,7 +655,7 @@ class Fleet:
         """Snapshot edge + every worker over the wire.  Raises
         :class:`CheckpointError` unless every worker is alive and
         quiescent and nothing is queued for the next tick."""
-        queued = sum(len(part) for queue in self._queued for part in queue["times"])
+        queued = self.pending_requests
         if queued:
             raise CheckpointError(
                 f"cannot checkpoint with {queued} requests queued for the next tick"
@@ -633,7 +667,6 @@ class Fleet:
             self._command(handle, {"cmd": "capture"}, "refused capture")["state"]
             for handle in self.workers
         ]
-        slo = self.slo_monitor
         edge = {
             "n_workers": len(self.workers),
             "tick": self._tick_index,
@@ -642,10 +675,9 @@ class Fleet:
             "next_trace_id": self._next_trace_id,
             "brownout_active": self.brownout_active,
             "breakers": {str(wid): b.state_dict() for wid, b in self.breakers.items()},
-            "slo": slo.state_dict() if slo is not None else None,
             "advertised": {str(wid): list(ad) for wid, ad in self.advertised.items()},
-            "tenancy": self.tenancy.state_dict() if self.tenancy is not None else None,
-            "tenant_slos": {name: m.state_dict() for name, m in sorted(self.tenant_slos.items())},
+            "machine_seconds": self.machine_seconds,
+            **self.ledger.state_dict(),
         }
         return {"engine": {"edge": edge, "workers": worker_states}}
 
@@ -678,23 +710,24 @@ class Fleet:
         self.brownout_active = bool(edge["brownout_active"])
         for wid_str, breaker_state in edge["breakers"].items():  # type: ignore[union-attr]
             self.breakers[int(wid_str)].load_state_dict(breaker_state)
-        slo_state = edge.get("slo")
-        if slo_state is not None:
-            if self.slo_monitor is None:
-                raise CheckpointError("checkpoint carries SLO state; this fleet has no SLO monitor")
-            self.slo_monitor.load_state_dict(slo_state)  # type: ignore[arg-type]
         for wid_str, ad in edge["advertised"].items():  # type: ignore[union-attr]
             self.advertised[int(wid_str)] = (float(ad[0]), float(ad[1]))
-        tenancy_state = edge.get("tenancy")
-        if tenancy_state is not None:
-            if self.tenancy is None:
-                raise CheckpointError("checkpoint carries tenant state; this fleet has no tenancy")
-            self.tenancy.load_state_dict(tenancy_state)  # type: ignore[arg-type]
-        load_monitor_states(self.tenant_slos, edge.get("tenant_slos"))  # type: ignore[arg-type]
+        self.machine_seconds = float(edge.get("machine_seconds", 0.0))  # type: ignore[arg-type]
+        self.ledger.load_state_dict(edge)
 
     # ------------------------------------------------------------------
     # Telemetry + reporting
     # ------------------------------------------------------------------
+    @property
+    def pending_requests(self) -> int:
+        """Requests forwarded to a worker but not yet resolved by a tick."""
+        return sum(rows for calls in self._calls for rows, _ in calls)
+
+    @property
+    def machine_hours(self) -> float:
+        """Machine-hours the fleet has consumed so far."""
+        return self.machine_seconds / 3600.0
+
     @property
     def live_metrics(self):
         """The freshest fleet view, or the edge's own registry when
@@ -797,10 +830,7 @@ class Fleet:
             "now": self.now,
             "brownout_active": self.brownout_active,
             "breakers": {str(wid): b.state for wid, b in sorted(self.breakers.items())},
-            "slo": self.slo_monitor.status() if self.slo_monitor is not None else None,
-            "tenants": (
-                self.tenancy.health(self.tenant_slos) if self.tenancy is not None else None
-            ),
+            **self.ledger.health(),
             "workers": {
                 str(wid): reply.get("healthz", {}) if reply else {"status": "dead"}
                 for wid, reply in replies.items()
@@ -817,22 +847,18 @@ class Fleet:
                 for wid, (machines, _) in sorted(self.advertised.items())
             )
         ]
-        if self.slo_monitor is not None:
-            lines.append(self.slo_monitor.report_line())
-        if self.tenancy is not None:
-            lines.extend(self.tenancy.report_lines(self.tenant_slos))
-        lines.extend(monitor.report_line() for _, monitor in sorted(self.tenant_slos.items()))
-        return lines
+        return lines + self.ledger.status_lines()
 
 
 class DistributedServeSession(ServeSession):
     """A :class:`ServeSession` over a :class:`Fleet`, plus the fleet's
     lifecycle (``start`` / ``close`` / context manager).
 
-    ``checkpoint``, ``tenant_indices``, ``tenant_names`` and
-    ``timeseries`` are the session's; ``specs`` and every other keyword
-    the :class:`Fleet`'s, whose state — breakers, ``advertised``,
-    ``brownout_active``, ``fleet_view`` — is read off :attr:`engine`.
+    ``specs`` and every keyword but the session's own (``retry``,
+    ``retry_seed``, ``checkpoint``, ``tenant_indices``, ``tenant_names``,
+    ``timeseries``) are the :class:`Fleet`'s, whose state — breakers,
+    ``advertised``, ``brownout_active``, ``fleet_view`` — is read off
+    :attr:`engine`.
     """
 
     def __init__(
@@ -840,35 +866,18 @@ class DistributedServeSession(ServeSession):
         specs: Sequence[WorkerSpec],
         arrivals: np.ndarray,
         *,
-        mode: str = "pipe",
-        edge_queue_limit_s: Optional[float] = None,
-        breaker: Optional[BreakerConfig] = None,
-        brownout: Optional[BrownoutConfig] = None,
-        slo: Optional[SLOConfig] = None,
-        low_priority_fraction: float = 0.0,
-        trace_requests: bool = False,
-        telemetry: Optional[Telemetry] = None,
-        seed: int = 0,
+        retry: Optional[RetryConfig] = None,
+        retry_seed: int = 0,
         checkpoint: Optional[CheckpointConfig] = None,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        tenancy: Optional["TenantAdmission"] = None,
         tenant_indices: Optional[np.ndarray] = None,
         tenant_names: Optional[List[str]] = None,
-        telemetry_every_ticks: int = 0,
         timeseries: Optional[TimeSeriesStore] = None,
-        perf: Optional[PerfRecorder] = None,
+        **fleet: object,
     ) -> None:
-        fleet = Fleet(
-            specs, mode=mode, edge_queue_limit_s=edge_queue_limit_s, breaker=breaker,
-            brownout=brownout, slo=slo, low_priority_fraction=low_priority_fraction,
-            trace_requests=trace_requests, telemetry=telemetry, seed=seed,
-            timeout_s=timeout_s, tenancy=tenancy,
-            telemetry_every_ticks=telemetry_every_ticks, perf=perf,
-        )
         super().__init__(
-            fleet,  # type: ignore[arg-type]
-            arrivals, checkpoint=checkpoint, tenant_indices=tenant_indices,
-            tenant_names=tenant_names, timeseries=timeseries,
+            Fleet(specs, **fleet),  # type: ignore[arg-type]
+            arrivals, retry=retry, retry_seed=retry_seed, checkpoint=checkpoint,
+            tenant_indices=tenant_indices, tenant_names=tenant_names, timeseries=timeseries,
         )
 
     # Fleet lifecycle, and the few things callers read off the session.

@@ -139,6 +139,16 @@ class OutcomeBatch:
     def __len__(self) -> int:
         return len(self.status)
 
+    def take(self, rows: np.ndarray) -> "OutcomeBatch":
+        """The rows at the given indices as a batch of their own."""
+        return OutcomeBatch(
+            self.status[rows], self.node_id[rows], self.submitted_at[rows],
+            self.completed_at[rows], self.latency_ms[rows], self.retry_after_s[rows],
+            [self.trace_id[row] for row in rows.tolist()] if self.trace_id is not None else None,
+            self.reason[rows], self.priority[rows],
+            self.tenant[rows] if self.tenant is not None else None, self.tenant_names,
+        )
+
     def rows(self) -> List[TxnOutcome]:
         """The batch as one :class:`TxnOutcome` per row."""
         n = len(self)
@@ -186,6 +196,12 @@ class AdmissionBatch:
     def __len__(self) -> int:
         return len(self.accepted)
 
+    @classmethod
+    def of_nothing(cls) -> "AdmissionBatch":
+        """The decisions of an empty batch."""
+        nobody, nothing = np.zeros(0, dtype=np.int64), np.zeros(0)
+        return cls(np.zeros(0, dtype=bool), nobody, nothing, nothing, np.zeros(0, dtype=np.int8))
+
     def decision(self, row: int) -> AdmissionDecision:
         return AdmissionDecision(
             bool(self.accepted[row]),
@@ -197,6 +213,145 @@ class AdmissionBatch:
 
 
 OutcomeSink = Callable[[OutcomeBatch], None]
+
+
+class OutcomeLedger:
+    """What a front end knows about its outcomes: the only place under
+    :mod:`repro.serve` that turns them into SLO verdicts and per-tenant
+    counters, shared by :class:`ServerEngine` and
+    :class:`~repro.serve.edge.Fleet`.
+
+    A row is **good** when it ended 200 within the latency objective of
+    the monitor judging it — the fleet-wide one, and its tenant's own —
+    and **bad** otherwise: every 503 and every 500 burns budget.  Verdicts
+    pile up over a tick and reach the monitors on :meth:`observe`.
+    """
+
+    def __init__(
+        self,
+        slo: Optional[SLOConfig],
+        tenancy: Optional["TenantAdmission"],
+        telemetry: Optional[Telemetry],
+    ) -> None:
+        self.telemetry = telemetry
+        self.slo_monitor = SLOMonitor(slo, telemetry) if slo is not None else None
+        self.tenancy = tenancy
+        #: Per-tenant labelled monitors, keyed by tenant name: the shared
+        #: alerting windows, the tenant's *own* latency threshold and
+        #: objective from the spec.
+        self.tenant_slos: Dict[str, SLOMonitor] = (
+            tenancy.slo_monitors(slo or SLOConfig(), telemetry) if tenancy is not None else {}
+        )
+        # This tick's [good, bad] verdicts, fleet-wide and per tenant.
+        self._tally = [0, 0]
+        self._tenant_tally: Dict[str, List[int]] = {}
+
+    def _count(self, tenants: np.ndarray, which: str) -> None:
+        """Bump ``serve.tenant.<which>`` for each tenant in a registry-indexed
+        column by its number of rows (telemetry on only)."""
+        tel = self.telemetry
+        if tel is not None:
+            for index, count in index_counts(tenants):
+                name = labeled(f"serve.tenant.{which}", tenant=self.tenancy.names[index])
+                tel.counter(name).inc(count)
+
+    def submitted(self, tenants: Optional[np.ndarray], reason: np.ndarray) -> None:
+        """Count one ``submit_batch`` call per tenant.  ``reason`` is
+        ``admit_batch``'s column over the registry-indexed ``tenants``,
+        with ``CONNECTION`` on the rows that never reached the chain —
+        which therefore has not counted them offered."""
+        tenancy = self.tenancy
+        if tenancy is None:
+            return
+        for index, count in index_counts(tenants[reason == CONNECTION]):
+            tenancy.offered[tenancy.names[index]] += count
+        self._count(tenants, "offered")
+        self._count(tenants[reason == QUOTA], "quota_shed")
+        # Brownout closes every sheddable tenant's rows at the tenant
+        # stage, so those are exactly the tenant sheds.
+        self._count(
+            tenants[(reason == BROWNOUT) & tenancy.sheddable[tenants]], "brownout_shed"
+        )
+
+    def record(
+        self, status: np.ndarray, latency_ms: np.ndarray, tenants: Optional[np.ndarray]
+    ) -> None:
+        """Tally terminal outcomes (``tenants`` registry-indexed) for
+        every monitor, each latency column classified once per monitor."""
+        slo = self.slo_monitor
+        if slo is None and self.tenancy is None:
+            return
+        served = status == 200
+        if slo is not None:
+            good = int(np.count_nonzero(served & slo.classify(latency_ms)))
+            self._tally[0] += good
+            self._tally[1] += len(status) - good
+        if self.tenancy is not None:
+            self._count(tenants[served], "served")
+            for index, count in index_counts(tenants):
+                name = self.tenancy.names[index]
+                rows = tenants == index
+                within = self.tenant_slos[name].classify(latency_ms[rows])
+                good = int(np.count_nonzero(served[rows] & within))
+                tally = self._tenant_tally.setdefault(name, [0, 0])
+                tally[0] += good
+                tally[1] += count - good
+
+    def observe(self, now: float) -> None:
+        """Close the tick: hand every monitor its verdicts.  Empty ticks
+        still advance the windows (alerts must resolve once the errors
+        age out, even with no traffic)."""
+        if self.slo_monitor is not None:
+            self.slo_monitor.observe(now, *self._tally)
+            self._tally = [0, 0]
+        for name, monitor in self.tenant_slos.items():
+            monitor.observe(now, *self._tenant_tally.pop(name, (0, 0)))
+
+    def monitors(self) -> List[SLOMonitor]:
+        """Every monitor configured, the fleet-wide one first."""
+        fleet_wide = [self.slo_monitor] if self.slo_monitor is not None else []
+        return fleet_wide + list(self.tenant_slos.values())
+
+    def health(self) -> Dict[str, object]:
+        """The ``slo`` and ``tenants`` blocks of a health report
+        (``None`` for the one not configured)."""
+        slo, tenancy = self.slo_monitor, self.tenancy
+        return {
+            "slo": slo.status() if slo is not None else None,
+            "tenants": tenancy.health(self.tenant_slos) if tenancy is not None else None,
+        }
+
+    def status_lines(self) -> List[str]:
+        """The SLO / tenant lines of a run report."""
+        lines = [self.slo_monitor.report_line()] if self.slo_monitor is not None else []
+        if self.tenancy is not None:
+            lines.extend(self.tenancy.report_lines(self.tenant_slos))
+        lines.extend(monitor.report_line() for _, monitor in sorted(self.tenant_slos.items()))
+        return lines
+
+    def state_dict(self) -> Dict[str, object]:
+        """Every monitor's windows and the tenant buckets and counters,
+        taken at a tick boundary (no verdicts pending)."""
+        slo, tenancy = self.slo_monitor, self.tenancy
+        return {
+            "slo": slo.state_dict() if slo is not None else None,
+            "tenancy": tenancy.state_dict() if tenancy is not None else None,
+            "tenant_slos": {
+                name: monitor.state_dict() for name, monitor in sorted(self.tenant_slos.items())
+            },
+        }
+
+    def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Restore :meth:`state_dict` output; a monitor the snapshot does
+        not mention starts empty."""
+        for key, target in (("slo", self.slo_monitor), ("tenancy", self.tenancy)):
+            if state.get(key) is not None:
+                if target is None:
+                    raise CheckpointError(
+                        f"checkpoint carries {key} state but the restore target has none configured"
+                    )
+                target.load_state_dict(state[key])  # type: ignore[arg-type]
+        load_monitor_states(self.tenant_slos, state.get("tenant_slos"))  # type: ignore[arg-type]
 
 
 def _earlier_in_group(groups: np.ndarray, counted: np.ndarray) -> np.ndarray:
@@ -305,18 +460,10 @@ class ServerEngine:
         self.request_tracer: Optional[RequestTracer] = (
             RequestTracer(self.telemetry) if trace_requests else None
         )
-        self.slo_monitor: Optional[SLOMonitor] = (
-            SLOMonitor(slo, self.telemetry) if slo is not None else None
-        )
+        self.ledger = OutcomeLedger(slo, tenancy, self.telemetry)
+        self.slo_monitor = self.ledger.slo_monitor
         self.tenancy = tenancy
-        #: Per-tenant labelled SLO monitors, keyed by tenant name.  Each
-        #: tenant gets the shared alerting windows but its *own* latency
-        #: threshold and objective from the spec.
-        self.tenant_slos: Dict[str, SLOMonitor] = (
-            tenancy.slo_monitors(slo or SLOConfig(), self.telemetry)
-            if tenancy is not None
-            else {}
-        )
+        self.tenant_slos = self.ledger.tenant_slos
         if tenancy is not None and controller is not None and hasattr(
             controller, "set_tenant_stats"
         ):
@@ -328,14 +475,9 @@ class ServerEngine:
                 lambda: dict(tenancy.offered),
                 {t.name: t.weight for t in tenancy.registry},
             )
-        self._tenant_tick_good: Dict[str, int] = {}
-        self._tenant_tick_bad: Dict[str, int] = {}
         #: Machine-seconds integrated over ticks — the consolidation
         #: experiment's cost axis (machine-hours = this / 3600).
         self.machine_seconds = 0.0
-        #: Registry names in spec order (the vocabulary tenant columns
-        #: are normalised to).
-        self._tenant_names: Tuple[str, ...] = tenancy.names if tenancy is not None else ()
         self._rng = np.random.default_rng(seed)
         # Admitted requests awaiting their tick, one columnar segment per
         # submit_batch call: (node ids, submission times, tenant indices
@@ -432,8 +574,9 @@ class ServerEngine:
             def sink(batch: OutcomeBatch) -> None:
                 on_complete(batch.rows()[0])
 
+        # Only ``submit_batch`` and ``now``: a ``Fleet`` shares this method.
         decisions = self.submit_batch(
-            np.array([self.sim.now if now is None else float(now)]),
+            np.array([self.now if now is None else float(now)]),
             np.zeros(1, dtype=np.int64) if tenant else None,
             np.array([priority]) if priority else None,
             sink,
@@ -480,11 +623,7 @@ class ServerEngine:
         if priorities is None:
             priorities = np.zeros(n, dtype=np.int64)
         if n == 0:
-            nobody = np.zeros(0, dtype=np.int64)
-            nothing = np.zeros(0)
-            return AdmissionBatch(
-                np.zeros(0, dtype=bool), nobody, nothing, nothing, np.zeros(0, dtype=np.int8)
-            )
+            return AdmissionBatch.of_nothing()
 
         cdf = self._route_cdf
         partition = np.searchsorted(cdf, self._rng.random(n) * cdf[-1])
@@ -493,8 +632,7 @@ class ServerEngine:
         tenancy = self.tenancy
         if tenancy is not None:
             tenants = tenancy.registry_indices(tenants, tenant_names, n)
-            tenant_names = self._tenant_names
-            self._count_tenants(tenants, "offered")
+            tenant_names = tenancy.names
 
         dead: Optional[np.ndarray] = None
         if self.health is not None and self._failed_set:
@@ -502,7 +640,7 @@ class ServerEngine:
             # like a refused connection and feed the detector.
             dead = np.isin(node, list(self._failed_set))
             if dead.any():
-                self._fail_rows(np.flatnonzero(dead), node, times, tenants)
+                self._fail_rows(np.flatnonzero(dead), node, times)
 
         # The policy chain.  Its queue stage sees each open row behind
         # the earlier open rows bound for its node.
@@ -531,15 +669,8 @@ class ServerEngine:
                 reason[dead] = CONNECTION
                 status[dead] = 500
             if self.brownout_active:
-                shed_in_brownout = reason == BROWNOUT
-                self.brownout_sheds += int(np.count_nonzero(shed_in_brownout))
-                if tenancy is not None:
-                    # Brownout closes every sheddable tenant's rows at the
-                    # tenant stage, so those are exactly the tenant sheds.
-                    light = shed_in_brownout & tenancy.sheddable[tenants]
-                    self._count_tenants(tenants[light], "brownout_shed")
-            if tenancy is not None:
-                self._count_tenants(tenants[reason == QUOTA], "quota_shed")
+                self.brownout_sheds += int(np.count_nonzero(reason == BROWNOUT))
+        self.ledger.submitted(tenants, reason)
         estimate = self._queue_estimates(node, ahead)
 
         tracer = self.request_tracer
@@ -567,23 +698,19 @@ class ServerEngine:
         if admitted < n:
             lost = ~accepted
             self.rejected_last_tick += int(np.count_nonzero(status == 503))
-            if tenancy is not None:
-                bad = self._tenant_tick_bad
-                for index, count in index_counts(tenants[lost]):
-                    bad[tenant_names[index]] = bad.get(tenant_names[index], 0) + count
+            batch = OutcomeBatch(
+                status[lost], node[lost], times[lost], times[lost],
+                np.zeros(n - admitted), retry_after[lost],
+                [t for t, keep in zip(trace_ids, lost.tolist()) if keep]
+                if trace_ids is not None
+                else None,
+                reason[lost], priorities[lost],
+                tenants[lost] if tenants is not None else None,
+                tenant_names,
+            )
+            self.ledger.record(batch.status, batch.latency_ms, batch.tenant)
             if sink is not None:
-                sink(
-                    OutcomeBatch(
-                        status[lost], node[lost], times[lost], times[lost],
-                        np.zeros(n - admitted), retry_after[lost],
-                        [t for t, keep in zip(trace_ids, lost.tolist()) if keep]
-                        if trace_ids is not None
-                        else None,
-                        reason[lost], priorities[lost],
-                        tenants[lost] if tenants is not None else None,
-                        tenant_names,
-                    )
-                )
+                sink(batch)
         return AdmissionBatch(accepted, node, estimate, retry_after, reason)
 
     def _queue_estimates(self, node: np.ndarray, ahead: np.ndarray) -> np.ndarray:
@@ -593,28 +720,10 @@ class ServerEngine:
             self._pending_per_node[node] + ahead
         ) / self._node_rate[node]
 
-    def _count_tenants(self, tenants: np.ndarray, which: str) -> None:
-        """Bump ``serve.tenant.<which>`` for each tenant in a registry-indexed
-        column by its number of rows (telemetry on only)."""
-        tel = self.telemetry
-        if tel is not None:
-            for index, count in index_counts(tenants):
-                name = labeled(f"serve.tenant.{which}", tenant=self._tenant_names[index])
-                tel.counter(name).inc(count)
-
-    def _fail_rows(
-        self,
-        rows: np.ndarray,
-        node: np.ndarray,
-        times: np.ndarray,
-        tenants: Optional[np.ndarray],
-    ) -> None:
+    def _fail_rows(self, rows: np.ndarray, node: np.ndarray, times: np.ndarray) -> None:
         """Fail requests routed to a dead node (status 500, breaker fed)."""
         assert self.health is not None
         self.errors += len(rows)
-        if self.tenancy is not None and tenants is not None:
-            for index, count in index_counts(tenants[rows]):
-                self.tenancy.offered[self._tenant_names[index]] += count
         for node_id, at in zip(node[rows].tolist(), times[rows].tolist()):
             self.health.record_request_failure(node_id, at)
         tel = self.telemetry
@@ -687,10 +796,6 @@ class ServerEngine:
 
         record = self.sim.step(admitted / dt)
         tel = self.telemetry
-        slo = self.slo_monitor
-        slo_good = 0
-        slo_bad = rejected  # a 503 burns budget like an over-SLA reply
-        tenant_slos = self.tenant_slos
 
         if admitted:
             # One draw for the tick; segments take their rows of it in
@@ -706,7 +811,7 @@ class ServerEngine:
                 # With tenancy on every segment is indexed by the registry.
                 tenants = (
                     np.concatenate([segment[2] for segment in segments])
-                    if tenant_slos
+                    if self.tenancy is not None
                     else None
                 )
             completed_at = times + latencies_s
@@ -714,26 +819,9 @@ class ServerEngine:
             self.latency_sum_ms = running_sum(self.latency_sum_ms, latency_ms)
             if tel is not None:
                 tel.histogram("serve.latency_ms").observe_many(latency_ms)
-            if slo is not None:
-                slo_good = int(np.count_nonzero(slo.classify(latency_ms)))
-                slo_bad += admitted - slo_good
-            if tenant_slos:
-                # Per-tenant verdicts use the *tenant's* latency
-                # objective, not the fleet threshold.
-                self._count_tenants(tenants, "served")
-                for index, served in index_counts(tenants):
-                    name = self._tenant_names[index]
-                    good = int(
-                        np.count_nonzero(
-                            tenant_slos[name].classify(latency_ms[tenants == index])
-                        )
-                    )
-                    self._tenant_tick_good[name] = self._tenant_tick_good.get(name, 0) + good
-                    self._tenant_tick_bad[name] = (
-                        self._tenant_tick_bad.get(name, 0) + served - good
-                    )
-
             status = np.full(admitted, 200)
+            # The whole tick at once, not segment by segment.
+            self.ledger.record(status, latency_ms, tenants)
             no_wait = np.zeros(admitted)
             no_reason = np.zeros(admitted, dtype=np.int8)
             normal = np.zeros(admitted, dtype=np.int64)
@@ -760,20 +848,7 @@ class ServerEngine:
                     )
                 start = stop
 
-        if slo is not None:
-            # Empty ticks still advance the windows (alerts must resolve
-            # once the errors age out, even with no traffic).
-            slo.observe(self.sim.now, slo_good, slo_bad)
-        if tenant_slos:
-            for name, monitor in tenant_slos.items():
-                monitor.observe(
-                    self.sim.now,
-                    self._tenant_tick_good.get(name, 0),
-                    self._tenant_tick_bad.get(name, 0),
-                )
-            self._tenant_tick_good.clear()
-            self._tenant_tick_bad.clear()
-
+        self.ledger.observe(self.sim.now)
         self.ticks += 1
         if self.health is not None:
             self._run_health_checks()
@@ -878,8 +953,8 @@ class ServerEngine:
         status = "shedding" if overloaded else "ok"
         if self.brownout_active:
             status = "brownout"
-        if self.slo_monitor is not None and self.slo_monitor.alerting:
-            status = "degraded"
+        if any(monitor.alerting for monitor in self.ledger.monitors()):
+            status = "degraded"  # whichever monitor fires: a tenant's degrades it too
         health: Dict[str, object] = {
             "status": status,
             "now": self.sim.now,
@@ -900,14 +975,7 @@ class ServerEngine:
             health["breakers"] = {
                 str(node): state for node, state in self.health.states().items()
             }
-        if self.slo_monitor is not None:
-            health["slo"] = self.slo_monitor.status()
-        if self.tenancy is not None:
-            health["tenants"] = self.tenancy.health(self.tenant_slos)
-            # A firing per-tenant alert degrades overall health exactly
-            # like the fleet monitor does.
-            if any(m.alerting for m in self.tenant_slos.values()):
-                health["status"] = "degraded"
+        health.update((k, v) for k, v in self.ledger.health().items() if v is not None)
         return health
 
     @property
@@ -924,11 +992,7 @@ class ServerEngine:
             f"{health['moves_started']} | completed {health['moves_completed']} | "
             f"peak node queue {health['max_node_queue_seconds']}s"
         ]
-        if self.slo_monitor is not None:
-            lines.append(self.slo_monitor.report_line())
-        if self.tenancy is not None:
-            lines.extend(self.tenancy.report_lines(self.tenant_slos))
-        lines.extend(monitor.report_line() for _, monitor in sorted(self.tenant_slos.items()))
+        lines.extend(self.ledger.status_lines())
         if self.health is not None:
             states = ", ".join(
                 f"n{node}={state}" for node, state in sorted(health["breakers"].items())
@@ -1015,13 +1079,8 @@ class ServerEngine:
                 self._router_view.tolist() if self._router_view is not None else None
             ),
             "machine_seconds": self.machine_seconds,
+            **self.ledger.state_dict(),
         }
-        if self.tenancy is not None:
-            state["tenancy"] = self.tenancy.state_dict()
-            state["tenant_slos"] = {
-                name: monitor.state_dict()
-                for name, monitor in sorted(self.tenant_slos.items())
-            }
         controller = self.controller
         return {
             "engine": state,
@@ -1083,15 +1142,7 @@ class ServerEngine:
         if router_view is not None:
             self._router_view = np.asarray(router_view, dtype=np.float64)
         self.machine_seconds = float(state.get("machine_seconds", 0.0))
-        tenancy_state = state.get("tenancy")
-        if tenancy_state is not None:
-            if self.tenancy is None:
-                raise CheckpointError(
-                    "checkpoint carries tenant state but tenancy is disabled "
-                    "on the restore target"
-                )
-            self.tenancy.load_state_dict(tenancy_state)
-            load_monitor_states(self.tenant_slos, state.get("tenant_slos"))
+        self.ledger.load_state_dict(state)
         self._refresh_routing()
         control_state = snapshot.get("control")
         controller = self.controller

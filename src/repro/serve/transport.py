@@ -73,8 +73,9 @@ from repro.telemetry.perf import maybe_span
 DEFAULT_TIMEOUT_S = 60.0
 
 #: Version of the wire: the frame format and the message schema.  1 was
-#: JSON rows (and sent no version); 2 is the columnar frame.
-PROTOCOL_VERSION = 2
+#: JSON rows (and sent no version); 2 is the columnar frame; 3 adds the
+#: ``accepted`` column to the ``step`` reply.
+PROTOCOL_VERSION = 3
 
 #: The dtypes a column may have, by their wire name (``dtype.str`` of
 #: the little-endian type).  Nothing else is ever constructed from a

@@ -29,9 +29,11 @@ A ``step`` request holds one row per arrival, in arrival order:
 (int64; 0 = none minted at the edge) and ``tenant`` (int64 indices into
 the ``tenant_names`` list beside it).  The reply holds one row per
 request — the rows shed at submission first, then the tick's completions
-— in the columns of :data:`STEP_REPLY_COLUMNS`, plus ``trace_id`` when
-this worker traces requests and ``tenant`` + ``tenant_names`` when the
-request carried them.
+— in the columns of :data:`STEP_REPLY_COLUMNS`, plus ``accepted`` (uint8,
+one per *posted* row in posted order: 1 where the row is among the
+completions, so the edge can cut each of its callers' rows back out),
+``trace_id`` when this worker traces requests and ``tenant`` +
+``tenant_names`` when the request carried them.
 
 Every reply carries ``"ok"``; handler errors come back as
 ``{"ok": false, "error": ...}`` so a worker never dies on a bad command
@@ -87,7 +89,7 @@ STEP_DTYPES = {
     "times": np.float64, "priority": np.int64, "trace_id": np.int64, "tenant": np.int64,
     "status": np.int64, "node_id": np.int64, "submitted_at": np.float64,
     "completed_at": np.float64, "latency_ms": np.float64, "retry_after_s": np.float64,
-    "reason": np.int8,
+    "reason": np.int8, "accepted": np.uint8,
 }
 
 _SPAWN = multiprocessing.get_context("spawn")
@@ -303,14 +305,14 @@ class WorkerServer:
         except ValueError as exc:
             return {"ok": False, "error": f"malformed step frame: {exc}"}
         batches: List[OutcomeBatch] = []
-        engine.submit_batch(
+        decisions = engine.submit_batch(
             times, tenants, priorities, batches.append,
             tenant_names=tenant_names, traces=traces,
         )
         record = engine.tick()
         # Rejects first (they resolve at submission), then the tick's
-        # completions.
-        reply: Dict[str, object] = {"ok": True}
+        # completions; ``accepted`` says which posted row is which.
+        reply: Dict[str, object] = {"ok": True, "accepted": decisions.accepted.astype(np.uint8)}
         for name in STEP_REPLY_COLUMNS:
             reply[name] = join_columns(name, [getattr(batch, name) for batch in batches])
         if engine.request_tracer is not None:

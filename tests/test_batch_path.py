@@ -95,7 +95,7 @@ def engine_fingerprint(engine):
         "brownout": (engine.brownout_active, engine.brownout_sheds),
         "latency_sum_ms": engine.latency_sum_ms,
         "completed": engine.completed,
-        "tick_bad": dict(engine._tenant_tick_bad),
+        "tally": (list(engine.ledger._tally), dict(engine.ledger._tenant_tally)),
     }
     if engine.tenancy is not None:
         state["tenancy"] = engine.tenancy.state_dict()

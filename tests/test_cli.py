@@ -338,17 +338,16 @@ def report_lines(out):
 
 
 class TestSoakSubcommand:
-    """``repro serve --workers N`` (the fleet behind the one serving
-    command) and ``soak``, its alias under soak's defaults."""
+    """``repro serve --workers N``: the fleet behind the one serving
+    command (the ``soak`` alias is gone; ``SOAK_ARGS`` spells out what
+    its defaults were)."""
 
-    SOAK_ARGS = [
-        "soak", "--transport", "inproc", "--workers", "2",
-        "--rate", "120", "--duration", "30", "--seed", "4",
-        "--saturation", "200", "--queue-limit", "8",
-    ]
     FLEET_ARGS = [
         "serve", "--no-http", "--control", "none", "--workers", "2", "--transport", "inproc",
         "--duration", "30", "--seed", "4", "--saturation", "200", "--queue-limit", "8",
+    ]
+    SOAK_ARGS = FLEET_ARGS + [
+        "--profile", "poisson:rate=120", "--max-p99", "500", "--max-shed-rate", "0.2",
     ]
 
     def test_soak_passes_and_writes_report(self, tmp_path, capsys):
@@ -411,30 +410,59 @@ class TestSoakSubcommand:
         assert "gates" not in captured.out
 
     def test_bad_flags_exit_2(self, capsys):
-        code = main(["soak", "--workers", "0"])
+        code = main(self.FLEET_ARGS + ["--workers", "0"])
         assert code == 2
         assert "worker" in capsys.readouterr().err
 
+    def test_soak_is_no_longer_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exited:  # argparse: invalid choice
+            main(["soak", "--transport", "inproc", "--duration", "5"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'soak'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "extra, needle",
-        [
-            (["--port", "0"], "--no-http"),  # no --no-http
-            (["--no-http", "--retries"], "--retries"),
-        ],
+        "extra",
+        [["--clock", "virtual", "--port", "0"], ["--no-http", "--retries", "max=3,base=1"]],
+        ids=["http", "retries"],
     )
-    def test_fleet_has_no_scalar_submit_yet(self, extra, needle, capsys):
-        code = main(["serve", "--workers", "2", "--transport", "inproc", "--duration", "5"] + extra)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert needle in err and "ROADMAP 2(iii)" in err
+    def test_fleet_runs_behind_http_and_under_retries(self, extra, capsys):
+        """Both were refused (exit 2) while a ``Fleet`` had no ``submit``;
+        either now prints the report of its plain ``--no-http`` twin —
+        nothing is shed at this rate, so no retry ever changes it."""
+        args = [
+            "serve", "--workers", "2", "--transport", "inproc", "--control", "none",
+            "--duration", "20", "--profile", "poisson:rate=300", "--seed", "6",
+        ]
+        assert main(args + ["--no-http"]) == 0
+        plain = capsys.readouterr().out
+        assert main(args + extra) == 0
+        out = capsys.readouterr().out
+        assert report_lines(out) == report_lines(plain)
+        assert "(exact)" in out and "workers: w0 machines 1 | w1 machines 1" in out
+
+    def test_retries_over_a_fleet_recover_shed_requests(self, capsys):
+        """A spike the workers shed from, over by t=12: with ``--retries``
+        some of the shed requests get in on a later attempt, and every
+        retry has settled by the end of the run."""
+        args = self.FLEET_ARGS + [
+            "--queue-limit", "1",
+            "--profile", "spike:rate=150,at=5,magnitude=6,ramp=1,plateau=5,decay=1",
+        ]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--retries", "max=3,base=1"]) == 0
+        retried = capsys.readouterr().out
+        assert "retries 0" not in retried and "(exact)" in retried and "MISMATCH" not in retried
+        shed = [int(out.split("rejected ")[1].split()[0]) for out in (plain, retried)]
+        assert 0 < shed[1] < shed[0]
 
     @pytest.mark.parametrize("transport", ["pipe", "tcp"])
     def test_faults_refused_across_a_process_boundary(self, transport, capsys):
         """The fault plan is a process-wide default: spawned workers never
         see it, so the run used to print `fault plan in force` and inject
         nothing."""
-        code = main([
-            "soak", "--transport", transport, "--nodes", "2", "--duration", "10",
+        code = main(self.FLEET_ARGS + [
+            "--transport", transport, "--nodes", "2", "--duration", "10",
             "--faults", "crash@5:n1",
         ])
         captured = capsys.readouterr()
@@ -447,24 +475,6 @@ class TestSoakSubcommand:
         assert main(args + ["--faults", "crash@5:n1"]) == 0
         out = capsys.readouterr().out
         assert "fault plan in force" in out and "workers: w0 machines 1" in out
-
-    def test_soak_alias_is_serve_with_defaults(self, capsys):
-        flags = ["--transport", "inproc", "--duration", "20", "--seed", "9"]
-        assert main(["soak", *flags]) == 0
-        alias = capsys.readouterr().out
-        assert main([
-            "serve", "--no-http", "--workers", "2", "--control", "none",
-            "--profile", "poisson:rate=400", "--max-p99", "500", "--max-shed-rate", "0.2",
-            *flags,
-        ]) == 0
-        spelled_out = capsys.readouterr().out
-        assert report_lines(alias) == report_lines(spelled_out)
-        assert any(line.startswith("workers: w0") for line in report_lines(alias))
-        # ... and --rate R is --profile poisson:rate=R.
-        assert main(["soak", *flags, "--rate", "250"]) == 0
-        rate = capsys.readouterr().out
-        assert main(["soak", *flags, "--profile", "poisson:rate=250"]) == 0
-        assert report_lines(rate) == report_lines(capsys.readouterr().out)
 
     def test_one_inproc_worker_prints_the_single_engine_numbers(self, capsys):
         """The tests/test_front_ends.py identity, from the command line."""

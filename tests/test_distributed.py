@@ -178,8 +178,10 @@ class TestWorkerProtocol:
         assert set(reply["status"].tolist()) <= {200, 503}
         assert sorted(reply["priority"].tolist()) == [0, 0]  # completions report normal
         assert "tenant" not in reply  # none was posted
-        for name in STEP_REPLY_COLUMNS:
+        for name in (*STEP_REPLY_COLUMNS, "accepted"):
             assert reply[name].dtype == STEP_DTYPES[name] and len(reply[name]) == 2
+        # One flag per posted row, in posted order: 1 = among the completions.
+        assert reply["accepted"].sum() == np.count_nonzero(reply["status"] == 200)
 
     def test_unknown_command_is_an_error_reply(self):
         server = WorkerServer(specs(1)[0])
@@ -299,12 +301,16 @@ class TestDistributedSession:
             lambda reply: {**reply, "completed_at": reply["completed_at"].tolist()},
             lambda reply: {**reply, "reason": np.full_like(reply["reason"], len(REASONS))},
             lambda reply: {**reply, "reason": np.full_like(reply["reason"], -1)},
+            lambda reply: {k: v for k, v in reply.items() if k != "accepted"},
+            lambda reply: {**reply, "accepted": reply["accepted"][:-1]},
+            lambda reply: {**reply, "accepted": np.zeros_like(reply["accepted"])},
         ],
         ids=[
             "refused", "ad-field-missing", "ad-not-a-number", "ad-not-finite",
             "ad-of-another-worker", "column-missing", "column-ragged", "fewer-rows-than-posted",
             "column-of-another-dtype", "column-not-an-array", "reason-past-REASONS",
-            "negative-reason",
+            "negative-reason", "accepted-missing", "accepted-ragged",
+            "accepted-zeros-are-not-the-non-200-rows",
         ],
     )
     def test_refused_step_frame_fails_the_batch_closed(self, tamper):
@@ -333,15 +339,18 @@ class TestDistributedSession:
         assert report.offered == report.accepted + report.rejected + report.errored
 
     def test_start_refuses_a_worker_on_another_protocol_version(self, monkeypatch):
-        """The version check runs on ``hello``, before any ``step``."""
-        monkeypatch.setattr("repro.serve.worker.PROTOCOL_VERSION", PROTOCOL_VERSION - 1)
-        session = make_session(1)
-        with pytest.raises(TransportError) as refused:
-            session.start()
-        assert f"protocol {PROTOCOL_VERSION - 1}" in str(refused.value)
-        assert f"speaks {PROTOCOL_VERSION}" in str(refused.value)
-        assert session.workers[0].server.engine.ticks == 0
-        assert not session.workers[0].alive  # the fleet was shut down again
+        """The version check runs on ``hello``, before any ``step`` — a
+        v2 peer would answer ``step`` without the ``accepted`` column."""
+        assert PROTOCOL_VERSION == 3
+        for theirs in (2, PROTOCOL_VERSION + 1):
+            monkeypatch.setattr("repro.serve.worker.PROTOCOL_VERSION", theirs)
+            session = make_session(1)
+            with pytest.raises(TransportError) as refused:
+                session.start()
+            assert f"protocol {theirs}" in str(refused.value)
+            assert f"speaks {PROTOCOL_VERSION}" in str(refused.value)
+            assert session.workers[0].server.engine.ticks == 0
+            assert not session.workers[0].alive  # the fleet was shut down again
 
     def test_start_refuses_a_hello_without_a_protocol_version(self):
         session = make_session(1)

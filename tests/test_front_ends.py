@@ -15,12 +15,22 @@ order:
 * ``run(N)`` against ``N x run(1.0)``;
 * an uninterrupted run against checkpoint -> ``resume`` (one row under
   ``--control reactive``, snapshotted half way through its detection
-  window), with the refusals: a due snapshot deferred while the state is not a plain
+  window; one with SLO monitors, whose windows must come back too), with
+  the refusals: a due snapshot deferred while the state is not a plain
   value, a worker-count mismatch, and each front end handed the other's
   checkpoint;
+* ``session.run`` against the same session paced by the HTTP front end
+  (``ServeApp``, virtual clock);
 * arrivals exactly on a tick boundary, tick by tick.
+
+What is compared is ``outcome(session)``: ``asdict(report)`` plus the
+state of every SLO monitor the front end keeps and its machine-hours.  The ``retried`` scenario
+(a retry client over two overload bursts) is in every row but single engine ==
+one-worker fleet: a worker-side shed reaches the client at the tick, an
+engine's at submission, so the retries are scheduled differently.
 """
 
+import asyncio
 import json
 import os
 from contextlib import nullcontext
@@ -35,11 +45,15 @@ from repro.faults.plan import FaultPlan, NodeCrash
 from repro.serve import (
     CheckpointConfig,
     DistributedServeSession,
+    RetryConfig,
     ServeSession,
     WorkerSpec,
     poisson_arrivals,
 )
+from repro.serve.engine import REASONS
+from repro.serve.http import ServeApp
 from repro.serve.worker import build_worker_engine
+from repro.telemetry.slo import SLOConfig
 
 TENANTS = ["gold", "silver"]
 
@@ -93,12 +107,24 @@ def reactive():
     return np.concatenate([quiet, loud]), {}
 
 
+def retried():
+    """Two bursts past what even two workers serve, under a retry client:
+    every shed backs off and tries again (twice at most), so requests
+    stay in flight across ticks — and the lull between the bursts lets
+    them all settle, so a snapshot can be taken at t=14."""
+    retry = RetryConfig(max_retries=2, backoff_base_s=1.0, budget_floor=400)
+    bursts = [poisson_arrivals(130.0, 6.0, seed=43), 14.0 + poisson_arrivals(130.0, 6.0, seed=44)]
+    return np.concatenate(bursts), dict(retry=retry, retry_seed=5)
+
+
 SCENARIOS = {
     "steady": steady, "overload": overload, "tagged": tagged, "boundary": boundary,
-    "reactive": reactive,
+    "reactive": reactive, "slo": overload, "retried": retried,
 }
 #: Worker-spec fields a scenario needs on top of ``spec()``'s.
 SPEC_FIELDS = {"reactive": dict(control="reactive", slot_seconds=5.0)}
+#: Policy a scenario runs under: handed to the single engine, or to the edge.
+POLICY = {"slo": dict(slo=SLOConfig())}
 SECONDS = 26
 
 
@@ -110,13 +136,17 @@ class SingleEngine:
 
     def build(self, scenario, **kwargs):
         arrivals, schedule = SCENARIOS[scenario]()
-        engine = build_worker_engine(spec(**SPEC_FIELDS.get(scenario, {})))
-        return ServeSession(engine, arrivals, **schedule, **kwargs)
+        return ServeSession(self._engine(scenario), arrivals, **schedule, **kwargs)
 
     def resume(self, scenario, path, **kwargs):
         arrivals, schedule = SCENARIOS[scenario]()
-        engine = build_worker_engine(spec(**SPEC_FIELDS.get(scenario, {})))
-        return ServeSession.resume(engine, arrivals, path, **schedule, **kwargs)
+        return ServeSession.resume(self._engine(scenario), arrivals, path, **schedule, **kwargs)
+
+    @staticmethod
+    def _engine(scenario):
+        return build_worker_engine(
+            spec(**SPEC_FIELDS.get(scenario, {})), **POLICY.get(scenario, {})
+        )
 
     @staticmethod
     def engines(session):
@@ -132,7 +162,8 @@ class FleetOf:
         arrivals, schedule = SCENARIOS[scenario]()
         fields = SPEC_FIELDS.get(scenario, {})
         specs = [spec(index, **fields) for index in range(self.workers)]
-        return specs, arrivals, dict(mode=self.mode, seed=3, **schedule, **kwargs)
+        policy = POLICY.get(scenario, {})
+        return specs, arrivals, dict(mode=self.mode, seed=3, **policy, **schedule, **kwargs)
 
     def build(self, scenario, **kwargs):
         specs, arrivals, kwargs = self._recipe(scenario, kwargs)
@@ -156,23 +187,58 @@ def closing(session):
     return session if isinstance(session, DistributedServeSession) else nullcontext(session)
 
 
-def served(front_end, scenario, *, stepped=False, **kwargs):
-    """``asdict(report)`` after ``SECONDS`` of the scenario."""
+def outcome(session):
+    """What two equal runs agree on: the report, every SLO window and
+    the machine-hours bill."""
+    report = session.loadgen.report
+    assert report.conserved and report.tenants_consistent()
+    engine = session.engine
+    assert engine.pending_requests == 0
+    return {
+        **asdict(report),
+        "monitors": [monitor.state_dict() for monitor in engine.ledger.monitors()],
+        "machine_hours": engine.machine_hours,
+    }
+
+
+def never_into_the_past(session):
+    """No retry may be scheduled before the session clock's ``now``
+    (a worker's 503 reaches the client a tick after it was submitted)."""
+    client = session.loadgen.client
+    if client is not None:
+        schedule = client.schedule
+
+        def checked(when, callback):
+            assert when >= session.clock.now
+            schedule(when, callback)
+
+        client.schedule = checked
+
+
+def paced_over_http(session, seconds):
+    """Serve ``seconds`` with the HTTP front end pacing the session."""
+    app = ServeApp(session, virtual=True, duration_s=seconds)
+    asyncio.run(asyncio.wait_for(app.run(), timeout=60))
+
+
+def served(front_end, scenario, *, stepped=False, http=False, **kwargs):
+    """``outcome(session)`` after ``SECONDS`` of the scenario."""
     with closing(front_end.build(scenario, **kwargs)) as session:
-        if stepped:
+        never_into_the_past(session)
+        if http:
+            paced_over_http(session, float(SECONDS))
+        elif stepped:
             for _ in range(SECONDS):
                 session.run(1.0)
         else:
             session.run(float(SECONDS))
-        report = session.loadgen.report
-        assert report.conserved and report.tenants_consistent()
-        return asdict(report)
+        return outcome(session)
 
 
 # ----------------------------------------------------------------------
 # Same scenario, different front end / transport / run granularity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario", sorted(set(SCENARIOS) - {"retried"}))
 def test_one_worker_fleet_is_the_single_engine(scenario):
     reference = served(ENGINE, scenario)
     assert reference["offered"] > 0
@@ -187,10 +253,18 @@ def test_second_by_second_equals_one_run(front_end, scenario):
 
 @pytest.mark.timeout(300)
 @pytest.mark.parametrize("mode", ["pipe", "tcp"])
-@pytest.mark.parametrize("scenario", ["overload", "tagged"])
+@pytest.mark.parametrize("scenario", ["overload", "tagged", "retried"])
 def test_process_boundary_changes_nothing(scenario, mode):
     """Real worker processes behind the wire, two shards."""
     assert served(FleetOf(2, mode), scenario) == served(FLEET_2, scenario)
+
+
+@BOTH
+@pytest.mark.parametrize("scenario", ["overload", "retried"])
+def test_http_pacer_equals_session_run(front_end, scenario):
+    """``ServeApp`` only paces ``session.step``: behind HTTP a front end
+    serves the embedded schedule exactly as ``session.run`` does."""
+    assert served(front_end, scenario, http=True) == served(front_end, scenario)
 
 
 def test_scenarios_do_what_they_say():
@@ -199,6 +273,11 @@ def test_scenarios_do_what_they_say():
     tenants = served(FLEET_2, "tagged")["tenants"]
     assert sorted(tenants) == sorted(TENANTS)
     assert all(bucket["accepted"] > 0 for bucket in tenants.values())
+    for front_end in (ENGINE, FLEET_2):
+        retried = served(front_end, "retried")
+        assert retried["retry_successes"] > 0 and retried["retries_exhausted"] > 0
+        (fleet_wide,) = served(front_end, "slo")["monitors"]
+        assert fleet_wide["bad_total"] > 0 and fleet_wide["good_total"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +325,9 @@ def test_boundary_arrival_fires_in_clock_order(front_end):
 # Checkpoint -> resume, one body for every front end
 # ----------------------------------------------------------------------
 @BOTH
-@pytest.mark.parametrize("scenario", ["overload", "tagged", "boundary", "reactive"])
+@pytest.mark.parametrize(
+    "scenario", ["overload", "tagged", "boundary", "reactive", "slo", "retried"]
+)
 def test_resume_continues_like_the_uninterrupted_run(front_end, scenario, tmp_path):
     reference = served(front_end, scenario)
     path = str(tmp_path / "front-end.ckpt")
@@ -267,8 +348,9 @@ def test_resume_continues_like_the_uninterrupted_run(front_end, scenario, tmp_pa
 
     with closing(front_end.resume(scenario, path, checkpoint=checkpoint)) as resumed:
         assert resumed.clock.now == 14.0 and resumed.loadgen.report.duration_s == 14.0
+        never_into_the_past(resumed)
         resumed.run(SECONDS - 14.0)
-        assert asdict(resumed.loadgen.report) == reference
+        assert outcome(resumed) == reference  # the SLO windows too
         assert resumed.checkpoints_written == 1  # t=21; 28 is past the run
 
 
@@ -386,12 +468,13 @@ def _policy_fleet():
 def test_fleet_burst_equals_one_request_at_a_time():
     """``Fleet.submit_batch`` of a burst is *defined* as its rows
     submitted one by one: twin fleets — one fed each tick's arrivals
-    whole, one a row at a time — must sink the same outcomes and end in
-    the same edge state, through overload, quota, a dead worker, an open
-    breaker and brownout."""
+    whole, one a row at a time (every other row through ``Fleet.submit``,
+    the batch of one with a per-request callback) — must sink the same
+    outcomes and end in the same edge state, through overload, quota, a
+    dead worker, an open breaker and brownout."""
     rng = np.random.default_rng(67)
     whole, by_row = _policy_fleet(), _policy_fleet()
-    rows_whole, rows_by_row = [], []
+    rows_whole, rows_by_row = [], []  # batches; rows
     names = ["capped", "gold", "silver"]  # not the registry's order
     try:
         for tick in range(24):
@@ -403,15 +486,19 @@ def test_fleet_burst_equals_one_request_at_a_time():
                 by_row.workers[1].kill()
             whole.submit_batch(times, tenants, None, rows_whole.append, tenant_names=names)
             for i in range(n):
+                if i % 2:
+                    decision = by_row.submit(
+                        rows_by_row.append, now=times[i], tenant=names[tenants[i]]
+                    )
+                    assert decision.node_id in (0, 1) and decision.reason in REASONS
+                    continue
                 by_row.submit_batch(
-                    times[i : i + 1], tenants[i : i + 1], None, rows_by_row.append,
-                    tenant_names=names,
+                    times[i : i + 1], tenants[i : i + 1], None,
+                    lambda batch: rows_by_row.extend(batch.rows()), tenant_names=names,
                 )
             whole.tick()
             by_row.tick()
-            assert [row for batch in rows_whole for row in batch.rows()] == [
-                row for batch in rows_by_row for row in batch.rows()
-            ]
+            assert [row for batch in rows_whole for row in batch.rows()] == rows_by_row
             rows_whole.clear()
             rows_by_row.clear()
             assert whole._rng.bit_generator.state == by_row._rng.bit_generator.state
@@ -432,21 +519,95 @@ def test_fleet_burst_equals_one_request_at_a_time():
         by_row.close()
 
 
-def test_quota_verdicts_are_the_same_at_an_engine_and_at_an_edge():
-    """One policy chain, two callers: the tagged schedule with a quota on
-    ``silver`` through a single engine with tenancy and through a
-    one-worker fleet with tenancy at the edge.  Token buckets are
-    RNG-free and run before anything queue-dependent, so every ``quota``
-    shed is the same arrival with the same Retry-After on both."""
+@pytest.mark.parametrize("workers", [0, 1, 2], ids=["engine", "fleet-1", "fleet-2"])
+def test_each_call_of_a_tick_gets_its_own_rows_back(workers):
+    """Three ``submit_batch`` calls in one tick, interleaved in time, two
+    with sinks of their own and one with none: each sink receives exactly
+    the rows of its call — the ones shed at submission, then each
+    shard's sheds and completions, every batch in row order — however
+    the shards' replies (rejects first, then completions) mix the calls."""
     from repro.serve import Fleet
+
+    front_end = (
+        Fleet([spec(i, queue_limit_seconds=1.0) for i in range(workers)], mode="inproc", seed=3)
+        if workers
+        else build_worker_engine(spec(queue_limit_seconds=1.0))
+    )
+    rng = np.random.default_rng(71)
+    try:
+        for tick in range(12):
+            times = np.sort(tick + rng.random(int(rng.integers(60, 160))))
+            calls = {"a": times[0::3], "b": times[1::3], "unsunk": times[2::3]}
+            received = {"a": [], "b": []}
+            for name, call_times in calls.items():
+                sink = received[name].append if name in received else None
+                decisions = front_end.submit_batch(call_times, None, None, sink)
+                assert len(decisions) == len(call_times)
+            front_end.tick()
+            for name, batches in received.items():
+                rows = [row for batch in batches for row in batch.rows()]
+                assert sorted(row.submitted_at for row in rows) == calls[name].tolist()
+                for batch in batches:
+                    for kind in (batch.status == 200, batch.status != 200):
+                        assert (np.diff(batch.submitted_at[kind]) > 0).all()
+        assert front_end.pending_requests == 0
+        statuses = {row.status for batch in received["a"] + received["b"] for row in batch.rows()}
+        assert statuses == {200, 503}  # the shards shed, so replies were cut
+    finally:
+        if workers:
+            front_end.close()
+
+
+def test_untenanted_fleet_grows_its_tag_vocabulary_within_a_tick():
+    """``Fleet.submit`` names one tenant per call.  Without a registry
+    the edge's tag vocabulary is whatever its callers use, so calls of
+    one tick may each bring a new name: the rows already queued keep
+    their tags.  Tagged and untagged rows cannot share a ``step`` frame."""
+    from repro.errors import ConfigurationError
+    from repro.serve import Fleet
+
+    fleet = Fleet([spec()], mode="inproc", seed=3)
+    done = []
+    try:
+        for tick in range(3):
+            for name in ("gold", "silver", "gold", "bronze"):
+                fleet.submit(done.append, now=tick + 0.5, tenant=name)
+            assert fleet.pending_requests == 4
+            fleet.tick()
+        assert [row.tenant for row in done] == ["gold", "silver", "gold", "bronze"] * 3
+        assert {row.status for row in done} == {200}
+        fleet.submit(now=3.5, tenant="gold")
+        with pytest.raises(ConfigurationError, match="tagged and untagged"):
+            fleet.submit(now=3.5)
+    finally:
+        fleet.close()
+
+
+def test_quota_verdicts_are_the_same_at_an_engine_and_at_an_edge():
+    """One policy chain and one outcome ledger, two callers: the tagged
+    schedule with a quota on ``silver`` through a single engine with
+    tenancy and through a one-worker fleet with tenancy at the edge.
+    Token buckets are RNG-free and run before anything queue-dependent,
+    so every ``quota`` shed is the same arrival with the same Retry-After
+    on both — and with it the verdict stream: every SLO monitor's windows
+    and the ``serve.tenant.*`` counters, whichever side owns tenancy.
+    (The shard's RNG stream differs — the edge forwards fewer rows — so
+    the latency objectives are lax: the ``slo`` scenario above compares
+    latency verdicts, where the streams coincide.)"""
+    from repro.serve import Fleet
+    from repro.telemetry import Telemetry
     from repro.tenancy import TenantAdmission, TenantRegistry, TenantSpec
+
+    LAX = 1e9  # ms: every served row is good, every shed one bad
 
     def tenancy():
         return TenantAdmission(
             TenantRegistry(
                 tenants=[
-                    TenantSpec(name="gold", profile="poisson:rate=1"),
-                    TenantSpec(name="silver", profile="poisson:rate=1", quota_rps=0.8),
+                    TenantSpec(name="gold", profile="poisson:rate=1", latency_slo_ms=LAX),
+                    TenantSpec(
+                        name="silver", profile="poisson:rate=1", quota_rps=0.8, latency_slo_ms=LAX
+                    ),
                 ]
             )
         )
@@ -472,12 +633,30 @@ def test_quota_verdicts_are_the_same_at_an_engine_and_at_an_edge():
             if row.reason == "quota"
         ]
 
-    engine = build_worker_engine(spec(), tenancy=tenancy())
-    fleet = Fleet([spec()], mode="inproc", seed=3, tenancy=tenancy())
+    slo = SLOConfig(latency_threshold_ms=LAX)
+    engine = build_worker_engine(spec(), Telemetry(), slo=slo, tenancy=tenancy())
+    fleet = Fleet(
+        [spec()], mode="inproc", seed=3, slo=slo, telemetry=Telemetry(), tenancy=tenancy()
+    )
     try:
         at_the_engine, at_the_edge = quota_sheds(engine), quota_sheds(fleet)
     finally:
         fleet.close()
+
+    def verdicts(front_end):
+        counters = [
+            record
+            for record in front_end.telemetry.metrics.records()
+            if record["name"].startswith(("serve.tenant.", "slo."))
+        ]
+        return [monitor.state_dict() for monitor in front_end.ledger.monitors()], counters
+
+    assert verdicts(engine) == verdicts(fleet)
+    assert {record["name"] for record in verdicts(fleet)[1]} >= {
+        'serve.tenant.offered{tenant="gold"}', 'serve.tenant.served{tenant="silver"}',
+        'serve.tenant.quota_shed{tenant="silver"}',
+    }
+    assert fleet.slo_monitor.bad_total >= len(at_the_edge) and fleet.slo_monitor.good_total
     assert at_the_engine == at_the_edge
     assert len(at_the_edge) == fleet.tenancy.quota_shed["silver"] > 100
     assert {tenant for *_, tenant in at_the_edge} == {"silver"}

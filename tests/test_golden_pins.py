@@ -53,6 +53,11 @@ them: a pre-fitted predictor never takes the reactive branch.
 Regenerate (only ever on a commit whose behaviour is the reference)::
 
     PYTHONPATH=src python tests/test_golden_pins.py
+
+A deliberate re-pin is reviewed as a diff of the hashed documents, not as
+new hex strings: dump them on the parent and on the change and diff::
+
+    PYTHONPATH=src python tests/test_golden_pins.py --documents DIR chaos_tenants fleet_policy
 """
 
 import hashlib
@@ -216,17 +221,32 @@ SCENARIOS = {
     "chaos_tenants": chaos_tenants_session,
 }
 
-#: sha256 per scenario, taken on the parent of PR 12.
+#: sha256 per scenario, taken on the parent of PR 12 — except
+#: ``chaos_tenants``, re-pinned by PR 24 (one outcome ledger): the
+#: engine's fleet-wide monitor now counts stale-router 500s as bad, as its
+#: per-tenant monitors and the edge always did, which moves the unlabelled
+#: ``slo.fast_burn`` / ``slo.slow_burn`` gauges and nothing else (was
+#: ``1d3dda6dba64...``; the document diff is in CHANGES.md).
 PINS = {
     "bare": "bb2bbd2e9d603fe30b28ebb87847b492f24c13c642f038e15dfe4afe4b90c5c3",
     "full": "cef04aa48495a06ccc712efc0804e8f897f18a78f90afadfd91eafb249655578",
     "chaos": "706084ffe971452f1214a0fd3c70d3e27d1d78ea164b8086edd9885c202f883c",
-    "chaos_tenants": "1d3dda6dba640c5fa22c6f05afbd5c19c423cdb3e9e1fd529d6a72bba1e951cf",
+    "chaos_tenants": "77856e1c69d9c403e7d204d60bbe539276a6779282a1ff5bd72048b8ee21609f",
 }
 
 
-def session_digest(session) -> str:
-    """sha256 over everything the batch path could perturb."""
+def _digest(document, report) -> str:
+    """sha256 of a scenario's document plus its two float lists, bit for bit."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps(document, sort_keys=True, default=str).encode())
+    digest.update(np.asarray(report.latencies_ms, dtype=np.float64).tobytes())
+    digest.update(np.asarray(report.retry_after_s, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def session_document(session) -> dict:
+    """Everything the batch path could perturb (what ``session_digest``
+    hashes, beside the report's latency and Retry-After lists)."""
     report = session.loadgen.report
     engine = session.engine
     counters = {
@@ -260,17 +280,17 @@ def session_digest(session) -> str:
         document["timeseries"] = session.timeseries.dump()
     if engine.tenancy is not None:
         document["tenancy"] = engine.tenancy.state_dict()
-    digest = hashlib.sha256()
-    digest.update(json.dumps(document, sort_keys=True, default=str).encode())
-    digest.update(np.asarray(report.latencies_ms, dtype=np.float64).tobytes())
-    digest.update(np.asarray(report.retry_after_s, dtype=np.float64).tobytes())
-    return digest.hexdigest()
+    return document
 
 
-def run_whole(name: str) -> str:
+def session_digest(session) -> str:
+    return _digest(session_document(session), session.loadgen.report)
+
+
+def run_whole(name: str, of=session_digest):
     session, seconds = SCENARIOS[name]()
     session.run(float(seconds))
-    return session_digest(session)
+    return of(session)
 
 
 def run_stepped(name: str) -> str:
@@ -368,16 +388,20 @@ FLEET_SCENARIOS = {
     "fleet_traced": fleet_traced_session,
 }
 
-#: sha256 per fleet scenario, taken on 60750f7.
+#: sha256 per fleet scenario, taken on 60750f7 — except ``fleet_policy``,
+#: re-pinned by PR 24: an edge that owns tenancy now emits the
+#: ``serve.tenant.*{tenant=...}`` counters an engine does, which adds nine
+#: metric records and their time-series and changes nothing else (was
+#: ``fe9c377b6016...``).
 FLEET_PINS = {
     "fleet_bare": "51d067a0b4e8f913cbd5d4e82a3e1783bbe021b103c84d41387b4e32e845df2c",
-    "fleet_policy": "fe9c377b60168a99d71530b32ef32114e3984d126eb7dcc801316e6324d04185",
+    "fleet_policy": "885d3a7e3757ae559611ed4d920cb31ba5cb730f3ddc63e456f78130ba32ae56",
     "fleet_traced": "a75b7bce2f56f84803a318f66a3f5932943ad52984bd479495285e0ae0d26f19",
 }
 
 
-def fleet_digest(session) -> str:
-    """sha256 over everything the edge owns, plus what it merged."""
+def fleet_document(session) -> dict:
+    """Everything the edge owns, plus what it merged."""
     fleet = session.engine
     report = session.report
     document = {
@@ -402,14 +426,14 @@ def fleet_digest(session) -> str:
         document["spans"] = fleet.telemetry.tracer.records()
     if session.timeseries is not None:
         document["timeseries"] = session.timeseries.dump()
-    digest = hashlib.sha256()
-    digest.update(json.dumps(document, sort_keys=True, default=str).encode())
-    digest.update(np.asarray(report.latencies_ms, dtype=np.float64).tobytes())
-    digest.update(np.asarray(report.retry_after_s, dtype=np.float64).tobytes())
-    return digest.hexdigest()
+    return document
 
 
-def run_fleet(name: str, *, stepped: bool) -> str:
+def fleet_digest(session) -> str:
+    return _digest(fleet_document(session), session.report)
+
+
+def run_fleet(name: str, *, stepped: bool, of=fleet_digest):
     session, legs = FLEET_SCENARIOS[name]()
     with session:
         for seconds, then in legs:
@@ -420,7 +444,7 @@ def run_fleet(name: str, *, stepped: bool) -> str:
                 session.run(float(seconds))
             if then is not None:
                 then(session)
-        return fleet_digest(session)
+        return of(session)
 
 
 # ----------------------------------------------------------------------
@@ -612,6 +636,20 @@ def test_worker_step_reply_rows_match_pre_change_json():
 
 
 if __name__ == "__main__":  # pragma: no cover - pin regeneration
+    import sys
+
+    if sys.argv[1:2] == ["--documents"]:
+        # A re-pin is reviewed as a diff of what is hashed: run this on
+        # the parent and on the change, then diff the two directories.
+        os.makedirs(sys.argv[2], exist_ok=True)
+        for scenario in sys.argv[3:]:
+            if scenario in SCENARIOS:
+                document = run_whole(scenario, of=session_document)
+            else:
+                document = run_fleet(scenario, stepped=False, of=fleet_document)
+            with open(os.path.join(sys.argv[2], scenario + ".json"), "w") as handle:
+                json.dump(document, handle, indent=1, sort_keys=True, default=str)
+        sys.exit(0)
     for scenario in sorted(SCENARIOS):
         whole, stepped = run_whole(scenario), run_stepped(scenario)
         print(scenario, whole, "stepped-equal" if whole == stepped else f"STEPPED {stepped}")

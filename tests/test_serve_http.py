@@ -23,6 +23,7 @@ from repro.serve import (
 from repro.serve.admission import AdmissionConfig
 from repro.serve.http import ServeApp, run_loadgen_client
 from repro.telemetry import Telemetry
+from tests.test_front_ends import paced_over_http
 
 
 def make_engine(**kwargs):
@@ -534,12 +535,12 @@ def _tenants_case():
 DRIVER_CASES = {"bare": _bare_case, "retries": _retries_case, "tenants": _tenants_case}
 
 
-def _run_over_http(session, duration_s):
-    app = ServeApp(session, virtual=True, duration_s=duration_s)
-    asyncio.run(asyncio.wait_for(app.run(), timeout=60))
-
-
 class TestOneDriver:
+    """The engine-policy cases (retry client, tenants, a checkpoint
+    written under HTTP); the same assertion over every front end —
+    single engine, fleets — is ``tests/test_front_ends.py``'s
+    ``test_http_pacer_equals_session_run``."""
+
     @pytest.mark.parametrize("case", sorted(DRIVER_CASES))
     def test_http_pacer_equals_session_run(self, case, tmp_path):
         def build(**extra):
@@ -557,7 +558,7 @@ class TestOneDriver:
 
         path = str(tmp_path / "http.ckpt")
         paced = build(checkpoint=CheckpointConfig(path, every_s=25.0))
-        _run_over_http(paced, 60.0)
+        paced_over_http(paced, 60.0)
         assert asdict(paced.loadgen.report) == expected
         assert paced.checkpoints_written
 
@@ -599,7 +600,7 @@ class TestOneDriver:
         session, attempts = build()
         session.run(10.0)
         paced, paced_attempts = build()
-        _run_over_http(paced, 10.0)
+        paced_over_http(paced, 10.0)
 
         # 0.25 is shed -> retry 1 at 1.25 is shed -> retry 2 at 3.25, tied
         # with the last arrival, which goes first and takes the tick's slot.
@@ -615,7 +616,7 @@ class TestEmbeddedLoadgen:
     def test_virtual_run_reports_offered_traffic(self):
         arrivals = poisson_arrivals(30.0, 60.0, seed=4)
         session = make_session(arrivals=arrivals)
-        _run_over_http(session, 60.0)
+        paced_over_http(session, 60.0)
         report = session.loadgen.report
         assert report.offered == len(arrivals)
         assert report.accepted == report.offered
