@@ -17,7 +17,9 @@
 # digests must verify and `repro.cli explain` must render the planner
 # decision audit (the run outlives the SPAR fit slot), the SLO alert
 # fired during the spike, and the request-trace summary.  CI uploads
-# the bundle as an artifact.
+# the bundle as an artifact.  A tenant leg then checks X-Tenant routing,
+# and a last leg boots a virtual server with no --duration and checks
+# that it ticks only when work is due (0 ticks idle, 20 for 20 /txn).
 #
 # `serve_smoke.sh --faults` runs the chaos variant instead (CI
 # `chaos-serve-smoke` job / `make chaos-serve-smoke`): a no-HTTP
@@ -337,3 +339,62 @@ if [ "$STATUS" -ne 0 ]; then
     cat "$TENANT_OUT" >&2
     exit "$STATUS"
 fi
+
+# ----------------------------------------------------------------------
+# Demand-driven virtual time: with no --duration a virtual server ticks
+# only when work is due — none while idle, exactly one per sequential
+# /txn — and still drains and exits 0 on /shutdown.
+# ----------------------------------------------------------------------
+LEG_START=$(date +%s%N)
+IDLE_OUT=$(mktemp)
+idle_cleanup() {
+    tenant_cleanup
+    rm -f "$IDLE_OUT"
+}
+trap idle_cleanup EXIT
+
+python -m repro.cli serve --clock virtual --port 0 --control none --nodes 2 \
+    >"$IDLE_OUT" 2>&1 &
+SERVER_PID=$!
+
+PORT=""
+for _ in $(seq 1 200); do
+    PORT=$(grep -oE 'http://127\.0\.0\.1:[0-9]+' "$IDLE_OUT" | head -1 | grep -oE '[0-9]+$' || true)
+    [ -n "$PORT" ] && break
+    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+        echo "idle server exited before publishing a port:" >&2
+        cat "$IDLE_OUT" >&2
+        exit 1
+    fi
+    sleep 0.05
+done
+[ -n "$PORT" ] || { echo "idle server never published a port" >&2; exit 1; }
+
+health_field() {  # health_field NAME -> the integer NAME of /healthz
+    curl -sf "http://127.0.0.1:$PORT/healthz" \
+        | grep -oE "\"$1\": [0-9]+" | grep -oE '[0-9]+$'
+}
+sleep 0.5
+TICKS=$(health_field ticks)
+[ "$TICKS" = "0" ] || { echo "idle virtual server ticked $TICKS times" >&2; exit 1; }
+for _ in $(seq 1 20); do
+    CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://127.0.0.1:$PORT/txn")
+    [ "$CODE" = "200" ] || { echo "idle-server /txn returned $CODE" >&2; exit 1; }
+done
+for FIELD in ticks accepted completed; do
+    VALUE=$(health_field "$FIELD")
+    [ "$VALUE" = "20" ] \
+        || { echo "after 20 sequential /txn, $FIELD is $VALUE, not 20" >&2; exit 1; }
+done
+
+curl -sf -X POST "http://127.0.0.1:$PORT/shutdown" >/dev/null
+STATUS=0
+wait "$SERVER_PID" || STATUS=$?
+SERVER_PID=""
+if [ "$STATUS" -ne 0 ]; then
+    echo "idle server exited with status $STATUS" >&2
+    cat "$IDLE_OUT" >&2
+    exit "$STATUS"
+fi
+echo "demand-driven virtual time passed: 0 idle ticks, 20 ticks for 20 /txn" \
+    "($(( ($(date +%s%N) - LEG_START) / 1000000 )) ms)"

@@ -657,7 +657,10 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--clock", choices=("wall", "virtual"), default="wall",
         help="wall: one tick per dt/speedup real seconds; virtual: tick "
-             "as fast as possible with zero sleeps",
+             "as fast as possible with zero sleeps to the end of "
+             "--duration, or without one only when work is due (a /txn, "
+             "a retry, the embedded schedule): idle virtual time does "
+             "not pass",
     )
     parser.add_argument("--speedup", type=float, default=1.0,
                         help="wall-clock acceleration factor")
@@ -692,8 +695,8 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--perf", action="store_true",
-        help="record wall-clock perf spans (edge dispatch, engine tick, "
-             "planner DP, SPAR fit, transport encode/decode) into "
+        help="record wall-clock perf spans (HTTP request, edge dispatch, "
+             "engine tick, planner DP, SPAR fit, transport encode/decode) into "
              "/metrics repro_perf_* families and a stage report at exit; "
              "wall times never enter telemetry dumps or debug bundles",
     )

@@ -32,8 +32,13 @@ an asyncio task in one of two modes:
 
 * **wall** — one step every ``dt / speedup`` real seconds;
 * **virtual** — zero sleeps between steps (one cooperative yield per
-  step keeps request handling responsive), so a simulated day races by
-  in however long the steps take while the admin endpoints stay live.
+  step keeps request handling responsive).  With a duration the run
+  races to its end in however long the steps take while the admin
+  endpoints stay live.  Without one, virtual time is demand-driven: the
+  pacer steps only while something is due (:attr:`ServeSession.idle`
+  is false) and otherwise parks until a ``/txn`` or ``/shutdown``
+  wakes it, so each ``/txn`` costs one tick, concurrent ones share it,
+  and an idle server neither ticks nor spends CPU.
 
 The session's embedded open-loop schedule (if any) therefore fires
 exactly as it does under ``--no-http`` — that is how the CI smoke
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -55,7 +60,7 @@ from repro.serve.engine import TxnOutcome
 from repro.serve.loadgen import LoadgenReport
 from repro.serve.session import ServeSession
 from repro.telemetry.export import render_prometheus
-from repro.telemetry.perf import PerfRecorder, render_prometheus_perf
+from repro.telemetry.perf import PerfRecorder, maybe_span, render_prometheus_perf
 
 _MAX_HEADER_LINES = 64
 
@@ -85,6 +90,14 @@ def _http_response(
     return ("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + payload
 
 
+#: The reply to a ``/txn`` that arrives, or is still unresolved, once the
+#: server stops admitting work.
+_DRAINING = _http_response(
+    503, json.dumps({"error": "server is draining"}),
+    extra_headers={"Retry-After": "1"},
+)
+
+
 class ServeApp:
     """HTTP transport + wall/virtual pacing over a :class:`ServeSession`.
 
@@ -94,7 +107,10 @@ class ServeApp:
             the checkpoint cadence and the time-series store (which
             backs ``GET /timeseries`` and the dashboard sparklines).
         host/port: Bind address (port 0 picks a free port).
-        virtual: Step as fast as the event loop allows (no sleeps).
+        virtual: Step as fast as the event loop allows (no sleeps) —
+            to the end of ``duration_s`` when one is given; without
+            one, only while the session has something due, parking
+            otherwise until a ``/txn`` or ``/shutdown`` arrives.
         speedup: Wall mode only — real seconds per step are
             ``dt / speedup``.
         duration_s: Stop stepping once this much engine time has passed
@@ -135,14 +151,19 @@ class ServeApp:
         self.draining = False
         self._stop = asyncio.Event()
         self._wake = asyncio.Event()
+        # Futures of the /txn requests awaiting a tick; the ticker
+        # resolves any left with ``None`` when it stops.
+        self._waiting: Set["asyncio.Future[Optional[TxnOutcome]]"] = set()
         self._server: Optional[asyncio.base_events.Server] = None
 
     # ------------------------------------------------------------------
     # Pacer
     # ------------------------------------------------------------------
     async def _ticker(self) -> None:
-        step = self.session.step
+        session = self.session
+        step = session.step
         dt = self.engine.dt_s
+        on_demand = self.virtual and self.duration_s is None
         try:
             while not self._stop.is_set() and not self.draining:
                 if self.duration_s is not None and (
@@ -150,6 +171,11 @@ class ServeApp:
                 ):
                     break
                 if self.virtual:
+                    if on_demand and session.idle:
+                        # Nothing is due: park until a /txn or /shutdown.
+                        self._wake.clear()
+                        await self._wake.wait()
+                        continue
                     await asyncio.sleep(0)
                 else:
                     try:
@@ -172,6 +198,10 @@ class ServeApp:
         finally:
             self.run_complete = True
             self._stop.set()
+            # No tick will come for whatever is still waiting on one.
+            for future in self._waiting:
+                if not future.done():
+                    future.set_result(None)
 
     # ------------------------------------------------------------------
     # HTTP handling
@@ -203,16 +233,12 @@ class ServeApp:
         return request
 
     async def _submit_txn(self, tenant: str = "") -> bytes:
-        draining = _http_response(
-            503, json.dumps({"error": "server is draining"}),
-            extra_headers={"Retry-After": "1"},
-        )
         if self.draining or self.run_complete or self._stop.is_set():
             # Draining or stopped: no new work is admitted; fail fast
             # with a Retry-After instead of hanging the client.
-            return draining
+            return _DRAINING
         loop = asyncio.get_running_loop()
-        future: "asyncio.Future[TxnOutcome]" = loop.create_future()
+        future: "asyncio.Future[Optional[TxnOutcome]]" = loop.create_future()
 
         def complete(outcome: TxnOutcome) -> None:
             if not future.done():
@@ -223,16 +249,15 @@ class ServeApp:
         self.engine.submit(
             complete, now=self.engine.now, trace=trace, tenant=tenant
         )
-        # The tick that resolves the future may never come if the run
-        # ends first — race it against the stop event.
-        stop_waiter = asyncio.ensure_future(self._stop.wait())
-        done, _ = await asyncio.wait(
-            {future, stop_waiter}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if future not in done:
-            return draining
-        stop_waiter.cancel()
-        outcome = future.result()
+        if self.virtual:
+            self._wake.set()  # a parked pacer now has a tick to serve
+        self._waiting.add(future)
+        try:
+            outcome = await future
+        finally:
+            self._waiting.discard(future)
+        if outcome is None:  # the run ended before a tick resolved it
+            return _DRAINING
         if outcome.accepted:
             payload: Dict[str, object] = {
                 "status": "ok",
@@ -312,56 +337,8 @@ class ServeApp:
             request = await asyncio.wait_for(self._read_request(reader), timeout=30.0)
             if request is None:
                 return
-            split = urlsplit(request["path"])
-            path = split.path
-            if path == "/healthz":
-                health = dict(self.engine.healthz())
-                health["run_complete"] = self.run_complete
-                health["draining"] = self.draining
-                health["machine_hours"] = round(self.engine.machine_hours, 6)
-                if self.cost_per_machine_hour > 0:
-                    health["cost_dollars"] = round(
-                        self.engine.machine_hours * self.cost_per_machine_hour, 4
-                    )
-                response = _http_response(200, json.dumps(health))
-            elif path == "/metrics":
-                text = (
-                    render_prometheus(self.engine.telemetry)
-                    if self.engine.telemetry is not None
-                    else "# no telemetry registry installed\n"
-                )
-                if self.perf is not None:
-                    text += render_prometheus_perf(self.perf)
-                response = _http_response(
-                    200, text, content_type="text/plain; version=0.0.4"
-                )
-            elif path == "/timeseries":
-                response = self._timeseries_response(split.query)
-            elif path == "/dashboard":
-                from repro.serve.dashboard import DASHBOARD_HTML
-
-                response = _http_response(
-                    200, DASHBOARD_HTML, content_type="text/html; charset=utf-8"
-                )
-            elif path == "/txn":
-                tenant, reject = self._resolve_tenant(request.get("tenant", ""))
-                response = reject if reject is not None else (
-                    await self._submit_txn(tenant)
-                )
-            elif path == "/shutdown" and request["method"] == "POST":
-                response = _http_response(
-                    200, json.dumps({"status": "stopping", "draining": True})
-                )
-                # Graceful drain: stop admitting, let the ticker resolve
-                # in-flight requests with a final tick, then exit.  If
-                # the run already completed (linger phase) there is
-                # nothing in flight and the stop is immediate.
-                self.draining = True
-                self._wake.set()
-                if self.run_complete:
-                    self._stop.set()
-            else:
-                response = _http_response(404, json.dumps({"error": "not found"}))
+            with maybe_span("http.request", self.perf):
+                response = await self._dispatch(request)
             writer.write(response)
             await writer.drain()
         except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError):
@@ -372,6 +349,60 @@ class ServeApp:
                 await writer.wait_closed()
             except ConnectionError:  # pragma: no cover - peer already gone
                 pass
+
+    async def _dispatch(self, request: Dict[str, str]) -> bytes:
+        """The response to one parsed request."""
+        split = urlsplit(request["path"])
+        path = split.path
+        if path == "/healthz":
+            health = dict(self.engine.healthz())
+            health["run_complete"] = self.run_complete
+            health["draining"] = self.draining
+            health["machine_hours"] = round(self.engine.machine_hours, 6)
+            if self.cost_per_machine_hour > 0:
+                health["cost_dollars"] = round(
+                    self.engine.machine_hours * self.cost_per_machine_hour, 4
+                )
+            response = _http_response(200, json.dumps(health))
+        elif path == "/metrics":
+            text = (
+                render_prometheus(self.engine.telemetry)
+                if self.engine.telemetry is not None
+                else "# no telemetry registry installed\n"
+            )
+            if self.perf is not None:
+                text += render_prometheus_perf(self.perf)
+            response = _http_response(
+                200, text, content_type="text/plain; version=0.0.4"
+            )
+        elif path == "/timeseries":
+            response = self._timeseries_response(split.query)
+        elif path == "/dashboard":
+            from repro.serve.dashboard import DASHBOARD_HTML
+
+            response = _http_response(
+                200, DASHBOARD_HTML, content_type="text/html; charset=utf-8"
+            )
+        elif path == "/txn":
+            tenant, reject = self._resolve_tenant(request.get("tenant", ""))
+            response = reject if reject is not None else (
+                await self._submit_txn(tenant)
+            )
+        elif path == "/shutdown" and request["method"] == "POST":
+            response = _http_response(
+                200, json.dumps({"status": "stopping", "draining": True})
+            )
+            # Graceful drain: stop admitting, let the ticker resolve
+            # in-flight requests with a final tick, then exit.  If
+            # the run already completed (linger phase) there is
+            # nothing in flight and the stop is immediate.
+            self.draining = True
+            self._wake.set()
+            if self.run_complete:
+                self._stop.set()
+        else:
+            response = _http_response(404, json.dumps({"error": "not found"}))
+        return response
 
     async def _bind(self, retries: int = 5, delay_s: float = 0.05):
         """``asyncio.start_server`` with the transport layer's bind-retry

@@ -117,6 +117,17 @@ class ServeSession:
         clock.run_until(end)
         self.loadgen.report.duration_s = clock.now - self._origin
 
+    @property
+    def idle(self) -> bool:
+        """Nothing is due: no admitted request awaits a tick, no retry or
+        hedge is scheduled and the arrival schedule has fully fired."""
+        loadgen = self.loadgen
+        return (
+            self.engine.pending_requests == 0
+            and self.clock.pending == 0
+            and loadgen._next >= len(loadgen.arrivals)
+        )
+
     def _tick(self) -> None:
         self.engine.tick()
         if self.timeseries is not None:

@@ -220,6 +220,60 @@ class TestAdminEndpoints:
 
         asyncio.run(scenario())
 
+    async def _health(self, app):
+        status, _, body = await http_request(app.port, path="/healthz")
+        assert status == 200
+        return json.loads(body)
+
+    def test_idle_forever_virtual_server_does_not_tick(self):
+        """Without a duration, virtual time passes only when work is due:
+        an idle server takes no tick and records no timeline row."""
+
+        async def scenario():
+            app = ServeApp(make_session(), virtual=True)
+            task = await start_app(app)
+            await asyncio.sleep(0.3)
+            assert (await self._health(app))["ticks"] == 0
+            assert app.engine.telemetry.timeline.ticks == []
+            await http_request(app.port, method="POST", path="/shutdown")
+            await asyncio.wait_for(task, timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_forever_virtual_server_ticks_once_per_sequential_txn(self):
+        async def scenario():
+            app = ServeApp(make_session(), virtual=True)
+            task = await start_app(app)
+            for _ in range(20):
+                status, _, _ = await asyncio.wait_for(
+                    http_request(app.port, method="POST", path="/txn"), timeout=10
+                )
+                assert status == 200
+            health = await self._health(app)
+            assert health["ticks"] == 20
+            assert health["accepted"] == health["completed"] == 20
+            await http_request(app.port, method="POST", path="/shutdown")
+            await asyncio.wait_for(task, timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_concurrent_txns_share_ticks_on_a_forever_virtual_server(self):
+        async def scenario():
+            app = ServeApp(make_session(), virtual=True)
+            task = await start_app(app)
+            results = await asyncio.wait_for(
+                asyncio.gather(
+                    *(http_request(app.port, method="POST", path="/txn") for _ in range(8))
+                ),
+                timeout=10,
+            )
+            assert [status for status, _, _ in results] == [200] * 8
+            assert 1 <= (await self._health(app))["ticks"] <= 8
+            await http_request(app.port, method="POST", path="/shutdown")
+            await asyncio.wait_for(task, timeout=10)
+
+        asyncio.run(scenario())
+
     def test_txn_after_run_completes_is_draining(self):
         async def scenario():
             app = ServeApp(
@@ -369,6 +423,25 @@ class TestObservabilityEndpoints:
                 assert "repro_perf_overhead_ms" in text
                 await http_request(app.port, method="POST", path="/shutdown")
                 await asyncio.wait_for(task, timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_metrics_time_http_requests(self):
+        from repro.telemetry import PerfRecorder
+
+        async def scenario():
+            app = ServeApp(make_session(), virtual=True, perf=PerfRecorder())
+            task = await start_app(app)
+            status, _, _ = await asyncio.wait_for(
+                http_request(app.port, method="POST", path="/txn"), timeout=10
+            )
+            assert status == 200
+            _, _, body = await http_request(app.port, path="/metrics")
+            text = body.decode()
+            assert "# TYPE repro_perf_http_request_ms histogram" in text
+            assert "repro_perf_http_request_ms_count 1" in text
+            await http_request(app.port, method="POST", path="/shutdown")
+            await asyncio.wait_for(task, timeout=10)
 
         asyncio.run(scenario())
 
@@ -623,6 +696,28 @@ class TestEmbeddedLoadgen:
         assert report.duration_s == pytest.approx(60.0)
         assert report.latency_percentile(50.0) > 0
 
+    def test_forever_virtual_app_serves_the_schedule_then_parks(self):
+        arrivals = poisson_arrivals(20.0, 30.0, seed=4)
+        session = make_session(arrivals=arrivals)
+
+        async def scenario():
+            app = ServeApp(session, virtual=True)
+            task = await start_app(app)
+            for _ in range(200):
+                if session.idle:
+                    break
+                await asyncio.sleep(0.01)
+            report = session.loadgen.report
+            assert report.offered == len(arrivals)
+            assert report.conserved
+            ticks = app.engine.ticks
+            await asyncio.sleep(0.1)
+            assert app.engine.ticks == ticks
+            await http_request(app.port, method="POST", path="/shutdown")
+            await asyncio.wait_for(task, timeout=10)
+
+        asyncio.run(scenario())
+
 
 class TestGracefulDrain:
     def test_shutdown_drains_in_flight_and_rejects_new_work(self):
@@ -656,6 +751,60 @@ class TestGracefulDrain:
             assert json.loads(body)["status"] == "ok"
             await asyncio.wait_for(task, timeout=10)
             assert app.engine.pending_requests == 0
+
+        asyncio.run(scenario())
+
+    async def _until_pending(self, app):
+        for _ in range(100):
+            if app.engine.pending_requests:
+                return
+            await asyncio.sleep(0.02)
+        raise AssertionError("the /txn never reached the engine")
+
+    def test_wall_clock_txn_waits_for_its_paced_tick(self):
+        """A submit wakes only a virtual pacer; the wall clock keeps its
+        ``dt / speedup`` cadence (4 s here)."""
+
+        async def scenario():
+            app = ServeApp(make_session(), speedup=0.25, duration_s=600.0)
+            task = await start_app(app)
+            in_flight = asyncio.create_task(
+                http_request(app.port, method="POST", path="/txn")
+            )
+            await self._until_pending(app)
+            await asyncio.sleep(0.2)
+            assert app.engine.pending_requests == 1
+            assert app.engine.ticks == 0
+            await http_request(app.port, method="POST", path="/shutdown")
+            status, _, _ = await asyncio.wait_for(in_flight, timeout=10)
+            assert status == 200
+            await asyncio.wait_for(task, timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_txn_in_flight_when_the_server_is_cancelled_gets_503(self):
+        """No drain tick comes when ``run()`` is cancelled: the waiting
+        client is told to retry, not left hanging, and the request stays
+        accounted as in flight."""
+
+        async def scenario():
+            engine = make_engine()
+            app = ServeApp(make_session(engine), speedup=0.25, duration_s=600.0)
+            task = await start_app(app)
+            in_flight = asyncio.create_task(
+                http_request(app.port, method="POST", path="/txn")
+            )
+            await self._until_pending(app)
+            task.cancel()
+            status, headers, body = await asyncio.wait_for(in_flight, timeout=10)
+            assert status == 503
+            assert json.loads(body)["error"] == "server is draining"
+            assert headers["retry-after"] == "1"
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert engine.admission.total == (
+                engine.completed + engine.admission.rejected + engine.pending_requests
+            )
 
         asyncio.run(scenario())
 
