@@ -25,14 +25,11 @@ import numpy as np
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.engine import HotSpotRebalancer
 from repro.b2w import B2WClient
-from repro.prediction import OnlinePredictor, SPARPredictor
+from repro.core.controller import ReactiveController
+from repro.prediction import ForecastTable, OnlinePredictor, SPARPredictor
+from repro.serve.control import OnlineControlLoop
 from repro.simulation import CapacitySimulator
-from repro.strategies import (
-    ManualOverrideStrategy,
-    PStoreStrategy,
-    ProvisioningWindow,
-    ReactiveStrategy,
-)
+from repro.strategies import ManualOverrideStrategy, ProvisioningWindow
 from repro.workloads import FlashCrowd, generate_b2w_long_trace, inject_flash_crowd
 
 SLOT = 300.0
@@ -75,21 +72,31 @@ def provisioning_section() -> None:
     )
     online.fit(train)
 
-    predictive = PStoreStrategy(online.inner, horizon=12, training_prefix=train)
-    composite = ManualOverrideStrategy(
-        PStoreStrategy(online.inner, horizon=12, training_prefix=train,
-                       name="pstore-spar"),
-        [ProvisioningWindow(BLACK_FRIDAY - 28 - 0.5, BLACK_FRIDAY - 28 + 1.5,
-                            min_machines=14, label="Black Friday")],
+    # The four-week fit's forecasts over the evaluation, issued in advance.
+    table = ForecastTable.from_spar(
+        online.inner, np.concatenate([train, eval_trace.values]), 12
     )
-    reactive_only = ReactiveStrategy()
+
+    def predictive():
+        return OnlineControlLoop(
+            params, OnlinePredictor.fitted(table, train), horizon=12, max_machines=20
+        )
+
+    controllers = {
+        "reactive-h0.00": ReactiveController(params, max_machines=20, scale_in_slots=12),
+        "pstore-spar": predictive(),
+        "pstore-spar+manual": ManualOverrideStrategy(
+            predictive(),
+            [ProvisioningWindow(BLACK_FRIDAY - 28 - 0.5, BLACK_FRIDAY - 28 + 1.5,
+                                min_machines=14, label="Black Friday")],
+        ),
+    }
 
     print(f"{'strategy':<22} {'cost':>8} {'avg mach':>9} {'% insufficient':>15}")
     results = {}
-    for strategy in (reactive_only, predictive, composite):
-        result = simulator.run(eval_trace, strategy)
-        results[result.strategy_name] = result
-        print(f"{result.strategy_name:<22} {result.cost:>8.0f} "
+    for name, controller in controllers.items():
+        result = results[name] = simulator.run(eval_trace, controller)
+        print(f"{name:<22} {result.cost:>8.0f} "
               f"{result.average_machines():>9.2f} "
               f"{result.pct_time_insufficient:>15.3f}")
 

@@ -10,8 +10,9 @@ Public API highlights:
 * ``repro.engine`` — a simulated H-Store-like partitioned OLTP engine
   with Squall-like live migration.
 * ``repro.b2w`` — the B2W retail benchmark (Figure 14 / Table 4).
-* ``repro.strategies`` / ``repro.simulation`` — allocation strategies and
-  the long-horizon capacity simulator of Section 8.3.
+* ``repro.simulation`` / ``repro.strategies`` — the long-horizon capacity
+  simulator of Section 8.3, which runs the engine's elasticity
+  controllers, and the schedule-driven ones (day/night, manual floors).
 
 Quickstart::
 
@@ -59,7 +60,6 @@ from repro.faults import (
 from repro.prediction import (
     ARMAPredictor,
     ARPredictor,
-    InflatedPredictor,
     OraclePredictor,
     SPARPredictor,
 )
@@ -77,7 +77,6 @@ __all__ = [
     "FaultPlan",
     "FaultStats",
     "InfeasiblePlanError",
-    "InflatedPredictor",
     "LoadTrace",
     "MigrationError",
     "MigrationStall",

@@ -56,12 +56,15 @@ class ControllerDecision:
 
 
 class ReactiveController:
-    """E-Store-style reactive controller for the engine simulator.
+    """E-Store-style reactive controller, for either simulator.
 
-    Scale-out triggers once the measured load exceeds the current
-    allocation's target capacity for ``detect_slots`` consecutive slots
-    (standing in for E-Store's monitoring window); scale-in requires a
-    long stretch of comfortably low load.
+    Scale-out triggers once the measured load exceeds
+    ``trigger_fraction`` of the current allocation's target capacity for
+    ``detect_slots`` consecutive slots (standing in for E-Store's
+    monitoring window), to the machines the load needs plus ``headroom``;
+    scale-in, one machine at a time, requires ``scale_in_slots`` slots of
+    comfortably low load.  Sweeping ``headroom`` traces the reactive
+    cost/violation curve of Figure 12.
     """
 
     def __init__(
@@ -77,8 +80,10 @@ class ReactiveController:
     ) -> None:
         if detect_slots < 1 or scale_in_slots < 1:
             raise ConfigurationError("detection windows must be >= 1 slot")
-        if trigger_fraction <= 0:
-            raise ConfigurationError("trigger_fraction must be positive")
+        if headroom < 0:
+            raise ConfigurationError("headroom must be >= 0")
+        if not 0 < trigger_fraction <= 1.5:
+            raise ConfigurationError("trigger_fraction must be in (0, 1.5]")
         self.params = params
         self.max_machines = max_machines
         self.headroom = headroom

@@ -155,7 +155,7 @@ class Planner:
         self.effective_capacity_aware = effective_capacity_aware
         # Tables are memoized per (params, max_machines): the controller
         # re-plans every cycle with identical parameters, so repeated
-        # construction (one planner per strategy reset, per sweep point,
+        # construction (one planner per control loop, per sweep point,
         # per test) reuses one shared table set.
         self._tables = cap_model.planner_tables(params, max_machines)
         self._duration = self._tables.duration

@@ -1,12 +1,11 @@
-"""The move-execution policy shared by P-Store's controllers.
+"""The move-execution policy of P-Store's Predictive Controller.
 
-Both the interval-level strategy (capacity simulation, Section 8.3) and
-the online Predictive Controller (engine runs, Section 8.2) make the same
-decision each cycle: given the inflated load forecast and the current
-machine count, run the planner and act on the *first* move only
-(receding-horizon control), with the scale-in confirmation heuristic and
-the reactive fallback of Section 4.3.1.  This module holds that logic in
-one place.
+Each cycle, given the inflated load forecast and the current machine
+count, run the planner and act on the *first* move only (receding-horizon
+control), with the scale-in confirmation heuristic and the reactive
+fallback of Section 4.3.1.  :class:`~repro.serve.control.OnlineControlLoop`
+feeds it, on the capacity simulation (Section 8.3), the engine simulation
+(Section 8.2) and the serving engine alike.
 """
 
 from __future__ import annotations
@@ -68,11 +67,6 @@ class PredictivePolicy:
         self.max_machines = max_machines
         self.scale_in_confirmations = scale_in_confirmations
         self.planner = Planner(params, max_machines=max_machines)
-        self._scale_in_votes = 0
-        self.plans_computed = 0
-        self.fallback_scale_outs = 0
-
-    def reset(self) -> None:
         self._scale_in_votes = 0
         self.plans_computed = 0
         self.fallback_scale_outs = 0

@@ -37,12 +37,13 @@ import numpy as np
 import repro.core.capacity as cap_model
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.core.planner import Planner
+from repro.core.policy import Decision, PredictivePolicy
 from repro.core.schedule import build_move_schedule, naive_block_round_count
 from repro.experiments.common import format_table
 from repro.parallel import parallel_map
-from repro.prediction.spar import SPARPredictor
+from repro.prediction import ForecastTable, OnlinePredictor, SPARPredictor
+from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimulator
-from repro.strategies import PStoreStrategy
 from repro.workloads.b2w import generate_b2w_long_trace
 
 
@@ -181,25 +182,32 @@ class PolicyAblation:
         return conf + "\n\n" + infl
 
 
+def _spar_loop(
+    simulator: CapacitySimulator, spar: SPARPredictor, eval_trace, train,
+    horizon: int = 12, **loop_kwargs,
+) -> OnlineControlLoop:
+    """P-Store's control loop for ``eval_trace``, handed SPAR's forecasts
+    issued in advance over ``train ++ eval``."""
+    table = ForecastTable.from_spar(
+        spar, np.concatenate([train, eval_trace.values]), horizon
+    )
+    return OnlineControlLoop(
+        simulator.params, OnlinePredictor.fitted(table, train), horizon=horizon,
+        max_machines=simulator.max_machines, **loop_kwargs,
+    )
+
+
 def _policy_cell(args) -> PolicySweepPoint:
     """One policy-sweep cell; module-level so ``parallel_map`` can
-    pickle it.  Builds its own strategy, so cells share no mutable
+    pickle it.  Builds its own control loop, so cells share no mutable
     state and the grid is order-independent."""
     simulator, spar, eval_trace, train, kind, value = args
     if kind == "confirmation":
-        label = str(value)
-        strategy = PStoreStrategy(
-            spar,
-            horizon=12,
-            scale_in_confirmations=value,
-            training_prefix=train,
-        )
+        label, knob = str(value), {"scale_in_confirmations": value}
     else:
-        label = f"{value:.0%}"
-        strategy = PStoreStrategy(
-            spar, horizon=12, inflation=value, training_prefix=train
-        )
-    result = simulator.run(eval_trace, strategy)
+        label, knob = f"{value:.0%}", {"inflation": value}
+    loop = _spar_loop(simulator, spar, eval_trace, train, **knob)
+    result = simulator.run(eval_trace, loop)
     return PolicySweepPoint(
         label, result.cost, result.pct_time_insufficient, result.moves
     )
@@ -268,13 +276,13 @@ class HorizonAblation:
 
 def _horizon_cell(args) -> PolicySweepPoint:
     """One horizon-sweep cell (module-level for ``parallel_map``); the
-    strategy is built in the worker so its fallback counter is local."""
+    loop is built in the worker so its fallback counter is local."""
     simulator, spar, eval_trace, train, horizon = args
-    strategy = PStoreStrategy(spar, horizon=horizon, training_prefix=train)
-    result = simulator.run(eval_trace, strategy)
+    loop = _spar_loop(simulator, spar, eval_trace, train, horizon)
+    result = simulator.run(eval_trace, loop)
     return PolicySweepPoint(
         str(horizon), result.cost, result.pct_time_insufficient,
-        result.moves, strategy.fallback_scale_outs,
+        result.moves, loop.policy.fallback_scale_outs,
     )
 
 
@@ -325,27 +333,18 @@ def run_horizon_ablation(
 # ----------------------------------------------------------------------
 # 6. Dynamic program vs predictive-greedy
 # ----------------------------------------------------------------------
-class _PredictiveGreedyStrategy(PStoreStrategy):
+class _GreedyPolicy(PredictivePolicy):
     """Ablation baseline: same forecasts, no dynamic program.
 
-    Provisions ``ceil(max(inflated forecast) / Q)`` machines at every
-    decision — the "plan for the forecast's peak, now" rule.  Safe, but
-    it cannot delay scale-outs until they are needed nor skip transient
-    dips, which is exactly what the DP buys.
+    Provisions ``ceil(max(measured, inflated forecast) / Q)`` machines at
+    every decision — the "plan for the forecast's peak, now" rule.  Safe,
+    but it cannot delay scale-outs until they are needed nor skip
+    transient dips, which is exactly what the DP buys.
     """
 
-    def __init__(self, predictor, **kwargs) -> None:
-        kwargs.setdefault("name", "predictive-greedy")
-        super().__init__(predictor, **kwargs)
-
-    def decide(self, state):
-        forecast_counts = self._forecast(state)
-        if forecast_counts is None:
-            return None
-        rates = forecast_counts / state.slot_seconds
-        peak = max(float(rates.max()) * (1.0 + self.inflation), state.load_rate)
-        target = self.clamp(self.params.machines_for_load(peak))
-        return target if target != state.machines else None
+    def decide(self, load, current_machines, audit=None) -> Decision:
+        peak = self.params.machines_for_load(float(np.max(load)))
+        return Decision(target=self._clamp(peak))
 
 
 @dataclass
@@ -395,13 +394,10 @@ def run_greedy_ablation(fast: bool = False, seed: int = 606) -> GreedyAblation:
         period=intervals_per_day, n_periods=7, n_recent=12, max_horizon=12
     ).fit(train)
 
-    dp_result = simulator.run(
-        eval_trace, PStoreStrategy(spar, horizon=12, training_prefix=train)
-    )
-    greedy_result = simulator.run(
-        eval_trace,
-        _PredictiveGreedyStrategy(spar, horizon=12, training_prefix=train),
-    )
+    dp_result = simulator.run(eval_trace, _spar_loop(simulator, spar, eval_trace, train))
+    greedy = _spar_loop(simulator, spar, eval_trace, train)
+    greedy.policy = _GreedyPolicy(params, simulator.max_machines)
+    greedy_result = simulator.run(eval_trace, greedy)
     return GreedyAblation(
         dp_point=PolicySweepPoint(
             "dp", dp_result.cost, dp_result.pct_time_insufficient,

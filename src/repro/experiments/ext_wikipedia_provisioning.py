@@ -18,11 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
+from repro.core.controller import ReactiveController
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.experiments.common import PaperComparison, comparison_table, format_table
-from repro.prediction.spar import SPARPredictor
+from repro.prediction import ForecastTable, OnlinePredictor, SPARPredictor
+from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimResult, CapacitySimulator
-from repro.strategies import PStoreStrategy, ReactiveStrategy, StaticStrategy
 from repro.workloads.wikipedia import generate_wikipedia_trace
 
 HOURS_PER_DAY = 24
@@ -109,15 +112,20 @@ def run(fast: bool = False, seed: int = 20160701) -> ExtWikiResult:
             n_recent=6,
             max_horizon=HORIZON_HOURS,
         ).fit(train)
+        table = ForecastTable.from_spar(
+            spar, np.concatenate([train, eval_trace.values]), HORIZON_HOURS
+        )
+        pstore = OnlineControlLoop(
+            params, OnlinePredictor.fitted(table, train),
+            horizon=HORIZON_HOURS, max_machines=16,
+        )
+        reactive = ReactiveController(
+            params, max_machines=16, detect_slots=1, scale_in_slots=12
+        )
         simulator = CapacitySimulator(params, max_machines=16)
         results[language] = {
-            "pstore-spar": simulator.run(
-                eval_trace,
-                PStoreStrategy(spar, horizon=HORIZON_HOURS, training_prefix=train),
-            ),
-            "reactive": simulator.run(
-                eval_trace, ReactiveStrategy(detect_intervals=1)
-            ),
-            "static-10": simulator.run(eval_trace, StaticStrategy(10)),
+            "pstore-spar": simulator.run(eval_trace, pstore),
+            "reactive": simulator.run(eval_trace, reactive),
+            "static-10": simulator.run(eval_trace, initial_machines=10),
         }
     return ExtWikiResult(results=results)

@@ -23,17 +23,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.controller import ReactiveController
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.experiments.common import PaperComparison, comparison_table, format_table
-from repro.prediction.oracle import OraclePredictor
-from repro.prediction.spar import SPARPredictor
-from repro.simulation.capacity_sim import CapacitySimResult, CapacitySimulator
-from repro.strategies import (
-    PStoreStrategy,
-    ReactiveStrategy,
-    SimpleStrategy,
-    StaticStrategy,
-)
+from repro.prediction import ForecastTable, OnlinePredictor, OraclePredictor, SPARPredictor
+from repro.serve.control import OnlineControlLoop
+from repro.simulation.capacity_sim import CapacitySimulator
+from repro.strategies import SimpleStrategy
 from repro.workloads.b2w import generate_b2w_long_trace
 from repro.workloads.trace import LoadTrace
 
@@ -166,60 +162,49 @@ def run(
 
     spar = SPARPredictor(
         period=INTERVALS_PER_DAY, n_periods=7, n_recent=12, max_horizon=12
-    )
-    spar.fit(train)
+    ).fit(train)
+    # SPAR's forecasts do not depend on Q: issue them once for the sweep.
+    table = ForecastTable.from_spar(spar, np.concatenate([train, eval_trace.values]), 12)
+    oracle = OraclePredictor(eval_trace.values)
 
     points: List[SweepPoint] = []
 
-    def simulate(q_fraction: float, strategy) -> CapacitySimResult:
-        simulator = CapacitySimulator(_params(q_fraction), max_machines=MAX_MACHINES)
-        return simulator.run(eval_trace, strategy)
+    def simulate(strategy, parameter, params, controller=None, **kwargs) -> None:
+        result = CapacitySimulator(params, max_machines=MAX_MACHINES).run(
+            eval_trace, controller, **kwargs
+        )
+        points.append(
+            SweepPoint(strategy, parameter, result.cost,
+                       result.pct_time_insufficient, result.average_machines())
+        )
 
     for q_fraction in q_fractions:
-        result = simulate(
-            q_fraction,
-            PStoreStrategy(spar, horizon=12, training_prefix=train),
-        )
-        points.append(
-            SweepPoint("pstore-spar", q_fraction, result.cost,
-                       result.pct_time_insufficient, result.average_machines())
-        )
-        result = simulate(
-            q_fraction,
-            PStoreStrategy(
-                OraclePredictor(eval_trace.values), horizon=12, name="pstore-oracle"
-            ),
-        )
-        points.append(
-            SweepPoint("pstore-oracle", q_fraction, result.cost,
-                       result.pct_time_insufficient, result.average_machines())
-        )
+        params = _params(q_fraction)
+        for strategy, inner, history in (
+            ("pstore-spar", table, train),
+            ("pstore-oracle", oracle, ()),
+        ):
+            loop = OnlineControlLoop(
+                params, OnlinePredictor.fitted(inner, history),
+                horizon=12, max_machines=MAX_MACHINES,
+            )
+            simulate(strategy, q_fraction, params, loop)
 
+    params = _params(0.65)
     for headroom in headrooms:
-        result = simulate(0.65, ReactiveStrategy(headroom=headroom))
-        points.append(
-            SweepPoint("reactive", headroom, result.cost,
-                       result.pct_time_insufficient, result.average_machines())
+        reactive = ReactiveController(
+            params, max_machines=MAX_MACHINES, headroom=headroom, scale_in_slots=12
         )
+        simulate("reactive", headroom, params, reactive)
 
     for day_machines in simple_days:
-        result = simulate(
-            0.65,
-            SimpleStrategy(
-                day_machines, night_machines=4, morning_hour=6.0, night_hour=23.9
-            ),
+        simple = SimpleStrategy(
+            day_machines, night_machines=4, morning_hour=6.0, night_hour=23.9
         )
-        points.append(
-            SweepPoint("simple", day_machines, result.cost,
-                       result.pct_time_insufficient, result.average_machines())
-        )
+        simulate("simple", day_machines, params, simple, initial_machines=4)
 
     for machines in statics:
-        result = simulate(0.65, StaticStrategy(machines))
-        points.append(
-            SweepPoint("static", machines, result.cost,
-                       result.pct_time_insufficient, result.average_machines())
-        )
+        simulate("static", machines, params, initial_machines=machines)
 
     reference = next(
         p.cost for p in points

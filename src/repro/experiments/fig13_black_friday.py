@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
 
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.experiments.common import PaperComparison, comparison_table, format_table
@@ -22,9 +23,10 @@ from repro.experiments.fig12_cost_capacity import (
     SLOT_SECONDS,
     build_trace,
 )
-from repro.prediction.spar import SPARPredictor
+from repro.prediction import ForecastTable, OnlinePredictor, SPARPredictor
+from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimResult, CapacitySimulator
-from repro.strategies import PStoreStrategy, SimpleStrategy, StaticStrategy
+from repro.strategies import SimpleStrategy
 
 WINDOW_DAYS = 4
 
@@ -118,18 +120,21 @@ def run(fast: bool = False, seed: int = 20160801) -> Fig13Result:
 
     spar = SPARPredictor(
         period=INTERVALS_PER_DAY, n_periods=7, n_recent=12, max_horizon=12
+    ).fit(train)
+    table = ForecastTable.from_spar(spar, np.concatenate([train, eval_trace.values]), 12)
+    pstore = OnlineControlLoop(
+        params, OnlinePredictor.fitted(table, train),
+        horizon=12, max_machines=MAX_MACHINES,
     )
-    spar.fit(train)
 
     results = {
-        "pstore-spar": simulator.run(
-            eval_trace, PStoreStrategy(spar, horizon=12, training_prefix=train)
-        ),
+        "pstore-spar": simulator.run(eval_trace, pstore),
         "simple": simulator.run(
             eval_trace,
             SimpleStrategy(10, night_machines=4, morning_hour=6.0, night_hour=23.9),
+            initial_machines=4,
         ),
-        "static": simulator.run(eval_trace, StaticStrategy(10)),
+        "static": simulator.run(eval_trace, initial_machines=10),
     }
 
     regular_start_day = max(eval_bf_day - 20, 0)

@@ -1,7 +1,7 @@
 """Process-parallel sharding of independent experiment runs.
 
 Ablation cells, per-seed fault replays and workload-grid points are
-embarrassingly parallel: each builds its own strategy/simulator state
+embarrassingly parallel: each builds its own controller/simulator state
 from pickled inputs and returns a plain result object.  This module
 shards such grids across a :class:`~concurrent.futures.ProcessPoolExecutor`
 with a deterministic merge — results come back in submission order, so

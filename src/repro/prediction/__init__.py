@@ -7,7 +7,7 @@ the planner perfect predictions (the Figure 12 upper bound).
 
 from repro.prediction.ar import ARPredictor, fit_ar_coefficients
 from repro.prediction.arma import ARMAPredictor
-from repro.prediction.base import InflatedPredictor, Predictor, as_series
+from repro.prediction.base import Predictor, as_series
 from repro.prediction.metrics import (
     bias,
     mape,
@@ -20,11 +20,12 @@ from repro.prediction.online import OnlinePredictor
 from repro.prediction.oracle import OraclePredictor
 from repro.prediction.rolling import RollingForecast, mre_by_horizon, rolling_forecast
 from repro.prediction.spar import SPARPredictor
+from repro.prediction.table import ForecastTable
 
 __all__ = [
     "ARMAPredictor",
     "ARPredictor",
-    "InflatedPredictor",
+    "ForecastTable",
     "OnlinePredictor",
     "OraclePredictor",
     "PersistencePredictor",

@@ -54,6 +54,11 @@ class Predictor(ABC):
         """
         return self.min_history
 
+    def can_forecast(self, history_length: int) -> bool:
+        """True when :meth:`predict` can forecast from a history of this
+        many slots (models with a fixed lookback: ``min_history``)."""
+        return history_length >= self.min_history
+
     @abstractmethod
     def fit(self, training: SeriesLike) -> "Predictor":
         """Learn model parameters from a training series; returns self."""
@@ -75,33 +80,3 @@ class Predictor(ABC):
                 f"{type(self).__name__} needs at least {self.min_history} "
                 f"history slots, got {len(history)}"
             )
-
-    def predict_at(self, history: SeriesLike, tau: int) -> float:
-        """Point forecast ``tau`` slots ahead."""
-        return float(self.predict(history, tau)[tau - 1])
-
-
-class InflatedPredictor(Predictor):
-    """Wrap a predictor and inflate its output by a safety factor.
-
-    The paper inflates all predictions by 15% to account for prediction
-    error (Section 8.2); varying the inflation trades cost for capacity
-    headroom exactly like varying ``Q`` (footnote in Section 8.3).
-    """
-
-    def __init__(self, inner: Predictor, inflation: float = 0.15) -> None:
-        if inflation < 0:
-            raise PredictionError("inflation must be >= 0")
-        self.inner = inner
-        self.inflation = inflation
-        self.min_history = inner.min_history
-        self.max_horizon = inner.max_horizon
-
-    def fit(self, training: SeriesLike) -> "InflatedPredictor":
-        self.inner.fit(training)
-        self.min_history = self.inner.min_history
-        self.max_horizon = self.inner.max_horizon
-        return self
-
-    def predict(self, history: SeriesLike, horizon: int) -> np.ndarray:
-        return self.inner.predict(history, horizon) * (1.0 + self.inflation)

@@ -57,7 +57,10 @@ class OnlinePredictor(Predictor):
         if min_training < 0:
             raise PredictionError("min_training must be >= 0")
         self.min_training = min_training
-        self._history: list = []
+        # The observed history, in a float64 buffer grown by doubling, so
+        # forecasting from it is a view rather than a list conversion.
+        self._buffer = np.empty(0)
+        self._length = 0
         self._slots_since_fit = 0
         self._fitted = False
         self.refits = 0
@@ -72,9 +75,13 @@ class OnlinePredictor(Predictor):
         refit cadence starts counting from the first observation.
         """
         online = cls(inner)
-        online._history = list(map(float, as_series(history)))
+        online._reset_history(history)
         online._fitted = True
         return online
+
+    def _reset_history(self, history: SeriesLike) -> None:
+        self._buffer = np.array(as_series(history), dtype=np.float64)
+        self._length = len(self._buffer)
 
     # ------------------------------------------------------------------
     @property
@@ -83,19 +90,24 @@ class OnlinePredictor(Predictor):
 
     @property
     def is_fitted(self) -> bool:
-        """True once forecasts are available: parameters learned and at
-        least ``min_history`` slots to predict from."""
-        return self._fitted and len(self._history) >= self.inner.min_history
+        """True once forecasts are available: parameters learned and the
+        inner model able to forecast from the history observed so far."""
+        return self._fitted and self.inner.can_forecast(self._length)
 
     def observe(self, value: float) -> bool:
         """Record one measured slot; fit/refit when due.
 
         Returns True when a (re)fit happened on this observation.
         """
-        self._history.append(float(value))
+        if self._length == len(self._buffer):
+            grown = np.empty(max(64, 2 * self._length))
+            grown[: self._length] = self._buffer[: self._length]
+            self._buffer = grown
+        self._buffer[self._length] = value
+        self._length += 1
         self._slots_since_fit += 1
         due = (
-            not self._fitted and len(self._history) >= self.min_training
+            not self._fitted and self._length >= self.min_training
         ) or (self._fitted and self._slots_since_fit >= self.refit_every)
         if due:
             self._refit()
@@ -111,7 +123,7 @@ class OnlinePredictor(Predictor):
         return refits
 
     def _refit(self) -> None:
-        self.inner.fit(np.asarray(self._history))
+        self.inner.fit(self.observed())
         self._fitted = True
         self._slots_since_fit = 0
         self.refits += 1
@@ -119,8 +131,7 @@ class OnlinePredictor(Predictor):
     # ------------------------------------------------------------------
     def fit(self, training: SeriesLike) -> "OnlinePredictor":
         """Offline bootstrap: seed the history and fit immediately."""
-        series = as_series(training)
-        self._history = list(map(float, series))
+        self._reset_history(training)
         self._refit()
         return self
 
@@ -133,21 +144,21 @@ class OnlinePredictor(Predictor):
         if not self._fitted:
             raise PredictionError(
                 "OnlinePredictor has not accumulated enough history to fit "
-                f"({len(self._history)}/{self.min_training} slots)"
+                f"({self._length}/{self.min_training} slots)"
             )
         return self.inner.predict(history, horizon)
 
     def predict_from_observed(self, horizon: int) -> np.ndarray:
         """Forecast from the wrapper's accumulated history."""
-        return self.predict(np.asarray(self._history), horizon)
+        return self.predict(self._buffer[: self._length], horizon)
 
     def observed(self) -> np.ndarray:
-        return np.asarray(self._history)
+        return self._buffer[: self._length].copy()
 
     @property
     def slots_observed(self) -> int:
         """Length of the accumulated history (training seed included)."""
-        return len(self._history)
+        return self._length
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -158,7 +169,7 @@ class OnlinePredictor(Predictor):
         return {
             "refit_every": self.refit_every,
             "min_training": self.min_training,
-            "history": list(self._history),
+            "history": self._buffer[: self._length].tolist(),
             "slots_since_fit": self._slots_since_fit,
             "fitted": self._fitted,
             "refits": self.refits,
@@ -176,7 +187,7 @@ class OnlinePredictor(Predictor):
                 f"refit_every {state['refit_every']} vs {self.refit_every}, "
                 f"min_training {state['min_training']} vs {self.min_training}"
             )
-        self._history = [float(v) for v in state["history"]]
+        self._reset_history(state["history"])
         self._slots_since_fit = int(state["slots_since_fit"])
         self._fitted = bool(state["fitted"])
         self.refits = int(state["refits"])

@@ -1,18 +1,22 @@
 """The Predictive Controller: monitoring -> Predictor -> Planner -> moves.
 
 Section 6's controller, once.  :class:`OnlineControlLoop` implements the
-``ElasticityController`` protocol for a bare ``EngineSimulator.run``
+``ElasticityController`` protocol for ``CapacitySimulator.run``
+(Figures 12 and 13, the ablations), for a bare ``EngineSimulator.run``
 (Figures 9 and 11, the chaos experiment) and for a live
 :class:`~repro.serve.engine.ServerEngine` alike; *when* the SPAR
 parameters get learned is a property of the
 :class:`~repro.prediction.online.OnlinePredictor` it is handed:
 
 * **pre-fitted** — ``OnlinePredictor.fitted(model, training_history)``:
-  parameters learned offline, forecasts from the first interval;
+  parameters learned offline, forecasts from the first interval (the
+  model may be a :class:`~repro.prediction.table.ForecastTable` of
+  forecasts issued in advance, or the oracle);
 * **cold start** — a bare ``OnlinePredictor(model)``: until the first
   fit the loop degrades to the reactive control law (scale out when
   measured load exceeds the allocation's target capacity) so the
-  cluster is never left stranded.
+  cluster is never left stranded.  The same path covers any interval
+  the fitted model cannot forecast from.
 
 Every observation is fed to the predictor, which refits itself on its
 cadence (Section 6's active learning).  Once fitted the loop forecasts
@@ -100,6 +104,8 @@ class OnlineControlLoop:
                 horizon = min(horizon, online.max_horizon)
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        if inflation < 0:
+            raise ConfigurationError("inflation must be >= 0")
         if online.max_horizon and horizon > online.max_horizon:
             raise ConfigurationError(
                 f"horizon {horizon} exceeds the predictor's max_horizon "

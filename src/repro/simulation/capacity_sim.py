@@ -1,11 +1,16 @@
 """Interval-granularity capacity simulation (Section 8.3 of the paper).
 
 Running the full benchmark over months is impractical ("at least 7.2
-hours per experiment"), so the paper compares allocation strategies by
-*simulation*: walk the load trace interval by interval, let each strategy
+hours per experiment"), so the paper compares allocation policies by
+*simulation*: walk the load trace interval by interval, let a controller
 request reconfigurations, account machine cost (Equation 1) and check the
 load against the cluster's **effective capacity** — which, while a move
 is in flight, is below the allocated machine count (Equation 7).
+
+The controllers are the engine simulator's: anything implementing the
+``ElasticityController`` protocol (``on_slot(sim, slot_index,
+measured_count)``) runs here unchanged, against a view exposing the
+slice of :class:`~repro.engine.simulator.EngineSimulator` they read.
 
 Outputs per run: total cost, the percentage of time with insufficient
 capacity, and the full allocation / effective-capacity series (the data
@@ -14,7 +19,7 @@ behind Figures 12 and 13).
 Conventions:
 
 * "Insufficient capacity" means the interval's load exceeds the
-  *maximum* effective throughput (Q-hat based); strategies plan against
+  *maximum* effective throughput (Q-hat based); controllers plan against
   the *target* throughput Q, so the gap between Q and Q-hat is the
   buffer the paper's Q-sweep trades against cost.
 * Machines allocated during a move follow the just-in-time schedule of
@@ -24,23 +29,26 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 import repro.core.capacity as cap_model
 from repro.core.params import SystemParameters
 from repro.core.schedule import MoveSchedule, build_move_schedule
-from repro.errors import ConfigurationError
-from repro.strategies.base import AllocationStrategy, SimState
+from repro.errors import ConfigurationError, MigrationError
+from repro.telemetry import Telemetry, resolve_telemetry
 from repro.workloads.trace import LoadTrace
+
+if TYPE_CHECKING:
+    from repro.engine.simulator import ElasticityController
 
 
 @dataclass
 class _InFlightMove:
-    """A reconfiguration occupying intervals ``(start, start+duration]``."""
+    """A reconfiguration occupying intervals ``[start, start+duration)``."""
 
     before: int
     after: int
@@ -50,19 +58,6 @@ class _InFlightMove:
 
     def end(self) -> int:
         return self.start + self.duration
-
-    def fraction_at(self, interval: int) -> float:
-        """Fraction of the move's data shipped by the end of ``interval``."""
-        return min(max(interval - self.start, 0) / self.duration, 1.0)
-
-    def machines_allocated_through(self, progress_end: float) -> int:
-        """Machines allocated in the schedule round active at
-        ``progress_end`` (fraction of the move completed)."""
-        if self.schedule.num_rounds == 0:
-            return self.after
-        round_index = int(math.ceil(progress_end * self.schedule.num_rounds)) - 1
-        round_index = max(0, min(round_index, self.schedule.num_rounds - 1))
-        return self.schedule.machines_allocated_at(round_index)
 
     def fill_span(
         self,
@@ -75,8 +70,9 @@ class _InFlightMove:
         """Write this move's intervals ``[start, min(end, n))`` in one
         vectorized pass; returns the first interval after the span.
 
-        Element-for-element identical to evaluating :meth:`fraction_at`,
-        Equation 7 and the just-in-time allocation round per interval.
+        Interval ``k`` has shipped ``(k + 1 - start) / duration`` of the
+        move's data: its effective capacity follows Equation 7 and its
+        allocation the just-in-time round active at that progress.
         """
         span_end = min(self.end(), n)
         k = np.arange(self.start, span_end)
@@ -104,11 +100,50 @@ class _InFlightMove:
         return span_end
 
 
+class _SimView:
+    """What a controller sees of a capacity simulation.
+
+    The surface both controllers read on an ``EngineSimulator``: ``now``,
+    ``machines_allocated`` (the pre-move count until a move lands),
+    ``migration_active``, ``telemetry``, ``cluster.num_available_nodes``
+    (the simulator's ``max_machines``) and :meth:`start_move`.
+    """
+
+    def __init__(
+        self, machines: int, max_machines: int, telemetry: Optional[Telemetry]
+    ) -> None:
+        self.now = 0.0
+        self.machines_allocated = machines
+        self.telemetry = telemetry
+        self.cluster = SimpleNamespace(num_available_nodes=max_machines)
+        #: Target of the move requested this interval, until it lands.
+        self.target: Optional[int] = None
+
+    @property
+    def migration_active(self) -> bool:
+        return self.target is not None
+
+    def start_move(self, target: int, *, boost: float = 1.0) -> None:
+        """Request a reconfiguration, starting this interval, to ``target``
+        clamped into ``[1, max_machines]``.
+
+        Raises MigrationError, like the engine, if one is already in
+        flight or the target is the current size.
+        """
+        if boost != 1.0:
+            raise ConfigurationError("the capacity model migrates at rate R only")
+        if self.target is not None:
+            raise MigrationError("a reconfiguration is already in flight")
+        target = max(1, min(target, self.cluster.num_available_nodes))
+        if target == self.machines_allocated:
+            raise MigrationError("target equals current size; nothing to migrate")
+        self.target = target
+
+
 @dataclass
 class CapacitySimResult:
-    """Complete record of one strategy's run over a trace."""
+    """Complete record of one controller's run over a trace."""
 
-    strategy_name: str
     trace_name: str
     slot_seconds: float
     load_rate: np.ndarray
@@ -145,11 +180,6 @@ class CapacitySimResult:
     def pct_time_insufficient(self) -> float:
         return 100.0 * float(self.insufficient_mask().mean())
 
-    def normalized_cost(self, reference_cost: float) -> float:
-        if reference_cost <= 0:
-            raise ConfigurationError("reference_cost must be positive")
-        return self.cost / reference_cost
-
     def average_machines(self) -> float:
         return float(self.allocated.mean())
 
@@ -163,12 +193,12 @@ class CapacitySimResult:
 
 
 class CapacitySimulator:
-    """Runs allocation strategies over long load traces.
+    """Runs elasticity controllers over long load traces.
 
     Args:
         params: System parameters; ``interval_seconds`` must equal the
             trace's slot length.
-        max_machines: Cluster-size cap for every strategy.
+        max_machines: Cluster-size cap for every run.
     """
 
     def __init__(self, params: SystemParameters, max_machines: int = 20) -> None:
@@ -177,12 +207,26 @@ class CapacitySimulator:
         self.params = params
         self.max_machines = max_machines
 
-    def run(self, trace: LoadTrace, strategy: AllocationStrategy) -> CapacitySimResult:
-        """Simulate ``strategy`` over ``trace``.
+    def run(
+        self,
+        trace: LoadTrace,
+        controller: "Optional[ElasticityController]" = None,
+        *,
+        initial_machines: Optional[int] = None,
+    ) -> CapacitySimResult:
+        """Simulate ``controller`` over ``trace``.
 
-        Returns the per-interval record.  The strategy's ``reset`` is
-        called first, receiving the trace (predictive strategies use it
-        for training-window precomputation only).
+        Each interval ``t`` calls ``controller.on_slot(view, t,
+        trace.values[t])``, including the intervals a move is in flight
+        (so a controller's history stays complete); a move requested at
+        ``t`` occupies ``t`` onward.  Without a controller the allocation
+        is static.
+
+        Args:
+            trace: Offered load per interval.
+            controller: Optional elasticity controller.
+            initial_machines: Machines at ``t = 0``; by default enough for
+                the first interval's load.  Capped at ``max_machines``.
         """
         params = self.params
         if abs(trace.slot_seconds - params.interval_seconds) > 1e-9:
@@ -192,11 +236,17 @@ class CapacitySimulator:
             )
         n = len(trace)
         rates = trace.per_second()
-        strategy.reset(params, self.max_machines, trace)
-
-        machines = strategy.initial_machines(float(rates[0]))
-        machines = max(1, min(machines, self.max_machines))
-        move: Optional[_InFlightMove] = None
+        values = trace.values
+        slot = trace.slot_seconds
+        if initial_machines is None:
+            initial_machines = params.machines_for_load(float(rates[0]))
+        if initial_machines < 1:
+            raise ConfigurationError("initial_machines must be >= 1")
+        view = _SimView(
+            min(initial_machines, self.max_machines),
+            self.max_machines,
+            resolve_telemetry(None),
+        )
         moves_executed = 0
 
         allocated = np.empty(n)
@@ -204,48 +254,36 @@ class CapacitySimulator:
         target = np.empty(n)
         reconfiguring = np.zeros(n, dtype=bool)
 
-        # The strategy only decides while no move is in flight, so each
-        # accepted move's whole span is filled in one vectorized pass and
-        # the loop jumps straight to the move's end.
         t = 0
         while t < n:
-            state = SimState(
-                interval=t,
-                machines=machines,
-                load_rate=float(rates[t]),
-                history_rates=rates,
-                slot_seconds=trace.slot_seconds,
+            if controller is not None:
+                view.now = t * slot
+                controller.on_slot(view, t, float(values[t]))
+            if view.target is None:
+                effective[t] = allocated[t] = target[t] = view.machines_allocated
+                t += 1
+                continue
+            # The whole span of an accepted move is filled in one
+            # vectorized pass; the controller still sees every interval.
+            before, after = view.machines_allocated, view.target
+            move = _InFlightMove(
+                before=before,
+                after=after,
+                start=t,
+                duration=cap_model.move_time_intervals(before, after, params),
+                schedule=build_move_schedule(before, after, params.partitions_per_node),
             )
-            wanted = strategy.decide(state)
-            if wanted is not None and wanted != machines and wanted >= 1:
-                wanted = min(wanted, self.max_machines)
-                if wanted != machines:
-                    duration = cap_model.move_time_intervals(
-                        machines, wanted, params
-                    )
-                    move = _InFlightMove(
-                        before=machines,
-                        after=wanted,
-                        start=t,
-                        duration=duration,
-                        schedule=build_move_schedule(
-                            machines, wanted, params.partitions_per_node
-                        ),
-                    )
-                    moves_executed += 1
-                    t = move.fill_span(n, effective, allocated, target, reconfiguring)
-                    machines = move.after
-                    move = None
-                    continue
-            effective[t] = machines
-            allocated[t] = machines
-            target[t] = machines
-            t += 1
+            moves_executed += 1
+            span_end = move.fill_span(n, effective, allocated, target, reconfiguring)
+            for u in range(t + 1, span_end):
+                view.now = u * slot
+                controller.on_slot(view, u, float(values[u]))
+            view.machines_allocated, view.target = after, None
+            t = span_end
 
         return CapacitySimResult(
-            strategy_name=strategy.name,
             trace_name=trace.name,
-            slot_seconds=trace.slot_seconds,
+            slot_seconds=slot,
             load_rate=rates.copy(),
             peak_load_rate=trace.peak_per_second(),
             allocated=allocated,
@@ -256,13 +294,3 @@ class CapacitySimulator:
             q_max=params.q_max,
             moves=moves_executed,
         )
-
-
-def _largest_share(before: int, after: int, fraction: float) -> float:
-    """Largest per-node data fraction during a move (Equation 7's core)."""
-    inv_b, inv_a = 1.0 / before, 1.0 / after
-    if before < after:
-        return inv_b - fraction * (inv_b - inv_a)
-    if before > after:
-        return inv_b + fraction * (inv_a - inv_b)
-    return inv_b

@@ -1,23 +1,19 @@
-"""Allocation strategies compared in the paper's evaluation.
+"""Schedule-driven elasticity controllers.
 
-Static, Simple (day/night), Reactive (E-Store-style) and P-Store
-(predictive, SPAR or oracle) — the five curves of Figure 12.
+The Simple day/night baseline of Figures 12/13 and the manual
+provisioning overlay of Section 1.  Like the predictive
+(:class:`~repro.serve.control.OnlineControlLoop`) and reactive
+(:class:`~repro.core.controller.ReactiveController`) controllers, they
+implement the ``ElasticityController`` protocol and run on the capacity
+simulator and the engine simulator alike; a static allocation is no
+controller at all.
 """
 
-from repro.strategies.base import AllocationStrategy, SimState
 from repro.strategies.manual import ManualOverrideStrategy, ProvisioningWindow
-from repro.strategies.predictive import PStoreStrategy
-from repro.strategies.reactive import ReactiveStrategy
 from repro.strategies.simple import SimpleStrategy
-from repro.strategies.static import StaticStrategy
 
 __all__ = [
-    "AllocationStrategy",
     "ManualOverrideStrategy",
-    "PStoreStrategy",
     "ProvisioningWindow",
-    "ReactiveStrategy",
-    "SimState",
     "SimpleStrategy",
-    "StaticStrategy",
 ]

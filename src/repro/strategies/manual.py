@@ -8,18 +8,20 @@ shows it is "not strictly necessary, but may still be used as an extra
 precaution for rare, important events" like Black Friday.
 
 :class:`ManualOverrideStrategy` implements that overlay: it wraps any
-base strategy and enforces operator-scheduled machine-count floors over
-calendar windows, deferring to the base strategy everywhere else.
+base controller and enforces operator-scheduled machine-count floors over
+calendar windows, deferring to the base controller everywhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.errors import ConfigurationError
-from repro.strategies.base import AllocationStrategy, SimState
+from repro.errors import ConfigurationError, MigrationError
 from repro.workloads.trace import SECONDS_PER_DAY
+
+if TYPE_CHECKING:
+    from repro.engine.simulator import ElasticityController
 
 
 @dataclass(frozen=True)
@@ -50,16 +52,41 @@ class ProvisioningWindow:
         return self.start_day <= day < self.end_day
 
 
-class ManualOverrideStrategy(AllocationStrategy):
-    """A base strategy plus operator-scheduled capacity floors.
+class _Floored:
+    """The simulator as the base controller sees it: a move it requests
+    below the active floor is raised to the floor."""
 
-    Inside an active window the effective target is
-    ``max(base_decision, min_machines)``; approaching windows are
-    pre-provisioned one move ahead so the floor is in place when the
-    window opens (the whole point of manual provisioning is being early).
+    def __init__(self, sim, floor: int, overlay: "ManualOverrideStrategy") -> None:
+        self._sim = sim
+        self._floor = floor
+        self._overlay = overlay
+        self.requested = False
+
+    def __getattr__(self, name: str):
+        return getattr(self._sim, name)
+
+    def start_move(self, target: int, *, boost: float = 1.0):
+        self.requested = True
+        if target < self._floor:
+            self._overlay.overrides_applied += 1
+            target = self._floor
+        return self._sim.start_move(target, boost=boost)
+
+
+class ManualOverrideStrategy:
+    """A base controller plus operator-scheduled capacity floors.
+
+    Inside an active window a move the base controller requests is
+    raised to ``min_machines``, and the cluster moves to the floor when
+    the base requests nothing; approaching windows are pre-provisioned
+    one move ahead so the floor is in place when the window opens (the
+    whole point of manual provisioning is being early).  A base
+    :class:`~repro.serve.control.OnlineControlLoop` sees the override as
+    a machine-set change and replans from it.
 
     Args:
-        base: The strategy to wrap (typically P-Store).
+        base: The controller to wrap (typically P-Store's control loop),
+            or ``None`` for floors over a static allocation.
         windows: Scheduled floors, e.g. Black Friday.
         lead_days: How far ahead of a window to start enforcing its
             floor (default 0.05 day ≈ 72 minutes, comfortably more than
@@ -68,7 +95,7 @@ class ManualOverrideStrategy(AllocationStrategy):
 
     def __init__(
         self,
-        base: AllocationStrategy,
+        base: "Optional[ElasticityController]",
         windows: Sequence[ProvisioningWindow],
         lead_days: float = 0.05,
     ) -> None:
@@ -77,34 +104,27 @@ class ManualOverrideStrategy(AllocationStrategy):
         self.base = base
         self.windows: List[ProvisioningWindow] = list(windows)
         self.lead_days = lead_days
-        self.name = f"{getattr(base, 'name', 'base')}+manual"
         self.overrides_applied = 0
 
-    # ------------------------------------------------------------------
-    def reset(self, params, max_machines, trace=None) -> None:
-        super().reset(params, max_machines, trace)
-        self.base.reset(params, max_machines, trace)
-        self.overrides_applied = 0
-
-    def initial_machines(self, first_load_rate: float) -> int:
-        floor = self._floor_at(0.0)
-        return self.clamp(max(self.base.initial_machines(first_load_rate), floor))
-
-    def _floor_at(self, day: float) -> int:
+    def floor_at(self, now: float) -> int:
+        """The highest floor active (or about to be) at ``now`` seconds."""
+        day = now / SECONDS_PER_DAY
         floor = 0
         for window in self.windows:
             if window.active(day) or window.active(day + self.lead_days):
                 floor = max(floor, window.min_machines)
         return floor
 
-    def decide(self, state: SimState) -> Optional[int]:
-        day = state.interval * state.slot_seconds / SECONDS_PER_DAY
-        floor = self._floor_at(day)
-        base_target = self.base.decide(state)
-
-        effective = base_target if base_target is not None else state.machines
-        if floor and effective < floor:
+    def on_slot(self, sim, slot_index: int, measured_count: float) -> None:
+        floor = min(self.floor_at(sim.now), sim.cluster.num_available_nodes)
+        view = _Floored(sim, floor, self)
+        if self.base is not None:
+            self.base.on_slot(view, slot_index, measured_count)
+        if view.requested or sim.migration_active:
+            return
+        if floor > sim.machines_allocated:
             self.overrides_applied += 1
-            target = self.clamp(floor)
-            return target if target != state.machines else None
-        return base_target
+            try:
+                sim.start_move(floor)
+            except MigrationError:
+                pass  # a cluster that refuses costs this slot, not the run

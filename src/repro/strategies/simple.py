@@ -9,15 +9,15 @@ increases the cost".
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.errors import ConfigurationError
-from repro.strategies.base import AllocationStrategy, SimState
+from repro.errors import ConfigurationError, MigrationError
 from repro.workloads.trace import SECONDS_PER_DAY
 
 
-class SimpleStrategy(AllocationStrategy):
+class SimpleStrategy:
     """Fixed day/night machine counts switched at fixed hours.
+
+    An elasticity controller: each slot with no move in flight it moves
+    to the count for the hour of ``sim.now``.
 
     Args:
         day_machines: Machines between ``morning_hour`` and ``night_hour``.
@@ -46,16 +46,19 @@ class SimpleStrategy(AllocationStrategy):
         self.night_hour = night_hour
         self.name = f"simple-{day_machines}/{night_machines}"
 
-    def _target(self, state: SimState) -> int:
-        seconds_into_day = (state.interval * state.slot_seconds) % SECONDS_PER_DAY
-        hour = seconds_into_day / 3600.0
+    def target_at(self, now: float) -> int:
+        """Machines the schedule asks for at ``now`` seconds."""
+        hour = (now % SECONDS_PER_DAY) / 3600.0
         if self.morning_hour <= hour < self.night_hour:
             return self.day_machines
         return self.night_machines
 
-    def initial_machines(self, first_load_rate: float) -> int:
-        return min(self.night_machines, self.max_machines)
-
-    def decide(self, state: SimState) -> Optional[int]:
-        target = self.clamp(self._target(state))
-        return target if target != state.machines else None
+    def on_slot(self, sim, slot_index: int, measured_count: float) -> None:
+        if sim.migration_active:
+            return
+        target = min(self.target_at(sim.now), sim.cluster.num_available_nodes)
+        if target != sim.machines_allocated:
+            try:
+                sim.start_move(target)
+            except MigrationError:
+                pass  # a cluster that refuses costs this slot, not the run

@@ -9,7 +9,7 @@ Three record families, one facade:
 * **timeline** — per-tick engine state plus sparse typed events
   (:mod:`repro.telemetry.timeline`).
 
-The engine, controllers, strategies and fault injector are instrumented
+The engine, controllers and fault injector are instrumented
 behind a single cheap check: each resolves a handle once (explicit
 argument or the process default of :mod:`repro.telemetry.runtime`) and
 hot paths guard on ``handle is not None``.  With no telemetry installed

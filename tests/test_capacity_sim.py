@@ -4,33 +4,28 @@ import numpy as np
 import pytest
 
 import repro.core.capacity as cap
+from repro.core.controller import ReactiveController
 from repro.core.params import SystemParameters
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MigrationError
 from repro.simulation.capacity_sim import CapacitySimulator
-from repro.strategies import ReactiveStrategy, StaticStrategy
-from repro.strategies.base import AllocationStrategy, SimState
 from repro.workloads.trace import LoadTrace
 
 PARAMS = SystemParameters(interval_seconds=300.0, partitions_per_node=6)
 
 
-class OneShotStrategy(AllocationStrategy):
-    """Requests a single move at a fixed interval (test helper)."""
+class OneShot:
+    """Requests a single move at a fixed interval (test helper); records
+    what the simulator showed it."""
 
-    name = "one-shot"
-
-    def __init__(self, at_interval: int, target: int, initial: int) -> None:
+    def __init__(self, at_interval: int, target: int) -> None:
         self.at_interval = at_interval
         self.target = target
-        self.initial = initial
+        self.seen = []
 
-    def initial_machines(self, first_load_rate: float) -> int:
-        return self.initial
-
-    def decide(self, state: SimState):
-        if state.interval == self.at_interval:
-            return self.target
-        return None
+    def on_slot(self, sim, slot_index, measured_count):
+        self.seen.append((slot_index, sim.now, sim.migration_active, sim.machines_allocated))
+        if slot_index == self.at_interval:
+            sim.start_move(self.target)
 
 
 def flat(machine_multiples: float, intervals: int) -> LoadTrace:
@@ -41,14 +36,14 @@ def flat(machine_multiples: float, intervals: int) -> LoadTrace:
 class TestStaticRuns:
     def test_cost_is_machines_times_intervals(self):
         sim = CapacitySimulator(PARAMS, max_machines=10)
-        result = sim.run(flat(1.0, 50), StaticStrategy(4))
+        result = sim.run(flat(1.0, 50), initial_machines=4)
         assert result.cost == pytest.approx(200.0)
         assert result.moves == 0
         assert result.pct_time_insufficient == 0.0
 
     def test_undersized_static_violates(self):
         sim = CapacitySimulator(PARAMS, max_machines=10)
-        result = sim.run(flat(3.0, 50), StaticStrategy(2))
+        result = sim.run(flat(3.0, 50), initial_machines=2)
         # Violations are against Q_hat capacity: 3 Q > 2 Q_hat.
         assert result.pct_time_insufficient == pytest.approx(100.0)
 
@@ -56,7 +51,7 @@ class TestStaticRuns:
         # Load above Q*N but below Q_hat*N: degraded target, not an SLA
         # breach (this is the paper's Q vs Q_hat buffer).
         sim = CapacitySimulator(PARAMS, max_machines=10)
-        result = sim.run(flat(2.2, 20), StaticStrategy(2))
+        result = sim.run(flat(2.2, 20), initial_machines=2)
         assert result.pct_time_insufficient == 0.0
 
 
@@ -64,8 +59,7 @@ class TestMoveAccounting:
     def test_move_cost_matches_equation4(self):
         sim = CapacitySimulator(PARAMS, max_machines=20)
         intervals = 40
-        strategy = OneShotStrategy(at_interval=5, target=14, initial=3)
-        result = sim.run(flat(1.0, intervals), strategy)
+        result = sim.run(flat(1.0, intervals), OneShot(5, 14), initial_machines=3)
         duration = cap.move_time_intervals(3, 14, PARAMS)
         expected = (
             5 * 3  # before the move
@@ -77,8 +71,7 @@ class TestMoveAccounting:
 
     def test_effective_capacity_during_move(self):
         sim = CapacitySimulator(PARAMS, max_machines=20)
-        strategy = OneShotStrategy(at_interval=2, target=14, initial=3)
-        result = sim.run(flat(1.0, 30), strategy)
+        result = sim.run(flat(1.0, 30), OneShot(2, 14), initial_machines=3)
         duration = cap.move_time_intervals(3, 14, PARAMS)
         for i in range(1, duration + 1):
             expected = cap.effective_capacity(3, 14, i / duration, PARAMS)
@@ -89,11 +82,40 @@ class TestMoveAccounting:
 
     def test_reconfiguring_flag(self):
         sim = CapacitySimulator(PARAMS, max_machines=10)
-        strategy = OneShotStrategy(at_interval=3, target=6, initial=3)
-        result = sim.run(flat(1.0, 20), strategy)
+        controller = OneShot(3, 6)
+        result = sim.run(flat(1.0, 20), controller, initial_machines=3)
         assert result.reconfiguring[3]
         assert not result.reconfiguring[0]
         assert not result.reconfiguring[-1]
+        # The controller sees every interval, the in-flight ones included,
+        # and the new size only once the move has landed.
+        duration = cap.move_time_intervals(3, 6, PARAMS)
+        assert [row[0] for row in controller.seen] == list(range(20))
+        assert [row[1] for row in controller.seen] == [300.0 * t for t in range(20)]
+        assert [t for t, _, active, _ in controller.seen if active] == list(
+            range(4, 3 + duration)
+        )
+        assert controller.seen[3 + duration][3] == 6
+
+    def test_start_move_refusals(self):
+        """Like the engine's: the current size and a second move in flight
+        are refused; a migration-rate boost has no capacity model."""
+        refusals = []
+
+        class Pushy:
+            def on_slot(self, sim, slot_index, measured_count):
+                for target in (sim.machines_allocated, 5, 6):
+                    try:
+                        sim.start_move(target)
+                    except MigrationError as exc:
+                        refusals.append(str(exc))
+                with pytest.raises(ConfigurationError):
+                    sim.start_move(7, boost=8.0)
+
+        sim = CapacitySimulator(PARAMS, max_machines=10)
+        result = sim.run(flat(1.0, 1), Pushy(), initial_machines=3)
+        assert result.moves == 1 and result.target_machines[0] == 5
+        assert "nothing to migrate" in refusals[0] and "in flight" in refusals[1]
 
 
 class TestViolationSemantics:
@@ -103,22 +125,15 @@ class TestViolationSemantics:
         peaks[10] = 2.5 * PARAMS.q * 300.0  # burst beyond 1 machine's Q_hat
         trace = LoadTrace(values, slot_seconds=300.0, peak_values=peaks)
         sim = CapacitySimulator(PARAMS, max_machines=10)
-        result = sim.run(trace, StaticStrategy(1))
+        result = sim.run(trace, initial_machines=1)
         assert result.insufficient_mask().sum() == 1
         assert result.pct_time_insufficient == pytest.approx(5.0)
 
     def test_summary_fields(self):
         sim = CapacitySimulator(PARAMS, max_machines=10)
-        result = sim.run(flat(1.0, 10), StaticStrategy(2))
+        result = sim.run(flat(1.0, 10), initial_machines=2)
         summary = result.summary()
         assert {"cost", "avg_machines", "pct_time_insufficient", "moves"} <= set(summary)
-
-    def test_normalized_cost(self):
-        sim = CapacitySimulator(PARAMS, max_machines=10)
-        result = sim.run(flat(1.0, 10), StaticStrategy(2))
-        assert result.normalized_cost(result.cost) == pytest.approx(1.0)
-        with pytest.raises(ConfigurationError):
-            result.normalized_cost(0.0)
 
 
 class TestGuards:
@@ -126,7 +141,7 @@ class TestGuards:
         sim = CapacitySimulator(PARAMS, max_machines=10)
         trace = LoadTrace(np.ones(10), slot_seconds=60.0)
         with pytest.raises(ConfigurationError):
-            sim.run(trace, StaticStrategy(2))
+            sim.run(trace, initial_machines=2)
 
     def test_rejects_bad_max_machines(self):
         with pytest.raises(ConfigurationError):
@@ -134,9 +149,13 @@ class TestGuards:
 
     def test_targets_clamped_to_max(self):
         sim = CapacitySimulator(PARAMS, max_machines=5)
-        strategy = OneShotStrategy(at_interval=2, target=50, initial=2)
-        result = sim.run(flat(1.0, 20), strategy)
+        result = sim.run(flat(1.0, 20), OneShot(2, 50), initial_machines=2)
         assert result.allocated.max() <= 5
+        assert result.target_machines[-1] == 5
+        # The first interval's size is capped the same way.
+        assert sim.run(flat(1.0, 3), initial_machines=9).allocated.max() == 5
+        with pytest.raises(ConfigurationError):
+            sim.run(flat(1.0, 3), initial_machines=0)
 
 
 class TestReactiveIntegration:
@@ -146,8 +165,10 @@ class TestReactiveIntegration:
         ]) * PARAMS.q
         trace = LoadTrace(rate * 300.0, slot_seconds=300.0)
         sim = CapacitySimulator(PARAMS, max_machines=10)
-        result = sim.run(trace, ReactiveStrategy(detect_intervals=1,
-                                                 scale_in_intervals=5))
+        reactive = ReactiveController(
+            PARAMS, max_machines=10, detect_slots=1, scale_in_slots=5
+        )
+        result = sim.run(trace, reactive)
         # Scaled out for the high phase...
         assert result.target_machines[35:55].max() >= 5
         # ...and back down eventually.

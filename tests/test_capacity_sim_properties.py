@@ -1,6 +1,6 @@
 """Property-based tests for the capacity simulator.
 
-Whatever moves a (possibly erratic) strategy requests, the simulator's
+Whatever moves a (possibly erratic) controller requests, the simulator's
 accounting invariants must hold: allocation bounded, effective capacity
 bounded by the move endpoints, cost equal to the allocation integral,
 and the reconfiguration flag consistent with the moves executed.
@@ -12,28 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import SystemParameters
+from repro.errors import MigrationError
 from repro.simulation.capacity_sim import CapacitySimulator
-from repro.strategies.base import AllocationStrategy, SimState
 from repro.workloads.trace import LoadTrace
 
 PARAMS = SystemParameters(interval_seconds=300.0, partitions_per_node=6)
 MAX_MACHINES = 12
 
 
-class ScriptedStrategy(AllocationStrategy):
-    """Replays an arbitrary list of (interval, target) requests."""
+class Scripted:
+    """Replays an arbitrary list of (interval, target) requests, in flight
+    or not; the simulator refuses what the engine would."""
 
-    name = "scripted"
-
-    def __init__(self, script, initial):
+    def __init__(self, script):
         self.script = dict(script)
-        self.initial = initial
 
-    def initial_machines(self, first_load_rate: float) -> int:
-        return self.initial
-
-    def decide(self, state: SimState):
-        return self.script.get(state.interval)
+    def on_slot(self, sim, slot_index, measured_count):
+        if slot_index in self.script:
+            try:
+                sim.start_move(self.script[slot_index])
+            except MigrationError:
+                pass
 
 
 @st.composite
@@ -60,7 +59,7 @@ def test_accounting_invariants(run_spec):
         slot_seconds=PARAMS.interval_seconds,
     )
     simulator = CapacitySimulator(PARAMS, max_machines=MAX_MACHINES)
-    result = simulator.run(trace, ScriptedStrategy(script, initial))
+    result = simulator.run(trace, Scripted(script), initial_machines=initial)
 
     # Allocation bounded by [1, max_machines].
     assert np.all(result.allocated >= 1.0 - 1e-9)
@@ -91,7 +90,7 @@ def test_violation_counting_consistent(run_spec):
         slot_seconds=PARAMS.interval_seconds,
     )
     simulator = CapacitySimulator(PARAMS, max_machines=MAX_MACHINES)
-    result = simulator.run(trace, ScriptedStrategy(script, initial))
+    result = simulator.run(trace, Scripted(script), initial_machines=initial)
     mask = result.insufficient_mask()
     assert result.pct_time_insufficient == pytest.approx(100.0 * mask.mean())
     # A violation requires peak load above the Q_hat capacity.

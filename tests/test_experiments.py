@@ -4,6 +4,8 @@ Each experiment must run end to end and reproduce the paper's
 *qualitative* claims; absolute numbers live in EXPERIMENTS.md.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,11 +133,28 @@ class TestSec81:
         )
 
 
+#: sha256 of ``repr`` of each ablation's cells (floats repr exactly, so
+#: equal digests mean equal results).  A refactor of the policies must
+#: leave them unchanged; a deliberate change re-pins here.
+ABLATION_PINS = {
+    "effcap": "a6930c554b2e11ebd752868f73ca47481fe44b4022f0709c828d715f3b430c5b",
+    "schedule": "fa50d208984c9882cb7793177e26caa4a220defb71adad191a0a72b03277e5f5",
+    "horizon": "1ff453d893901b5b614b08ecba08bf2c47fe72b1e35d1071f06d4fcac57572d7",
+    "greedy": "755f82e56358d58ec0035fbddd845d4e0dc89adc14dfeb9b0026952ee335506b",
+    "policy": "b36276a18c38508b6e3d444ed0ad60367b9a69feef2a0c6e5552a3dc5bc2f9ca",
+}
+
+
+def pin_of(cells) -> str:
+    return hashlib.sha256(repr(cells).encode()).hexdigest()
+
+
 class TestAblations:
     def test_effcap_ablation(self):
         result = ablations.run_effcap_ablation()
         assert result.naive_true_violations > 0
         assert result.aware_true_violations == 0
+        assert pin_of(result) == ABLATION_PINS["effcap"]
 
     def test_schedule_ablation(self):
         result = ablations.run_schedule_ablation(max_nodes=12)
@@ -143,6 +162,7 @@ class TestAblations:
         assert result.total_saved_rounds > 0
         for _, _, optimal, naive in result.cases:
             assert optimal < naive
+        assert pin_of(result.cases) == ABLATION_PINS["schedule"]
 
     def test_horizon_ablation(self):
         result = ablations.run_horizon_ablation(fast=True)
@@ -155,6 +175,7 @@ class TestAblations:
             by_h[shortest].pct_time_insufficient
             >= by_h[adequate].pct_time_insufficient
         )
+        assert pin_of(result.points) == ABLATION_PINS["horizon"]
 
     def test_greedy_ablation(self):
         result = ablations.run_greedy_ablation(fast=True)
@@ -166,6 +187,7 @@ class TestAblations:
             <= result.greedy_point.pct_time_insufficient + 1e-9
         )
         assert result.cost_savings_pct > 0
+        assert pin_of([result.dp_point, result.greedy_point]) == ABLATION_PINS["greedy"]
 
     def test_policy_ablation(self):
         result = ablations.run_policy_ablation(fast=True)
@@ -179,6 +201,8 @@ class TestAblations:
             by_infl["30%"].pct_time_insufficient
             <= by_infl["0%"].pct_time_insufficient
         )
+        cells = result.confirmation + result.inflation
+        assert pin_of(cells) == ABLATION_PINS["policy"]
 
 
 class TestRegistry:

@@ -5,6 +5,9 @@ paper's headline orderings.  They are the slowest tests in the suite
 (tens of seconds each); the benchmarks run the full-scale versions.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.experiments import (
@@ -15,6 +18,28 @@ from repro.experiments import (
     fig13_black_friday,
     sec5_model_comparison,
 )
+
+
+#: sha256 of the capacity-simulation results below.  The policies are
+#: deterministic, so a refactor of the simulator or of a controller must
+#: leave every digest unchanged; a deliberate change re-pins here.
+CAPACITY_PINS = {
+    "fig12": "88ceb3f814f46ee87385f925587c2a043f46515c448983755f6dfd79db9a4675",
+    "fig13": "09c4b4d2b70c6f570ec9281c8bf73eaf67bd5519f68395dca523e037a703fa5a",
+    "ext_wiki": "0187e3f7451f11fbecd563f78800ab60d0ac063b6af297bd8e890ab08ab93bf0",
+}
+
+
+def capacity_digest(runs) -> str:
+    """Digest of ``(name, CapacitySimResult)`` pairs: the allocation and
+    effective-capacity series, bit for bit, and the move count."""
+    digest = hashlib.sha256()
+    for name, result in runs:
+        digest.update(name.encode())
+        digest.update(result.allocated.tobytes())
+        digest.update(result.effective_machines.tobytes())
+        digest.update(str(result.moves).encode())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +145,10 @@ class TestFig12:
         assert statics[12].pct_time_insufficient < 1.0
         assert statics[12].cost > 2.0 * statics[4].cost
 
+    def test_every_point_matches_pin(self, result):
+        rows = repr([dataclasses.astuple(p) for p in result.points])
+        assert hashlib.sha256(rows.encode()).hexdigest() == CAPACITY_PINS["fig12"]
+
 
 class TestFig13:
     def test_black_friday_story(self):
@@ -141,6 +170,7 @@ class TestFig13:
         assert friday["pstore-spar"].pct_time_insufficient <= 0.5
         # Static cannot absorb the surge.
         assert friday["static"].pct_time_insufficient > 0.5
+        assert capacity_digest(result.results.items()) == CAPACITY_PINS["fig13"]
 
 
 class TestSec5:
@@ -164,3 +194,9 @@ class TestExtWikipedia:
             result.results["de"]["pstore-spar"].pct_time_insufficient
             >= result.results["en"]["pstore-spar"].pct_time_insufficient
         )
+        runs = [
+            (f"{language}/{name}", run)
+            for language, by in result.results.items()
+            for name, run in by.items()
+        ]
+        assert capacity_digest(runs) == CAPACITY_PINS["ext_wiki"]

@@ -12,7 +12,6 @@ from repro.simulation import (
     export_capacity_result,
     export_run_result,
 )
-from repro.strategies import StaticStrategy
 from repro.workloads.trace import LoadTrace
 
 PARAMS = SystemParameters(interval_seconds=300.0, partitions_per_node=6)
@@ -48,9 +47,7 @@ class TestCapacityResultExport:
         trace = LoadTrace(
             np.full(10, 1.5 * PARAMS.q * 300.0), slot_seconds=300.0
         )
-        result = CapacitySimulator(PARAMS, max_machines=8).run(
-            trace, StaticStrategy(2)
-        )
+        result = CapacitySimulator(PARAMS, max_machines=8).run(trace, initial_machines=2)
         path = export_capacity_result(result, tmp_path / "cap.csv")
         with path.open() as handle:
             rows = list(csv.DictReader(handle))

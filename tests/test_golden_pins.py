@@ -47,8 +47,8 @@ taken on the commit *before* ``PredictiveController`` was folded into
 ``OnlineControlLoop`` (``e48c419``).  Each digest covers the controller's
 decision log (time, measured rate, machines before, target, kind, boost)
 and the per-step machine count.  The one declared rename of that fold,
-kind ``warmup-reactive`` -> ``cold-start-reactive``, touches none of
-them: a pre-fitted predictor never takes the reactive branch.
+the reactive decision kind becoming ``cold-start-reactive``, touches
+none of them: a pre-fitted SPAR never takes the reactive branch.
 
 Regenerate (only ever on a commit whose behaviour is the reference)::
 

@@ -16,7 +16,6 @@ from repro.prediction.oracle import OraclePredictor
 from repro.prediction.spar import SPARPredictor
 from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimulator
-from repro.strategies import PStoreStrategy, ReactiveStrategy, StaticStrategy
 from repro.workloads.b2w import B2WTraceConfig, generate_b2w_trace
 
 SLOT = 6.0        # compressed measurement slot (1 original minute at 10x)
@@ -107,12 +106,16 @@ class TestCapacitySimEndToEnd:
 
         oracle = sim.run(
             eval_trace,
-            PStoreStrategy(OraclePredictor(eval_trace.values), horizon=12,
-                           name="oracle"),
+            OnlineControlLoop(
+                params, OnlinePredictor.fitted(OraclePredictor(eval_trace.values), ()),
+                horizon=12, max_machines=20,
+            ),
         )
-        static_big = sim.run(eval_trace, StaticStrategy(12))
-        static_small = sim.run(eval_trace, StaticStrategy(3))
-        reactive = sim.run(eval_trace, ReactiveStrategy())
+        static_big = sim.run(eval_trace, initial_machines=12)
+        static_small = sim.run(eval_trace, initial_machines=3)
+        reactive = sim.run(
+            eval_trace, ReactiveController(params, max_machines=20, scale_in_slots=12)
+        )
 
         # Elastic approaches cost far less than peak provisioning.
         assert oracle.cost < 0.7 * static_big.cost

@@ -1,30 +1,29 @@
-"""Tests for the manual-provisioning overlay strategy."""
+"""Tests for the manual-provisioning overlay."""
 
 import numpy as np
 import pytest
 
 from repro.core.params import SystemParameters
 from repro.errors import ConfigurationError
+from repro.prediction import OnlinePredictor, OraclePredictor
+from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimulator
 from repro.strategies import (
     ManualOverrideStrategy,
     ProvisioningWindow,
-    StaticStrategy,
+    SimpleStrategy,
 )
-from repro.strategies.base import SimState
 from repro.workloads.trace import LoadTrace
 
 PARAMS = SystemParameters(interval_seconds=300.0, partitions_per_node=6)
 INTERVALS_PER_DAY = 288
 
 
-def state(interval, machines, rate=100.0):
-    return SimState(
-        interval=interval,
-        machines=machines,
-        load_rate=rate,
-        history_rates=np.full(interval + 1, rate),
-        slot_seconds=300.0,
+def run(controller, intervals, *, machines=2, max_machines=10, rate=100.0):
+    """Capacity-simulate ``controller`` over a flat load from ``machines``."""
+    trace = LoadTrace(np.full(intervals, rate * 300.0), slot_seconds=300.0)
+    return CapacitySimulator(PARAMS, max_machines=max_machines).run(
+        trace, controller, initial_machines=machines
     )
 
 
@@ -45,57 +44,59 @@ class TestWindow:
 
 class TestOverlay:
     def test_floor_enforced_inside_window(self):
-        strategy = ManualOverrideStrategy(
-            StaticStrategy(2), [ProvisioningWindow(1.0, 2.0, 8)]
-        )
-        strategy.reset(PARAMS, 10)
-        # Outside the window: the base strategy rules (holds at 2).
-        assert strategy.decide(state(0, 2)) is None
-        # Inside the window: the floor forces a scale-out.
-        inside = int(1.5 * INTERVALS_PER_DAY)
-        assert strategy.decide(state(inside, 2)) == 8
-        # Already at the floor: nothing to do.
-        assert strategy.decide(state(inside, 8)) is None
+        overlay = ManualOverrideStrategy(None, [ProvisioningWindow(1.0, 2.0, 8)])
+        result = run(overlay, 3 * INTERVALS_PER_DAY)
+        target = result.target_machines
+        # Outside the window: the base (a static allocation) rules.
+        assert target[int(0.5 * INTERVALS_PER_DAY)] == 2
+        # Inside the window: the floor forced a scale-out, once.
+        assert np.all(target[INTERVALS_PER_DAY : 2 * INTERVALS_PER_DAY] == 8)
+        assert overlay.overrides_applied == 1
 
     def test_lead_time_pre_provisions(self):
-        strategy = ManualOverrideStrategy(
-            StaticStrategy(2), [ProvisioningWindow(1.0, 2.0, 8)], lead_days=0.1
+        overlay = ManualOverrideStrategy(
+            None, [ProvisioningWindow(1.0, 2.0, 8)], lead_days=0.1
         )
-        strategy.reset(PARAMS, 10)
-        just_before = int(0.95 * INTERVALS_PER_DAY)
-        assert strategy.decide(state(just_before, 2)) == 8
+        target = run(overlay, 2 * INTERVALS_PER_DAY).target_machines
+        assert target[int(0.95 * INTERVALS_PER_DAY)] == 8
+        assert target[int(0.85 * INTERVALS_PER_DAY)] == 2
 
     def test_base_decision_wins_when_higher(self):
-        strategy = ManualOverrideStrategy(
-            StaticStrategy(9), [ProvisioningWindow(0.0, 1.0, 4)]
-        )
-        strategy.reset(PARAMS, 10)
-        # Static-9 wants 9 >= floor 4: the overlay passes it through.
-        assert strategy.initial_machines(100.0) == 9
-        assert strategy.decide(state(5, 9)) is None
+        base = SimpleStrategy(9, 9)
+        overlay = ManualOverrideStrategy(base, [ProvisioningWindow(0.0, 1.0, 4)])
+        result = run(overlay, INTERVALS_PER_DAY, machines=9)
+        # Simple-9 wants 9 >= floor 4: the overlay passes it through.
+        assert result.moves == 0 and overlay.overrides_applied == 0
 
     def test_initial_machines_respects_floor(self):
-        strategy = ManualOverrideStrategy(
-            StaticStrategy(2), [ProvisioningWindow(0.0, 1.0, 6)]
-        )
-        strategy.reset(PARAMS, 10)
-        assert strategy.initial_machines(100.0) == 6
+        overlay = ManualOverrideStrategy(None, [ProvisioningWindow(0.0, 1.0, 6)])
+        result = run(overlay, 10)
+        # The first interval already moves to the floor.
+        assert result.target_machines[0] == 6 and result.moves == 1
 
     def test_floor_clamped_to_max_machines(self):
-        strategy = ManualOverrideStrategy(
-            StaticStrategy(2), [ProvisioningWindow(0.0, 1.0, 50)]
+        overlay = ManualOverrideStrategy(None, [ProvisioningWindow(0.0, 1.0, 50)])
+        result = run(overlay, 10, max_machines=5)
+        assert result.target_machines[-1] == 5
+
+    def test_base_request_raised_to_floor(self):
+        # Simple wants 2 at night; the window holds 6.
+        overlay = ManualOverrideStrategy(
+            SimpleStrategy(4, 2, morning_hour=7, night_hour=23),
+            [ProvisioningWindow(0.0, 1.0, 6)],
         )
-        strategy.reset(PARAMS, 5)
-        assert strategy.decide(state(3, 2)) == 5
+        result = run(overlay, INTERVALS_PER_DAY, machines=6)
+        assert result.moves == 0  # every base request was raised to 6 = current
+        assert overlay.overrides_applied > 0
 
     def test_rejects_negative_lead(self):
         with pytest.raises(ConfigurationError):
-            ManualOverrideStrategy(StaticStrategy(2), [], lead_days=-1.0)
+            ManualOverrideStrategy(None, [], lead_days=-1.0)
 
 
 class TestSimulation:
     def test_black_friday_floor_in_capacity_sim(self):
-        """The composite strategy pre-provisions a known event day."""
+        """The composite pre-provisions a known event day."""
         q = PARAMS.q
         # Two days of modest load; day 2 carries a huge known promotion.
         rates = np.concatenate([
@@ -105,16 +106,37 @@ class TestSimulation:
         trace = LoadTrace(rates * 300.0, slot_seconds=300.0)
         simulator = CapacitySimulator(PARAMS, max_machines=12)
 
-        plain = simulator.run(trace, StaticStrategy(2))
+        plain = simulator.run(trace, initial_machines=2)
         composite = simulator.run(
             trace,
             ManualOverrideStrategy(
-                StaticStrategy(2),
-                [ProvisioningWindow(1.0, 2.0, 10, label="black friday")],
+                None, [ProvisioningWindow(1.0, 2.0, 10, label="black friday")]
             ),
+            initial_machines=2,
         )
         assert plain.pct_time_insufficient > 40.0
         assert composite.pct_time_insufficient < 1.0
         # The floor lifts allocation only around the event.
         assert composite.allocated[: INTERVALS_PER_DAY // 2].max() <= 2
         assert composite.allocated[-INTERVALS_PER_DAY // 2 :].min() >= 10
+
+    def test_floor_holds_over_the_control_loop(self):
+        """Over P-Store's loop the floor holds while the window is open,
+        and the loop plans freely on either side of it."""
+        q = PARAMS.q
+        rates = np.full(3 * INTERVALS_PER_DAY, 1.5 * q)
+        trace = LoadTrace(rates * 300.0, slot_seconds=300.0)
+        loop = OnlineControlLoop(
+            PARAMS, OnlinePredictor.fitted(OraclePredictor(trace.values), ()),
+            horizon=12, max_machines=12,
+        )
+        overlay = ManualOverrideStrategy(loop, [ProvisioningWindow(1.0, 2.0, 8)])
+        result = CapacitySimulator(PARAMS, max_machines=12).run(
+            trace, overlay, initial_machines=4
+        )
+        window = result.allocated[INTERVALS_PER_DAY : 2 * INTERVALS_PER_DAY]
+        assert window.min() >= 8
+        # Before the window (and its lead time) the loop scaled in.
+        assert result.allocated[INTERVALS_PER_DAY // 2 : INTERVALS_PER_DAY - 20].max() == 2
+        # After the window the loop scales back in to what the load needs.
+        assert result.target_machines[-1] == 2

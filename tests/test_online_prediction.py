@@ -1,9 +1,12 @@
 """Tests for the online (active-learning) predictor wrapper."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import PredictionError
+from repro.prediction.base import Predictor
 from repro.prediction.online import OnlinePredictor
 from repro.prediction.spar import SPARPredictor
 
@@ -81,8 +84,21 @@ class TestRefitCadence:
         with pytest.raises(PredictionError):
             OnlinePredictor(spar(), refit_every=0)
 
+    def test_history_checkpoint_stays_a_list(self):
+        series = periodic(48, 5)
+        online = OnlinePredictor.fitted(spar().fit(series[: 4 * 48]), series[: 4 * 48])
+        online.observe_many(series[4 * 48 :])  # grows the buffer past its seed
+        state = json.loads(json.dumps(online.state_dict()))
+        assert state["history"] == [float(v) for v in series]
+        restored = OnlinePredictor(spar())
+        restored.load_state_dict(state)
+        assert np.array_equal(restored.observed(), series)
+        assert np.array_equal(
+            restored.predict_from_observed(3), online.predict_from_observed(3)
+        )
 
-class LevelPredictor:
+
+class LevelPredictor(Predictor):
     """Minimal inner model: fits on any non-empty history."""
 
     min_history = 1

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import PredictionError
 from repro.prediction.ar import ARPredictor, fit_ar_coefficients
 from repro.prediction.arma import ARMAPredictor
-from repro.prediction.base import InflatedPredictor
 from repro.prediction.metrics import (
     bias,
     mape,
@@ -128,18 +127,6 @@ class TestOracle:
         oracle = OraclePredictor(truth)
         out = oracle.predict(truth, 3)
         assert list(out) == [9.0, 9.0, 9.0]
-
-
-class TestInflation:
-    def test_inflates(self):
-        oracle = OraclePredictor(np.full(10, 100.0))
-        inflated = InflatedPredictor(oracle, inflation=0.15).fit(np.ones(1))
-        out = inflated.predict(np.full(5, 100.0), 2)
-        assert np.allclose(out, 115.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(PredictionError):
-            InflatedPredictor(PersistencePredictor(), inflation=-0.1)
 
 
 class TestMetrics:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import PredictionError
 from repro.prediction.spar import SPARPredictor
+from repro.prediction.table import ForecastTable
 from repro.workloads.b2w import generate_b2w_trace
 
 
@@ -107,6 +108,21 @@ class TestPredict:
             u = targets[check]
             online = model.predict(trace.values[: u - tau + 1], tau)[tau - 1]
             assert batch[check] == pytest.approx(online, rel=1e-9)
+
+    def test_forecast_table_holds_the_online_forecasts(self, fitted):
+        model, trace = fitted
+        table = ForecastTable.from_spar(model, trace.values, 4)
+        first = model.min_history
+        for length in (first, first + 700, len(trace) - 4):
+            assert table.can_forecast(length)
+            online = model.predict(trace.values[:length], 4)
+            assert table.predict(trace.values[:length], 4) == pytest.approx(online, rel=1e-9)
+        # Too little history, or origins whose targets lie past the end.
+        assert not table.can_forecast(first - 1)
+        assert not table.can_forecast(len(trace) - 3)
+        with pytest.raises(PredictionError):
+            table.predict(trace.values, 4)
+        assert table.fit(trace.values) is table  # issued in advance
 
     def test_batch_predict_requires_fit_horizon(self, fitted):
         model, trace = fitted
