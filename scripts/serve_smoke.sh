@@ -8,6 +8,8 @@
 #   * /healthz answers and reports the run complete,
 #   * /metrics is non-empty Prometheus text with the labelled
 #     per-node admission counters,
+#   * /view carries the health, the sampled series and the perf stages
+#     that /dashboard and `repro top` render,
 #   * admission control shed load during the spike (rejected > 0 — the
 #     150 txn/s spike peak exceeds the 2-node capacity ceiling, so
 #     queues hit --queue-limit no matter how fast scale-out runs),
@@ -194,8 +196,15 @@ echo "$METRICS" | grep -q '^repro_perf_engine_tick_ms_count ' \
     || { echo "/metrics is missing the wall-clock perf families" >&2; exit 1; }
 echo "/metrics: $(echo "$METRICS" | wc -l) lines"
 
-# Live observability surface: the time-series API, the dashboard page
-# and one frame of the terminal top view.
+# Live observability surface: the time-series API, the operator view,
+# the dashboard page and one frame of the terminal top view.
+curl -sf "http://127.0.0.1:$PORT/view" | python -c "
+import json, sys
+view = json.load(sys.stdin)
+assert view['health']['status'], view['health']
+assert 'serve.machines' in view['series'], sorted(view['series'])
+assert any(row['name'] == 'engine.tick' for row in view['perf']['stages']), view['perf']
+" || { echo "/view is broken" >&2; exit 1; }
 curl -sf "http://127.0.0.1:$PORT/timeseries" | python -c "
 import json, sys
 doc = json.load(sys.stdin)
@@ -323,6 +332,11 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
 curl -sf "http://127.0.0.1:$PORT/metrics" \
     | grep -q '^repro_serve_tenant_rejected_total ' \
     || { echo "/metrics is missing the tenant rejection counter" >&2; exit 1; }
+curl -sf "http://127.0.0.1:$PORT/view" | python -c "
+import json, sys
+served = json.load(sys.stdin)['tenants']['checkout']['served']
+assert isinstance(served, int), served
+" || { echo "/view is missing the per-tenant served count" >&2; exit 1; }
 TOP=$(python -m repro.cli top --once --url "http://127.0.0.1:$PORT")
 echo "$TOP" | grep -q 'checkout' \
     || { echo "repro top rendered no per-tenant rows" >&2; exit 1; }

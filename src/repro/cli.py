@@ -921,8 +921,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     top_parser = subparsers.add_parser(
         "top",
         help="live terminal view of a running server: status, breakers, "
-             "per-tenant rates, SLO burn, perf stages (polls /healthz, "
-             "/metrics and /timeseries)",
+             "per-tenant rates, SLO burn, perf stages (renders GET /view, "
+             "the document /dashboard renders)",
     )
     top_parser.add_argument("--url", default="http://127.0.0.1:8080")
     top_parser.add_argument(
@@ -936,7 +936,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     top_parser.add_argument(
         "--series", action="append", default=None, metavar="NAME",
         help="sparkline these time-series names (repeatable; default: "
-             "forecast APE and machine count when available)",
+             "the view's own pick, as on /dashboard)",
     )
 
     loadgen_parser = subparsers.add_parser(

@@ -152,13 +152,6 @@ class Cluster:
     def node_of_bucket(self, bucket: int) -> int:
         return int(self._assignment[bucket])
 
-    def bucket_assignment(self) -> np.ndarray:
-        """The bucket→node assignment as a read-only array view — the
-        authoritative routing state the plan is derived from."""
-        view = self._assignment.view()
-        view.setflags(write=False)
-        return view
-
     @property
     def plan(self) -> PartitionPlan:
         """The current :class:`PartitionPlan`, materialised lazily from

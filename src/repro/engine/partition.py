@@ -9,7 +9,7 @@ Section 8.1 and the monitoring subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.engine.table import DatabaseSchema, Row
 from repro.errors import EngineError
@@ -65,10 +65,6 @@ class Partition:
 
     def contains(self, table: str, key: Any) -> bool:
         return key in self._table(table)
-
-    def scan(self, table: str) -> Iterator[Tuple[Any, Row]]:
-        """Iterate all rows of a table in this partition (no stats)."""
-        return iter(self._table(table).items())
 
     def _table(self, table: str) -> Dict[Any, Row]:
         try:

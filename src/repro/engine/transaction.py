@@ -76,11 +76,6 @@ class ProcedureRegistry:
             raise EngineError(f"procedure {procedure.name!r} already registered")
         self._procedures[procedure.name] = procedure
 
-    def register_function(
-        self, name: str, body: ProcedureBody, read_only: bool = False
-    ) -> None:
-        self.register(Procedure(name, body, read_only))
-
     def get(self, name: str) -> Procedure:
         try:
             return self._procedures[name]

@@ -40,7 +40,6 @@ from repro.faults import (
     TransferFailure,
 )
 from repro.metrics.sla import SLAReport, sla_report
-from repro.parallel import parallel_map, spawn_seeds
 
 #: The documented default seed of the chaos experiment; the fault plan,
 #: the workload and every recovery action are deterministic given it.
@@ -265,56 +264,4 @@ def run(fast: bool = False, seed: int = DEFAULT_FAULT_SEED) -> ExtFaultTolerance
         stats=injector.stats,
         crash_seconds=crash_seconds,
         recovery_seconds=_recovery_seconds(faulted.result, first_fault),
-    )
-
-
-# ----------------------------------------------------------------------
-# Per-seed replay sweep (repro.parallel)
-# ----------------------------------------------------------------------
-@dataclass
-class SeedSweepPoint:
-    """Compact per-seed summary of one chaos replay — the full
-    :class:`ExtFaultToleranceResult` carries whole per-step run arrays,
-    which is more than a sweep needs to ship between processes."""
-
-    seed: int
-    p99_violations: int
-    migrations_aborted: int
-    recovery_seconds: float
-    ledger_consistent: bool
-
-
-def _seed_cell(args) -> SeedSweepPoint:
-    """One chaos replay (module-level so ``parallel_map`` can pickle)."""
-    fast, seed = args
-    res = run(fast=fast, seed=seed)
-    return SeedSweepPoint(
-        seed=seed,
-        p99_violations=res.faulted.report.violations_p99,
-        migrations_aborted=res.faulted.migrations_aborted,
-        recovery_seconds=res.recovery_seconds,
-        ledger_consistent=res.stats_match_plan(),
-    )
-
-
-def run_seed_sweep(
-    fast: bool = False,
-    base_seed: int = DEFAULT_FAULT_SEED,
-    n_seeds: int = 4,
-    workers: int = 1,
-) -> List[SeedSweepPoint]:
-    """Replay the chaos experiment under ``n_seeds`` independent seeds.
-
-    Each seed yields a different workload *and* (via the baseline's
-    decision times) a different fault schedule; the replays share no
-    state, so ``workers > 1`` shards them across processes
-    (:mod:`repro.parallel`) with results identical to the serial sweep.
-    Seeds are ``base_seed`` plus :func:`~repro.parallel.spawn_seeds`
-    children, so the sweep is reproducible end to end.
-    """
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    seeds = [base_seed] + spawn_seeds(base_seed, n_seeds - 1)
-    return parallel_map(
-        _seed_cell, [(fast, s) for s in seeds], max_workers=workers
     )

@@ -54,9 +54,6 @@ class FaultStats:
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    def format_lines(self) -> List[str]:
-        return [f"{name:32s} {value}" for name, value in self.as_dict().items()]
-
 
 @dataclass
 class _Straggler:

@@ -1,7 +1,7 @@
 """Latency, SLA and distribution metrics."""
 
 from repro.metrics.cdf import EmpiricalCDF, empirical_cdf, top_percent_cdf
-from repro.metrics.percentiles import P2QuantileEstimator, empirical_percentile
+from repro.metrics.percentiles import empirical_percentile
 from repro.metrics.sla import (
     DEFAULT_SLA_MS,
     SLAReport,
@@ -12,7 +12,6 @@ from repro.metrics.sla import (
 __all__ = [
     "DEFAULT_SLA_MS",
     "EmpiricalCDF",
-    "P2QuantileEstimator",
     "SLAReport",
     "empirical_cdf",
     "empirical_percentile",

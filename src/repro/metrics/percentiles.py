@@ -1,15 +1,12 @@
-"""Percentile estimation utilities.
+"""Empirical percentiles.
 
-The engine's per-step latency records are analytic quantiles, but the
-benchmark client and tests also need empirical percentile machinery —
-including a streaming estimator (the P² algorithm of Jain & Chlamtac)
-that tracks a quantile in O(1) memory, the way a production latency
-monitor would.
+The engine's per-step latency records are analytic quantiles; this is
+the exact empirical counterpart for measured samples.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,106 +22,3 @@ def empirical_percentile(values: Sequence[float], percentile: float) -> float:
         raise ConfigurationError("cannot take a percentile of no data")
     return float(np.percentile(arr, percentile))
 
-
-class P2QuantileEstimator:
-    """Streaming quantile estimation via the P² algorithm.
-
-    Maintains five markers whose positions are adjusted with parabolic
-    interpolation as observations arrive; memory is O(1) regardless of
-    stream length.  Accuracy is typically within a fraction of a percent
-    of the exact quantile for smooth distributions.
-
-    Args:
-        quantile: Target quantile in (0, 1), e.g. 0.99.
-    """
-
-    def __init__(self, quantile: float) -> None:
-        if not 0.0 < quantile < 1.0:
-            raise ConfigurationError("quantile must be in (0, 1)")
-        self.quantile = quantile
-        self._initial: List[float] = []
-        self._count = 0
-        # Marker state (initialized after 5 observations).
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._increments: List[float] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def add(self, value: float) -> None:
-        """Observe one value."""
-        self._count += 1
-        if self._count <= 5:
-            self._initial.append(float(value))
-            if self._count == 5:
-                self._initialize()
-            return
-        self._update(float(value))
-
-    def _initialize(self) -> None:
-        q = self.quantile
-        self._heights = sorted(self._initial)
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def _update(self, value: float) -> None:
-        heights = self._heights
-        positions = self._positions
-        # Find the cell and clamp extremes.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        # Adjust the three middle markers.
-        for i in range(1, 4):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                direction = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, direction)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, direction)
-                positions[i] += direction
-
-    def _parabolic(self, i: int, direction: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + direction / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + direction)
-            * (h[i + 1] - h[i])
-            / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - direction)
-            * (h[i] - h[i - 1])
-            / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, direction: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(direction)
-        return h[i] + direction * (h[j] - h[i]) / (p[j] - p[i])
-
-    def value(self) -> float:
-        """Current quantile estimate."""
-        if self._count == 0:
-            raise ConfigurationError("no observations yet")
-        if self._count <= 5:
-            return empirical_percentile(self._initial, self.quantile * 100.0)
-        return self._heights[2]

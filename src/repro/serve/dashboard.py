@@ -1,18 +1,14 @@
 """Single-file HTML operator dashboard served at ``GET /dashboard``.
 
 The page is deliberately self-contained (inline CSS + JS, no external
-assets — the serving container has no static file tree) and talks only
-to the sibling endpoints on the same origin:
-
-* ``/healthz`` — fleet status, per-node breakers, per-tenant admission
-  and SLO burn;
-* ``/timeseries`` — ring-buffer samples rendered as canvas sparklines;
-* ``/metrics`` — the ``repro_perf_*`` wall-clock histograms, re-deriving
-  p50/p99 from the cumulative buckets client-side.
-
-Everything is pull-based on a 2 s poll: the server stays dumb and the
-dashboard works against any live :class:`~repro.serve.http.ServeApp`,
-including virtual-clock CI smoke runs.
+assets — the serving container has no static file tree) and renders one
+document: the operator view from ``GET /view`` on the same origin
+(:meth:`repro.serve.http.ServeApp.view`, which ``repro top`` renders
+too) — fleet status, per-node breakers, per-tenant admission and SLO
+burn, canvas sparklines of the view's series and the wall-clock perf
+stage table.  One request per 2 s poll, so it works against any live
+:class:`~repro.serve.http.ServeApp`, including virtual-clock CI smoke
+runs.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 <div id="err"></div>
 <div id="summary" class="muted"></div>
 <h2>time series</h2>
-<div id="sparks" class="muted">waiting for /timeseries…</div>
+<div id="sparks" class="muted">no time-series store attached</div>
 <h2>tenants</h2>
 <div id="tenants" class="muted">no tenancy configured</div>
 <h2>breakers</h2>
@@ -72,24 +68,6 @@ function renderHealth(h) {
   ];
   if (h.cost_dollars !== undefined) bits.push("$" + fmt(h.cost_dollars));
   $("summary").textContent = bits.join("  |  ");
-  if (h.tenants) {
-    let rows = "<table><tr><th>tenant</th><th>offered</th>" +
-      "<th>quota shed</th><th>brownout shed</th><th>good frac</th>" +
-      "<th>burn fast/slow</th><th>alert</th></tr>";
-    for (const [name, t] of Object.entries(h.tenants)) {
-      const slo = t.slo || {};
-      rows += "<tr><td>" + name + "</td><td>" + (t.offered ?? "-") +
-        "</td><td>" + (t.quota_shed ?? "-") +
-        "</td><td>" + (t.brownout_shed ?? "-") +
-        "</td><td>" + (slo.good_fraction !== undefined
-                       ? (100 * slo.good_fraction).toFixed(2) + "%" : "-") +
-        "</td><td>" + (slo.fast_burn !== undefined
-                       ? fmt(slo.fast_burn) + "/" + fmt(slo.slow_burn) : "-") +
-        '</td><td class="' + (slo.alerting ? "bad" : "ok") + '">' +
-        (slo.alerting ? "FIRING" : "ok") + "</td></tr>";
-    }
-    $("tenants").innerHTML = rows + "</table>";
-  }
   if (h.breakers) {
     let rows = "<table><tr><th>node</th><th>state</th></tr>";
     for (const [node, state] of Object.entries(h.breakers)) {
@@ -101,14 +79,32 @@ function renderHealth(h) {
   }
 }
 
-function sparkline(name, points) {
+function renderTenants(tenants) {
+  if (!tenants) return;
+  let rows = "<table><tr><th>tenant</th><th>offered</th><th>served</th>" +
+    "<th>quota shed</th><th>brownout shed</th><th>good frac</th>" +
+    "<th>burn fast/slow</th><th>alert</th></tr>";
+  for (const [name, t] of Object.entries(tenants)) {
+    const slo = t.slo || {};
+    rows += "<tr><td>" + name + "</td><td>" + t.offered +
+      "</td><td>" + t.served + "</td><td>" + t.quota_shed +
+      "</td><td>" + t.brownout_shed +
+      "</td><td>" + (slo.good_fraction !== undefined
+                     ? (100 * slo.good_fraction).toFixed(2) + "%" : "-") +
+      "</td><td>" + (slo.fast_burn !== undefined
+                     ? fmt(slo.fast_burn) + "/" + fmt(slo.slow_burn) : "-") +
+      '</td><td class="' + (slo.alerting ? "bad" : "ok") + '">' +
+      (slo.alerting ? "FIRING" : "ok") + "</td></tr>";
+  }
+  $("tenants").innerHTML = rows + "</table>";
+}
+
+function sparkline(name, vals) {
   const w = 180, hgt = 42;
   const holder = document.createElement("div");
   holder.className = "spark";
   const canvas = document.createElement("canvas");
   canvas.width = w; canvas.height = hgt;
-  const vals = points.map((p) => p.mean);
-  const last = vals.length ? vals[vals.length - 1] : 0;
   const lo = Math.min(...vals), hi = Math.max(...vals), span = (hi - lo) || 1;
   const ctx = canvas.getContext("2d");
   ctx.strokeStyle = "#38bdf8"; ctx.lineWidth = 1.25; ctx.beginPath();
@@ -120,68 +116,39 @@ function sparkline(name, points) {
   ctx.stroke();
   const label = document.createElement("div");
   label.className = "label";
-  label.textContent = name + " = " + fmt(last);
+  label.textContent = name + " = " + fmt(vals[vals.length - 1]);
   holder.appendChild(label); holder.appendChild(canvas);
   return holder;
 }
 
-async function renderSparks() {
-  const summary = await (await fetch("/timeseries")).json();
-  const names = summary.series || [];
-  if (!names.length) return;
-  const preferred = names.filter((n) =>
-    /machines$|machine_hours|forecast_ape|latency.*p99|queue|offered/.test(n));
-  const picks = (preferred.length ? preferred : names).slice(0, 8);
+function renderSparks(series) {
   const box = document.createElement("div");
-  for (const name of picks) {
-    const data = await (await fetch(
-      "/timeseries?name=" + encodeURIComponent(name))).json();
-    if (data.points && data.points.length) {
-      box.appendChild(sparkline(name, data.points));
-    }
+  for (const [name, vals] of Object.entries(series || {})) {
+    if (vals.length) box.appendChild(sparkline(name, vals));
   }
-  if (box.childNodes.length) { $("sparks").replaceChildren(box); }
+  if (box.childNodes.length) $("sparks").replaceChildren(box);
 }
 
-function quantile(buckets, count, q) {
-  // Cumulative Prometheus buckets -> upper bound of the target bucket.
-  const target = q * count;
-  for (const [le, c] of buckets) if (c >= target) return le;
-  return buckets.length ? buckets[buckets.length - 1][0] : 0;
-}
-
-function renderPerf(text) {
-  const stages = {};
-  for (const line of text.split("\\n")) {
-    let m = line.match(/^repro_perf_(\\w+)_ms_bucket\\{le="([^"]+)"\\} (\\S+)/);
-    if (m) {
-      (stages[m[1]] = stages[m[1]] || {buckets: []}).buckets
-        .push([parseFloat(m[2]), parseFloat(m[3])]);
-      continue;
-    }
-    m = line.match(/^repro_perf_(\\w+)_ms_(count|sum) (\\S+)/);
-    if (m) (stages[m[1]] = stages[m[1]] || {buckets: []})[m[2]] =
-      parseFloat(m[3]);
-  }
-  const names = Object.keys(stages).filter((n) => stages[n].count > 0);
-  if (!names.length) return;
+function renderPerf(perf) {
+  if (!perf || !perf.stages.length) return;
   let rows = "<table><tr><th>stage</th><th>count</th><th>mean ms</th>" +
     "<th>p50 ms</th><th>p99 ms</th></tr>";
-  for (const name of names.sort()) {
-    const s = stages[name];
-    rows += "<tr><td>" + name.replace(/_/g, ".") + "</td><td>" + s.count +
-      "</td><td>" + fmt(s.sum / s.count) +
-      "</td><td>" + fmt(quantile(s.buckets, s.count, 0.5)) +
-      "</td><td>" + fmt(quantile(s.buckets, s.count, 0.99)) + "</td></tr>";
+  for (const s of perf.stages) {
+    rows += "<tr><td>" + s.name + "</td><td>" + s.count +
+      "</td><td>" + fmt(s.mean_ms) + "</td><td>" + fmt(s.p50_ms) +
+      "</td><td>" + fmt(s.p99_ms) + "</td></tr>";
   }
-  $("perf").innerHTML = rows + "</table>";
+  $("perf").innerHTML = rows + '</table><div class="muted">overhead ' +
+    fmt(perf.overhead_ms) + " ms</div>";
 }
 
 async function refresh() {
   try {
-    renderHealth(await (await fetch("/healthz")).json());
-    renderPerf(await (await fetch("/metrics")).text());
-    await renderSparks();
+    const view = await (await fetch("/view")).json();
+    renderHealth(view.health);
+    renderTenants(view.tenants);
+    renderSparks(view.series);
+    renderPerf(view.perf);
     $("err").textContent = "";
   } catch (exc) {
     $("err").textContent = "poll failed: " + exc;

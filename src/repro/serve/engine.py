@@ -932,9 +932,6 @@ class ServerEngine:
         in_flight = 1 if self.sim.migration_active else 0
         return self.sim.moves_started - self.sim.migrations_aborted - in_flight
 
-    def mean_latency_ms(self) -> float:
-        return self.latency_sum_ms / self.completed if self.completed else 0.0
-
     @property
     def machine_hours(self) -> float:
         """Machine-hours consumed so far (machines integrated over ticks)."""

@@ -11,14 +11,17 @@ A deliberately dependency-free HTTP/1.1 server over ``asyncio`` streams
   get ``403`` and a ``serve.tenant.rejected`` count.
 * ``GET /healthz`` — liveness/readiness JSON (see
   :meth:`repro.serve.engine.ServerEngine.healthz`).
-* ``GET /metrics`` — Prometheus text exposition of the telemetry
-  registry (:func:`repro.telemetry.export.render_prometheus`), plus the
-  wall-clock perf stages when a recorder is attached.
+* ``GET /metrics`` — Prometheus text exposition of the engine's live
+  registry (a fleet's streamed fleet view when there is one;
+  :func:`repro.telemetry.export.render_prometheus`), plus the wall-clock
+  perf stages when a recorder is attached.
 * ``GET /timeseries?name=&window=`` — JSON points from the attached
   :class:`~repro.telemetry.timeseries.TimeSeriesStore` (no ``name``
-  returns the series index); the live-dashboard data API.
-* ``GET /dashboard`` — single-file HTML operator view polling
-  ``/metrics``, ``/healthz`` and ``/timeseries``.
+  returns the series index).
+* ``GET /view[?series=a,b]`` — the operator view (:meth:`ServeApp.view`):
+  health, per-tenant rows, perf stages and sparkline series in one JSON
+  document, which ``/dashboard`` and ``repro top`` both render.
+* ``GET /dashboard`` — single-file HTML page polling ``/view``.
 * ``POST /shutdown`` — begin a graceful drain: in-flight transactions
   are resolved by one final engine tick, new transactions get ``503``
   with ``Retry-After``, and the server exits once the drain completes
@@ -50,7 +53,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Callable, Dict, Optional, Set, Tuple
+import re
+from typing import Callable, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -60,9 +64,15 @@ from repro.serve.engine import TxnOutcome
 from repro.serve.loadgen import LoadgenReport
 from repro.serve.session import ServeSession
 from repro.telemetry.export import render_prometheus
+from repro.telemetry.metrics import MetricsRegistry, tenant_rows
 from repro.telemetry.perf import PerfRecorder, maybe_span, render_prometheus_perf
 
 _MAX_HEADER_LINES = 64
+
+#: The series the operator view shows unless asked for others: capacity,
+#: cost, forecast error, tail latency, queueing and offered load.
+_VIEW_SERIES = re.compile(r"machines$|machine_hours|forecast_ape|latency.*p99|queue|offered")
+_VIEW_SERIES_CAP = 8
 
 
 def _http_response(
@@ -105,7 +115,7 @@ class ServeApp:
         session: The serving session to pace; it owns the engine, the
             embedded arrival schedule and its report, the retry client,
             the checkpoint cadence and the time-series store (which
-            backs ``GET /timeseries`` and the dashboard sparklines).
+            backs ``GET /timeseries`` and the view's sparklines).
         host/port: Bind address (port 0 picks a free port).
         virtual: Step as fast as the event loop allows (no sleeps) —
             to the end of ``duration_s`` when one is given; without
@@ -119,7 +129,8 @@ class ServeApp:
             after the run completes (so probes can land), unless
             ``/shutdown`` arrives first.
         perf: Optional wall-clock recorder rendered into ``/metrics``
-            (``repro_perf_*`` families) — never into debug bundles.
+            (``repro_perf_*`` families) and the view — never into debug
+            bundles.
         cost_per_machine_hour: Dollar rate behind the ``cost_dollars``
             field of ``/healthz`` (0 hides the estimate).
     """
@@ -306,6 +317,60 @@ class ServeApp:
             json.dumps({"error": f"unknown tenant {header!r}", "tenants": known}),
         )
 
+    def _healthz(self) -> Dict[str, object]:
+        health = dict(self.engine.healthz())
+        health["run_complete"] = self.run_complete
+        health["draining"] = self.draining
+        health["machine_hours"] = round(self.engine.machine_hours, 6)
+        if self.cost_per_machine_hour > 0:
+            health["cost_dollars"] = round(
+                self.engine.machine_hours * self.cost_per_machine_hour, 4
+            )
+        return health
+
+    def _live_metrics(self) -> Optional[MetricsRegistry]:
+        """The registry the time-series store samples (a fleet's fleet
+        view when it streams one), or ``None`` without telemetry."""
+        return self.engine.live_metrics if self.engine.telemetry is not None else None
+
+    def view(self, series: Optional[List[str]] = None) -> Dict[str, object]:
+        """The operator view ``GET /view`` serves and both ``/dashboard``
+        and ``repro top`` render.
+
+        ``health`` is the ``/healthz`` document; ``tenants`` its tenant
+        blocks, each with the tenant's ``serve.tenant.served`` count;
+        ``perf`` the recorder's stage records and overhead; ``series``
+        the raw-tier means of the named time series — by default those
+        matching :data:`_VIEW_SERIES` (all of them when none match), at
+        most :data:`_VIEW_SERIES_CAP`.  The last three are ``None`` when
+        the server has no tenancy, recorder or store.
+        """
+        health = self._healthz()
+        tenants = health.get("tenants")
+        if tenants:
+            metrics = self._live_metrics()
+            served = tenant_rows(
+                {name: c.value for name, c in metrics.counters().items()}
+                if metrics is not None else {}
+            )
+            tenants = {
+                name: {**block, "served": served.get(name, {}).get("served", 0)}
+                for name, block in tenants.items()
+            }
+        store = self.session.timeseries
+        if store is not None and series is None:
+            names = store.names()
+            series = ([n for n in names if _VIEW_SERIES.search(n)] or names)[:_VIEW_SERIES_CAP]
+        perf = self.perf
+        return {
+            "health": health,
+            "tenants": tenants or None,
+            "perf": {"stages": perf.records(), "overhead_ms": perf.overhead_ms()}
+            if perf is not None else None,
+            "series": {name: [point["mean"] for point in store.query(name)] for name in series}
+            if store is not None else None,
+        }
+
     def _timeseries_response(self, query: str) -> bytes:
         timeseries = self.session.timeseries
         if timeseries is None:
@@ -355,19 +420,12 @@ class ServeApp:
         split = urlsplit(request["path"])
         path = split.path
         if path == "/healthz":
-            health = dict(self.engine.healthz())
-            health["run_complete"] = self.run_complete
-            health["draining"] = self.draining
-            health["machine_hours"] = round(self.engine.machine_hours, 6)
-            if self.cost_per_machine_hour > 0:
-                health["cost_dollars"] = round(
-                    self.engine.machine_hours * self.cost_per_machine_hour, 4
-                )
-            response = _http_response(200, json.dumps(health))
+            response = _http_response(200, json.dumps(self._healthz()))
         elif path == "/metrics":
+            metrics = self._live_metrics()
             text = (
-                render_prometheus(self.engine.telemetry)
-                if self.engine.telemetry is not None
+                render_prometheus(metrics)
+                if metrics is not None
                 else "# no telemetry registry installed\n"
             )
             if self.perf is not None:
@@ -388,6 +446,10 @@ class ServeApp:
             response = reject if reject is not None else (
                 await self._submit_txn(tenant)
             )
+        elif path == "/view":
+            wanted = parse_qs(split.query).get("series", [""])[0]
+            names = [name for name in wanted.split(",") if name] or None
+            response = _http_response(200, json.dumps(self.view(names)))
         elif path == "/shutdown" and request["method"] == "POST":
             response = _http_response(
                 200, json.dumps({"status": "stopping", "draining": True})

@@ -1,13 +1,12 @@
-"""``repro top`` — a terminal fleet view over a live serving endpoint.
+"""``repro top`` — the operator view of a live server, in a terminal.
 
-Polls the admin endpoints of a running :class:`~repro.serve.http.
-ServeApp` (``/healthz``, ``/metrics``, ``/timeseries``) and renders a
-compact operator screen: overall status, machine-hours and $-cost so
-far, per-node breaker states, per-tenant offered/served/shed rates and
-SLO burn, a forecast-error sparkline, and the wall-clock perf stage
-p50/p99 table.  Pure stdlib (``urllib``), read-only, and safe against a
-virtual-clock run: everything shown is derived from one self-consistent
-poll.
+One ``GET /view`` per frame (:meth:`repro.serve.http.ServeApp.view`, the
+document ``/dashboard`` renders too) becomes a compact screen: overall
+status, machine-hours and $-cost so far, SLO burn, sparklines of the
+view's series, per-node breaker states, per-tenant offered/served/shed
+rates and SLO burn, and the wall-clock perf stage table.  Pure stdlib
+(``urllib``), read-only, and safe against a virtual-clock run: the view
+is built in one piece on the server.
 
 ``--once`` renders a single frame and exits (the CI smoke mode);
 otherwise the screen refreshes every ``--interval`` seconds until
@@ -17,144 +16,26 @@ interrupted.
 from __future__ import annotations
 
 import json
-import re
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.viz import sparkline
 
-_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def _fetch(url: str, timeout_s: float = 5.0) -> str:
-    try:
-        with urllib.request.urlopen(url, timeout=timeout_s) as response:
-            return response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot reach {url}: {exc}") from exc
+#: Points of each series a sparkline shows (the most recent).
+_SPARK_POINTS = 32
 
 
-def _fetch_json(url: str) -> Dict[str, object]:
-    body = _fetch(url)
-    try:
-        return json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{url} returned non-JSON: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Prometheus text parsing (just enough for our own /metrics output)
-# ----------------------------------------------------------------------
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[A-Za-z_:][A-Za-z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})? (?P<value>\S+)$"
-)
-_LABEL_RE = re.compile(r'(\w+)="([^"]*)"')
-
-
-def parse_prometheus(
-    text: str,
-) -> List[Tuple[str, Dict[str, str], float]]:
-    """Parse exposition text into ``(name, labels, value)`` samples."""
-    samples: List[Tuple[str, Dict[str, str], float]] = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            continue
-        try:
-            value = float(match.group("value"))
-        except ValueError:
-            continue
-        labels = dict(_LABEL_RE.findall(match.group("labels") or ""))
-        samples.append((match.group("name"), labels, value))
-    return samples
-
-
-def perf_table(
-    samples: List[Tuple[str, Dict[str, str], float]],
-) -> List[Dict[str, float]]:
-    """Rebuild per-stage p50/p99 from the ``repro_perf_*_ms`` families."""
-    stages: Dict[str, Dict[str, object]] = {}
-
-    def stage(name: str) -> Dict[str, object]:
-        return stages.setdefault(name, {"buckets": [], "count": 0.0, "sum": 0.0})
-
-    for name, labels, value in samples:
-        match = re.match(r"^repro_perf_(\w+)_ms_(bucket|count|sum)$", name)
-        if match is None or match.group(1) == "overhead":
-            continue
-        entry = stage(match.group(1))
-        if match.group(2) == "bucket":
-            bound = labels.get("le", "+Inf")
-            upper = float("inf") if bound == "+Inf" else float(bound)
-            entry["buckets"].append((upper, value))  # type: ignore[union-attr]
-        else:
-            entry[match.group(2)] = value
-
-    def quantile(buckets: List[Tuple[float, float]], count: float, q: float) -> float:
-        target = q * count
-        for upper, cumulative in sorted(buckets):
-            if cumulative >= target:
-                return upper
-        return buckets[-1][0] if buckets else 0.0
-
-    rows = []
-    for name in sorted(stages):
-        entry = stages[name]
-        count = float(entry["count"])  # type: ignore[arg-type]
-        if count <= 0:
-            continue
-        buckets: List[Tuple[float, float]] = entry["buckets"]  # type: ignore[assignment]
-        rows.append(
-            {
-                "stage": name.replace("_", "."),
-                "count": count,
-                "mean_ms": float(entry["sum"]) / count,  # type: ignore[arg-type]
-                "p50_ms": quantile(buckets, count, 0.5),
-                "p99_ms": quantile(buckets, count, 0.99),
-            }
-        )
-    return rows
-
-
-def sparkline(values: List[float], width: int = 32) -> str:
-    """Unicode block sparkline of the last ``width`` values."""
-    tail = [float(v) for v in values[-width:]]
-    if not tail:
-        return ""
-    lo, hi = min(tail), max(tail)
-    span = hi - lo
-    if span <= 0:
-        return _SPARK_BLOCKS[0] * len(tail)
-    return "".join(
-        _SPARK_BLOCKS[
-            min(
-                len(_SPARK_BLOCKS) - 1,
-                int((value - lo) / span * (len(_SPARK_BLOCKS) - 1) + 0.5),
-            )
-        ]
-        for value in tail
-    )
-
-
-# ----------------------------------------------------------------------
-# Frame rendering
-# ----------------------------------------------------------------------
 def _fmt(value: float) -> str:
     return f"{value:.3g}" if abs(value) < 100 else f"{value:.0f}"
 
 
-def render_frame(
-    health: Dict[str, object],
-    samples: List[Tuple[str, Dict[str, str], float]],
-    series: Dict[str, List[float]],
-) -> str:
-    """Render one ``repro top`` screen from a consistent poll triple."""
+def render_frame(view: Dict[str, Any]) -> str:
+    """Render one ``repro top`` screen from a ``GET /view`` document."""
+    health = view["health"]
     lines: List[str] = []
     now = float(health.get("now", 0.0))
     header = (
@@ -180,10 +61,11 @@ def render_frame(
             + (" FIRING" if slo.get("alerting") else "")
         )
 
+    series = view.get("series") or {}
     for name, values in sorted(series.items()):
         if values:
             lines.append(
-                f"{name}: {sparkline(values)} (last {_fmt(values[-1])})"
+                f"{name}: {sparkline(values[-_SPARK_POINTS:])} (last {_fmt(values[-1])})"
             )
 
     breakers = health.get("breakers")
@@ -195,12 +77,8 @@ def render_frame(
         )
         lines.append(f"breakers: {states}")
 
-    tenants = health.get("tenants")
-    if isinstance(tenants, dict) and tenants:
-        served: Dict[str, float] = {}
-        for name, labels, value in samples:
-            if name == "repro_serve_tenant_served_total" and "tenant" in labels:
-                served[labels["tenant"]] = value
+    tenants = view.get("tenants") or {}
+    if tenants:
         lines.append(
             f"{'tenant':<12} {'offered/s':>10} {'served/s':>10} "
             f"{'shed/s':>10} {'burn f/s':>12} {'alert':>6}"
@@ -208,69 +86,51 @@ def render_frame(
         horizon = max(now, 1e-9)
         for name in sorted(tenants):
             bucket = tenants[name]
-            offered = float(bucket.get("offered", 0))
-            shed = float(bucket.get("quota_shed", 0)) + float(
-                bucket.get("brownout_shed", 0)
-            )
+            shed = float(bucket.get("quota_shed", 0)) + float(bucket.get("brownout_shed", 0))
             tenant_slo = bucket.get("slo") or {}
             burn = (
                 f"{float(tenant_slo.get('fast_burn', 0.0)):.2f}/"
                 f"{float(tenant_slo.get('slow_burn', 0.0)):.2f}"
             )
             lines.append(
-                f"{name:<12} {offered / horizon:>10.3f} "
-                f"{served.get(name, 0.0) / horizon:>10.3f} "
+                f"{name:<12} {float(bucket.get('offered', 0)) / horizon:>10.3f} "
+                f"{float(bucket.get('served', 0)) / horizon:>10.3f} "
                 f"{shed / horizon:>10.3f} {burn:>12} "
                 f"{'FIRE' if tenant_slo.get('alerting') else 'ok':>6}"
             )
 
-    rows = perf_table(samples)
-    if rows:
+    perf = view.get("perf") or {}
+    stages = perf.get("stages") or []
+    if stages:
         lines.append(
             f"{'perf stage':<20} {'count':>8} {'mean ms':>9} "
             f"{'p50 ms':>9} {'p99 ms':>9}"
         )
-        for row in rows:
+        for row in stages:
             lines.append(
-                f"{row['stage']:<20} {row['count']:>8.0f} "
+                f"{row['name']:<20} {row['count']:>8.0f} "
                 f"{row['mean_ms']:>9.3f} {row['p50_ms']:>9.3f} "
                 f"{row['p99_ms']:>9.3f}"
             )
-        for name, labels, value in samples:
-            if name == "repro_perf_overhead_ms":
-                lines.append(f"perf overhead: {value:.3f} ms")
+        lines.append(f"perf overhead: {perf['overhead_ms']:.3f} ms")
     return "\n".join(lines)
 
 
 def poll_frame(url: str, spark_series: Optional[List[str]] = None) -> str:
-    """One full poll of a serving endpoint, rendered as a frame."""
-    base = url.rstrip("/")
-    health = _fetch_json(f"{base}/healthz")
-    samples = parse_prometheus(_fetch(f"{base}/metrics"))
-
-    series: Dict[str, List[float]] = {}
+    """One ``GET /view`` of a serving endpoint, rendered as a frame."""
+    target = f"{url.rstrip('/')}/view"
+    if spark_series:
+        target += "?series=" + ",".join(urllib.parse.quote(name) for name in spark_series)
     try:
-        summary = _fetch_json(f"{base}/timeseries")
-        names: List[str] = list(summary.get("series", []))  # type: ignore[arg-type]
-    except ConfigurationError:
-        names = []  # no store attached: the frame simply has no sparklines
-    wanted = spark_series
-    if wanted is None:
-        wanted = [n for n in names if "forecast_ape" in n][:1]
-        wanted += [n for n in names if n.endswith("serve.machines")][:1]
-    for name in wanted:
-        if name not in names:
-            continue
-        points = _fetch_json(
-            f"{base}/timeseries?name={urllib.parse.quote(name)}"
-        )
-        values = [
-            float(point["mean"])
-            for point in points.get("points", [])  # type: ignore[union-attr]
-        ]
-        if values:
-            series[name] = values
-    return render_frame(health, samples, series)
+        with urllib.request.urlopen(target, timeout=5.0) as response:
+            body = response.read()
+    except (urllib.error.URLError, OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot reach {target}: {exc}") from exc
+    try:
+        view = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{target} returned non-JSON: {exc}") from exc
+    return render_frame(view)
 
 
 def run_top(

@@ -53,7 +53,7 @@ def write_debug_bundle(
     telemetry.tracer.finish_all()
 
     write_jsonl(telemetry, out / TELEMETRY_NAME)
-    (out / "metrics.prom").write_text(render_prometheus(telemetry))
+    (out / "metrics.prom").write_text(render_prometheus(telemetry.metrics))
     (out / "config.json").write_text(
         json.dumps(config or {}, sort_keys=True, indent=2, default=str) + "\n"
     )

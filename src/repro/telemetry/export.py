@@ -20,6 +20,7 @@ from repro.telemetry.timeline import TICK_FIELDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry import Telemetry
+    from repro.telemetry.metrics import MetricsRegistry
 
 PathLike = Union[str, Path]
 
@@ -139,8 +140,8 @@ def _label_suffix(labels, extra: str = "") -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def render_prometheus(telemetry: "Telemetry") -> str:
-    """Render the metrics registry in Prometheus text exposition format.
+def render_prometheus(metrics: "MetricsRegistry") -> str:
+    """Render a metrics registry in Prometheus text exposition format.
 
     Counters and gauges become single samples; histograms become the
     conventional cumulative ``_bucket{le=...}`` series plus ``_sum`` and
@@ -153,7 +154,6 @@ def render_prometheus(telemetry: "Telemetry") -> str:
     """
     from repro.telemetry.metrics import split_labels
 
-    metrics = telemetry.metrics
     lines: List[str] = []
 
     def emit(family_type: str, samples) -> None:

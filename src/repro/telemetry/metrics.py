@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +80,19 @@ def split_labels(name: str) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
             raise ConfigurationError(f"malformed label {token!r} in {name!r}")
         pairs.append((key, value[1:-1]))
     return base, tuple(pairs)
+
+
+def tenant_rows(counters: Mapping[str, float]) -> Dict[str, Dict[str, int]]:
+    """``{tenant: {what: count}}`` from the ``serve.tenant.<what>{tenant=...}``
+    counters in a ``name -> value`` mapping.  Unlabelled ones (the HTTP
+    front end's ``serve.tenant.rejected``) name no tenant and are skipped."""
+    rows: Dict[str, Dict[str, int]] = {}
+    for name, value in sorted(counters.items()):
+        base, labels = split_labels(name)
+        tenant = dict(labels).get("tenant")
+        if tenant is not None and base.startswith("serve.tenant."):
+            rows.setdefault(tenant, {})[base[len("serve.tenant."):]] = int(value)
+    return rows
 
 
 @dataclass

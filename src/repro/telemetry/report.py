@@ -228,7 +228,7 @@ def format_explain(dump: TelemetryDump, *, max_details: int = 5) -> str:
     against the measurement, so each decision row shows what the
     planner believed next to what actually arrived.
     """
-    from repro.telemetry.metrics import split_labels
+    from repro.telemetry.metrics import split_labels, tenant_rows
 
     sections: List[str] = []
     audits = dump.events_of("audit")
@@ -340,13 +340,8 @@ def format_explain(dump: TelemetryDump, *, max_details: int = 5) -> str:
     else:
         sections.append("SLO burn-rate alerts\n(none fired)")
 
-    tenant_rows: Dict[str, Dict[str, int]] = {}
-    for name, value in sorted(dump.counters.items()):
-        base, labels = split_labels(name)
-        if base.startswith("serve.tenant."):
-            tenant = dict(labels).get("tenant", "?")
-            tenant_rows.setdefault(tenant, {})[base.rsplit(".", 1)[-1]] = int(value)
-    if tenant_rows:
+    by_tenant = tenant_rows(dump.counters)
+    if by_tenant:
         sections.append(
             format_table(
                 ("tenant", "offered", "served", "quota shed", "brownout shed"),
@@ -358,7 +353,7 @@ def format_explain(dump: TelemetryDump, *, max_details: int = 5) -> str:
                         row.get("quota_shed", 0),
                         row.get("brownout_shed", 0),
                     )
-                    for tenant, row in sorted(tenant_rows.items())
+                    for tenant, row in sorted(by_tenant.items())
                 ],
                 title="Serving by tenant",
             )

@@ -597,6 +597,46 @@ class TestTopSubcommand:
         # The sparkline section picked up the time-series store.
         assert "serve.machines:" in out
 
+    def test_render_frame_draws_every_panel_of_the_view(self):
+        from repro.serve.top import render_frame
+
+        slo = {"good_fraction": 0.95, "fast_burn": 3.0, "slow_burn": 1.5, "alerting": True}
+        view = {
+            "health": {
+                "status": "degraded", "now": 100.0, "machines": 3, "machine_hours": 0.05,
+                "cost_dollars": 0.25, "accepted": 90, "rejected": 10, "completed": 88,
+                "max_node_queue_seconds": 1.5, "slo": slo, "breakers": {"10": "open", "2": "closed"},
+            },
+            "tenants": {
+                "search": {"offered": 50, "quota_shed": 0, "brownout_shed": 0, "served": 50,
+                           "slo": {**slo, "alerting": False}},
+                "checkout": {"offered": 200, "quota_shed": 20, "brownout_shed": 10, "served": 150,
+                             "slo": slo},
+            },
+            "perf": {
+                "stages": [{"name": "engine.tick", "count": 100, "mean_ms": 0.2,
+                            "p50_ms": 0.25, "p99_ms": 1.0}],
+                "overhead_ms": 0.125,
+            },
+            "series": {"serve.machines": [float(v % 4) for v in range(40)], "serve.empty": []},
+        }
+        lines = render_frame(view).splitlines()
+        assert lines[0] == (
+            "repro top — status degraded | t=100s | machines 3 | machine-hours 0.05 | $0.25"
+        )
+        assert "SLO: good 95.00% | burn fast/slow 3.00/1.50 FIRING" in lines
+        # The last 32 points, one block each; empty series draw nothing.
+        (spark,) = [line for line in lines if line.startswith("serve.")]
+        assert spark == "serve.machines: " + "▁▃▆█" * 8 + " (last 3)"
+        assert "breakers: 2:closed 10:open" in lines
+        tenant_rows = [line.split() for line in lines if line.startswith(("checkout", "search"))]
+        assert tenant_rows == [
+            ["checkout", "2.000", "1.500", "0.300", "3.00/1.50", "FIRE"],
+            ["search", "0.500", "0.500", "0.000", "3.00/1.50", "ok"],
+        ]
+        assert any(line.split() == ["engine.tick", "100", "0.200", "0.250", "1.000"] for line in lines)
+        assert lines[-1] == "perf overhead: 0.125 ms"
+
     def test_top_against_unreachable_server_exits_2(self, capsys):
         code = main(["top", "--once", "--url", "http://127.0.0.1:1"])
         assert code == 2

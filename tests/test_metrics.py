@@ -1,13 +1,10 @@
 """Tests for the metrics package (percentiles, CDFs, SLA accounting)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.metrics.cdf import empirical_cdf, top_percent_cdf
-from repro.metrics.percentiles import P2QuantileEstimator, empirical_percentile
+from repro.metrics.percentiles import empirical_percentile
 from repro.metrics.sla import sla_report, violation_seconds
 
 
@@ -20,45 +17,6 @@ class TestEmpiricalPercentile:
             empirical_percentile([], 50)
         with pytest.raises(ConfigurationError):
             empirical_percentile([1.0], 150)
-
-
-class TestP2Estimator:
-    def test_tracks_median_of_uniform(self, rng):
-        estimator = P2QuantileEstimator(0.5)
-        for value in rng.uniform(0, 100, 20000):
-            estimator.add(value)
-        assert estimator.value() == pytest.approx(50.0, abs=2.0)
-
-    def test_tracks_p99_of_exponential(self, rng):
-        estimator = P2QuantileEstimator(0.99)
-        samples = rng.exponential(1.0, 50000)
-        for value in samples:
-            estimator.add(value)
-        exact = np.percentile(samples, 99)
-        assert estimator.value() == pytest.approx(exact, rel=0.1)
-
-    def test_small_sample_falls_back_to_exact(self):
-        estimator = P2QuantileEstimator(0.5)
-        for value in (5.0, 1.0, 3.0):
-            estimator.add(value)
-        assert estimator.value() == 3.0
-
-    def test_no_data_raises(self):
-        with pytest.raises(ConfigurationError):
-            P2QuantileEstimator(0.5).value()
-
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ConfigurationError):
-            P2QuantileEstimator(0.0)
-
-    @given(st.lists(st.floats(0, 1000, allow_nan=False), min_size=6, max_size=500),
-           st.sampled_from([0.5, 0.9, 0.99]))
-    @settings(max_examples=50, deadline=None)
-    def test_estimate_within_observed_range(self, values, quantile):
-        estimator = P2QuantileEstimator(quantile)
-        for value in values:
-            estimator.add(value)
-        assert min(values) - 1e-9 <= estimator.value() <= max(values) + 1e-9
 
 
 class TestCDF:

@@ -135,13 +135,13 @@ class TestLabelledMetrics:
         tel.counter(labeled("serve.admit.shed", node=1)).inc(2)
         tel.counter(labeled("serve.admit.shed", node=0)).inc(5)
         tel.counter("serve.ticks").inc(7)
-        text = render_prometheus(tel)
+        text = render_prometheus(tel.metrics)
         assert text.count("# TYPE repro_serve_admit_shed_total counter") == 1
         assert 'repro_serve_admit_shed_total{node="0"} 5' in text
         assert 'repro_serve_admit_shed_total{node="1"} 2' in text
         assert text.index('{node="0"}') < text.index('{node="1"}')
         # Byte-stable: rendering twice is identical.
-        assert render_prometheus(tel) == text
+        assert render_prometheus(tel.metrics) == text
 
     def test_per_node_admission_counters(self):
         tel = Telemetry()

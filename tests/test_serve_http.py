@@ -7,6 +7,7 @@ aggressive speedups so the whole module stays fast.
 
 import asyncio
 import json
+import urllib.parse
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.serve import (
 from repro.serve.admission import AdmissionConfig
 from repro.serve.http import ServeApp, run_loadgen_client
 from repro.telemetry import Telemetry
+from repro.telemetry.metrics import labeled
 from tests.test_front_ends import paced_over_http
 
 
@@ -394,8 +396,8 @@ class TestObservabilityEndpoints:
             assert headers["content-type"].startswith("text/html")
             text = body.decode()
             assert "<!doctype html>" in text.lower()
-            for endpoint in ("/healthz", "/metrics", "/timeseries"):
-                assert endpoint in text, f"dashboard must poll {endpoint}"
+            # One request per refresh: the server-built operator view.
+            assert text.count("fetch(") == 1 and 'fetch("/view")' in text
             await http_request(app.port, method="POST", path="/shutdown")
             await asyncio.wait_for(task, timeout=10)
 
@@ -462,6 +464,105 @@ class TestObservabilityEndpoints:
             await asyncio.wait_for(task, timeout=10)
 
         asyncio.run(scenario())
+
+
+class TestOperatorView:
+    """``GET /view`` is what the endpoints it summarises say at the same
+    instant, on one engine and on a fleet."""
+
+    async def _probe(self, app):
+        """Once the run is complete: ``(view, healthz, perf records and
+        overhead as the view was built, /timeseries means per series)``."""
+        for _ in range(400):
+            _, _, body = await http_request(app.port, path="/healthz")
+            if json.loads(body)["run_complete"]:
+                break
+            await asyncio.sleep(0.05)
+        _, _, body = await http_request(app.port, path="/healthz")
+        health = json.loads(body)
+        # The /view request's own http.request span lands after its reply.
+        perf = (app.perf.records(), app.perf.overhead_ms())
+        status, headers, body = await http_request(app.port, path="/view")
+        assert status == 200 and headers["content-type"].startswith("application/json")
+        view = json.loads(body)
+        means = {}
+        for name in view["series"]:
+            _, _, body = await http_request(
+                app.port, path=f"/timeseries?name={urllib.parse.quote(name)}"
+            )
+            means[name] = [point["mean"] for point in json.loads(body)["points"]]
+        return view, health, perf, means
+
+    def _check(self, app, view, health, perf, means):
+        assert view["health"] == health
+        assert view["perf"] == {"stages": perf[0], "overhead_ms": perf[1]}
+        assert any(row["name"] == "engine.tick" for row in perf[0])
+        assert 0 < len(view["series"]) <= 8 and view["series"] == means
+        counters = app.engine.live_metrics.counters()
+        assert sorted(view["tenants"]) == sorted(health["tenants"])
+        for name, block in view["tenants"].items():
+            served = counters[labeled("serve.tenant.served", tenant=name)].value
+            assert block.pop("served") == served > 0
+            assert block == health["tenants"][name]
+
+    async def _serve(self, session, seconds):
+        from repro.telemetry import PerfRecorder, perf_session
+
+        perf = PerfRecorder()
+        with perf_session(perf):
+            app = ServeApp(session, virtual=True, duration_s=seconds, linger_s=30.0, perf=perf)
+            task = await start_app(app)
+            probed = await self._probe(app)
+            _, _, body = await http_request(app.port, path="/view?series=serve.admitted")
+            picked = json.loads(body)["series"]
+            _, _, metrics = await http_request(app.port, path="/metrics")
+            await http_request(app.port, method="POST", path="/shutdown")
+            await asyncio.wait_for(task, timeout=10)
+        return app, probed, picked, metrics.decode()
+
+    def test_engine_view_matches_its_endpoints(self):
+        from repro.telemetry import TimeSeriesStore
+        from repro.tenancy import TenantAdmission, composite_arrivals
+
+        registry = _tenant_registry()
+        arrivals, indices = composite_arrivals(registry, 60.0, seed=6)
+        session = make_session(
+            make_engine(tenancy=TenantAdmission(registry)), arrivals,
+            tenant_indices=indices, tenant_names=registry.names(),
+            timeseries=TimeSeriesStore(),
+        )
+        app, probed, picked, _ = asyncio.run(self._serve(session, 60.0))
+        self._check(app, *probed)
+        assert "serve.machines" in probed[0]["series"]
+        assert list(picked) == ["serve.admitted"]
+
+    def test_fleet_view_and_metrics_read_the_fleet_registry(self):
+        """Over a fleet streaming deltas the view and ``/metrics`` both read
+        the fleet view, so worker counters such as ``serve.ticks`` show."""
+        from repro.serve import DistributedServeSession, WorkerSpec
+        from repro.telemetry import TimeSeriesStore
+        from repro.tenancy import TenantAdmission, composite_arrivals
+
+        registry = _tenant_registry()
+        arrivals, indices = composite_arrivals(registry, 30.0, seed=6)
+        specs = [
+            WorkerSpec(worker_id=i, seed=i, max_nodes=2, saturation_rate_per_node=60.0,
+                       collect_telemetry=True)
+            for i in range(2)
+        ]
+        with DistributedServeSession(
+            specs, arrivals, mode="inproc", telemetry=Telemetry(), telemetry_every_ticks=2,
+            tenancy=TenantAdmission(registry), tenant_indices=indices,
+            tenant_names=registry.names(), timeseries=TimeSeriesStore(),
+        ) as session:
+            app, probed, _, metrics = asyncio.run(self._serve(session, 30.0))
+        self._check(app, *probed)
+        assert "repro_serve_ticks_total " in metrics
+
+    def test_view_without_tenancy_perf_or_store(self):
+        view = ServeApp(make_session()).view()
+        assert view["health"]["status"] == "ok"
+        assert view["tenants"] is view["perf"] is view["series"] is None
 
 
 class TestTenantHeader:
