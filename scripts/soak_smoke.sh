@@ -23,7 +23,8 @@
 # reads; the two reports must be equal line for line.
 # An HTTP leg then serves that overload a third time with the fleet
 # behind `ServeApp` (`--clock virtual --port 0`, no `--no-http`): while it
-# lingers `/healthz` must answer with the `workers` block, and after
+# lingers `/healthz` must answer with the `workers` block and `/metrics`
+# with the workers' registries (no flag asks for them), and after
 # `POST /shutdown` its report must again equal the `--no-http` one.
 # See docs/SERVING.md § Distributed serving.
 set -euo pipefail
@@ -151,6 +152,12 @@ case "$HEALTH" in
     *'"workers": {"0": {'*'"run_complete": true'*) ;;
     *) echo "fleet /healthz never answered with its workers: $HEALTH" >&2; exit 1 ;;
 esac
+# Only workers count ticks; a worker gauge is re-labelled with its id.
+METRICS=$(curl -sf "http://127.0.0.1:$PORT/metrics")
+grep -q '^repro_serve_ticks_total ' <<<"$METRICS" \
+    || { echo "fleet /metrics lacks the workers' repro_serve_ticks_total" >&2; exit 1; }
+grep -q '^repro_serve_machines{worker="1"} ' <<<"$METRICS" \
+    || { echo "fleet /metrics lacks worker 1's repro_serve_machines gauge" >&2; exit 1; }
 curl -sf -X POST "http://127.0.0.1:$PORT/shutdown" >/dev/null
 STATUS=0
 wait "$SERVER_PID" || STATUS=$?

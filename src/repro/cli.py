@@ -437,12 +437,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             refit_every=args.refit_every,
             trace_requests=args.trace_requests,
             # A single engine records into ``telemetry`` regardless; a
-            # worker keeps a registry only when somebody will read it.
+            # worker keeps a registry only when somebody will read it
+            # (behind HTTP, /metrics and /view read the fleet's).
             collect_telemetry=(
                 session_telemetry is not None
                 or args.trace_requests
-                or args.telemetry_every > 0
                 or timeseries is not None
+                or not args.no_http
             ),
         )
         slo = _parse_slo_spec(args.slo) if args.slo is not None else None
@@ -506,7 +507,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 telemetry=telemetry,
                 seed=args.seed,
                 tenancy=tenancy,
-                telemetry_every_ticks=args.telemetry_every,
             )
         else:
             session_class = ServeSession
@@ -798,11 +798,6 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--low-priority", type=float, default=0.0, metavar="FRACTION",
         help="[fleet] fraction of requests minted low-priority (brownout-sheddable)",
-    )
-    parser.add_argument(
-        "--telemetry-every", type=int, default=0, metavar="TICKS",
-        help="[fleet] stream worker telemetry deltas to the edge on this "
-             "tick cadence for a live fleet-wide view (0 = end of run only)",
     )
     parser.add_argument(
         "--max-p99", type=float, default=None, metavar="MS",

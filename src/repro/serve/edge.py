@@ -34,11 +34,16 @@ the strict request/reply protocol of :mod:`repro.serve.worker`:
   ``repro-serve-checkpoint/1`` document — the edge state plus every
   worker's engine snapshot, captured over the wire — and a resumed
   fleet continues **bit-identically**;
+* each ``step`` reply of a worker that keeps telemetry carries its
+  metrics and events since the last reply, folded into that worker's
+  view at the edge: :attr:`Fleet.live_metrics` is the fleet's registry
+  while the run is live, and :meth:`Fleet.collect_telemetry` folds the
+  views into the edge handle at its end;
 * request traces stitch across the boundary: the edge mints the
   globally-unique trace ids, workers record their span trees against
-  them, and :meth:`Fleet.collect_telemetry` merges every worker's
-  snapshot into the edge handle — re-parenting each worker ``request``
-  span under the edge span that dispatched it.
+  them, and :meth:`Fleet.collect_telemetry` merges every worker's spans
+  into the edge handle — re-parenting each worker ``request`` span under
+  the edge span that dispatched it.
 
 ``docs/SERVING.md`` has the process diagram and failure semantics.
 """
@@ -83,7 +88,8 @@ from repro.serve.worker import (
     worker_main,
 )
 from repro.telemetry import Span, Telemetry
-from repro.telemetry.merge import DeltaAccumulator, build_fleet_view, merge_snapshot
+from repro.telemetry.merge import DeltaAccumulator, build_fleet_view, fold_view, merge_spans
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.perf import PerfRecorder, maybe_span
 from repro.telemetry.slo import SLOConfig
 from repro.telemetry.timeseries import TimeSeriesStore
@@ -137,8 +143,8 @@ class Fleet:
             ``edge.request`` span per forwarded request (requires
             ``telemetry``; workers record their side when their spec
             enables tracing).
-        telemetry: Edge telemetry handle; worker snapshots merge into it
-            via :meth:`collect_telemetry`.
+        telemetry: Edge telemetry handle; the workers' telemetry merges
+            into it via :meth:`collect_telemetry`.
         seed: Edge routing/priority RNG seed (independent of the worker
             engine RNGs).
         timeout_s: Edge-side per-reply transport timeout.
@@ -148,11 +154,6 @@ class Fleet:
             is acted on, and per-tenant labelled SLO monitors run over
             the folded replies.  Workers just carry the tag through
             their engines.
-        telemetry_every_ticks: When positive, every Nth tick pulls a
-            ``telemetry_delta`` from each worker (absolute new-or-changed
-            state) and rebuilds :attr:`fleet_view` — a live fleet-wide
-            telemetry merge that equals the end-of-run capture merge
-            exactly for metrics and events.  Requires ``telemetry``.
         perf: Optional wall-clock recorder; :meth:`tick` records an
             ``edge.dispatch`` span.  Falls back to the process default
             installed by ``repro.telemetry.perf``.
@@ -180,7 +181,6 @@ class Fleet:
         seed: int = 0,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         tenancy: Optional["TenantAdmission"] = None,
-        telemetry_every_ticks: int = 0,
         perf: Optional[PerfRecorder] = None,
     ) -> None:
         if not specs:
@@ -194,10 +194,6 @@ class Fleet:
             raise ConfigurationError("low_priority_fraction must be in [0, 1]")
         if trace_requests and telemetry is None:
             raise ConfigurationError("trace_requests needs edge telemetry")
-        if telemetry_every_ticks < 0:
-            raise ConfigurationError("telemetry_every_ticks must be >= 0")
-        if telemetry_every_ticks > 0 and telemetry is None:
-            raise ConfigurationError("telemetry_every_ticks needs edge telemetry")
         self.mode = mode
         self.timeout_s = timeout_s
         self.workers: List[WorkerHandle] = [
@@ -235,13 +231,14 @@ class Fleet:
         self._next_trace_id = 1
         self._stitch: Dict[int, Span] = {}
         self._telemetry_collected = False
-        self.telemetry_every_ticks = int(telemetry_every_ticks)
         self.perf = perf
-        #: Per-worker absolute telemetry views accumulated from deltas.
-        self._delta_views: Dict[int, DeltaAccumulator] = {}
-        #: Live fleet-wide merge (edge + every worker view); refreshed on
-        #: the delta cadence, ``None`` until the first pull.
-        self.fleet_view: Optional[Telemetry] = None
+        #: Per worker that keeps telemetry, in worker order: its registry
+        #: and events as of its last ``step`` reply.
+        self._views: Dict[int, DeltaAccumulator] = {
+            spec.worker_id: DeltaAccumulator() for spec in specs if spec.collect_telemetry
+        }
+        #: :attr:`live_metrics` of this tick, once something has read it.
+        self._fleet_metrics: Optional[MetricsRegistry] = None
 
         #: Last capacity advertisement per worker: (machines, queue_s).
         self.advertised: Dict[int, Tuple[float, float]] = {
@@ -277,7 +274,7 @@ class Fleet:
                 wid = handle.spec.worker_id
                 reply = handle.request({"cmd": "hello"})
                 _check_protocol(f"worker {wid}", reply)
-                self._absorb_ad(wid, reply)
+                self.advertised[wid] = self._read_ad(wid, reply)
         except TransportError:
             self.close()
             raise
@@ -317,16 +314,16 @@ class Fleet:
         for handle in self.workers:
             handle.shutdown()
 
-    def _absorb_ad(self, worker_id: int, reply: Dict[str, object]) -> None:
-        """Take the capacity ad off a worker's reply; ``TransportError``
-        when it is missing, not this worker's, or not two finite numbers."""
+    def _read_ad(self, worker_id: int, reply: Dict[str, object]) -> Tuple[float, float]:
+        """The capacity ad on a worker's reply; ``TransportError`` when it
+        is missing, not this worker's, or not two finite numbers."""
         try:
             ad = (float(reply["machines"]), float(reply["queue_seconds"]))  # type: ignore[arg-type]
             if reply.get("worker") != worker_id or not all(map(math.isfinite, ad)):
                 raise ValueError(f"worker {reply.get('worker')!r}, {ad}")
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"worker {worker_id}: malformed capacity ad: {exc!r}") from exc
-        self.advertised[worker_id] = ad
+        return ad
 
     # ------------------------------------------------------------------
     # Request path
@@ -513,8 +510,8 @@ class Fleet:
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """Serve one lock-step tick: fan the queued batches out, fold the
-        replies in worker order, then probe, observe the SLOs and refresh
-        the fleet view on its cadence."""
+        replies (outcomes, capacity ads, telemetry deltas) in worker
+        order, then probe and observe the SLOs."""
         with maybe_span("edge.dispatch", self.perf):
             self._dispatch_tick()
 
@@ -545,11 +542,15 @@ class Fleet:
                 if not reply.get("ok"):
                     raise ValueError(f"the worker refused the frame: {reply.get('error')}")
                 batch, accepted = self._reply_batch(messages[wid], reply)
-                self._absorb_ad(wid, reply)
+                ad = self._read_ad(wid, reply)
+                view = self._views.get(wid)
+                if view is not None:
+                    view.apply(reply.get("delta"))  # all or nothing, so last
             except (TransportError, ValueError):
                 # Dead, refused or malformed: nothing of this reply is used.
                 self._fail_batch(wid, messages[wid], calls[wid], end)
                 continue
+            self.advertised[wid] = ad
             if len(batch):
                 self._deliver(calls[wid], batch, accepted)
                 self._settle(batch)
@@ -558,8 +559,7 @@ class Fleet:
         self._tick_index += 1
         self._probe(end)
         self.ledger.observe(end)
-        if self.telemetry_every_ticks > 0 and self._tick_index % self.telemetry_every_ticks == 0:
-            self.refresh_fleet_view()
+        self._fleet_metrics = None
 
     def _step_message(self, queue: Dict[str, List[np.ndarray]]) -> Dict[str, object]:
         """One worker's queued column slices as its ``step`` request."""
@@ -700,7 +700,9 @@ class Fleet:
             message = {"cmd": "restore", "state": worker_state}
             reply = self._command(handle, message, "failed restore")
             try:
-                self._absorb_ad(handle.spec.worker_id, reply)
+                self.advertised[handle.spec.worker_id] = self._read_ad(
+                    handle.spec.worker_id, reply
+                )
             except TransportError as exc:
                 raise CheckpointError(f"restore: {exc}") from exc
         self._tick_index = int(edge["tick"])  # type: ignore[arg-type]
@@ -729,87 +731,34 @@ class Fleet:
         return self.machine_seconds / 3600.0
 
     @property
-    def live_metrics(self):
-        """The freshest fleet view, or the edge's own registry when
-        delta streaming is off."""
-        view = self.fleet_view if self.fleet_view is not None else self.telemetry
-        return view.metrics
-
-    def _pull_deltas(self) -> None:
-        """One ``telemetry_delta`` round, folded in worker order.
-
-        Deltas carry absolute new-or-changed state, so applying one is
-        assignment — a dead worker simply stops updating its view, and
-        the fleet merge keeps whatever it shipped before dying (the
-        capture path would lose it entirely).
-        """
-        posted: List[WorkerHandle] = []
-        for handle in self.workers:
-            if not handle.alive:
-                continue
-            try:
-                handle.post({"cmd": "telemetry_delta"})
-            except TransportError:
-                continue
-            posted.append(handle)
-        for handle in posted:
-            wid = handle.spec.worker_id
-            try:
-                reply = handle.collect()
-            except TransportError:
-                continue
-            delta = reply.get("delta")
-            if delta:
-                view = self._delta_views.get(wid)
-                if view is None:
-                    view = self._delta_views[wid] = DeltaAccumulator()
-                view.apply(delta)  # type: ignore[arg-type]
-
-    def refresh_fleet_view(self) -> Optional[Telemetry]:
-        """Pull fresh deltas and rebuild :attr:`fleet_view`."""
-        if self.telemetry is None:
-            return None
-        self._pull_deltas()
-        self.fleet_view = build_fleet_view(self.telemetry, self._delta_views)
-        return self.fleet_view
+    def live_metrics(self) -> MetricsRegistry:
+        """The fleet's registry: the edge's own plus every worker's as of
+        its last reply, built at most once a tick — or the edge's own
+        alone when no worker keeps telemetry, or once
+        :meth:`collect_telemetry` has folded the workers into it."""
+        if self._telemetry_collected or not self._views:
+            return self.telemetry.metrics
+        if self._fleet_metrics is None:
+            self._fleet_metrics = build_fleet_view(self.telemetry.metrics, self._views)
+        return self._fleet_metrics
 
     def collect_telemetry(self) -> None:
-        """Merge every worker's telemetry into the edge handle.
+        """Fold every worker's telemetry into the edge handle: its view's
+        metrics and events, then the spans it ships now.
 
-        Call once, after the run: merging is additive, so a second call
-        would double-count worker counters (guarded by a flag).  With
-        delta streaming on (``telemetry_every_ticks``), metrics and
-        events come from the accumulated per-worker views (one residual
-        pull first), and only spans — which deltas deliberately never
-        carry — are taken from the full capture snapshot; the result is
-        identical to a pure capture merge, but survives a worker dying
-        after its last delta.
+        Call once, after the run: folding is additive, so a second call
+        would double-count worker counters (guarded by a flag).  A worker
+        that died keeps what its last reply carried, but its spans are
+        lost.
         """
         if self.telemetry is None or self._telemetry_collected:
             return
         self._telemetry_collected = True
-
-        streaming = self.telemetry_every_ticks > 0 or bool(self._delta_views)
-        if streaming:
-            self._pull_deltas()
-        for handle in self.workers:
-            wid = handle.spec.worker_id
-            view = self._delta_views.get(wid)
-            if view is not None:  # streamed: spans are all the capture adds
-                merge_snapshot(
-                    self.telemetry, view.snapshot(), worker=wid, parts=("metrics", "events")
-                )
-            snapshot = self._ask(handle, "telemetry").get("snapshot")
-            if snapshot:
-                merge_snapshot(
-                    self.telemetry,
-                    snapshot,  # type: ignore[arg-type]
-                    worker=wid,
-                    stitch=self._stitch,
-                    parts=("spans",) if streaming else ("metrics", "events", "spans"),
-                )
-        if streaming:
-            self.fleet_view = None  # superseded: the edge handle is now fleet-wide
+        for worker_id, view in self._views.items():
+            fold_view(self.telemetry, view, worker=worker_id)
+            spans = self._ask(self.workers[worker_id], "telemetry").get("spans")
+            if spans:
+                merge_spans(self.telemetry, spans, worker=worker_id, stitch=self._stitch)
 
     def _ask(self, handle: WorkerHandle, cmd: str) -> Dict[str, object]:
         """One best-effort round trip: the reply, or ``{}`` from a dead
@@ -822,9 +771,15 @@ class Fleet:
         return {}
 
     def healthz(self) -> Dict[str, object]:
-        """Aggregate health: edge view plus each live worker's healthz."""
+        """Aggregate health: edge view plus each live worker's healthz;
+        ``degraded`` while a worker is dead, brownout is engaged or an
+        SLO alert fires (any of the ledger's monitors, as on an engine)."""
         replies = {h.spec.worker_id: self._ask(h, "healthz") for h in self.workers}
-        degraded = any(not h.alive for h in self.workers) or self.brownout_active
+        degraded = (
+            any(not h.alive for h in self.workers)
+            or self.brownout_active
+            or any(monitor.alerting for monitor in self.ledger.monitors())
+        )
         return {
             "status": "degraded" if degraded else "ok",
             "now": self.now,
@@ -857,7 +812,7 @@ class DistributedServeSession(ServeSession):
     ``specs`` and every keyword but the session's own (``retry``,
     ``retry_seed``, ``checkpoint``, ``tenant_indices``, ``tenant_names``,
     ``timeseries``) are the :class:`Fleet`'s, whose state — breakers,
-    ``advertised``, ``brownout_active``, ``fleet_view`` — is read off
+    ``advertised``, ``brownout_active``, ``live_metrics`` — is read off
     :attr:`engine`.
     """
 

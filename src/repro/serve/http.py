@@ -12,7 +12,7 @@ A deliberately dependency-free HTTP/1.1 server over ``asyncio`` streams
 * ``GET /healthz`` — liveness/readiness JSON (see
   :meth:`repro.serve.engine.ServerEngine.healthz`).
 * ``GET /metrics`` — Prometheus text exposition of the engine's live
-  registry (a fleet's streamed fleet view when there is one;
+  registry (a fleet's: the edge's plus every worker's;
   :func:`repro.telemetry.export.render_prometheus`), plus the wall-clock
   perf stages when a recorder is attached.
 * ``GET /timeseries?name=&window=`` — JSON points from the attached
@@ -329,8 +329,8 @@ class ServeApp:
         return health
 
     def _live_metrics(self) -> Optional[MetricsRegistry]:
-        """The registry the time-series store samples (a fleet's fleet
-        view when it streams one), or ``None`` without telemetry."""
+        """The registry the time-series store samples (a fleet's edge
+        plus worker registries), or ``None`` without telemetry."""
         return self.engine.live_metrics if self.engine.telemetry is not None else None
 
     def view(self, series: Optional[List[str]] = None) -> Dict[str, object]:

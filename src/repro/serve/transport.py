@@ -74,8 +74,9 @@ DEFAULT_TIMEOUT_S = 60.0
 
 #: Version of the wire: the frame format and the message schema.  1 was
 #: JSON rows (and sent no version); 2 is the columnar frame; 3 adds the
-#: ``accepted`` column to the ``step`` reply.
-PROTOCOL_VERSION = 3
+#: ``accepted`` column to the ``step`` reply; 4 moves the worker's
+#: telemetry delta into that reply, off a command of its own.
+PROTOCOL_VERSION = 4
 
 #: The dtypes a column may have, by their wire name (``dtype.str`` of
 #: the little-endian type).  Nothing else is ever constructed from a

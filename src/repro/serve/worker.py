@@ -16,12 +16,11 @@ process session.
 The command protocol (frames of :mod:`repro.serve.transport`)::
 
     {"cmd": "hello"}                      -> protocol version + capacity ad
-    {"cmd": "step", <request columns>}    -> <reply columns> + capacity ad
+    {"cmd": "step", <request columns>}    -> <reply columns> [+ delta] + capacity ad
     {"cmd": "healthz"}                    -> full engine healthz
     {"cmd": "capture"}                    -> engine+control snapshot
     {"cmd": "restore", "state": {...}}    -> ok (fresh engines only)
-    {"cmd": "telemetry"}                  -> metrics/spans/events snapshot
-    {"cmd": "telemetry_delta"}            -> new-or-changed metrics/events
+    {"cmd": "telemetry"}                  -> the span records, once, at the end of a run
     {"cmd": "shutdown"}                   -> ok; the process exits
 
 A ``step`` request holds one row per arrival, in arrival order:
@@ -32,8 +31,11 @@ request — the rows shed at submission first, then the tick's completions
 — in the columns of :data:`STEP_REPLY_COLUMNS`, plus ``accepted`` (uint8,
 one per *posted* row in posted order: 1 where the row is among the
 completions, so the edge can cut each of its callers' rows back out),
-``trace_id`` when this worker traces requests and ``tenant`` +
-``tenant_names`` when the request carried them.
+``trace_id`` when this worker traces requests, ``tenant`` +
+``tenant_names`` when the request carried them, and ``delta`` — the
+metrics new or changed since the last reply and the events since (a
+:class:`~repro.telemetry.merge.TelemetryDeltaTracker` delta) — when this
+worker keeps telemetry.
 
 Every reply carries ``"ok"``; handler errors come back as
 ``{"ok": false, "error": ...}`` so a worker never dies on a bad command
@@ -239,7 +241,7 @@ class WorkerServer:
             Telemetry() if spec.collect_telemetry else None
         )
         self.engine = build_worker_engine(spec, self.telemetry)
-        self._delta_tracker: Optional[TelemetryDeltaTracker] = None
+        self._delta_tracker = TelemetryDeltaTracker() if self.telemetry is not None else None
 
     # ------------------------------------------------------------------
     def _capacity_ad(self) -> Dict[str, object]:
@@ -266,9 +268,8 @@ class WorkerServer:
             elif cmd == "restore":
                 reply = self._cmd_restore(message)
             elif cmd == "telemetry":
-                reply = self._cmd_telemetry()
-            elif cmd == "telemetry_delta":
-                reply = self._cmd_telemetry_delta()
+                spans = self.telemetry.tracer.records() if self.telemetry is not None else []
+                reply = {"ok": True, "spans": spans}
             elif cmd == "shutdown":
                 reply = {"ok": True, "bye": True}
             else:
@@ -325,6 +326,8 @@ class WorkerServer:
         reply["now"] = engine.now
         reply["admitted"] = int(record["admitted"])
         reply["rejected"] = int(record["rejected"])
+        if self._delta_tracker is not None:
+            reply["delta"] = self._delta_tracker.delta(self.telemetry)
         return reply
 
     def _cmd_restore(self, message: Dict[str, object]) -> Dict[str, object]:
@@ -333,21 +336,6 @@ class WorkerServer:
             return {"ok": False, "error": "malformed restore frame: no state"}
         self.engine.load_state_dict(state)
         return {"ok": True}
-
-    def _cmd_telemetry(self) -> Dict[str, object]:
-        if self.telemetry is None:
-            return {"ok": True, "snapshot": None}
-        from repro.telemetry.merge import snapshot_telemetry
-
-        return {"ok": True, "snapshot": snapshot_telemetry(self.telemetry)}
-
-    def _cmd_telemetry_delta(self) -> Dict[str, object]:
-        """Incremental telemetry since the last delta (live fleet view)."""
-        if self.telemetry is None:
-            return {"ok": True, "delta": None}
-        if self._delta_tracker is None:
-            self._delta_tracker = TelemetryDeltaTracker()
-        return {"ok": True, "delta": self._delta_tracker.delta(self.telemetry)}
 
 
 def worker_main(spec_dict: Dict[str, object], mode: str, endpoint) -> None:

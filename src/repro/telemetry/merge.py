@@ -1,10 +1,13 @@
 """Cross-process telemetry merge for the distributed serving path.
 
 Each worker process owns a private :class:`~repro.telemetry.Telemetry`
-(its engine's metrics, request-trace spans and timeline events).  At the
-end of a distributed run — or whenever the edge wants a mid-run look —
-the worker serializes that state with :func:`snapshot_telemetry` and the
-edge folds it into its own registry with :func:`merge_snapshot`, so the
+(its engine's metrics, request-trace spans and timeline events).  Its
+metrics and events reach the edge one way: every ``step`` reply carries
+the :class:`TelemetryDeltaTracker` delta since the last one, and the edge
+folds it into that worker's :class:`DeltaAccumulator` — the worker's
+registry as of its last reply.  From the views the edge builds a live
+fleet-wide registry (:func:`build_fleet_view`) and, once at the end of
+the run, folds them into its own handle (:func:`fold_view`), so the
 existing exporters, ``repro explain`` and the debug bundles keep working
 unchanged on a multi-process session:
 
@@ -13,77 +16,33 @@ unchanged on a multi-process session:
   ``serve.latency_ms`` read cluster-wide after the merge;
 * **gauges** are last-write-wins and *not* summable, so each worker's
   gauge is re-labelled with ``worker="<id>"`` and kept separate;
-* **events** append with a ``worker`` field;
-* **spans** are re-identified into the edge tracer's id space (parents
-  rewritten through the same mapping, a ``worker`` attr added).  When a
-  ``stitch`` map is supplied — edge-minted ``trace_id`` to the edge-side
-  root span — each worker ``request`` span is re-parented under the edge
-  span that dispatched it, producing one request tree that crosses the
-  process boundary.
+* **events** append with a ``worker`` field.
+
+Worker tick records never travel: each worker's engine keeps its own
+per-tick series on the same clock, and interleaving them would
+double-count offered/served in the run reports.
+
+**Spans** ship once, at the end of the run (:func:`merge_spans`): a span
+open in one reply and closed in the next cannot be patched
+incrementally.  They are re-identified into the edge tracer's id space
+(parents rewritten through the same mapping, a ``worker`` attr added).
+When a ``stitch`` map is supplied — edge-minted ``trace_id`` to the
+edge-side root span — each worker ``request`` span is re-parented under
+the edge span that dispatched it, producing one request tree that
+crosses the process boundary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.telemetry import Telemetry
-from repro.telemetry.metrics import labeled, split_labels
+from repro.telemetry.metrics import MetricsRegistry, labeled, split_labels
 from repro.telemetry.tracer import Span
-
-#: Snapshot schema version; bump on incompatible layout changes.
-SNAPSHOT_FORMAT = "repro-telemetry-snapshot/1"
 
 #: Incremental-delta schema version (see :class:`TelemetryDeltaTracker`).
 DELTA_FORMAT = "repro-telemetry-delta/1"
-
-
-def snapshot_telemetry(telemetry: Telemetry) -> Dict[str, object]:
-    """The whole telemetry state as one JSON-able dict."""
-    metrics = telemetry.metrics
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "meta": dict(telemetry.timeline.meta),
-        "ticks": [dict(tick) for tick in telemetry.timeline.ticks],
-        "events": [dict(event) for event in telemetry.timeline.events],
-        "spans": telemetry.tracer.records(),
-        "counters": [c.as_record() for c in metrics.counters().values()],
-        "gauges": [g.as_record() for g in metrics.gauges().values()],
-        "histograms": [h.as_record() for h in metrics.histograms().values()],
-    }
-
-
-def merge_snapshot(
-    target: Telemetry,
-    snapshot: Dict[str, object],
-    *,
-    worker: int,
-    stitch: Optional[Dict[int, Span]] = None,
-    parts: Tuple[str, ...] = ("metrics", "events", "spans"),
-) -> None:
-    """Fold one worker's snapshot into the edge telemetry (see module doc).
-
-    Worker tick records are intentionally *not* merged: each worker's
-    engine keeps its own per-tick series on the same clock, and
-    interleaving them would double-count offered/served in the run
-    reports.  The edge session records its own aggregate timeline.
-
-    ``parts`` restricts the merge to a subset of record families.  The
-    live-delta path uses ``("spans",)`` at capture time: metrics and
-    events already arrived incrementally, and re-merging them from the
-    full snapshot would double-count.
-    """
-    if snapshot.get("format") != SNAPSHOT_FORMAT:
-        raise ConfigurationError(
-            f"telemetry snapshot has format {snapshot.get('format')!r}; "
-            f"expected {SNAPSHOT_FORMAT!r}"
-        )
-    if "metrics" in parts:
-        _merge_metrics(target, snapshot, worker)
-    if "events" in parts:
-        _merge_events(target, snapshot, worker)
-    if "spans" in parts:
-        _merge_spans(target, snapshot, worker, stitch or {})
 
 
 class TelemetryDeltaTracker:
@@ -95,12 +54,7 @@ class TelemetryDeltaTracker:
     not increments.  Applying deltas is therefore assignment, not
     addition: repeated application is idempotent, and the accumulated
     worker view at the edge is bit-for-bit the worker's own registry
-    state, so a fleet view rebuilt from deltas equals the end-of-run
-    capture merge *exactly* (same merge code, same float operations,
-    same order).  Spans are deliberately excluded: a span open in one
-    delta and closed in the next cannot be patched incrementally, so
-    they ship once, at capture time, via
-    ``merge_snapshot(..., parts=("spans",))``.
+    state.
     """
 
     def __init__(self) -> None:
@@ -145,13 +99,9 @@ class DeltaAccumulator:
     """Edge-side absolute view of one worker, built from deltas.
 
     :meth:`apply` folds a :class:`TelemetryDeltaTracker` delta in by
-    assignment (idempotent); :meth:`snapshot` re-emits the accumulated
-    state in :data:`SNAPSHOT_FORMAT` so the ordinary
-    :func:`merge_snapshot` path can fold it into a fleet view.  Metric
-    order is preserved as first-shipped order, which matches the worker
-    registry's creation order — the same iteration order
-    :func:`snapshot_telemetry` produces, keeping the live merge
-    bit-identical to the capture merge.
+    assignment.  A metric ships first in the delta after it is created,
+    so the records keep the worker registry's creation order, and the
+    events are the worker's, in order.
     """
 
     def __init__(self) -> None:
@@ -159,79 +109,70 @@ class DeltaAccumulator:
         self.gauges: Dict[str, Dict[str, object]] = {}
         self.histograms: Dict[str, Dict[str, object]] = {}
         self.events: List[Dict[str, object]] = []
-        self.deltas_applied = 0
 
-    def apply(self, delta: Dict[str, object]) -> None:
-        if delta.get("format") != DELTA_FORMAT:
-            raise ConfigurationError(
-                f"telemetry delta has format {delta.get('format')!r}; "
-                f"expected {DELTA_FORMAT!r}"
-            )
-        for record in delta.get("counters", ()):  # type: ignore[union-attr]
-            self.counters[str(record["name"])] = dict(record)
-        for record in delta.get("gauges", ()):  # type: ignore[union-attr]
-            self.gauges[str(record["name"])] = dict(record)
-        for record in delta.get("histograms", ()):  # type: ignore[union-attr]
-            self.histograms[str(record["name"])] = dict(record)
-        self.events.extend(dict(e) for e in delta.get("events", ()))  # type: ignore[union-attr]
-        self.deltas_applied += 1
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "meta": {},
-            "ticks": [],
-            "events": list(self.events),
-            "spans": [],
-            "counters": list(self.counters.values()),
-            "gauges": list(self.gauges.values()),
-            "histograms": list(self.histograms.values()),
-        }
+    def apply(self, delta: object) -> None:
+        """Fold one delta in; ``ValueError``, with this view untouched,
+        unless ``delta`` is a :data:`DELTA_FORMAT` document of record lists."""
+        if not isinstance(delta, dict) or delta.get("format") != DELTA_FORMAT:
+            raise ValueError(f"telemetry delta is not a {DELTA_FORMAT!r} document")
+        try:
+            families = [
+                {str(record["name"]): dict(record) for record in delta[family]}
+                for family in ("counters", "gauges", "histograms")
+            ]
+            events = [dict(event) for event in delta["events"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed telemetry delta: {exc!r}") from exc
+        for view, records in zip((self.counters, self.gauges, self.histograms), families):
+            view.update(records)
+        self.events.extend(events)
 
 
-def copy_telemetry_into(target: Telemetry, source: Telemetry) -> None:
-    """Verbatim copy of ``source`` metrics/meta/events into ``target``.
+def copy_telemetry_into(target: MetricsRegistry, source: MetricsRegistry) -> None:
+    """Verbatim copy of the ``source`` metrics into ``target``.
 
-    Unlike :func:`merge_snapshot` this does *not* re-label gauges or tag
-    events with a worker — it seeds a fleet view with the edge's own
-    state, exactly as that state sits in the edge registry before worker
-    snapshots are folded on top.
+    Unlike :func:`fold_view` this does *not* re-label gauges — it seeds
+    a fleet registry with the edge's own state, exactly as that state
+    sits in the edge registry before the worker views are folded on top.
     """
-    for name, counter in source.metrics.counters().items():
+    for name, counter in source.counters().items():
         target.counter(name).value = counter.value
-    for name, gauge in source.metrics.gauges().items():
+    for name, gauge in source.gauges().items():
         copy = target.gauge(name)
         copy.value = gauge.value
         copy.updates = gauge.updates
-    for name, histogram in source.metrics.histograms().items():
+    for name, histogram in source.histograms().items():
         copy = target.histogram(name, histogram.buckets)
         copy.counts = list(histogram.counts)
         copy.total = histogram.total
         copy.count = histogram.count
-    target.timeline.meta.update(source.timeline.meta)
-    target.timeline.events.extend(dict(e) for e in source.timeline.events)
 
 
 def build_fleet_view(
-    own: Telemetry, views: "Dict[int, DeltaAccumulator]"
-) -> Telemetry:
-    """The live fleet-wide telemetry: edge state + every worker view.
-
-    Rebuilt from scratch each refresh so the result is exactly what the
-    end-of-run capture merge produces for metrics and events: the edge's
-    registry first (identity copy), then each worker's absolute state
-    folded in worker order with the same :func:`merge_snapshot` code.
-    """
-    fleet = Telemetry()
+    own: MetricsRegistry, views: Dict[int, DeltaAccumulator]
+) -> MetricsRegistry:
+    """The live fleet-wide registry: the edge's own metrics, then each
+    worker view folded on in ``views`` order — the metrics
+    :func:`fold_view` leaves in the edge handle at the end of the run."""
+    fleet = MetricsRegistry()
     copy_telemetry_into(fleet, own)
-    for worker_id in views:
-        merge_snapshot(
-            fleet,
-            views[worker_id].snapshot(),
-            worker=worker_id,
-            parts=("metrics", "events"),
-        )
+    for worker_id, view in views.items():
+        _fold_metrics(fleet, view, worker_id)
     return fleet
+
+
+def fold_view(target: Telemetry, view: DeltaAccumulator, *, worker: int) -> None:
+    """Fold one worker view's metrics and events into the edge handle
+    (see module doc)."""
+    _fold_metrics(target.metrics, view, worker)
+    for record in view.events:
+        fields = {
+            key: value
+            for key, value in record.items()
+            if key not in ("kind", "type", "t")
+        }
+        fields["worker"] = worker
+        target.event(str(record["type"]), float(record["t"]), **fields)
 
 
 def _worker_labeled(name: str, worker: int) -> str:
@@ -241,22 +182,19 @@ def _worker_labeled(name: str, worker: int) -> str:
     return labeled(base, **labels)
 
 
-def _merge_metrics(
-    target: Telemetry, snapshot: Dict[str, object], worker: int
-) -> None:
-    for record in snapshot.get("counters", ()):  # type: ignore[union-attr]
+def _fold_metrics(target: MetricsRegistry, view: DeltaAccumulator, worker: int) -> None:
+    for record in view.counters.values():
         target.counter(str(record["name"])).inc(float(record["value"]))
-    for record in snapshot.get("gauges", ()):  # type: ignore[union-attr]
+    for record in view.gauges.values():
         gauge = target.gauge(_worker_labeled(str(record["name"]), worker))
         gauge.set(float(record["value"]))
         # One worker-side set is one set here; keep the update count
         # honest rather than claiming a single write.
         gauge.updates += int(record.get("updates", 1)) - 1
-    for record in snapshot.get("histograms", ()):  # type: ignore[union-attr]
-        histogram = target.histogram(
-            str(record["name"]), tuple(float(b) for b in record["buckets"])
-        )
-        if list(histogram.buckets) != [float(b) for b in record["buckets"]]:
+    for record in view.histograms.values():
+        buckets = [float(b) for b in record["buckets"]]
+        histogram = target.histogram(str(record["name"]), tuple(buckets))
+        if list(histogram.buckets) != buckets:
             raise ConfigurationError(
                 f"histogram {record['name']!r} bucket layout differs "
                 "between edge and worker; cannot merge"
@@ -269,29 +207,18 @@ def _merge_metrics(
         histogram.count += int(record["count"])
 
 
-def _merge_events(
-    target: Telemetry, snapshot: Dict[str, object], worker: int
-) -> None:
-    for record in snapshot.get("events", ()):  # type: ignore[union-attr]
-        fields = {
-            key: value
-            for key, value in record.items()
-            if key not in ("kind", "type", "t")
-        }
-        fields["worker"] = worker
-        target.event(str(record["type"]), float(record["t"]), **fields)
-
-
-def _merge_spans(
+def merge_spans(
     target: Telemetry,
-    snapshot: Dict[str, object],
+    spans: List[Dict[str, object]],
+    *,
     worker: int,
     stitch: Dict[int, Span],
 ) -> None:
+    """Append one worker's span records to the edge tracer (see module doc)."""
     tracer = target.tracer
     id_map: Dict[int, int] = {}
     depth_offsets: Dict[int, int] = {}
-    for record in snapshot.get("spans", ()):  # type: ignore[union-attr]
+    for record in spans:
         old_id = int(record["id"])
         new_id = tracer._next_id
         tracer._next_id += 1

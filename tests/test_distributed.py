@@ -7,6 +7,7 @@ wire protocol with no process scheduling in the loop — and a few spawn
 real worker processes over pipes/TCP to cover the serialization path.
 """
 
+import copy
 import errno
 import json
 import os
@@ -39,6 +40,7 @@ from repro.serve.transport import (
 )
 from repro.serve.worker import STEP_DTYPES, STEP_REPLY_COLUMNS
 from repro.telemetry import Telemetry
+from repro.telemetry.metrics import labeled, split_labels
 from repro.telemetry.slo import SLOConfig
 
 
@@ -304,13 +306,18 @@ class TestDistributedSession:
             lambda reply: {k: v for k, v in reply.items() if k != "accepted"},
             lambda reply: {**reply, "accepted": reply["accepted"][:-1]},
             lambda reply: {**reply, "accepted": np.zeros_like(reply["accepted"])},
+            lambda reply: {k: v for k, v in reply.items() if k != "delta"},
+            lambda reply: {**reply, "delta": [reply["delta"]]},
+            lambda reply: {**reply, "delta": {**reply["delta"], "format": "bogus/1"}},
+            lambda reply: {**reply, "delta": {**reply["delta"], "events": 7}},
         ],
         ids=[
             "refused", "ad-field-missing", "ad-not-a-number", "ad-not-finite",
             "ad-of-another-worker", "column-missing", "column-ragged", "fewer-rows-than-posted",
             "column-of-another-dtype", "column-not-an-array", "reason-past-REASONS",
             "negative-reason", "accepted-missing", "accepted-ragged",
-            "accepted-zeros-are-not-the-non-200-rows",
+            "accepted-zeros-are-not-the-non-200-rows", "delta-missing", "delta-not-a-dict",
+            "delta-of-another-format", "delta-events-not-a-list",
         ],
     )
     def test_refused_step_frame_fails_the_batch_closed(self, tamper):
@@ -319,7 +326,10 @@ class TestDistributedSession:
         batch ends as 500s instead of vanishing or raising out of
         ``tick()``, and the fleet carries on."""
         telemetry = Telemetry()
-        with make_session(1, rate=50.0, telemetry=telemetry) as session:
+        arrivals = poisson_arrivals(50.0, 40.0, seed=3)
+        with DistributedServeSession(
+            specs(1, collect_telemetry=True), arrivals, mode="inproc", telemetry=telemetry
+        ) as session:
             before = session.run(2.0).accepted
             server = session.workers[0].server
             handle = server.handle
@@ -327,10 +337,13 @@ class TestDistributedSession:
                 tamper(handle(message)) if message.get("cmd") == "step" else handle(message)
             )
             advertised = dict(session.engine.advertised)
+            view = copy.deepcopy(vars(session.engine._views[0]))
             report = session.run(1.0)
             lost = report.errored
             assert lost > 0 and report.conserved and report.accepted == before
-            assert session.engine.advertised == advertised  # nothing of the reply was used
+            # Nothing of the reply was used.
+            assert session.engine.advertised == advertised
+            assert vars(session.engine._views[0]) == view
             assert telemetry.counter("edge.worker_batch_failures").value == 1
             assert [e["lost"] for e in telemetry.timeline.events_of("worker_down")] == [lost]
             server.handle = handle
@@ -340,9 +353,9 @@ class TestDistributedSession:
 
     def test_start_refuses_a_worker_on_another_protocol_version(self, monkeypatch):
         """The version check runs on ``hello``, before any ``step`` — a
-        v2 peer would answer ``step`` without the ``accepted`` column."""
-        assert PROTOCOL_VERSION == 3
-        for theirs in (2, PROTOCOL_VERSION + 1):
+        v3 peer would answer ``step`` without the telemetry ``delta``."""
+        assert PROTOCOL_VERSION == 4
+        for theirs in (3, PROTOCOL_VERSION + 1):
             monkeypatch.setattr("repro.serve.worker.PROTOCOL_VERSION", theirs)
             session = make_session(1)
             with pytest.raises(TransportError) as refused:
@@ -378,40 +391,67 @@ class TestDistributedSession:
 # Real processes (report equality across transports lives in
 # tests/test_front_ends.py::test_process_boundary_changes_nothing)
 # ----------------------------------------------------------------------
+def fleet_sum(own, workers):
+    """``own`` metric records plus every worker registry's, by the fold's
+    rules, written out: counters and histograms add (in worker order),
+    gauges keep the worker's value under a ``worker`` label."""
+    merged = {(r["kind"], r["name"]): dict(r) for r in own}
+    for worker_id, registry in enumerate(workers):
+        for record in registry.records():
+            kind, name = record["kind"], record["name"]
+            have = merged.get((kind, name))
+            if kind == "gauge":
+                base, pairs = split_labels(name)
+                name = labeled(base, **dict(pairs), worker=worker_id)
+                merged[kind, name] = {**record, "name": name}
+            elif have is None:
+                merged[kind, name] = dict(record)
+            elif kind == "counter":
+                have["value"] += record["value"]
+            else:
+                have["counts"] = [a + b for a, b in zip(have["counts"], record["counts"])]
+                have["total"] += record["total"]
+                have["count"] += record["count"]
+    return [merged[key] for key in sorted(merged)]  # records() order: kind, then name
+
+
 @pytest.mark.timeout(300)
 class TestProcessBoundary:
-    @pytest.mark.parametrize("mode", ["pipe", "tcp"])
-    def test_streaming_fleet_view_matches_capture_across_processes(self, mode):
-        """The live delta view equals the capture merge with real worker
-        processes on both transports, not just the inproc fast path."""
+    @staticmethod
+    def _collected(mode):
+        """After a run of two reactive workers that keep telemetry: the
+        edge handle after ``collect_telemetry``, the edge's own metric
+        records and events just before it and, inproc, the workers'
+        telemetry."""
         telemetry = Telemetry()
-        arrivals = poisson_arrivals(150.0, 15.0, seed=5)
+        arrivals = poisson_arrivals(400.0, 20.0, seed=5)
         with DistributedServeSession(
-            specs(2, collect_telemetry=True),
-            arrivals,
-            mode=mode,
-            seed=5,
-            telemetry=telemetry,
-            telemetry_every_ticks=5,
+            specs(2, collect_telemetry=True, control="reactive", slot_seconds=5.0),
+            arrivals, mode=mode, seed=5, telemetry=telemetry,
         ) as session:
-            session.run(15.0)
-            live = session.engine.refresh_fleet_view()
-            assert live is not None
-            live_counters = {
-                n: c.value for n, c in live.metrics.counters().items()
-            }
-            live_hists = {
-                n: (list(h.counts), h.total, h.count)
-                for n, h in live.metrics.histograms().items()
-            }
+            session.run(20.0)
+            own = telemetry.metrics.records(), list(telemetry.timeline.events)
             session.collect_telemetry()
-        assert live_counters == {
-            n: c.value for n, c in telemetry.metrics.counters().items()
-        }
-        assert live_hists == {
-            n: (list(h.counts), h.total, h.count)
-            for n, h in telemetry.metrics.histograms().items()
-        }
+            workers = [handle.server.telemetry for handle in session.workers if handle.server]
+        return telemetry, own, workers
+
+    @pytest.mark.parametrize("mode", ["inproc", "pipe", "tcp"])
+    def test_collected_registry_is_edge_plus_workers(self, mode):
+        """What ``collect_telemetry`` leaves in the edge handle is the
+        edge's own registry plus each worker's, read in-process; real
+        worker processes on either transport leave the same."""
+        telemetry, (own, own_events), workers = self._collected("inproc")
+        assert telemetry.metrics.records() == fleet_sum(own, [w.metrics for w in workers])
+        worker_events = [
+            {**event, "worker": worker_id}
+            for worker_id, tel in enumerate(workers)
+            for event in tel.timeline.events
+        ]
+        assert worker_events and telemetry.timeline.events == own_events + worker_events
+        if mode != "inproc":
+            across, *_ = self._collected(mode)
+            assert across.metrics.records() == telemetry.metrics.records()
+            assert across.timeline.events == telemetry.timeline.events
 
 
 # ----------------------------------------------------------------------
@@ -477,8 +517,7 @@ class TestTraceStitching:
 # Streaming telemetry deltas: the live fleet view
 # ----------------------------------------------------------------------
 class TestStreamingTelemetry:
-    def _metric_state(self, telemetry):
-        metrics = telemetry.metrics
+    def _metric_state(self, metrics):
         return (
             {n: c.value for n, c in metrics.counters().items()},
             {n: g.value for n, g in metrics.gauges().items()},
@@ -488,37 +527,29 @@ class TestStreamingTelemetry:
             },
         )
 
-    def _streaming_session(self, telemetry, mode="inproc", duration=20.0):
-        arrivals = poisson_arrivals(150.0, duration, seed=3)
+    def _streaming_session(self, telemetry, collect_telemetry=True, **kwargs):
+        arrivals = poisson_arrivals(150.0, 20.0, seed=3)
         return DistributedServeSession(
-            specs(2, collect_telemetry=True),
+            specs(2, collect_telemetry=collect_telemetry),
             arrivals,
-            mode=mode,
+            mode="inproc",
             seed=3,
             telemetry=telemetry,
-            telemetry_every_ticks=5,
+            **kwargs,
         )
 
-    def test_streaming_requires_edge_telemetry(self):
-        with pytest.raises(ConfigurationError, match="telemetry"):
-            make_session(telemetry_every_ticks=5)
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            make_session(telemetry=Telemetry(), telemetry_every_ticks=-1)
-
     def test_live_fleet_view_matches_capture_merge(self):
-        """The delta-built fleet view equals the end-of-run capture
-        merge exactly — same counter floats, same histogram counts."""
+        """The live fleet registry after the last tick holds exactly what
+        ``collect_telemetry`` then folds into the edge handle — same
+        counter floats, same histogram counts — and the edge handle is
+        the live registry from then on."""
         telemetry = Telemetry()
         with self._streaming_session(telemetry) as session:
             session.run(20.0)
-            live = session.engine.refresh_fleet_view()
-            assert live is not None
-            assert all(
-                v.deltas_applied > 0 for v in session.engine._delta_views.values()
-            )
-            live_state = self._metric_state(live)
+            live_state = self._metric_state(session.engine.live_metrics)
             session.collect_telemetry()
-        assert live_state == self._metric_state(telemetry)
+            assert session.engine.live_metrics is telemetry.metrics
+        assert live_state == self._metric_state(telemetry.metrics)
         # Counters merged unlabelled, gauges split per worker.
         assert telemetry.metrics.counter("serve.admitted").value > 0
         gauges = telemetry.metrics.gauges()
@@ -526,65 +557,47 @@ class TestStreamingTelemetry:
         assert 'serve.machines{worker="1"}' in gauges
 
     def test_streaming_capture_equals_nonstreaming_capture(self):
-        """Delta streaming must not change what the run reports: the
-        final merged registry matches a capture-only run of the same
-        workload, and so does the report."""
+        """Workers shipping a delta on every reply must not change what
+        the run reports, nor what the edge records itself."""
 
-        def once(every):
+        def once(collect_telemetry):
             telemetry = Telemetry()
-            arrivals = poisson_arrivals(150.0, 20.0, seed=3)
-            with DistributedServeSession(
-                specs(2, collect_telemetry=True),
-                arrivals,
-                mode="inproc",
-                seed=3,
-                telemetry=telemetry,
-                telemetry_every_ticks=every,
-            ) as session:
+            with self._streaming_session(telemetry, collect_telemetry) as session:
                 report = session.run(20.0)
-                session.collect_telemetry()
-            return report, self._metric_state(telemetry)
+                own = telemetry.metrics.records()
+            return report, own
 
-        streamed_report, streamed = once(5)
-        captured_report, captured = once(0)
-        assert streamed_report.summary() == captured_report.summary()
-        assert streamed == captured
+        streamed_report, streamed = once(True)
+        quiet_report, quiet = once(False)
+        assert streamed_report.summary() == quiet_report.summary()
+        assert streamed == quiet
 
     def test_fleet_view_mid_run_is_partial_but_consistent(self):
         telemetry = Telemetry()
         with self._streaming_session(telemetry) as session:
-            session.run(20.0)
-            view = session.engine.fleet_view
-            # The fleet tick refreshed the view on the delta cadence.
-            assert view is not None
-            admitted = view.metrics.counter("serve.admitted").value
-            assert admitted > 0
+            session.run(10.0)
+            fleet = session.engine
+            view = fleet.live_metrics
+            assert fleet.live_metrics is view  # built once a tick at most
+            admitted = view.counter("serve.admitted").value
+            assert admitted > 0 and "serve.admitted" not in telemetry.metrics.counters()
+            session.run(10.0)
+            assert fleet.live_metrics is not view
+            assert fleet.live_metrics.counter("serve.admitted").value > admitted
             session.collect_telemetry()
-            # Final merge supersedes the live view.
-            assert session.engine.fleet_view is None
-        assert telemetry.metrics.counter("serve.admitted").value >= admitted
+        assert telemetry.metrics.counter("serve.admitted").value > admitted
 
     def test_timeseries_store_samples_fleet_view(self):
         from repro.telemetry import TimeSeriesStore
 
-        telemetry = Telemetry()
         store = TimeSeriesStore()
-        arrivals = poisson_arrivals(150.0, 20.0, seed=3)
-        with DistributedServeSession(
-            specs(2, collect_telemetry=True),
-            arrivals,
-            mode="inproc",
-            seed=3,
-            telemetry=telemetry,
-            telemetry_every_ticks=5,
-            timeseries=store,
-        ) as session:
+        with self._streaming_session(Telemetry(), timeseries=store) as session:
             session.run(20.0)
             session.collect_telemetry()
-        assert store.samples_taken > 0
-        assert store.query("serve.admitted")
-        # Worker-labelled gauges reach the store via the fleet view.
-        assert any("worker=" in name for name in store.names())
+        assert store.samples_taken == 20
+        assert len(store.query("serve.admitted")) == 20  # from the first tick on
+        # Worker-labelled gauges reach the store via the fleet registry.
+        assert len(store.query('serve.machines{worker="1"}')) == 20
 
     def test_timeseries_requires_edge_telemetry(self):
         from repro.telemetry import TimeSeriesStore
@@ -726,13 +739,17 @@ class TestSoak:
         assert not any(handle.alive for handle in session.workers), "workers reaped on exit"
 
     def test_build_session_wires_streaming_and_timeseries(self, built, capsys):
-        assert main(FLEET + ["--telemetry-every", "5", "--timeseries"]) == 0
+        assert main(FLEET + ["--timeseries"]) == 0
         (session,) = built
         assert all(handle.spec.collect_telemetry for handle in session.workers)
         assert session.engine.telemetry is not None
-        assert session.engine.telemetry_every_ticks == 5
         assert session.timeseries is not None and session.timeseries.samples_taken == 20
+        assert 'serve.machines{worker="0"}' in session.timeseries.names()
 
-    def test_streaming_soak_config_validation(self, capsys):
-        assert main(FLEET + ["--telemetry-every", "-1"]) == 2
-        assert "telemetry_every_ticks must be >= 0" in capsys.readouterr().err
+    def test_workers_keep_telemetry_behind_http(self, built, capsys):
+        """``/metrics`` and ``/view`` read the fleet registry, so behind
+        HTTP every worker keeps one, with no flag asking for it."""
+        assert main([arg for arg in FLEET if arg != "--no-http"] + ["--port", "0"]) == 0
+        (session,) = built
+        assert all(handle.spec.collect_telemetry for handle in session.workers)
+        assert session.engine.telemetry.counter("serve.ticks").value == 2 * 20

@@ -267,6 +267,19 @@ def test_http_pacer_equals_session_run(front_end, scenario):
     assert served(front_end, scenario, http=True) == served(front_end, scenario)
 
 
+def test_healthz_status_is_the_same_on_every_front_end():
+    """The SLO alert firing at the end of the ``slo`` run degrades
+    ``healthz()`` on a fleet as it does on an engine."""
+    statuses = []
+    for front_end in (ENGINE, FLEET_1, FLEET_2):
+        with closing(front_end.build("slo")) as session:
+            session.run(float(SECONDS))
+            health = session.engine.healthz()
+        assert health["slo"]["alerting"]
+        statuses.append(health["status"])
+    assert statuses == ["degraded"] * 3
+
+
 def test_scenarios_do_what_they_say():
     assert served(ENGINE, "steady")["rejected"] == 0
     assert served(ENGINE, "overload")["rejected"] > 0

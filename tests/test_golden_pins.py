@@ -29,8 +29,9 @@ where the fleet state lived on the session object itself):
 
 * ``fleet_bare`` — two inproc workers, no edge policy;
 * ``fleet_policy`` — three tenants of unequal weight with one quota,
-  an edge queue limit, low-priority tagging, brownout, SLOs, telemetry
-  with delta streaming and a time-series store; one worker's transport
+  an edge queue limit, low-priority tagging, brownout, SLOs, worker
+  telemetry (a delta on every reply) and a time-series store sampling
+  the fleet registry; one worker's transport
   breaks mid-tick (its routed batch dies as 500s), its breaker opens,
   the edge reroutes and browns out;
 * ``fleet_traced`` — request tracing on both sides of the wire, with
@@ -360,7 +361,6 @@ def fleet_policy_session():
         tenancy=TenantAdmission(registry),
         tenant_indices=indices,
         tenant_names=registry.names(),
-        telemetry_every_ticks=4,
         timeseries=TimeSeriesStore(),
     )
     return session, [(20, _break_transport_mid_tick), (44, None)]
@@ -389,13 +389,15 @@ FLEET_SCENARIOS = {
 }
 
 #: sha256 per fleet scenario, taken on 60750f7 — except ``fleet_policy``,
-#: re-pinned by PR 24: an edge that owns tenancy now emits the
-#: ``serve.tenant.*{tenant=...}`` counters an engine does, which adds nine
-#: metric records and their time-series and changes nothing else (was
-#: ``fe9c377b6016...``).
+#: re-pinned twice: once when an edge that owns tenancy began to emit the
+#: ``serve.tenant.*{tenant=...}`` counters an engine does (nine metric
+#: records and their time-series; was ``fe9c377b6016...``), and once when
+#: the time-series store began to sample a fleet registry fresh every
+#: tick, not one refreshed every fourth tick (only ``timeseries`` moved;
+#: was ``885d3a7e3757...``; the document diff is in CHANGES.md).
 FLEET_PINS = {
     "fleet_bare": "51d067a0b4e8f913cbd5d4e82a3e1783bbe021b103c84d41387b4e32e845df2c",
-    "fleet_policy": "885d3a7e3757ae559611ed4d920cb31ba5cb730f3ddc63e456f78130ba32ae56",
+    "fleet_policy": "4e42cb3c243217e6e3267b9e0e9c98272370f18b79268639884cd762ece8692e",
     "fleet_traced": "a75b7bce2f56f84803a318f66a3f5932943ad52984bd479495285e0ae0d26f19",
 }
 
@@ -590,7 +592,8 @@ def test_fleet_scenarios_exercise_the_paths_they_claim():
     # ... and the edge queue limit, on top of what the workers shed themselves.
     assert fleet.admission.rejected > report.brownout_shed + fleet.tenancy.quota_shed["capped"]
     assert fleet.admission.accepted > 0
-    assert fleet.fleet_view is not None and session.timeseries.samples_taken == 64
+    assert session.timeseries.samples_taken == 64
+    assert 'serve.machines{worker="1"}' in session.timeseries.names()  # the workers' views
     assert report.conserved and report.tenants_consistent()
 
     traced, legs = fleet_traced_session()

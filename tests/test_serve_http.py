@@ -537,8 +537,9 @@ class TestOperatorView:
         assert list(picked) == ["serve.admitted"]
 
     def test_fleet_view_and_metrics_read_the_fleet_registry(self):
-        """Over a fleet streaming deltas the view and ``/metrics`` both read
-        the fleet view, so worker counters such as ``serve.ticks`` show."""
+        """Over a fleet whose workers keep telemetry the view and
+        ``/metrics`` both read the fleet registry, so worker counters such
+        as ``serve.ticks`` show."""
         from repro.serve import DistributedServeSession, WorkerSpec
         from repro.telemetry import TimeSeriesStore
         from repro.tenancy import TenantAdmission, composite_arrivals
@@ -551,7 +552,7 @@ class TestOperatorView:
             for i in range(2)
         ]
         with DistributedServeSession(
-            specs, arrivals, mode="inproc", telemetry=Telemetry(), telemetry_every_ticks=2,
+            specs, arrivals, mode="inproc", telemetry=Telemetry(),
             tenancy=TenantAdmission(registry), tenant_indices=indices,
             tenant_names=registry.names(), timeseries=TimeSeriesStore(),
         ) as session:
