@@ -17,7 +17,7 @@ Without the proprietary data we generate equivalent streams:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -148,16 +148,6 @@ class B2WWorkloadGenerator:
         for sku in skus:
             ops.append(Transaction("PurchaseStock", sku, {"quantity": 1}))
         return ops
-
-    def transactions(self, count: int) -> Iterator[Transaction]:
-        """An endless stream of transactions, ``count`` at a time."""
-        emitted = 0
-        while emitted < count:
-            for txn in self.session():
-                yield txn
-                emitted += 1
-                if emitted >= count:
-                    return
 
     # ------------------------------------------------------------------
     # Uniformity analysis (Section 8.1)

@@ -24,6 +24,7 @@ from repro.core.params import SystemParameters
 from repro.core.planner import Planner
 from repro.core.schedule import build_move_schedule
 from repro.engine.simulator import EngineConfig, EngineSimulator, SkewEvent
+from repro.errors import ConfigurationError
 from repro.parallel import parallel_map
 from repro.prediction.spar import SPARPredictor
 from repro.workloads.b2w import generate_b2w_trace
@@ -254,11 +255,8 @@ def time_kernel(fn: Callable[[], None], repeats: int) -> Tuple[int, List[int]]:
     return int(statistics.median(samples)), samples
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Time the hot kernels and write a BENCH_<date>.json baseline.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The benchmark's flags, shared by ``repro-bench`` and ``repro bench``."""
     parser.add_argument(
         "--repeats", type=int, default=None,
         help="samples per kernel (default: per-kernel counts, see "
@@ -336,11 +334,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=25,
         help="rows of pstats output to print with --profile (default 25)",
     )
-    args = parser.parse_args(argv)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro-bench",
+        description="Time the hot kernels and write a BENCH_<date>.json baseline.",
+    )
+    add_arguments(parser)
+    try:
+        return run(parser.parse_args(argv))
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the benchmark for parsed :func:`add_arguments` flags."""
     if args.tolerance <= 0:
-        parser.error("--tolerance must be positive")
+        raise ConfigurationError("--tolerance must be positive")
     if args.overhead_budget <= 1.0:
-        parser.error("--overhead-budget must be > 1.0")
+        raise ConfigurationError("--overhead-budget must be > 1.0")
     if args.trend:
         print(render_trend(args.output_dir))
         return 0

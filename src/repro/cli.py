@@ -195,36 +195,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the kernel benchmarks under the same scoped defaults as
     ``run`` — ``repro.cli bench --quick --faults ... --telemetry ...``
     composes without mutating process-wide state."""
-    from repro.bench import main as bench_main
+    from repro.bench import run as run_bench
 
-    bench_argv: List[str] = []
-    if args.quick:
-        bench_argv.append("--quick")
-    if args.repeats is not None:
-        bench_argv.extend(["--repeats", str(args.repeats)])
-    for name in args.only or ():
-        bench_argv.extend(["--only", name])
-    if args.output_dir is not None:
-        bench_argv.extend(["--output-dir", args.output_dir])
-    if args.output is not None:
-        bench_argv.extend(["--output", args.output])
-    if args.compare is not None:
-        bench_argv.extend(["--compare", args.compare])
-        bench_argv.extend(["--tolerance", str(args.tolerance)])
-    if args.trend:
-        bench_argv.append("--trend")
-    if args.overhead_gate:
-        bench_argv.append("--overhead-gate")
-    if args.profile is not None:
-        bench_argv.extend(["--profile", args.profile])
-        bench_argv.extend(["--profile-lines", str(args.profile_lines)])
     with _session(
         args.faults,
         args.telemetry,
         bundle_dir=args.debug_bundle,
         bundle_config=_args_config(args),
     ):
-        return bench_main(bench_argv)
+        return run_bench(args)
 
 
 def _parse_spar_spec(spec: Optional[str], interval_seconds: float) -> dict:
@@ -863,47 +842,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="decision-detail blocks to render (most recent first)",
     )
 
+    from repro.bench import add_arguments as add_bench_arguments
+
     bench_parser = subparsers.add_parser(
         "bench", help="time the hot kernels (see docs/PERFORMANCE.md)"
     )
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="one sample per kernel, no baseline file")
-    bench_parser.add_argument("--repeats", type=int, default=None)
-    bench_parser.add_argument("--only", action="append", default=None)
-    bench_parser.add_argument("--output-dir", default=None)
-    bench_parser.add_argument(
-        "--output", default=None,
-        help="write results JSON to this exact path (works with --quick)",
-    )
-    bench_parser.add_argument(
-        "--compare", metavar="BASELINE", default=None,
-        help="compare medians against a committed BENCH_*.json; exit 1 "
-             "on regression beyond --tolerance",
-    )
-    bench_parser.add_argument(
-        "--tolerance", type=float, default=1.5,
-        help="allowed median slowdown factor vs the baseline (default 1.5)",
-    )
-    bench_parser.add_argument(
-        "--trend", action="store_true",
-        help="render a per-kernel median trend table across all committed "
-             "BENCH_*.json baselines (no timing run)",
-    )
-    bench_parser.add_argument(
-        "--overhead-gate", action="store_true",
-        help="fail if the fully instrumented serve session exceeds the "
-             "bare one by more than the telemetry overhead budget "
-             "(see docs/PERFORMANCE.md)",
-    )
-    bench_parser.add_argument(
-        "--profile", metavar="KERNEL", default=None,
-        help="profile one kernel with cProfile and print the hottest "
-             "functions (no timing run)",
-    )
-    bench_parser.add_argument(
-        "--profile-lines", type=int, default=25,
-        help="rows of pstats output with --profile (default 25)",
-    )
+    add_bench_arguments(bench_parser)
     _add_session_flags(bench_parser)
 
     _add_serve_flags(

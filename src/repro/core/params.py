@@ -25,7 +25,7 @@ the B2W workload on H-Store with 6 partitions per node: saturation at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -117,26 +117,6 @@ class SystemParameters:
             q_max=saturation_rate * q_max_fraction,
             **kwargs,  # type: ignore[arg-type]
         )
-
-    def with_q_fraction(self, fraction: float, saturation_rate: float = PAPER_SATURATION_RATE) -> "SystemParameters":
-        """Return a copy with ``Q`` set to ``fraction`` of the saturation rate.
-
-        Used by the Figure 12 experiment, which sweeps Q to trade off cost
-        against the risk of insufficient capacity.
-        """
-        if not 0 < fraction <= 1:
-            raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-        new_q = saturation_rate * fraction
-        return replace(self, q=min(new_q, self.q_max))
-
-    @property
-    def migration_rate_kbps(self) -> float:
-        """Single-thread migration rate ``R`` implied by D and the DB size.
-
-        The paper defines ``R`` as the rate at which data must move so the
-        whole database migrates in time ``D`` (244 kB/s in Section 8.1).
-        """
-        return PAPER_DB_SIZE_KB / self.d_seconds
 
     def machines_for_load(self, load: float) -> int:
         """Minimum machines whose target capacity covers ``load`` txn/s."""

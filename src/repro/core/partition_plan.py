@@ -92,14 +92,6 @@ class PartitionPlan:
         total = self.num_buckets
         return {node: count / total for node, count in counts.items()}
 
-    def imbalance(self) -> float:
-        """Max relative deviation of any node's bucket count from the mean."""
-        counts = list(self.bucket_counts().values())
-        mean = sum(counts) / len(counts)
-        if mean == 0:
-            return 0.0
-        return max(abs(c - mean) for c in counts) / mean
-
     def as_tuple(self) -> Tuple[int, ...]:
         return self._assignment
 

@@ -162,11 +162,6 @@ class Planner:
         self._cost = self._tables.cost
 
     # ------------------------------------------------------------------
-    def move_duration(self, before: int, after: int) -> int:
-        """T(B, A) in intervals, clamped to >= 1 (a move lasts at least
-        one interval, per Algorithm 2 line 9)."""
-        return max(1, int(self._duration[before, after]))
-
     def move_cost(self, before: int, after: int) -> float:
         """C(B, A) in machine-intervals; ``B`` for the do-nothing move."""
         if before == after:

@@ -145,13 +145,6 @@ class MoveSchedule:
         total = sum(r.machines_allocated for r in self.rounds)
         return total / self.num_rounds
 
-    def all_transfers(self) -> List[Transfer]:
-        """All transfers in execution order."""
-        out: List[Transfer] = []
-        for rnd in self.rounds:
-            out.extend(rnd.transfers)
-        return out
-
     def as_table(self) -> str:
         """Render the schedule like Table 1 of the paper (1-based ids)."""
         lines = []

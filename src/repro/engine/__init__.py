@@ -20,7 +20,6 @@ from repro.engine.partitioning import (
 )
 from repro.engine.queueing import (
     LatencyComponents,
-    PartitionQueue,
     fluid_queue_step,
     latency_components,
     mixture_mean,
@@ -68,7 +67,6 @@ __all__ = [
     "MigrationStep",
     "Node",
     "Partition",
-    "PartitionQueue",
     "PartitionStats",
     "Procedure",
     "ProcedureRegistry",

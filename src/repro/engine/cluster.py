@@ -149,9 +149,6 @@ class Cluster:
     def bucket_of(self, key: Key) -> int:
         return self.partitioner.bucket_of(key)
 
-    def node_of_bucket(self, bucket: int) -> int:
-        return int(self._assignment[bucket])
-
     @property
     def plan(self) -> PartitionPlan:
         """The current :class:`PartitionPlan`, materialised lazily from
@@ -379,9 +376,6 @@ class Cluster:
 
     def total_rows(self) -> int:
         return sum(node.row_count() for node in self.nodes)
-
-    def total_data_kb(self) -> float:
-        return sum(node.data_kb() for node in self.nodes)
 
     # ------------------------------------------------------------------
     # Statistics (Section 8.1 uniformity analysis)

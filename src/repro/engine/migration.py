@@ -96,11 +96,6 @@ class MigrationConfig:
         """Partition pause per chunk."""
         return self.chunk_kb / self.extract_kbps
 
-    @property
-    def blocked_fraction(self) -> float:
-        """Long-run fraction of time a migrating partition is blocked."""
-        return min(self.chunk_block_s / self.chunk_period_s, 1.0)
-
 
 @dataclass
 class MigrationStep:
@@ -112,7 +107,6 @@ class MigrationStep:
     partition this step and ``block_weight[pid]`` the fraction of the
     step it spent blocked — exactly the arrays the simulator's latency
     model consumes, so the hot path does no per-step dict building.
-    ``blocked_partitions`` derives the legacy sparse mapping on demand.
     """
 
     active: bool
@@ -127,21 +121,6 @@ class MigrationStep:
         """True when any partition was chunk-blocked this step."""
         return self.block_seconds is not None
 
-    @property
-    def blocked_partitions(self) -> Dict[int, Tuple[float, float]]:
-        """Sparse view: global partition id → ``(block_seconds,
-        blocked_fraction)`` for partitions blocked this step."""
-        if self.block_seconds is None or self.block_weight is None:
-            return {}
-        ids = np.flatnonzero(self.block_seconds > 0)
-        return {
-            int(pid): (
-                float(self.block_seconds[pid]),
-                float(self.block_weight[pid]),
-            )
-            for pid in ids
-        }
-
 
 class Migration:
     """One in-flight reconfiguration of a cluster.
@@ -149,8 +128,7 @@ class Migration:
     Args:
         cluster: The cluster being reconfigured.
         target_nodes: Machine count after the move.
-        db_size_kb: Total database size (drives round durations; in a
-            full-fidelity run it can be ``cluster.total_data_kb()``).
+        db_size_kb: Total database size (drives round durations).
         config: Chunking and pacing parameters.
     """
 
@@ -338,11 +316,6 @@ class Migration:
     # ------------------------------------------------------------------
     # Fault injection (see repro.faults and docs/ROBUSTNESS.md)
     # ------------------------------------------------------------------
-    @property
-    def paused(self) -> bool:
-        """True while a stall window or retry backoff suspends progress."""
-        return self._pause_remaining > 0.0
-
     def inject_transfer_failure(self) -> float:
         """One in-flight chunk is lost; schedule its retry.
 

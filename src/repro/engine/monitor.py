@@ -64,22 +64,9 @@ class LoadMonitor:
         return closed
 
     # ------------------------------------------------------------------
-    @property
-    def num_live_slots(self) -> int:
-        """Closed slots measured live (excluding seeded history)."""
-        return len(self._closed) - self._seed_len
-
     def history(self) -> np.ndarray:
         """All closed slots (seed + live), oldest first."""
         return np.asarray(self._closed, dtype=np.float64)
 
     def last(self, n: int) -> np.ndarray:
         return self.history()[-n:]
-
-    def current_rate(self) -> float:
-        """Rate within the (possibly partial) current slot, per second."""
-        if self._current_elapsed <= 0:
-            if self._closed:
-                return self._closed[-1] / self.slot_seconds
-            return 0.0
-        return self._current / self._current_elapsed

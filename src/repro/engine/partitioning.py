@@ -70,25 +70,3 @@ class RangePartitioner(Partitioner):
 
     def bucket_of(self, key: Key) -> int:
         return bisect.bisect_right(self._boundaries, key_bytes(key))
-
-    @classmethod
-    def from_sample(
-        cls, keys: Sequence[Key], num_buckets: int
-    ) -> "RangePartitioner":
-        """Build equi-depth ranges from a sample of keys.
-
-        Boundaries are chosen so the sample spreads evenly — the standard
-        way a range-partitioned system is initially loaded.
-        """
-        if not keys:
-            raise ConfigurationError("need a non-empty key sample")
-        ordered = sorted(set(key_bytes(k) for k in keys))
-        if len(ordered) < num_buckets:
-            raise ConfigurationError(
-                f"sample has {len(ordered)} distinct keys; need >= {num_buckets}"
-            )
-        boundaries = [
-            ordered[(i * len(ordered)) // num_buckets]
-            for i in range(1, num_buckets)
-        ]
-        return cls(num_buckets, boundaries)

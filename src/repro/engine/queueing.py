@@ -431,42 +431,3 @@ def mixture_mean(components: LatencyComponents) -> float:
     if len(w) == 0:
         return 0.0
     return float(w @ (d + 1.0 / r))
-
-
-class PartitionQueue:
-    """Scalar convenience wrapper over the vectorized queue model.
-
-    Useful in unit tests and in single-partition experiments like the
-    Figure 7 saturation sweep.
-    """
-
-    def __init__(self, service_rate: float, base_service_s: float = 0.005) -> None:
-        if service_rate <= 0:
-            raise ConfigurationError("service_rate must be positive")
-        self.service_rate = service_rate
-        self.base_service_s = base_service_s
-        self.backlog = 0.0
-
-    def step(
-        self,
-        offered: float,
-        dt: float = 1.0,
-        available_fraction: float = 1.0,
-        block_seconds: float = 0.0,
-    ) -> Tuple[float, np.ndarray]:
-        """Advance one step; returns ``(served, [p50, p95, p99])`` seconds."""
-        mu = np.array([self.service_rate * available_fraction])
-        offered_arr = np.array([offered])
-        backlog_arr = np.array([self.backlog])
-        components = latency_components(
-            backlog_arr,
-            offered_arr,
-            mu,
-            base_service_s=self.base_service_s,
-            block_seconds=np.array([block_seconds]),
-            block_weight=np.array([block_seconds / dt if dt > 0 else 0.0]),
-        )
-        percentiles = mixture_quantiles(components, (0.50, 0.95, 0.99))
-        new_backlog, served = fluid_queue_step(backlog_arr, offered_arr, mu, dt)
-        self.backlog = float(new_backlog[0])
-        return float(served[0]), percentiles

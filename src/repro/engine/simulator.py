@@ -157,18 +157,6 @@ class RunResult:
         """Machine-seconds over the run (the Equation 1 cost, continuous)."""
         return float(self.machines.sum() * self.dt_seconds)
 
-    def top_percent_latencies(self, series: str = "p99", percent: float = 1.0) -> np.ndarray:
-        """The worst ``percent``% of per-step latencies (Figure 10),
-        sorted ascending.  Uses a partial sort: selecting the top 1% of a
-        260k-step run is O(n) instead of O(n log n)."""
-        values = {"p50": self.p50_ms, "p95": self.p95_ms, "p99": self.p99_ms}[series]
-        count = max(1, int(len(values) * percent / 100.0))
-        if count >= len(values):
-            return np.sort(values)
-        top = np.partition(values, len(values) - count)[-count:]
-        top.sort()
-        return top
-
     def summary(self) -> Dict[str, float]:
         return {
             "violations_p50": self.sla_violations("p50"),

@@ -149,20 +149,3 @@ class HotSpotRebalancer:
         self.actions.append(action)
         self.cluster.reset_stats()
         return action
-
-    def run_until_balanced(self, max_actions: int = 32) -> List[RebalanceAction]:
-        """Shed buckets until the detector goes quiet (or the cap hits).
-
-        Note: with counters reset after every action, subsequent
-        detections require fresh traffic; this method is intended for
-        tests and offline rebalancing where the caller replays traffic
-        between calls — online use drives :meth:`rebalance_once` from a
-        monitoring loop instead.
-        """
-        performed: List[RebalanceAction] = []
-        for _ in range(max_actions):
-            action = self.rebalance_once()
-            if action is None:
-                break
-            performed.append(action)
-        return performed

@@ -56,9 +56,6 @@ class SweepPoint:
     pct_time_insufficient: float
     avg_machines: float
 
-    def normalized(self, reference_cost: float) -> Tuple[float, float]:
-        return (self.cost / reference_cost, self.pct_time_insufficient)
-
 
 @dataclass
 class Fig12Result:

@@ -15,12 +15,7 @@ from repro.faults.plan import (
     TransferFailure,
     parse_fault_spec,
 )
-from repro.faults.runtime import (
-    default_fault_plan,
-    fault_plan_session,
-    new_default_injector,
-    set_default_fault_plan,
-)
+from repro.faults.runtime import fault_plan_session, new_default_injector
 
 __all__ = [
     "FaultEvent",
@@ -31,9 +26,7 @@ __all__ = [
     "NodeCrash",
     "NodeStraggler",
     "TransferFailure",
-    "default_fault_plan",
     "fault_plan_session",
     "new_default_injector",
     "parse_fault_spec",
-    "set_default_fault_plan",
 ]

@@ -43,14 +43,6 @@ class FaultStats:
     migrations_aborted: int = 0
     buckets_rerouted: int = 0
 
-    def injected_total(self) -> int:
-        return (
-            self.crashes_injected
-            + self.stragglers_injected
-            + self.transfer_failures_injected
-            + self.stalls_injected
-        )
-
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 

@@ -23,16 +23,6 @@ from repro.faults.plan import FaultPlan
 _default_plan: Optional[FaultPlan] = None
 
 
-def set_default_fault_plan(plan: Optional[FaultPlan]) -> None:
-    """Install (or clear, with ``None``) the process-wide fault plan."""
-    global _default_plan
-    _default_plan = plan if plan else None
-
-
-def default_fault_plan() -> Optional[FaultPlan]:
-    return _default_plan
-
-
 def new_default_injector() -> Optional[FaultInjector]:
     """A fresh injector over the default plan, or ``None`` if unset."""
     if _default_plan is None:

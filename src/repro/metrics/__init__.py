@@ -1,7 +1,6 @@
-"""Latency, SLA and distribution metrics."""
+"""Latency CDFs and SLA accounting."""
 
 from repro.metrics.cdf import EmpiricalCDF, empirical_cdf, top_percent_cdf
-from repro.metrics.percentiles import empirical_percentile
 from repro.metrics.sla import (
     DEFAULT_SLA_MS,
     SLAReport,
@@ -14,7 +13,6 @@ __all__ = [
     "EmpiricalCDF",
     "SLAReport",
     "empirical_cdf",
-    "empirical_percentile",
     "sla_report",
     "top_percent_cdf",
     "violation_seconds",

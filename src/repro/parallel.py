@@ -24,31 +24,20 @@ Worker semantics (see docs/PERFORMANCE.md):
   (the death was environmental) or converts the poison into a
   :class:`~repro.errors.ParallelExecutionError` naming the failing cell.
 * Determinism is the *caller's* job per item: workers must not share
-  mutable state or draw from a global RNG.  Seed each item explicitly —
-  :func:`spawn_seeds` derives independent, reproducible child seeds.
+  mutable state or draw from a global RNG.  Seed each item explicitly
+  (carry the seed in the item).
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Iterable, List, Optional, TypeVar
 
 from repro.errors import ParallelExecutionError
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def cpu_workers(cap: Optional[int] = None) -> int:
-    """A sensible worker count: all cores but one, optionally capped."""
-    workers = max(1, (os.cpu_count() or 1) - 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return workers
 
 
 def parallel_map(
@@ -100,31 +89,3 @@ def parallel_map(
                 f"in-process retry too: {exc}"
             ) from exc
     return results
-
-
-def spawn_seeds(seed: int, n: int) -> List[int]:
-    """``n`` independent, reproducible child seeds derived from ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, so the children
-    are statistically independent of each other *and* of ``seed`` used
-    directly — sharding a sweep over workers never reuses streams.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(seed).spawn(n)]
-
-
-def shard_indices(n_items: int, n_shards: int) -> List[Sequence[int]]:
-    """Split ``range(n_items)`` into at most ``n_shards`` contiguous
-    shards of near-equal size (first shards get the remainder)."""
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    n_shards = min(n_shards, max(n_items, 1))
-    base, extra = divmod(n_items, n_shards)
-    shards: List[Sequence[int]] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(range(start, start + size))
-        start += size
-    return shards

@@ -8,17 +8,11 @@ the planner perfect predictions (the Figure 12 upper bound).
 from repro.prediction.ar import ARPredictor, fit_ar_coefficients
 from repro.prediction.arma import ARMAPredictor
 from repro.prediction.base import Predictor, as_series
-from repro.prediction.metrics import (
-    bias,
-    mape,
-    mean_relative_error,
-    mean_relative_error_pct,
-    rmse,
-)
+from repro.prediction.metrics import mean_relative_error, mean_relative_error_pct
 from repro.prediction.naive import PersistencePredictor, SeasonalNaivePredictor
 from repro.prediction.online import OnlinePredictor
 from repro.prediction.oracle import OraclePredictor
-from repro.prediction.rolling import RollingForecast, mre_by_horizon, rolling_forecast
+from repro.prediction.rolling import RollingForecast, rolling_forecast
 from repro.prediction.spar import SPARPredictor
 from repro.prediction.table import ForecastTable
 
@@ -34,12 +28,8 @@ __all__ = [
     "SPARPredictor",
     "SeasonalNaivePredictor",
     "as_series",
-    "bias",
     "fit_ar_coefficients",
-    "mape",
     "mean_relative_error",
     "mean_relative_error_pct",
-    "mre_by_horizon",
-    "rmse",
     "rolling_forecast",
 ]

@@ -36,20 +36,3 @@ def mean_relative_error(actual: SeriesLike, predicted: SeriesLike) -> float:
 def mean_relative_error_pct(actual: SeriesLike, predicted: SeriesLike) -> float:
     """MRE as a percentage (the unit Figures 5b and 6b report)."""
     return 100.0 * mean_relative_error(actual, predicted)
-
-
-def rmse(actual: SeriesLike, predicted: SeriesLike) -> float:
-    """Root mean squared error."""
-    a, p = _aligned(actual, predicted)
-    return float(np.sqrt(np.mean((p - a) ** 2)))
-
-
-def mape(actual: SeriesLike, predicted: SeriesLike) -> float:
-    """Alias of :func:`mean_relative_error_pct` (common name)."""
-    return mean_relative_error_pct(actual, predicted)
-
-
-def bias(actual: SeriesLike, predicted: SeriesLike) -> float:
-    """Mean signed error (positive = over-prediction)."""
-    a, p = _aligned(actual, predicted)
-    return float(np.mean(p - a))

@@ -9,7 +9,7 @@ predictions against the actuals (Figures 5 and 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -86,20 +86,3 @@ def rolling_forecast(
         predictions[i] = forecast[tau - 1]
     idx = np.array(targets)
     return RollingForecast(tau, idx, arr[idx], predictions)
-
-
-def mre_by_horizon(
-    predictor: Predictor,
-    series: SeriesLike,
-    horizons: Sequence[int],
-    *,
-    eval_start: Optional[int] = None,
-    step: int = 1,
-) -> Dict[int, float]:
-    """MRE% for each forecast horizon (the Figure 5b / 6b curves)."""
-    return {
-        tau: rolling_forecast(
-            predictor, series, tau, eval_start=eval_start, step=step
-        ).mre_pct
-        for tau in horizons
-    }

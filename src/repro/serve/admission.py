@@ -91,10 +91,6 @@ class AdmissionDecision:
     def status(self) -> int:
         return 200 if self.accepted else 503
 
-    @property
-    def retry_after_whole_seconds(self) -> int:
-        return int(math.ceil(self.retry_after_s))
-
 
 class AdmissionController:
     """Stateless-per-request shedding decisions with telemetry."""

@@ -1,7 +1,7 @@
 """Clocks for the serving layer: virtual (deterministic) and wall.
 
 The serving loop is written against a tiny scheduling interface —
-``now``, ``call_at``/``call_later`` and ``run_until`` — instead of
+``now``, ``call_at`` and ``run_until`` — instead of
 ``asyncio`` directly, so the same engine/loadgen/control code runs in
 two modes:
 
@@ -75,12 +75,6 @@ class VirtualClock:
             )
         self._seq += 1
         heapq.heappush(self._heap, (float(when), self._seq, callback))
-
-    def call_later(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise ConfigurationError(f"delay must be >= 0, got {delay}")
-        self.call_at(self._now + delay, callback)
 
     def run_until(self, deadline: float) -> int:
         """Run every event due at or before ``deadline``; returns the

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import re
 from typing import Callable, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -63,6 +64,7 @@ from repro.errors import ConfigurationError
 from repro.serve.engine import TxnOutcome
 from repro.serve.loadgen import LoadgenReport
 from repro.serve.session import ServeSession
+from repro.serve.transport import bind_listener
 from repro.telemetry.export import render_prometheus
 from repro.telemetry.metrics import MetricsRegistry, tenant_rows
 from repro.telemetry.perf import PerfRecorder, maybe_span, render_prometheus_perf
@@ -291,7 +293,7 @@ class ServeApp:
         body = json.dumps(shed)
         return _http_response(
             503, body,
-            extra_headers={"Retry-After": str(int(outcome.retry_after_s) + 1)},
+            extra_headers={"Retry-After": str(math.ceil(outcome.retry_after_s))},
         )
 
     def _resolve_tenant(
@@ -466,34 +468,22 @@ class ServeApp:
             response = _http_response(404, json.dumps({"error": "not found"}))
         return response
 
-    async def _bind(self, retries: int = 5, delay_s: float = 0.05):
-        """``asyncio.start_server`` with the transport layer's bind-retry
-        policy: transient EADDRINUSE/EADDRNOTAVAIL (a just-released port
-        still in TIME_WAIT — the CI flake class) backs off and retries;
-        real misconfiguration raises immediately."""
-        from repro.serve.transport import _BIND_RETRY_ERRNOS
-
-        last: Optional[OSError] = None
-        for attempt in range(max(1, retries)):
-            try:
-                return await asyncio.start_server(
-                    self._handle, self.host, self.port
-                )
-            except OSError as exc:
-                if exc.errno not in _BIND_RETRY_ERRNOS:
-                    raise
-                last = exc
-                await asyncio.sleep(delay_s * (attempt + 1))
-        raise ConfigurationError(
-            f"could not bind {self.host}:{self.port} after {retries} "
-            f"attempts: {last}"
-        )
-
     # ------------------------------------------------------------------
     async def run(self, on_ready: Optional[Callable[["ServeApp"], None]] = None) -> None:
-        """Serve until the run (plus linger) completes or /shutdown."""
-        self._server = await self._bind()
-        self.port = self._server.sockets[0].getsockname()[1]
+        """Serve until the run (plus linger) completes or /shutdown.
+
+        The listener is bound with the transport layer's bind-retry
+        policy (:func:`~repro.serve.transport.bind_listener`): a port
+        still in TIME_WAIT is retried with backoff, a port that stays
+        busy raises :class:`~repro.errors.TransportError`.
+        """
+        sock = bind_listener(self.host, self.port)
+        try:
+            self._server = await asyncio.start_server(self._handle, sock=sock)
+        except BaseException:
+            sock.close()
+            raise
+        self.port = sock.getsockname()[1]
         if on_ready is not None:
             on_ready(self)
         ticker = asyncio.create_task(self._ticker())

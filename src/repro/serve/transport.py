@@ -50,8 +50,9 @@ schema (the ``step`` columns of :mod:`repro.serve.worker`); both hello
 messages carry it and the edge refuses a fleet that disagrees.
 
 :func:`retry_on_bind_failure` is the shared helper for flaky port
-allocation (``EADDRINUSE`` from a lingering TIME_WAIT socket): the TCP
-listener here and the HTTP tests both bind through it.
+allocation (``EADDRINUSE`` from a lingering TIME_WAIT socket): the
+edge's TCP listener and the HTTP server both bind through
+:func:`bind_listener`, which uses it.
 """
 
 from __future__ import annotations

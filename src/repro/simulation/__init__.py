@@ -4,11 +4,8 @@ from repro.simulation.capacity_sim import (
     CapacitySimResult,
     CapacitySimulator,
 )
-from repro.simulation.export import export_capacity_result, export_run_result
 
 __all__ = [
     "CapacitySimResult",
     "CapacitySimulator",
-    "export_capacity_result",
-    "export_run_result",
 ]

@@ -166,11 +166,6 @@ class CapacitySimResult:
         """Q-hat capacity of the effective machine count, txn/s."""
         return self.effective_machines * self.q_max
 
-    @property
-    def target_capacity(self) -> np.ndarray:
-        """Q capacity of the effective machine count, txn/s."""
-        return self.effective_machines * self.q
-
     def insufficient_mask(self) -> np.ndarray:
         """Intervals whose *instantaneous peak* load exceeded the maximum
         effective capacity — the Figure 12 y-axis."""

@@ -105,16 +105,12 @@ def resolve_telemetry(explicit: "Optional[Telemetry]") -> "Optional[Telemetry]":
 
 from repro.telemetry.runtime import (  # noqa: E402  (re-export after class def)
     active_telemetry,
-    default_telemetry,
-    set_default_telemetry,
     telemetry_session,
 )
 from repro.telemetry.perf import (  # noqa: E402
     PerfRecorder,
-    active_perf,
     maybe_span,
     perf_session,
-    set_default_perf,
     timed,
 )
 from repro.telemetry.timeseries import TimeSeriesStore  # noqa: E402
@@ -132,14 +128,10 @@ __all__ = [
     "TimeSeriesStore",
     "TimelineRecorder",
     "Tracer",
-    "active_perf",
     "active_telemetry",
-    "default_telemetry",
     "maybe_span",
     "perf_session",
     "resolve_telemetry",
-    "set_default_perf",
-    "set_default_telemetry",
     "telemetry_session",
     "timed",
 ]

@@ -2,10 +2,10 @@
 
 JSONL is the canonical format: one self-describing record per line
 (``kind`` discriminates meta/tick/event/span/counter/gauge/histogram),
-append-friendly and diff-friendly.  CSV carries the per-tick timeline
-only — the shape spreadsheet/pandas consumers want.  Both round-trip:
-``read_jsonl(write -> path)`` reconstructs every record and
-``read_csv_ticks`` reproduces the tick rows with float equality.
+append-friendly and diff-friendly; ``read_jsonl(write -> path)``
+reconstructs every record.  CSV carries the per-tick timeline only — the
+shape spreadsheet/pandas consumers want — with ``repr()``-formatted
+floats, so parsing a cell back gives the recorded float exactly.
 """
 
 from __future__ import annotations
@@ -104,21 +104,6 @@ def write_csv_ticks(telemetry: "Telemetry", path: PathLike) -> int:
         for tick in ticks:
             writer.writerow([repr(tick[field]) for field in TICK_FIELDS])
     return len(ticks)
-
-
-def read_csv_ticks(path: PathLike) -> List[Dict[str, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != TICK_FIELDS:
-            raise ConfigurationError(
-                f"{path}: not a telemetry tick CSV (header {header!r})"
-            )
-        return [
-            {field: float(value) for field, value in zip(header, row)}
-            for row in reader
-            if row
-        ]
 
 
 # ----------------------------------------------------------------------

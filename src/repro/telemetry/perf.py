@@ -19,10 +19,10 @@ answers that without breaking the invariant:
   bookkeeping, accumulated into an overhead gauge, so "how much does
   watching cost" is a first-class reading rather than folklore.
 
-Resolution mirrors :mod:`repro.telemetry.runtime`: instrumentation sites
-deep in the planner or transport call :func:`active_perf` (or the
-``with maybe_span("stage")`` shorthand) and pay one ``None`` check when
-perf is off.
+Resolution mirrors :mod:`repro.telemetry.runtime`: :func:`perf_session`
+installs a scoped process default, and instrumentation sites deep in the
+planner or transport use ``with maybe_span("stage")`` (or the
+:func:`timed` decorator) and pay one ``None`` check when perf is off.
 """
 
 from __future__ import annotations
@@ -177,16 +177,6 @@ def render_prometheus_perf(perf: PerfRecorder) -> str:
 
 # Process-wide default (mirrors repro.telemetry.runtime) ---------------
 _default: Optional[PerfRecorder] = None
-
-
-def set_default_perf(perf: Optional[PerfRecorder]) -> None:
-    """Install (or clear, with ``None``) the process-wide perf recorder."""
-    global _default
-    _default = perf
-
-
-def active_perf() -> Optional[PerfRecorder]:
-    return _default
 
 
 @contextmanager

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.experiments.common import format_table
+from repro.metrics.sla import DEFAULT_SLA_MS, violation_seconds
 from repro.telemetry.export import TelemetryDump
 
 #: Near-zero measured load is excluded from relative error (matches
@@ -54,14 +55,12 @@ class RunSummary:
 
 
 def _percentile_violations(dump: TelemetryDump) -> Tuple[float, Dict[str, int]]:
-    sla_ms = float(dump.meta.get("sla_ms", 500.0))
+    sla_ms = float(dump.meta.get("sla_ms", DEFAULT_SLA_MS))
     dt = float(dump.meta.get("dt_seconds", 1.0))
-    violations = {"p50": 0, "p95": 0, "p99": 0}
-    for tick in dump.ticks:
-        for pct in violations:
-            if tick[f"{pct}_ms"] > sla_ms:
-                violations[pct] += 1
-    return sla_ms, {k: int(round(v * dt)) for k, v in violations.items()}
+    return sla_ms, {
+        pct: violation_seconds([tick[f"{pct}_ms"] for tick in dump.ticks], sla_ms, dt)
+        for pct in ("p50", "p95", "p99")
+    }
 
 
 def forecast_windows(

@@ -79,10 +79,6 @@ class RequestTracer:
         self._next_trace_id += 1
         return ctx
 
-    @property
-    def minted(self) -> int:
-        return self._next_trace_id - 1
-
     # ------------------------------------------------------------------
     def begin_request(
         self,

@@ -26,16 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 _default: "Optional[Telemetry]" = None
 
 
-def set_default_telemetry(telemetry: "Optional[Telemetry]") -> None:
-    """Install (or clear, with ``None``) the process-wide telemetry."""
-    global _default
-    _default = telemetry
-
-
-def default_telemetry() -> "Optional[Telemetry]":
-    return _default
-
-
 def active_telemetry() -> "Optional[Telemetry]":
     """The default telemetry if one is installed *and* enabled."""
     if _default is not None and _default.enabled:

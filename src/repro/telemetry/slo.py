@@ -154,13 +154,6 @@ class SLOMonitor:
         with the monitor's labels folded in canonically."""
         return labeled(base, **self.labels)
 
-    @property
-    def monitor_key(self) -> str:
-        """Canonical identity of this monitor within a family
-        (``slo`` for the unlabelled default, ``slo{tenant="a"}`` for a
-        labelled one)."""
-        return labeled("slo", **self.labels)
-
     def classify(self, latency_ms):
         """Good/bad verdict for one *completed* request (or, given an
         array of latencies, one verdict per request)."""

@@ -10,7 +10,7 @@ renders and every exporter serializes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 
@@ -91,16 +91,3 @@ class TimelineRecorder:
         """Allocation integral over the recorded ticks (Equation 1 cost)."""
         dt = float(self.meta.get("dt_seconds", 1.0))
         return sum(t["machines"] for t in self.ticks) * dt
-
-    def sla_violation_seconds(
-        self, series: str = "p99_ms", threshold_ms: Optional[float] = None
-    ) -> int:
-        """Seconds with the percentile above the SLA (Table 2 accounting)."""
-        threshold = (
-            float(self.meta.get("sla_ms", 500.0))
-            if threshold_ms is None
-            else threshold_ms
-        )
-        dt = float(self.meta.get("dt_seconds", 1.0))
-        over = sum(1 for t in self.ticks if t[series] > threshold)
-        return int(round(over * dt))

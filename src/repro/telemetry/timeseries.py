@@ -30,7 +30,7 @@ the ``repro top`` terminal view are thin readers over
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.telemetry.metrics import MetricsRegistry
@@ -164,13 +164,6 @@ class TimeSeriesStore:
         if series is None:
             return []
         return list(series.rings[self.tiers.index(window)])
-
-    def latest(self, name: str) -> Optional[Dict[str, float]]:
-        """Most recent raw point for ``name``, or ``None``."""
-        series = self._series.get(name)
-        if series is None or not series.rings[0]:
-            return None
-        return series.rings[0][-1]
 
     def summary(self) -> Dict[str, object]:
         """Index payload for ``GET /timeseries`` with no ``name``."""

@@ -173,10 +173,6 @@ class Tracer:
             self.end(opened)
 
     # ------------------------------------------------------------------
-    @property
-    def open_spans(self) -> List[Span]:
-        return list(self._stack)
-
     def finish_all(self, at: Optional[float] = None) -> None:
         """Close every span still open (end of run / aborted run).  With
         no timestamp each span ends at the sequence clock, clamped to its

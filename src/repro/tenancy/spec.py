@@ -164,16 +164,6 @@ class TenantRegistry:
     def max_weight(self) -> int:
         return max(t.weight for t in self.tenants)
 
-    def shed_order(self) -> List[str]:
-        """Tenant names in brownout shedding order: lowest weight first,
-        registry order breaking ties."""
-        return [
-            t.name
-            for t in sorted(
-                self.tenants, key=lambda t: (t.weight, self.tenants.index(t))
-            )
-        ]
-
     def quota_for(self, name: str) -> Optional[float]:
         """Effective token-bucket refill rate for ``name``.
 

@@ -1,8 +1,8 @@
 """Plain-text visualization helpers.
 
 The reproduction runs in terminal-only environments, so examples and
-reports render time series as ASCII: block-character sparklines, bar
-charts and dual-series (load vs capacity) strips.  No plotting
+reports render time series as ASCII: block-character sparklines,
+dual-series (load vs capacity) strips and machine-count timelines.  No plotting
 dependencies required.
 """
 
@@ -56,25 +56,6 @@ def sparkline(
     scaled = np.clip((arr - low) / (high - low), 0.0, 1.0)
     indices = np.minimum((scaled * len(_BLOCKS)).astype(int), len(_BLOCKS) - 1)
     return "".join(_BLOCKS[i] for i in indices)
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart, one row per label."""
-    arr = _as_array(values)
-    if len(labels) != len(arr):
-        raise ConfigurationError("labels must align with values")
-    peak = arr.max()
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, arr):
-        bar = "#" * (int(width * value / peak) if peak > 0 else 0)
-        lines.append(f"{label:<{label_width}}  {value:>10.1f}{unit}  {bar}")
-    return "\n".join(lines)
 
 
 def load_vs_capacity_strip(

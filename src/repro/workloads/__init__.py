@@ -10,10 +10,9 @@ from repro.workloads.b2w import (
     B2WTraceConfig,
     generate_b2w_long_trace,
     generate_b2w_trace,
-    generate_training_and_test,
 )
 from repro.workloads.spikes import FlashCrowd, inject_flash_crowd
-from repro.workloads.trace import LoadTrace, compose_traces, concat
+from repro.workloads.trace import LoadTrace
 from repro.workloads.wikipedia import generate_wikipedia_pair, generate_wikipedia_trace
 
 __all__ = [
@@ -22,11 +21,8 @@ __all__ = [
     "B2WTraceConfig",
     "FlashCrowd",
     "LoadTrace",
-    "compose_traces",
-    "concat",
     "generate_b2w_long_trace",
     "generate_b2w_trace",
-    "generate_training_and_test",
     "generate_wikipedia_pair",
     "generate_wikipedia_trace",
     "inject_flash_crowd",

@@ -232,20 +232,3 @@ def generate_b2w_long_trace(
         promotion_probability=0.05,
     )
     return generate_b2w_trace(config=cfg, name=name)
-
-
-def generate_training_and_test(
-    train_days: int = 28,
-    test_days: int = 7,
-    *,
-    seed: int = 20160601,
-    slot_seconds: float = 60.0,
-) -> "tuple[LoadTrace, LoadTrace]":
-    """One continuous trace split into the paper's 4-week training set and
-    a held-out test window (Section 5)."""
-    trace = generate_b2w_trace(
-        train_days + test_days, slot_seconds=slot_seconds, seed=seed
-    )
-    train = trace.slice_days(0, train_days)
-    test = trace.slice_days(train_days, test_days)
-    return train, test

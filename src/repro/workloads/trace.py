@@ -8,11 +8,9 @@ per *slot*; slots have a fixed duration (1 minute for the B2W traces,
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -107,16 +105,6 @@ class LoadTrace:
                 f"slot_seconds={self.slot_seconds} does not divide a day"
             )
         return int(round(per_day))
-
-    def slice_days(self, start_day: float, num_days: float) -> "LoadTrace":
-        """Slice by day offsets from the beginning of the trace."""
-        start = int(round(start_day * SECONDS_PER_DAY / self.slot_seconds))
-        count = int(round(num_days * SECONDS_PER_DAY / self.slot_seconds))
-        if start < 0 or start + count > len(self.values):
-            raise ConfigurationError(
-                f"slice [{start_day}, {start_day + num_days}) days outside trace"
-            )
-        return self[start : start + count]
 
     # ------------------------------------------------------------------
     # Rate conversions
@@ -235,149 +223,3 @@ class LoadTrace:
             trough = np.percentile(chunk, 2)
             ratios.append(math.inf if trough <= 0 else peak / trough)
         return float(np.median(ratios))
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save_csv(self, path: Union[str, Path]) -> None:
-        """Write ``slot,load[,peak]`` rows with a metadata header comment."""
-        path = Path(path)
-        with path.open("w", newline="") as handle:
-            handle.write(f"# name={self.name} slot_seconds={self.slot_seconds}\n")
-            writer = csv.writer(handle)
-            if self.peak_values is not None:
-                writer.writerow(["slot", "load", "peak"])
-                for slot, (value, peak) in enumerate(
-                    zip(self.values, self.peak_values)
-                ):
-                    writer.writerow(
-                        [self.start_slot + slot, f"{value:.6f}", f"{peak:.6f}"]
-                    )
-            else:
-                writer.writerow(["slot", "load"])
-                for slot, value in enumerate(self.values):
-                    writer.writerow([self.start_slot + slot, f"{value:.6f}"])
-
-    @classmethod
-    def load_csv(cls, path: Union[str, Path]) -> "LoadTrace":
-        """Read a trace written by :meth:`save_csv`."""
-        path = Path(path)
-        name = path.stem
-        slot_seconds = SECONDS_PER_MINUTE
-        values: List[float] = []
-        peaks: List[float] = []
-        start_slot = 0
-        first = True
-        with path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for token in line[1:].split():
-                        key, _, value = token.partition("=")
-                        if key == "name":
-                            name = value
-                        elif key == "slot_seconds":
-                            slot_seconds = float(value)
-                    continue
-                if line.startswith("slot,"):
-                    continue
-                parts = line.split(",")
-                if first:
-                    start_slot = int(parts[0])
-                    first = False
-                values.append(float(parts[1]))
-                if len(parts) > 2:
-                    peaks.append(float(parts[2]))
-        peak_arr = np.array(peaks) if len(peaks) == len(values) and peaks else None
-        return cls(np.array(values), slot_seconds, name, start_slot, peak_arr)
-
-
-def compose_traces(
-    traces: Sequence[LoadTrace],
-    *,
-    slot_seconds: Optional[float] = None,
-    length: Union[int, str] = "max",
-    name: str = "composite",
-) -> LoadTrace:
-    """Overlay traces of different lengths and periods into one.
-
-    The components are resampled to a common slot duration, extended or
-    truncated to a common length, and summed — the aggregate demand a
-    shared cluster sees when several applications (a B2W-shaped day, a
-    Wikipedia week, a flash crowd) run on it simultaneously.
-
-    Args:
-        traces: Component traces; their slot durations must each divide
-            evenly into (or by) the target slot.
-        slot_seconds: Target slot duration; defaults to the finest
-            component slot, so no component loses resolution.
-        length: Target length in target slots.  ``"max"`` (default)
-            extends shorter components by cycling them — the workloads
-            here are periodic, so tiling a 1-day trace under a 3-day one
-            is the intended overlay; ``"min"`` truncates everything to
-            the shortest component; an integer pins the length exactly.
-        name: Name of the composite trace.
-
-    Resampling a component whose duration is not a whole multiple of the
-    target slot drops the ragged tail slot (the same rule as
-    :meth:`LoadTrace.resample`), so the common length is computed from
-    the *aligned* component lengths — composing a 1441-minute trace with
-    a 24-hour one yields exactly 1440 minutes, never an off-by-one 1441.
-    """
-    if not traces:
-        raise ConfigurationError("need at least one trace")
-    target_slot = (
-        float(slot_seconds)
-        if slot_seconds is not None
-        else min(t.slot_seconds for t in traces)
-    )
-    aligned = [
-        t if t.slot_seconds == target_slot else t.resample(target_slot)
-        for t in traces
-    ]
-    for t in aligned:
-        if len(t) == 0:
-            raise ConfigurationError(
-                f"trace {t.name!r} is empty after alignment to "
-                f"{target_slot}s slots"
-            )
-    if length == "max":
-        n = max(len(t) for t in aligned)
-    elif length == "min":
-        n = min(len(t) for t in aligned)
-    elif isinstance(length, int) and not isinstance(length, bool) and length > 0:
-        n = length
-    else:
-        raise ConfigurationError(
-            f"length must be 'max', 'min' or a positive int, got {length!r}"
-        )
-    values = np.zeros(n)
-    peaks = np.zeros(n) if any(t.peak_values is not None for t in aligned) else None
-    for t in aligned:
-        reps = -(-n // len(t))  # ceil: cycle short components to cover n
-        values += np.tile(t.values, reps)[:n]
-        if peaks is not None:
-            component_peaks = (
-                t.peak_values if t.peak_values is not None else t.values
-            )
-            peaks += np.tile(component_peaks, reps)[:n]
-    return LoadTrace(values, target_slot, name, 0, peaks)
-
-
-def concat(traces: Sequence[LoadTrace], name: str = "concat") -> LoadTrace:
-    """Concatenate traces with identical slot durations."""
-    if not traces:
-        raise ConfigurationError("need at least one trace")
-    slot = traces[0].slot_seconds
-    for trace in traces:
-        if trace.slot_seconds != slot:
-            raise ConfigurationError("all traces must share slot_seconds")
-    values = np.concatenate([t.values for t in traces])
-    peaks = None
-    if any(t.peak_values is not None for t in traces):
-        peaks = np.concatenate(
-            [t.peak_values if t.peak_values is not None else t.values for t in traces]
-        )
-    return LoadTrace(values, slot, name, traces[0].start_slot, peaks)

@@ -47,11 +47,6 @@ class TestGenerator:
                 assert "CreateCheckout" in names
         assert checkout_seen
 
-    def test_transactions_stream_count(self):
-        generator = B2WWorkloadGenerator()
-        stream = list(generator.transactions(137))
-        assert len(stream) == 137
-
 
 class TestAccessSkewReport:
     def test_uniform_weights(self):

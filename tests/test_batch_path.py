@@ -332,7 +332,7 @@ def test_arrival_on_a_tick_boundary_is_served_by_the_same_tick_as_before():
         def tick():
             admitted.append(int(engine.tick()["admitted"]))
             if clock.now < 4.0:
-                clock.call_later(1.0, tick)
+                clock.call_at(clock.now + 1.0, tick)
 
         clock.call_at(1.0, tick)
         clock.run_until(4.0)

@@ -7,8 +7,8 @@ import pytest
 from repro.cli import main
 from repro.experiments import registry
 from repro.experiments.common import PaperComparison, comparison_table, format_table
-from repro.faults.runtime import default_fault_plan
-from repro.telemetry import default_telemetry
+from repro.faults.runtime import new_default_injector
+from repro.telemetry import active_telemetry
 from repro.telemetry.export import read_jsonl
 
 
@@ -59,14 +59,14 @@ class TestRegistryAliases:
 
 class TestTelemetryFlag:
     def test_run_writes_dump_and_restores_defaults(self, tmp_path, capsys):
-        assert default_telemetry() is None
+        assert active_telemetry() is None
         dump_path = tmp_path / "out.jsonl"
         assert main(["run", "table1", "--telemetry", str(dump_path)]) == 0
         out = capsys.readouterr().out
         assert f"-> {dump_path}" in out
         # Scoped session: the process-wide defaults are back to None.
-        assert default_telemetry() is None
-        assert default_fault_plan() is None
+        assert active_telemetry() is None
+        assert new_default_injector() is None
         dump = read_jsonl(dump_path)
         assert dump.meta["experiment"] == "table1"
         assert dump.spans_named("experiment")
@@ -102,6 +102,13 @@ class TestBenchSubcommand:
         # Sample counts are recorded per kernel, never file-wide.
         assert report["kernels"]["schedule_construction"]["repeats"] == 1
         assert "repeats" not in report
+
+    def test_overhead_budget_is_a_bench_flag(self, capsys):
+        code, out = self._run_quick(["--overhead-budget", "2"], capsys)
+        assert code == 0
+        assert "schedule_construction" in out
+        assert main(["bench", "--quick", "--overhead-budget", "1"]) == 2
+        assert "--overhead-budget must be > 1.0" in capsys.readouterr().err
 
     def test_compare_passes_within_tolerance(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"

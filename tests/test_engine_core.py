@@ -135,7 +135,7 @@ class TestCluster:
     def test_routing_deterministic(self, cluster):
         partition = cluster.route("some-key")
         assert partition is cluster.route("some-key")
-        node = cluster.node_of_bucket(cluster.bucket_of("some-key"))
+        node = cluster.plan.node_of(cluster.bucket_of("some-key"))
         assert partition.node_id == node
 
     def test_routing_respects_plan(self, cluster):

@@ -359,5 +359,5 @@ def test_fault_ledger_accounts_for_whole_plan():
     # Without a migration, the transfer faults must be skips, not drops.
     assert s.transfer_failures_skipped == 1
     assert s.stalls_skipped == 1
-    assert s.injected_total() == 2
+    assert s.crashes_injected + s.stragglers_injected == 2
     assert set(s.as_dict()) == set(s.__dataclass_fields__)

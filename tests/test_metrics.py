@@ -1,22 +1,10 @@
-"""Tests for the metrics package (percentiles, CDFs, SLA accounting)."""
+"""Tests for the metrics package (CDFs, SLA accounting)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.metrics.cdf import empirical_cdf, top_percent_cdf
-from repro.metrics.percentiles import empirical_percentile
 from repro.metrics.sla import sla_report, violation_seconds
-
-
-class TestEmpiricalPercentile:
-    def test_basic(self):
-        assert empirical_percentile([1, 2, 3, 4, 5], 50) == 3.0
-
-    def test_rejects_empty_and_bad_percentile(self):
-        with pytest.raises(ConfigurationError):
-            empirical_percentile([], 50)
-        with pytest.raises(ConfigurationError):
-            empirical_percentile([1.0], 150)
 
 
 class TestCDF:

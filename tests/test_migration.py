@@ -1,5 +1,6 @@
 """Tests for the Squall-like chunked live migration."""
 
+import numpy as np
 import pytest
 
 from repro.b2w.schema import b2w_schema
@@ -27,13 +28,13 @@ class TestMigrationConfig:
         # ~4.1 s between chunks; ~40 ms pause per chunk.
         assert config.chunk_period_s == pytest.approx(1000 / 244)
         assert config.chunk_block_s == pytest.approx(0.04)
-        assert config.blocked_fraction < 0.02
+        assert config.chunk_block_s / config.chunk_period_s < 0.02
 
     def test_boost_multiplies_rate(self):
         config = MigrationConfig(boost=8.0)
         assert config.effective_rate_kbps == pytest.approx(244.0 * 8)
-        assert config.blocked_fraction == pytest.approx(
-            MigrationConfig().blocked_fraction * 8, rel=1e-9
+        assert config.chunk_period_s == pytest.approx(
+            MigrationConfig().chunk_period_s / 8, rel=1e-9
         )
 
     def test_bigger_chunks_bigger_pauses(self):
@@ -41,7 +42,9 @@ class TestMigrationConfig:
         large = MigrationConfig(chunk_kb=8000.0)
         assert large.chunk_block_s == pytest.approx(8 * small.chunk_block_s)
         # Long-run overhead fraction is chunk-size independent.
-        assert large.blocked_fraction == pytest.approx(small.blocked_fraction)
+        assert large.chunk_block_s / large.chunk_period_s == pytest.approx(
+            small.chunk_block_s / small.chunk_period_s
+        )
 
     def test_rejects_invalid(self):
         with pytest.raises(MigrationError):
@@ -135,7 +138,7 @@ class TestMigrationLifecycle:
         info = migration.step(1.0)
         assert info.completed
         assert info.machines_allocated == 3
-        assert not info.blocked_partitions
+        assert not info.blocked
 
     def test_rejects_bad_dt(self):
         migration = Migration(make_cluster(initial=2), 3, DB_KB)
@@ -151,16 +154,17 @@ class TestBlocking:
         )
         # Step past one chunk period to observe a pause.
         info = migration.step(MigrationConfig(chunk_kb=8000.0).chunk_period_s + 1.0)
-        assert info.blocked_partitions
-        for pid, (single, frac) in info.blocked_partitions.items():
-            assert single > 0
-            assert 0 < frac <= 1.0
+        assert info.blocked
+        blocked = info.block_seconds > 0
+        assert blocked.any()
+        assert np.all(info.block_weight[blocked] > 0)
+        assert np.all(info.block_weight[blocked] <= 1.0)
 
     def test_small_chunks_rare_blocks(self):
         cluster = make_cluster(initial=2)
         migration = Migration(cluster, 4, DB_KB, MigrationConfig(chunk_kb=1000.0))
         info = migration.step(1.0)  # less than one 4.1 s chunk period
-        assert not info.blocked_partitions
+        assert not info.blocked
 
     def test_moves_rows_with_data(self):
         cluster = Cluster(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParallelExecutionError
-from repro.parallel import cpu_workers, parallel_map, shard_indices, spawn_seeds
+from repro.parallel import parallel_map
 
 # Worker functions must be module-level (picklable).
 
@@ -61,7 +61,7 @@ class TestParallelMap:
         assert parallel_map(_square, items, max_workers=workers) == expected
 
     def test_seeded_work_is_order_stable(self):
-        seeds = spawn_seeds(1234, 6)
+        seeds = [1234 + 7919 * i for i in range(6)]
         serial = parallel_map(_seeded_draw, seeds, max_workers=1)
         sharded = parallel_map(_seeded_draw, seeds, max_workers=3)
         assert serial == sharded
@@ -101,44 +101,6 @@ class TestParallelMap:
             4,
             9,
         ]
-
-
-class TestSpawnSeeds:
-    def test_deterministic(self):
-        assert spawn_seeds(99, 5) == spawn_seeds(99, 5)
-
-    def test_distinct_within_and_across_parents(self):
-        seeds = spawn_seeds(7, 8)
-        assert len(set(seeds)) == 8
-        assert set(seeds).isdisjoint(spawn_seeds(8, 8))
-
-    def test_prefix_stable(self):
-        """Growing a sweep keeps the existing cells' seeds unchanged."""
-        assert spawn_seeds(42, 3) == spawn_seeds(42, 6)[:3]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(1, -1)
-
-
-class TestShardIndices:
-    def test_partitions_exactly(self):
-        for n_items in (0, 1, 7, 12):
-            for n_shards in (1, 3, 5):
-                shards = shard_indices(n_items, n_shards)
-                flat = [i for shard in shards for i in shard]
-                assert flat == list(range(n_items))
-                sizes = [len(s) for s in shards]
-                assert max(sizes) - min(sizes) <= 1
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            shard_indices(4, 0)
-
-
-def test_cpu_workers_bounds():
-    assert cpu_workers() >= 1
-    assert cpu_workers(cap=1) == 1
 
 
 class TestExperimentSharding:

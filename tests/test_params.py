@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.params import (
+    PAPER_DB_SIZE_KB,
     PAPER_PARAMETERS,
-    PAPER_SATURATION_RATE,
     SystemParameters,
 )
+from repro.engine.migration import MigrationConfig
 from repro.errors import ConfigurationError
 
 
@@ -71,23 +72,13 @@ class TestFromSaturation:
 
 
 class TestDerived:
-    def test_with_q_fraction(self):
-        params = SystemParameters().with_q_fraction(0.5)
-        assert params.q == pytest.approx(PAPER_SATURATION_RATE * 0.5)
-        # Other fields preserved.
-        assert params.q_max == SystemParameters().q_max
-
-    def test_with_q_fraction_clamped_at_q_max(self):
-        params = SystemParameters().with_q_fraction(0.95)
-        assert params.q <= params.q_max
-
-    def test_with_q_fraction_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            SystemParameters().with_q_fraction(0.0)
 
     def test_migration_rate_matches_paper(self):
-        # 1106 MB in 4646 s is the paper's R = 244 kB/s.
-        assert PAPER_PARAMETERS.migration_rate_kbps == pytest.approx(243.8, abs=0.5)
+        # 1106 MB in 4646 s is the paper's R = 244 kB/s, the rate the
+        # engine's migrations pace at.
+        rate = PAPER_DB_SIZE_KB / PAPER_PARAMETERS.d_seconds
+        assert rate == pytest.approx(243.8, abs=0.5)
+        assert rate == pytest.approx(MigrationConfig().rate_kbps, abs=0.5)
 
     def test_machines_for_load(self, params):
         assert params.machines_for_load(0.0) == 1

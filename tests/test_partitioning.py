@@ -41,24 +41,11 @@ class TestRangePartitioner:
         with pytest.raises(ConfigurationError):
             RangePartitioner(3, ["h", "h"])  # duplicate
 
-    def test_from_sample_equi_depth(self):
-        keys = [f"key-{i:06d}" for i in range(1000)]
-        partitioner = RangePartitioner.from_sample(keys, 10)
-        counts = np.zeros(10)
-        for key in keys:
-            counts[partitioner.bucket_of(key)] += 1
-        assert counts.min() >= 50
-        assert counts.max() <= 200
-
-    def test_from_sample_too_small(self):
-        with pytest.raises(ConfigurationError):
-            RangePartitioner.from_sample(["a", "b"], 10)
-
     @given(st.lists(st.text(min_size=1, max_size=8), min_size=20, unique=True))
     @settings(max_examples=50, deadline=None)
     def test_order_preserving(self, keys):
-        partitioner = RangePartitioner.from_sample(keys, 4)
         ordered = sorted(keys, key=lambda k: k.encode("utf-8"))
+        partitioner = RangePartitioner(4, ordered[5:16:5])
         buckets = [partitioner.bucket_of(k) for k in ordered]
         assert buckets == sorted(buckets)
 
@@ -97,7 +84,7 @@ class TestClusterIntegration:
         # Ranges built from *yesterday's* keys: today's sequential ids
         # all land past the final boundary.
         old_keys = [f"cart-2016-11-24-{i:08d}" for i in range(2000)]
-        range_part = RangePartitioner.from_sample(old_keys, 16)
+        range_part = RangePartitioner(16, old_keys[125::125])
         hash_part = HashPartitioner(16)
         assert max_share(range_part) > 0.9
         assert max_share(hash_part) < 0.2

@@ -11,10 +11,8 @@ from repro.errors import ConfigurationError
 from repro.telemetry import (
     PerfRecorder,
     Telemetry,
-    active_perf,
     maybe_span,
     perf_session,
-    set_default_perf,
     timed,
 )
 from repro.telemetry.perf import PERF_BUCKETS_MS, PerfStage, render_prometheus_perf
@@ -123,18 +121,16 @@ class TestPrometheusRendering:
 
 class TestResolution:
     def test_maybe_span_is_noop_without_recorder(self):
-        set_default_perf(None)
         with maybe_span("planner.dp"):
             pass  # must not raise
-        assert active_perf() is None
 
     def test_maybe_span_uses_active_recorder(self):
         perf = PerfRecorder(clock=FakeClock())
         with perf_session(perf):
-            assert active_perf() is perf
             with maybe_span("planner.dp"):
                 pass
-        assert active_perf() is None
+        with maybe_span("planner.dp"):
+            pass  # after the session: recorded nowhere
         assert perf.stage("planner.dp").count == 1
 
     def test_explicit_recorder_beats_default(self):
@@ -151,8 +147,11 @@ class TestResolution:
         with perf_session(outer):
             with perf_session(PerfRecorder()):
                 pass
-            assert active_perf() is outer
-        assert active_perf() is None
+            with maybe_span("x"):
+                pass
+        with maybe_span("x"):
+            pass
+        assert outer.stage("x").count == 1
 
     def test_timed_decorator_records_when_active(self):
         calls = []

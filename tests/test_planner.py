@@ -34,7 +34,7 @@ def reference_cost(load, initial, planner):
             return float(after)
         best = math.inf
         for before in range(1, z + 1):
-            duration = planner.move_duration(before, after)
+            duration = max(1, cap.move_time_intervals(before, after, params))
             start = t - duration
             if start < 0:
                 continue

@@ -6,13 +6,7 @@ import pytest
 from repro.errors import PredictionError
 from repro.prediction.ar import ARPredictor, fit_ar_coefficients
 from repro.prediction.arma import ARMAPredictor
-from repro.prediction.metrics import (
-    bias,
-    mape,
-    mean_relative_error,
-    mean_relative_error_pct,
-    rmse,
-)
+from repro.prediction.metrics import mean_relative_error, mean_relative_error_pct
 from repro.prediction.naive import PersistencePredictor, SeasonalNaivePredictor
 from repro.prediction.oracle import OraclePredictor
 
@@ -135,7 +129,6 @@ class TestMetrics:
         predicted = np.array([110.0, 180.0])
         assert mean_relative_error(actual, predicted) == pytest.approx(0.1)
         assert mean_relative_error_pct(actual, predicted) == pytest.approx(10.0)
-        assert mape(actual, predicted) == pytest.approx(10.0)
 
     def test_mre_skips_zero_actuals(self):
         actual = np.array([0.0, 100.0])
@@ -146,16 +139,10 @@ class TestMetrics:
         with pytest.raises(PredictionError):
             mean_relative_error(np.zeros(3), np.ones(3))
 
-    def test_rmse_and_bias(self):
-        actual = np.array([1.0, 2.0, 3.0])
-        predicted = np.array([2.0, 2.0, 2.0])
-        assert rmse(actual, predicted) == pytest.approx(np.sqrt(2.0 / 3.0))
-        assert bias(actual, predicted) == pytest.approx(0.0)
-
     def test_length_mismatch(self):
         with pytest.raises(PredictionError):
-            rmse(np.ones(2), np.ones(3))
+            mean_relative_error(np.ones(2), np.ones(3))
 
     def test_empty_raises(self):
         with pytest.raises(PredictionError):
-            rmse(np.ones(0), np.ones(0))
+            mean_relative_error(np.ones(0), np.ones(0))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.engine.queueing import (
     _SCALAR_BISECTION_THRESHOLD,
     LatencyComponents,
-    PartitionQueue,
     _bisect_many,
     _scalar_bisect,
     _upper_bracket,
@@ -168,27 +167,37 @@ class TestMixtureQuantiles:
         assert list(q) == sorted(q)
 
 
+def one_partition_step(backlog, offered, service_rate, base_service_s=0.005):
+    """One step of one partition: ``(backlog, served, [p50, p95, p99])``."""
+    mu = np.array([service_rate])
+    offered_arr = np.array([offered])
+    components = latency_components(
+        backlog, offered_arr, mu, base_service_s=base_service_s
+    )
+    percentiles = mixture_quantiles(components, (0.50, 0.95, 0.99))
+    backlog, served = fluid_queue_step(backlog, offered_arr, mu, 1.0)
+    return backlog, float(served[0]), percentiles
+
+
 class TestPartitionQueue:
     def test_steady_state(self):
-        queue = PartitionQueue(service_rate=100.0, base_service_s=0.01)
+        backlog = np.zeros(1)
         for _ in range(10):
-            served, percentiles = queue.step(offered=50.0)
+            backlog, served, percentiles = one_partition_step(
+                backlog, 50.0, 100.0, base_service_s=0.01
+            )
         assert served == pytest.approx(50.0)
-        assert queue.backlog == pytest.approx(0.0)
+        assert backlog[0] == pytest.approx(0.0)
         assert percentiles[2] > percentiles[0] > 0.01
 
     def test_overload_latency_grows(self):
-        queue = PartitionQueue(service_rate=100.0)
+        backlog = np.zeros(1)
         previous = 0.0
         for _ in range(5):
-            _, percentiles = queue.step(offered=150.0)
+            backlog, _, percentiles = one_partition_step(backlog, 150.0, 100.0)
             assert percentiles[0] >= previous
             previous = percentiles[0]
-        assert queue.backlog > 0
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ConfigurationError):
-            PartitionQueue(service_rate=0.0)
+        assert backlog[0] > 0
 
 
 class TestBisectionCrossover:

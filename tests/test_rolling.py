@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PredictionError
 from repro.prediction.naive import SeasonalNaivePredictor
-from repro.prediction.rolling import mre_by_horizon, rolling_forecast
+from repro.prediction.rolling import rolling_forecast
 from repro.prediction.spar import SPARPredictor
 
 
@@ -67,13 +67,3 @@ class TestRollingForecast:
         model = SeasonalNaivePredictor(period=24)
         with pytest.raises(PredictionError):
             rolling_forecast(model, np.ones(100), tau=1, eval_start=200)
-
-
-class TestMreByHorizon:
-    def test_returns_all_horizons(self):
-        period = 24
-        series = periodic_series(period, 10)
-        model = SeasonalNaivePredictor(period=period)
-        result = mre_by_horizon(model, series, (1, 2, 3), eval_start=5 * period)
-        assert set(result) == {1, 2, 3}
-        assert all(v == pytest.approx(0.0, abs=1e-9) for v in result.values())

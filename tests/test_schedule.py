@@ -37,7 +37,7 @@ class TestTable1:
         assert first == {(0, 3), (1, 4), (2, 5)}
 
     def test_every_pair_exactly_once(self, schedule):
-        pairs = [(t.sender, t.receiver) for t in schedule.all_transfers()]
+        pairs = [(t.sender, t.receiver) for rnd in schedule.rounds for t in rnd.transfers]
         assert len(pairs) == 3 * 11
         assert len(set(pairs)) == len(pairs)
 

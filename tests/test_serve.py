@@ -67,7 +67,7 @@ class TestVirtualClock:
         def tick():
             ticks.append(clock.now)
             if clock.now < 3.0:
-                clock.call_later(1.0, tick)
+                clock.call_at(clock.now + 1.0, tick)
 
         clock.call_at(1.0, tick)
         clock.run_until(10.0)
@@ -86,8 +86,6 @@ class TestVirtualClock:
         clock = VirtualClock(start=10.0)
         with pytest.raises(ConfigurationError):
             clock.call_at(9.0, lambda: None)
-        with pytest.raises(ConfigurationError):
-            clock.call_later(-1.0, lambda: None)
 
 
 class TestAdmission:
@@ -105,7 +103,6 @@ class TestAdmission:
         decision = ctl.decide(2, 9.5)
         assert not decision.accepted and decision.status == 503
         assert decision.retry_after_s == pytest.approx(4.5)
-        assert decision.retry_after_whole_seconds == 5
         # Barely-over rejects still carry the floor hint.
         assert ctl.decide(2, 5.01).retry_after_s == pytest.approx(1.0)
         ctl.decide(0, 0.0)

@@ -114,15 +114,6 @@ class TestRebalancing:
         rebalancer = HotSpotRebalancer(cluster)
         assert rebalancer.rebalance_once() is None
 
-    def test_run_until_balanced_stops(self):
-        cluster = make_cluster()
-        spread_accesses(cluster)
-        hammer_partition(cluster, cluster.partitions()[0])
-        rebalancer = HotSpotRebalancer(cluster)
-        actions = rebalancer.run_until_balanced()
-        # Counters reset after the first action, so the loop goes quiet.
-        assert len(actions) == 1
-
 
 class TestEndToEndSkewMitigation:
     def test_rebalancing_reduces_hot_node_share(self):

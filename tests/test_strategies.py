@@ -209,7 +209,7 @@ class TestPredictiveLoop:
         assert max(targets) == 5
         assert {d.kind for d in loop.decision_log} == {"planned"}
         # Capacity stays ahead of the ramp: never below the load's Q need.
-        assert np.all(result.target_capacity >= rates - 1e-9)
+        assert np.all(result.effective_machines * PARAMS.q >= rates - 1e-9)
 
     def test_missing_forecast_falls_back_to_reactive(self):
         # Forecasts issued from the 4-slot history only: the 5th slot has

@@ -6,6 +6,7 @@ round-trip exactly, a disabled handle leaves the engine bit-identical,
 and ``repro.cli report`` renders a stable summary from a dump.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -16,13 +17,12 @@ from repro.errors import ConfigurationError
 from repro.telemetry import (
     Telemetry,
     active_telemetry,
-    default_telemetry,
     resolve_telemetry,
     telemetry_session,
 )
+from repro.metrics.sla import violation_seconds
 from repro.telemetry.export import (
     export,
-    read_csv_ticks,
     read_jsonl,
     write_csv_ticks,
     write_jsonl,
@@ -106,7 +106,7 @@ class TestTracer:
         tracer.finish_all()  # no timestamp available at export time
         assert span.status == "abandoned"
         assert span.duration == 0.0
-        assert not tracer.open_spans
+        assert all(s.closed for s in tracer.spans)
 
     def test_finish_is_idempotent(self):
         tracer = Tracer()
@@ -140,7 +140,8 @@ class TestTimeline:
                 p99_ms=p99, machines=float(machines), reconfiguring=False,
             )
         assert recorder.machine_seconds() == 20.0
-        assert recorder.sla_violation_seconds() == 4
+        p99 = [tick["p99_ms"] for tick in recorder.ticks]
+        assert violation_seconds(p99, recorder.meta["sla_ms"], recorder.meta["dt_seconds"]) == 4
 
 
 def _sample_telemetry() -> Telemetry:
@@ -201,17 +202,14 @@ class TestExport:
         tel = _sample_telemetry()
         path = tmp_path / "ticks.csv"
         assert write_csv_ticks(tel, path) == 4
-        rows = read_csv_ticks(path)
+        with open(path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            assert tuple(reader.fieldnames) == TICK_FIELDS
+            rows = [{k: float(v) for k, v in row.items()} for row in reader]
         assert rows == [
             {field: float(tick[field]) for field in TICK_FIELDS}
             for tick in tel.timeline.ticks
         ]
-
-    def test_csv_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "foreign.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigurationError):
-            read_csv_ticks(path)
 
     def test_export_dispatches_on_suffix(self, tmp_path):
         tel = _sample_telemetry()
@@ -221,11 +219,11 @@ class TestExport:
 
 class TestRuntime:
     def test_session_installs_and_restores(self):
-        assert default_telemetry() is None
+        assert active_telemetry() is None
         tel = Telemetry()
         with telemetry_session(tel):
             assert active_telemetry() is tel
-        assert default_telemetry() is None
+        assert active_telemetry() is None
 
     def test_disabled_default_is_not_active(self):
         with telemetry_session(Telemetry(enabled=False)):

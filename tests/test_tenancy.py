@@ -41,7 +41,6 @@ from repro.tenancy import (
     build_registry,
     composite_arrivals,
 )
-from repro.workloads.trace import LoadTrace, compose_traces
 
 SAT = 12.0
 
@@ -91,13 +90,6 @@ class TestTenantRegistry:
             TenantRegistry(tenants=[])
         with pytest.raises(ConfigurationError):
             build_registry([spec("a"), spec("a")])
-
-    def test_shed_order_lowest_weight_first_registry_order_ties(self):
-        registry = build_registry(
-            [spec("gold", weight=3), spec("b1"), spec("a1"), spec("silver", weight=2)]
-        )
-        assert registry.shed_order() == ["b1", "a1", "silver", "gold"]
-        assert registry.max_weight == 3
 
     def test_weighted_fair_aggregate_quota(self):
         registry = TenantRegistry(
@@ -213,7 +205,7 @@ class TestTenantAdmission:
 
 
 # ----------------------------------------------------------------------
-# Composite workloads + compose_traces satellite
+# Composite workloads
 # ----------------------------------------------------------------------
 class TestCompositeArrivals:
     def test_merged_sorted_with_parallel_indices(self):
@@ -243,48 +235,17 @@ class TestCompositeArrivals:
         assert np.array_equal(times_a, times_b)
 
 
-class TestComposeTraces:
-    def test_sum_of_aligned_components(self):
-        a = LoadTrace(np.ones(4) * 10.0, slot_seconds=60.0)
-        b = LoadTrace(np.ones(4) * 5.0, slot_seconds=60.0)
-        composite = compose_traces([a, b])
-        assert composite.slot_seconds == 60.0
-        assert np.array_equal(composite.values, np.ones(4) * 15.0)
-
-    def test_shorter_component_cycles_under_max(self):
-        long = LoadTrace(np.arange(6, dtype=float), slot_seconds=60.0)
-        short = LoadTrace(np.array([100.0, 200.0]), slot_seconds=60.0)
-        composite = compose_traces([long, short])
-        assert len(composite) == 6
-        assert np.array_equal(
-            composite.values,
-            np.arange(6) + np.array([100.0, 200.0, 100.0, 200.0, 100.0, 200.0]),
-        )
-
-    def test_ragged_tail_slot_never_off_by_one(self):
-        # Regression: a 1441-minute trace composed with a 24-hour trace
-        # at hourly slots must yield exactly 24 slots — the ragged
-        # 1-minute tail drops, it must not round the length up to 25.
-        minutes = LoadTrace(np.ones(1441), slot_seconds=60.0)
-        hours = LoadTrace(np.ones(24) * 60.0, slot_seconds=3600.0)
-        composite = compose_traces([minutes, hours], slot_seconds=3600.0)
-        assert len(composite) == 24
-        assert np.array_equal(composite.values, np.ones(24) * 120.0)
-
-
 # ----------------------------------------------------------------------
 # SLO monitor label keys satellite
 # ----------------------------------------------------------------------
 class TestSLOMonitorLabels:
     def test_metric_and_monitor_keys_are_canonical(self):
         monitor = SLOMonitor(SLOConfig(), labels={"tenant": "checkout"})
-        assert monitor.monitor_key == 'slo{tenant="checkout"}'
         assert (
             monitor.metric_key("slo.fast_burn")
             == labeled("slo.fast_burn", tenant="checkout")
         )
         plain = SLOMonitor(SLOConfig())
-        assert plain.monitor_key == "slo"
         assert plain.metric_key("slo.fast_burn") == "slo.fast_burn"
 
     def test_labelled_monitor_writes_labelled_gauges_and_events(self):

@@ -102,12 +102,10 @@ class TestQueries:
     def test_unknown_series_returns_empty(self):
         store = sampled_store()
         assert store.query("no.such.series") == []
-        assert store.latest("no.such.series") is None
 
     def test_latest_is_newest_raw_point(self):
         store = sampled_store(ticks=3)
-        latest = store.latest("jobs")
-        assert latest is not None
+        latest = store.query("jobs")[-1]
         assert latest["t"] == 2.0
         assert latest["last"] == 6.0
 

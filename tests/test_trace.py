@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workloads.trace import LoadTrace, concat
+from repro.workloads.trace import LoadTrace
 
 
 @pytest.fixture
@@ -70,14 +70,6 @@ class TestTimeMath:
         assert LoadTrace(np.zeros(1), slot_seconds=60.0).slots_per_day == 1440
         with pytest.raises(ConfigurationError):
             LoadTrace(np.zeros(1), slot_seconds=7.0).slots_per_day
-
-    def test_slice_days(self):
-        trace = LoadTrace(np.arange(2880.0), slot_seconds=60.0)
-        day2 = trace.slice_days(1, 1)
-        assert len(day2) == 1440
-        assert day2[0] == 1440.0
-        with pytest.raises(ConfigurationError):
-            trace.slice_days(1.5, 1)
 
 
 class TestRates:
@@ -147,49 +139,3 @@ class TestStats:
     def test_peak_to_trough_with_zero(self):
         trace = LoadTrace(np.array([0.0, 5.0]))
         assert trace.peak_to_trough() == float("inf")
-
-
-class TestPersistence:
-    def test_csv_round_trip(self, tmp_path, trace):
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        loaded = LoadTrace.load_csv(path)
-        assert np.allclose(loaded.values, trace.values)
-        assert loaded.slot_seconds == trace.slot_seconds
-        assert loaded.name == trace.name
-        assert loaded.peak_values is None
-
-    def test_csv_round_trip_with_peaks(self, tmp_path):
-        trace = LoadTrace(
-            np.array([1.0, 2.0]), slot_seconds=30.0, name="peaky",
-            peak_values=np.array([1.5, 2.5]),
-        )
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        loaded = LoadTrace.load_csv(path)
-        assert np.allclose(loaded.peak_values, trace.peak_values)
-        assert loaded.slot_seconds == 30.0
-
-
-class TestConcat:
-    def test_concat(self):
-        a = LoadTrace(np.array([1.0, 2.0]), slot_seconds=60.0)
-        b = LoadTrace(np.array([3.0]), slot_seconds=60.0)
-        joined = concat([a, b])
-        assert list(joined.values) == [1.0, 2.0, 3.0]
-
-    def test_concat_mixed_peaks(self):
-        a = LoadTrace(np.array([1.0]), peak_values=np.array([2.0]))
-        b = LoadTrace(np.array([3.0]))
-        joined = concat([a, b])
-        assert list(joined.peak_values) == [2.0, 3.0]
-
-    def test_concat_rejects_mismatched_slots(self):
-        a = LoadTrace(np.array([1.0]), slot_seconds=60.0)
-        b = LoadTrace(np.array([1.0]), slot_seconds=30.0)
-        with pytest.raises(ConfigurationError):
-            concat([a, b])
-
-    def test_concat_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            concat([])

@@ -30,23 +30,6 @@ class TestSparkline:
             viz.sparkline([])
 
 
-class TestBarChart:
-    def test_layout(self):
-        chart = viz.bar_chart(["aa", "b"], [10.0, 5.0], width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ConfigurationError):
-            viz.bar_chart(["a"], [1.0, 2.0])
-
-    def test_all_zero(self):
-        chart = viz.bar_chart(["a"], [0.0])
-        assert "#" not in chart
-
-
 class TestLoadVsCapacity:
     def test_violation_markers(self):
         load = [1.0, 5.0, 1.0]

@@ -8,7 +8,6 @@ from repro.workloads.b2w import (
     B2WTraceConfig,
     generate_b2w_long_trace,
     generate_b2w_trace,
-    generate_training_and_test,
 )
 from repro.workloads.spikes import FlashCrowd, inject_flash_crowd
 from repro.workloads.wikipedia import generate_wikipedia_pair, generate_wikipedia_trace
@@ -84,14 +83,6 @@ class TestBlackFriday:
         trace = generate_b2w_long_trace(num_days=130, black_friday_day=116)
         per_day = trace.values.reshape(130, 288).sum(axis=1)
         assert np.argmax(per_day) in (115, 116, 117)
-
-
-class TestTrainTestSplit:
-    def test_split_shapes(self):
-        train, test = generate_training_and_test(train_days=7, test_days=2)
-        assert len(train) == 7 * 1440
-        assert len(test) == 2 * 1440
-        assert test.start_slot == 7 * 1440
 
 
 class TestWikipedia:
