@@ -8,8 +8,8 @@ test:
 
 ## Static checks, same invocation as the CI lint job.
 lint:
-	ruff check src tests benchmarks experiments
-	ruff format --check src tests benchmarks experiments
+	ruff check src tests benchmarks
+	ruff format --check src tests benchmarks
 
 ## Tier-1 suite with line coverage, same floor as the CI tests job.
 cov:

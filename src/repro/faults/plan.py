@@ -21,11 +21,12 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import FaultInjectionError
+from repro.errors import ConfigurationError, FaultInjectionError
+from repro.fields import FieldTable, parse_fields
 
 
 @dataclass(frozen=True)
@@ -221,29 +222,31 @@ def _split_fields(entry: str) -> Tuple[str, float, List[str]]:
     return kind.strip().lower(), at_seconds, options
 
 
-def _opt_value(options: Sequence[str], key: str) -> Optional[str]:
-    for opt in options:
-        if opt.startswith(key + "="):
-            return opt[len(key) + 1 :]
-    return None
+_NODE: FieldTable = {"n": ("node_id", int)}
 
-
-def _parse_int(value: str, what: str, entry: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise FaultInjectionError(
-            f"bad {what} {value!r} in fault entry {entry!r} (expected an integer)"
-        ) from None
-
-
-def _parse_float(value: str, what: str, entry: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise FaultInjectionError(
-            f"bad {what} {value!r} in fault entry {entry!r} (expected a number)"
-        ) from None
+#: Per ``--faults`` kind: the event it builds (``None``: a generated
+#: plan), the :func:`~repro.fields.parse_fields` table of its options and
+#: the ones it cannot do without.
+_FAULT_KINDS: Dict[str, Tuple[Optional[type], FieldTable, Tuple[str, ...]]] = {
+    "crash": (NodeCrash, {**_NODE, "recover": ("recover_after_seconds", float)}, ("n",)),
+    "straggle": (
+        NodeStraggler,
+        {**_NODE, "x": ("factor", float), "for": ("duration_seconds", float)},
+        ("n",),
+    ),
+    "xfail": (TransferFailure, {"count": ("count", int)}, ()),
+    "stall": (MigrationStall, {"for": ("duration_seconds", float)}, ()),
+    "gen": (
+        None,
+        {
+            "seed": ("seed", int), "span": ("duration_seconds", float),
+            "crashes": ("crashes", int), "stragglers": ("stragglers", int),
+            "xfails": ("transfer_failures", int), "stalls": ("stalls", int),
+            "nodes": ("num_nodes", int),
+        },
+        ("seed", "span"),
+    ),
+}
 
 
 def parse_fault_spec(spec: str) -> FaultPlan:
@@ -258,7 +261,13 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     * ``xfail@T[:count=K]`` — ``K`` consecutive chunk failures;
     * ``stall@T[:for=D]`` — migration stalled for ``D`` s (default 30);
     * ``gen@0:seed=S:span=SECONDS[...]`` — a whole generated plan
-      (optional ``crashes=``, ``stragglers=``, ``xfails=``, ``stalls=``).
+      (optional ``crashes=``, ``stragglers=``, ``xfails=``, ``stalls=``,
+      ``nodes=``).
+
+    Options are ``key=value`` tokens of :func:`repro.fields.parse_fields`
+    (a bare ``nN`` is ``n=N``); a key the kind does not know, a value
+    that does not parse or a missing node raises
+    :class:`~repro.errors.FaultInjectionError`.
 
     Example: ``crash@1200:n3:recover=600,straggle@2000:n1:x=0.4:for=90``.
     """
@@ -268,94 +277,26 @@ def parse_fault_spec(spec: str) -> FaultPlan:
         if not entry:
             continue
         kind, at_seconds, options = _split_fields(entry)
-        if kind == "crash":
-            node = _opt_value(options, "n") or next(
-                (o[1:] for o in options if o.startswith("n") and "=" not in o), None
-            )
-            if node is None:
-                raise FaultInjectionError(f"crash entry {entry!r} needs a node (nN)")
-            recover = _opt_value(options, "recover")
-            events.append(
-                NodeCrash(
-                    at_seconds=at_seconds,
-                    node_id=_parse_int(node, "node id", entry),
-                    recover_after_seconds=(
-                        _parse_float(recover, "recover delay", entry)
-                        if recover
-                        else None
-                    ),
-                )
-            )
-        elif kind in ("straggle", "straggler"):
-            node = next(
-                (o[1:] for o in options if o.startswith("n") and "=" not in o), None
-            )
-            if node is None:
-                raise FaultInjectionError(
-                    f"straggler entry {entry!r} needs a node (nN)"
-                )
-            factor = _opt_value(options, "x")
-            duration = _opt_value(options, "for")
-            events.append(
-                NodeStraggler(
-                    at_seconds=at_seconds,
-                    node_id=_parse_int(node, "node id", entry),
-                    factor=(
-                        _parse_float(factor, "capacity factor", entry)
-                        if factor
-                        else 0.5
-                    ),
-                    duration_seconds=(
-                        _parse_float(duration, "duration", entry) if duration else 60.0
-                    ),
-                )
-            )
-        elif kind == "xfail":
-            count = _opt_value(options, "count")
-            events.append(
-                TransferFailure(
-                    at_seconds=at_seconds,
-                    count=_parse_int(count, "count", entry) if count else 1,
-                )
-            )
-        elif kind == "stall":
-            duration = _opt_value(options, "for")
-            events.append(
-                MigrationStall(
-                    at_seconds=at_seconds,
-                    duration_seconds=(
-                        _parse_float(duration, "duration", entry) if duration else 30.0
-                    ),
-                )
-            )
-        elif kind == "gen":
-            seed = _opt_value(options, "seed")
-            span = _opt_value(options, "span")
-            if seed is None or span is None:
-                raise FaultInjectionError(
-                    f"gen entry {entry!r} needs seed= and span="
-                )
-            kwargs = {}
-            for name, key in (
-                ("crashes", "crashes"),
-                ("stragglers", "stragglers"),
-                ("transfer_failures", "xfails"),
-                ("stalls", "stalls"),
-                ("num_nodes", "nodes"),
-            ):
-                value = _opt_value(options, key)
-                if value is not None:
-                    kwargs[name] = _parse_int(value, key, entry)
-            events.extend(
-                FaultPlan.generate(
-                    _parse_int(seed, "seed", entry),
-                    _parse_float(span, "span", entry),
-                    **kwargs,
-                ).events
-            )
-        else:
+        kind = "straggle" if kind == "straggler" else kind
+        if kind not in _FAULT_KINDS:
             raise FaultInjectionError(
                 f"unknown fault kind {kind!r} in {entry!r}; known: "
                 "crash, straggle, xfail, stall, gen"
             )
+        event, fields, needed = _FAULT_KINDS[kind]
+        if "n" in fields:  # a bare ``nN`` names the node, as ``n=N`` does
+            options = [f"n={o[1:]}" if o.startswith("n") and "=" not in o else o for o in options]
+        try:
+            values = parse_fields(f"--faults entry {entry!r}", ",".join(options), fields)
+        except ConfigurationError as exc:
+            raise FaultInjectionError(str(exc)) from None
+        missing = [key for key in needed if fields[key][0] not in values]
+        if missing:
+            raise FaultInjectionError(
+                f"{kind} entry {entry!r} needs " + " and ".join(f"{key}=" for key in missing)
+            )
+        if event is None:
+            events.extend(FaultPlan.generate(**values).events)  # type: ignore[arg-type]
+        else:
+            events.append(event(at_seconds=at_seconds, **values))
     return FaultPlan(events)

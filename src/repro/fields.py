@@ -38,7 +38,8 @@ def parse_fields(flag: str, spec: Optional[str], fields: FieldTable) -> Dict[str
                 parsed[dest] = cast(value.strip())
                 continue
             except ValueError:
-                problem = f"{key} must be {'an integer' if cast is int else 'a number'}"
+                kind = "an integer" if cast is int else "a number"
+                problem = f"{key} must be {kind}, not {value.strip()!r}"
         raise ConfigurationError(
             f"bad {flag} token {token!r}: {problem}; keys: {', '.join(fields)}"
         )

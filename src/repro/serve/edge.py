@@ -14,12 +14,14 @@ the strict request/reply protocol of :mod:`repro.serve.worker`:
   (capacity-weighted over the advertised machine counts, open breakers
   zeroed out), runs the engines' admission policy chain
   (:mod:`repro.serve.admission`) over workers and their advertised queues,
-  sinks its rejects and queues the rest per worker — as column slices;
-* :meth:`Fleet.tick` posts one ``step`` request (the queued columns) to
-  every worker *before* collecting any reply — the shards compute their
-  tick concurrently, but replies are folded in worker order, each reply's
-  columns straight into one :class:`~repro.serve.engine.OutcomeBatch`,
-  so the aggregate report is deterministic regardless of process
+  sinks its rejects and keeps the rest per worker and per call — their
+  times, tenants, trace ids and sink;
+* :meth:`Fleet.tick` posts one ``step`` request (each worker's arrival
+  times) to every worker *before* collecting any reply — the shards
+  compute their tick concurrently, but replies are folded in worker
+  order, each call's rows of a reply into one
+  :class:`~repro.serve.engine.OutcomeBatch` with the columns the edge
+  kept, so the aggregate report is deterministic regardless of process
   scheduling;
 * a worker whose transport breaks mid-tick — or whose reply is refused,
   malformed or answers a different number of rows than were posted —
@@ -27,9 +29,10 @@ the strict request/reply protocol of :mod:`repro.serve.worker`:
   and feeds its breaker: the conservation identity ``offered = served +
   shed + errored + in-flight`` stays exact through a worker crash,
   which the resilience tests pin;
-* a per-tick probe round (worker alive?) drives the breakers exactly
-  like the single-process engine's node health monitor, and a
-  configured brownout is engaged while any breaker is open;
+* a per-tick probe round (worker alive?) drives the breakers of the
+  single-process engine's :class:`~repro.serve.resilience.NodeHealthMonitor`,
+  one per worker, and a configured brownout is engaged while any breaker
+  is open — with the engine's telemetry;
 * a fleet snapshot is the ``engine`` section of an ordinary
   ``repro-serve-checkpoint/1`` document — the edge state plus every
   worker's engine snapshot, captured over the wire — and a resumed
@@ -63,10 +66,9 @@ from repro.serve.engine import (
 )
 from repro.serve.loadgen import LoadgenReport
 from repro.serve.resilience import (
-    OPEN,
     BreakerConfig,
     BrownoutConfig,
-    CircuitBreaker,
+    NodeHealthMonitor,
     RetryConfig,
     _rng_state,
     _set_rng_state,
@@ -99,14 +101,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _SPAN_STATUS = {200: "ok", 500: "error"}  # anything else: "shed"
 
-#: What one worker owes its callers after a tick: per ``submit_batch``
-#: call, in call order, how many rows it forwarded there and their sink.
-_Calls = List[Tuple[int, Optional[OutcomeSink]]]
-
-
-def _empty_queue() -> Dict[str, List[np.ndarray]]:
-    """No requests, in the two columns every ``step`` request has."""
-    return {"times": [], "priority": []}
+#: What one ``submit_batch`` call forwarded to one worker: the rows'
+#: times, tenant indices (or ``None``) and the names they index, edge
+#: trace ids (or ``None``) and the call's sink.
+_Call = Tuple[
+    np.ndarray, Optional[np.ndarray], Sequence[str], Optional[np.ndarray], Optional[OutcomeSink]
+]
 
 
 def _check_protocol(who: str, hello: Dict[str, object]) -> None:
@@ -152,8 +152,7 @@ class Fleet:
             *edge* owns tenant policy in the distributed split: quotas
             and tenant-level brownout shedding run here before routing
             is acted on, and per-tenant labelled SLO monitors run over
-            the folded replies.  Workers just carry the tag through
-            their engines.
+            the folded replies.  Tags never leave the edge.
         perf: Optional wall-clock recorder; :meth:`tick` records an
             ``edge.dispatch`` span.  Falls back to the process default
             installed by ``repro.telemetry.perf``.
@@ -213,19 +212,16 @@ class Fleet:
         self.edge_queue_limit_s = edge_queue_limit_s
         self.brownout = brownout
         self.brownout_active = False
-        breaker_config = breaker or BreakerConfig()
-        self.breakers: Dict[int, CircuitBreaker] = {
-            spec.worker_id: CircuitBreaker(spec.worker_id, breaker_config)
-            for spec in specs
-        }
+        #: One breaker per worker, the engine's per-node machinery.
+        self.health = NodeHealthMonitor(breaker or BreakerConfig(), telemetry)
+        for wid in ids:
+            self.health.breaker(wid)
         self.ledger = OutcomeLedger(slo, tenancy, telemetry)
         self.slo_monitor = self.ledger.slo_monitor
         self.tenancy = tenancy
         self.tenant_slos = self.ledger.tenant_slos
         #: Machine-seconds the workers advertised, integrated over ticks.
         self.machine_seconds = 0.0
-        # Tenant tag vocabulary: the registry's, else the submitter's.
-        self._tenant_names: Tuple[str, ...] = tenancy.names if tenancy is not None else ()
         self.telemetry = telemetry
         self.trace_requests = trace_requests
         self._next_trace_id = 1
@@ -244,10 +240,8 @@ class Fleet:
         self.advertised: Dict[int, Tuple[float, float]] = {
             spec.worker_id: (float(spec.initial_nodes), 0.0) for spec in specs
         }
-        # Forwarded requests awaiting the next tick: per worker, the
-        # slices of each ``step`` column it was routed, and who sent them.
-        self._queued = [_empty_queue() for _ in specs]
-        self._calls: List[_Calls] = [[] for _ in specs]
+        # Forwarded requests awaiting the next tick, per worker.
+        self._calls: List[List[_Call]] = [[] for _ in specs]
         self._started = False
 
     # ------------------------------------------------------------------
@@ -338,7 +332,9 @@ class Fleet:
         """
         alive = [handle.alive for handle in self.workers]
         weights = [
-            max(self.advertised[wid][0], 0.0) if ok and self.breakers[wid].allows_traffic else 0.0
+            max(self.advertised[wid][0], 0.0)
+            if ok and self.health.breakers[wid].allows_traffic
+            else 0.0
             for wid, ok in enumerate(alive)
         ]
         cdf = np.cumsum(weights)
@@ -398,22 +394,7 @@ class Fleet:
         tenancy = self.tenancy
         if tenancy is not None:
             tenants = tenancy.registry_indices(tenants, tenant_names, n)
-        else:
-            names = tuple(tenant_names) if tenants is not None else ()
-            if names != self._tenant_names:
-                if not self.pending_requests:
-                    self._tenant_names = names
-                elif names and self._tenant_names:
-                    # The rows queued index the old names: keep them a prefix.
-                    index = {name: i for i, name in enumerate(self._tenant_names)}
-                    renumber = [index.setdefault(name, len(index)) for name in names]
-                    tenants = np.array(renumber)[tenants]
-                    self._tenant_names = tuple(index)
-                else:
-                    raise ConfigurationError("tagged and untagged requests queued for one tick")
-        if tenants is not None:
-            tenants = np.asarray(tenants, dtype=np.int64)
-        names = self._tenant_names
+            tenant_names = tenancy.names
 
         worker = self._route(draws)
         if worker is None:  # nobody left to route to
@@ -442,57 +423,56 @@ class Fleet:
             batch = OutcomeBatch(
                 np.where(reason[lost] == CONNECTION, 500, 503), worker[lost],
                 times[lost], times[lost], np.zeros_like(times[lost]), retry_after[lost],
-                None, reason[lost], priorities[lost],
-                tenants[lost] if tenants is not None else None, names,
+                None, reason[lost], tenants[lost] if tenants is not None else None, tenant_names,
             )
             if sink is not None:
                 sink(batch)
             self._settle(batch)
-        # The forwarded rows join their worker's columns for the next tick.
-        columns = {"times": times[open_rows], "priority": priorities[open_rows]}
-        workers = worker[open_rows]
-        if self.trace_requests and self.telemetry is not None:
+        # The forwarded rows wait for the next tick with their worker.
+        times, workers = times[open_rows], worker[open_rows]
+        if tenants is not None:
+            tenants = tenants[open_rows]
+        trace_ids: Optional[np.ndarray] = None
+        if self.trace_requests:
             first = self._next_trace_id
             self._next_trace_id += len(workers)
-            columns["trace_id"] = np.arange(first, self._next_trace_id, dtype=np.int64)
+            trace_ids = np.arange(first, self._next_trace_id, dtype=np.int64)
             tracer = self.telemetry.tracer
             for trace_id, at, worker_id in zip(
-                range(first, self._next_trace_id), columns["times"].tolist(), workers.tolist()
+                trace_ids.tolist(), times.tolist(), workers.tolist()
             ):
                 self._stitch[trace_id] = tracer.begin_detached(
                     "edge.request", at=at, trace_id=trace_id, worker=worker_id
                 )
-        if tenants is not None:
-            columns["tenant"] = tenants[open_rows]
-        for worker_id, queue in enumerate(self._queued):
+        for worker_id, calls in enumerate(self._calls):
             rows = workers == worker_id
-            count = int(np.count_nonzero(rows))
-            if count:
-                for key, column in columns.items():
-                    queue.setdefault(key, []).append(column[rows])
-                self._calls[worker_id].append((count, sink))
+            if rows.any():
+                calls.append((
+                    times[rows],
+                    tenants[rows] if tenants is not None else None,
+                    tenant_names,
+                    trace_ids[rows] if trace_ids is not None else None,
+                    sink,
+                ))
         return AdmissionBatch(open_rows, worker, queue_s, retry_after, reason)
 
-    def _deliver(self, calls: _Calls, batch: OutcomeBatch, accepted: np.ndarray) -> None:
+    def _deliver(self, calls: List[_Call], columns: Sequence[np.ndarray]) -> None:
         """Hand each ``submit_batch`` call its rows of one worker's tick:
-        ``batch`` holds the rows the worker shed and then the rows it
-        served, each in posted order, and ``accepted`` tells which posted
-        rows are which."""
-        if len(calls) == 1:  # the whole batch answers the one call
-            if calls[0][1] is not None:
-                calls[0][1](batch)
-            return
-        served = np.concatenate(([0], np.cumsum(accepted, dtype=np.int64)))
-        shed = np.arange(len(served)) - served  # rows of either kind posted before each row
-        first_served = shed[-1]
+        ``columns`` (:data:`~repro.serve.worker.STEP_REPLY_COLUMNS`) answer
+        the calls' rows in posted order, the rest is the call's own."""
+        status, node_id, completed_at, latency_ms, retry_after_s, reason = columns
         start = 0
-        for rows, sink in calls:
-            stop = start + rows
+        for times, tenants, tenant_names, trace_ids, sink in calls:
+            rows = slice(start, start + len(times))
+            start = rows.stop
+            batch = OutcomeBatch(
+                status[rows], node_id[rows], times, completed_at[rows], latency_ms[rows],
+                retry_after_s[rows], trace_ids.tolist() if trace_ids is not None else None,
+                reason[rows], tenants, tenant_names,
+            )
             if sink is not None:
-                sheds = np.arange(shed[start], shed[stop])
-                completions = first_served + np.arange(served[start], served[stop])
-                sink(batch.take(np.concatenate((sheds, completions))))
-            start = stop
+                sink(batch)
+            self._settle(batch)
 
     def _settle(self, batch: OutcomeBatch) -> None:
         """Tally terminal outcomes in the ledger and close their edge spans."""
@@ -518,10 +498,9 @@ class Fleet:
     def _dispatch_tick(self) -> None:
         self.start()
         end = self.now + self.dt_s
-        messages = [self._step_message(queue) for queue in self._queued]
         calls = self._calls
-        self._queued = [_empty_queue() for _ in messages]
-        self._calls = [[] for _ in messages]
+        self._calls = [[] for _ in calls]
+        messages = [self._step_message(worker_calls) for worker_calls in calls]
         # A live worker runs this tick on what it advertised after the last.
         self.machine_seconds += self.dt_s * sum(
             self.advertised[handle.spec.worker_id][0] for handle in self.workers if handle.alive
@@ -532,108 +511,61 @@ class Fleet:
             try:
                 handle.post(message)
             except TransportError:
-                self._fail_batch(wid, message, calls[wid], end)
+                self._fail_batch(wid, calls[wid], end)
                 continue
             posted.append(handle)
         for handle in posted:
             wid = handle.spec.worker_id
+            n = len(messages[wid]["times"])  # type: ignore[arg-type]
             try:
                 reply = handle.collect()
                 if not reply.get("ok"):
                     raise ValueError(f"the worker refused the frame: {reply.get('error')}")
-                batch, accepted = self._reply_batch(messages[wid], reply)
+                columns = [
+                    wire_column(reply, name, n, len(REASONS) if name == "reason" else None)
+                    for name in STEP_REPLY_COLUMNS
+                ]
                 ad = self._read_ad(wid, reply)
                 view = self._views.get(wid)
                 if view is not None:
                     view.apply(reply.get("delta"))  # all or nothing, so last
             except (TransportError, ValueError):
                 # Dead, refused or malformed: nothing of this reply is used.
-                self._fail_batch(wid, messages[wid], calls[wid], end)
+                self._fail_batch(wid, calls[wid], end)
                 continue
             self.advertised[wid] = ad
-            if len(batch):
-                self._deliver(calls[wid], batch, accepted)
-                self._settle(batch)
+            self._deliver(calls[wid], columns)
 
         self.now = end
         self._tick_index += 1
-        self._probe(end)
+        # Per-tick liveness round over the fleet, driving the breakers.
+        dead = [handle.spec.worker_id for handle in self.workers if not handle.alive]
+        self.health.probe(end, list(range(len(self.workers))), dead)
+        self.brownout_active = self.health.switch_brownout(end, self.brownout_active, self.brownout)
         self.ledger.observe(end)
         self._fleet_metrics = None
 
-    def _step_message(self, queue: Dict[str, List[np.ndarray]]) -> Dict[str, object]:
-        """One worker's queued column slices as its ``step`` request."""
-        message: Dict[str, object] = {"cmd": "step"}
-        for key, parts in queue.items():
-            message[key] = join_columns(key, parts)
-        if "tenant" in message:
-            message["tenant_names"] = list(self._tenant_names)
+    def _step_message(self, calls: List[_Call]) -> Dict[str, object]:
+        """One worker's ``step`` request: the times its calls forwarded
+        (and their trace ids, under edge tracing)."""
+        message: Dict[str, object] = {
+            "cmd": "step", "times": join_columns("times", [call[0] for call in calls]),
+        }
+        if self.trace_requests:
+            message["trace_id"] = join_columns("trace_id", [call[3] for call in calls])
         return message
 
-    def _reply_batch(
-        self, message: Dict[str, object], reply: Dict[str, object]
-    ) -> Tuple[OutcomeBatch, np.ndarray]:
-        """A worker's reply columns (rejects first, then completions) as
-        one batch, and its ``accepted`` mask over the posted rows;
-        ``ValueError`` unless they answer ``message`` row for row in the
-        protocol's dtypes and vocabularies."""
-        n = len(message["times"])  # type: ignore[arg-type]
-        columns = [
-            wire_column(reply, name, n, len(REASONS) if name == "reason" else None)
-            for name in STEP_REPLY_COLUMNS
-        ]
-        accepted = wire_column(reply, "accepted", n, 2)
-        if np.count_nonzero(accepted) != np.count_nonzero(columns[0] == 200):
-            raise ValueError("'accepted' does not mark as many rows as were answered 200")
-        trace_id = tenant = None
-        if self.trace_requests and "trace_id" in reply:  # the worker traces too
-            trace_id = wire_column(reply, "trace_id", n).tolist()
-        if "tenant" in message:
-            tenant = wire_column(reply, "tenant", n, len(self._tenant_names))
-            if reply.get("tenant_names") != message["tenant_names"]:
-                raise ValueError("'tenant_names' are not the names that were posted")
-        batch = OutcomeBatch(*columns[:6], trace_id, *columns[6:], tenant, self._tenant_names)
-        return batch, accepted
-
-    def _fail_batch(
-        self, worker_id: int, message: Dict[str, object], calls: _Calls, at: float
-    ) -> None:
+    def _fail_batch(self, worker_id: int, calls: List[_Call], at: float) -> None:
         """A broken worker: its whole tick batch dies as connection 500s."""
-        self.breakers[worker_id].record_failure(at)
-        times: np.ndarray = message["times"]  # type: ignore[assignment]
-        n = len(times)
-        if n:
-            trace_id: Optional[np.ndarray] = message.get("trace_id")  # type: ignore[assignment]
-            batch = OutcomeBatch(
-                np.full(n, 500), np.full(n, worker_id), times,
-                np.full(n, at), np.zeros(n), np.zeros(n),
-                trace_id.tolist() if trace_id is not None else None,
-                np.full(n, CONNECTION, dtype=np.int8), message["priority"],
-                message.get("tenant"), self._tenant_names,
-            )
-            self._deliver(calls, batch, np.zeros(n, dtype=bool))
-            self._settle(batch)
+        self.health.record_request_failure(worker_id, at)
+        n = sum(len(call[0]) for call in calls)
+        self._deliver(calls, (
+            np.full(n, 500), np.full(n, worker_id), np.full(n, at), np.zeros(n), np.zeros(n),
+            np.full(n, CONNECTION, dtype=np.int8),
+        ))
         if self.telemetry is not None:
             self.telemetry.counter("edge.worker_batch_failures").inc()
             self.telemetry.event("worker_down", at, worker=worker_id, lost=n)
-
-    def _probe(self, now: float) -> None:
-        """Per-tick liveness round over the fleet, driving the breakers."""
-        for handle in self.workers:
-            breaker = self.breakers[handle.spec.worker_id]
-            breaker.poll(now)
-            if handle.alive:
-                breaker.record_success(now)
-            else:
-                breaker.record_failure(now)
-        was = self.brownout_active
-        self.brownout_active = self.brownout is not None and any(
-            b.state == OPEN for b in self.breakers.values()
-        )
-        if self.telemetry is not None and was != self.brownout_active:
-            self.telemetry.event(
-                "brownout", now, active=self.brownout_active
-            )
 
     # ------------------------------------------------------------------
     # Snapshot (the ``engine`` section of a checkpoint)
@@ -674,7 +606,7 @@ class Fleet:
             "rng": _rng_state(self._rng),
             "next_trace_id": self._next_trace_id,
             "brownout_active": self.brownout_active,
-            "breakers": {str(wid): b.state_dict() for wid, b in self.breakers.items()},
+            "breakers": self.health.state_dict(),
             "advertised": {str(wid): list(ad) for wid, ad in self.advertised.items()},
             "machine_seconds": self.machine_seconds,
             **self.ledger.state_dict(),
@@ -710,8 +642,7 @@ class Fleet:
         _set_rng_state(self._rng, edge["rng"])  # type: ignore[arg-type]
         self._next_trace_id = int(edge["next_trace_id"])  # type: ignore[arg-type]
         self.brownout_active = bool(edge["brownout_active"])
-        for wid_str, breaker_state in edge["breakers"].items():  # type: ignore[union-attr]
-            self.breakers[int(wid_str)].load_state_dict(breaker_state)
+        self.health.load_state_dict(edge["breakers"])  # type: ignore[arg-type]
         for wid_str, ad in edge["advertised"].items():  # type: ignore[union-attr]
             self.advertised[int(wid_str)] = (float(ad[0]), float(ad[1]))
         self.machine_seconds = float(edge.get("machine_seconds", 0.0))  # type: ignore[arg-type]
@@ -723,7 +654,7 @@ class Fleet:
     @property
     def pending_requests(self) -> int:
         """Requests forwarded to a worker but not yet resolved by a tick."""
-        return sum(rows for calls in self._calls for rows, _ in calls)
+        return sum(len(call[0]) for calls in self._calls for call in calls)
 
     @property
     def machine_hours(self) -> float:
@@ -784,7 +715,7 @@ class Fleet:
             "status": "degraded" if degraded else "ok",
             "now": self.now,
             "brownout_active": self.brownout_active,
-            "breakers": {str(wid): b.state for wid, b in sorted(self.breakers.items())},
+            "breakers": {str(wid): state for wid, state in self.health.states().items()},
             **self.ledger.health(),
             "workers": {
                 str(wid): reply.get("healthz", {}) if reply else {"status": "dead"}
@@ -811,7 +742,7 @@ class DistributedServeSession(ServeSession):
 
     ``specs`` and every keyword but the session's own (``retry``,
     ``retry_seed``, ``checkpoint``, ``tenant_indices``, ``tenant_names``,
-    ``timeseries``) are the :class:`Fleet`'s, whose state — breakers,
+    ``timeseries``) are the :class:`Fleet`'s, whose state — ``health``,
     ``advertised``, ``brownout_active``, ``live_metrics`` — is read off
     :attr:`engine`.
     """

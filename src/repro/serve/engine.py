@@ -71,7 +71,6 @@ class TxnOutcome:
             (low-priority or low-weight-tenant shed during degradation)
             or ``"connection"`` (routed to a dead, not-yet-detected
             node; status 500).  Empty for accepted requests.
-        priority: Request priority (0 = normal, 1 = low / sheddable).
         tenant: Tenant the request belongs to; empty when tenancy is
             not configured.
     """
@@ -85,7 +84,6 @@ class TxnOutcome:
     retry_after_s: float = 0.0
     trace_id: Optional[int] = None
     reason: str = ""
-    priority: int = 0
     tenant: str = ""
 
 
@@ -106,8 +104,7 @@ class OutcomeBatch:
 
     __slots__ = (
         "status", "node_id", "submitted_at", "completed_at", "latency_ms",
-        "retry_after_s", "trace_id", "reason", "priority", "tenant",
-        "tenant_names",
+        "retry_after_s", "trace_id", "reason", "tenant", "tenant_names",
     )
 
     def __init__(
@@ -120,7 +117,6 @@ class OutcomeBatch:
         retry_after_s: np.ndarray,
         trace_id: Optional[List[int]],
         reason: np.ndarray,
-        priority: np.ndarray,
         tenant: Optional[np.ndarray],
         tenant_names: Sequence[str],
     ) -> None:
@@ -132,22 +128,11 @@ class OutcomeBatch:
         self.retry_after_s = retry_after_s
         self.trace_id = trace_id
         self.reason = reason
-        self.priority = priority
         self.tenant = tenant
         self.tenant_names = tenant_names
 
     def __len__(self) -> int:
         return len(self.status)
-
-    def take(self, rows: np.ndarray) -> "OutcomeBatch":
-        """The rows at the given indices as a batch of their own."""
-        return OutcomeBatch(
-            self.status[rows], self.node_id[rows], self.submitted_at[rows],
-            self.completed_at[rows], self.latency_ms[rows], self.retry_after_s[rows],
-            [self.trace_id[row] for row in rows.tolist()] if self.trace_id is not None else None,
-            self.reason[rows], self.priority[rows],
-            self.tenant[rows] if self.tenant is not None else None, self.tenant_names,
-        )
 
     def rows(self) -> List[TxnOutcome]:
         """The batch as one :class:`TxnOutcome` per row."""
@@ -164,7 +149,6 @@ class OutcomeBatch:
             self.retry_after_s.tolist(),
             self.trace_id if self.trace_id is not None else [None] * n,
             [REASONS[code] for code in self.reason.tolist()],
-            self.priority.tolist(),
             [names[code] for code in self.tenant.tolist()]
             if self.tenant is not None
             else [""] * n,
@@ -543,11 +527,6 @@ class ServerEngine:
         self._node_rate = np.maximum(mu.reshape(max_nodes, p).sum(axis=1), 1e-9)
         self._node_queue = self.sim.node_queue_seconds()
 
-    def route(self) -> int:
-        """Pick the partition for one request (data-share weighted)."""
-        u = self._rng.random()
-        return int(np.searchsorted(self._route_cdf, u * self._route_cdf[-1]))
-
     def submit(
         self,
         on_complete: Optional[OnComplete] = None,
@@ -704,8 +683,7 @@ class ServerEngine:
                 [t for t, keep in zip(trace_ids, lost.tolist()) if keep]
                 if trace_ids is not None
                 else None,
-                reason[lost], priorities[lost],
-                tenants[lost] if tenants is not None else None,
+                reason[lost], tenants[lost] if tenants is not None else None,
                 tenant_names,
             )
             self.ledger.record(batch.status, batch.latency_ms, batch.tenant)
@@ -824,7 +802,6 @@ class ServerEngine:
             self.ledger.record(status, latency_ms, tenants)
             no_wait = np.zeros(admitted)
             no_reason = np.zeros(admitted, dtype=np.int8)
-            normal = np.zeros(admitted, dtype=np.int64)
             tracer = self.request_tracer
             start = 0
             for segment_nodes, _, segment_tenants, names, traces, sink in segments:
@@ -843,7 +820,7 @@ class ServerEngine:
                         OutcomeBatch(
                             status[rows], nodes[rows], times[rows], completed_at[rows],
                             latency_ms[rows], no_wait[rows], trace_ids, no_reason[rows],
-                            normal[rows], segment_tenants, names,
+                            segment_tenants, names,
                         )
                     )
                 start = stop
@@ -888,21 +865,9 @@ class ServerEngine:
                 int(n) for n in np.flatnonzero(self.sim.cluster.node_weights() > 0)
             }
         health.probe(now, sorted(tracked), failed)
-
-        brownout = self.resilience.brownout if self.resilience is not None else None
-        engaged = brownout is not None and health.any_open()
-        if engaged != self.brownout_active:
-            self.brownout_active = engaged
-            tel = self.telemetry
-            if tel is not None:
-                tel.gauge("serve.brownout").set(1.0 if engaged else 0.0)
-                tel.counter(
-                    "serve.brownout.engaged" if engaged else "serve.brownout.released"
-                ).inc()
-                tel.event(
-                    "brownout", now, engaged=engaged,
-                    open_nodes=[n for n, s in health.states().items() if s == OPEN],
-                )
+        self.brownout_active = health.switch_brownout(
+            now, self.brownout_active, self.resilience.brownout
+        )
 
     # ------------------------------------------------------------------
     # Introspection (the admin endpoints read these)

@@ -247,6 +247,25 @@ class NodeHealthMonitor:
         """A request-level failure also feeds the detector."""
         self.breaker(node_id).record_failure(now)
 
+    def switch_brownout(
+        self, now: float, active: bool, brownout: Optional[BrownoutConfig]
+    ) -> bool:
+        """Whether brownout is engaged after a probe round: while any
+        breaker is open, given a ``brownout`` policy.  A switch from
+        ``active`` sets the ``serve.brownout`` gauge, bumps
+        ``serve.brownout.engaged`` / ``released`` and emits a ``brownout``
+        event naming the open nodes."""
+        engaged = brownout is not None and self.any_open()
+        tel = self.telemetry
+        if engaged != active and tel is not None:
+            tel.gauge("serve.brownout").set(1.0 if engaged else 0.0)
+            tel.counter("serve.brownout.engaged" if engaged else "serve.brownout.released").inc()
+            tel.event(
+                "brownout", now, engaged=engaged,
+                open_nodes=[n for n, s in self.states().items() if s == OPEN],
+            )
+        return engaged
+
     # ------------------------------------------------------------------
     def state_of(self, node_id: int) -> str:
         breaker = self.breakers.get(node_id)

@@ -76,8 +76,11 @@ DEFAULT_TIMEOUT_S = 60.0
 #: Version of the wire: the frame format and the message schema.  1 was
 #: JSON rows (and sent no version); 2 is the columnar frame; 3 adds the
 #: ``accepted`` column to the ``step`` reply; 4 moves the worker's
-#: telemetry delta into that reply, off a command of its own.
-PROTOCOL_VERSION = 4
+#: telemetry delta into that reply, off a command of its own; 5: a step
+#: carries only what the other side lacks — arrival times (and trace
+#: ids) out, the worker's decisions on each posted row, in posted
+#: order, back.
+PROTOCOL_VERSION = 5
 
 #: The dtypes a column may have, by their wire name (``dtype.str`` of
 #: the little-endian type).  Nothing else is ever constructed from a

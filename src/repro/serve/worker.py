@@ -5,13 +5,13 @@ its own routing RNG, admission controller, load monitor and (optionally)
 online control loop — and advances it in lock step with the edge: every
 ``step`` message carries the arrivals routed to this shard for one tick
 as columns, the worker hands them to ``engine.submit_batch``, ticks the
-engine once, and replies with the terminal outcome of every request —
-the columns of an :class:`~repro.serve.engine.OutcomeBatch` — plus a
-small health advertisement (machines, current queue estimate).  Because
-the edge is the only initiator and each request gets exactly one reply,
-the distributed session is deterministic regardless of process
-scheduling — the same property the virtual clock gives the single-
-process session.
+engine once, and replies with its decision on every request — the
+columns of an :class:`~repro.serve.engine.OutcomeBatch` that the edge
+does not already hold — plus a small health advertisement (machines,
+current queue estimate).  Because the edge is the only initiator and
+each request gets exactly one reply, the distributed session is
+deterministic regardless of process scheduling — the same property the
+virtual clock gives the single-process session.
 
 The command protocol (frames of :mod:`repro.serve.transport`)::
 
@@ -24,18 +24,13 @@ The command protocol (frames of :mod:`repro.serve.transport`)::
     {"cmd": "shutdown"}                   -> ok; the process exits
 
 A ``step`` request holds one row per arrival, in arrival order:
-``times`` (float64) and ``priority`` (int64), optionally ``trace_id``
-(int64; 0 = none minted at the edge) and ``tenant`` (int64 indices into
-the ``tenant_names`` list beside it).  The reply holds one row per
-request — the rows shed at submission first, then the tick's completions
-— in the columns of :data:`STEP_REPLY_COLUMNS`, plus ``accepted`` (uint8,
-one per *posted* row in posted order: 1 where the row is among the
-completions, so the edge can cut each of its callers' rows back out),
-``trace_id`` when this worker traces requests, ``tenant`` +
-``tenant_names`` when the request carried them, and ``delta`` — the
-metrics new or changed since the last reply and the events since (a
-:class:`~repro.telemetry.merge.TelemetryDeltaTracker` delta) — when this
-worker keeps telemetry.
+``times`` (float64) and, under edge tracing, ``trace_id`` (int64; 0 =
+none minted at the edge).  The reply answers every posted row, in
+posted order, in the columns of :data:`STEP_REPLY_COLUMNS` — only the
+worker's decisions: the edge keeps everything else it forwarded — plus
+``delta`` — the metrics new or changed since the last reply and the
+events since (a :class:`~repro.telemetry.merge.TelemetryDeltaTracker`
+delta) — when this worker keeps telemetry.
 
 Every reply carries ``"ok"``; handler errors come back as
 ``{"ok": false, "error": ...}`` so a worker never dies on a bad command
@@ -52,7 +47,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -79,19 +74,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Transport modes a distributed session can run its workers over.
 TRANSPORT_MODES = ("pipe", "tcp", "inproc")
 
-#: The outcome columns of a ``step`` reply, in
-#: :class:`~repro.serve.engine.OutcomeBatch` field order (``reason``
-#: holds indices into :data:`~repro.serve.engine.REASONS`).
+#: The columns of a ``step`` reply: the worker's decision on each posted
+#: row, in :class:`~repro.serve.engine.OutcomeBatch` field order
+#: (``reason`` holds indices into :data:`~repro.serve.engine.REASONS`).
 STEP_REPLY_COLUMNS = (
-    "status", "node_id", "submitted_at", "completed_at", "latency_ms", "retry_after_s",
-    "reason", "priority",
+    "status", "node_id", "completed_at", "latency_ms", "retry_after_s", "reason",
 )
 #: Wire dtype of every ``step`` column, request and reply.
 STEP_DTYPES = {
-    "times": np.float64, "priority": np.int64, "trace_id": np.int64, "tenant": np.int64,
-    "status": np.int64, "node_id": np.int64, "submitted_at": np.float64,
-    "completed_at": np.float64, "latency_ms": np.float64, "retry_after_s": np.float64,
-    "reason": np.int8, "accepted": np.uint8,
+    "times": np.float64, "trace_id": np.int64,
+    "status": np.int64, "node_id": np.int64, "completed_at": np.float64,
+    "latency_ms": np.float64, "retry_after_s": np.float64, "reason": np.int8,
 }
 
 _SPAWN = multiprocessing.get_context("spawn")
@@ -285,47 +278,26 @@ class WorkerServer:
 
     def _run_step(self, message: Dict[str, object]) -> Dict[str, object]:
         engine = self.engine
-        tenants: Optional[np.ndarray] = None
-        tenant_names: Sequence[str] = ()
         traces: Optional[List[Optional[TraceContext]]] = None
         try:
             times = wire_column(message, "times")
-            n = len(times)
-            priorities = wire_column(message, "priority", n)
-            if "tenant" in message:
-                tenant_names = message.get("tenant_names")  # type: ignore[assignment]
-                if not isinstance(tenant_names, list) or not all(
-                    isinstance(name, str) for name in tenant_names
-                ):
-                    raise ValueError("'tenant_names' is not a list of strings")
-                tenants = wire_column(message, "tenant", n, len(tenant_names))
             if "trace_id" in message and engine.request_tracer is not None:
-                trace_ids = wire_column(message, "trace_id", n).tolist()
+                trace_ids = wire_column(message, "trace_id", len(times)).tolist()
                 # 0: the edge minted no id for this row; the engine does.
                 traces = [TraceContext(tid, "edge") if tid else None for tid in trace_ids]
         except ValueError as exc:
             return {"ok": False, "error": f"malformed step frame: {exc}"}
         batches: List[OutcomeBatch] = []
-        decisions = engine.submit_batch(
-            times, tenants, priorities, batches.append,
-            tenant_names=tenant_names, traces=traces,
-        )
-        record = engine.tick()
-        # Rejects first (they resolve at submission), then the tick's
-        # completions; ``accepted`` says which posted row is which.
-        reply: Dict[str, object] = {"ok": True, "accepted": decisions.accepted.astype(np.uint8)}
+        accepted = engine.submit_batch(times, sink=batches.append, traces=traces).accepted
+        engine.tick()
+        # The engine answers the rows it shed first, then the tick's
+        # completions; the reply answers the posted rows in posted order.
+        order = np.argsort(accepted, kind="stable")
+        reply: Dict[str, object] = {"ok": True}
         for name in STEP_REPLY_COLUMNS:
-            reply[name] = join_columns(name, [getattr(batch, name) for batch in batches])
-        if engine.request_tracer is not None:
-            reply["trace_id"] = np.array(
-                [tid for batch in batches for tid in batch.trace_id], dtype=np.int64
-            )
-        if tenants is not None:
-            reply["tenant"] = join_columns("tenant", [batch.tenant for batch in batches])
-            reply["tenant_names"] = tenant_names
-        reply["now"] = engine.now
-        reply["admitted"] = int(record["admitted"])
-        reply["rejected"] = int(record["rejected"])
+            column = np.empty(len(times), dtype=STEP_DTYPES[name])
+            column[order] = join_columns(name, [getattr(batch, name) for batch in batches])
+            reply[name] = column
         if self._delta_tracker is not None:
             reply["delta"] = self._delta_tracker.delta(self.telemetry)
         return reply
@@ -382,8 +354,6 @@ class WorkerHandle:
         mode: str = "pipe",
         *,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        _transport=None,
-        _process=None,
     ) -> None:
         if mode not in TRANSPORT_MODES:
             raise ConfigurationError(
@@ -396,8 +366,8 @@ class WorkerHandle:
         self._dead = False
         self._pending_reply: Optional[Dict[str, object]] = None
         self.server: Optional[WorkerServer] = None
-        self.transport = _transport
-        self.process = _process
+        self.transport = None
+        self.process = None
         if mode == "inproc":
             self.server = WorkerServer(spec)
 

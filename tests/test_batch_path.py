@@ -660,8 +660,7 @@ def test_fold_equals_record_loop():
         status, rng.integers(0, 3, n), times, times + 0.01,
         np.where(status == 200, rng.random(n) * 100.0, 0.0),
         np.where(status == 503, 1.0 + rng.random(n), 0.0),
-        list(range(1, n + 1)), reason, rng.integers(0, 2, n),
-        rng.integers(0, 3, n), ("a", "", "b"),
+        list(range(1, n + 1)), reason, rng.integers(0, 3, n), ("a", "", "b"),
     )
     rows = batch.rows()
     assert all(isinstance(row, TxnOutcome) for row in rows)

@@ -56,10 +56,9 @@ def specs(n=2, **kwargs):
 
 
 def step(arrivals, **columns):
-    """A ``step`` request for arrivals at the given times, all of normal
-    priority; ``columns`` add to or replace its fields (``None`` drops one)."""
-    times = np.asarray(arrivals, dtype=np.float64)
-    message = {"cmd": "step", "times": times, "priority": np.zeros(len(times), dtype=np.int64)}
+    """A ``step`` request for arrivals at the given times; ``columns``
+    add to or replace its fields (``None`` drops one)."""
+    message = {"cmd": "step", "times": np.asarray(arrivals, dtype=np.float64)}
     message.update(columns)
     return {key: value for key, value in message.items() if value is not None}
 
@@ -82,15 +81,16 @@ class TestTransports:
             server = accept_transport(listener, timeout_s=5.0)
             # Far more than the socket buffers hold: the sender blocks
             # until the receiver has looped over partial reads.
-            message = step(np.arange(400_000) / 7.0, tenant_names=["a", ""])
+            rows = np.arange(400_000)
+            message = step(rows / 7.0, trace_id=rows, names=["a", ""])
             sender = threading.Thread(target=client.send, args=(message,))
             sender.start()
             received = server.recv(timeout_s=5.0)
             sender.join(timeout=5.0)
             assert not sender.is_alive()
-            assert list(received) == ["cmd", "tenant_names", "times", "priority"]
-            assert received["cmd"] == "step" and received["tenant_names"] == ["a", ""]
-            for key in ("times", "priority"):
+            assert list(received) == ["cmd", "names", "times", "trace_id"]
+            assert received["cmd"] == "step" and received["names"] == ["a", ""]
+            for key in ("times", "trace_id"):
                 assert received[key].dtype == message[key].dtype
                 assert np.array_equal(received[key], message[key])
             server.send({"ok": True})
@@ -170,20 +170,22 @@ class TestWorkerProtocol:
 
     def test_step_returns_terminal_outcomes(self):
         server = WorkerServer(
-            specs(1, trace_requests=True, collect_telemetry=True)[0]
+            specs(
+                1, trace_requests=True, collect_telemetry=True,
+                saturation_rate_per_node=10.0, queue_limit_seconds=0.05,
+            )[0]
         )
-        reply = server.handle(
-            step([0.2, 0.4], priority=np.array([0, 1]), trace_id=np.array([7, 8]))
-        )
+        times = np.array([0.2, 0.3, 0.4, 0.5])
+        reply = server.handle(step(times, trace_id=np.array([7, 8, 0, 10])))
         assert reply["ok"] is True
-        assert set(reply["trace_id"].tolist()) == {7, 8}
-        assert set(reply["status"].tolist()) <= {200, 503}
-        assert sorted(reply["priority"].tolist()) == [0, 0]  # completions report normal
-        assert "tenant" not in reply  # none was posted
-        for name in (*STEP_REPLY_COLUMNS, "accepted"):
-            assert reply[name].dtype == STEP_DTYPES[name] and len(reply[name]) == 2
-        # One flag per posted row, in posted order: 1 = among the completions.
-        assert reply["accepted"].sum() == np.count_nonzero(reply["status"] == 200)
+        for name in STEP_REPLY_COLUMNS:
+            assert reply[name].dtype == STEP_DTYPES[name] and len(reply[name]) == 4
+        # One row per posted row, in posted order: the first arrival is
+        # served, the three behind it in its queue are shed on arrival.
+        assert reply["status"].tolist() == [200, 503, 503, 503]
+        assert reply["completed_at"][0] > times[0]
+        assert np.array_equal(reply["completed_at"][1:], times[1:])
+        assert [REASONS[code] for code in reply["reason"]] == ["", *["queue-limit"] * 3]
 
     def test_unknown_command_is_an_error_reply(self):
         server = WorkerServer(specs(1)[0])
@@ -194,20 +196,15 @@ class TestWorkerProtocol:
     @pytest.mark.parametrize(
         "frame",
         [
-            step([1.0, 1.5], priority=np.zeros(1, dtype=np.int64)),
+            step([1.0, 1.5], trace_id=np.ones(1, dtype=np.int64)),
             step([1.0], times=["x"]),
             step([1.0], times=np.array([1], dtype=np.int64)),
-            step([1.0], tenant=np.array([2]), tenant_names=["a", "b"]),
-            step([1.0], tenant=np.array([-1]), tenant_names=["a", "b"]),
-            step([1.0], tenant=np.array([0])),
-            step([1.0], priority=None),
             step([1.0], trace_id=np.array([1.0])),
             {"cmd": "restore"},
             {"cmd": "restore", "state": {}},
         ],
         ids=[
-            "short-column", "bad-times", "integer-times", "tenant-past-the-names",
-            "negative-tenant", "tenant-without-names", "no-priority", "float-trace-id",
+            "short-column", "bad-times", "integer-times", "float-trace-id",
             "no-state", "empty-state",
         ],
     )
@@ -303,9 +300,6 @@ class TestDistributedSession:
             lambda reply: {**reply, "completed_at": reply["completed_at"].tolist()},
             lambda reply: {**reply, "reason": np.full_like(reply["reason"], len(REASONS))},
             lambda reply: {**reply, "reason": np.full_like(reply["reason"], -1)},
-            lambda reply: {k: v for k, v in reply.items() if k != "accepted"},
-            lambda reply: {**reply, "accepted": reply["accepted"][:-1]},
-            lambda reply: {**reply, "accepted": np.zeros_like(reply["accepted"])},
             lambda reply: {k: v for k, v in reply.items() if k != "delta"},
             lambda reply: {**reply, "delta": [reply["delta"]]},
             lambda reply: {**reply, "delta": {**reply["delta"], "format": "bogus/1"}},
@@ -315,8 +309,7 @@ class TestDistributedSession:
             "refused", "ad-field-missing", "ad-not-a-number", "ad-not-finite",
             "ad-of-another-worker", "column-missing", "column-ragged", "fewer-rows-than-posted",
             "column-of-another-dtype", "column-not-an-array", "reason-past-REASONS",
-            "negative-reason", "accepted-missing", "accepted-ragged",
-            "accepted-zeros-are-not-the-non-200-rows", "delta-missing", "delta-not-a-dict",
+            "negative-reason", "delta-missing", "delta-not-a-dict",
             "delta-of-another-format", "delta-events-not-a-list",
         ],
     )
@@ -353,9 +346,10 @@ class TestDistributedSession:
 
     def test_start_refuses_a_worker_on_another_protocol_version(self, monkeypatch):
         """The version check runs on ``hello``, before any ``step`` — a
-        v3 peer would answer ``step`` without the telemetry ``delta``."""
-        assert PROTOCOL_VERSION == 4
-        for theirs in (3, PROTOCOL_VERSION + 1):
+        v4 peer would answer ``step`` with its sheds first, not each
+        posted row in posted order."""
+        assert PROTOCOL_VERSION == 5
+        for theirs in (4, PROTOCOL_VERSION + 1):
             monkeypatch.setattr("repro.serve.worker.PROTOCOL_VERSION", theirs)
             session = make_session(1)
             with pytest.raises(TransportError) as refused:
@@ -364,6 +358,37 @@ class TestDistributedSession:
             assert f"speaks {PROTOCOL_VERSION}" in str(refused.value)
             assert session.workers[0].server.engine.ticks == 0
             assert not session.workers[0].alive  # the fleet was shut down again
+
+    @pytest.mark.parametrize(
+        "traced, telemetry", [(False, False), (True, True), (False, True)],
+        ids=["untraced", "traced", "worker-keeps-telemetry"],
+    )
+    def test_step_carries_only_what_the_other_side_lacks(self, traced, telemetry):
+        """A ``step`` request carries the arrival times (and the edge's
+        trace ids); its reply the worker's decisions, the capacity ad
+        (and the worker's telemetry delta) — the exact key sets."""
+        arrivals = poisson_arrivals(80.0, 4.0, seed=5)
+        exchanges = []
+        with DistributedServeSession(
+            specs(1, trace_requests=traced, collect_telemetry=telemetry), arrivals,
+            mode="inproc", trace_requests=traced, telemetry=Telemetry() if traced else None,
+        ) as session:
+            server = session.workers[0].server
+            handle = server.handle
+
+            def spy(message):
+                reply = handle(message)
+                if message["cmd"] == "step":
+                    exchanges.append((set(message), set(reply)))
+                return reply
+
+            server.handle = spy
+            session.run(4.0)
+        request = {"cmd", "times"} | ({"trace_id"} if traced else set())
+        reply = {"ok", *STEP_REPLY_COLUMNS, "worker", "machines", "queue_seconds"}
+        if telemetry:
+            reply.add("delta")
+        assert exchanges == [(request, reply)] * 4
 
     def test_start_refuses_a_hello_without_a_protocol_version(self):
         session = make_session(1)
@@ -749,7 +774,8 @@ class TestSoak:
     def test_workers_keep_telemetry_behind_http(self, built, capsys):
         """``/metrics`` and ``/view`` read the fleet registry, so behind
         HTTP every worker keeps one, with no flag asking for it."""
-        assert main([arg for arg in FLEET if arg != "--no-http"] + ["--port", "0"]) == 0
+        args = [arg for arg in FLEET if arg != "--no-http"]
+        assert main(args + ["--clock", "virtual", "--port", "0"]) == 0
         (session,) = built
         assert all(handle.spec.collect_telemetry for handle in session.workers)
         assert session.engine.telemetry.counter("serve.ticks").value == 2 * 20

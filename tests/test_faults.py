@@ -104,6 +104,28 @@ def test_parse_fault_spec_rejects_bad_entries(spec):
 
 
 @pytest.mark.parametrize(
+    ("spec", "parsed"),
+    [
+        ("crash@100:n3:recover=60", NodeCrash(100.0, node_id=3, recover_after_seconds=60.0)),
+        ("crash@100:n=3", NodeCrash(100.0, node_id=3)),
+        ("straggle@5:n=2", NodeStraggler(5.0, node_id=2)),
+        ("crash@100:n3:recovr=60", "unknown key 'recovr'"),
+        ("xfail@10:cnt=3", "unknown key 'cnt'"),
+        ("straggle@5:n2:fro=30", "unknown key 'fro'"),
+        ("stall@5:n1", "'n1': expected key=value"),
+    ],
+)
+def test_parse_fault_spec_takes_n_either_way_and_refuses_unknown_options(spec, parsed):
+    """An option the kind does not know is refused, not dropped; the node
+    is ``nN`` or ``n=N`` for a crash and a straggler alike."""
+    if isinstance(parsed, str):
+        with pytest.raises(FaultInjectionError, match=parsed):
+            parse_fault_spec(spec)
+    else:
+        assert parse_fault_spec(spec).events == (parsed,)
+
+
+@pytest.mark.parametrize(
     ("spec", "token"),
     [
         ("crash@10:nfoo", "foo"),

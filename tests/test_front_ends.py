@@ -574,26 +574,31 @@ def test_each_call_of_a_tick_gets_its_own_rows_back(workers):
 def test_untenanted_fleet_grows_its_tag_vocabulary_within_a_tick():
     """``Fleet.submit`` names one tenant per call.  Without a registry
     the edge's tag vocabulary is whatever its callers use, so calls of
-    one tick may each bring a new name: the rows already queued keep
-    their tags.  Tagged and untagged rows cannot share a ``step`` frame."""
-    from repro.errors import ConfigurationError
+    one tick may each bring a new name, or none: every call keeps its
+    own tags, and a one-worker fleet serves each tick — the mixed tagged
+    and untagged one included — as a single engine does."""
     from repro.serve import Fleet
 
-    fleet = Fleet([spec()], mode="inproc", seed=3)
-    done = []
-    try:
+    def served(front_end):
+        done = []
         for tick in range(3):
             for name in ("gold", "silver", "gold", "bronze"):
-                fleet.submit(done.append, now=tick + 0.5, tenant=name)
-            assert fleet.pending_requests == 4
-            fleet.tick()
-        assert [row.tenant for row in done] == ["gold", "silver", "gold", "bronze"] * 3
-        assert {row.status for row in done} == {200}
-        fleet.submit(now=3.5, tenant="gold")
-        with pytest.raises(ConfigurationError, match="tagged and untagged"):
-            fleet.submit(now=3.5)
+                front_end.submit(done.append, now=tick + 0.5, tenant=name)
+            assert front_end.pending_requests == 4
+            front_end.tick()
+        front_end.submit(done.append, now=3.5, tenant="gold")
+        front_end.submit(done.append, now=3.5)
+        front_end.tick()
+        return done
+
+    fleet = Fleet([spec()], mode="inproc", seed=3)
+    try:
+        done = served(fleet)
     finally:
         fleet.close()
+    assert [row.tenant for row in done] == ["gold", "silver", "gold", "bronze"] * 3 + ["gold", ""]
+    assert {row.status for row in done} == {200}
+    assert done == served(build_worker_engine(spec()))
 
 
 def test_quota_verdicts_are_the_same_at_an_engine_and_at_an_edge():

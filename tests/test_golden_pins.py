@@ -18,10 +18,12 @@ Each digest covers the report counters, the per-tenant buckets, the
 latency and Retry-After lists, the engine's float accumulators and —
 where telemetry is on — every metric record and the time-series dump.
 Every scenario is asserted for ``run(N)`` and for ``N x run(1.0)``, and
-a worker ``step`` exchange is compared row for row against the JSON the
-pre-change worker produced (``tests/golden/worker_step_replies.json``):
-the arrivals go in as columns and the reply's columns are turned back
-into that file's records by ``_reply_records``.
+a worker ``step`` exchange is compared row for row against
+``tests/golden/worker_step_replies.json``: the arrivals go in as columns
+and the reply's columns are turned into that file's records by
+``_reply_records``.  The file was regenerated when the reply shrank to
+the worker's decisions in posted order; every row equals the row the
+earlier, echoing reply gave the same request.
 
 Three more pin the distributed path, taken on the commit *before* the
 edge became a ``Fleet`` engine under ``ServeSession`` (``60750f7``,
@@ -90,7 +92,7 @@ from repro.serve import (
     ServerEngine,
     poisson_arrivals,
 )
-from repro.serve.engine import OutcomeBatch
+from repro.serve.engine import REASONS
 from repro.serve.worker import STEP_REPLY_COLUMNS, WorkerServer, WorkerSpec
 from repro.telemetry import Telemetry, TimeSeriesStore
 from repro.telemetry.slo import SLOConfig
@@ -389,15 +391,18 @@ FLEET_SCENARIOS = {
 }
 
 #: sha256 per fleet scenario, taken on 60750f7 — except ``fleet_policy``,
-#: re-pinned twice: once when an edge that owns tenancy began to emit the
+#: re-pinned three times: once when an edge that owns tenancy began to emit the
 #: ``serve.tenant.*{tenant=...}`` counters an engine does (nine metric
 #: records and their time-series; was ``fe9c377b6016...``), and once when
 #: the time-series store began to sample a fleet registry fresh every
 #: tick, not one refreshed every fourth tick (only ``timeseries`` moved;
-#: was ``885d3a7e3757...``; the document diff is in CHANGES.md).
+#: was ``885d3a7e3757...``; the document diff is in CHANGES.md), and once
+#: when the edge's breakers began to report through the engine's
+#: ``NodeHealthMonitor`` (breaker and brownout telemetry records and their
+#: time-series only; was ``4e42cb3c2432...``; diff in CHANGES.md).
 FLEET_PINS = {
     "fleet_bare": "51d067a0b4e8f913cbd5d4e82a3e1783bbe021b103c84d41387b4e32e845df2c",
-    "fleet_policy": "4e42cb3c243217e6e3267b9e0e9c98272370f18b79268639884cd762ece8692e",
+    "fleet_policy": "381c591b4f5de5bf40367e5a6ef5ce9622ee1542465e432cc327dc7d20b847a3",
     "fleet_traced": "a75b7bce2f56f84803a318f66a3f5932943ad52984bd479495285e0ae0d26f19",
 }
 
@@ -409,8 +414,8 @@ def fleet_document(session) -> dict:
     document = {
         "report": asdict(report),
         "advertised": {str(k): list(v) for k, v in fleet.advertised.items()},
-        "breakers": {str(k): b.state_dict() for k, b in fleet.breakers.items()},
-        "transitions": {str(k): b.transitions for k, b in fleet.breakers.items()},
+        "breakers": {str(k): b.state_dict() for k, b in fleet.health.breakers.items()},
+        "transitions": {str(k): b.transitions for k, b in fleet.health.breakers.items()},
         "brownout_active": fleet.brownout_active,
         "rng": fleet._rng.bit_generator.state["state"],
         "healthz": session.healthz(),
@@ -453,16 +458,15 @@ def run_fleet(name: str, *, stepped: bool, of=fleet_digest):
 # Worker step exchange
 # ----------------------------------------------------------------------
 def _reply_records(reply):
-    """A columnar ``step`` reply in the layout of the JSON-rows reply the
-    golden file holds: one ``asdict(TxnOutcome)`` per row under
-    ``outcomes``, then the scalar fields in their old order."""
-    columns = [reply[name] for name in STEP_REPLY_COLUMNS]
-    batch = OutcomeBatch(
-        *columns[:6], reply["trace_id"].tolist(), *columns[6:],
-        reply.get("tenant"), reply.get("tenant_names", ()),
-    )
-    records = {"ok": reply["ok"], "outcomes": [asdict(row) for row in batch.rows()]}
-    for key in ("now", "admitted", "rejected", "worker", "machines", "queue_seconds"):
+    """A columnar ``step`` reply as JSON records: per posted row, its
+    ``STEP_REPLY_COLUMNS`` (``reason`` by name) under ``outcomes``, then
+    the capacity ad."""
+    columns = [reply[name].tolist() for name in STEP_REPLY_COLUMNS]
+    outcomes = [dict(zip(STEP_REPLY_COLUMNS, row)) for row in zip(*columns)]
+    for row in outcomes:
+        row["reason"] = REASONS[row["reason"]]
+    records = {"ok": reply["ok"], "outcomes": outcomes}
+    for key in ("worker", "machines", "queue_seconds"):
         records[key] = reply[key]
     return records
 
@@ -485,13 +489,9 @@ def worker_step_replies():
         message = {
             "cmd": "step",
             "times": np.sort(tick + rng.random(count)),
-            "priority": rows % 2,
             # 0 = untraced request: the worker mints the id
             "trace_id": np.where(rows % 5 == 4, 0, trace_id + rows),
         }
-        if tick % 2 == 0:
-            message["tenant"] = rows % 3
-            message["tenant_names"] = ["alpha", "beta", ""]
         trace_id += count
         replies.append(_reply_records(server.handle(message)))
     return replies
@@ -585,7 +585,7 @@ def test_fleet_scenarios_exercise_the_paths_they_claim():
                 then(session)
     fleet, report = session.engine, session.report
     assert report.errored > 0  # the batch routed to the broken worker
-    assert ("closed", "open") in [t[1:] for t in fleet.breakers[1].transitions]
+    assert ("closed", "open") in [t[1:] for t in fleet.health.breakers[1].transitions]
     tenant_brownout = sum(fleet.tenancy.brownout_shed.values())  # light tenants, whole
     assert fleet.tenancy.quota_shed["capped"] > 0 and tenant_brownout > 0
     assert report.brownout_shed > tenant_brownout  # and low-priority requests

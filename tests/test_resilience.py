@@ -25,6 +25,7 @@ from repro.serve import (
 )
 from repro.serve.resilience import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.telemetry import Telemetry
+from repro.telemetry.metrics import labeled
 
 SAT = 12.0
 
@@ -326,7 +327,7 @@ class TestDistributedWorkerCrash:
     """The crash arc across the process boundary (inproc transport:
     identical protocol, deterministic scheduling)."""
 
-    def make_session(self, *, brownout=None, low_priority_fraction=0.0):
+    def make_session(self, *, brownout=None, low_priority_fraction=0.0, telemetry=None):
         from repro.serve import DistributedServeSession, WorkerSpec
 
         workers = [
@@ -349,6 +350,7 @@ class TestDistributedWorkerCrash:
             brownout=brownout,
             low_priority_fraction=low_priority_fraction,
             seed=8,
+            telemetry=telemetry,
         )
 
     def test_crash_opens_breaker_and_reroutes(self):
@@ -358,8 +360,8 @@ class TestDistributedWorkerCrash:
             victim.kill()
             report = session.run(30.0)
 
-        assert session.engine.breakers[1].state == OPEN
-        assert session.engine.breakers[0].state == CLOSED
+        assert session.engine.health.breakers[1].state == OPEN
+        assert session.engine.health.breakers[0].state == CLOSED
         # Post-crash traffic all lands on the survivor; the fleet keeps
         # serving and every request still gets a terminal answer.
         assert report.accepted > 0
@@ -367,6 +369,28 @@ class TestDistributedWorkerCrash:
         health = session.healthz()
         assert health["status"] == "degraded"
         assert health["workers"]["1"]["status"] == "dead"
+
+    def test_breaker_transitions_reach_fleet_telemetry(self):
+        """The edge's breakers report like an engine's node breakers:
+        ``serve.breaker.*`` metrics, ``breaker`` events and the engine's
+        brownout signals, with the worker id as the node."""
+        telemetry = Telemetry()
+        with self.make_session(brownout=BrownoutConfig(), telemetry=telemetry) as session:
+            session.run(10.0)
+            session.workers[1].kill()
+            session.run(30.0)
+        assert telemetry.counter("serve.breaker.transitions").value > 0
+        transitions = session.engine.health.breakers[1].transitions
+        assert ("closed", "open") in [t[1:] for t in transitions]
+        assert telemetry.counter("serve.breaker.transitions").value == len(transitions)
+        assert telemetry.gauge(labeled("serve.breaker.state", node=1)).value == 2.0
+        assert [(e["node"], e["to_state"]) for e in telemetry.timeline.events_of("breaker")][0] == (
+            1, "open"
+        )
+        assert telemetry.counter("serve.brownout.engaged").value == 1
+        assert telemetry.gauge("serve.brownout").value == 1.0
+        [brownout] = telemetry.timeline.events_of("brownout")
+        assert brownout["engaged"] and brownout["open_nodes"] == [1]
 
     def test_crash_mid_batch_fails_closed_not_lost(self):
         # Kill between ticks but after routing state is warm: the batch
