@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.core import ReactiveController, SystemParameters
 from repro.engine import EngineConfig, EngineSimulator
-from repro.metrics import sla_report
 from repro.prediction import OnlinePredictor, SPARPredictor
 from repro.serve import OnlineControlLoop
+from repro.telemetry.slo import sla_report
 from repro.workloads import B2WTraceConfig, generate_b2w_trace
 
 SPEEDUP = 10
@@ -61,8 +61,7 @@ def main() -> None:
         measurement_slot_seconds=SLOT, max_machines=10,
     )
     result = sim.run(eval_trace, controller=pstore)
-    reports.append((sla_report("P-Store (SPAR)", result.p50_ms, result.p95_ms,
-                               result.p99_ms, result.machines), pstore.moves_requested))
+    reports.append((sla_report("P-Store (SPAR)", result), pstore.moves_requested))
 
     # --- Reactive (E-Store-style) ----------------------------------------
     sim = EngineSimulator(engine_config, initial_nodes=first)
@@ -71,17 +70,13 @@ def main() -> None:
         scale_in_slots=150, measurement_slot_seconds=SLOT,
     )
     result = sim.run(eval_trace, controller=reactive)
-    reports.append((sla_report("Reactive", result.p50_ms, result.p95_ms,
-                               result.p99_ms, result.machines),
-                    reactive.moves_requested))
+    reports.append((sla_report("Reactive", result), reactive.moves_requested))
 
     # --- Static baselines --------------------------------------------------
     for machines in (10, 4):
         sim = EngineSimulator(engine_config, initial_nodes=machines)
         result = sim.run(eval_trace)
-        reports.append((sla_report(f"Static-{machines}", result.p50_ms,
-                                   result.p95_ms, result.p99_ms,
-                                   result.machines), 0))
+        reports.append((sla_report(f"Static-{machines}", result), 0))
 
     print(f"\n{'approach':<28} {'p50':>6} {'p95':>6} {'p99':>6} "
           f"{'mach':>8}  moves")

@@ -18,12 +18,11 @@ Run:  python examples/black_friday_planning.py
 import numpy as np
 
 from repro import viz
-from repro.core.controller import ReactiveController
+from repro.core.controller import ReactiveController, SimpleController
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.prediction import ForecastTable, OnlinePredictor, OraclePredictor, SPARPredictor
 from repro.serve.control import OnlineControlLoop
 from repro.simulation import CapacitySimulator
-from repro.strategies import SimpleStrategy
 from repro.workloads import generate_b2w_long_trace
 
 SLOT = 300.0
@@ -63,7 +62,7 @@ def main() -> None:
 
     # SPAR's forecasts over the evaluation, issued in advance in one pass.
     table = ForecastTable.from_spar(spar, np.concatenate([train, eval_trace.values]), 12)
-    simple = SimpleStrategy(10, night_machines=4, morning_hour=6.0, night_hour=23.9)
+    simple = SimpleController(10, night_machines=4, morning_hour=6.0, night_hour=23.9)
     results = {
         "pstore-spar": simulator.run(eval_trace, pstore(table, train)),
         "pstore-oracle": simulator.run(

@@ -25,11 +25,14 @@ import numpy as np
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.engine import HotSpotRebalancer
 from repro.b2w import B2WClient
-from repro.core.controller import ReactiveController
+from repro.core.controller import (
+    ManualOverrideController,
+    ProvisioningWindow,
+    ReactiveController,
+)
 from repro.prediction import ForecastTable, OnlinePredictor, SPARPredictor
 from repro.serve.control import OnlineControlLoop
 from repro.simulation import CapacitySimulator
-from repro.strategies import ManualOverrideStrategy, ProvisioningWindow
 from repro.workloads import FlashCrowd, generate_b2w_long_trace, inject_flash_crowd
 
 SLOT = 300.0
@@ -85,7 +88,7 @@ def provisioning_section() -> None:
     controllers = {
         "reactive-h0.00": ReactiveController(params, max_machines=20, scale_in_slots=12),
         "pstore-spar": predictive(),
-        "pstore-spar+manual": ManualOverrideStrategy(
+        "pstore-spar+manual": ManualOverrideController(
             predictive(),
             [ProvisioningWindow(BLACK_FRIDAY - 28 - 0.5, BLACK_FRIDAY - 28 + 1.5,
                                 min_machines=14, label="Black Friday")],

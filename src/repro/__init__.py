@@ -4,15 +4,15 @@ shared-nothing OLTP databases).
 Public API highlights:
 
 * ``repro.core`` — the planner (Algorithms 1-3), migration model
-  (Equations 2-7), move scheduler (Table 1) and Predictive Controller.
+  (Equations 2-7), move scheduler (Table 1), the Predictive Controller's
+  policy and the reactive, day/night and manual-floor controllers.
 * ``repro.prediction`` — SPAR and comparator forecasters.
 * ``repro.workloads`` — B2W-like and Wikipedia-like trace generators.
 * ``repro.engine`` — a simulated H-Store-like partitioned OLTP engine
   with Squall-like live migration.
 * ``repro.b2w`` — the B2W retail benchmark (Figure 14 / Table 4).
-* ``repro.simulation`` / ``repro.strategies`` — the long-horizon capacity
-  simulator of Section 8.3, which runs the engine's elasticity
-  controllers, and the schedule-driven ones (day/night, manual floors).
+* ``repro.simulation`` — the long-horizon capacity simulator of
+  Section 8.3, which runs the engine's elasticity controllers.
 
 Quickstart::
 

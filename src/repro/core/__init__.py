@@ -11,7 +11,8 @@
 * :mod:`repro.core.policy` — the Predictive Controller's decision rule
   (Section 6); the loop around it is
   :class:`repro.serve.control.OnlineControlLoop`.
-* :mod:`repro.core.controller` — the reactive baseline controller.
+* :mod:`repro.core.controller` — the reactive and Simple (day/night)
+  baseline controllers and the manual-provisioning overlay.
 """
 
 from repro.core.capacity import (
@@ -27,7 +28,10 @@ from repro.core.capacity import (
 )
 from repro.core.controller import (
     ControllerDecision,
+    ManualOverrideController,
+    ProvisioningWindow,
     ReactiveController,
+    SimpleController,
     SPIKE_POLICY_BOOST,
     SPIKE_POLICY_NORMAL_RATE,
 )
@@ -41,9 +45,12 @@ __all__ = [
     "BucketTransfer",
     "ControllerDecision",
     "Decision",
+    "ManualOverrideController",
     "Move",
     "PredictivePolicy",
+    "ProvisioningWindow",
     "ReactiveController",
+    "SimpleController",
     "SPIKE_POLICY_BOOST",
     "SPIKE_POLICY_NORMAL_RATE",
     "MovePlan",

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
+from repro.core.params import PAPER_SLA_MS
 from repro.engine.cluster import Cluster
 from repro.engine.migration import Migration, MigrationConfig
 from repro.engine.monitor import LoadMonitor
@@ -74,7 +75,7 @@ class EngineConfig:
     num_buckets: int = 1024
     max_nodes: int = 10
     dt_seconds: float = 1.0
-    sla_ms: float = 500.0
+    sla_ms: float = PAPER_SLA_MS
     #: Maximum per-partition backlog, in seconds of service.  Benchmark
     #: clients are closed-loop: with a bounded number of outstanding
     #: requests, sustained overload saturates latency instead of growing
@@ -138,33 +139,12 @@ class RunResult:
     machines: np.ndarray
     reconfiguring: np.ndarray
 
-    def sla_violations(self, percentile: str = "p99", threshold_ms: Optional[float] = None) -> int:
-        """Seconds during which the given percentile exceeded the SLA.
-
-        Matches the paper's Table 2 definition: "the total number of
-        seconds during the experiment in which the 50th, 95th, or 99th
-        percentile latency exceeds 500 ms".
-        """
-        threshold = self.sla_ms if threshold_ms is None else threshold_ms
-        series = {"p50": self.p50_ms, "p95": self.p95_ms, "p99": self.p99_ms}[percentile]
-        steps = int(np.sum(series > threshold))
-        return int(round(steps * self.dt_seconds))
-
     def average_machines(self) -> float:
         return float(self.machines.mean())
 
     def total_cost(self) -> float:
         """Machine-seconds over the run (the Equation 1 cost, continuous)."""
         return float(self.machines.sum() * self.dt_seconds)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "violations_p50": self.sla_violations("p50"),
-            "violations_p95": self.sla_violations("p95"),
-            "violations_p99": self.sla_violations("p99"),
-            "avg_machines": round(self.average_machines(), 2),
-            "max_p99_ms": float(self.p99_ms.max()),
-        }
 
 
 class EngineSimulator:
@@ -197,6 +177,9 @@ class EngineSimulator:
         self.migration_config = migration_config or MigrationConfig()
         self.migration: Optional[Migration] = None
         self.now = 0.0
+        #: Floor a manual-provisioning overlay holds, at most the healthy
+        #: nodes: controllers never target fewer machines (0: no floor).
+        self.min_machines = 0
         total_partitions = config.max_nodes * config.partitions_per_node
         self._backlog = np.zeros(total_partitions)
         self._mu_full = np.full(total_partitions, config.partition_service_rate)

@@ -39,7 +39,7 @@ from repro.faults import (
     NodeStraggler,
     TransferFailure,
 )
-from repro.metrics.sla import SLAReport, sla_report
+from repro.telemetry.slo import SLAReport, sla_report
 
 #: The documented default seed of the chaos experiment; the fault plan,
 #: the workload and every recovery action are deterministic given it.
@@ -200,14 +200,7 @@ def _run_once(
 ) -> Tuple[ChaosRun, EngineSimulator]:
     sim, controller = pstore_engine(setup, fault_injector=injector)
     result = sim.run(setup.eval_trace, controller=controller)
-    report = sla_report(
-        "chaos" if injector else "baseline",
-        result.p50_ms,
-        result.p95_ms,
-        result.p99_ms,
-        result.machines,
-        dt_seconds=result.dt_seconds,
-    )
+    report = sla_report("chaos" if injector else "baseline", result)
     run = ChaosRun(
         result=result,
         report=report,

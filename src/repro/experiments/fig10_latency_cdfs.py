@@ -14,14 +14,57 @@ higher and further left are better.  The orderings the paper reads off:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
+import numpy as np
+
+from repro.errors import ConfigurationError
 from repro.experiments.common import PaperComparison, comparison_table, format_table
 from repro.experiments.fig9_elasticity import Fig9Result
 from repro.experiments import fig9_elasticity
-from repro.metrics.cdf import EmpiricalCDF, top_percent_cdf
 
 SERIES = ("p50", "p95", "p99")
+
+
+@dataclass(frozen=True)
+class EmpiricalCDF:
+    """An empirical cumulative distribution.
+
+    ``xs`` is sorted; ``probs[i]`` is the cumulative probability at
+    ``xs[i]``.
+    """
+
+    xs: np.ndarray
+    probs: np.ndarray
+
+    def at(self, threshold: float) -> float:
+        """P(X <= threshold)."""
+        return float(np.searchsorted(self.xs, threshold, side="right") / len(self.xs))
+
+    def quantile(self, q: float) -> float:
+        """Smallest x with CDF(x) >= q."""
+        if not 0 < q <= 1:
+            raise ConfigurationError("q must be in (0, 1]")
+        index = int(np.ceil(q * len(self.xs))) - 1
+        return float(self.xs[max(index, 0)])
+
+
+def empirical_cdf(values: Sequence[float]) -> EmpiricalCDF:
+    """Build the empirical CDF of a sample."""
+    arr = np.sort(np.asarray(values, dtype=np.float64))
+    if arr.size == 0:
+        raise ConfigurationError("cannot build a CDF from no data")
+    probs = np.arange(1, arr.size + 1) / arr.size
+    return EmpiricalCDF(arr, probs)
+
+
+def top_percent_cdf(values: Sequence[float], percent: float = 1.0) -> EmpiricalCDF:
+    """CDF of the worst ``percent``% of a sample (Figure 10's view)."""
+    arr = np.sort(np.asarray(values, dtype=np.float64))
+    if arr.size == 0:
+        raise ConfigurationError("cannot build a CDF from no data")
+    count = max(1, int(arr.size * percent / 100.0))
+    return empirical_cdf(arr[-count:])
 
 
 @dataclass

@@ -23,13 +23,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.controller import ReactiveController
+from repro.core.controller import ReactiveController, SimpleController
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.experiments.common import PaperComparison, comparison_table, format_table
 from repro.prediction import ForecastTable, OnlinePredictor, OraclePredictor, SPARPredictor
 from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimulator
-from repro.strategies import SimpleStrategy
 from repro.workloads.b2w import generate_b2w_long_trace
 from repro.workloads.trace import LoadTrace
 
@@ -195,7 +194,7 @@ def run(
         simulate("reactive", headroom, params, reactive)
 
     for day_machines in simple_days:
-        simple = SimpleStrategy(
+        simple = SimpleController(
             day_machines, night_machines=4, morning_hour=6.0, night_hour=23.9
         )
         simulate("simple", day_machines, params, simple, initial_machines=4)

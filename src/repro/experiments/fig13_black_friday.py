@@ -15,6 +15,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.core.controller import SimpleController
 from repro.core.params import PAPER_SATURATION_RATE, SystemParameters
 from repro.experiments.common import PaperComparison, comparison_table, format_table
 from repro.experiments.fig12_cost_capacity import (
@@ -26,7 +27,6 @@ from repro.experiments.fig12_cost_capacity import (
 from repro.prediction import ForecastTable, OnlinePredictor, SPARPredictor
 from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimResult, CapacitySimulator
-from repro.strategies import SimpleStrategy
 
 WINDOW_DAYS = 4
 
@@ -131,7 +131,7 @@ def run(fast: bool = False, seed: int = 20160801) -> Fig13Result:
         "pstore-spar": simulator.run(eval_trace, pstore),
         "simple": simulator.run(
             eval_trace,
-            SimpleStrategy(10, night_machines=4, morning_hour=6.0, night_hour=23.9),
+            SimpleController(10, night_machines=4, morning_hour=6.0, night_hour=23.9),
             initial_machines=4,
         ),
         "static": simulator.run(eval_trace, initial_machines=10),

@@ -19,7 +19,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.params import SystemParameters
+from repro.core.params import PAPER_SLA_MS, SystemParameters
 from repro.engine.simulator import EngineConfig, EngineSimulator
 from repro.experiments.common import PaperComparison, comparison_table, format_table
 from repro.workloads.trace import LoadTrace
@@ -92,7 +92,7 @@ def measure_level(
     )
 
 
-def run(fast: bool = False, sla_ms: float = 500.0) -> Fig7Result:
+def run(fast: bool = False, sla_ms: float = PAPER_SLA_MS) -> Fig7Result:
     """Sweep the offered rate on one simulated node and derive Q, Q-hat.
 
     Saturation is the highest offered rate the server still keeps up

@@ -32,10 +32,10 @@ from repro.core.controller import ReactiveController
 from repro.core.params import SystemParameters
 from repro.engine.simulator import EngineConfig, EngineSimulator, RunResult, SkewEvent
 from repro.experiments.common import PaperComparison, comparison_table, format_table
-from repro.metrics.sla import SLAReport, sla_report
 from repro.prediction.online import OnlinePredictor
 from repro.prediction.spar import SPARPredictor
 from repro.serve.control import OnlineControlLoop
+from repro.telemetry.slo import SLAReport, sla_report
 from repro.workloads.b2w import B2WTraceConfig, generate_b2w_trace
 from repro.workloads.trace import LoadTrace
 
@@ -192,15 +192,9 @@ class Fig9Result:
 
 
 def _finish(name: str, result: RunResult, moves: int) -> ElasticityRun:
-    report = sla_report(
-        name,
-        result.p50_ms,
-        result.p95_ms,
-        result.p99_ms,
-        result.machines,
-        dt_seconds=result.dt_seconds,
+    return ElasticityRun(
+        name=name, result=result, report=sla_report(name, result), moves=moves
     )
-    return ElasticityRun(name=name, result=result, report=report, moves=moves)
 
 
 def run_static(setup: BenchmarkSetup, machines: int) -> ElasticityRun:

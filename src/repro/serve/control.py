@@ -278,14 +278,14 @@ class OnlineControlLoop:
         self._expected_machines = current
         # Never target more nodes than are physically healthy.
         cap = min(self.max_machines, sim.cluster.num_available_nodes)
+        # An operator's floor outranks the loop's own cap.
+        floor = sim.min_machines
 
         if not self.online.is_fitted:
             # Cold start: reactive scale-out only, never scale-in (we
             # have no forecast to justify shrinking).
-            needed = min(
-                self.params.machines_for_load(measured_rate * (1.0 + self.inflation)),
-                cap,
-            )
+            needed = self.params.machines_for_load(measured_rate * (1.0 + self.inflation))
+            needed = max(min(needed, cap), floor)
             if needed > current:
                 self.cold_start_decisions += 1
                 self._move(sim, measured_rate, needed, "cold-start-reactive")
@@ -329,9 +329,8 @@ class OnlineControlLoop:
                     interval_seconds=interval_seconds,
                 ),
             )
-        if decision.target is None:
-            return
-        target = min(decision.target, cap)
+        target = current if decision.target is None else min(decision.target, cap)
+        target = max(target, floor)
         if target == current:
             return
         self.predictive_decisions += 1

@@ -472,7 +472,6 @@ class ServerEngine:
         self._slot_index = 0
         self.ticks = 0
         self.completed = 0
-        self.rejected_last_tick = 0
         #: Worst per-node queue estimate seen at any tick boundary — the
         #: spike tests assert shedding keeps this bounded.
         self.max_node_queue_seconds = 0.0
@@ -676,7 +675,6 @@ class ServerEngine:
             self._pending_count += admitted
         if admitted < n:
             lost = ~accepted
-            self.rejected_last_tick += int(np.count_nonzero(status == 503))
             batch = OutcomeBatch(
                 status[lost], node[lost], times[lost], times[lost],
                 np.zeros(n - admitted), retry_after[lost],
@@ -756,23 +754,17 @@ class ServerEngine:
     # Tick path
     # ------------------------------------------------------------------
     @timed("engine.tick")
-    def tick(self) -> Dict[str, float]:
-        """Advance one engine step serving the admitted arrivals.
-
-        Returns the engine step record, extended with the tick's
-        admitted/rejected counts.
-        """
+    def tick(self) -> None:
+        """Advance one engine step serving the admitted arrivals."""
         dt = self.sim.config.dt_seconds
         segments = self._pending
         self._pending = []
         self._pending_per_node[:] = 0.0
         admitted = self._pending_count
         self._pending_count = 0
-        rejected = self.rejected_last_tick
-        self.rejected_last_tick = 0
         self.machine_seconds += self.sim.machines_allocated * dt
 
-        record = self.sim.step(admitted / dt)
+        self.sim.step(admitted / dt)
         tel = self.telemetry
 
         if admitted:
@@ -846,10 +838,6 @@ class ServerEngine:
                 if self.controller is not None:
                     self.controller.on_slot(self.sim, self._slot_index, float(value))
                 self._slot_index += 1
-
-        record["admitted"] = float(admitted)
-        record["rejected"] = float(rejected)
-        return record
 
     def _run_health_checks(self) -> None:
         """One probe round at the tick boundary; updates brownout state."""

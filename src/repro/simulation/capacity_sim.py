@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -103,10 +103,11 @@ class _InFlightMove:
 class _SimView:
     """What a controller sees of a capacity simulation.
 
-    The surface both controllers read on an ``EngineSimulator``: ``now``,
+    The surface controllers read on an ``EngineSimulator``: ``now``,
     ``machines_allocated`` (the pre-move count until a move lands),
     ``migration_active``, ``telemetry``, ``cluster.num_available_nodes``
-    (the simulator's ``max_machines``) and :meth:`start_move`.
+    (the simulator's ``max_machines``), ``min_machines`` (an overlay's
+    floor) and :meth:`start_move`.
     """
 
     def __init__(
@@ -116,6 +117,7 @@ class _SimView:
         self.machines_allocated = machines
         self.telemetry = telemetry
         self.cluster = SimpleNamespace(num_available_nodes=max_machines)
+        self.min_machines = 0
         #: Target of the move requested this interval, until it lands.
         self.target: Optional[int] = None
 
@@ -177,14 +179,6 @@ class CapacitySimResult:
 
     def average_machines(self) -> float:
         return float(self.allocated.mean())
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "cost": round(self.cost, 1),
-            "avg_machines": round(self.average_machines(), 3),
-            "pct_time_insufficient": round(self.pct_time_insufficient, 4),
-            "moves": self.moves,
-        }
 
 
 class CapacitySimulator:

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.core.params import PAPER_SLA_MS
 from repro.experiments.common import format_table
-from repro.metrics.sla import DEFAULT_SLA_MS, violation_seconds
 from repro.telemetry.export import TelemetryDump
+from repro.telemetry.slo import violation_seconds
 
 #: Near-zero measured load is excluded from relative error (matches
 #: repro.prediction.metrics.mean_relative_error).
@@ -55,7 +56,7 @@ class RunSummary:
 
 
 def _percentile_violations(dump: TelemetryDump) -> Tuple[float, Dict[str, int]]:
-    sla_ms = float(dump.meta.get("sla_ms", DEFAULT_SLA_MS))
+    sla_ms = float(dump.meta.get("sla_ms", PAPER_SLA_MS))
     dt = float(dump.meta.get("dt_seconds", 1.0))
     return sla_ms, {
         pct: violation_seconds([tick[f"{pct}_ms"] for tick in dump.ticks], sla_ms, dt)

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.core.params import PAPER_SLA_MS
 from repro.errors import ConfigurationError
 
 #: Name of the implicit tenant used when tenancy is not configured.
@@ -67,7 +68,7 @@ class TenantSpec:
     weight: int = 1
     quota_rps: Optional[float] = None
     quota_burst: Optional[float] = None
-    latency_slo_ms: float = 500.0
+    latency_slo_ms: float = PAPER_SLA_MS
     slo_objective: float = 0.999
     shed_slo: float = 0.05
     arrival_seed: Optional[int] = None

@@ -328,9 +328,12 @@ def test_arrival_on_a_tick_boundary_is_served_by_the_same_tick_as_before():
         loadgen = generator(engine, arrivals, clock)
         loadgen.start()
         admitted = []
+        served = [0]  # admissions before the previous tick
 
         def tick():
-            admitted.append(int(engine.tick()["admitted"]))
+            admitted.append(engine.admission.accepted - served[0])
+            served[0] = engine.admission.accepted
+            engine.tick()
             if clock.now < 4.0:
                 clock.call_at(clock.now + 1.0, tick)
 

@@ -22,6 +22,7 @@ from repro.prediction.oracle import OraclePredictor
 from repro.prediction.spar import SPARPredictor
 from repro.serve.control import OnlineControlLoop
 from repro.telemetry import Telemetry
+from repro.telemetry.slo import sla_report
 from repro.workloads.trace import LoadTrace
 
 SLOT = 6.0
@@ -72,7 +73,7 @@ class TestPredictiveController:
         assert controller.moves_requested >= 3
         assert sim.machines_allocated >= 7
         # Predictive scaling keeps latency clean throughout the ramp.
-        assert result.sla_violations("p99") == 0
+        assert sla_report("pstore", result).violations_p99 == 0
         # Every executed move is recorded in the decision log.
         assert len(controller.decision_log) == controller.moves_requested
         assert all(d.target > d.machines_before for d in controller.decision_log)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.engine.simulator import EngineConfig, EngineSimulator, SkewEvent
+from repro.telemetry.slo import sla_report
 from repro.workloads.trace import LoadTrace
 
 SLOT_SECONDS = 30.0
@@ -144,8 +145,7 @@ def test_fast_path_matches_exact_path(scenario):
             atol=1e-9,
             err_msg=f"{scenario}: column {column} diverged",
         )
-    for pct in ("p50", "p95", "p99"):
-        assert fast.sla_violations(pct) == exact.sla_violations(pct)
+    assert sla_report(scenario, fast) == sla_report(scenario, exact)
     assert fast.total_cost() == exact.total_cost()
 
 

@@ -16,6 +16,7 @@ from repro.prediction.oracle import OraclePredictor
 from repro.prediction.spar import SPARPredictor
 from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimulator
+from repro.telemetry.slo import sla_report
 from repro.workloads.b2w import B2WTraceConfig, generate_b2w_trace
 
 SLOT = 6.0        # compressed measurement slot (1 original minute at 10x)
@@ -58,7 +59,7 @@ class TestPredictiveEndToEnd:
         assert result.machines.max() >= 7
         assert result.machines.min() <= 3
         # Predictive provisioning keeps the SLA essentially clean.
-        assert result.sla_violations("p99") <= 10
+        assert sla_report("pstore", result).violations_p99 <= 10
         # Machines track the load: average well below peak provisioning.
         assert result.average_machines() < 0.75 * result.machines.max()
 
@@ -89,7 +90,10 @@ class TestPredictiveEndToEnd:
         )
         res_r = sim_r.run(eval_trace, controller=ctrl_r)
 
-        assert res_p.sla_violations("p99") < res_r.sla_violations("p99")
+        assert (
+            sla_report("pstore", res_p).violations_p99
+            < sla_report("reactive", res_r).violations_p99
+        )
 
 
 class TestCapacitySimEndToEnd:

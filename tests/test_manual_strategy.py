@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.controller import (
+    ManualOverrideController,
+    ProvisioningWindow,
+    ReactiveController,
+    SimpleController,
+)
 from repro.core.params import SystemParameters
 from repro.errors import ConfigurationError
 from repro.prediction import OnlinePredictor, OraclePredictor
 from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimulator
-from repro.strategies import (
-    ManualOverrideStrategy,
-    ProvisioningWindow,
-    SimpleStrategy,
-)
 from repro.workloads.trace import LoadTrace
 
 PARAMS = SystemParameters(interval_seconds=300.0, partitions_per_node=6)
@@ -44,17 +45,17 @@ class TestWindow:
 
 class TestOverlay:
     def test_floor_enforced_inside_window(self):
-        overlay = ManualOverrideStrategy(None, [ProvisioningWindow(1.0, 2.0, 8)])
+        overlay = ManualOverrideController(None, [ProvisioningWindow(1.0, 2.0, 8)])
         result = run(overlay, 3 * INTERVALS_PER_DAY)
         target = result.target_machines
         # Outside the window: the base (a static allocation) rules.
         assert target[int(0.5 * INTERVALS_PER_DAY)] == 2
         # Inside the window: the floor forced a scale-out, once.
         assert np.all(target[INTERVALS_PER_DAY : 2 * INTERVALS_PER_DAY] == 8)
-        assert overlay.overrides_applied == 1
+        assert result.moves == 1
 
     def test_lead_time_pre_provisions(self):
-        overlay = ManualOverrideStrategy(
+        overlay = ManualOverrideController(
             None, [ProvisioningWindow(1.0, 2.0, 8)], lead_days=0.1
         )
         target = run(overlay, 2 * INTERVALS_PER_DAY).target_machines
@@ -62,36 +63,46 @@ class TestOverlay:
         assert target[int(0.85 * INTERVALS_PER_DAY)] == 2
 
     def test_base_decision_wins_when_higher(self):
-        base = SimpleStrategy(9, 9)
-        overlay = ManualOverrideStrategy(base, [ProvisioningWindow(0.0, 1.0, 4)])
+        base = SimpleController(9, 9)
+        overlay = ManualOverrideController(base, [ProvisioningWindow(0.0, 1.0, 4)])
         result = run(overlay, INTERVALS_PER_DAY, machines=9)
-        # Simple-9 wants 9 >= floor 4: the overlay passes it through.
-        assert result.moves == 0 and overlay.overrides_applied == 0
+        # Simple-9 wants 9 >= floor 4: the floor never binds.
+        assert result.moves == 0 and np.all(result.target_machines == 9)
 
     def test_initial_machines_respects_floor(self):
-        overlay = ManualOverrideStrategy(None, [ProvisioningWindow(0.0, 1.0, 6)])
+        overlay = ManualOverrideController(None, [ProvisioningWindow(0.0, 1.0, 6)])
         result = run(overlay, 10)
         # The first interval already moves to the floor.
         assert result.target_machines[0] == 6 and result.moves == 1
 
     def test_floor_clamped_to_max_machines(self):
-        overlay = ManualOverrideStrategy(None, [ProvisioningWindow(0.0, 1.0, 50)])
+        overlay = ManualOverrideController(None, [ProvisioningWindow(0.0, 1.0, 50)])
         result = run(overlay, 10, max_machines=5)
         assert result.target_machines[-1] == 5
 
     def test_base_request_raised_to_floor(self):
         # Simple wants 2 at night; the window holds 6.
-        overlay = ManualOverrideStrategy(
-            SimpleStrategy(4, 2, morning_hour=7, night_hour=23),
+        overlay = ManualOverrideController(
+            SimpleController(4, 2, morning_hour=7, night_hour=23),
             [ProvisioningWindow(0.0, 1.0, 6)],
         )
         result = run(overlay, INTERVALS_PER_DAY, machines=6)
-        assert result.moves == 0  # every base request was raised to 6 = current
-        assert overlay.overrides_applied > 0
+        # Simple reads the floor: it asks for 4 or 2 all day and gets 6.
+        assert result.moves == 0 and np.all(result.target_machines == 6)
+
+    def test_reactive_base_moves_to_the_floor(self):
+        # 1.5 Q needs 2 machines: only the floor lifts the reactive base,
+        # which scales back in once the window closes.
+        reactive = ReactiveController(PARAMS, max_machines=10)
+        overlay = ManualOverrideController(reactive, [ProvisioningWindow(1.0, 2.0, 8)])
+        result = run(overlay, 3 * INTERVALS_PER_DAY, rate=1.5 * PARAMS.q)
+        assert result.allocated[INTERVALS_PER_DAY : 2 * INTERVALS_PER_DAY].min() >= 8
+        assert result.target_machines[int(0.9 * INTERVALS_PER_DAY)] == 2
+        assert result.target_machines[-1] == 2
 
     def test_rejects_negative_lead(self):
         with pytest.raises(ConfigurationError):
-            ManualOverrideStrategy(None, [], lead_days=-1.0)
+            ManualOverrideController(None, [], lead_days=-1.0)
 
 
 class TestSimulation:
@@ -109,7 +120,7 @@ class TestSimulation:
         plain = simulator.run(trace, initial_machines=2)
         composite = simulator.run(
             trace,
-            ManualOverrideStrategy(
+            ManualOverrideController(
                 None, [ProvisioningWindow(1.0, 2.0, 10, label="black friday")]
             ),
             initial_machines=2,
@@ -130,7 +141,7 @@ class TestSimulation:
             PARAMS, OnlinePredictor.fitted(OraclePredictor(trace.values), ()),
             horizon=12, max_machines=12,
         )
-        overlay = ManualOverrideStrategy(loop, [ProvisioningWindow(1.0, 2.0, 8)])
+        overlay = ManualOverrideController(loop, [ProvisioningWindow(1.0, 2.0, 8)])
         result = CapacitySimulator(PARAMS, max_machines=12).run(
             trace, overlay, initial_machines=4
         )
@@ -140,3 +151,22 @@ class TestSimulation:
         assert result.allocated[INTERVALS_PER_DAY // 2 : INTERVALS_PER_DAY - 20].max() == 2
         # After the window the loop scales back in to what the load needs.
         assert result.target_machines[-1] == 2
+
+    def test_overlay_moves_are_the_loops_own_decisions(self):
+        """The floor the loop reads is no fault: lifting the cluster to
+        it and releasing it are planned moves, never a topology change."""
+        q = PARAMS.q
+        rates = np.full(3 * INTERVALS_PER_DAY, 1.5 * q)
+        trace = LoadTrace(rates * 300.0, slot_seconds=300.0)
+        loop = OnlineControlLoop(
+            PARAMS, OnlinePredictor.fitted(OraclePredictor(trace.values), ()),
+            horizon=12, max_machines=12,
+        )
+        overlay = ManualOverrideController(loop, [ProvisioningWindow(1.0, 2.0, 8)])
+        result = CapacitySimulator(PARAMS, max_machines=12).run(
+            trace, overlay, initial_machines=4
+        )
+        assert result.allocated[INTERVALS_PER_DAY : 2 * INTERVALS_PER_DAY].min() >= 8
+        assert loop.topology_changes_detected == 0
+        assert {d.kind for d in loop.decision_log} == {"planned"}
+        assert 8 in {d.target for d in loop.decision_log}

@@ -1,10 +1,12 @@
-"""Tests for the metrics package (CDFs, SLA accounting)."""
+"""Tests for Figure 10's latency CDFs and Table 2's SLA accounting."""
 
+import numpy as np
 import pytest
 
+from repro.engine.simulator import RunResult
 from repro.errors import ConfigurationError
-from repro.metrics.cdf import empirical_cdf, top_percent_cdf
-from repro.metrics.sla import sla_report, violation_seconds
+from repro.experiments.fig10_latency_cdfs import empirical_cdf, top_percent_cdf
+from repro.telemetry.slo import sla_report, violation_seconds
 
 
 class TestCDF:
@@ -42,9 +44,14 @@ class TestSLA:
             violation_seconds([1.0], dt_seconds=0)
 
     def test_report_row(self):
-        report = sla_report(
-            "test", [100, 600], [600, 600], [700, 700], [4, 4]
+        zeros = np.zeros(2)
+        result = RunResult(
+            dt_seconds=1.0, sla_ms=500.0, time=zeros, offered=zeros, served=zeros,
+            p50_ms=np.array([100.0, 600.0]), p95_ms=np.array([600.0, 600.0]),
+            p99_ms=np.array([700.0, 700.0]), mean_ms=zeros,
+            machines=np.array([4.0, 4.0]), reconfiguring=np.zeros(2, dtype=bool),
         )
+        report = sla_report("test", result)
         assert report.violations_p50 == 1
         assert report.violations_p95 == 2
         assert report.violations_p99 == 2

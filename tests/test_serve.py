@@ -152,8 +152,12 @@ class TestServerEngine:
             decision = engine.submit(outcomes.append, now=0.5)
             assert decision.accepted
         assert outcomes == []  # nothing resolves before the tick
-        record = engine.tick()
-        assert record["admitted"] == 20.0 and record["rejected"] == 0.0
+        admission = engine.admission
+        before = (admission.accepted, admission.rejected)
+        engine.tick()
+        # The tick resolves what was admitted and admits nothing itself.
+        assert before == (20, 0)
+        assert (admission.accepted, admission.rejected) == before
         assert len(outcomes) == 20
         for outcome in outcomes:
             assert outcome.accepted and outcome.status == 200

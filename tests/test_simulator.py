@@ -6,6 +6,7 @@ import pytest
 from repro.engine.monitor import LoadMonitor
 from repro.engine.simulator import EngineConfig, EngineSimulator, SkewEvent
 from repro.errors import ConfigurationError, MigrationError
+from repro.telemetry.slo import sla_report, violation_seconds
 from repro.workloads.trace import LoadTrace
 
 
@@ -131,17 +132,17 @@ class TestRunResult:
         return sim.run(flat_trace(600.0, 60))
 
     def test_sla_violations(self, result):
-        assert result.sla_violations("p99") > 0
-        assert result.sla_violations("p99", threshold_ms=1e9) == 0
+        assert sla_report("static-1", result).violations_p99 > 0
+        assert violation_seconds(result.p99_ms, threshold_ms=1e9) == 0
 
     def test_cost_and_average(self, result):
         assert result.average_machines() == pytest.approx(1.0)
         assert result.total_cost() == pytest.approx(60.0)
 
     def test_summary_keys(self, result):
-        summary = result.summary()
-        assert {"violations_p50", "violations_p95", "violations_p99",
-                "avg_machines", "max_p99_ms"} <= set(summary)
+        report = sla_report("static-1", result)
+        assert report.violations_p50 <= report.violations_p95 <= report.violations_p99
+        assert report.average_machines == result.average_machines()
 
 
 class TestLoadMonitor:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.controller import ReactiveController
+from repro.core.controller import ReactiveController, SimpleController
 from repro.core.params import SystemParameters
 from repro.core.policy import PredictivePolicy
 from repro.engine.simulator import EngineConfig, EngineSimulator
@@ -18,7 +18,6 @@ from repro.errors import ConfigurationError
 from repro.prediction import ForecastTable, OnlinePredictor, OraclePredictor
 from repro.serve.control import OnlineControlLoop
 from repro.simulation.capacity_sim import CapacitySimulator
-from repro.strategies import SimpleStrategy
 from repro.telemetry import Telemetry, telemetry_session
 from repro.workloads.trace import LoadTrace
 
@@ -36,6 +35,7 @@ class Probe:
         self.migration_active = False
         self.telemetry = None
         self.cluster = SimpleNamespace(num_available_nodes=max_machines)
+        self.min_machines = 0
         self.moves = []
 
     def start_move(self, target, *, boost=1.0):
@@ -75,7 +75,7 @@ class TestStatic:
 
 class TestSimple:
     def test_day_night_switching(self):
-        simple = SimpleStrategy(8, 2, morning_hour=7, night_hour=23)
+        simple = SimpleController(8, 2, morning_hour=7, night_hour=23)
         result = CapacitySimulator(PARAMS, max_machines=10).run(
             trace_of(np.full(48 * INTERVALS_PER_HOUR, 100.0)), simple, initial_machines=2
         )
@@ -87,7 +87,7 @@ class TestSimple:
         assert result.moves == 4  # two mornings, two nights
 
     def test_day_night_switching_on_engine(self):
-        simple = SimpleStrategy(4, 2, morning_hour=1, night_hour=3)
+        simple = SimpleController(4, 2, morning_hour=1, night_hour=3)
         sim = EngineSimulator(EngineConfig(max_nodes=6), initial_nodes=2)
         result = sim.run(trace_of(np.full(4 * INTERVALS_PER_HOUR, 100.0)), controller=simple)
         assert np.all(result.machines[result.time < 3600.0] == 2)
@@ -96,11 +96,11 @@ class TestSimple:
 
     def test_rejects_invalid(self):
         with pytest.raises(ConfigurationError):
-            SimpleStrategy(2, 5)
+            SimpleController(2, 5)
         with pytest.raises(ConfigurationError):
-            SimpleStrategy(5, 0)
+            SimpleController(5, 0)
         with pytest.raises(ConfigurationError):
-            SimpleStrategy(5, 2, morning_hour=10, night_hour=9)
+            SimpleController(5, 2, morning_hour=10, night_hour=9)
 
 
 class TestReactive:

@@ -20,7 +20,6 @@ from repro.telemetry import (
     resolve_telemetry,
     telemetry_session,
 )
-from repro.metrics.sla import violation_seconds
 from repro.telemetry.export import (
     export,
     read_jsonl,
@@ -29,6 +28,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.report import forecast_windows, render_report, summarize
+from repro.telemetry.slo import violation_seconds
 from repro.telemetry.tracer import Tracer
 from repro.telemetry.timeline import TICK_FIELDS, TimelineRecorder
 from repro.workloads.trace import LoadTrace
