@@ -23,6 +23,11 @@ import numpy as np
 from repro.core.params import SystemParameters
 from repro.core.planner import Planner
 from repro.core.schedule import build_move_schedule
+from repro.engine.queueing import (
+    LatencyComponents,
+    mixture_quantiles_steps,
+    sample_latencies,
+)
 from repro.engine.simulator import EngineConfig, EngineSimulator, SkewEvent
 from repro.errors import ConfigurationError
 from repro.parallel import parallel_map
@@ -101,6 +106,25 @@ def _bench_engine_fleet_steps() -> Callable[[], None]:
         sim.skew_events = list(skew)
         for rate in rates:
             sim.step(float(rate))
+
+    return run
+
+
+def _bench_latency_sampler() -> Callable[[], None]:
+    """The tick's quantile solver: latency samples for 240 requests on a
+    two-class mixture (a ``serve_steady`` tick, a fresh mixture each call
+    so the merge is timed too), then p50/p95/p99 for a 60-step batched
+    slot whose 20 partitions form five classes."""
+    two_class = (np.array([0.6, 0.4]), np.array([0.012, 0.019]), np.array([80.0, 55.0]))
+    uniforms = np.random.default_rng(0).random(240)
+    classes = np.arange(20) % 5
+    weights = np.full(20, 1.0 / 20)
+    tails = 40.0 + 10.0 * classes
+    delays = 0.01 + 0.002 * classes + np.linspace(0.0, 0.05, 60)[:, None]
+
+    def run() -> None:
+        sample_latencies(LatencyComponents(*two_class), uniforms)
+        mixture_quantiles_steps(weights, delays, tails, (0.50, 0.95, 0.99))
 
     return run
 
@@ -217,6 +241,7 @@ KERNELS: Dict[str, Callable[[], Callable[[], None]]] = {
     "engine_1000_steps": _bench_engine_1000_steps,
     "engine_fleet_steps": _bench_engine_fleet_steps,
     "engine_run_steady_hour": _bench_engine_run_steady_hour,
+    "latency_sampler": _bench_latency_sampler,
     "serve_session": _bench_serve_session,
     "serve_session_telemetry": _bench_serve_session_telemetry,
     "tenant_session": _bench_tenant_session,
@@ -236,6 +261,7 @@ KERNEL_REPEATS: Dict[str, int] = {
     "engine_1000_steps": 9,
     "engine_fleet_steps": 5,
     "engine_run_steady_hour": 5,
+    "latency_sampler": 9,
     "serve_session": 5,
     "serve_session_telemetry": 5,
     "tenant_session": 3,

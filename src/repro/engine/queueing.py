@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,6 +119,13 @@ class LatencyComponents:
     weights: np.ndarray
     delays: np.ndarray
     tail_rates: np.ndarray
+
+    @cached_property
+    def merged(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The mixture's classes (:func:`merge_components`), computed once:
+        a step's p50/p95/p99 solve, the tick's latency samples and every
+        memo hit that reuses this object share one merge."""
+        return merge_components(self.weights, self.delays, self.tail_rates)
 
 
 def latency_components(
@@ -250,34 +258,72 @@ def merge_components(
     return merged_w, np.ascontiguousarray(classes.real), np.ascontiguousarray(classes.imag)
 
 
+def _checked_quantiles(quantiles: Sequence[float]) -> np.ndarray:
+    """``quantiles`` as a float array; each must lie in ``(0, 1)``."""
+    qs = np.asarray(quantiles, dtype=np.float64)
+    inside = (qs > 0.0) & (qs < 1.0)  # NaN fails both comparisons
+    if not inside.all():
+        raise ConfigurationError(f"quantile must be in (0, 1), got {qs[~inside][0]}")
+    return qs
+
+
 def _scalar_bisect(
     wl: list, dl: list, rl: list, quantiles: Sequence[float], hi: float
 ) -> np.ndarray:
-    """Plain-Python bisection — fastest for the tiny merged mixtures."""
-    m = len(wl)
-    out = np.empty(len(quantiles))
+    """Plain-Python bisection — fastest for the tiny merged mixtures.
+
+    The classes are zipped once with their rates negated, so the inner
+    loop does no indexing; ``exp((-r) * gap)`` is the product Python
+    always evaluated for ``exp(-r * gap)``."""
+    terms = tuple(zip(wl, dl, [-r for r in rl]))
     exp = math.exp
-    for qi, q in enumerate(quantiles):
+    out = []
+    for q in quantiles:
         lo, hi_b = 0.0, hi
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi_b)
             cdf = 0.0
-            for j in range(m):
-                gap = mid - dl[j]
+            for w, d, neg_r in terms:
+                gap = mid - d
                 if gap > 0.0:
-                    cdf += wl[j] * (1.0 - exp(-rl[j] * gap))
+                    cdf += w * (1.0 - exp(neg_r * gap))
             if cdf < q:
                 lo = mid
             else:
                 hi_b = mid
-        out[qi] = 0.5 * (lo + hi_b)
-    return out
+        out.append(0.5 * (lo + hi_b))
+    return np.array(out, dtype=np.float64)
 
 
-def _upper_bracket(d: np.ndarray, r: np.ndarray, q_max: float) -> float:
+def _upper_bracket(d: np.ndarray, r: np.ndarray, q_max: float) -> np.ndarray:
     """Bisection upper bound: every component's own ``q_max``-quantile is
-    a bound when all mass were in it; take the max over components."""
-    return float(np.max(d - np.log(max(1.0 - q_max, 1e-12)) / r)) + 1e-9
+    a bound when all mass were in it; take the max over the last (class)
+    axis, so a ``(K, C)`` batch gets one bound per row."""
+    return (d - np.log(max(1.0 - q_max, 1e-12)) / r).max(-1) + 1e-9
+
+
+def _class_sum(mass: np.ndarray, slabs: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """``out = sum over classes`` of the ``(K, C, Q)`` masses, adding the
+    ``C`` terms of each ``(k, q)`` in exactly the order numpy's last-axis
+    ``add.reduce`` adds a contiguous class-minor row.
+
+    Below 8 terms numpy's ``pairwise_sum`` adds a row left to right (from
+    ``-0.0``, which changes no sum), so the ``C`` class slabs (``slabs``,
+    the ``(K, Q)`` views ``mass[:, j]``) are added left to right: ``C - 1``
+    ufunc calls over rows of ``Q``.  From 8 terms up numpy switches to
+    eight strided accumulators and, above 128, recursive halves; there the
+    masses are copied class-minor and reduced by that same call, which is
+    two calls whatever ``C`` is.  tests/test_batch_path.py pins both
+    branches byte for byte against a class-minor ``sum``.
+    """
+    if len(slabs) == 1:
+        np.copyto(out, slabs[0])
+    elif len(slabs) < 8:
+        np.add(slabs[0], slabs[1], out)
+        for slab in slabs[2:]:
+            np.add(out, slab, out)
+    else:
+        np.add.reduce(np.ascontiguousarray(mass.transpose(0, 2, 1)), axis=-1, out=out)
 
 
 def _bisect_many(
@@ -290,37 +336,55 @@ def _bisect_many(
     """Vectorized bisection over ``K`` mixtures with a common class count.
 
     ``w2``/``d2``/``r2`` have shape ``(K, C)``, ``hi`` shape ``(K,)``;
-    returns ``(K, Q)``.  Every operation is an elementwise ufunc or a
-    last-axis reduction, so a ``K == 1`` call and a batched call produce
-    bit-identical rows — the batched slot kernel relies on this.
+    returns ``(K, Q)``.  The component masses are laid out
+    class-major, ``(K, C, Q)``, so every ufunc runs over rows of ``Q``
+    quantiles and the class sum follows numpy's own last-axis order
+    (:func:`_class_sum`).  Every operation is elementwise per ``(k, q)``,
+    so a ``K == 1`` call and a batched call produce bit-identical rows —
+    the batched slot kernel relies on this.
+
+    Nothing in the loop changes a bit of the class-minor formulation; it
+    only cuts per-call overhead: the constant operands are materialised
+    at the full ``(K, C, Q)`` / ``(K, Q)`` shape (a broadcast operand
+    costs a slower loop, a Python float a conversion per call), every
+    output is written in place, and ``lo`` / ``hi`` are one ``(2, K, Q)``
+    array that a single ``putmask`` updates (``mid`` repeats over its
+    leading axis).
     """
-    lo_b = np.zeros((len(hi), len(qs)))
-    hi_b = np.broadcast_to(hi[:, None], lo_b.shape).copy()
-    mid = np.empty_like(lo_b)
-    cdf = np.empty_like(lo_b)
-    below = np.empty(lo_b.shape, dtype=bool)
-    above = np.empty(lo_b.shape, dtype=bool)
-    mass = np.empty(lo_b.shape + (d2.shape[-1],))
-    delays = d2[:, None, :]
-    neg_rates = -r2[:, None, :]
-    weights = w2[:, None, :]
+    k, classes = w2.shape
+    shape = (k, classes, len(qs))
+    bounds = np.zeros((2, k, len(qs)))
+    bounds[1] = hi[:, None]
+    lo_b, hi_b = bounds
+    masks = np.empty(bounds.shape, dtype=bool)
+    below, above = masks
+    mid = np.empty((k, len(qs)))
+    cdf = np.empty_like(mid)
+    targets = np.broadcast_to(qs, mid.shape).copy()
+    mass = np.empty(shape)
+    slabs = [mass[:, j] for j in range(classes)]
+    mid_classes = mid[:, None, :]
+    delays = np.broadcast_to(d2[:, :, None], shape).copy()
+    neg_rates = np.broadcast_to(-r2[:, :, None], shape).copy()
+    weights = np.broadcast_to(w2[:, :, None], shape).copy()
+    half, zero, one = np.array(0.5), np.array(0.0), np.array(1.0)
     for _ in range(_BISECT_ITERS):
-        np.add(lo_b, hi_b, out=mid)
-        np.multiply(mid, 0.5, out=mid)
+        np.add(lo_b, hi_b, mid)
+        np.multiply(mid, half, mid)
         # mass = 1 - exp(-r * max(mid - d, 0)): a component that starts
         # after ``mid`` gets exp(0) = 1, i.e. exactly zero mass.
-        np.subtract(mid[:, :, None], delays, out=mass)
-        np.maximum(mass, 0.0, out=mass)
-        np.multiply(mass, neg_rates, out=mass)
-        np.exp(mass, out=mass)
-        np.subtract(1.0, mass, out=mass)
-        np.multiply(mass, weights, out=mass)
-        np.add.reduce(mass, axis=-1, out=cdf)
-        np.less(cdf, qs, out=below)
-        np.logical_not(below, out=above)
-        np.copyto(lo_b, mid, where=below)
-        np.copyto(hi_b, mid, where=above)
-    return 0.5 * (lo_b + hi_b)
+        np.subtract(mid_classes, delays, mass)
+        np.maximum(mass, zero, out=mass)
+        np.multiply(mass, neg_rates, mass)
+        np.exp(mass, mass)
+        np.subtract(one, mass, mass)
+        np.multiply(mass, weights, mass)
+        _class_sum(mass, slabs, cdf)
+        np.less(cdf, targets, below)
+        np.logical_not(below, above)
+        np.putmask(bounds, masks, mid)
+    np.add(lo_b, hi_b, mid)
+    return np.multiply(mid, half, mid)
 
 
 def mixture_quantiles(
@@ -331,27 +395,20 @@ def mixture_quantiles(
     The CDF is ``F(x) = sum_i w_i * (1 - exp(-r_i * (x - d_i)))`` for
     ``x > d_i``.  Monotone, so bisection converges deterministically.
     """
-    w = components.weights
-    d = components.delays
-    r = components.tail_rates
-    if len(w) == 0:
+    if len(components.weights) == 0:
         return np.zeros(len(quantiles))
-    for q in quantiles:
-        if not 0 < q < 1:
-            raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
-
-    w, d, r = merge_components(w, d, r)
+    qs = _checked_quantiles(quantiles)
+    w, d, r = components.merged
 
     if len(w) == 1:
         # Single shifted exponential: closed-form quantile.
-        return np.array([d[0] - math.log(1.0 - q) / r[0] for q in quantiles])
+        return np.array([d[0] - math.log(1.0 - q) / r[0] for q in qs.tolist()])
 
-    hi = _upper_bracket(d, r, max(quantiles))
+    hi = _upper_bracket(d, r, float(qs.max()))
 
-    if len(w) * len(quantiles) <= _SCALAR_BISECTION_THRESHOLD:
-        return _scalar_bisect(w.tolist(), d.tolist(), r.tolist(), quantiles, hi)
+    if len(w) * len(qs) <= _SCALAR_BISECTION_THRESHOLD:
+        return _scalar_bisect(w.tolist(), d.tolist(), r.tolist(), qs.tolist(), float(hi))
 
-    qs = np.asarray(quantiles, dtype=np.float64)
     return _bisect_many(w[None, :], d[None, :], r[None, :], qs, np.full(1, hi))[0]
 
 
@@ -376,14 +433,11 @@ def mixture_quantiles_steps(
       one :func:`_bisect_many` call per group — the cross-step
       vectorization that makes wide mixtures cheap.
     """
-    qs = tuple(quantiles)
-    for q in qs:
-        if not 0 < q < 1:
-            raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
+    qs_arr = _checked_quantiles(quantiles)
+    qs = qs_arr.tolist()
     steps = len(delays)
     out = np.empty((steps, len(qs)))
-    q_max = max(qs)
-    qs_arr = np.asarray(qs, dtype=np.float64)
+    q_max = float(qs_arr.max())
     by_count: dict = {}
     for s in range(steps):
         w, d, r = merge_components(weights, delays[s], tail_rates)
@@ -393,7 +447,7 @@ def mixture_quantiles_steps(
         elif m == 1:
             out[s] = [d[0] - math.log(1.0 - q) / r[0] for q in qs]
         elif m * len(qs) <= _SCALAR_BISECTION_THRESHOLD:
-            hi = _upper_bracket(d, r, q_max)
+            hi = float(_upper_bracket(d, r, q_max))
             out[s] = _scalar_bisect(w.tolist(), d.tolist(), r.tolist(), qs, hi)
         else:
             by_count.setdefault(m, []).append((s, w, d, r))
@@ -401,8 +455,7 @@ def mixture_quantiles_steps(
         w2 = np.stack([w for _, w, _, _ in rows])
         d2 = np.stack([d for _, _, d, _ in rows])
         r2 = np.stack([r for _, _, _, r in rows])
-        hi = (d2 - np.log(max(1.0 - q_max, 1e-12)) / r2).max(-1) + 1e-9
-        solved = _bisect_many(w2, d2, r2, qs_arr, hi)
+        solved = _bisect_many(w2, d2, r2, qs_arr, _upper_bracket(d2, r2, q_max))
         for i, (s, _, _, _) in enumerate(rows):
             out[s] = solved[i]
     return out

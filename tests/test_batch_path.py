@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.queueing import _BISECT_ITERS, _bisect_many
+from repro.engine.queueing import _BISECT_ITERS, _bisect_many, _class_sum
 from repro.engine.simulator import EngineConfig
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
@@ -695,14 +695,10 @@ def _bisect_many_reference(w2, d2, r2, qs, hi):
     return 0.5 * (lo_b + hi_b)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_buffered_bisection_is_bit_identical_to_the_reference(seed):
-    rng = np.random.default_rng(seed)
-    k, classes = int(rng.integers(1, 4)), int(rng.integers(2, 14))
-    quantiles = int(rng.integers(1, 250))
+def _assert_bisection_matches_reference(rng, k, classes, quantiles, zero_first):
     weights = rng.random((k, classes))
     weights /= weights.sum(-1, keepdims=True)
-    if seed % 3 == 0:
+    if zero_first:
         weights[:, 0] = 0.0
     delays = rng.random((k, classes)) * rng.choice([0.01, 1.0, 10.0])
     rates = rng.random((k, classes)) * 300.0 + 0.1
@@ -711,3 +707,36 @@ def test_buffered_bisection_is_bit_identical_to_the_reference(seed):
     hi = (delays - np.log(1e-12) / rates).max(-1) + 1e-9
     expected = _bisect_many_reference(weights, delays, rates, qs, hi)
     assert _bisect_many(weights, delays, rates, qs, hi).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_buffered_bisection_is_bit_identical_to_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    k, classes = int(rng.integers(1, 4)), int(rng.integers(2, 14))
+    quantiles = int(rng.integers(1, 250))
+    _assert_bisection_matches_reference(rng, k, classes, quantiles, seed % 3 == 0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("classes", [2, 4, 6, 7, 8, 16, 17, 129, 300])
+def test_class_sum_follows_numpy_order_in_every_branch(classes, k):
+    """Kernel rows for every branch of numpy's last-axis ``pairwise_sum``,
+    the order the class sum must keep: left to right below 8 terms (2 is
+    the ``serve_steady`` mixture), eight accumulators and a remainder up
+    to 128 (8, 16, 17), recursive halves above (129; 300 recurses twice)."""
+    rng = np.random.default_rng(1000 + 10 * classes + k)
+    _assert_bisection_matches_reference(rng, k, classes, 240, classes % 2 == 0)
+
+
+def test_class_sum_adds_in_last_axis_sum_order():
+    """A last-bit change in a CDF value rarely flips a bisection step, so
+    the kernel test alone can miss a wrong order; this compares the class
+    sum itself with the last-axis ``sum`` of the class-minor layout, over
+    terms spanning ten orders of magnitude."""
+    rng = np.random.default_rng(5)
+    for classes in [*range(1, 40), 63, 64, 65, 127, 128, 129, 136, 150, 255, 256, 257, 300]:
+        mass = rng.random((2, classes, 7)) * 10.0 ** rng.integers(-5, 5, (2, classes, 7))
+        expected = np.ascontiguousarray(mass.transpose(0, 2, 1)).sum(-1)
+        out = np.empty((2, 7))
+        _class_sum(mass, [mass[:, j] for j in range(classes)], out)
+        assert out.tobytes() == expected.tobytes(), classes

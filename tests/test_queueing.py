@@ -1,11 +1,15 @@
 """Tests for the fluid-queue latency model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import queueing
 from repro.engine.queueing import (
+    _BISECT_ITERS,
     _SCALAR_BISECTION_THRESHOLD,
     LatencyComponents,
     _bisect_many,
@@ -19,6 +23,7 @@ from repro.engine.queueing import (
     mixture_mean,
     mixture_quantiles,
     mixture_quantiles_steps,
+    sample_latencies,
 )
 from repro.errors import ConfigurationError
 
@@ -166,6 +171,40 @@ class TestMixtureQuantiles:
         q = mixture_quantiles(components, (0.1, 0.5, 0.9, 0.99))
         assert list(q) == sorted(q)
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
+    def test_rejects_quantiles_outside_the_open_unit_interval(self, bad):
+        components = LatencyComponents(
+            np.array([0.3, 0.7]), np.array([0.0, 0.5]), np.array([3.0, 30.0])
+        )
+        with pytest.raises(ConfigurationError, match="quantile must be in"):
+            mixture_quantiles(components, (0.5, bad))
+        with pytest.raises(ConfigurationError, match="quantile must be in"):
+            mixture_quantiles_steps(
+                components.weights, components.delays[None, :], components.tail_rates, (bad, 0.5)
+            )
+
+    @pytest.mark.parametrize("parts", [2, 9, 40])
+    def test_samples_after_a_solve_reuse_its_merge(self, parts, monkeypatch):
+        """A tick solves the step's p50/p95/p99, then samples latencies
+        from the same mixture: the second call reuses the first's merge
+        and returns exactly what a fresh mixture would."""
+        rng = np.random.default_rng(parts)
+        classes = rng.integers(0, 3, parts)
+        weights = rng.dirichlet(np.ones(parts))
+        delays = np.array([0.01, 0.02, 0.5])[classes]
+        rates = np.array([40.0, 25.0, 9.0])[classes]
+        uniforms = rng.random(240)
+        fresh = sample_latencies(LatencyComponents(weights, delays, rates), uniforms)
+
+        calls = []
+        merge = queueing.merge_components
+        monkeypatch.setattr(queueing, "merge_components", lambda *a: calls.append(1) or merge(*a))
+        components = LatencyComponents(weights.copy(), delays.copy(), rates.copy())
+        mixture_quantiles(components, (0.50, 0.95, 0.99))
+        reused = sample_latencies(components, uniforms)
+        assert reused.tobytes() == fresh.tobytes()
+        assert len(calls) == 1
+
 
 def one_partition_step(backlog, offered, service_rate, base_service_s=0.005):
     """One step of one partition: ``(backlog, served, [p50, p95, p99])``."""
@@ -198,6 +237,48 @@ class TestPartitionQueue:
             assert percentiles[0] >= previous
             previous = percentiles[0]
         assert backlog[0] > 0
+
+
+def _scalar_bisect_reference(wl, dl, rl, quantiles, hi):
+    """The indexed loop the zipped ``_scalar_bisect`` replaced, verbatim."""
+    m = len(wl)
+    out = np.empty(len(quantiles))
+    exp = math.exp
+    for qi, q in enumerate(quantiles):
+        lo, hi_b = 0.0, hi
+        for _ in range(_BISECT_ITERS):
+            mid = 0.5 * (lo + hi_b)
+            cdf = 0.0
+            for j in range(m):
+                gap = mid - dl[j]
+                if gap > 0.0:
+                    cdf += wl[j] * (1.0 - exp(-rl[j] * gap))
+            if cdf < q:
+                lo = mid
+            else:
+                hi_b = mid
+        out[qi] = 0.5 * (lo + hi_b)
+    return out
+
+
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    n_q=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_scalar_bisect_is_bit_identical_to_the_indexed_loop(n, n_q, seed):
+    """``n_q == 0`` solves the step's p50/p95/p99; otherwise ``n_q``
+    random quantiles.  Half the delays are zero and the rest up to 2 s,
+    so the ``gap > 0`` test goes both ways."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n))
+    d = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+    r = rng.uniform(0.05, 300.0, n)
+    qs = (0.50, 0.95, 0.99) if n_q == 0 else tuple(rng.uniform(1e-9, 1 - 1e-9, n_q))
+    hi = float(_upper_bracket(d, r, max(qs)))
+    args = (w.tolist(), d.tolist(), r.tolist(), qs, hi)
+    assert _scalar_bisect(*args).tobytes() == _scalar_bisect_reference(*args).tobytes()
 
 
 class TestBisectionCrossover:
