@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint cov bench bench-pytest bench-e2e-quick chaos serve-smoke chaos-serve-smoke soak-smoke tenant-smoke
+.PHONY: test lint cov paper-claims bench bench-pytest bench-e2e-quick chaos serve-smoke chaos-serve-smoke soak-smoke tenant-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,6 +14,11 @@ lint:
 ## Tier-1 suite with line coverage, same floor as the CI tests job.
 cov:
 	$(PYTHON) -m pytest -x -q --cov=repro --cov-report=term-missing --cov-fail-under=80
+
+## The paper's shape claims (EXPERIMENTS.md): every figure and table
+## assertion under benchmarks/, timing kernels off (a few minutes).
+paper-claims:
+	$(PYTHON) -m pytest benchmarks --ignore=benchmarks/e2e --benchmark-disable -q
 
 ## The fault-tolerance chaos experiment (docs/ROBUSTNESS.md): replay a
 ## compressed B2W day under a deterministic fault plan and report the

@@ -97,11 +97,13 @@ def test_second_planning_cycle_not_slower():
 
 
 def test_engine_step_rate(benchmark):
-    """1000 one-second engine steps on a 10-node cluster."""
+    """1000 one-second engine steps on a 10-node cluster, each step's
+    p50/p95/p99 solved (``step`` solves nothing without telemetry)."""
     sim = EngineSimulator(EngineConfig(max_nodes=10), initial_nodes=10)
 
     def run_steps():
         for _ in range(1000):
             sim.step(2000.0)
+            sim.last_latency_components.summary
 
     benchmark.pedantic(run_steps, rounds=1, iterations=1, warmup_rounds=0)

@@ -24,6 +24,7 @@ from repro.core.params import SystemParameters
 from repro.core.planner import Planner
 from repro.core.schedule import build_move_schedule
 from repro.engine.queueing import (
+    STEP_QUANTILES,
     LatencyComponents,
     mixture_quantiles_steps,
     sample_latencies,
@@ -64,10 +65,14 @@ def _bench_schedule_construction() -> Callable[[], None]:
 
 
 def _bench_engine_1000_steps() -> Callable[[], None]:
+    """1000 steps on a 10-node cluster, each step's p50/p95/p99 solved
+    (``step`` itself solves nothing without telemetry)."""
+
     def run() -> None:
         sim = EngineSimulator(EngineConfig(max_nodes=10), initial_nodes=10)
         for _ in range(1000):
             sim.step(2000.0)
+            sim.last_latency_components.summary
 
     return run
 
@@ -89,7 +94,8 @@ def _bench_engine_fleet_steps() -> Callable[[], None]:
     partitions, 10k buckets), 1000 steps of a slowly varying offered
     load with a handful of standing hot spots.  Exercises the
     struct-of-arrays cluster state and the vectorized latency-mixture
-    merge at a scale where per-object bookkeeping would dominate."""
+    merge (each step's p50/p95/p99 solve pays it) at a scale where
+    per-object bookkeeping would dominate."""
     config = EngineConfig(
         max_nodes=1000,
         partitions_per_node=10,
@@ -106,16 +112,21 @@ def _bench_engine_fleet_steps() -> Callable[[], None]:
         sim.skew_events = list(skew)
         for rate in rates:
             sim.step(float(rate))
+            sim.last_latency_components.summary
 
     return run
 
 
 def _bench_latency_sampler() -> Callable[[], None]:
-    """The tick's quantile solver: latency samples for 240 requests on a
-    two-class mixture (a ``serve_steady`` tick, a fresh mixture each call
-    so the merge is timed too), then p50/p95/p99 for a 60-step batched
-    slot whose 20 partitions form five classes."""
+    """The tick's quantile solver: latency samples for 240 requests on
+    two two-class mixtures, each fresh per call so the merge is timed
+    too, then p50/p95/p99 for a 60-step batched slot whose 20 partitions
+    form five classes.  The first mixture has two live classes; the
+    second is a ``serve_steady`` tick's, one live class of weight 1 and
+    the zero-weight class of the unallocated node, which the solver
+    drops."""
     two_class = (np.array([0.6, 0.4]), np.array([0.012, 0.019]), np.array([80.0, 55.0]))
+    one_live = (np.array([1.0, 0.0]), np.array([0.025, 0.025]), np.array([29.5, 50.0]))
     uniforms = np.random.default_rng(0).random(240)
     classes = np.arange(20) % 5
     weights = np.full(20, 1.0 / 20)
@@ -124,7 +135,8 @@ def _bench_latency_sampler() -> Callable[[], None]:
 
     def run() -> None:
         sample_latencies(LatencyComponents(*two_class), uniforms)
-        mixture_quantiles_steps(weights, delays, tails, (0.50, 0.95, 0.99))
+        sample_latencies(LatencyComponents(*one_live), uniforms)
+        mixture_quantiles_steps(weights, delays, tails, STEP_QUANTILES)
 
     return run
 

@@ -29,6 +29,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: The quantiles of a step record: p50, p95, p99.
+STEP_QUANTILES = (0.50, 0.95, 0.99)
+
 #: Floor on the exponential tail rate, as a fraction of the service rate.
 #: Under overload the sojourn distribution is dominated by the
 #: deterministic backlog delay; the residual tail stays finite.
@@ -126,6 +129,14 @@ class LatencyComponents:
         a step's p50/p95/p99 solve, the tick's latency samples and every
         memo hit that reuses this object share one merge."""
         return merge_components(self.weights, self.delays, self.tail_rates)
+
+    @cached_property
+    def summary(self) -> Tuple[float, float, float, float]:
+        """The step record's ``(p50, p95, p99, mean)``, seconds, solved
+        once: only a reader pays for the solve, and a memoised mixture
+        hands out only what was solved for it."""
+        p50, p95, p99 = mixture_quantiles(self, STEP_QUANTILES)
+        return p50, p95, p99, mixture_mean(self)
 
 
 def latency_components(
@@ -258,8 +269,18 @@ def merge_components(
     return merged_w, np.ascontiguousarray(classes.real), np.ascontiguousarray(classes.imag)
 
 
+#: Up to this many quantiles a Python loop checks them faster than one
+#: vectorised test (a step's three, a one-request tick's sample).
+_SCALAR_CHECK_MAX = 16
+
+
 def _checked_quantiles(quantiles: Sequence[float]) -> np.ndarray:
     """``quantiles`` as a float array; each must lie in ``(0, 1)``."""
+    if len(quantiles) <= _SCALAR_CHECK_MAX:
+        for q in quantiles:
+            if not 0.0 < q < 1.0:  # NaN fails both comparisons
+                raise ConfigurationError(f"quantile must be in (0, 1), got {float(q)}")
+        return np.asarray(quantiles, dtype=np.float64)
     qs = np.asarray(quantiles, dtype=np.float64)
     inside = (qs > 0.0) & (qs < 1.0)  # NaN fails both comparisons
     if not inside.all():
@@ -274,8 +295,9 @@ def _scalar_bisect(
 
     The classes are zipped once with their rates negated, so the inner
     loop does no indexing; ``exp((-r) * gap)`` is the product Python
-    always evaluated for ``exp(-r * gap)``."""
-    terms = tuple(zip(wl, dl, [-r for r in rl]))
+    always evaluated for ``exp(-r * gap)``.  A zero-weight class is left
+    out: it would add ``+0.0`` to a sum that is never below ``+0.0``."""
+    terms = tuple((w, d, -r) for w, d, r in zip(wl, dl, rl) if w != 0.0)
     exp = math.exp
     out = []
     for q in quantiles:
@@ -303,9 +325,10 @@ def _upper_bracket(d: np.ndarray, r: np.ndarray, q_max: float) -> np.ndarray:
 
 
 def _class_sum(mass: np.ndarray, slabs: Sequence[np.ndarray], out: np.ndarray) -> None:
-    """``out = sum over classes`` of the ``(K, C, Q)`` masses, adding the
-    ``C`` terms of each ``(k, q)`` in exactly the order numpy's last-axis
-    ``add.reduce`` adds a contiguous class-minor row.
+    """``out = sum over classes`` of the ``(K, C, Q)`` masses, ``C >= 2``
+    (one class is its own sum), adding the ``C`` terms of each ``(k, q)``
+    in exactly the order numpy's last-axis ``add.reduce`` adds a
+    contiguous class-minor row.
 
     Below 8 terms numpy's ``pairwise_sum`` adds a row left to right (from
     ``-0.0``, which changes no sum), so the ``C`` class slabs (``slabs``,
@@ -316,9 +339,7 @@ def _class_sum(mass: np.ndarray, slabs: Sequence[np.ndarray], out: np.ndarray) -
     two calls whatever ``C`` is.  tests/test_batch_path.py pins both
     branches byte for byte against a class-minor ``sum``.
     """
-    if len(slabs) == 1:
-        np.copyto(out, slabs[0])
-    elif len(slabs) < 8:
+    if len(slabs) < 8:
         np.add(slabs[0], slabs[1], out)
         for slab in slabs[2:]:
             np.add(out, slab, out)
@@ -350,7 +371,20 @@ def _bisect_many(
     output is written in place, and ``lo`` / ``hi`` are one ``(2, K, Q)``
     array that a single ``putmask`` updates (``mid`` repeats over its
     leading axis).
+
+    Only classes that carry mass are solved.  Below 8 classes, a class
+    whose weight is zero in every row is dropped: its mass is ``+0.0``,
+    and adding ``+0.0`` to a left-to-right sum of non-negative terms
+    changes no bit.  From 8 up numpy's accumulators would regroup the
+    remaining terms, so nothing is dropped there.  (Partitions on
+    unallocated nodes are such a class.)  When one class is left, the
+    CDF is its mass slab, and a weight of exactly 1.0 skips the multiply.
+    The caller's ``hi`` still bounds every class, dropped ones included.
     """
+    if w2.shape[1] < 8 and not w2.all():
+        live = w2.any(0)
+        if live.any() and not live.all():
+            w2, d2, r2 = w2[:, live], d2[:, live], r2[:, live]
     k, classes = w2.shape
     shape = (k, classes, len(qs))
     bounds = np.zeros((2, k, len(qs)))
@@ -359,14 +393,15 @@ def _bisect_many(
     masks = np.empty(bounds.shape, dtype=bool)
     below, above = masks
     mid = np.empty((k, len(qs)))
-    cdf = np.empty_like(mid)
     targets = np.broadcast_to(qs, mid.shape).copy()
     mass = np.empty(shape)
     slabs = [mass[:, j] for j in range(classes)]
+    cdf = slabs[0] if classes == 1 else np.empty_like(mid)
     mid_classes = mid[:, None, :]
     delays = np.broadcast_to(d2[:, :, None], shape).copy()
     neg_rates = np.broadcast_to(-r2[:, :, None], shape).copy()
-    weights = np.broadcast_to(w2[:, :, None], shape).copy()
+    unit = classes == 1 and bool((w2 == 1.0).all())
+    weights = None if unit else np.broadcast_to(w2[:, :, None], shape).copy()
     half, zero, one = np.array(0.5), np.array(0.0), np.array(1.0)
     for _ in range(_BISECT_ITERS):
         np.add(lo_b, hi_b, mid)
@@ -378,8 +413,10 @@ def _bisect_many(
         np.multiply(mass, neg_rates, mass)
         np.exp(mass, mass)
         np.subtract(one, mass, mass)
-        np.multiply(mass, weights, mass)
-        _class_sum(mass, slabs, cdf)
+        if weights is not None:
+            np.multiply(mass, weights, mass)
+        if classes > 1:
+            _class_sum(mass, slabs, cdf)
         np.less(cdf, targets, below)
         np.logical_not(below, above)
         np.putmask(bounds, masks, mid)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -34,13 +34,13 @@ from repro.engine.cluster import Cluster
 from repro.engine.migration import Migration, MigrationConfig
 from repro.engine.monitor import LoadMonitor
 from repro.engine.queueing import (
+    STEP_QUANTILES,
     LatencyComponents,
     fluid_queue_batch,
     fluid_queue_step,
     latency_components,
     latency_components_steps,
     mixture_mean,
-    mixture_quantiles,
     mixture_quantiles_steps,
 )
 from repro.engine.table import DatabaseSchema
@@ -206,11 +206,10 @@ class EngineSimulator:
         #: Slots served by the batched (S x P) slot kernel in :meth:`run`
         #: (quiet slots whose backlog is still draining or filling).
         self.batched_slots = 0
-        # Quantile memo for repeated identical steps outside :meth:`run`
-        # (driver loops calling :meth:`step` directly).  Purely a cache:
-        # a hit returns exactly what recomputation would, so results are
-        # bit-identical with the memo disabled.
-        self._quant_memo: Optional[tuple] = None
+        # Mixture memo for repeated identical steps (see :meth:`_advance`).
+        # Purely a cache: a hit returns exactly what recomputation would,
+        # so results are bit-identical with the memo disabled.
+        self._step_memo: Optional[tuple] = None
         #: Latency mixture of the most recent computed step.  The serving
         #: layer samples per-request latencies from it; ``None`` until the
         #: first step.  (The steady-slot fast path reuses the slot's first
@@ -490,11 +489,10 @@ class EngineSimulator:
         per_partition = self._backlog / np.maximum(self._mu_base, 1e-9)
         return per_partition.reshape(self.config.max_nodes, p).mean(axis=1)
 
-    def _step_core(
-        self, offered_rate: float
-    ) -> Tuple[float, float, float, float, float, float, bool]:
-        """Advance one step; returns ``(served_rate, p50_ms, p95_ms,
-        p99_ms, mean_ms, machines, reconfiguring)`` and bumps ``now``."""
+    def _advance(self, offered_rate: float) -> Tuple[float, bool, np.ndarray]:
+        """Advance one step and bump ``now``; returns ``(served_rate,
+        reconfiguring, mu_eff)``.  Builds the step's latency mixture
+        (:attr:`last_latency_components`) but solves none of it."""
         dt = self.config.dt_seconds
         block_seconds = None
         block_weight = None
@@ -534,15 +532,15 @@ class EngineSimulator:
         else:
             mu_eff = mu_base * (1.0 - block_weight)
 
-        # Quantile memo: repeated steps at the same operating point (same
+        # Step memo: repeated steps at the same operating point (same
         # offered rate, routing weights, service rates and backlog, no
-        # migration blocking) would recompute identical quantiles, so the
-        # bisection is skipped.  Keys compare weights/mu by object
-        # identity (both caches rebind on change) and the backlog by
-        # value; the stored pre-step backlog is safe to keep by reference
-        # because the fluid step rebinds ``self._backlog`` rather than
-        # mutating it.
-        memo = self._quant_memo
+        # migration blocking) reuse one mixture object, so its merge and
+        # its solved summary are reused too.  Keys compare weights/mu by
+        # object identity (both caches rebind on change) and the backlog
+        # by value; the stored pre-step backlog is safe to keep by
+        # reference because the fluid step rebinds ``self._backlog``
+        # rather than mutating it.
+        memo = self._step_memo
         if (
             block_weight is None
             and memo is not None
@@ -551,8 +549,7 @@ class EngineSimulator:
             and memo[2] is mu_eff
             and np.array_equal(memo[3], self._backlog)
         ):
-            p50, p95, p99, mean, components = memo[4]
-            self.last_latency_components = components
+            components = memo[4]
         else:
             components = latency_components(
                 self._backlog,
@@ -562,17 +559,9 @@ class EngineSimulator:
                 block_seconds=block_seconds,
                 block_weight=block_weight,
             )
-            self.last_latency_components = components
-            p50, p95, p99 = mixture_quantiles(components, (0.50, 0.95, 0.99))
-            mean = mixture_mean(components)
             if block_weight is None:
-                self._quant_memo = (
-                    offered_rate,
-                    weights,
-                    mu_eff,
-                    self._backlog,
-                    (p50, p95, p99, mean, components),
-                )
+                self._step_memo = (offered_rate, weights, mu_eff, self._backlog, components)
+        self.last_latency_components = components
 
         self._backlog, served = fluid_queue_step(self._backlog, offered, mu_eff, dt)
         if self.config.max_queue_seconds > 0:
@@ -582,7 +571,15 @@ class EngineSimulator:
                 out=self._backlog,
             )
         self.now += dt
-        served_rate = float(served.sum() / dt)
+        return float(served.sum() / dt), reconfiguring, mu_eff
+
+    def _step_core(
+        self, offered_rate: float
+    ) -> Tuple[float, float, float, float, float, float, bool]:
+        """Advance one step; returns ``(served_rate, p50_ms, p95_ms,
+        p99_ms, mean_ms, machines, reconfiguring)`` and bumps ``now``."""
+        served_rate, reconfiguring, mu_eff = self._advance(offered_rate)
+        p50, p95, p99, mean = self.last_latency_components.summary
         machines = float(self.machines_allocated)
         tel = self.telemetry
         if tel is not None:
@@ -612,26 +609,18 @@ class EngineSimulator:
             reconfiguring,
         )
 
-    def step(self, offered_rate: float) -> Dict[str, float]:
+    def step(self, offered_rate: float) -> None:
         """Advance one step of ``dt_seconds`` at the given offered load.
 
-        Returns the step record (written into the run arrays when called
-        from :meth:`run`).
+        Returns nothing: the step's latency mixture is
+        :attr:`last_latency_components`, and its p50/p95/p99 and mean are
+        that mixture's ``summary``, solved by whoever reads it.  Attached
+        telemetry reads it for the timeline and ``engine.p99_ms``.
         """
-        served, p50, p95, p99, mean, machines, reconfiguring = self._step_core(
-            offered_rate
-        )
-        return {
-            "time": self.now,
-            "offered": offered_rate,
-            "served": served,
-            "p50_ms": p50,
-            "p95_ms": p95,
-            "p99_ms": p99,
-            "mean_ms": mean,
-            "machines": machines,
-            "reconfiguring": float(reconfiguring),
-        }
+        if self.telemetry is None:
+            self._advance(offered_rate)
+        else:
+            self._step_core(offered_rate)
 
     def _skew_constant_over(self, start: float, last: float) -> bool:
         """True when no skew event starts or ends in ``(start, last]`` —
@@ -689,7 +678,7 @@ class EngineSimulator:
             mu_eff,
             base_service_s=self.config.base_service_ms / 1000.0,
         )
-        q_rows = mixture_quantiles_steps(w, delays, tails, (0.50, 0.95, 0.99))
+        q_rows = mixture_quantiles_steps(w, delays, tails, STEP_QUANTILES)
         means = np.empty(len(distinct))
         for k in range(len(distinct)):
             means[k] = mixture_mean(LatencyComponents(w, delays[k], tails))

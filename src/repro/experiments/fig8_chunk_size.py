@@ -107,9 +107,10 @@ def _run_one(
         weights = sim.cluster.node_weights()
         source_fraction = max(weights[0], 1e-6)
         offered = params.q_max / source_fraction
-        record = sim.step(offered)
-        p50.append(record["p50_ms"])
-        p99.append(record["p99_ms"])
+        sim.step(offered)
+        p50_s, _, p99_s, _ = sim.last_latency_components.summary
+        p50.append(p50_s * 1000.0)
+        p99.append(p99_s * 1000.0)
     return ChunkRunResult(
         chunk_kb=chunk_kb,
         p50_ms_max=float(np.max(p50)),

@@ -695,18 +695,29 @@ def _bisect_many_reference(w2, d2, r2, qs, hi):
     return 0.5 * (lo_b + hi_b)
 
 
+def _assert_kernel_matches_reference(weights, delays, rates, qs):
+    """``hi`` bounds every class, zero-weight ones included, as
+    ``_upper_bracket`` does."""
+    hi = (delays - np.log(1e-12) / rates).max(-1) + 1e-9
+    expected = _bisect_many_reference(weights, delays, rates, qs, hi)
+    assert _bisect_many(weights, delays, rates, qs, hi).tobytes() == expected.tobytes()
+
+
+def _random_kernel_operands(rng, weights, quantiles):
+    k, classes = weights.shape
+    delays = rng.random((k, classes)) * rng.choice([0.01, 1.0, 10.0])
+    rates = rng.random((k, classes)) * 300.0 + 0.1
+    qs = np.clip(rng.random(quantiles), 1e-9, 1.0 - 1e-9)
+    qs[0], qs[-1] = 1e-9, 1.0 - 1e-9
+    return weights, delays, rates, qs
+
+
 def _assert_bisection_matches_reference(rng, k, classes, quantiles, zero_first):
     weights = rng.random((k, classes))
     weights /= weights.sum(-1, keepdims=True)
     if zero_first:
         weights[:, 0] = 0.0
-    delays = rng.random((k, classes)) * rng.choice([0.01, 1.0, 10.0])
-    rates = rng.random((k, classes)) * 300.0 + 0.1
-    qs = np.clip(rng.random(quantiles), 1e-9, 1.0 - 1e-9)
-    qs[0], qs[-1] = 1e-9, 1.0 - 1e-9
-    hi = (delays - np.log(1e-12) / rates).max(-1) + 1e-9
-    expected = _bisect_many_reference(weights, delays, rates, qs, hi)
-    assert _bisect_many(weights, delays, rates, qs, hi).tobytes() == expected.tobytes()
+    _assert_kernel_matches_reference(*_random_kernel_operands(rng, weights, quantiles))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -734,9 +745,71 @@ def test_class_sum_adds_in_last_axis_sum_order():
     sum itself with the last-axis ``sum`` of the class-minor layout, over
     terms spanning ten orders of magnitude."""
     rng = np.random.default_rng(5)
-    for classes in [*range(1, 40), 63, 64, 65, 127, 128, 129, 136, 150, 255, 256, 257, 300]:
+    for classes in [*range(2, 40), 63, 64, 65, 127, 128, 129, 136, 150, 255, 256, 257, 300]:
         mass = rng.random((2, classes, 7)) * 10.0 ** rng.integers(-5, 5, (2, classes, 7))
         expected = np.ascontiguousarray(mass.transpose(0, 2, 1)).sum(-1)
         out = np.empty((2, 7))
         _class_sum(mass, [mass[:, j] for j in range(classes)], out)
         assert out.tobytes() == expected.tobytes(), classes
+
+
+def _weights_with_dead_classes(rng, k, classes):
+    """Row-normalised weights where a random set of classes (never all)
+    weighs zero in every row."""
+    weights = rng.random((k, classes))
+    dead = rng.random(classes) < 0.5
+    dead[rng.integers(classes)] = False
+    weights[:, dead] = 0.0
+    return weights / weights.sum(-1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("classes", range(2, 8))
+def test_bisection_drops_dead_classes_without_moving_a_bit(classes, k):
+    """Below 8 classes the kernel drops a class whose weight is zero in
+    every row (a partition on an unallocated node).  Its rows equal the
+    reference's byte for byte, with the zero columns anywhere; a column
+    that is zero in only some rows is kept."""
+    rng = np.random.default_rng(2000 + 10 * classes + k)
+    for _ in range(4):
+        weights = _weights_with_dead_classes(rng, k, classes)
+        _assert_kernel_matches_reference(*_random_kernel_operands(rng, weights, 240))
+    if k > 1:
+        weights = rng.random((k, classes))
+        weights[:-1, 0] = 0.0  # live in the last row only
+        if classes > 2:
+            weights[:, -1] = 0.0  # and one dead class beside it
+        weights /= weights.sum(-1, keepdims=True)
+        _assert_kernel_matches_reference(*_random_kernel_operands(rng, weights, 240))
+
+
+@pytest.mark.parametrize("classes", [8, 9, 17])
+def test_bisection_keeps_dead_classes_from_eight_up(classes):
+    """From 8 classes numpy's accumulators would regroup the terms left
+    after a drop, so zero columns stay in the sum."""
+    rng = np.random.default_rng(3000 + classes)
+    for k in (1, 3):
+        weights = _weights_with_dead_classes(rng, k, classes)
+        _assert_kernel_matches_reference(*_random_kernel_operands(rng, weights, 240))
+
+
+@pytest.mark.parametrize("hi_from_dead", [False, True])
+@pytest.mark.parametrize(
+    "live",
+    [[1.0], [math.nextafter(1.0, 0.0)], [1.0, math.nextafter(1.0, 0.0), 1.0]],
+    ids=["unit", "below-unit", "mixed-rows"],
+)
+def test_bisection_of_a_lone_live_class_with_and_without_unit_weight(live, hi_from_dead):
+    """``serve_steady``'s mixture: one live class beside a dead one.  A
+    weight of exactly 1.0 skips the multiply, the largest double below
+    it takes it, and in both the CDF is the live class's mass alone.
+    With ``hi_from_dead`` the dead class's slower tail sets the bracket."""
+    k = len(live)
+    weights = np.zeros((k, 2))
+    weights[:, 0] = live
+    delays = np.full((k, 2), 0.025)
+    rates = np.tile([29.5, 5.0 if hi_from_dead else 50.0], (k, 1))
+    uniforms = np.clip(np.random.default_rng(11).random(240), 1e-9, 1.0 - 1e-9)
+    _assert_kernel_matches_reference(weights, delays, rates, uniforms)
+    flipped = weights[:, ::-1].copy(), delays, rates[:, ::-1].copy()
+    _assert_kernel_matches_reference(*flipped, uniforms)

@@ -5,6 +5,7 @@ Each experiment must run end to end and reproduce the paper's
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestFig8:
         assert small.p99_ms_max < 2.0 * static.p99_ms_max
         # Large chunks spike badly.
         assert large.p99_ms_max > 2.0 * small.p99_ms_max
+
+    def test_full_run_reproduces_the_saved_figure(self):
+        """fig8 reads each step's p50/p99 from the step's mixture summary,
+        so ``repro run fig8 --save`` still writes the committed file."""
+        spec = registry.get("fig8")
+        saved = Path(__file__).resolve().parent.parent / "results" / "fig8.txt"
+        report = fig8_chunk_size.run().format_report()
+        assert saved.read_text() == f"{spec.paper_reference}: {spec.title}\n\n{report}\n"
 
 
 class TestSec81:

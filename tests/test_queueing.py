@@ -182,6 +182,9 @@ class TestMixtureQuantiles:
             mixture_quantiles_steps(
                 components.weights, components.delays[None, :], components.tail_rates, (bad, 0.5)
             )
+        # Past a short tuple the check is one vectorised test.
+        with pytest.raises(ConfigurationError, match="quantile must be in"):
+            mixture_quantiles(components, np.append(np.full(40, 0.5), bad))
 
     @pytest.mark.parametrize("parts", [2, 9, 40])
     def test_samples_after_a_solve_reuse_its_merge(self, parts, monkeypatch):
@@ -265,14 +268,18 @@ def _scalar_bisect_reference(wl, dl, rl, quantiles, hi):
     n=st.integers(min_value=1, max_value=10),
     n_q=st.integers(min_value=0, max_value=5),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dead=st.integers(min_value=0, max_value=2**10 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_scalar_bisect_is_bit_identical_to_the_indexed_loop(n, n_q, seed):
+def test_scalar_bisect_is_bit_identical_to_the_indexed_loop(n, n_q, seed, dead):
     """``n_q == 0`` solves the step's p50/p95/p99; otherwise ``n_q``
     random quantiles.  Half the delays are zero and the rest up to 2 s,
-    so the ``gap > 0`` test goes both ways."""
+    so the ``gap > 0`` test goes both ways.  Bit ``j`` of ``dead`` zeroes
+    class ``j``'s weight (a partition on an unallocated node), which the
+    zipped loop leaves out and the indexed one adds as ``+0.0``."""
     rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(n))
+    w[[bool(dead >> j & 1) for j in range(n)]] = 0.0
     d = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
     r = rng.uniform(0.05, 300.0, n)
     qs = (0.50, 0.95, 0.99) if n_q == 0 else tuple(rng.uniform(1e-9, 1 - 1e-9, n_q))

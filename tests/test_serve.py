@@ -4,10 +4,13 @@ Everything here runs on the virtual clock — zero real sleeps; the
 asyncio HTTP transport has its own suite in ``test_serve_http.py``.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.core.params import SystemParameters
+from repro.engine import queueing
 from repro.engine.queueing import sample_latencies
 from repro.engine.simulator import EngineConfig, EngineSimulator
 from repro.errors import ConfigurationError
@@ -142,6 +145,69 @@ class TestLatencySampling:
         assert sample_latencies(components, np.empty(0)).size == 0
         extremes = sample_latencies(components, np.array([0.0, 1.0]))
         assert np.all(np.isfinite(extremes))
+
+
+class TestStepSolvesOnlyForItsReaders:
+    """``EngineSimulator.step`` builds the step's latency mixture; its
+    p50/p95/p99 are solved only when attached telemetry reads them."""
+
+    @staticmethod
+    def _serve(engine, ticks=15):
+        """Tick ``engine`` under random load, idle every third tick;
+        returns the requests each tick completed.  Two of four nodes are
+        allocated, so every step's mixture has a zero-weight class."""
+        rng = np.random.default_rng(4)
+        completed = []
+        for tick in range(ticks):
+            arrivals = int(rng.integers(1, 40)) if tick % 3 else 0
+            engine.submit_batch(tick + rng.random(arrivals))
+            before = engine.completed
+            engine.tick()
+            completed.append(engine.completed - before)
+        return completed
+
+    def test_no_step_solve_without_telemetry(self, monkeypatch):
+        sizes = []
+        solve = queueing.mixture_quantiles
+        monkeypatch.setattr(
+            queueing, "mixture_quantiles", lambda c, q: sizes.append(len(q)) or solve(c, q)
+        )
+        completed = self._serve(ServerEngine(small_config(), initial_nodes=2, seed=3))
+        # Every call samples one tick's admitted requests; none is a step's.
+        assert sizes == [n for n in completed if n]
+        assert 0 in completed
+
+    def test_timeline_quantiles_match_run(self):
+        telemetry = Telemetry()
+        config = small_config()
+        engine = ServerEngine(config, initial_nodes=2, seed=3, telemetry=telemetry)
+        self._serve(engine)
+        ticks = telemetry.timeline.ticks
+        offered = np.array([tick["offered"] for tick in ticks])
+        trace = LoadTrace(offered * config.dt_seconds, slot_seconds=config.dt_seconds)
+        result = EngineSimulator(config, initial_nodes=2).run(trace)
+        for column in ("p50_ms", "p95_ms", "p99_ms"):
+            assert [tick[column] for tick in ticks] == getattr(result, column).tolist()
+
+    def test_run_solves_a_memoised_mixture_it_reuses(self):
+        """An untelemetered ``step`` memoises a mixture it never solved;
+        a ``run`` whose first step hits that memo solves it there and
+        matches a run from the same state with the memo cleared."""
+        trace = LoadTrace(np.full(3, 600.0), slot_seconds=60.0)
+        results = []
+        for keep_memo in (True, False):
+            sim = EngineSimulator(small_config(), initial_nodes=2)
+            sim.step(10.0)
+            memoised = sim.last_latency_components
+            assert "summary" not in vars(memoised)
+            if not keep_memo:
+                sim._step_memo = None
+            results.append(sim.run(trace))
+            assert ("summary" in vars(memoised)) is keep_memo
+        kept, fresh = results
+        for field in fields(kept):
+            a, b = getattr(kept, field.name), getattr(fresh, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 class TestServerEngine:
